@@ -1,10 +1,12 @@
 """Reference text classifier: hashed n-gram features, sigmoid linear model,
 weighted cross-entropy with a configurable minority-class penalty."""
 
+import functools
+import itertools
 import re
 import struct
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -19,6 +21,9 @@ EPS = 1e-12
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
+# Distinct grams whose hash is kept.  Clinical vocabularies are Zipfian, so a
+# bounded cache still catches most occurrences without growing with the corpus.
+_GRAM_CACHE_SIZE = 1 << 16
 
 
 def fnv1a_64(data: bytes) -> int:
@@ -66,24 +71,30 @@ def tokenize(text: str, lowercase: bool = True) -> list[str]:
     return re.findall(r"[a-zA-Z0-9]+", text)
 
 
-def featurize(text: str, config: FeatureConfig) -> dict[int, float]:
-    """Hash n-grams of the token stream into a sparse count vector."""
+@functools.lru_cache(maxsize=_GRAM_CACHE_SIZE)
+def _gram_hash(gram: str) -> int:
+    """Full 64-bit hash of one gram; reduced per FeatureConfig by the caller."""
+    return fnv1a_64(gram.encode("utf-8"))
+
+
+def _grams(text: str, config: FeatureConfig) -> Iterator[str]:
+    """The n-grams of a text, in feature order: the one definition of a feature."""
     tokens = tokenize(text, config.lowercase)
     if not tokens:
         raise EmptyInput("no tokens after normalization")
+    return itertools.chain.from_iterable(
+        map(" ".join, zip(*(tokens[k:] for k in range(n))))
+        for n in range(config.ngram_min, config.ngram_max + 1)
+    )
+
+
+def featurize(text: str, config: FeatureConfig) -> dict[int, float]:
+    """Hash n-grams of the token stream into a sparse count vector."""
     counts: dict[int, float] = {}
-    for n in range(config.ngram_min, config.ngram_max + 1):
-        for i in range(len(tokens) - n + 1):
-            gram = " ".join(tokens[i : i + n]).encode("utf-8")
-            idx = fnv1a_64(gram) % config.dimension
-            counts[idx] = counts.get(idx, 0.0) + 1.0
+    for gram in _grams(text, config):
+        idx = _gram_hash(gram) % config.dimension
+        counts[idx] = counts.get(idx, 0.0) + 1.0
     return counts
-
-
-def weighted_loss(y: int, p: float, pos_weight: float) -> float:
-    """Cross-entropy with a multiplicative penalty on positive-class errors."""
-    p = min(max(p, EPS), 1.0 - EPS)
-    return -(pos_weight * y * np.log(p) + (1 - y) * np.log(1.0 - p))
 
 
 @dataclass
@@ -106,15 +117,18 @@ def _sigmoid(z):
 
 
 def _design_matrix(texts: Sequence[str], fcfg: FeatureConfig) -> sparse.csr_matrix:
-    data, indices, indptr = [], [], [0]
+    """CSR counts, one row per text, with sorted column indices per row."""
+    mask = np.uint64(fcfg.dimension - 1)  # dimension is a power of two
+    row_indices, row_counts = [], []
     for text in texts:
-        feats = featurize(text, fcfg)
-        for idx in sorted(feats):
-            indices.append(idx)
-            data.append(feats[idx])
-        indptr.append(len(indices))
+        hashes = np.fromiter(map(_gram_hash, _grams(text, fcfg)), dtype=np.uint64)
+        idx, cnt = np.unique(hashes & mask, return_counts=True)
+        row_indices.append(idx.astype(np.int64))
+        row_counts.append(cnt.astype(np.float64))
+    indptr = np.zeros(len(texts) + 1, dtype=np.int64)
+    np.cumsum([len(idx) for idx in row_indices], out=indptr[1:])
     return sparse.csr_matrix(
-        (np.asarray(data), np.asarray(indices, dtype=np.int64), np.asarray(indptr, dtype=np.int64)),
+        (np.concatenate(row_counts), np.concatenate(row_indices), indptr),
         shape=(len(texts), fcfg.dimension),
     )
 
@@ -162,8 +176,13 @@ def train(
     y = np.array([1.0 if lab is Label.NORMAL else 0.0 for _, lab in ordered])
     X = _design_matrix(texts, fcfg)
     n = len(ordered)
+    # A column no training text uses gets gradient 2 * l2 * 0 at every step,
+    # so its weight stays exactly 0: SGD runs on the used columns only.  Rows
+    # keep their order, so the weights come out bit for bit as at full width.
+    used, renumbered = np.unique(X.indices, return_inverse=True)
+    X_used = sparse.csr_matrix((X.data, renumbered, X.indptr), shape=(n, len(used)))
 
-    weights = np.zeros(fcfg.dimension)
+    w_used = np.zeros(len(used))
     bias = 0.0
     rng = SplitMix64(cfg.seed ^ 0x1F2E3D4C5B6A7988)
     order = list(range(n))
@@ -173,12 +192,14 @@ def train(
         for start in range(0, n, cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
             loss, gw, gb = objective_and_gradient(
-                X[batch], y[batch], weights, bias, cfg.pos_weight, cfg.l2
+                X_used[batch], y[batch], w_used, bias, cfg.pos_weight, cfg.l2
             )
             if not np.isfinite(loss):
                 raise Divergence(f"non-finite loss {loss}")
-            weights -= cfg.learning_rate * gw
+            w_used -= cfg.learning_rate * gw
             bias -= cfg.learning_rate * gb
+    weights = np.zeros(fcfg.dimension)
+    weights[used] = w_used
     final, _, _ = objective_and_gradient(X, y, weights, bias, cfg.pos_weight, cfg.l2)
     if not np.isfinite(final):
         raise Divergence(f"non-finite final loss {final}")
@@ -199,33 +220,38 @@ def classify(model: LinearModel, text: str, threshold: float = 0.5) -> Label:
 
 _MAGIC = b"NCLM"
 _VERSION = 1
+# magic, version, dimension, ngram_min, ngram_max, lowercase (+3 pad), pos_weight
+_HEADER = struct.Struct("<4sIQIIB3xd")
 
 
 def save_model(model: LinearModel, path) -> None:
     """Flat little-endian binary: header, weights, bias."""
+    cfg = model.config
     with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<I", _VERSION))
-        f.write(struct.pack("<Q", model.config.dimension))
-        f.write(struct.pack("<II", model.config.ngram_min, model.config.ngram_max))
-        f.write(struct.pack("<B3x", int(model.config.lowercase)))
-        f.write(struct.pack("<d", model.pos_weight))
+        f.write(
+            _HEADER.pack(
+                _MAGIC, _VERSION, cfg.dimension, cfg.ngram_min, cfg.ngram_max,
+                int(cfg.lowercase), model.pos_weight,
+            )
+        )
         f.write(model.weights.astype("<f8").tobytes())
         f.write(struct.pack("<d", model.bias))
 
 
 def load_model(path) -> LinearModel:
     with open(path, "rb") as f:
-        if f.read(4) != _MAGIC:
-            raise SchemaError(f"{path}: bad magic")
-        (version,) = struct.unpack("<I", f.read(4))
-        if version != _VERSION:
-            raise SchemaError(f"{path}: unsupported version {version}")
-        (dimension,) = struct.unpack("<Q", f.read(8))
-        ngram_min, ngram_max = struct.unpack("<II", f.read(8))
-        (lowercase,) = struct.unpack("<B3x", f.read(4))
-        (pos_weight,) = struct.unpack("<d", f.read(8))
-        weights = np.frombuffer(f.read(8 * dimension), dtype="<f8").copy()
-        (bias,) = struct.unpack("<d", f.read(8))
+        blob = f.read()
+    if blob[:4] != _MAGIC:
+        raise SchemaError(f"{path}: bad magic")
+    if len(blob) < _HEADER.size:
+        raise SchemaError(f"{path}: truncated header ({len(blob)} bytes)")
+    _, version, dimension, ngram_min, ngram_max, lowercase, pos_weight = _HEADER.unpack_from(blob)
+    if version != _VERSION:
+        raise SchemaError(f"{path}: unsupported version {version}")
+    expected = _HEADER.size + 8 * dimension + 8
+    if len(blob) != expected:
+        raise SchemaError(f"{path}: {len(blob)} bytes, expected {expected} for dimension {dimension}")
+    weights = np.frombuffer(blob, dtype="<f8", count=dimension, offset=_HEADER.size).copy()
+    (bias,) = struct.unpack_from("<d", blob, expected - 8)
     fcfg = FeatureConfig(dimension=dimension, ngram_min=ngram_min, ngram_max=ngram_max, lowercase=bool(lowercase))
     return LinearModel(weights=weights, bias=bias, config=fcfg, pos_weight=pos_weight)

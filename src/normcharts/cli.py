@@ -640,8 +640,10 @@ def _cmd_centiles(args) -> int:
 
 
 def _cmd_curves(args) -> int:
-    model = growthchart.load_growth_model(args.model)
     n = args.points
+    if n < 2:
+        raise ConfigError(f"--points must be at least 2, got {n}")
+    model = growthchart.load_growth_model(args.model)
     ages = [args.age_min + i * (args.age_max - args.age_min) / (n - 1) for i in range(n)]
     rows = growthchart.percentile_curves(model, ages, Sex(args.sex))
     with open(args.out, "w", encoding="utf-8", newline="") as f:

@@ -283,6 +283,19 @@ class FitOptions:
 # The scale predictor uses a fixed first-order basis when sigma_age is on;
 # candidate search applies to the location predictor only.
 SIGMA_FP = FpSpec(1, (1.0,))
+NU_BOUNDS = (0.05, 8.0)
+
+
+def _converged(res: optimize.OptimizeResult, tol: float) -> bool:
+    """Whether a fit converged: the minimiser says so, or its gradient
+    projected onto the bounds is below tol.  A shape component sitting on a
+    bound of NU_BOUNDS and pushing outward cannot move, so it counts as zero.
+    """
+    grad = np.array(res.jac, dtype=float)
+    nu, (lo, hi) = res.x[-1], NU_BOUNDS
+    if (nu <= lo and grad[-1] > 0.0) or (nu >= hi and grad[-1] < 0.0):
+        grad[-1] = 0.0
+    return bool(res.success or np.max(np.abs(grad)) < tol)
 
 
 def _fit_one(logy, x_mu, x_sigma, scanner_idx, n_scanners, options):
@@ -303,7 +316,7 @@ def _fit_one(logy, x_mu, x_sigma, scanner_idx, n_scanners, options):
         if r > 0:
             rng = np.random.default_rng(1000 + r)
             x0[:p_mu] += rng.normal(0.0, 0.05, size=p_mu)
-        bounds = [(None, None)] * (p_mu + n_scanners + p_sig) + [(0.05, 8.0)]
+        bounds = [(None, None)] * (p_mu + n_scanners + p_sig) + [NU_BOUNDS]
         res = optimize.minimize(
             _neg_penalized_loglik,
             x0,
@@ -315,8 +328,7 @@ def _fit_one(logy, x_mu, x_sigma, scanner_idx, n_scanners, options):
         )
         if best is None or res.fun < best.fun:
             best = res
-    converged = bool(best.success or np.max(np.abs(best.jac)) < options.tol * n)
-    return best, converged
+    return best, _converged(best, options.tol * n)
 
 
 def fit(

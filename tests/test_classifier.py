@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from normcharts.classifier import (
     EPS,
@@ -18,10 +19,12 @@ from normcharts.classifier import (
     save_model,
     tokenize,
     train,
-    weighted_loss,
     _design_matrix,
+    _gram_hash,
+    _GRAM_CACHE_SIZE,
     _sigmoid,
 )
+from normcharts.corpus import SplitMix64
 from normcharts.errors import EmptyInput, InvalidParams, MissingClass
 from normcharts.labeling import Label
 
@@ -63,15 +66,24 @@ def test_feature_config_validation():
         FeatureConfig(ngram_min=2, ngram_max=1)
 
 
+def _one_row_loss(y, p, pos_weight):
+    """The weighted loss of one example scored p: a one-row objective, l2 = 0."""
+    with np.errstate(divide="ignore"):
+        bias = float(np.log(p) - np.log1p(-p))
+    X = sparse.csr_matrix(np.ones((1, 1)))
+    loss, _, _ = objective_and_gradient(X, np.array([float(y)]), np.zeros(1), bias, pos_weight, 0.0)
+    return loss
+
+
 def test_weighted_loss_hand_values():
     # -10 * ln(0.9) and -ln(0.5)
-    assert weighted_loss(1, 0.9, 10.0) == pytest.approx(1.0536051565782628, rel=1e-12)
-    assert weighted_loss(0, 0.5, 10.0) == pytest.approx(math.log(2), rel=1e-12)
+    assert _one_row_loss(1, 0.9, 10.0) == pytest.approx(1.0536051565782628, rel=1e-12)
+    assert _one_row_loss(0, 0.5, 10.0) == pytest.approx(math.log(2), rel=1e-12)
 
 
 def test_weighted_loss_clamps_extremes():
-    assert math.isfinite(weighted_loss(1, 0.0, 10.0))
-    assert math.isfinite(weighted_loss(0, 1.0, 10.0))
+    assert math.isfinite(_one_row_loss(1, 0.0, 10.0))
+    assert math.isfinite(_one_row_loss(0, 1.0, 10.0))
 
 
 def test_sigmoid_matches_closed_form():
@@ -107,6 +119,92 @@ def test_gradient_matches_central_differences():
         wm[j] -= h
         num = (f(wp, b) - f(wm, b)) / (2 * h)
         assert gw[j] == pytest.approx(num, rel=1e-5, abs=1e-10)
+
+
+def _reference_design_matrix(texts, fcfg):
+    """The scalar loop the array build replaced: one sorted featurize dict per row."""
+    data, indices, indptr = [], [], [0]
+    for text in texts:
+        feats = featurize(text, fcfg)
+        for idx in sorted(feats):
+            indices.append(idx)
+            data.append(feats[idx])
+        indptr.append(len(indices))
+    return np.asarray(data), np.asarray(indices), np.asarray(indptr)
+
+
+@pytest.mark.parametrize(
+    "fcfg",
+    [
+        FeatureConfig(dimension=1 << 10),
+        FeatureConfig(dimension=1 << 18),
+        FeatureConfig(dimension=1 << 10, ngram_min=1, ngram_max=3, lowercase=False),
+        FeatureConfig(dimension=1 << 12, ngram_min=2, ngram_max=2),
+    ],
+)
+def test_design_matrix_matches_featurize_dicts(fcfg):
+    rng = np.random.default_rng(4)
+    vocab = ["Mass", "mass", "lesion", "normal", "stable", "clear", "7", "T2"]
+    texts = [" ".join(rng.choice(vocab, size=rng.integers(1, 30))) for _ in range(50)]
+    X = _design_matrix(texts, fcfg)
+    data, indices, indptr = _reference_design_matrix(texts, fcfg)
+    assert X.shape == (len(texts), fcfg.dimension)
+    assert np.array_equal(X.indptr, indptr)
+    assert np.array_equal(X.indices, indices)
+    assert np.array_equal(X.data, data)
+
+
+def _reference_train(examples, cfg, fcfg):
+    """The full-width SGD loop: every step updates all `dimension` weights."""
+    ordered = sorted(examples, key=lambda e: (e[0], e[1].value))
+    X = _design_matrix([t for t, _ in ordered], fcfg)
+    y = np.array([1.0 if lab is Label.NORMAL else 0.0 for _, lab in ordered])
+    w, b = np.zeros(fcfg.dimension), 0.0
+    rng = SplitMix64(cfg.seed ^ 0x1F2E3D4C5B6A7988)
+    order = list(range(len(ordered)))
+    for _ in range(cfg.epochs):
+        rng.shuffle(order)
+        for start in range(0, len(order), cfg.batch_size):
+            batch = order[start : start + cfg.batch_size]
+            _, gw, gb = objective_and_gradient(X[batch], y[batch], w, b, cfg.pos_weight, cfg.l2)
+            w -= cfg.learning_rate * gw
+            b -= cfg.learning_rate * gb
+    return w, b
+
+
+@pytest.mark.parametrize("l2", [0.0, 1e-6, 1e-2])
+@pytest.mark.parametrize("dim", [1 << 10, 1 << 16])
+def test_train_on_used_columns_matches_full_width_bitwise(l2, dim):
+    rng = np.random.default_rng(6)
+    vocab = ["mass", "lesion", "normal", "stable", "clear", "edema", "no", "acute"]
+    # shared words repeat columns within a batch; one rare word per text gives
+    # columns used once
+    examples = [
+        (" ".join([*rng.choice(vocab, size=rng.integers(2, 12)), f"rare{i}"]),
+         Label.NORMAL if i % 3 == 0 else Label.ABNORMAL)
+        for i in range(90)
+    ]
+    cfg = TrainConfig(epochs=4, seed=2, l2=l2, batch_size=16)
+    fcfg = FeatureConfig(dimension=dim)
+    model = train(examples, cfg, fcfg)
+    w, b = _reference_train(examples, cfg, fcfg)
+    assert model.weights.tobytes() == w.tobytes()  # signs of zero included
+    assert model.bias == b
+
+
+def test_gram_hash_cache_stays_bounded():
+    fcfg = FeatureConfig(dimension=1 << 12)
+    text = " ".join(f"w{i}" for i in range(_GRAM_CACHE_SIZE))  # twice as many distinct grams
+    feats = featurize(text, fcfg)
+    info = _gram_hash.cache_info()
+    assert info.maxsize == _GRAM_CACHE_SIZE
+    assert info.currsize <= _GRAM_CACHE_SIZE
+    reference, tokens = {}, text.split()
+    for n in (1, 2):
+        for i in range(len(tokens) - n + 1):
+            idx = fnv1a_64(" ".join(tokens[i : i + n]).encode()) % fcfg.dimension
+            reference[idx] = reference.get(idx, 0.0) + 1.0
+    assert feats == reference  # evicted grams hash the same when seen again
 
 
 def _toy_examples(n=40, seed=0):

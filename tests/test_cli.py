@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import pytest
@@ -179,6 +180,47 @@ def test_growth_pipeline_chain(tmp_path, capsys):
     assert "pearson_r: 1.000000" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("damage", ["intact", "truncated", "padded"])
+def test_eval_rejects_model_file_of_wrong_size(tmp_path, capsys, damage):
+    import numpy as np
+
+    from normcharts.classifier import FeatureConfig, LinearModel, save_model
+
+    model_path = tmp_path / "model.bin"
+    save_model(LinearModel(weights=np.zeros(1 << 10), bias=0.0,
+                           config=FeatureConfig(dimension=1 << 10), pos_weight=10.0),
+               model_path)
+    blob = model_path.read_bytes()
+    model_path.write_bytes({"intact": blob, "truncated": blob[:-1], "padded": blob + b"\0"}[damage])
+    gold = data_file("edge_case_gold.csv")
+    split_path = tmp_path / "split.csv"
+    with open(split_path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(["report_id", "subset"])
+        for row in read_metrics(gold):
+            w.writerow([row["report_id"], "Test"])
+    rc = main(["eval", "--model", str(model_path),
+               "--reports", str(data_file("edge_case_reports.jsonl")),
+               "--labels", str(gold), "--split", str(split_path),
+               "--out", str(tmp_path / "eval.csv")])
+    err = capsys.readouterr().err
+    if damage == "intact":
+        assert rc == 0
+        return
+    assert rc == 3
+    assert err.count("\n") == 1
+    assert str(model_path) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("points", ["1", "0", "-3"])
+def test_curves_rejects_fewer_than_two_points(tmp_path, capsys, points):
+    rc = main(["curves", "--model", str(tmp_path / "absent.json"),
+               "--points", points, "--out", str(tmp_path / "curves.csv")])
+    assert rc == 2
+    assert "--points" in capsys.readouterr().err
+    assert not (tmp_path / "curves.csv").exists()
+
+
 def test_run_experiment_rejects_unknown_name():
     with pytest.raises(ConfigError):
         run_experiment("exp0_nope", PipelineConfig())
@@ -204,6 +246,24 @@ def test_runs_are_byte_identical(tmp_path):
     dir_b = run_experiment("exp1_balanced", cfg_b, timestamp="t0")
     assert (dir_a / "metrics.csv").read_bytes() == (dir_b / "metrics.csv").read_bytes()
     assert (dir_a / "model-seed3.bin").read_bytes() == (dir_b / "model-seed3.bin").read_bytes()
+
+
+# sha256 of the artifacts below, recorded from the scalar-loop classifier; any
+# change to hashing, the design matrix or the SGD arithmetic shows up here.
+GOLDEN_EXP2 = {
+    "metrics.csv": "8cebc2c482df82d05db4f3e9f473f224ba01553c0f84447839fb2588c780a141",
+    "model-seed1.bin": "0f7350aa3d1f8a2547fd0ec076089b06ff9e54fc7fe8231774150f8a1d6c95a3",
+    "model-seed2.bin": "4d35ca8c20361236117a83cf7a90c28e3ffe518b3465f459ee35ae206465d962",
+}
+
+
+def test_exp2_weighted_golden_digests(tmp_path):
+    cfg = PipelineConfig(out_dir=str(tmp_path), seeds=(1, 2), synth_n=400,
+                         dimension=1 << 12, epochs=20)
+    run_dir = run_experiment("exp2_weighted", cfg, timestamp="t0")
+    digests = {name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
+               for name in GOLDEN_EXP2}
+    assert digests == GOLDEN_EXP2
 
 
 def test_experiment_names():

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, special, stats
+from scipy import integrate, optimize, special, stats
 
 from normcharts.errors import DegenerateInput, DomainError, InvalidParams, ShapeError
 from normcharts.growthchart import (
@@ -13,7 +13,9 @@ from normcharts.growthchart import (
     GGParams,
     GrowthModel,
     GrowthTruth,
+    NU_BOUNDS,
     _basis_matrix,
+    _converged,
     _neg_penalized_loglik,
     centile,
     compare_centiles,
@@ -353,3 +355,22 @@ def test_model_json_round_trip(tmp_path):
     doc = json.loads(path.read_text())
     assert model_from_dict(model_to_dict(model)) == model
     assert doc["region"] == "vol_cortical_gm"
+
+
+@pytest.mark.parametrize(
+    "nu, nu_grad, expected",
+    [
+        (NU_BOUNDS[0], 50.0, True),  # on the lower bound, pushing below it
+        (NU_BOUNDS[1], -50.0, True),  # on the upper bound, pushing above it
+        (NU_BOUNDS[0], -50.0, False),  # on a bound, pushing inward
+        (1.5, 50.0, False),  # interior: the raw gradient decides
+        (1.5, 0.5, True),
+    ],
+)
+def test_convergence_uses_gradient_projected_on_nu_bounds(nu, nu_grad, expected):
+    res = optimize.OptimizeResult(
+        x=np.array([0.3, -0.1, nu]), jac=np.array([0.2, -0.4, nu_grad]), success=False
+    )
+    assert _converged(res, tol=1.0) is expected
+    res.success = True
+    assert _converged(res, tol=1.0) is True
