@@ -248,22 +248,126 @@ def test_runs_are_byte_identical(tmp_path):
     assert (dir_a / "model-seed3.bin").read_bytes() == (dir_b / "model-seed3.bin").read_bytes()
 
 
+def _sha256s(run_dir, names):
+    return {name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest() for name in names}
+
+
+# Run with the default relative out_dir from inside tmp_path, so config.ini
+# (which echoes out_dir) has the same bytes on every machine.
+SMALL = {"seeds": (1, 2), "synth_n": 400, "dimension": 1 << 12}
+SMALL_CONFIG_INI = "dc687b78530ace630698ff49faddcb65eb73a96048a79415edeeb6735cb4de7f"
+
 # sha256 of the artifacts below, recorded from the scalar-loop classifier; any
 # change to hashing, the design matrix or the SGD arithmetic shows up here.
 GOLDEN_EXP2 = {
     "metrics.csv": "8cebc2c482df82d05db4f3e9f473f224ba01553c0f84447839fb2588c780a141",
     "model-seed1.bin": "0f7350aa3d1f8a2547fd0ec076089b06ff9e54fc7fe8231774150f8a1d6c95a3",
     "model-seed2.bin": "4d35ca8c20361236117a83cf7a90c28e3ffe518b3465f459ee35ae206465d962",
+    "config.ini": SMALL_CONFIG_INI,
 }
 
 
-def test_exp2_weighted_golden_digests(tmp_path):
-    cfg = PipelineConfig(out_dir=str(tmp_path), seeds=(1, 2), synth_n=400,
-                         dimension=1 << 12, epochs=20)
-    run_dir = run_experiment("exp2_weighted", cfg, timestamp="t0")
-    digests = {name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
-               for name in GOLDEN_EXP2}
-    assert digests == GOLDEN_EXP2
+def test_exp2_weighted_golden_digests(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    run_dir = run_experiment("exp2_weighted", PipelineConfig(**SMALL, epochs=20), timestamp="t0")
+    assert _sha256s(run_dir, GOLDEN_EXP2) == GOLDEN_EXP2
+
+
+# sha256 of every other protocol's artifacts, recorded before the experiment
+# code in cli.py was folded into shared helpers.
+GOLDEN = {
+    "exp1_balanced": (SMALL, {
+        "metrics.csv": "bd0314a3286eecb1837eef9014783cc0572241ef01503bddafcbb953a17eac8d",
+        "model-seed1.bin": "540f7c3b3a8c7c8e2d1561566ccd206ca5b86522ce5991fd42d3e39fcda73dc6",
+        "model-seed2.bin": "1b66c21f61fc12f8af07c5085dab2a1bc048f600b4f27bb704e901ca6791f164",
+        "config.ini": SMALL_CONFIG_INI,
+    }),
+    "exp3_ood": (SMALL, {
+        "metrics.csv": "9512578e0c0400a36709c40b41fc4cd33137736e58e3490209df323fc5ca5da9",
+        "model-seed1.bin": "811b4905c0b42e339efc8dde2bd4224be279154531fb301cc69919d1cbbaae73",
+        "model-seed2.bin": "0836dd278f343f759a22b6f81b009c388b30ceb4a44f3f9cdc109656f0d93dd4",
+        "config.ini": SMALL_CONFIG_INI,
+    }),
+    "exp4_impression": (SMALL, {
+        "metrics.csv": "1d6648093a84c4fa9b0dd513c03f494d66f26b3e5443a27e6feec1959497f771",
+        "model-seed1.bin": "3faf563835d8e17c2ee39659e9569819a19a4dfc04b88bb223e7d9f88dfb3ffe",
+        "model-seed2.bin": "039980d9bb39fbb559898436634907431d19f901cc631987bae5809ac1f65af4",
+        "config.ini": SMALL_CONFIG_INI,
+    }),
+    "exp5_stepwise": ({}, {
+        "triage-direct.csv": "64e6b8caf1dd4003e4fde3a678c1f4fba31607826dab1bf7c991e305a40a6e26",
+        "triage-stepwise.csv": "2190b686cc5cb0836f44e5a0dabcca2a3ad23d822a59553abac9787232b55b21",
+        "metrics.csv": "a24a15dcdf3759e340ceebbac0bb659a738f3c4cd6d695554688b6463b6b0b93",
+    }),
+    "exp6_growthcharts": ({"n_sessions": 300}, {
+        "curves.csv": "7e4fd06292fbbebabe06cedaf6cc6b0a9bb395b0a366932635d6f2350639a7bb",
+        "attrition.json": "0db70083dbc161b012f7a9ffa6875544954b045a0c841cf1a63490ab923dd816",
+        "growth-model-a.json": "feab5b4c28db4e8771e8643411265991f1e6891ad5cf7f37594b77de7a4cf0b5",
+        "growth-model-b.json": "af0760397ab23f2e847a4b814301e5e943a0f5efebe3bb4d01dd01e383a63182",
+        "metrics.csv": "4eefe866ad2a890feca02c7727427022c265f6d7aa221a9cf518cfda225d43e7",
+    }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_protocol_golden_digests(tmp_path, monkeypatch, name):
+    monkeypatch.chdir(tmp_path)
+    overrides, expected = GOLDEN[name]
+    run_dir = run_experiment(name, PipelineConfig(**overrides), timestamp="t0")
+    assert _sha256s(run_dir, expected) == expected
+
+
+# config.ini of a config with every field away from its default, recorded
+# before to_ini/load_config were derived from the dataclass fields.
+FULL_CONFIG_INI = """\
+[paths]
+reports = r.jsonl
+annotations = a.jsonl
+phenotypes = p.csv
+fixture = f.tsv
+gold = g.csv
+out_dir = out
+
+[train]
+seeds = 7,8
+pos_weight = 2.5
+epochs = 3
+learning_rate = 0.25
+dimension = 4096
+cutoff_year = 2016
+holdout_site = site-B
+synth_n = 90
+abnormal_fraction = 0.5
+
+[growth]
+n_sessions = 60
+n_scanners = 3
+ridge_lambda = 0.5
+sigma_age = False
+fp1_only = False
+region = vol_ventricles
+
+[llm]
+endpoint = http://localhost:1/x
+model = m
+
+"""
+
+
+def test_config_ini_with_every_field_set(tmp_path):
+    cfg = PipelineConfig(
+        reports_path="r.jsonl", annotations_path="a.jsonl", phenotypes_path="p.csv",
+        fixture_path="f.tsv", gold_path="g.csv", out_dir="out", seeds=(7, 8),
+        pos_weight=2.5, epochs=3, learning_rate=0.25, dimension=1 << 12,
+        cutoff_year=2016, holdout_site="site-B", synth_n=90, abnormal_fraction=0.5,
+        llm_endpoint="http://localhost:1/x", llm_model="m", n_sessions=60,
+        n_scanners=3, ridge_lambda=0.5, sigma_age=False, fp1_only=False,
+        region="vol_ventricles",
+    )
+    assert cfg.to_ini() == FULL_CONFIG_INI
+    path = tmp_path / "cfg.ini"
+    path.write_text(FULL_CONFIG_INI)
+    assert load_config(str(path)) == cfg
 
 
 def test_experiment_names():
