@@ -14,7 +14,6 @@ from scipy import sparse
 from .corpus import SplitMix64
 from .errors import Divergence, EmptyInput, InvalidParams, MissingClass, SchemaError
 from .labeling import Label
-from .report_text import InputMode
 
 EPS = 1e-12
 
@@ -55,7 +54,6 @@ class TrainConfig:
     epochs: int = 20
     l2: float = 1e-6
     seed: int = 0
-    input_mode: InputMode = InputMode.FULL_REPORT
     batch_size: int = 64
 
     def __post_init__(self):
@@ -253,5 +251,8 @@ def load_model(path) -> LinearModel:
         raise SchemaError(f"{path}: {len(blob)} bytes, expected {expected} for dimension {dimension}")
     weights = np.frombuffer(blob, dtype="<f8", count=dimension, offset=_HEADER.size).copy()
     (bias,) = struct.unpack_from("<d", blob, expected - 8)
-    fcfg = FeatureConfig(dimension=dimension, ngram_min=ngram_min, ngram_max=ngram_max, lowercase=bool(lowercase))
-    return LinearModel(weights=weights, bias=bias, config=fcfg, pos_weight=pos_weight)
+    try:
+        fcfg = FeatureConfig(dimension=dimension, ngram_min=ngram_min, ngram_max=ngram_max, lowercase=bool(lowercase))
+        return LinearModel(weights=weights, bias=bias, config=fcfg, pos_weight=pos_weight)
+    except InvalidParams as e:
+        raise SchemaError(f"{path}: {e}") from e

@@ -13,9 +13,10 @@ import argparse
 import configparser
 import csv
 import datetime
+import io
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import Field, dataclass, fields
 from importlib import resources
 from pathlib import Path
 from typing import Optional
@@ -70,124 +71,156 @@ class PipelineConfig:
     fp1_only: bool = True
     region: str = Region.CORTICAL_GM.value
 
+    def __post_init__(self):
+        if not self.seeds:
+            raise ConfigError("at least one seed is required")
+        if self.region not in {r.value for r in Region}:
+            raise ConfigError(
+                f"unknown region {self.region!r}; choose from {[r.value for r in Region]}"
+            )
+
     def to_ini(self) -> str:
         cp = configparser.ConfigParser()
-        cp["paths"] = {
-            k: v
-            for k, v in {
-                "reports": self.reports_path,
-                "annotations": self.annotations_path,
-                "phenotypes": self.phenotypes_path,
-                "fixture": self.fixture_path,
-                "gold": self.gold_path,
-                "out_dir": self.out_dir,
-            }.items()
-            if v is not None
-        }
-        cp["train"] = {
-            "seeds": ",".join(str(s) for s in self.seeds),
-            "pos_weight": str(self.pos_weight),
-            "epochs": str(self.epochs),
-            "learning_rate": str(self.learning_rate),
-            "dimension": str(self.dimension),
-            "cutoff_year": str(self.cutoff_year),
-            "holdout_site": self.holdout_site or "",
-            "synth_n": str(self.synth_n),
-            "abnormal_fraction": str(self.abnormal_fraction),
-        }
-        cp["growth"] = {
-            "n_sessions": str(self.n_sessions),
-            "n_scanners": str(self.n_scanners),
-            "ridge_lambda": str(self.ridge_lambda),
-            "sigma_age": str(self.sigma_age),
-            "fp1_only": str(self.fp1_only),
-            "region": self.region,
-        }
-        cp["llm"] = {
-            "endpoint": self.llm_endpoint or "",
-            "model": self.llm_model,
-        }
-        import io
-
+        for section, names in _INI_SECTIONS.items():
+            # an unset path is left out; an unset holdout_site or endpoint is written as ""
+            cp[section] = {
+                _ini_key(name): _format_value(getattr(self, name))
+                for name in names
+                if getattr(self, name) is not None or section != "paths"
+            }
         buf = io.StringIO()
         cp.write(buf)
         return buf.getvalue()
 
 
+# INI section of every PipelineConfig field, in config.ini's order.
+_INI_SECTIONS = {
+    "paths": (
+        "reports_path", "annotations_path", "phenotypes_path", "fixture_path",
+        "gold_path", "out_dir",
+    ),
+    "train": (
+        "seeds", "pos_weight", "epochs", "learning_rate", "dimension",
+        "cutoff_year", "holdout_site", "synth_n", "abnormal_fraction",
+    ),
+    "growth": ("n_sessions", "n_scanners", "ridge_lambda", "sigma_age", "fp1_only", "region"),
+    "llm": ("llm_endpoint", "llm_model"),
+}
+
+
+def _ini_key(name: str) -> str:
+    return name.removesuffix("_path").removeprefix("llm_")
+
+
+def _format_value(value) -> str:
+    if isinstance(value, tuple):
+        return ",".join(str(v) for v in value)
+    return "" if value is None else str(value)
+
+
+def _parse_value(f: Field, text: str):
+    """Read one INI value by the field's type; bad numbers raise ValueError."""
+    if f.type == tuple[int, ...]:
+        return tuple(int(s) for s in text.split(",")) if text else f.default
+    if f.type is bool:
+        return text.lower() in ("1", "true", "yes")
+    if f.type == Optional[str]:
+        return text or None
+    return f.type(text)
+
+
 def load_config(path: Optional[str]) -> PipelineConfig:
-    cfg = PipelineConfig()
     if path is None:
-        return cfg
+        return PipelineConfig()
     cp = configparser.ConfigParser()
-    read = cp.read(path)
-    if not read:
+    if not cp.read(path):
         raise ConfigError(f"config file not found: {path}")
+    by_name = {f.name: f for f in fields(PipelineConfig)}
+    values = {}
     try:
-        p = cp["paths"] if cp.has_section("paths") else {}
-        cfg.reports_path = p.get("reports") or None
-        cfg.annotations_path = p.get("annotations") or None
-        cfg.phenotypes_path = p.get("phenotypes") or None
-        cfg.fixture_path = p.get("fixture") or None
-        cfg.gold_path = p.get("gold") or None
-        cfg.out_dir = p.get("out_dir", cfg.out_dir)
-        t = cp["train"] if cp.has_section("train") else {}
-        if t.get("seeds"):
-            cfg.seeds = tuple(int(s) for s in t["seeds"].split(","))
-        cfg.pos_weight = float(t.get("pos_weight", cfg.pos_weight))
-        cfg.epochs = int(t.get("epochs", cfg.epochs))
-        cfg.learning_rate = float(t.get("learning_rate", cfg.learning_rate))
-        cfg.dimension = int(t.get("dimension", cfg.dimension))
-        cfg.cutoff_year = int(t.get("cutoff_year", cfg.cutoff_year))
-        cfg.holdout_site = t.get("holdout_site") or None
-        cfg.synth_n = int(t.get("synth_n", cfg.synth_n))
-        cfg.abnormal_fraction = float(t.get("abnormal_fraction", cfg.abnormal_fraction))
-        g = cp["growth"] if cp.has_section("growth") else {}
-        cfg.n_sessions = int(g.get("n_sessions", cfg.n_sessions))
-        cfg.n_scanners = int(g.get("n_scanners", cfg.n_scanners))
-        cfg.ridge_lambda = float(g.get("ridge_lambda", cfg.ridge_lambda))
-        cfg.sigma_age = str(g.get("sigma_age", cfg.sigma_age)).lower() in ("1", "true", "yes")
-        cfg.fp1_only = str(g.get("fp1_only", cfg.fp1_only)).lower() in ("1", "true", "yes")
-        cfg.region = g.get("region", cfg.region)
-        llm = cp["llm"] if cp.has_section("llm") else {}
-        cfg.llm_endpoint = llm.get("endpoint") or None
-        cfg.llm_model = llm.get("model", cfg.llm_model)
+        for section, names in _INI_SECTIONS.items():
+            if not cp.has_section(section):
+                continue
+            for name in names:
+                text = cp[section].get(_ini_key(name))
+                if text is not None:
+                    values[name] = _parse_value(by_name[name], text)
     except ValueError as e:
         raise ConfigError(f"bad config value: {e}") from e
-    if not cfg.seeds:
-        raise ConfigError("at least one seed is required")
-    return cfg
+    return PipelineConfig(**values)
 
 
-def _write_labels_csv(path, labels: dict[str, Label]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["report_id", "label"])
-        for rid in sorted(labels):
-            w.writerow([rid, labels[rid].value])
+def _load_csv_map(path, key: str, column: str, parse) -> dict:
+    """Map each row's `key` to parse(its `column`); a bad row is a DataError at path:line."""
+    out = {}
+    with open(path, encoding="utf-8", newline="") as f:
+        reader = csv.DictReader(f)
+        missing = sorted({key, column} - set(reader.fieldnames or ()))
+        if missing:
+            raise DataError(f"{path}:1: missing column(s) {missing}")
+        for row in reader:
+            try:
+                out[row[key]] = parse(row[column])
+            except (TypeError, ValueError) as e:
+                raise DataError(f"{path}:{reader.line_num}: {e}") from e
+    return out
 
 
 def _load_labels_csv(path) -> dict[str, Label]:
-    out = {}
-    with open(path, encoding="utf-8", newline="") as f:
-        for row in csv.DictReader(f):
-            out[row["report_id"]] = Label(row["label"])
-    return out
+    return _load_csv_map(path, "report_id", "label", Label)
 
 
-def _write_split_csv(path, assignment: corpus.SplitAssignment) -> None:
+def _write_csv_map(path, key: str, column: str, mapping: dict) -> None:
+    """The file _load_csv_map reads: one row per key in sorted order, enum values."""
     with open(path, "w", encoding="utf-8", newline="") as f:
         w = csv.writer(f)
-        w.writerow(["report_id", "subset"])
-        for rid in sorted(assignment.assignment):
-            w.writerow([rid, assignment.assignment[rid].value])
+        w.writerow([key, column])
+        for k in sorted(mapping):
+            w.writerow([k, mapping[k].value])
 
 
-def _load_split_csv(path) -> dict[str, corpus.Subset]:
-    out = {}
-    with open(path, encoding="utf-8", newline="") as f:
-        for row in csv.DictReader(f):
-            out[row["report_id"]] = corpus.Subset(row["subset"])
-    return out
+def _write_triage_csv(path, records: list[stepwise.StepwiseRecord]) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(["report_id"] + [q.value for q in stepwise.QuestionId] + ["label"])
+        for rec in records:
+            w.writerow(
+                [rec.report_id]
+                + [rec.answers[q].value for q in stepwise.QuestionId]
+                + [rec.label.value]
+            )
+
+
+_CURVE_COLUMNS = ("age_years", "p2.5", "p50", "p97.5")
+
+
+def _write_curves_csv(path, model: growthchart.GrowthModel, ages: list[float], sex: Sex) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(_CURVE_COLUMNS)
+        for row in growthchart.percentile_curves(model, ages, sex):
+            w.writerow([f"{row[c]:.4f}" for c in _CURVE_COLUMNS])
+
+
+def _print_metrics(result: metrics.EvalResult) -> None:
+    for name in metrics.METRIC_NAMES:
+        value = result.metric(name)
+        print(f"{name}: {'undefined' if value is None else f'{value:.4f}'}")
+
+
+def _fit_options(fp1_only: bool, sigma_age: bool, ridge_lambda: float) -> growthchart.FitOptions:
+    candidates = None
+    if fp1_only:
+        candidates = [growthchart.FpSpec(1, (p,)) for p in growthchart.FP_POWERS]
+    return growthchart.FitOptions(
+        fp_candidates=candidates, sigma_age=sigma_age, ridge_lambda=ridge_lambda
+    )
+
+
+def _labelled(reports: list[Report], ids: set[str], labels: dict[str, Label]) -> list[Report]:
+    """Reports in `ids` whose label is Normal or Abnormal, in corpus order."""
+    known = (Label.NORMAL, Label.ABNORMAL)
+    return [r for r in reports if r.id in ids and labels.get(r.id) in known]
 
 
 def _examples(
@@ -196,27 +229,20 @@ def _examples(
     labels: dict[str, Label],
     mode: InputMode,
 ) -> list[tuple[str, Label]]:
-    picked = []
-    for r in reports:
-        if r.id in ids and labels.get(r.id) in (Label.NORMAL, Label.ABNORMAL):
-            picked.append((compose_input(r, mode), labels[r.id]))
-    return picked
+    return [(compose_input(r, mode), labels[r.id]) for r in _labelled(reports, ids, labels)]
 
 
 def _evaluate_model(model, reports, ids, labels, mode) -> metrics.EvalResult:
-    preds, refs = [], []
-    for r in reports:
-        if r.id in ids and labels.get(r.id) in (Label.NORMAL, Label.ABNORMAL):
-            preds.append(classifier.classify(model, compose_input(r, mode)))
-            refs.append(labels[r.id])
-    return metrics.confusion(preds, refs)
+    picked = _labelled(reports, ids, labels)
+    preds = [classifier.classify(model, compose_input(r, mode)) for r in picked]
+    return metrics.confusion(preds, [labels[r.id] for r in picked])
 
 
 # ---------------------------------------------------------------------------
 # experiment protocols
 
 
-def _corpus_for(cfg: PipelineConfig, seed: int = 0):
+def _corpus_for(cfg: PipelineConfig):
     if cfg.reports_path:
         reports = load_reports_jsonl(cfg.reports_path)
         if cfg.annotations_path:
@@ -225,106 +251,50 @@ def _corpus_for(cfg: PipelineConfig, seed: int = 0):
             annotations = []
         labels = labeling.label_reports(reports, annotations)
         return reports, labels
-    return synth_reports(seed=seed, n=cfg.synth_n, abnormal_fraction=cfg.abnormal_fraction)
+    return synth_reports(seed=0, n=cfg.synth_n, abnormal_fraction=cfg.abnormal_fraction)
 
 
 def _classifier_experiment(name: str, cfg: PipelineConfig, run_dir: Path) -> list[dict]:
+    """exp1-exp4: per seed, split the training pool, train, save, and score the
+    seed's test subset plus any fixed evaluation sets; then summarize each set."""
     balanced = name == "exp1_balanced"
     mode = InputMode.IMPRESSION_ONLY if name == "exp4_impression" else InputMode.FULL_REPORT
-    distribution = "balanced" if balanced else "unbalanced"
-    reports, labels = _corpus_for(cfg)
+    keys = {
+        "model": "linear",
+        "experiment": name,
+        "distribution": "balanced" if balanced else "unbalanced",
+    }
+    pool, labels = _corpus_for(cfg)
+    fixed_sets = []
+    if name == "exp3_ood":
+        pool, ood = corpus.ood_partition(pool, cfg.cutoff_year, cfg.holdout_site)
+        if not pool or not ood:
+            raise DataError("OOD partition left one side empty; adjust cutoff_year")
+        fixed_sets.append(("ood", ood, {r.id for r in ood}))
     rows: list[dict] = []
-    results = []
+    results: dict[str, list[metrics.EvalResult]] = {}
     for seed in cfg.seeds:
-        assignment = corpus.split(reports, seed, labels=labels)
+        assignment = corpus.split(pool, seed, labels=labels)
         train_ids = assignment.ids(corpus.Subset.TRAIN)
         if balanced:
             train_ids = corpus.balance(train_ids, labels, seed)
-        pos_weight = 1.0 if balanced else cfg.pos_weight
         tcfg = classifier.TrainConfig(
-            pos_weight=pos_weight,
-            learning_rate=cfg.learning_rate,
-            epochs=cfg.epochs,
-            seed=seed,
-            input_mode=mode,
-        )
-        fcfg = classifier.FeatureConfig(dimension=cfg.dimension)
-        model = classifier.train(_examples(reports, set(train_ids), labels, mode), tcfg, fcfg)
-        classifier.save_model(model, run_dir / f"model-seed{seed}.bin")
-        result = _evaluate_model(
-            model, reports, set(assignment.ids(corpus.Subset.TEST)), labels, mode
-        )
-        results.append(result)
-        rows.extend(
-            metrics.result_rows(
-                result,
-                model="linear",
-                experiment=name,
-                distribution=distribution,
-                evaluation_set="test",
-                seed=seed,
-            )
-        )
-    summary = metrics.seed_summary(results)
-    rows.extend(
-        metrics.summary_rows(
-            summary,
-            model="linear",
-            experiment=name,
-            distribution=distribution,
-            evaluation_set="test",
-        )
-    )
-    return rows
-
-
-def _ood_experiment(cfg: PipelineConfig, run_dir: Path) -> list[dict]:
-    reports, labels = _corpus_for(cfg)
-    in_dist, ood = corpus.ood_partition(reports, cfg.cutoff_year, cfg.holdout_site)
-    if not in_dist or not ood:
-        raise DataError("OOD partition left one side empty; adjust cutoff_year")
-    rows: list[dict] = []
-    in_results, ood_results = [], []
-    ood_ids = {r.id for r in ood}
-    for seed in cfg.seeds:
-        assignment = corpus.split(in_dist, seed, labels=labels)
-        tcfg = classifier.TrainConfig(
-            pos_weight=cfg.pos_weight,
+            pos_weight=1.0 if balanced else cfg.pos_weight,
             learning_rate=cfg.learning_rate,
             epochs=cfg.epochs,
             seed=seed,
         )
         fcfg = classifier.FeatureConfig(dimension=cfg.dimension)
-        train_ids = set(assignment.ids(corpus.Subset.TRAIN))
-        model = classifier.train(
-            _examples(in_dist, train_ids, labels, InputMode.FULL_REPORT), tcfg, fcfg
-        )
+        model = classifier.train(_examples(pool, set(train_ids), labels, mode), tcfg, fcfg)
         classifier.save_model(model, run_dir / f"model-seed{seed}.bin")
-        for eval_name, pool, ids, bucket in (
-            ("test", in_dist, set(assignment.ids(corpus.Subset.TEST)), in_results),
-            ("ood", ood, ood_ids, ood_results),
-        ):
-            result = _evaluate_model(model, pool, ids, labels, InputMode.FULL_REPORT)
-            bucket.append(result)
-            rows.extend(
-                metrics.result_rows(
-                    result,
-                    model="linear",
-                    experiment="exp3_ood",
-                    distribution="unbalanced",
-                    evaluation_set=eval_name,
-                    seed=seed,
-                )
-            )
-    for eval_name, bucket in (("test", in_results), ("ood", ood_results)):
+        test_set = ("test", pool, set(assignment.ids(corpus.Subset.TEST)))
+        for eval_name, eval_pool, ids in [test_set] + fixed_sets:
+            result = _evaluate_model(model, eval_pool, ids, labels, mode)
+            results.setdefault(eval_name, []).append(result)
+            rows.extend(metrics.result_rows(result, **keys, evaluation_set=eval_name, seed=seed))
+    for eval_name, bucket in results.items():
         rows.extend(
-            metrics.summary_rows(
-                metrics.seed_summary(bucket),
-                model="linear",
-                experiment="exp3_ood",
-                distribution="unbalanced",
-                evaluation_set=eval_name,
-            )
+            metrics.summary_rows(metrics.seed_summary(bucket), **keys, evaluation_set=eval_name)
         )
     return rows
 
@@ -337,25 +307,13 @@ def _stepwise_experiment(cfg: PipelineConfig, run_dir: Path) -> list[dict]:
     gold = _load_labels_csv(gold_path)
     source = stepwise.FixtureAnswerSource(fixture_path)
     rows: list[dict] = []
-    for mode, model_name in (
-        (stepwise.InquiryMode.DIRECT, "direct"),
-        (stepwise.InquiryMode.STEPWISE, "stepwise"),
-    ):
+    for mode in (stepwise.InquiryMode.DIRECT, stepwise.InquiryMode.STEPWISE):
         records = [stepwise.run_inquiry(r, mode, source) for r in reports]
-        with open(run_dir / f"triage-{model_name}.csv", "w", encoding="utf-8", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["report_id"] + [q.value for q in stepwise.QuestionId] + ["label"])
-            for rec in records:
-                w.writerow(
-                    [rec.report_id]
-                    + [rec.answers[q].value for q in stepwise.QuestionId]
-                    + [rec.label.value]
-                )
-        result = stepwise.evaluate_inquiry(records, gold)
+        _write_triage_csv(run_dir / f"triage-{mode.value}.csv", records)
         rows.extend(
             metrics.result_rows(
-                result,
-                model=model_name,
+                stepwise.evaluate_inquiry(records, gold),
+                model=mode.value,
                 experiment="exp5_stepwise",
                 distribution="edge-cases",
                 evaluation_set="referee",
@@ -363,17 +321,6 @@ def _stepwise_experiment(cfg: PipelineConfig, run_dir: Path) -> list[dict]:
             )
         )
     return rows
-
-
-def _growth_options(cfg: PipelineConfig) -> growthchart.FitOptions:
-    candidates = None
-    if cfg.fp1_only:
-        candidates = [growthchart.FpSpec(1, (p,)) for p in growthchart.FP_POWERS]
-    return growthchart.FitOptions(
-        fp_candidates=candidates,
-        sigma_age=cfg.sigma_age,
-        ridge_lambda=cfg.ridge_lambda,
-    )
 
 
 def _default_truth(cfg: PipelineConfig) -> growthchart.GrowthTruth:
@@ -426,7 +373,7 @@ def _growth_experiment(cfg: PipelineConfig, run_dir: Path) -> list[dict]:
     shared = sessions[:n_shared]
     only_a = sessions[n_shared : n_shared + half_extra]
     only_b = sessions[n_shared + half_extra :]
-    options = _growth_options(cfg)
+    options = _fit_options(cfg.fp1_only, cfg.sigma_age, cfg.ridge_lambda)
     model_a = growthchart.fit(shared + only_a, region, options)
     model_b = growthchart.fit(shared + only_b, region, options)
     growthchart.save_growth_model(run_dir / "growth-model-a.json", model_a)
@@ -434,25 +381,17 @@ def _growth_experiment(cfg: PipelineConfig, run_dir: Path) -> list[dict]:
     cent_a = [growthchart.centile(model_a, s) for s in sessions]
     cent_b = [growthchart.centile(model_b, s) for s in sessions]
     r = growthchart.compare_centiles(cent_a, cent_b)
-    ages = [1.0 + i * 0.5 for i in range(38)]
-    curves = growthchart.percentile_curves(model_a, ages, Sex.F)
-    with open(run_dir / "curves.csv", "w", encoding="utf-8", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["age_years", "p2.5", "p50", "p97.5"])
-        for row in curves:
-            w.writerow(
-                [f"{row['age_years']:.4f}", f"{row['p2.5']:.4f}", f"{row['p50']:.4f}", f"{row['p97.5']:.4f}"]
-            )
+    _write_curves_csv(run_dir / "curves.csv", model_a, [1.0 + i * 0.5 for i in range(38)], Sex.F)
     return [
-        {
-            "model": "growth",
-            "experiment": "exp6_growthcharts",
-            "distribution": "synthetic",
-            "evaluation_set": "union",
-            "seed": cfg.seeds[0],
-            "metric": "pearson_r",
-            "value": f"{r:.6f}",
-        }
+        metrics.metric_row(
+            model="growth",
+            experiment="exp6_growthcharts",
+            distribution="synthetic",
+            evaluation_set="union",
+            seed=cfg.seeds[0],
+            metric="pearson_r",
+            value=r,
+        )
     ]
 
 
@@ -464,14 +403,12 @@ def run_experiment(name: str, cfg: PipelineConfig, timestamp: Optional[str] = No
     run_dir = Path(cfg.out_dir) / f"{name}-{stamp}"
     run_dir.mkdir(parents=True, exist_ok=True)
     (run_dir / "config.ini").write_text(cfg.to_ini(), encoding="utf-8")
-    if name in ("exp1_balanced", "exp2_weighted", "exp4_impression"):
-        rows = _classifier_experiment(name, cfg, run_dir)
-    elif name == "exp3_ood":
-        rows = _ood_experiment(cfg, run_dir)
-    elif name == "exp5_stepwise":
+    if name == "exp5_stepwise":
         rows = _stepwise_experiment(cfg, run_dir)
-    else:
+    elif name == "exp6_growthcharts":
         rows = _growth_experiment(cfg, run_dir)
+    else:
+        rows = _classifier_experiment(name, cfg, run_dir)
     metrics.write_results_csv(run_dir / "metrics.csv", rows)
     return run_dir
 
@@ -498,7 +435,7 @@ def _cmd_label(args) -> int:
         labeling.load_annotations_jsonl(args.annotations) if args.annotations else []
     )
     labels = labeling.label_reports(reports, annotations)
-    _write_labels_csv(args.out, labels)
+    _write_csv_map(args.out, "report_id", "label", labels)
     print(f"labeled {len(labels)} of {len(reports)} reports -> {args.out}")
     return 0
 
@@ -507,17 +444,21 @@ def _cmd_split(args) -> int:
     reports = load_reports_jsonl(args.reports)
     labels = _load_labels_csv(args.labels) if args.labels else None
     assignment = corpus.split(reports, args.seed, labels=labels)
-    _write_split_csv(args.out, assignment)
+    _write_csv_map(args.out, "report_id", "subset", assignment.assignment)
     for subset in corpus.Subset:
         print(f"{subset.value}: {len(assignment.ids(subset))}")
     return 0
 
 
+def _subset_ids(split_path, subset: corpus.Subset) -> set[str]:
+    split_map = _load_csv_map(split_path, "report_id", "subset", corpus.Subset)
+    return {rid for rid, s in split_map.items() if s is subset}
+
+
 def _cmd_train(args) -> int:
     reports = load_reports_jsonl(args.reports)
     labels = _load_labels_csv(args.labels)
-    split_map = _load_split_csv(args.split)
-    train_ids = {rid for rid, s in split_map.items() if s is corpus.Subset.TRAIN}
+    train_ids = _subset_ids(args.split, corpus.Subset.TRAIN)
     if args.balanced:
         train_ids = set(corpus.balance(sorted(train_ids), labels, args.seed))
     mode = InputMode(args.input_mode)
@@ -526,7 +467,6 @@ def _cmd_train(args) -> int:
         learning_rate=args.learning_rate,
         epochs=args.epochs,
         seed=args.seed,
-        input_mode=mode,
     )
     model = classifier.train(_examples(reports, train_ids, labels, mode), tcfg)
     classifier.save_model(model, args.out)
@@ -537,9 +477,8 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     reports = load_reports_jsonl(args.reports)
     labels = _load_labels_csv(args.labels)
-    split_map = _load_split_csv(args.split)
     subset = corpus.Subset(args.subset)
-    ids = {rid for rid, s in split_map.items() if s is subset}
+    ids = _subset_ids(args.split, subset)
     model = classifier.load_model(args.model)
     mode = InputMode(args.input_mode)
     result = _evaluate_model(model, reports, ids, labels, mode)
@@ -552,9 +491,7 @@ def _cmd_eval(args) -> int:
         seed="-",
     )
     metrics.write_results_csv(args.out, rows)
-    for name in metrics.METRIC_NAMES:
-        value = result.metric(name)
-        print(f"{name}: {'undefined' if value is None else f'{value:.4f}'}")
+    _print_metrics(result)
     return 0
 
 
@@ -568,21 +505,10 @@ def _cmd_triage(args) -> int:
         raise ConfigError("triage needs --fixture or --endpoint")
     mode = stepwise.InquiryMode(args.mode)
     records = [stepwise.run_inquiry(r, mode, source) for r in reports]
-    with open(args.out, "w", encoding="utf-8", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["report_id"] + [q.value for q in stepwise.QuestionId] + ["label"])
-        for rec in records:
-            w.writerow(
-                [rec.report_id]
-                + [rec.answers[q].value for q in stepwise.QuestionId]
-                + [rec.label.value]
-            )
+    _write_triage_csv(args.out, records)
     print(f"triaged {len(records)} reports -> {args.out}")
     if args.gold:
-        result = stepwise.evaluate_inquiry(records, _load_labels_csv(args.gold))
-        for name in metrics.METRIC_NAMES:
-            value = result.metric(name)
-            print(f"{name}: {'undefined' if value is None else f'{value:.4f}'}")
+        _print_metrics(stepwise.evaluate_inquiry(records, _load_labels_csv(args.gold)))
     return 0
 
 
@@ -608,14 +534,7 @@ def _cmd_aggregate(args) -> int:
 def _cmd_fit_growth(args) -> int:
     records = phenotype.load_phenotype_csv(args.phenotypes)
     sessions, _ = phenotype.build_sessions(records, AggregationMethod(args.method))
-    candidates = None
-    if args.fp1_only:
-        candidates = [growthchart.FpSpec(1, (p,)) for p in growthchart.FP_POWERS]
-    options = growthchart.FitOptions(
-        fp_candidates=candidates,
-        sigma_age=not args.no_sigma_age,
-        ridge_lambda=args.ridge_lambda,
-    )
+    options = _fit_options(args.fp1_only, not args.no_sigma_age, args.ridge_lambda)
     model = growthchart.fit(sessions, Region(args.region), options)
     growthchart.save_growth_model(args.out, model)
     print(
@@ -645,29 +564,14 @@ def _cmd_curves(args) -> int:
         raise ConfigError(f"--points must be at least 2, got {n}")
     model = growthchart.load_growth_model(args.model)
     ages = [args.age_min + i * (args.age_max - args.age_min) / (n - 1) for i in range(n)]
-    rows = growthchart.percentile_curves(model, ages, Sex(args.sex))
-    with open(args.out, "w", encoding="utf-8", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["age_years", "p2.5", "p50", "p97.5"])
-        for row in rows:
-            w.writerow(
-                [f"{row['age_years']:.4f}", f"{row['p2.5']:.4f}", f"{row['p50']:.4f}", f"{row['p97.5']:.4f}"]
-            )
+    _write_curves_csv(args.out, model, ages, Sex(args.sex))
     print(f"{n} grid points -> {args.out}")
     return 0
 
 
-def _load_centiles_csv(path) -> dict[str, float]:
-    out = {}
-    with open(path, encoding="utf-8", newline="") as f:
-        for row in csv.DictReader(f):
-            out[row["session_id"]] = float(row["centile"])
-    return out
-
-
 def _cmd_compare(args) -> int:
-    a = _load_centiles_csv(args.a)
-    b = _load_centiles_csv(args.b)
+    a = _load_csv_map(args.a, "session_id", "centile", float)
+    b = _load_csv_map(args.b, "session_id", "centile", float)
     shared = sorted(set(a) & set(b))
     if len(shared) < 3:
         raise DataError(f"only {len(shared)} shared sessions between the two files")

@@ -127,6 +127,19 @@ def write_results_csv(path, rows: Sequence[dict]) -> None:
             writer.writerow(row)
 
 
+def metric_row(*, model, experiment, distribution, evaluation_set, seed, metric, value) -> dict:
+    """One metrics.csv row; an undefined value (None) is written empty."""
+    return {
+        "model": model,
+        "experiment": experiment,
+        "distribution": distribution,
+        "evaluation_set": evaluation_set,
+        "seed": seed,
+        "metric": metric,
+        "value": "" if value is None else f"{value:.6f}",
+    }
+
+
 def result_rows(
     result: EvalResult,
     *,
@@ -136,47 +149,14 @@ def result_rows(
     evaluation_set: str,
     seed,
 ) -> list[dict]:
-    rows = []
-    for name in METRIC_NAMES:
-        value = result.metric(name)
-        rows.append(
-            {
-                "model": model,
-                "experiment": experiment,
-                "distribution": distribution,
-                "evaluation_set": evaluation_set,
-                "seed": seed,
-                "metric": name,
-                "value": "" if value is None else f"{value:.6f}",
-            }
-        )
-    return rows
+    keys = dict(model=model, experiment=experiment, distribution=distribution, evaluation_set=evaluation_set)
+    return [metric_row(**keys, seed=seed, metric=name, value=result.metric(name)) for name in METRIC_NAMES]
 
 
 def summary_rows(summary: SeedSummary, *, model, experiment, distribution, evaluation_set) -> list[dict]:
+    keys = dict(model=model, experiment=experiment, distribution=distribution, evaluation_set=evaluation_set)
     rows = []
     for name in METRIC_NAMES:
-        m, s = summary.mean[name], summary.std[name]
-        rows.append(
-            {
-                "model": model,
-                "experiment": experiment,
-                "distribution": distribution,
-                "evaluation_set": evaluation_set,
-                "seed": "mean",
-                "metric": name,
-                "value": "" if m is None else f"{m:.6f}",
-            }
-        )
-        rows.append(
-            {
-                "model": model,
-                "experiment": experiment,
-                "distribution": distribution,
-                "evaluation_set": evaluation_set,
-                "seed": "std",
-                "metric": name,
-                "value": "" if s is None else f"{s:.6f}",
-            }
-        )
+        rows.append(metric_row(**keys, seed="mean", metric=name, value=summary.mean[name]))
+        rows.append(metric_row(**keys, seed="std", metric=name, value=summary.std[name]))
     return rows

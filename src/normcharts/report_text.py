@@ -4,7 +4,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, Mapping
+from typing import Mapping
 
 from .errors import EmptyInput, SchemaError
 
@@ -148,7 +148,3 @@ def load_reports_jsonl(path) -> list[Report]:
             except (KeyError, ValueError) as e:
                 raise SchemaError(f"{path}:{lineno}: {e}") from e
     return reports
-
-
-def iter_reports(reports: Iterable[Report]) -> Iterator[Report]:
-    return iter(reports)

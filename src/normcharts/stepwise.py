@@ -44,7 +44,6 @@ class InquiryMode(Enum):
 class PromptSpec:
     id: QuestionId
     text: str
-    abnormal_on_yes: bool
 
 
 PROMPTS: dict[QuestionId, PromptSpec] = {
@@ -52,32 +51,27 @@ PROMPTS: dict[QuestionId, PromptSpec] = {
         QuestionId.Q1,
         "Does the provided radiology report indicate any brain abnormalities? "
         "(Yes/No followed by reasoning)",
-        abnormal_on_yes=True,
     ),
     QuestionId.Q2: PromptSpec(
         QuestionId.Q2,
         "Does the provided radiology report indicate that the pathology is outside "
         "of the brain? (Yes/No followed by reasoning)",
-        abnormal_on_yes=False,
     ),
     QuestionId.Q3: PromptSpec(
         QuestionId.Q3,
         "Does the provided radiology report indicate any motion artifact or low "
         "quality scan? (Yes/No followed by reasoning)",
-        abnormal_on_yes=True,
     ),
     QuestionId.Q4: PromptSpec(
         QuestionId.Q4,
         "Does the provided radiology report indicate any immediate clinical follow "
         "up is required? (Yes/No followed by reasoning)",
-        abnormal_on_yes=True,
     ),
     QuestionId.Q5: PromptSpec(
         QuestionId.Q5,
         "Does the provided radiology report indicate that the radiologist or the "
         "medical doctor is highly concerned about the patient's condition? "
         "(Yes/No followed by reasoning)",
-        abnormal_on_yes=True,
     ),
 }
 

@@ -156,9 +156,7 @@ def _train_and_eval(reports, labels, seed, balanced, mode):
     train_ids = assignment.ids(corpus.Subset.TRAIN)
     if balanced:
         train_ids = corpus.balance(train_ids, labels, seed)
-    tcfg = classifier.TrainConfig(
-        pos_weight=1.0 if balanced else 10.0, seed=seed, input_mode=mode
-    )
+    tcfg = classifier.TrainConfig(pos_weight=1.0 if balanced else 10.0, seed=seed)
     by_id = {r.id: r for r in reports}
     examples = [
         (compose_input(by_id[rid], mode), labels[rid]) for rid in sorted(train_ids)

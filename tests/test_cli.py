@@ -180,18 +180,21 @@ def test_growth_pipeline_chain(tmp_path, capsys):
     assert "pearson_r: 1.000000" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("damage", ["intact", "truncated", "padded"])
+@pytest.mark.parametrize("damage", ["intact", "truncated", "padded", "bad_dimension"])
 def test_eval_rejects_model_file_of_wrong_size(tmp_path, capsys, damage):
     import numpy as np
 
-    from normcharts.classifier import FeatureConfig, LinearModel, save_model
+    from normcharts.classifier import _HEADER, FeatureConfig, LinearModel, save_model
 
     model_path = tmp_path / "model.bin"
     save_model(LinearModel(weights=np.zeros(1 << 10), bias=0.0,
                            config=FeatureConfig(dimension=1 << 10), pos_weight=10.0),
                model_path)
     blob = model_path.read_bytes()
-    model_path.write_bytes({"intact": blob, "truncated": blob[:-1], "padded": blob + b"\0"}[damage])
+    # consistent length, but a header dimension FeatureConfig rejects
+    bad_dimension = _HEADER.pack(b"NCLM", 1, 1000, 1, 2, 1, 10.0) + bytes(8 * 1000 + 8)
+    model_path.write_bytes({"intact": blob, "truncated": blob[:-1], "padded": blob + b"\0",
+                            "bad_dimension": bad_dimension}[damage])
     gold = data_file("edge_case_gold.csv")
     split_path = tmp_path / "split.csv"
     with open(split_path, "w", newline="") as f:
@@ -219,6 +222,68 @@ def test_curves_rejects_fewer_than_two_points(tmp_path, capsys, points):
     assert rc == 2
     assert "--points" in capsys.readouterr().err
     assert not (tmp_path / "curves.csv").exists()
+
+
+def _write_csv(path, header, rows):
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(header)
+        w.writerows(rows)
+
+
+@pytest.mark.parametrize("case", [
+    "unknown_label", "missing_label_column", "unknown_subset",
+    "non_numeric_centile", "missing_centile_column",
+])
+def test_bad_csv_maps_are_data_errors(tmp_path, capsys, case):
+    reports = str(data_file("edge_case_reports.jsonl"))
+    gold = str(data_file("edge_case_gold.csv"))
+    bad = tmp_path / "bad.csv"
+    good = tmp_path / "good.csv"
+    _write_csv(good, ["session_id", "centile"], [[f"s{i}", "0.5"] for i in range(4)])
+    if case == "unknown_label":
+        _write_csv(bad, ["report_id", "label"], [["r1", "Normal"], ["r2", "Weird"]])
+        argv = ["split", "--reports", reports, "--labels", str(bad), "--out", str(tmp_path / "s.csv")]
+    elif case == "missing_label_column":
+        _write_csv(bad, ["report_id", "grade"], [["r1", "Normal"]])
+        argv = ["split", "--reports", reports, "--labels", str(bad), "--out", str(tmp_path / "s.csv")]
+    elif case == "unknown_subset":
+        _write_csv(bad, ["report_id", "subset"], [["r1", "Train"], ["r2", "Dev"]])
+        argv = ["train", "--reports", reports, "--labels", gold, "--split", str(bad),
+                "--out", str(tmp_path / "m.bin")]
+    elif case == "non_numeric_centile":
+        _write_csv(bad, ["session_id", "centile"], [["s0", "0.1"], ["s1", "x"]])
+        argv = ["compare", "--a", str(good), "--b", str(bad)]
+    else:
+        _write_csv(bad, ["session_id", "score"], [["s0", "0.1"]])
+        argv = ["compare", "--a", str(bad), "--b", str(good)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    line = 1 if case.startswith("missing") else 3
+    assert err.startswith(f"data error: {bad}:{line}: ")
+
+
+def test_unknown_region_is_config_error_without_run_dir(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text("[growth]\nregion = vol_nope\n")
+    with pytest.raises(ConfigError, match="vol_nope"):
+        load_config(str(cfg_path))
+    out = tmp_path / "runs"
+    rc = main(["run-experiment", "exp6_growthcharts", "--config", str(cfg_path), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "vol_nope" in err
+    assert not out.exists()
+
+
+def test_ini_sections_cover_every_config_field():
+    from dataclasses import fields
+
+    from normcharts.cli import _INI_SECTIONS
+
+    listed = [name for names in _INI_SECTIONS.values() for name in names]
+    assert sorted(listed) == sorted(f.name for f in fields(PipelineConfig))
 
 
 def test_run_experiment_rejects_unknown_name():

@@ -33,7 +33,12 @@ def make_report(rid="r1", text="IMPRESSION: normal study."):
 
 def test_exactly_five_prompts_q2_inverse():
     assert set(PROMPTS) == set(QuestionId)
-    inverse = [q for q, spec in PROMPTS.items() if not spec.abnormal_on_yes]
+    # polarity comes from the decision rule: from the all-No (Normal) record,
+    # a single Yes keeps Normal only on the inverse question
+    all_no = {q: Verdict.NO for q in QuestionId}
+    assert aggregate_stepwise(all_no) is Label.NORMAL
+    inverse = [q for q in QuestionId
+               if aggregate_stepwise({**all_no, q: Verdict.YES}) is Label.NORMAL]
     assert inverse == [QuestionId.Q2]
 
 
