@@ -382,6 +382,34 @@ def test_protocol_golden_digests(tmp_path, monkeypatch, name):
     assert _sha256s(run_dir, expected) == expected
 
 
+# Selected location powers and BIC of both exp6 models, recorded from the fit
+# that ran three cold L-BFGS starts per candidate on the raw design. A fit may
+# change the coefficients' last digits but must keep the basis and may not
+# end at a worse BIC.
+EXP6_REFERENCE = {
+    "fp1_300": ({"n_sessions": 300}, {
+        "a": ([0.5], 6766.841411405923),
+        "b": ([0.5], 6770.0389656764655),
+    }),
+    "full_search_2000": ({"n_sessions": 2000, "fp1_only": False}, {
+        "a": ([0.5], 45343.458335383846),
+        "b": ([0.5], 45379.002921919695),
+    }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXP6_REFERENCE))
+def test_exp6_keeps_basis_and_bic(tmp_path, name):
+    overrides, reference = EXP6_REFERENCE[name]
+    cfg = PipelineConfig(out_dir=str(tmp_path), **overrides)
+    run_dir = run_experiment("exp6_growthcharts", cfg, timestamp="t0")
+    for tag, (powers, bic) in reference.items():
+        doc = json.loads((run_dir / f"growth-model-{tag}.json").read_text())
+        assert doc["fp_mu"]["powers"] == powers
+        assert doc["converged"] is True
+        assert doc["bic"] <= bic + 1e-6
+
+
 # config.ini of a config with every field away from its default, recorded
 # before to_ini/load_config were derived from the dataclass fields.
 FULL_CONFIG_INI = """\
