@@ -214,7 +214,21 @@ def truth_params(
 
 
 def _basis_matrix(ages: np.ndarray, spec: FpSpec) -> np.ndarray:
-    return np.asarray([fp_basis(a, spec) for a in ages], dtype=float)
+    """fp_basis for every age at once, one row per age."""
+    ages = np.asarray(ages, dtype=float)
+    if np.any(ages <= 0.0):
+        raise DomainError(f"fractional polynomials need x > 0, got {ages[ages <= 0.0][0]}")
+    log_x = np.log(ages)
+
+    def term(p: float) -> np.ndarray:
+        return log_x if p == 0.0 else ages**p
+
+    if spec.order == 1:
+        return term(spec.powers[0])[:, None]
+    p, q = spec.powers
+    if p == q:
+        return np.column_stack([term(p), term(p) * log_x])
+    return np.column_stack([term(p), term(q)])
 
 
 _BIG = 1e30
@@ -272,6 +286,13 @@ def _neg_penalized_loglik(vec, logy, x_mu, x_sigma, scanner_idx, n_scanners, lam
 
 @dataclass(frozen=True)
 class FitOptions:
+    """Search settings for fit().
+
+    n_restarts caps the L-BFGS-B starts per candidate basis: the first start
+    is cold, and each further seeded start runs only while the best start so
+    far has not converged (see _converged, with tolerance tol * n).
+    """
+
     fp_candidates: Optional[Sequence[FpSpec]] = None
     sigma_age: bool = True
     ridge_lambda: float = 1.0
@@ -298,16 +319,47 @@ def _converged(res: optimize.OptimizeResult, tol: float) -> bool:
     return bool(res.success or np.max(np.abs(grad)) < tol)
 
 
+def _standardize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Centre and scale every column after the intercept in column 0.
+
+    Returns (standardized design, centres, scales). A column without spread
+    is centred to zero and keeps scale 1.
+    """
+    centre = x.mean(axis=0)
+    scale = x.std(axis=0)
+    flat = np.ptp(x, axis=0) == 0.0
+    centre[flat] = x[0, flat]
+    scale[flat] = 1.0
+    centre[0], scale[0] = 0.0, 1.0
+    return (x - centre) / scale, centre, scale
+
+
+def _unstandardize(coef: np.ndarray, centre: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Coefficients on the original design from those on the standardized one."""
+    out = coef / scale
+    out[0] = coef[0] - float(out[1:] @ centre[1:])
+    return out
+
+
 def _fit_one(logy, x_mu, x_sigma, scanner_idx, n_scanners, options):
+    """Fit one design by L-BFGS-B in the standardized parametrization.
+
+    Returns the coefficient vector on the original design and whether the
+    fit converged. A further seeded start runs, up to options.n_restarts,
+    only while the best start so far has not converged.
+    """
     n = logy.size
     p_mu = x_mu.shape[1]
     p_sig = x_sigma.shape[1]
+    z_mu, centre_mu, scale_mu = _standardize(x_mu)
+    z_sigma, centre_sig, scale_sig = _standardize(x_sigma)
     y = np.exp(logy)
     med = float(np.median(y))
     cv = float(np.std(y) / np.mean(y))
     cv = min(max(cv, 1e-3), 5.0)
     nu_inits = [1.0, 2.0, 0.5] + [1.5] * max(0, options.n_restarts - 3)
-    best = None
+    bounds = [(None, None)] * (p_mu + n_scanners + p_sig) + [NU_BOUNDS]
+    best, converged = None, False
     for r in range(options.n_restarts):
         x0 = np.zeros(p_mu + n_scanners + p_sig + 1)
         x0[0] = math.log(med)
@@ -316,11 +368,10 @@ def _fit_one(logy, x_mu, x_sigma, scanner_idx, n_scanners, options):
         if r > 0:
             rng = np.random.default_rng(1000 + r)
             x0[:p_mu] += rng.normal(0.0, 0.05, size=p_mu)
-        bounds = [(None, None)] * (p_mu + n_scanners + p_sig) + [NU_BOUNDS]
         res = optimize.minimize(
             _neg_penalized_loglik,
             x0,
-            args=(logy, x_mu, x_sigma, scanner_idx, n_scanners, options.ridge_lambda),
+            args=(logy, z_mu, z_sigma, scanner_idx, n_scanners, options.ridge_lambda),
             jac=True,
             method="L-BFGS-B",
             bounds=bounds,
@@ -328,7 +379,14 @@ def _fit_one(logy, x_mu, x_sigma, scanner_idx, n_scanners, options):
         )
         if best is None or res.fun < best.fun:
             best = res
-    return best, _converged(best, options.tol * n)
+            converged = _converged(best, options.tol * n)
+        if converged:
+            break
+    vec = best.x.copy()
+    vec[:p_mu] = _unstandardize(vec[:p_mu], centre_mu, scale_mu)
+    sig = slice(p_mu + n_scanners, p_mu + n_scanners + p_sig)
+    vec[sig] = _unstandardize(vec[sig], centre_sig, scale_sig)
+    return vec, converged
 
 
 def fit(
@@ -338,8 +396,9 @@ def fit(
 ) -> GrowthModel:
     """Fit the growth model, selecting the location basis by BIC.
 
-    Every candidate basis is fit by L-BFGS-B with analytic gradients from
-    several seeded starts; BIC = -2 loglik + k ln n over all free
+    Every candidate basis is fit by L-BFGS-B with analytic gradients on
+    standardized design columns, restarting from a seeded start only while
+    no start has converged; BIC = -2 loglik + k ln n over all free
     coefficients decides. Scanner intercepts are exactly recentered after
     the fit, with the shift folded into the intercept.
     """
@@ -371,14 +430,14 @@ def fit(
         if not one_sex:
             cols.append(sex_col.reshape(-1, 1))
         x_mu = np.column_stack(cols)
-        res, converged = _fit_one(
+        vec, converged = _fit_one(
             logy, x_mu, x_sigma, scanner_idx, len(scanners), options
         )
         p_mu = x_mu.shape[1]
-        beta_mu = res.x[:p_mu]
-        d = res.x[p_mu : p_mu + len(scanners)]
-        beta_sig = res.x[p_mu + len(scanners) : p_mu + len(scanners) + x_sigma.shape[1]]
-        nu = float(res.x[-1])
+        beta_mu = vec[:p_mu]
+        d = vec[p_mu : p_mu + len(scanners)]
+        beta_sig = vec[p_mu + len(scanners) : p_mu + len(scanners) + x_sigma.shape[1]]
+        nu = float(vec[-1])
         shift = float(np.mean(d))
         d = d - shift
         beta_mu = beta_mu.copy()

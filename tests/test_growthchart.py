@@ -1,11 +1,13 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy import integrate, optimize, special, stats
 
 from normcharts.errors import DegenerateInput, DomainError, InvalidParams, ShapeError
+from normcharts import growthchart
 from normcharts.growthchart import (
     FP_POWERS,
     FitOptions,
@@ -17,6 +19,8 @@ from normcharts.growthchart import (
     _basis_matrix,
     _converged,
     _neg_penalized_loglik,
+    _standardize,
+    _unstandardize,
     centile,
     compare_centiles,
     fit,
@@ -66,6 +70,25 @@ def test_fp_basis_rejects_nonpositive_x():
         fp_basis(0.0, FpSpec(1, (1.0,)))
     with pytest.raises(DomainError):
         fp_basis(-3.0, FpSpec(1, (2.0,)))
+
+
+@pytest.mark.parametrize("spec", fp_candidates(), ids=str)
+def test_basis_matrix_matches_scalar_basis(spec):
+    # numpy's log and power differ from libm's by at most 1 ulp each; the
+    # x^p * ln x column of a repeated power multiplies two such factors.
+    ages = np.concatenate([np.arange(1, 7000, 7) / 365.25, [0.01, 1.0, 30.0]])
+    got = _basis_matrix(ages, spec)
+    want = np.asarray([fp_basis(a, spec) for a in ages])
+    assert got.shape == want.shape == (ages.size, spec.order)
+    repeated = spec.order == 2 and spec.powers[0] == spec.powers[1]
+    np.testing.assert_array_max_ulp(got[:, 0], want[:, 0], maxulp=1)
+    if spec.order == 2:
+        np.testing.assert_array_max_ulp(got[:, 1], want[:, 1], maxulp=3 if repeated else 1)
+
+
+def test_basis_matrix_rejects_nonpositive_age():
+    with pytest.raises(DomainError):
+        _basis_matrix(np.array([1.0, 0.0]), FpSpec(1, (1.0,)))
 
 
 def test_fp_candidates_count():
@@ -374,3 +397,84 @@ def test_convergence_uses_gradient_projected_on_nu_bounds(nu, nu_grad, expected)
     assert _converged(res, tol=1.0) is expected
     res.success = True
     assert _converged(res, tol=1.0) is True
+
+
+# --- standardized fit path ---
+
+
+def test_standardized_objective_equals_original_objective():
+    cohort = build_cohort(4, 200, small_truth())
+    logy = np.log([s.volumes[Region.CORTICAL_GM] for s in cohort])
+    ages = np.asarray([s.age_years for s in cohort])
+    n = len(cohort)
+    sex = [1.0 if s.sex is Sex.F else 0.0 for s in cohort]
+    x_mu = np.column_stack([np.ones(n), _basis_matrix(ages, FpSpec(2, (-2.0, 3.0))), sex])
+    x_sigma = np.column_stack([np.ones(n), ages])
+    idx = np.asarray([int(s.scanner_id[-2:]) for s in cohort])
+    z_mu, c_mu, s_mu = _standardize(x_mu)
+    z_sigma, c_sig, s_sig = _standardize(x_sigma)
+    assert np.allclose(z_mu[:, 1:].mean(axis=0), 0.0)
+    assert np.allclose(z_mu[:, 1:].std(axis=0), 1.0)
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        vec = np.concatenate([
+            [12.0], rng.normal(0.0, 0.02, size=3), rng.normal(0.0, 0.02, size=2),
+            [-2.0], rng.normal(0.0, 0.02, size=1), [rng.uniform(0.5, 3.0)],
+        ])
+        back = vec.copy()
+        back[:4] = _unstandardize(vec[:4], c_mu, s_mu)
+        back[6:8] = _unstandardize(vec[6:8], c_sig, s_sig)
+        f_std, _ = _neg_penalized_loglik(vec, logy, z_mu, z_sigma, idx, 2, 1.0)
+        f_orig, _ = _neg_penalized_loglik(back, logy, x_mu, x_sigma, idx, 2, 1.0)
+        assert f_std == pytest.approx(f_orig, rel=1e-10)
+
+
+def test_flat_column_is_centred_not_divided():
+    x = np.column_stack([np.ones(4), [0.3] * 4, [1.0, 2.0, 3.0, 4.0]])
+    z, centre, scale = _standardize(x)
+    assert scale[1] == 1.0 and centre[1] == 0.3
+    assert np.all(z[:, 1] == 0.0)
+    assert np.all(z[:, 0] == 1.0)
+    coef = np.array([1.0, 0.7, 2.0])
+    assert np.allclose(x @ _unstandardize(coef, centre, scale), z @ coef)
+
+
+def test_same_age_cohort_fits_without_warning():
+    cohort = [
+        SessionPhenotype(s.session_id, s.scanner_id, 3000, s.sex, s.volumes, s.method)
+        for s in build_cohort(12, 120, small_truth())
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = fit(cohort, Region.CORTICAL_GM, quick_options(sigma_age=True))
+    values = list(model.mu_coef) + list(model.sigma_coef) + [model.nu, model.loglik, model.bic]
+    assert all(math.isfinite(v) for v in values)
+
+
+def _count_minimize(monkeypatch):
+    calls = []
+    real = growthchart.optimize.minimize
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(growthchart.optimize, "minimize", counting)
+    return calls
+
+
+def test_one_start_per_candidate_when_it_converges(monkeypatch):
+    calls = _count_minimize(monkeypatch)
+    cohort = build_cohort(13, 300, small_truth())
+    specs = [FpSpec(1, (0.5,)), FpSpec(2, (-1.0, 2.0))]
+    model = fit(cohort, Region.CORTICAL_GM, quick_options(fp_candidates=specs, n_restarts=3))
+    assert model.converged
+    assert len(calls) == len(specs)
+
+
+def test_every_start_runs_while_none_converges(monkeypatch):
+    calls = _count_minimize(monkeypatch)
+    cohort = build_cohort(13, 300, small_truth())
+    model = fit(cohort, Region.CORTICAL_GM, quick_options(n_restarts=3, max_iter=1))
+    assert not model.converged
+    assert len(calls) == 3
