@@ -133,11 +133,11 @@ def load_config(path: Optional[str]) -> PipelineConfig:
     if path is None:
         return PipelineConfig()
     cp = configparser.ConfigParser()
-    if not cp.read(path):
-        raise ConfigError(f"config file not found: {path}")
     by_name = {f.name: f for f in fields(PipelineConfig)}
     values = {}
     try:
+        if not cp.read(path):
+            raise ConfigError(f"config file not found: {path}")
         for section, names in _INI_SECTIONS.items():
             if not cp.has_section(section):
                 continue
@@ -145,6 +145,9 @@ def load_config(path: Optional[str]) -> PipelineConfig:
                 text = cp[section].get(_ini_key(name))
                 if text is not None:
                     values[name] = _parse_value(by_name[name], text)
+    except configparser.Error as e:
+        # configparser's messages span several lines; the CLI prints one
+        raise ConfigError(f"{path}: {' '.join(str(e).split())}") from e
     except ValueError as e:
         raise ConfigError(f"bad config value: {e}") from e
     return PipelineConfig(**values)

@@ -120,9 +120,13 @@ def balance(
     labels: Mapping[str, Label],
     seed: int,
 ) -> list[str]:
-    """Equal-count subset: all minority-class ids plus a seeded sample of the majority."""
-    normals = [rid for rid in train_ids if labels[rid] is Label.NORMAL]
-    abnormals = [rid for rid in train_ids if labels[rid] is Label.ABNORMAL]
+    """Equal-count subset: all minority-class ids plus a seeded sample of the majority.
+
+    Ids without a Normal or Abnormal label, including ids `labels` does not
+    cover, are left out.
+    """
+    normals = [rid for rid in train_ids if labels.get(rid) is Label.NORMAL]
+    abnormals = [rid for rid in train_ids if labels.get(rid) is Label.ABNORMAL]
     if not normals or not abnormals:
         raise MissingClass("both classes must be present to balance")
     minority, majority = (normals, abnormals) if len(normals) <= len(abnormals) else (abnormals, normals)

@@ -21,7 +21,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 from scipy import optimize, special
 
-from .errors import DegenerateInput, DomainError, InvalidParams, ShapeError
+from .errors import DegenerateInput, DomainError, InvalidParams, SchemaError, ShapeError
 from .phenotype import Region, SessionPhenotype
 from .report_text import Sex
 
@@ -534,20 +534,61 @@ def model_to_dict(model: GrowthModel) -> dict:
     }
 
 
+def _numbers(doc: dict, key: str) -> tuple[float, ...]:
+    value = doc[key]
+    if not isinstance(value, list) or not all(_is_number(v) for v in value):
+        raise TypeError(f"{key} must be a list of numbers, got {value!r}")
+    return tuple(float(v) for v in value)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _number(doc: dict, key: str) -> float:
+    if not _is_number(doc[key]):
+        raise TypeError(f"{key} must be a number, got {doc[key]!r}")
+    return float(doc[key])
+
+
+def _fp_spec(doc) -> FpSpec:
+    if not isinstance(doc, dict):
+        raise TypeError(f"an FP spec must be an object, got {doc!r}")
+    return FpSpec(doc["order"], _numbers(doc, "powers"))
+
+
 def model_from_dict(doc: dict) -> GrowthModel:
-    fp_sigma = doc.get("fp_sigma")
+    """Inverse of model_to_dict; a missing key raises KeyError, a wrong type
+    TypeError and a wrong value ValueError or InvalidParams."""
+    if not isinstance(doc, dict):
+        raise TypeError(f"a growth model must be an object, got {type(doc).__name__}")
+    fp_mu = _fp_spec(doc["fp_mu"])
+    fp_sigma = None if doc.get("fp_sigma") is None else _fp_spec(doc["fp_sigma"])
+    mu_coef = _numbers(doc, "mu_coef")
+    sigma_coef = _numbers(doc, "sigma_coef")
+    # intercept, the FP terms, and the sex coefficient
+    if len(mu_coef) != fp_mu.order + 2:
+        raise ValueError(f"mu_coef needs {fp_mu.order + 2} entries, got {len(mu_coef)}")
+    n_sigma = 1 + (0 if fp_sigma is None else fp_sigma.order)
+    if len(sigma_coef) != n_sigma:
+        raise ValueError(f"sigma_coef needs {n_sigma} entries, got {len(sigma_coef)}")
+    intercepts = doc["scanner_intercepts"]
+    if not isinstance(intercepts, dict) or not all(_is_number(v) for v in intercepts.values()):
+        raise TypeError(f"scanner_intercepts must map scanner ids to numbers, got {intercepts!r}")
+    if not isinstance(doc["converged"], bool):
+        raise TypeError(f"converged must be true or false, got {doc['converged']!r}")
     return GrowthModel(
         region=Region(doc["region"]),
-        fp_mu=FpSpec(doc["fp_mu"]["order"], tuple(doc["fp_mu"]["powers"])),
-        mu_coef=tuple(doc["mu_coef"]),
-        fp_sigma=None if fp_sigma is None else FpSpec(fp_sigma["order"], tuple(fp_sigma["powers"])),
-        sigma_coef=tuple(doc["sigma_coef"]),
-        nu=float(doc["nu"]),
-        scanner_intercepts={k: float(v) for k, v in doc["scanner_intercepts"].items()},
-        ridge_lambda=float(doc["ridge_lambda"]),
-        converged=bool(doc["converged"]),
-        loglik=float(doc["loglik"]),
-        bic=float(doc["bic"]),
+        fp_mu=fp_mu,
+        mu_coef=mu_coef,
+        fp_sigma=fp_sigma,
+        sigma_coef=sigma_coef,
+        nu=_number(doc, "nu"),
+        scanner_intercepts={k: float(v) for k, v in intercepts.items()},
+        ridge_lambda=_number(doc, "ridge_lambda"),
+        converged=doc["converged"],
+        loglik=_number(doc, "loglik"),
+        bic=_number(doc, "bic"),
     )
 
 
@@ -558,5 +599,15 @@ def save_growth_model(path, model: GrowthModel) -> None:
 
 
 def load_growth_model(path) -> GrowthModel:
-    with open(path, encoding="utf-8") as f:
-        return model_from_dict(json.load(f))
+    """Read a save_growth_model file; a malformed one is a SchemaError naming it."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            doc = json.load(f)
+    except ValueError as e:
+        raise SchemaError(f"{path}: not valid JSON: {e}") from e
+    try:
+        return model_from_dict(doc)
+    except KeyError as e:
+        raise SchemaError(f"{path}: missing key {e}") from e
+    except (TypeError, ValueError, InvalidParams) as e:
+        raise SchemaError(f"{path}: {e}") from e

@@ -470,3 +470,92 @@ def test_experiment_names():
         "exp1_balanced", "exp2_weighted", "exp3_ood",
         "exp4_impression", "exp5_stepwise", "exp6_growthcharts",
     )
+
+
+@pytest.mark.parametrize("case", ["missing_section_header", "duplicate_key"])
+def test_unparsable_config_is_config_error(tmp_path, capsys, case):
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text({
+        "missing_section_header": "epochs = 3\n",
+        "duplicate_key": "[train]\nepochs = 3\nepochs = 4\n",
+    }[case])
+    with pytest.raises(ConfigError, match=str(cfg_path)):
+        load_config(str(cfg_path))
+    out = tmp_path / "runs"
+    rc = main(["run-experiment", "exp5_stepwise", "--config", str(cfg_path), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith(f"config error: {cfg_path}: ")
+    assert not out.exists()
+
+
+GOOD_GROWTH_MODEL = {
+    "region": "vol_cortical_gm",
+    "fp_mu": {"order": 1, "powers": [0.5]},
+    "mu_coef": [12.2, 0.12, -0.05],
+    "fp_sigma": None,
+    "sigma_coef": [-2.12],
+    "nu": 1.5,
+    "scanner_intercepts": {"scan-00": 0.0},
+    "ridge_lambda": 1.0,
+    "converged": True,
+    "loglik": -10.0,
+    "bic": 30.0,
+}
+
+BAD_GROWTH_MODELS = {
+    "region_only": '{"region": "vol_cortical_gm"}',
+    "missing_nu": {k: v for k, v in GOOD_GROWTH_MODEL.items() if k != "nu"},
+    "string_coefficients": {**GOOD_GROWTH_MODEL, "mu_coef": "abc"},
+    "short_coefficients": {**GOOD_GROWTH_MODEL, "mu_coef": [12.2, 0.12]},
+    "string_nu": {**GOOD_GROWTH_MODEL, "nu": "x"},
+    "bad_fp_spec": {**GOOD_GROWTH_MODEL, "fp_mu": 3},
+    "unknown_region": {**GOOD_GROWTH_MODEL, "region": "vol_nope"},
+    "not_an_object": "[1, 2]",
+    "invalid_json": '{"region": ',
+}
+
+
+@pytest.mark.parametrize("command", ["curves", "centiles"])
+@pytest.mark.parametrize("case", sorted(BAD_GROWTH_MODELS))
+def test_malformed_growth_model_is_schema_error(tmp_path, capsys, command, case):
+    doc = BAD_GROWTH_MODELS[case]
+    model_path = tmp_path / "gm.json"
+    model_path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    out = tmp_path / "out.csv"
+    argv = ["curves", "--model", str(model_path), "--out", str(out)]
+    if command == "centiles":
+        argv = ["centiles", "--model", str(model_path), "--phenotypes",
+                str(tmp_path / "p.csv"), "--out", str(out)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith(f"data error: {model_path}: ")
+    assert not out.exists()
+
+
+def test_good_growth_model_document_loads(tmp_path, capsys):
+    model_path = tmp_path / "gm.json"
+    model_path.write_text(json.dumps(GOOD_GROWTH_MODEL))
+    assert main(["curves", "--model", str(model_path), "--points", "3",
+                 "--out", str(tmp_path / "c.csv")]) == 0
+
+
+def test_balanced_train_skips_unlabelled_reports(tmp_path, capsys):
+    reports = str(data_file("edge_case_reports.jsonl"))
+    gold = read_metrics(data_file("edge_case_gold.csv"))
+    unlabelled = gold[0]["report_id"]
+    labels_path = tmp_path / "labels.csv"
+    _write_csv(labels_path, ["report_id", "label"],
+               [[r["report_id"], r["label"]] for r in gold if r["report_id"] != unlabelled])
+    models = {}
+    for tag, ids in (("with", [r["report_id"] for r in gold]),
+                     ("without", [r["report_id"] for r in gold if r["report_id"] != unlabelled])):
+        split_path = tmp_path / f"split-{tag}.csv"
+        _write_csv(split_path, ["report_id", "subset"], [[rid, "Train"] for rid in ids])
+        models[tag] = tmp_path / f"model-{tag}.bin"
+        assert main(["train", "--reports", reports, "--labels", str(labels_path),
+                     "--split", str(split_path), "--balanced", "--epochs", "3",
+                     "--out", str(models[tag])]) == 0
+    assert models["with"].read_bytes() == models["without"].read_bytes()
