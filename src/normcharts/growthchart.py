@@ -534,27 +534,22 @@ def model_to_dict(model: GrowthModel) -> dict:
     }
 
 
-def _numbers(doc: dict, key: str) -> tuple[float, ...]:
-    value = doc[key]
-    if not isinstance(value, list) or not all(_is_number(v) for v in value):
+def _number(value, key: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
+def _numbers(value, key: str) -> tuple[float, ...]:
+    if not isinstance(value, list):
         raise TypeError(f"{key} must be a list of numbers, got {value!r}")
-    return tuple(float(v) for v in value)
+    return tuple(_number(v, key) for v in value)
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _number(doc: dict, key: str) -> float:
-    if not _is_number(doc[key]):
-        raise TypeError(f"{key} must be a number, got {doc[key]!r}")
-    return float(doc[key])
-
-
-def _fp_spec(doc) -> FpSpec:
-    if not isinstance(doc, dict):
-        raise TypeError(f"an FP spec must be an object, got {doc!r}")
-    return FpSpec(doc["order"], _numbers(doc, "powers"))
+def _fp_spec(value, key: str) -> FpSpec:
+    if not isinstance(value, dict):
+        raise TypeError(f"{key} must be an object, got {value!r}")
+    return FpSpec(value["order"], _numbers(value["powers"], f"{key}.powers"))
 
 
 def model_from_dict(doc: dict) -> GrowthModel:
@@ -562,10 +557,10 @@ def model_from_dict(doc: dict) -> GrowthModel:
     TypeError and a wrong value ValueError or InvalidParams."""
     if not isinstance(doc, dict):
         raise TypeError(f"a growth model must be an object, got {type(doc).__name__}")
-    fp_mu = _fp_spec(doc["fp_mu"])
-    fp_sigma = None if doc.get("fp_sigma") is None else _fp_spec(doc["fp_sigma"])
-    mu_coef = _numbers(doc, "mu_coef")
-    sigma_coef = _numbers(doc, "sigma_coef")
+    fp_mu = _fp_spec(doc["fp_mu"], "fp_mu")
+    fp_sigma = None if doc.get("fp_sigma") is None else _fp_spec(doc["fp_sigma"], "fp_sigma")
+    mu_coef = _numbers(doc["mu_coef"], "mu_coef")
+    sigma_coef = _numbers(doc["sigma_coef"], "sigma_coef")
     # intercept, the FP terms, and the sex coefficient
     if len(mu_coef) != fp_mu.order + 2:
         raise ValueError(f"mu_coef needs {fp_mu.order + 2} entries, got {len(mu_coef)}")
@@ -573,8 +568,8 @@ def model_from_dict(doc: dict) -> GrowthModel:
     if len(sigma_coef) != n_sigma:
         raise ValueError(f"sigma_coef needs {n_sigma} entries, got {len(sigma_coef)}")
     intercepts = doc["scanner_intercepts"]
-    if not isinstance(intercepts, dict) or not all(_is_number(v) for v in intercepts.values()):
-        raise TypeError(f"scanner_intercepts must map scanner ids to numbers, got {intercepts!r}")
+    if not isinstance(intercepts, dict):
+        raise TypeError(f"scanner_intercepts must be an object, got {intercepts!r}")
     if not isinstance(doc["converged"], bool):
         raise TypeError(f"converged must be true or false, got {doc['converged']!r}")
     return GrowthModel(
@@ -583,12 +578,12 @@ def model_from_dict(doc: dict) -> GrowthModel:
         mu_coef=mu_coef,
         fp_sigma=fp_sigma,
         sigma_coef=sigma_coef,
-        nu=_number(doc, "nu"),
-        scanner_intercepts={k: float(v) for k, v in intercepts.items()},
-        ridge_lambda=_number(doc, "ridge_lambda"),
+        nu=_number(doc["nu"], "nu"),
+        scanner_intercepts={k: _number(v, "scanner_intercepts") for k, v in intercepts.items()},
+        ridge_lambda=_number(doc["ridge_lambda"], "ridge_lambda"),
         converged=doc["converged"],
-        loglik=_number(doc, "loglik"),
-        bic=_number(doc, "bic"),
+        loglik=_number(doc["loglik"], "loglik"),
+        bic=_number(doc["bic"], "bic"),
     )
 
 
