@@ -559,3 +559,39 @@ def test_balanced_train_skips_unlabelled_reports(tmp_path, capsys):
                      "--split", str(split_path), "--balanced", "--epochs", "3",
                      "--out", str(models[tag])]) == 0
     assert models["with"].read_bytes() == models["without"].read_bytes()
+
+
+# sha256 of the phenotype commands' outputs and stdout on a synthetic cohort,
+# recorded from the per-record phenotype code before loading, QC and session
+# medians became array operations.
+GOLDEN_PHENOTYPE = {
+    "cohort.csv": "75d3a0ea83a72a970be8840a4b95731ba2ce29f70deeea3c40f663a626f88e3f",
+    "qc.csv": "37c1612486ebd90dda46679728bd6534b9feceb0c2ff2ce6913ea2858a231c86",
+    "sessions-median.csv": "f19347e0e699754214e57a09710ca7073f1e91c2a12c4d65b071cfc58b3026b6",
+    "sessions-mprage.csv": "317a0e73fe354f85d1006a460f48502785f20806eb403f9593e907d6765071a7",
+    "growth.json": "f4258c45665ab1c46e11012cb85895afffbb9035df707e315b3af26021a3d86d",
+    "centiles.csv": "bb352d348f08b600c4ac696389fdd93a731f1a2f1d44dea351f123db9ed22218",
+    "stdout": "142356fd1fc10c670b137367d28c896a43f62f508c3af4e49aade1da32170e7f",
+}
+
+
+def test_phenotype_commands_golden_digests(tmp_path, monkeypatch, capsys):
+    from normcharts.cli import _default_truth
+    from normcharts.phenotype import synth_cohort, write_phenotype_csv
+
+    monkeypatch.chdir(tmp_path)
+    write_phenotype_csv("cohort.csv", synth_cohort(
+        seed=21, n_sessions=400, n_scanners=5,
+        truth=_default_truth(PipelineConfig(n_scanners=5)), qc_fail_rate=0.1,
+    ))
+    ph = ["--phenotypes", "cohort.csv"]
+    for argv in (
+        ["qc", *ph, "--out", "qc.csv"],
+        ["aggregate", *ph, "--method", "median", "--out", "sessions-median.csv"],
+        ["aggregate", *ph, "--method", "mprage", "--out", "sessions-mprage.csv"],
+        ["fit-growth", *ph, "--region", "vol_cortical_gm", "--fp1-only", "--out", "growth.json"],
+        ["centiles", "--model", "growth.json", *ph, "--out", "centiles.csv"],
+    ):
+        assert main(argv) == 0
+    (tmp_path / "stdout").write_text(capsys.readouterr().out)
+    assert _sha256s(tmp_path, GOLDEN_PHENOTYPE) == GOLDEN_PHENOTYPE

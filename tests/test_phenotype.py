@@ -1,4 +1,5 @@
 import math
+import statistics
 import random
 
 import pytest
@@ -221,3 +222,102 @@ def test_synth_cohort_median_tracks_truth():
         for s in sessions
     )
     assert observed == pytest.approx(expected, rel=0.02)
+
+
+# --- build_sessions against a plain per-session reference ---
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+
+def _table(rows):
+    """Phenotype rows (session, sequence, scanner, age_days, sex, is_mprage,
+    volumes in Region order, qc in QcCategory order) as build_sessions input."""
+    return [
+        PhenotypeRecord(
+            session_id=sid, sequence_id=seq, scanner_id=scan, age_days=age,
+            sex=Sex(sex), is_mprage=mprage,
+            volumes=dict(zip(Region, vols)), qc=dict(zip(QcCategory, qc)),
+        )
+        for sid, seq, scan, age, sex, mprage, vols, qc in rows
+    ]
+
+
+def _reference_sessions(rows, method):
+    groups = {}
+    for row in rows:
+        groups.setdefault(row[0], []).append(row)
+    sessions, dropped_qc, dropped_no_mprage = [], 0, 0
+    for sid in sorted(groups):
+        surviving = [r for r in groups[sid] if all(q >= 0.65 for q in r[7])]
+        if not surviving:
+            dropped_qc += 1
+            continue
+        pool = surviving
+        if method is AggregationMethod.MPRAGE_ONLY:
+            pool = [r for r in surviving if r[5]]
+        if not pool:
+            dropped_no_mprage += 1
+            continue
+        _, _, scanner, age, sex, _, _, _ = surviving[0]
+        volumes = {reg: statistics.median(r[6][k] for r in pool) for k, reg in enumerate(Region)}
+        sessions.append(SessionPhenotype(sid, scanner, age, Sex(sex), volumes, method))
+    return sessions, AttritionReport(len(groups), len(sessions), dropped_qc, dropped_no_mprage)
+
+
+_VOLUME = st.sampled_from([1.0, 2.0, 2.5, 3.0, 7.25]) | st.floats(1e-6, 1e6)
+_QC_FAIL = st.sampled_from([0.0, 0.3, 0.649, 0.6499999])
+
+
+@st.composite
+def _row(draw):
+    qc = list(draw(st.tuples(*[st.sampled_from([0.65, 0.650001, 0.8, 1.0])] * len(QcCategory))))
+    fail = draw(st.none() | st.tuples(st.integers(0, len(QcCategory) - 1), _QC_FAIL))
+    if fail is not None:
+        qc[fail[0]] = fail[1]
+    return (
+        draw(st.sampled_from(["a", "b", "c", "ses-10", "ses-9", "é"])),
+        draw(st.sampled_from(["scan-0", "scan-1"])),
+        draw(st.integers(1, 40000)),
+        draw(st.sampled_from(["M", "F"])),
+        draw(st.booleans()),
+        draw(st.tuples(*[_VOLUME] * len(Region))),
+        tuple(qc),
+    )
+
+
+def _numbered(rows):
+    return [(sid, f"q{i}", scan, age, sex, mprage, vols, qc)
+            for i, (sid, scan, age, sex, mprage, vols, qc) in enumerate(rows)]
+
+
+_PASS, _AT = (0.9,) * len(QcCategory), (0.65,) * len(QcCategory)
+_FAIL = (0.6499999,) + (0.9,) * (len(QcCategory) - 1)
+
+
+# Interleaved ids; QC exactly at 0.65; tied and even-count volumes; a session
+# failing QC on every row; sessions without an MPRAGE row; a session whose
+# first QC-passing row is not MPRAGE.
+_EXAMPLE_ROWS = [
+    ("b", "scan-1", 40, "F", False, (2.0,) * 6, _AT),
+    ("a", "scan-0", 30, "M", True, (1.0,) * 6, _PASS),
+    ("b", "scan-0", 41, "M", True, (3.0,) * 6, _PASS),
+    ("c", "scan-0", 50, "M", True, (5.0,) * 6, _FAIL),
+    ("a", "scan-1", 31, "F", True, (1.0,) * 6, _AT),
+    ("b", "scan-1", 42, "F", True, (4.0,) * 6, _FAIL),
+    ("d", "scan-1", 60, "F", False, (9.0,) * 6, _PASS),
+    ("b", "scan-1", 43, "F", True, (3.0,) * 6, _PASS),
+    ("c", "scan-1", 51, "F", False, (6.0,) * 6, _FAIL),
+    ("a", "scan-0", 32, "M", False, (2.0,) * 6, _PASS),
+    ("e", "scan-0", 70, "M", False, (1.5,) * 6, _PASS),
+    ("e", "scan-0", 71, "M", False, (2.5,) * 6, _PASS),
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(_row(), max_size=30), method=st.sampled_from(AggregationMethod))
+@example(rows=_EXAMPLE_ROWS, method=AggregationMethod.MPRAGE_ONLY)
+@example(rows=_EXAMPLE_ROWS, method=AggregationMethod.MEDIAN_ALL_SEQUENCES)
+def test_build_sessions_matches_per_session_reference(rows, method):
+    rows = _numbered(rows)
+    assert build_sessions(_table(rows), method) == _reference_sessions(rows, method)
