@@ -118,12 +118,17 @@ def _format_value(value) -> str:
     return "" if value is None else str(value)
 
 
+_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
 def _parse_value(f: Field, text: str):
-    """Read one INI value by the field's type; bad numbers raise ValueError."""
+    """Read one INI value by the field's type; bad numbers or booleans raise ValueError."""
     if f.type == tuple[int, ...]:
         return tuple(int(s) for s in text.split(",")) if text else f.default
     if f.type is bool:
-        return text.lower() in ("1", "true", "yes")
+        if text.lower() not in _BOOLEANS:
+            raise ValueError(f"{f.name} must be one of {'/'.join(_BOOLEANS)}, got {text!r}")
+        return _BOOLEANS[text.lower()]
     if f.type == Optional[str]:
         return text or None
     return f.type(text)
@@ -344,17 +349,17 @@ def _default_truth(cfg: PipelineConfig) -> growthchart.GrowthTruth:
 
 def _growth_experiment(cfg: PipelineConfig, run_dir: Path) -> list[dict]:
     if cfg.phenotypes_path:
-        records = phenotype.load_phenotype_csv(cfg.phenotypes_path)
+        table = phenotype.load_phenotype_csv(cfg.phenotypes_path)
     else:
         truth = _default_truth(cfg)
-        records = phenotype.synth_cohort(
+        table = phenotype.synth_cohort(
             seed=cfg.seeds[0],
             n_sessions=cfg.n_sessions,
             n_scanners=cfg.n_scanners,
             truth=truth,
         )
     sessions, attrition = phenotype.build_sessions(
-        records, AggregationMethod.MEDIAN_ALL_SEQUENCES
+        table, AggregationMethod.MEDIAN_ALL_SEQUENCES
     )
     with open(run_dir / "attrition.json", "w", encoding="utf-8") as f:
         json.dump(
@@ -516,16 +521,16 @@ def _cmd_triage(args) -> int:
 
 
 def _cmd_qc(args) -> int:
-    records = phenotype.load_phenotype_csv(args.phenotypes)
-    kept = phenotype.qc_filter(records)
+    table = phenotype.load_phenotype_csv(args.phenotypes)
+    kept = phenotype.qc_filter(table)
     phenotype.write_phenotype_csv(args.out, kept)
-    print(f"kept {len(kept)} of {len(records)} sequences -> {args.out}")
+    print(f"kept {len(kept)} of {len(table)} sequences -> {args.out}")
     return 0
 
 
 def _cmd_aggregate(args) -> int:
-    records = phenotype.load_phenotype_csv(args.phenotypes)
-    sessions, attrition = phenotype.build_sessions(records, AggregationMethod(args.method))
+    table = phenotype.load_phenotype_csv(args.phenotypes)
+    sessions, attrition = phenotype.build_sessions(table, AggregationMethod(args.method))
     phenotype.write_sessions_csv(args.out, sessions)
     print(
         f"sessions: {attrition.n_input_sessions} in, {attrition.n_output_sessions} out, "
@@ -535,8 +540,8 @@ def _cmd_aggregate(args) -> int:
 
 
 def _cmd_fit_growth(args) -> int:
-    records = phenotype.load_phenotype_csv(args.phenotypes)
-    sessions, _ = phenotype.build_sessions(records, AggregationMethod(args.method))
+    table = phenotype.load_phenotype_csv(args.phenotypes)
+    sessions, _ = phenotype.build_sessions(table, AggregationMethod(args.method))
     options = _fit_options(args.fp1_only, not args.no_sigma_age, args.ridge_lambda)
     model = growthchart.fit(sessions, Region(args.region), options)
     growthchart.save_growth_model(args.out, model)
@@ -550,8 +555,8 @@ def _cmd_fit_growth(args) -> int:
 
 def _cmd_centiles(args) -> int:
     model = growthchart.load_growth_model(args.model)
-    records = phenotype.load_phenotype_csv(args.phenotypes)
-    sessions, _ = phenotype.build_sessions(records, AggregationMethod(args.method))
+    table = phenotype.load_phenotype_csv(args.phenotypes)
+    sessions, _ = phenotype.build_sessions(table, AggregationMethod(args.method))
     with open(args.out, "w", encoding="utf-8", newline="") as f:
         w = csv.writer(f)
         w.writerow(["session_id", "centile"])

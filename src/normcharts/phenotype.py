@@ -1,16 +1,21 @@
 """Volumetric phenotype ingestion, QC exclusion, and session-level aggregation.
 
-A phenotype record is one imaging sequence: six regional volumes plus eight
-automated QC scores. Records failing QC are dropped, survivors are collapsed
-to one phenotype per scan session, and every drop is tallied by cause so the
-attrition arithmetic always balances.
+A phenotype row is one imaging sequence: six regional volumes plus eight
+automated QC scores. A file of rows is held as one columnar PhenotypeTable.
+Rows failing QC are dropped, survivors are collapsed to one phenotype per scan
+session, and every drop is tallied by cause so the attrition arithmetic always
+balances.
 """
 
 import csv
-import statistics
-from dataclasses import dataclass
+import math
+import operator
+from array import array
+from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping
+
+import numpy as np
 
 from .errors import InvalidParams, SchemaError
 from .report_text import Sex
@@ -43,31 +48,104 @@ class AggregationMethod(Enum):
     MEDIAN_ALL_SEQUENCES = "median"
 
 
-@dataclass(frozen=True)
-class PhenotypeRecord:
-    session_id: str
-    sequence_id: str
-    scanner_id: str
-    age_days: int
-    sex: Sex
-    is_mprage: bool
-    volumes: Mapping[Region, float]
-    qc: Mapping[QcCategory, float]
+# Iterating an Enum class is slow; session building zips this tuple per session.
+_REGIONS = tuple(Region)
+_SEX_BY_CODE = {s.value: s for s in (Sex.M, Sex.F)}
+_SEX_CODES = tuple(_SEX_BY_CODE)
+
+
+class BadRow(SchemaError):
+    """A table row that fails validation; `row` is its 0-based index."""
+
+    def __init__(self, row: int, problem: str):
+        super().__init__(f"row {row}: {problem}")
+        self.row = row
+        self.problem = problem
+
+
+@dataclass(frozen=True, eq=False)
+class PhenotypeTable:
+    """A phenotype file as columns, one row per imaging sequence.
+
+    The id columns and `sex` hold Python strings (sex as the codes "M" and
+    "F"), `volumes` is (n, 6) in Region order and `qc` is (n, 8) in
+    QcCategory order. The constructor coerces every
+    column to its dtype, checks the shapes, and raises BadRow for the first
+    row whose age is not positive, whose sex is unknown, or which holds a
+    volume that is not positive and finite.
+    """
+
+    session_id: np.ndarray
+    sequence_id: np.ndarray
+    scanner_id: np.ndarray
+    age_days: np.ndarray
+    sex: np.ndarray
+    is_mprage: np.ndarray
+    volumes: np.ndarray
+    qc: np.ndarray
 
     def __post_init__(self):
-        if self.age_days <= 0:
-            raise SchemaError(f"age_days must be positive, got {self.age_days}")
-        if self.sex not in (Sex.M, Sex.F):
-            raise SchemaError(f"sex must be M or F, got {self.sex}")
-        missing_qc = [c for c in QcCategory if c not in self.qc]
-        if missing_qc:
-            raise SchemaError(f"missing QC categories: {[c.value for c in missing_qc]}")
-        missing_vol = [r for r in Region if r not in self.volumes]
-        if missing_vol:
-            raise SchemaError(f"missing volumes: {[r.value for r in missing_vol]}")
-        for r, v in self.volumes.items():
-            if not (v > 0.0 and v == v and v != float("inf")):
-                raise SchemaError(f"volume {r.value} must be positive and finite, got {v}")
+        n = len(self.session_id)
+        for f in fields(self):
+            dtype, width = _COLUMN_TYPES[f.name]
+            column = np.asarray(getattr(self, f.name), dtype=dtype)
+            shape = (n,) if width is None else (n, width)
+            if column.shape != shape:
+                raise SchemaError(f"column {f.name} has shape {column.shape}, expected {shape}")
+            object.__setattr__(self, f.name, column)
+        bad = (
+            (self.age_days <= 0)
+            | ~np.isin(self.sex, _SEX_CODES)
+            | ~(np.isfinite(self.volumes) & (self.volumes > 0.0)).all(axis=1)
+        )
+        if bad.any():
+            row = int(np.argmax(bad))
+            raise BadRow(row, self._problem(row))
+
+    def _problem(self, row: int) -> str:
+        if self.age_days[row] <= 0:
+            return f"age_days must be positive, got {self.age_days[row]}"
+        if self.sex[row] not in _SEX_CODES:
+            return f"sex must be M or F, got {self.sex[row]!r}"
+        region, v = next(
+            (r, v) for r, v in zip(Region, self.volumes[row].tolist())
+            if not (v > 0.0 and math.isfinite(v))
+        )
+        return f"volume {region.value} must be positive and finite, got {v}"
+
+    def __len__(self) -> int:
+        return len(self.session_id)
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[tuple]) -> "PhenotypeTable":
+        """A table from (session_id, sequence_id, scanner_id, age_days, sex,
+        is_mprage, volumes, qc) tuples, volumes and qc in enum order."""
+        rows = list(rows)
+        columns = list(zip(*rows)) if rows else [()] * len(fields(cls))
+        volumes = np.reshape(columns[6], (len(rows), len(Region)))
+        qc = np.reshape(columns[7], (len(rows), len(QcCategory)))
+        return cls(*columns[:6], volumes, qc)
+
+    def rows(self) -> Iterable[tuple]:
+        """The rows as tuples of Python values, in from_rows order."""
+        return zip(*(getattr(self, f.name).tolist() for f in fields(self)))
+
+    def take(self, index) -> "PhenotypeTable":
+        """The rows picked by an index array or a boolean mask, in order."""
+        return PhenotypeTable(*(getattr(self, f.name)[index] for f in fields(self)))
+
+
+# column -> (dtype, width of a 2-D column or None)
+_COLUMN_TYPES = {
+    "session_id": (object, None),
+    "sequence_id": (object, None),
+    "scanner_id": (object, None),
+    "age_days": (np.int64, None),
+    "sex": (object, None),
+    "is_mprage": (bool, None),
+    "volumes": (float, len(Region)),
+    "qc": (float, len(QcCategory)),
+}
 
 
 @dataclass(frozen=True)
@@ -84,45 +162,12 @@ class SessionPhenotype:
         return self.age_days / 365.25
 
 
-def qc_filter(records: Sequence[PhenotypeRecord]) -> list[PhenotypeRecord]:
-    """Keep a record only if every QC category scores at least 0.65.
+def qc_filter(table: PhenotypeTable) -> PhenotypeTable:
+    """Keep a row only if every QC category scores at least 0.65.
 
-    The rule is strict: a score of exactly 0.65 passes.
+    The rule is inclusive: a score of exactly 0.65 passes.
     """
-    return [r for r in records if all(r.qc[c] >= QC_THRESHOLD for c in QcCategory)]
-
-
-def aggregate_session(
-    records: Sequence[PhenotypeRecord],
-    method: AggregationMethod,
-) -> Optional[SessionPhenotype]:
-    """Collapse one session's surviving sequences to a per-region median.
-
-    MprageOnly restricts to MPRAGE sequences first and returns None when none
-    survive. Caller is expected to have applied qc_filter already.
-    """
-    if not records:
-        return None
-    session_ids = {r.session_id for r in records}
-    if len(session_ids) != 1:
-        raise SchemaError(f"records span multiple sessions: {sorted(session_ids)}")
-    pool = records
-    if method is AggregationMethod.MPRAGE_ONLY:
-        pool = [r for r in records if r.is_mprage]
-        if not pool:
-            return None
-    first = records[0]
-    volumes = {
-        region: statistics.median(r.volumes[region] for r in pool) for region in Region
-    }
-    return SessionPhenotype(
-        session_id=first.session_id,
-        scanner_id=first.scanner_id,
-        age_days=first.age_days,
-        sex=first.sex,
-        volumes=volumes,
-        method=method,
-    )
+    return table.take((table.qc >= QC_THRESHOLD).all(axis=1))
 
 
 @dataclass(frozen=True)
@@ -140,32 +185,59 @@ class AttritionReport:
             )
 
 
+def _group_medians(values: np.ndarray, group: np.ndarray, n_groups: int):
+    """statistics.median of each column of `values` within each group.
+
+    Returns the medians of the groups that have rows, in group order, and
+    the mask of those groups. An even count takes (a + b) / 2 of the two
+    middle values, exactly as statistics.median does.
+    """
+    counts = np.bincount(group, minlength=n_groups)
+    present = counts > 0
+    start = (np.cumsum(counts) - counts)[present]
+    counts = counts[present]
+    lo = start + (counts - 1) // 2
+    even = counts % 2 == 0
+    hi = lo[even] + 1
+    medians = np.empty((len(counts), values.shape[1]))
+    for k in range(values.shape[1]):
+        ordered = values[np.lexsort((values[:, k], group)), k]
+        medians[:, k] = ordered[lo]
+        medians[even, k] = (ordered[lo[even]] + ordered[hi]) / 2
+    return medians, present
+
+
 def build_sessions(
-    records: Sequence[PhenotypeRecord],
+    table: PhenotypeTable,
     method: AggregationMethod,
 ) -> tuple[list[SessionPhenotype], AttritionReport]:
-    """QC-filter, group by session, aggregate, and account for every drop."""
-    groups: dict[str, list[PhenotypeRecord]] = {}
-    for r in records:
-        groups.setdefault(r.session_id, []).append(r)
-    sessions: list[SessionPhenotype] = []
-    dropped_qc = 0
-    dropped_no_mprage = 0
-    for sid in sorted(groups):
-        surviving = qc_filter(groups[sid])
-        if not surviving:
-            dropped_qc += 1
-            continue
-        agg = aggregate_session(surviving, method)
-        if agg is None:
-            dropped_no_mprage += 1
-            continue
-        sessions.append(agg)
+    """QC-filter, group by session, take medians, and account for every drop.
+
+    Sessions come out in code-point order of their ids. A session's scanner,
+    age and sex are those of its first QC-passing row. MPRAGE_ONLY takes the
+    medians over QC-passing MPRAGE rows only and drops a session that has none.
+    """
+    n_input = len(np.unique(table.session_id))
+    kept = qc_filter(table)
+    ids, first, group = np.unique(kept.session_id, return_index=True, return_inverse=True)
+    pool = kept.is_mprage if method is AggregationMethod.MPRAGE_ONLY else slice(None)
+    medians, present = _group_medians(kept.volumes[pool], group[pool], len(ids))
+    first = first[present]
+    sessions = [
+        SessionPhenotype(sid, scanner, age, _SEX_BY_CODE[sex], dict(zip(_REGIONS, volumes)), method)
+        for sid, scanner, age, sex, volumes in zip(
+            ids[present].tolist(),
+            kept.scanner_id[first].tolist(),
+            kept.age_days[first].tolist(),
+            kept.sex[first].tolist(),
+            medians.tolist(),
+        )
+    ]
     report = AttritionReport(
-        n_input_sessions=len(groups),
+        n_input_sessions=n_input,
         n_output_sessions=len(sessions),
-        dropped_qc=dropped_qc,
-        dropped_no_mprage=dropped_no_mprage,
+        dropped_qc=n_input - len(ids),
+        dropped_no_mprage=len(ids) - len(sessions),
     )
     return sessions, report
 
@@ -194,49 +266,56 @@ PHENOTYPE_COLUMNS = (
 )
 
 
-def load_phenotype_csv(path) -> list[PhenotypeRecord]:
-    records = []
+def load_phenotype_csv(path) -> PhenotypeTable:
+    """Read a phenotype CSV in one pass; a bad row is a SchemaError at path:line."""
+    session_id, sequence_id, scanner_id, sex, is_mprage = [], [], [], [], []
+    age_days, numbers, lines = array("q"), array("d"), array("q")
     with open(path, encoding="utf-8", newline="") as f:
-        reader = csv.DictReader(f)
-        header = reader.fieldnames or []
+        reader = csv.reader(f)
+        header = next(reader, [])
         missing = [c for c in PHENOTYPE_COLUMNS if c not in header]
         if missing:
-            raise SchemaError(f"phenotype CSV missing columns: {missing}")
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                records.append(
-                    PhenotypeRecord(
-                        session_id=row["session_id"],
-                        sequence_id=row["sequence_id"],
-                        scanner_id=row["scanner_id"],
-                        age_days=int(row["age_days"]),
-                        sex=Sex(row["sex"]),
-                        is_mprage=row["is_mprage"].strip().lower() in ("1", "true", "yes"),
-                        volumes={r: float(row[r.value]) for r in Region},
-                        qc={c: float(row[c.value]) for c in QcCategory},
-                    )
+            raise SchemaError(f"{path}:1: missing columns {missing}")
+        pos = [header.index(c) for c in PHENOTYPE_COLUMNS]
+        numeric = operator.itemgetter(*pos[6:])
+        i_sid, i_seq, i_scan, i_age, i_sex, i_mprage = pos[:6]
+        for row in reader:
+            if len(row) != len(header):
+                if not row:
+                    continue
+                raise SchemaError(
+                    f"{path}:{reader.line_num}: expected {len(header)} fields, got {len(row)}"
                 )
-            except (ValueError, KeyError) as e:
-                raise SchemaError(f"bad phenotype row at line {lineno}: {e}") from e
-    return records
+            try:
+                age_days.append(int(row[i_age]))
+                numbers.extend(map(float, numeric(row)))
+            except (ValueError, OverflowError) as e:
+                raise SchemaError(f"{path}:{reader.line_num}: {e}") from None
+            session_id.append(row[i_sid])
+            sequence_id.append(row[i_seq])
+            scanner_id.append(row[i_scan])
+            sex.append(row[i_sex])
+            is_mprage.append(row[i_mprage].strip().lower() in ("1", "true", "yes"))
+            lines.append(reader.line_num)
+    numbers = np.frombuffer(numbers, dtype=float).reshape(len(lines), len(pos) - 6)
+    try:
+        return PhenotypeTable(
+            session_id, sequence_id, scanner_id, age_days, sex, is_mprage,
+            numbers[:, : len(Region)], numbers[:, len(Region) :],
+        )
+    except BadRow as e:
+        raise SchemaError(f"{path}:{lines[e.row]}: {e.problem}") from None
 
 
-def write_phenotype_csv(path, records: Iterable[PhenotypeRecord]) -> None:
+def write_phenotype_csv(path, table: PhenotypeTable) -> None:
     with open(path, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(PHENOTYPE_COLUMNS)
-        for r in records:
+        for *ids, age, sex, mprage, volumes, qc in table.rows():
             writer.writerow(
-                [
-                    r.session_id,
-                    r.sequence_id,
-                    r.scanner_id,
-                    r.age_days,
-                    r.sex.value,
-                    "true" if r.is_mprage else "false",
-                ]
-                + [f"{r.volumes[reg]:.6f}" for reg in Region]
-                + [f"{r.qc[c]:.4f}" for c in QcCategory]
+                [*ids, age, sex, "true" if mprage else "false"]
+                + [f"{v:.6f}" for v in volumes]
+                + [f"{q:.4f}" for q in qc]
             )
 
 
@@ -311,7 +390,7 @@ def synth_cohort(
     age_range_days: tuple[float, float] = (135.0, 7100.0),
     qc_fail_rate: float = 0.02,
     jitter_sigma: float = 0.01,
-) -> list[PhenotypeRecord]:
+) -> PhenotypeTable:
     """Draw a synthetic cohort from a known growth model.
 
     Ages are uniform over age_range_days, sexes fair-coin, scanners assigned
@@ -319,8 +398,6 @@ def synth_cohort(
     jitter around the session draw. A qc_fail_rate fraction of sequences get
     one QC category planted below the exclusion threshold.
     """
-    import numpy as np
-
     from .growthchart import GrowthTruth, gg_sample_one, truth_params
 
     if not isinstance(truth, GrowthTruth):
@@ -336,7 +413,7 @@ def synth_cohort(
             )
     else:
         scanner_ids = [f"scan-{i:02d}" for i in range(n_scanners)]
-    records = []
+    rows = []
     lo, hi = age_range_days
     for i in range(n_sessions):
         age_days = int(round(rng.uniform(lo, hi)))
@@ -350,23 +427,12 @@ def synth_cohort(
         for j in range(n_seq):
             jitter = float(np.exp(rng.normal(0.0, jitter_sigma)))
             modeled = base * jitter
-            volumes = {
-                region: modeled * scale for region, scale in _REGION_SCALE.items()
-            }
-            qc = {c: float(rng.uniform(0.70, 1.0)) for c in QcCategory}
+            volumes = tuple(modeled * _REGION_SCALE[region] for region in Region)
+            qc = [float(rng.uniform(0.70, 1.0)) for _ in QcCategory]
             if rng.random() < qc_fail_rate:
-                bad = list(QcCategory)[int(rng.integers(0, len(QcCategory)))]
+                bad = int(rng.integers(0, len(QcCategory)))
                 qc[bad] = float(rng.uniform(0.0, 0.649))
-            records.append(
-                PhenotypeRecord(
-                    session_id=f"ses-{i:05d}",
-                    sequence_id=f"ses-{i:05d}-seq-{j}",
-                    scanner_id=scanner,
-                    age_days=age_days,
-                    sex=sex,
-                    is_mprage=bool(rng.random() < 0.6),
-                    volumes=volumes,
-                    qc=qc,
-                )
-            )
-    return records
+            is_mprage = bool(rng.random() < 0.6)
+            rows.append((f"ses-{i:05d}", f"ses-{i:05d}-seq-{j}", scanner, age_days,
+                         sex.value, is_mprage, volumes, qc))
+    return PhenotypeTable.from_rows(rows)

@@ -15,7 +15,7 @@ from typing import Mapping, Protocol, Sequence
 
 import requests
 
-from .errors import ClientError, IncompleteRecord, MissingGold
+from .errors import ClientError, IncompleteRecord, MissingGold, SchemaError
 from .labeling import Label
 from .metrics import EvalResult, confusion
 from .report_text import Report
@@ -127,6 +127,9 @@ class AnswerSource(Protocol):
         ...
 
 
+FIXTURE_COLUMNS = ("report_id", "question_id", "response_text")
+
+
 class FixtureAnswerSource:
     """Canned responses from a TSV of (report_id, question_id, response_text)."""
 
@@ -134,6 +137,9 @@ class FixtureAnswerSource:
         self.responses: dict[tuple[str, str], str] = {}
         with open(path, encoding="utf-8", newline="") as f:
             reader = csv.DictReader(f, delimiter="\t")
+            missing = [c for c in FIXTURE_COLUMNS if c not in (reader.fieldnames or ())]
+            if missing:
+                raise SchemaError(f"{path}:1: fixture missing columns {missing}")
             for row in reader:
                 self.responses[(row["report_id"], row["question_id"])] = row["response_text"]
 

@@ -37,10 +37,9 @@ from normcharts.labeling import Label
 from normcharts.phenotype import (
     AggregationMethod,
     AttritionReport,
-    PhenotypeRecord,
+    PhenotypeTable,
     QcCategory,
     Region,
-    aggregate_session,
     build_sessions,
     qc_filter,
     synth_cohort,
@@ -358,37 +357,38 @@ def test_criterion_08_centile_convergence(tmp_path):
 # --- 9: QC and aggregation rules ---
 
 
-def _record(session, seq, qc_value, vol, is_mprage=True):
+def _row(session, seq, qc_value, vol, is_mprage=True):
     qc = {c: 0.9 for c in QcCategory}
     qc[QcCategory.BRAINSTEM] = qc_value
-    return PhenotypeRecord(
-        session_id=session, sequence_id=seq, scanner_id="sc",
-        age_days=400, sex=Sex.F, is_mprage=is_mprage,
-        volumes={r: vol for r in Region}, qc=qc,
-    )
+    return (session, seq, "sc", 400, Sex.F.value, is_mprage,
+            (vol,) * len(Region), tuple(qc[c] for c in QcCategory))
+
+
+def _sessions(rows, method):
+    return build_sessions(PhenotypeTable.from_rows(rows), method)
 
 
 def test_criterion_09_qc_and_aggregation():
     ok = True
     # strict-less-than exclusion boundary
     for v in (0.0, 0.3, 0.649, 0.6499999):
-        ok &= qc_filter([_record("a", "q", v, 1.0)]) == []
+        ok &= len(qc_filter(PhenotypeTable.from_rows([_row("a", "q", v, 1.0)]))) == 0
     for v in (0.65, 0.651, 1.0):
-        ok &= len(qc_filter([_record("a", "q", v, 1.0)])) == 1
+        ok &= len(qc_filter(PhenotypeTable.from_rows([_row("a", "q", v, 1.0)]))) == 1
     # even-count median
-    recs = [_record("a", f"q{i}", 0.9, v) for i, v in enumerate((10.0, 30.0, 20.0, 40.0))]
-    agg = aggregate_session(recs, AggregationMethod.MEDIAN_ALL_SEQUENCES)
+    rows = [_row("a", f"q{i}", 0.9, v) for i, v in enumerate((10.0, 30.0, 20.0, 40.0))]
+    (agg,), _ = _sessions(rows, AggregationMethod.MEDIAN_ALL_SEQUENCES)
     ok &= agg.volumes[Region.CORTICAL_GM] == 25.0
     # MPRAGE-only drop
-    no_mprage = [_record("a", "q0", 0.9, 5.0, is_mprage=False)]
-    ok &= aggregate_session(no_mprage, AggregationMethod.MPRAGE_ONLY) is None
+    no_mprage = [_row("a", "q0", 0.9, 5.0, is_mprage=False)]
+    ok &= _sessions(no_mprage, AggregationMethod.MPRAGE_ONLY)[0] == []
     # attrition balances exactly
-    records = (
-        [_record("s1", "q0", 0.9, 1.0)]
-        + [_record("s2", "q0", 0.1, 1.0)]
-        + [_record("s3", "q0", 0.9, 1.0, is_mprage=False)]
+    rows = (
+        [_row("s1", "q0", 0.9, 1.0)]
+        + [_row("s2", "q0", 0.1, 1.0)]
+        + [_row("s3", "q0", 0.9, 1.0, is_mprage=False)]
     )
-    _, att = build_sessions(records, AggregationMethod.MPRAGE_ONLY)
+    _, att = _sessions(rows, AggregationMethod.MPRAGE_ONLY)
     ok &= att == AttritionReport(3, 1, 1, 1)
     ok &= att.n_output_sessions + att.dropped_qc + att.dropped_no_mprage == att.n_input_sessions
     report_line(9, "QC threshold, median, MPRAGE and attrition rules", bool(ok))

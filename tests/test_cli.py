@@ -141,6 +141,24 @@ def test_triage_without_source_is_config_error(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("column", ["report_id", "question_id", "response_text"])
+def test_triage_fixture_without_a_column_is_schema_error(tmp_path, capsys, column):
+    with open(data_file("edge_case_responses.tsv"), newline="") as f:
+        rows = list(csv.reader(f, delimiter="\t"))
+    drop = rows[0].index(column)
+    fixture = tmp_path / "fixture.tsv"
+    with open(fixture, "w", newline="") as f:
+        csv.writer(f, delimiter="\t").writerows([r[:drop] + r[drop + 1:] for r in rows])
+    out = tmp_path / "triage.csv"
+    rc = main(["triage", "--reports", str(data_file("edge_case_reports.jsonl")),
+               "--mode", "stepwise", "--fixture", str(fixture), "--out", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith(f"data error: {fixture}:1: ") and column in err
+    assert not out.exists()
+
+
 def test_growth_pipeline_chain(tmp_path, capsys):
     from normcharts.cli import _default_truth
     from normcharts.phenotype import synth_cohort, write_phenotype_csv
@@ -595,3 +613,70 @@ def test_phenotype_commands_golden_digests(tmp_path, monkeypatch, capsys):
         assert main(argv) == 0
     (tmp_path / "stdout").write_text(capsys.readouterr().out)
     assert _sha256s(tmp_path, GOLDEN_PHENOTYPE) == GOLDEN_PHENOTYPE
+
+
+# Damage to the second data row (line 3) of a phenotype CSV, and the message
+# the error must carry.
+BAD_PHENOTYPE_ROWS = {
+    "short_row": (lambda row: row[:10], "expected 20 fields, got 10"),
+    "long_row": (lambda row: row + ["x"], "expected 20 fields, got 21"),
+    "bad_number": (lambda row: row[:11] + ["abc"] + row[12:], "could not convert string to float: 'abc'"),
+    "zero_age": (lambda row: row[:3] + ["0"] + row[4:], "age_days must be positive, got 0"),
+    "unknown_sex": (lambda row: row[:4] + ["X"] + row[5:], "sex must be M or F, got 'X'"),
+    "negative_volume": (lambda row: row[:6] + ["-5"] + row[7:],
+                        "volume vol_cortical_gm must be positive and finite, got -5.0"),
+    "infinite_volume": (lambda row: row[:9] + ["inf"] + row[10:],
+                        "volume vol_ventricles must be positive and finite, got inf"),
+}
+
+
+@pytest.mark.parametrize("command", ["aggregate", "centiles", "qc", "fit-growth"])
+@pytest.mark.parametrize("case", sorted(BAD_PHENOTYPE_ROWS))
+def test_bad_phenotype_row_is_data_error_at_its_line(tmp_path, capsys, command, case):
+    from normcharts.cli import _default_truth
+    from normcharts.phenotype import synth_cohort, write_phenotype_csv
+
+    good = tmp_path / "good.csv"
+    write_phenotype_csv(good, synth_cohort(seed=3, n_sessions=4, n_scanners=1,
+                                           truth=_default_truth(PipelineConfig(n_scanners=1))))
+    with open(good, newline="") as f:
+        rows = list(csv.reader(f))
+    damage, message = BAD_PHENOTYPE_ROWS[case]
+    rows[2] = damage(rows[2])
+    bad = tmp_path / "bad.csv"
+    _write_csv(bad, rows[0], rows[1:])
+    model_path = tmp_path / "gm.json"
+    model_path.write_text(json.dumps(GOOD_GROWTH_MODEL))
+    out = tmp_path / "out"
+    argv = {
+        "aggregate": ["aggregate"],
+        "centiles": ["centiles", "--model", str(model_path)],
+        "qc": ["qc"],
+        "fit-growth": ["fit-growth", "--region", "vol_cortical_gm"],
+    }[command] + ["--phenotypes", str(bad), "--out", str(out)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err == f"data error: {bad}:3: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, value", [
+    ("1", True), ("TRUE", True), ("Yes", True), ("0", False), ("False", False), ("NO", False),
+    ("ture", None), ("nope", None), ("", None), ("on", None),
+])
+def test_boolean_config_values_are_strict(tmp_path, capsys, text, value):
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(f"[growth]\nfp1_only = {text}\nsigma_age = {text}\n")
+    if value is not None:
+        cfg = load_config(str(cfg_path))
+        assert (cfg.fp1_only, cfg.sigma_age) == (value, value)
+        return
+    with pytest.raises(ConfigError, match=f"must be one of 1/true/yes/0/false/no, got '{text}'"):
+        load_config(str(cfg_path))
+    out = tmp_path / "runs"
+    rc = main(["run-experiment", "exp6_growthcharts", "--config", str(cfg_path), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()

@@ -1,8 +1,10 @@
 import math
-import statistics
 import random
+import statistics
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from normcharts.errors import SchemaError
 from normcharts.growthchart import GrowthTruth, FpSpec, truth_params
@@ -10,11 +12,10 @@ from normcharts.phenotype import (
     QC_THRESHOLD,
     AggregationMethod,
     AttritionReport,
-    PhenotypeRecord,
+    PhenotypeTable,
     QcCategory,
     Region,
     SessionPhenotype,
-    aggregate_session,
     build_sessions,
     load_phenotype_csv,
     load_sessions_csv,
@@ -26,104 +27,109 @@ from normcharts.phenotype import (
 from normcharts.report_text import Sex
 
 
-def make_record(session="ses-1", seq="seq-0", qc_scores=None, vol=1000.0,
-                is_mprage=True, scanner="scan-0", age_days=3650, sex=Sex.M):
+def make_row(session="ses-1", seq="seq-0", qc_scores=None, vol=1000.0,
+             is_mprage=True, scanner="scan-0", age_days=3650, sex=Sex.M):
     qc = {c: 0.9 for c in QcCategory}
     if qc_scores:
         qc.update(qc_scores)
-    volumes = {r: vol for r in Region}
-    return PhenotypeRecord(
-        session_id=session, sequence_id=seq, scanner_id=scanner,
-        age_days=age_days, sex=sex, is_mprage=is_mprage,
-        volumes=volumes, qc=qc,
-    )
+    return (session, seq, scanner, age_days, sex.value, is_mprage,
+            (vol,) * len(Region), tuple(qc[c] for c in QcCategory))
+
+
+def make_table(*rows):
+    return PhenotypeTable.from_rows(rows)
+
+
+def only_session(*rows, method=AggregationMethod.MEDIAN_ALL_SEQUENCES):
+    """The one session build_sessions makes of rows, or None if it drops it."""
+    sessions, _ = build_sessions(make_table(*rows), method)
+    assert len(sessions) <= 1
+    return sessions[0] if sessions else None
 
 
 def test_qc_filter_threshold_is_inclusive():
-    below = make_record(qc_scores={QcCategory.BRAINSTEM: 0.64})
-    at = make_record(qc_scores={QcCategory.BRAINSTEM: 0.65})
-    high = make_record()
-    kept = qc_filter([below, at, high])
-    assert kept == [at, high]
+    below = make_row(qc_scores={QcCategory.BRAINSTEM: 0.64})
+    at = make_row(qc_scores={QcCategory.BRAINSTEM: 0.65})
+    high = make_row()
+    kept = qc_filter(make_table(below, at, high))
+    assert list(kept.rows()) == list(make_table(at, high).rows())
     assert QC_THRESHOLD == 0.65
 
 
 def test_qc_filter_idempotent():
-    records = [make_record(qc_scores={c: 0.3}) for c in QcCategory]
-    records.append(make_record())
-    once = qc_filter(records)
-    assert qc_filter(once) == once
+    rows = [make_row(qc_scores={c: 0.3}) for c in QcCategory]
+    rows.append(make_row())
+    once = qc_filter(make_table(*rows))
+    assert list(qc_filter(once).rows()) == list(once.rows())
     assert len(once) == 1
 
 
 def test_record_requires_every_qc_category():
-    qc = {c: 0.9 for c in QcCategory}
-    qc.pop(QcCategory.BRAINSTEM)
+    seven = PhenotypeTable.from_rows([make_row()]).qc[:, 1:]
     with pytest.raises(SchemaError):
-        PhenotypeRecord(
-            session_id="s", sequence_id="q", scanner_id="sc", age_days=10,
-            sex=Sex.F, is_mprage=True, volumes={r: 1.0 for r in Region}, qc=qc,
+        PhenotypeTable(
+            session_id=["s"], sequence_id=["q"], scanner_id=["sc"], age_days=[10],
+            sex=["F"], is_mprage=[True], volumes=[[1.0] * len(Region)], qc=seven,
         )
 
 
 def test_record_rejects_nonpositive_volume():
-    volumes = {r: 1.0 for r in Region}
-    volumes[Region.VENTRICLES] = 0.0
-    with pytest.raises(SchemaError):
-        PhenotypeRecord(
-            session_id="s", sequence_id="q", scanner_id="sc", age_days=10,
-            sex=Sex.F, is_mprage=True, volumes=volumes,
-            qc={c: 0.9 for c in QcCategory},
+    volumes = [1.0] * len(Region)
+    volumes[list(Region).index(Region.VENTRICLES)] = 0.0
+    with pytest.raises(SchemaError, match="vol_ventricles"):
+        PhenotypeTable(
+            session_id=["s"], sequence_id=["q"], scanner_id=["sc"], age_days=[10],
+            sex=["F"], is_mprage=[True], volumes=[volumes], qc=[[0.9] * len(QcCategory)],
         )
 
 
 def test_median_odd_and_even():
-    recs3 = [make_record(seq=f"q{i}", vol=v) for i, v in enumerate((100.0, 130.0, 110.0))]
-    agg3 = aggregate_session(recs3, AggregationMethod.MEDIAN_ALL_SEQUENCES)
+    agg3 = only_session(*(make_row(seq=f"q{i}", vol=v) for i, v in enumerate((100.0, 130.0, 110.0))))
     assert all(agg3.volumes[r] == 110.0 for r in Region)
-    recs2 = [make_record(seq=f"q{i}", vol=v) for i, v in enumerate((100.0, 110.0))]
-    agg2 = aggregate_session(recs2, AggregationMethod.MEDIAN_ALL_SEQUENCES)
+    agg2 = only_session(*(make_row(seq=f"q{i}", vol=v) for i, v in enumerate((100.0, 110.0))))
     assert all(agg2.volumes[r] == 105.0 for r in Region)
 
 
 def test_mprage_only_restricts_then_medians():
-    recs = [
-        make_record(seq="q0", vol=100.0, is_mprage=True),
-        make_record(seq="q1", vol=300.0, is_mprage=False),
-        make_record(seq="q2", vol=120.0, is_mprage=True),
-    ]
-    agg = aggregate_session(recs, AggregationMethod.MPRAGE_ONLY)
+    agg = only_session(
+        make_row(seq="q0", vol=100.0, is_mprage=True),
+        make_row(seq="q1", vol=300.0, is_mprage=False),
+        make_row(seq="q2", vol=120.0, is_mprage=True),
+        method=AggregationMethod.MPRAGE_ONLY,
+    )
     assert agg.volumes[Region.CORTICAL_GM] == 110.0
 
 
 def test_mprage_only_none_when_no_mprage():
-    recs = [make_record(seq="q0", is_mprage=False)]
-    assert aggregate_session(recs, AggregationMethod.MPRAGE_ONLY) is None
+    assert only_session(make_row(seq="q0", is_mprage=False),
+                        method=AggregationMethod.MPRAGE_ONLY) is None
 
 
 def test_single_record_identity():
-    rec = make_record(vol=123.5)
-    agg = aggregate_session([rec], AggregationMethod.MEDIAN_ALL_SEQUENCES)
-    assert agg.volumes == rec.volumes
-    assert agg.session_id == rec.session_id
-    assert agg.age_days == rec.age_days
+    row = make_row(vol=123.5)
+    agg = only_session(row)
+    assert agg.volumes == {r: 123.5 for r in Region}
+    assert agg.session_id == row[0]
+    assert agg.age_days == row[3]
 
 
 def test_aggregate_permutation_invariant():
-    recs = [make_record(seq=f"q{i}", vol=float(100 + 7 * i)) for i in range(5)]
-    agg0 = aggregate_session(recs, AggregationMethod.MEDIAN_ALL_SEQUENCES)
-    shuffled = recs[:]
+    rows = [make_row(seq=f"q{i}", vol=float(100 + 7 * i)) for i in range(5)]
+    agg0 = only_session(*rows)
+    shuffled = rows[:]
     random.Random(3).shuffle(shuffled)
-    agg1 = aggregate_session(shuffled, AggregationMethod.MEDIAN_ALL_SEQUENCES)
+    agg1 = only_session(*shuffled)
     assert agg0.volumes == agg1.volumes
 
 
 def test_aggregate_rejects_mixed_sessions():
-    with pytest.raises(SchemaError):
-        aggregate_session(
-            [make_record(session="a"), make_record(session="b", seq="q1")],
-            AggregationMethod.MEDIAN_ALL_SEQUENCES,
-        )
+    # rows of two sessions never share a median: each session keeps its own
+    sessions, _ = build_sessions(
+        make_table(make_row(session="a", vol=1.0), make_row(session="b", seq="q1", vol=3.0),
+                   make_row(session="a", seq="q2", vol=2.0)),
+        AggregationMethod.MEDIAN_ALL_SEQUENCES,
+    )
+    assert [(s.session_id, s.volumes[Region.CORTICAL_GM]) for s in sessions] == [("a", 1.5), ("b", 3.0)]
 
 
 def test_attrition_must_balance():
@@ -135,14 +141,14 @@ def test_attrition_must_balance():
 
 
 def test_build_sessions_accounts_for_every_drop():
-    records = [
-        make_record(session="a", seq="q0"),
-        make_record(session="b", seq="q0", qc_scores={QcCategory.BRAINSTEM: 0.1}),
-        make_record(session="c", seq="q0", is_mprage=False),
-        make_record(session="d", seq="q0"),
-        make_record(session="d", seq="q1", qc_scores={QcCategory.BRAINSTEM: 0.1}),
-    ]
-    sessions, report = build_sessions(records, AggregationMethod.MPRAGE_ONLY)
+    table = make_table(
+        make_row(session="a", seq="q0"),
+        make_row(session="b", seq="q0", qc_scores={QcCategory.BRAINSTEM: 0.1}),
+        make_row(session="c", seq="q0", is_mprage=False),
+        make_row(session="d", seq="q0"),
+        make_row(session="d", seq="q1", qc_scores={QcCategory.BRAINSTEM: 0.1}),
+    )
+    sessions, report = build_sessions(table, AggregationMethod.MPRAGE_ONLY)
     assert [s.session_id for s in sessions] == ["a", "d"]
     assert report == AttritionReport(4, 2, 1, 1)
 
@@ -157,17 +163,18 @@ def test_age_years_property():
 
 
 def test_phenotype_csv_round_trip(tmp_path):
-    records = [make_record(seq=f"q{i}", vol=100.0 + i) for i in range(3)]
-    records.append(make_record(session="ses-2", is_mprage=False, sex=Sex.F))
+    rows = [make_row(seq=f"q{i}", vol=100.0 + i) for i in range(3)]
+    rows.append(make_row(session="ses-2", is_mprage=False, sex=Sex.F))
+    table = make_table(*rows)
     path = tmp_path / "ph.csv"
-    write_phenotype_csv(path, records)
+    write_phenotype_csv(path, table)
     back = load_phenotype_csv(path)
-    assert back == records
+    assert list(back.rows()) == list(table.rows())
 
 
 def test_sessions_csv_round_trip(tmp_path):
     sessions, _ = build_sessions(
-        [make_record(seq=f"q{i}", vol=100.0 + i) for i in range(3)],
+        make_table(*(make_row(seq=f"q{i}", vol=100.0 + i) for i in range(3))),
         AggregationMethod.MEDIAN_ALL_SEQUENCES,
     )
     path = tmp_path / "ses.csv"
@@ -188,18 +195,18 @@ def small_truth():
 
 
 def test_synth_cohort_deterministic():
-    a = synth_cohort(seed=5, n_sessions=40, n_scanners=2, truth=small_truth())
-    b = synth_cohort(seed=5, n_sessions=40, n_scanners=2, truth=small_truth())
+    a = list(synth_cohort(seed=5, n_sessions=40, n_scanners=2, truth=small_truth()).rows())
+    b = list(synth_cohort(seed=5, n_sessions=40, n_scanners=2, truth=small_truth()).rows())
     assert a == b
-    c = synth_cohort(seed=6, n_sessions=40, n_scanners=2, truth=small_truth())
+    c = list(synth_cohort(seed=6, n_sessions=40, n_scanners=2, truth=small_truth()).rows())
     assert a != c
 
 
 def test_synth_cohort_planted_failure_rate():
-    records = synth_cohort(seed=11, n_sessions=600, n_scanners=2,
-                           truth=small_truth(), qc_fail_rate=0.05)
-    n = len(records)
-    fails = sum(1 for r in records if any(v < QC_THRESHOLD for v in r.qc.values()))
+    table = synth_cohort(seed=11, n_sessions=600, n_scanners=2,
+                         truth=small_truth(), qc_fail_rate=0.05)
+    n = len(table)
+    fails = int((table.qc < QC_THRESHOLD).any(axis=1).sum())
     rate = fails / n
     # binomial 4-sigma band around 0.05
     sigma = math.sqrt(0.05 * 0.95 / n)
@@ -208,11 +215,9 @@ def test_synth_cohort_planted_failure_rate():
 
 def test_synth_cohort_median_tracks_truth():
     truth = small_truth()
-    records = synth_cohort(seed=13, n_sessions=1500, n_scanners=2, truth=truth,
-                           age_range_days=(3600, 3700), qc_fail_rate=0.0)
-    sessions, _ = build_sessions(records, AggregationMethod.MEDIAN_ALL_SEQUENCES)
-    import statistics
-
+    table = synth_cohort(seed=13, n_sessions=1500, n_scanners=2, truth=truth,
+                         age_range_days=(3600, 3700), qc_fail_rate=0.0)
+    sessions, _ = build_sessions(table, AggregationMethod.MEDIAN_ALL_SEQUENCES)
     from normcharts.growthchart import gg_quantile
 
     observed = statistics.median(s.volumes[Region.CORTICAL_GM] for s in sessions)
@@ -225,22 +230,6 @@ def test_synth_cohort_median_tracks_truth():
 
 
 # --- build_sessions against a plain per-session reference ---
-
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
-
-
-def _table(rows):
-    """Phenotype rows (session, sequence, scanner, age_days, sex, is_mprage,
-    volumes in Region order, qc in QcCategory order) as build_sessions input."""
-    return [
-        PhenotypeRecord(
-            session_id=sid, sequence_id=seq, scanner_id=scan, age_days=age,
-            sex=Sex(sex), is_mprage=mprage,
-            volumes=dict(zip(Region, vols)), qc=dict(zip(QcCategory, qc)),
-        )
-        for sid, seq, scan, age, sex, mprage, vols, qc in rows
-    ]
 
 
 def _reference_sessions(rows, method):
@@ -320,4 +309,4 @@ _EXAMPLE_ROWS = [
 @example(rows=_EXAMPLE_ROWS, method=AggregationMethod.MEDIAN_ALL_SEQUENCES)
 def test_build_sessions_matches_per_session_reference(rows, method):
     rows = _numbered(rows)
-    assert build_sessions(_table(rows), method) == _reference_sessions(rows, method)
+    assert build_sessions(make_table(*rows), method) == _reference_sessions(rows, method)
