@@ -69,10 +69,10 @@ class PhenotypeTable:
 
     The id columns and `sex` hold Python strings (sex as the codes "M" and
     "F"), `volumes` is (n, 6) in Region order and `qc` is (n, 8) in
-    QcCategory order. The constructor coerces every
-    column to its dtype, checks the shapes, and raises BadRow for the first
-    row whose age is not positive, whose sex is unknown, or which holds a
-    volume that is not positive and finite.
+    QcCategory order. The constructor coerces every column to its dtype,
+    checks the shapes, and raises BadRow for the first row whose age is not
+    positive, whose sex is unknown, or which holds a volume that is not
+    positive and finite.
     """
 
     session_id: np.ndarray
@@ -130,10 +130,6 @@ class PhenotypeTable:
         """The rows as tuples of Python values, in from_rows order."""
         return zip(*(getattr(self, f.name).tolist() for f in fields(self)))
 
-    def take(self, index) -> "PhenotypeTable":
-        """The rows picked by an index array or a boolean mask, in order."""
-        return PhenotypeTable(*(getattr(self, f.name)[index] for f in fields(self)))
-
 
 # column -> (dtype, width of a 2-D column or None)
 _COLUMN_TYPES = {
@@ -167,7 +163,8 @@ def qc_filter(table: PhenotypeTable) -> PhenotypeTable:
 
     The rule is inclusive: a score of exactly 0.65 passes.
     """
-    return table.take((table.qc >= QC_THRESHOLD).all(axis=1))
+    passed = (table.qc >= QC_THRESHOLD).all(axis=1)
+    return PhenotypeTable(*(getattr(table, f.name)[passed] for f in fields(table)))
 
 
 @dataclass(frozen=True)
@@ -297,7 +294,7 @@ def load_phenotype_csv(path) -> PhenotypeTable:
             sex.append(row[i_sex])
             is_mprage.append(row[i_mprage].strip().lower() in ("1", "true", "yes"))
             lines.append(reader.line_num)
-    numbers = np.frombuffer(numbers, dtype=float).reshape(len(lines), len(pos) - 6)
+    numbers = np.frombuffer(numbers, dtype=float).reshape(len(lines), len(Region) + len(QcCategory))
     try:
         return PhenotypeTable(
             session_id, sequence_id, scanner_id, age_days, sex, is_mprage,
