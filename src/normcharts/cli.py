@@ -21,10 +21,12 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
+
 from . import classifier, corpus, growthchart, labeling, metrics, phenotype, stepwise
 from .errors import ConfigError, DataError, NormchartsError, NumericalError
 from .labeling import Label
-from .phenotype import AggregationMethod, Region
+from .phenotype import BOOLEANS, AggregationMethod, Region
 from .report_text import InputMode, Report, Sex, compose_input, load_reports_jsonl
 from .synthcorpus import synth_reports
 
@@ -118,17 +120,14 @@ def _format_value(value) -> str:
     return "" if value is None else str(value)
 
 
-_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
-
-
 def _parse_value(f: Field, text: str):
     """Read one INI value by the field's type; bad numbers or booleans raise ValueError."""
     if f.type == tuple[int, ...]:
         return tuple(int(s) for s in text.split(",")) if text else f.default
     if f.type is bool:
-        if text.lower() not in _BOOLEANS:
-            raise ValueError(f"{f.name} must be one of {'/'.join(_BOOLEANS)}, got {text!r}")
-        return _BOOLEANS[text.lower()]
+        if text.lower() not in BOOLEANS:
+            raise ValueError(f"{f.name} must be one of {'/'.join(BOOLEANS)}, got {text!r}")
+        return BOOLEANS[text.lower()]
     if f.type == Optional[str]:
         return text or None
     return f.type(text)
@@ -206,8 +205,9 @@ def _write_curves_csv(path, model: growthchart.GrowthModel, ages: list[float], s
     with open(path, "w", encoding="utf-8", newline="") as f:
         w = csv.writer(f)
         w.writerow(_CURVE_COLUMNS)
-        for row in growthchart.percentile_curves(model, ages, sex):
-            w.writerow([f"{row[c]:.4f}" for c in _CURVE_COLUMNS])
+        curves = growthchart.percentile_curves(model, ages, sex)
+        columns = [curves[c].tolist() for c in _CURVE_COLUMNS]
+        w.writerows([f"{v:.4f}" for v in row] for row in zip(*columns))
 
 
 def _print_metrics(result: metrics.EvalResult) -> None:
@@ -331,12 +331,12 @@ def _stepwise_experiment(cfg: PipelineConfig, run_dir: Path) -> list[dict]:
     return rows
 
 
-def _default_truth(cfg: PipelineConfig) -> growthchart.GrowthTruth:
+def _default_truth(cfg: PipelineConfig) -> growthchart.GrowthModel:
     shifts = [0.06, -0.04, 0.02, -0.05, 0.01]
     scanners = {f"scan-{i:02d}": shifts[i % len(shifts)] for i in range(cfg.n_scanners)}
     mean_shift = sum(scanners.values()) / len(scanners)
     scanners = {k: v - mean_shift for k, v in scanners.items()}
-    return growthchart.GrowthTruth(
+    return growthchart.GrowthModel(
         region=Region(cfg.region),
         fp_mu=growthchart.FpSpec(1, (0.5,)),
         mu_coef=(12.2, 0.12, -0.05),
@@ -374,21 +374,18 @@ def _growth_experiment(cfg: PipelineConfig, run_dir: Path) -> list[dict]:
         )
         f.write("\n")
     region = Region(cfg.region)
-    # two overlapping subsets sharing 92% of sessions
+    # two overlapping subsets sharing 92% of sessions, as row indices
     n = len(sessions)
     n_shared = round(0.92 * n)
-    half_extra = (n - n_shared) // 2
-    shared = sessions[:n_shared]
-    only_a = sessions[n_shared : n_shared + half_extra]
-    only_b = sessions[n_shared + half_extra :]
+    shared, only_a, only_b = np.split(np.arange(n), [n_shared, n_shared + (n - n_shared) // 2])
     options = _fit_options(cfg.fp1_only, cfg.sigma_age, cfg.ridge_lambda)
-    model_a = growthchart.fit(shared + only_a, region, options)
-    model_b = growthchart.fit(shared + only_b, region, options)
+    model_a = growthchart.fit(sessions.take(np.concatenate([shared, only_a])), region, options)
+    model_b = growthchart.fit(sessions.take(np.concatenate([shared, only_b])), region, options)
     growthchart.save_growth_model(run_dir / "growth-model-a.json", model_a)
     growthchart.save_growth_model(run_dir / "growth-model-b.json", model_b)
-    cent_a = [growthchart.centile(model_a, s) for s in sessions]
-    cent_b = [growthchart.centile(model_b, s) for s in sessions]
-    r = growthchart.compare_centiles(cent_a, cent_b)
+    r = growthchart.compare_centiles(
+        growthchart.centile(model_a, sessions), growthchart.centile(model_b, sessions)
+    )
     _write_curves_csv(run_dir / "curves.csv", model_a, [1.0 + i * 0.5 for i in range(38)], Sex.F)
     return [
         metrics.metric_row(
@@ -560,8 +557,8 @@ def _cmd_centiles(args) -> int:
     with open(args.out, "w", encoding="utf-8", newline="") as f:
         w = csv.writer(f)
         w.writerow(["session_id", "centile"])
-        for s in sessions:
-            w.writerow([s.session_id, f"{growthchart.centile(model, s):.6f}"])
+        centiles = growthchart.centile(model, sessions).tolist()
+        w.writerows([sid, f"{c:.6f}"] for sid, c in zip(sessions.session_id.tolist(), centiles))
     print(f"centiles for {len(sessions)} sessions -> {args.out}")
     return 0
 

@@ -22,7 +22,7 @@ import numpy as np
 from scipy import optimize, special
 
 from .errors import DegenerateInput, DomainError, InvalidParams, SchemaError, ShapeError
-from .phenotype import Region, SessionPhenotype
+from .phenotype import Region, SessionTable
 from .report_text import Sex
 
 FP_POWERS = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0)
@@ -30,17 +30,18 @@ FP_POWERS = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0)
 
 @dataclass(frozen=True)
 class GGParams:
+    """Generalized-gamma parameters; mu and sigma may be arrays of one shape
+    or broadcastable ones, and nu is one shape for every element."""
+
     mu: float
     sigma: float
     nu: float
 
     def __post_init__(self):
         ok = (
-            math.isfinite(self.mu)
-            and math.isfinite(self.sigma)
+            np.all(np.isfinite(self.mu) & (np.asarray(self.mu) > 0.0))
+            and np.all(np.isfinite(self.sigma) & (np.asarray(self.sigma) > 0.0))
             and math.isfinite(self.nu)
-            and self.mu > 0.0
-            and self.sigma > 0.0
             and self.nu != 0.0
         )
         if not ok:
@@ -49,7 +50,7 @@ class GGParams:
             )
 
     @property
-    def theta(self) -> float:
+    def theta(self):
         return 1.0 / (self.sigma * self.sigma * self.nu * self.nu)
 
 
@@ -68,26 +69,6 @@ class FpSpec:
                 raise InvalidParams(f"power {p} not in the allowed set")
 
 
-def fp_basis(x: float, spec: FpSpec) -> list[float]:
-    """Fractional-polynomial basis at x; power 0 means ln x.
-
-    A repeated power (p, p) expands to [x^p, x^p * ln x], which for p = 0
-    gives [ln x, (ln x)^2].
-    """
-    if x <= 0.0:
-        raise DomainError(f"fractional polynomials need x > 0, got {x}")
-
-    def term(p: float) -> float:
-        return math.log(x) if p == 0.0 else x**p
-
-    if spec.order == 1:
-        return [term(spec.powers[0])]
-    p, q = spec.powers
-    if p == q:
-        return [term(p), term(p) * math.log(x)]
-    return [term(p), term(q)]
-
-
 def fp_candidates() -> list[FpSpec]:
     """All first-order specs plus all unordered second-order pairs (8 + 36)."""
     first = [FpSpec(1, (p,)) for p in FP_POWERS]
@@ -97,54 +78,63 @@ def fp_candidates() -> list[FpSpec]:
     return first + second
 
 
-def gg_logpdf(y: float, p: GGParams) -> float:
-    if y <= 0.0:
-        raise DomainError(f"support is y > 0, got {y}")
+def _scalar_or_array(a):
+    """A Python float for a 0-d result, the array otherwise."""
+    return float(a) if np.ndim(a) == 0 else a
+
+
+def _positive(y, what: str) -> np.ndarray:
+    y = np.asarray(y, dtype=float)
+    if not np.all(y > 0.0):
+        raise DomainError(f"{what}, got {y[~(y > 0.0)][0]}")
+    return y
+
+
+def _gg_terms(logy, log_mu, log_sigma, nu: float):
+    """The GG log-density at log y and the terms its gradient reuses.
+
+    Returns (logpdf, w, z, theta, log theta) with w = log y - log mu and
+    z = exp(nu w); overflow is left to the caller to detect.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = logy - log_mu
+        theta = np.exp(-2.0 * log_sigma) / (nu * nu)
+        z = np.exp(nu * w)
+        log_theta = -2.0 * log_sigma - 2.0 * math.log(abs(nu))
+        ll = (
+            math.log(abs(nu))
+            + theta * log_theta
+            + theta * nu * w
+            - theta * z
+            - special.gammaln(theta)
+            - logy
+        )
+    return ll, w, z, theta, log_theta
+
+
+def gg_logpdf(y, p: GGParams):
+    y = _positive(y, "support is y > 0")
+    return _scalar_or_array(_gg_terms(np.log(y), np.log(p.mu), np.log(p.sigma), p.nu)[0])
+
+
+def gg_cdf(y, p: GGParams):
+    y = _positive(y, "support is y > 0")
     theta = p.theta
-    w = math.log(y) - math.log(p.mu)
-    z = math.exp(p.nu * w)
-    return (
-        math.log(abs(p.nu))
-        + theta * math.log(theta)
-        + theta * p.nu * w
-        - theta * z
-        - special.gammaln(theta)
-        - math.log(y)
-    )
+    x = theta * np.exp(p.nu * (np.log(y) - np.log(p.mu)))
+    c = special.gammainc(theta, x) if p.nu > 0 else special.gammaincc(theta, x)
+    return _scalar_or_array(c)
 
 
-def gg_pdf(y: float, p: GGParams) -> float:
-    return math.exp(gg_logpdf(y, p))
-
-
-def gg_cdf(y: float, p: GGParams) -> float:
-    if y <= 0.0:
-        raise DomainError(f"support is y > 0, got {y}")
+def gg_quantile(q, p: GGParams):
+    """Closed-form inverse of gg_cdf: y = mu * (G / theta)^(1/nu), where G
+    solves P(theta, G) = q for nu > 0 and Q(theta, G) = q for nu < 0."""
+    q = np.asarray(q, dtype=float)
+    inside = (q > 0.0) & (q < 1.0)
+    if not np.all(inside):
+        raise DomainError(f"quantile probability must be in (0,1), got {q[~inside][0]}")
     theta = p.theta
-    z = math.exp(p.nu * (math.log(y) - math.log(p.mu)))
-    if p.nu > 0:
-        return float(special.gammainc(theta, theta * z))
-    return float(special.gammaincc(theta, theta * z))
-
-
-def gg_quantile(q: float, p: GGParams) -> float:
-    """Invert gg_cdf by bracket expansion and Brent's method."""
-    if not 0.0 < q < 1.0:
-        raise DomainError(f"quantile probability must be in (0,1), got {q}")
-    lo, hi = p.mu, p.mu
-    for _ in range(200):
-        if gg_cdf(lo, p) <= q:
-            break
-        lo *= 0.5
-    for _ in range(200):
-        if gg_cdf(hi, p) >= q:
-            break
-        hi *= 2.0
-    if lo == hi:
-        return lo
-    return float(
-        optimize.brentq(lambda y: gg_cdf(y, p) - q, lo, hi, xtol=1e-300, rtol=1e-10)
-    )
+    g = special.gammaincinv(theta, q) if p.nu > 0 else special.gammainccinv(theta, q)
+    return _scalar_or_array(p.mu * np.power(g / theta, 1.0 / p.nu))
 
 
 def gg_sample_one(rng: np.random.Generator, p: GGParams) -> float:
@@ -155,18 +145,10 @@ def gg_sample_one(rng: np.random.Generator, p: GGParams) -> float:
 
 
 @dataclass(frozen=True)
-class GrowthTruth:
-    region: Region
-    fp_mu: FpSpec
-    mu_coef: tuple[float, ...]
-    fp_sigma: Optional[FpSpec]
-    sigma_coef: tuple[float, ...]
-    nu: float
-    scanner_intercepts: Mapping[str, float]
-
-
-@dataclass(frozen=True)
 class GrowthModel:
+    """A growth model: a fitted one, or the known truth a cohort is drawn
+    from, whose fit diagnostics keep their defaults (NaN loglik and BIC)."""
+
     region: Region
     fp_mu: FpSpec
     mu_coef: tuple[float, ...]
@@ -174,47 +156,47 @@ class GrowthModel:
     sigma_coef: tuple[float, ...]
     nu: float
     scanner_intercepts: Mapping[str, float]
-    ridge_lambda: float
-    converged: bool
-    loglik: float
-    bic: float
+    ridge_lambda: float = 0.0
+    converged: bool = True
+    loglik: float = math.nan
+    bic: float = math.nan
 
 
-def params_at(
-    model,
-    age_years: float,
-    sex: Sex,
-    scanner_id: Optional[str] = None,
-    extra_shift: float = 0.0,
-) -> GGParams:
-    """Evaluate the model's (mu, sigma, nu) at given covariates.
+def linear_predictors(model: GrowthModel, age_years, female, scanner_id=None):
+    """The model's (log mu, log sigma) at each age, sex (True for F) and scanner.
 
-    Unknown scanners get no intercept, yielding a population-level curve.
-    Works for GrowthModel and GrowthTruth alike.
+    age_years, female and scanner_id broadcast against each other. An
+    unknown or absent scanner gets no intercept: a population-level value.
     """
-    basis = fp_basis(age_years, model.fp_mu)
-    eta = model.mu_coef[0]
-    for c, b in zip(model.mu_coef[1 : 1 + len(basis)], basis):
-        eta += c * b
-    eta += model.mu_coef[-1] * (1.0 if sex is Sex.F else 0.0)
+    age_years = np.asarray(age_years, dtype=float)
+    basis = _basis_matrix(age_years, model.fp_mu)
+    eta_mu = model.mu_coef[0]
+    for k in range(model.fp_mu.order):
+        eta_mu = eta_mu + model.mu_coef[1 + k] * basis[..., k]
+    eta_mu = eta_mu + model.mu_coef[-1] * np.asarray(female, dtype=float)
     if scanner_id is not None:
-        eta += model.scanner_intercepts.get(scanner_id, 0.0)
-    eta += extra_shift
+        shift = model.scanner_intercepts.get
+        eta_mu = eta_mu + np.vectorize(lambda s: shift(s, 0.0), otypes=[float])(scanner_id)
     eta_sigma = model.sigma_coef[0]
     if model.fp_sigma is not None:
-        for c, b in zip(model.sigma_coef[1:], fp_basis(age_years, model.fp_sigma)):
-            eta_sigma += c * b
-    return GGParams(mu=math.exp(eta), sigma=math.exp(eta_sigma), nu=model.nu)
+        basis = _basis_matrix(age_years, model.fp_sigma)
+        for k in range(model.fp_sigma.order):
+            eta_sigma = eta_sigma + model.sigma_coef[1 + k] * basis[..., k]
+    return eta_mu, eta_sigma
 
 
-def truth_params(
-    truth: GrowthTruth, age_years: float, sex: Sex, scanner_shift: float = 0.0
-) -> GGParams:
-    return params_at(truth, age_years, sex, scanner_id=None, extra_shift=scanner_shift)
+def params_at(model: GrowthModel, age_years, female, scanner_id=None) -> GGParams:
+    """The model's (mu, sigma, nu) at each age, sex and scanner; see linear_predictors."""
+    eta_mu, eta_sigma = linear_predictors(model, age_years, female, scanner_id)
+    return GGParams(mu=np.exp(eta_mu), sigma=np.exp(eta_sigma), nu=model.nu)
 
 
-def _basis_matrix(ages: np.ndarray, spec: FpSpec) -> np.ndarray:
-    """fp_basis for every age at once, one row per age."""
+def _basis_matrix(ages, spec: FpSpec) -> np.ndarray:
+    """The fractional-polynomial basis of every age: shape ages.shape + (order,).
+
+    Power 0 means ln x, and a repeated power (p, p) expands to
+    [x^p, x^p * ln x], which for p = 0 gives [ln x, (ln x)^2].
+    """
     ages = np.asarray(ages, dtype=float)
     if np.any(ages <= 0.0):
         raise DomainError(f"fractional polynomials need x > 0, got {ages[ages <= 0.0][0]}")
@@ -224,11 +206,12 @@ def _basis_matrix(ages: np.ndarray, spec: FpSpec) -> np.ndarray:
         return log_x if p == 0.0 else ages**p
 
     if spec.order == 1:
-        return term(spec.powers[0])[:, None]
-    p, q = spec.powers
-    if p == q:
-        return np.column_stack([term(p), term(p) * log_x])
-    return np.column_stack([term(p), term(q)])
+        columns = [term(spec.powers[0])]
+    elif spec.powers[0] == spec.powers[1]:
+        columns = [term(spec.powers[0]), term(spec.powers[0]) * log_x]
+    else:
+        columns = [term(p) for p in spec.powers]
+    return np.stack(columns, axis=-1)
 
 
 _BIG = 1e30
@@ -250,19 +233,7 @@ def _neg_penalized_loglik(vec, logy, x_mu, x_sigma, scanner_idx, n_scanners, lam
         return _BIG, np.zeros_like(vec)
     eta_mu = x_mu @ beta_mu + d[scanner_idx]
     log_sigma = x_sigma @ beta_sig
-    with np.errstate(over="ignore", invalid="ignore"):
-        w = logy - eta_mu
-        theta = np.exp(-2.0 * log_sigma) / (nu * nu)
-        z = np.exp(nu * w)
-        log_theta = -2.0 * log_sigma - 2.0 * math.log(abs(nu))
-        ll = (
-            math.log(abs(nu))
-            + theta * log_theta
-            + theta * nu * w
-            - theta * z
-            - special.gammaln(theta)
-            - logy
-        )
+    ll, w, z, theta, log_theta = _gg_terms(logy, eta_mu, log_sigma, nu)
     if not np.all(np.isfinite(ll)):
         return _BIG, np.zeros_like(vec)
     penalty = lam * float(d @ d)
@@ -390,7 +361,7 @@ def _fit_one(logy, x_mu, x_sigma, scanner_idx, n_scanners, options):
 
 
 def fit(
-    cohort: Sequence[SessionPhenotype],
+    cohort: SessionTable,
     region: Region,
     options: FitOptions = FitOptions(),
 ) -> GrowthModel:
@@ -404,17 +375,15 @@ def fit(
     """
     if len(cohort) < 30:
         raise DegenerateInput(f"need at least 30 sessions, got {len(cohort)}")
-    y = np.asarray([s.volumes[region] for s in cohort], dtype=float)
+    y = cohort.volume(region)
     if np.any(y <= 0.0):
         raise DegenerateInput("volumes must be positive")
-    ages = np.asarray([s.age_years for s in cohort], dtype=float)
-    sex_col = np.asarray([1.0 if s.sex is Sex.F else 0.0 for s in cohort])
-    scanners = sorted({s.scanner_id for s in cohort})
-    scanner_pos = {sid: i for i, sid in enumerate(scanners)}
-    scanner_idx = np.asarray([scanner_pos[s.scanner_id] for s in cohort])
+    ages = cohort.age_years
+    sex_col = cohort.female.astype(float)
+    scanners, scanner_idx = np.unique(cohort.scanner_id, return_inverse=True)
     logy = np.log(y)
     n = y.size
-    one_sex = len(set(sex_col.tolist())) == 1
+    one_sex = bool(np.all(sex_col == sex_col[0]))
     if one_sex:
         warnings.warn("single-sex cohort: sex coefficient dropped", stacklevel=2)
     fp_sigma = SIGMA_FP if options.sigma_age else None
@@ -460,7 +429,7 @@ def fit(
             fp_sigma=fp_sigma,
             sigma_coef=tuple(float(c) for c in beta_sig),
             nu=nu,
-            scanner_intercepts={sid: float(d[i]) for sid, i in scanner_pos.items()},
+            scanner_intercepts=dict(zip(scanners.tolist(), d.tolist())),
             ridge_lambda=options.ridge_lambda,
             converged=converged,
             loglik=float(loglik),
@@ -471,14 +440,12 @@ def fit(
     return best_model
 
 
-def centile(model: GrowthModel, session: SessionPhenotype) -> float:
-    """Where the session's volume sits in the model's distribution, in (0,1)."""
-    if model.region not in session.volumes:
-        raise ShapeError(f"session lacks volume for {model.region.value}")
-    p = params_at(model, session.age_years, session.sex, scanner_id=session.scanner_id)
-    c = gg_cdf(session.volumes[model.region], p)
+def centile(model: GrowthModel, sessions: SessionTable) -> np.ndarray:
+    """Where each session's volume sits in the model's distribution, in (0,1),
+    at its own age, sex and scanner; one value per session, in table order."""
+    p = params_at(model, sessions.age_years, sessions.female, sessions.scanner_id)
     eps = 1e-15
-    return min(max(c, eps), 1.0 - eps)
+    return np.clip(gg_cdf(sessions.volume(model.region), p), eps, 1.0 - eps)
 
 
 def percentile_curves(
@@ -486,19 +453,15 @@ def percentile_curves(
     age_grid: Sequence[float],
     sex: Sex,
     probs: Sequence[float] = (0.025, 0.5, 0.975),
-) -> list[dict]:
-    """Population-level quantile curves over an age grid, one row per age."""
+) -> dict[str, np.ndarray]:
+    """Population-level quantile curves over an age grid, as columns:
+    "age_years" and one "p<100 q>" column per probability (p2.5, p50, ...)."""
+    ages = np.asarray(age_grid, dtype=float)
+    p = params_at(model, ages, sex is Sex.F)
+    curves = {"age_years": ages}
     for q in probs:
-        if not 0.0 < q < 1.0:
-            raise DomainError(f"probability {q} outside (0,1)")
-    rows = []
-    for age in age_grid:
-        p = params_at(model, age, sex, scanner_id=None)
-        row = {"age_years": float(age)}
-        for q in probs:
-            row[f"p{100 * q:g}"] = gg_quantile(q, p)
-        rows.append(row)
-    return rows
+        curves[f"p{100 * q:g}"] = gg_quantile(q, p)
+    return curves
 
 
 def compare_centiles(a: Sequence[float], b: Sequence[float]) -> float:

@@ -11,9 +11,9 @@ import csv
 import math
 import operator
 from array import array
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -48,10 +48,12 @@ class AggregationMethod(Enum):
     MEDIAN_ALL_SEQUENCES = "median"
 
 
-# Iterating an Enum class is slow; session building zips this tuple per session.
 _REGIONS = tuple(Region)
-_SEX_BY_CODE = {s.value: s for s in (Sex.M, Sex.F)}
-_SEX_CODES = tuple(_SEX_BY_CODE)
+_SEX_CODES = (Sex.M.value, Sex.F.value)
+
+# The accepted spellings of a boolean, matched case-blind: is_mprage in a
+# phenotype CSV and the boolean options of a config INI.
+BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
 class BadRow(SchemaError):
@@ -63,8 +65,39 @@ class BadRow(SchemaError):
         self.problem = problem
 
 
+class _Columns:
+    """Behaviour shared by the columnar tables: every field named in
+    _COLUMN_TYPES is a column, one entry (or row of a 2-D column) per row."""
+
+    def _coerce(self) -> None:
+        """Coerce every column to its dtype and check the shapes."""
+        n = len(self.session_id)
+        for name in self._column_names():
+            dtype, width = _COLUMN_TYPES[name]
+            column = np.asarray(getattr(self, name), dtype=dtype)
+            shape = (n,) if width is None else (n, width)
+            if column.shape != shape:
+                raise SchemaError(f"column {name} has shape {column.shape}, expected {shape}")
+            object.__setattr__(self, name, column)
+
+    @classmethod
+    def _column_names(cls) -> list[str]:
+        return [f.name for f in fields(cls) if f.name in _COLUMN_TYPES]
+
+    def __len__(self) -> int:
+        return len(self.session_id)
+
+    def take(self, rows):
+        """The table of the rows that `rows` (a mask or an index array) picks."""
+        return replace(self, **{name: getattr(self, name)[rows] for name in self._column_names()})
+
+    def rows(self) -> Iterable[tuple]:
+        """The rows as tuples of Python values, columns in field order."""
+        return zip(*(getattr(self, name).tolist() for name in self._column_names()))
+
+
 @dataclass(frozen=True, eq=False)
-class PhenotypeTable:
+class PhenotypeTable(_Columns):
     """A phenotype file as columns, one row per imaging sequence.
 
     The id columns and `sex` hold Python strings (sex as the codes "M" and
@@ -85,14 +118,7 @@ class PhenotypeTable:
     qc: np.ndarray
 
     def __post_init__(self):
-        n = len(self.session_id)
-        for f in fields(self):
-            dtype, width = _COLUMN_TYPES[f.name]
-            column = np.asarray(getattr(self, f.name), dtype=dtype)
-            shape = (n,) if width is None else (n, width)
-            if column.shape != shape:
-                raise SchemaError(f"column {f.name} has shape {column.shape}, expected {shape}")
-            object.__setattr__(self, f.name, column)
+        self._coerce()
         bad = (
             (self.age_days <= 0)
             | ~np.isin(self.sex, _SEX_CODES)
@@ -113,9 +139,6 @@ class PhenotypeTable:
         )
         return f"volume {region.value} must be positive and finite, got {v}"
 
-    def __len__(self) -> int:
-        return len(self.session_id)
-
     @classmethod
     def from_rows(cls, rows: Iterable[tuple]) -> "PhenotypeTable":
         """A table from (session_id, sequence_id, scanner_id, age_days, sex,
@@ -126,9 +149,36 @@ class PhenotypeTable:
         qc = np.reshape(columns[7], (len(rows), len(QcCategory)))
         return cls(*columns[:6], volumes, qc)
 
-    def rows(self) -> Iterable[tuple]:
-        """The rows as tuples of Python values, in from_rows order."""
-        return zip(*(getattr(self, f.name).tolist() for f in fields(self)))
+
+@dataclass(frozen=True, eq=False)
+class SessionTable(_Columns):
+    """Scan sessions as columns, one row per session, all aggregated by `method`.
+
+    `session_id`, `scanner_id` and `sex` (the codes "M" and "F") hold Python
+    strings, `age_days` is int64 and `volumes` is (n, 6) in Region order.
+    """
+
+    session_id: np.ndarray
+    scanner_id: np.ndarray
+    age_days: np.ndarray
+    sex: np.ndarray
+    volumes: np.ndarray
+    method: AggregationMethod
+
+    def __post_init__(self):
+        self._coerce()
+
+    @property
+    def age_years(self) -> np.ndarray:
+        return self.age_days / 365.25
+
+    @property
+    def female(self) -> np.ndarray:
+        return self.sex == Sex.F.value
+
+    def volume(self, region: Region) -> np.ndarray:
+        """The column of one region's volumes."""
+        return self.volumes[:, _REGIONS.index(region)]
 
 
 # column -> (dtype, width of a 2-D column or None)
@@ -144,27 +194,12 @@ _COLUMN_TYPES = {
 }
 
 
-@dataclass(frozen=True)
-class SessionPhenotype:
-    session_id: str
-    scanner_id: str
-    age_days: int
-    sex: Sex
-    volumes: Mapping[Region, float]
-    method: AggregationMethod
-
-    @property
-    def age_years(self) -> float:
-        return self.age_days / 365.25
-
-
 def qc_filter(table: PhenotypeTable) -> PhenotypeTable:
     """Keep a row only if every QC category scores at least 0.65.
 
     The rule is inclusive: a score of exactly 0.65 passes.
     """
-    passed = (table.qc >= QC_THRESHOLD).all(axis=1)
-    return PhenotypeTable(*(getattr(table, f.name)[passed] for f in fields(table)))
+    return table.take((table.qc >= QC_THRESHOLD).all(axis=1))
 
 
 @dataclass(frozen=True)
@@ -207,7 +242,7 @@ def _group_medians(values: np.ndarray, group: np.ndarray, n_groups: int):
 def build_sessions(
     table: PhenotypeTable,
     method: AggregationMethod,
-) -> tuple[list[SessionPhenotype], AttritionReport]:
+) -> tuple[SessionTable, AttritionReport]:
     """QC-filter, group by session, take medians, and account for every drop.
 
     Sessions come out in code-point order of their ids. A session's scanner,
@@ -220,16 +255,14 @@ def build_sessions(
     pool = kept.is_mprage if method is AggregationMethod.MPRAGE_ONLY else slice(None)
     medians, present = _group_medians(kept.volumes[pool], group[pool], len(ids))
     first = first[present]
-    sessions = [
-        SessionPhenotype(sid, scanner, age, _SEX_BY_CODE[sex], dict(zip(_REGIONS, volumes)), method)
-        for sid, scanner, age, sex, volumes in zip(
-            ids[present].tolist(),
-            kept.scanner_id[first].tolist(),
-            kept.age_days[first].tolist(),
-            kept.sex[first].tolist(),
-            medians.tolist(),
-        )
-    ]
+    sessions = SessionTable(
+        session_id=ids[present],
+        scanner_id=kept.scanner_id[first],
+        age_days=kept.age_days[first],
+        sex=kept.sex[first],
+        volumes=medians,
+        method=method,
+    )
     report = AttritionReport(
         n_input_sessions=n_input,
         n_output_sessions=len(sessions),
@@ -288,11 +321,17 @@ def load_phenotype_csv(path) -> PhenotypeTable:
                 numbers.extend(map(float, numeric(row)))
             except (ValueError, OverflowError) as e:
                 raise SchemaError(f"{path}:{reader.line_num}: {e}") from None
+            flag = BOOLEANS.get(row[i_mprage].strip().lower())
+            if flag is None:
+                raise SchemaError(
+                    f"{path}:{reader.line_num}: is_mprage must be one of "
+                    f"{'/'.join(BOOLEANS)}, got {row[i_mprage]!r}"
+                )
             session_id.append(row[i_sid])
             sequence_id.append(row[i_seq])
             scanner_id.append(row[i_scan])
             sex.append(row[i_sex])
-            is_mprage.append(row[i_mprage].strip().lower() in ("1", "true", "yes"))
+            is_mprage.append(flag)
             lines.append(reader.line_num)
     numbers = np.frombuffer(numbers, dtype=float).reshape(len(lines), len(Region) + len(QcCategory))
     try:
@@ -331,40 +370,15 @@ SESSION_COLUMNS = (
 )
 
 
-def write_sessions_csv(path, sessions: Iterable[SessionPhenotype]) -> None:
+def write_sessions_csv(path, sessions: SessionTable) -> None:
     with open(path, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(SESSION_COLUMNS)
-        for s in sessions:
-            writer.writerow(
-                [s.session_id, s.scanner_id, s.age_days, s.sex.value, s.method.value]
-                + [f"{s.volumes[r]:.6f}" for r in Region]
-            )
-
-
-def load_sessions_csv(path) -> list[SessionPhenotype]:
-    sessions = []
-    with open(path, encoding="utf-8", newline="") as f:
-        reader = csv.DictReader(f)
-        header = reader.fieldnames or []
-        missing = [c for c in SESSION_COLUMNS if c not in header]
-        if missing:
-            raise SchemaError(f"session CSV missing columns: {missing}")
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                sessions.append(
-                    SessionPhenotype(
-                        session_id=row["session_id"],
-                        scanner_id=row["scanner_id"],
-                        age_days=int(row["age_days"]),
-                        sex=Sex(row["sex"]),
-                        volumes={r: float(row[r.value]) for r in Region},
-                        method=AggregationMethod(row["method"]),
-                    )
-                )
-            except (ValueError, KeyError) as e:
-                raise SchemaError(f"bad session row at line {lineno}: {e}") from e
-    return sessions
+        method = sessions.method.value
+        writer.writerows(
+            [sid, scanner, age, sex, method] + [f"{v:.6f}" for v in volumes]
+            for sid, scanner, age, sex, volumes in sessions.rows()
+        )
 
 
 # Relative size of each region against the modeled one; used only when
@@ -395,10 +409,10 @@ def synth_cohort(
     jitter around the session draw. A qc_fail_rate fraction of sequences get
     one QC category planted below the exclusion threshold.
     """
-    from .growthchart import GrowthTruth, gg_sample_one, truth_params
+    from .growthchart import GGParams, GrowthModel, gg_sample_one, linear_predictors
 
-    if not isinstance(truth, GrowthTruth):
-        raise InvalidParams("truth must be a GrowthTruth")
+    if not isinstance(truth, GrowthModel):
+        raise InvalidParams("truth must be a GrowthModel")
     if n_sessions < 1 or n_scanners < 1:
         raise InvalidParams("n_sessions and n_scanners must be >= 1")
     rng = np.random.default_rng(seed)
@@ -417,8 +431,10 @@ def synth_cohort(
         age_days = max(1, age_days)
         sex = Sex.M if rng.random() < 0.5 else Sex.F
         scanner = scanner_ids[i % n_scanners]
-        shift = truth.scanner_intercepts.get(scanner, 0.0)
-        params = truth_params(truth, age_days / 365.25, sex, scanner_shift=shift)
+        eta_mu, eta_sigma = linear_predictors(truth, age_days / 365.25, sex is Sex.F, scanner)
+        # libm's exp, not numpy's: they differ in the last bit for about one
+        # argument in twenty, and the tests pin digests of cohorts drawn with libm.
+        params = GGParams(math.exp(eta_mu), math.exp(eta_sigma), truth.nu)
         base = gg_sample_one(rng, params)
         n_seq = int(rng.integers(1, 5))
         for j in range(n_seq):

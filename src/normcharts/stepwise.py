@@ -170,7 +170,8 @@ class HttpAnswerSource:
             )
             resp.raise_for_status()
             return str(resp.json()["text"])
-        except (requests.RequestException, KeyError, ValueError) as e:
+        except (requests.RequestException, KeyError, TypeError, ValueError) as e:
+            # TypeError: a JSON body that is not an object, such as a list or a string
             raise ClientError(str(e), question_id=question.id.value) from e
 
 

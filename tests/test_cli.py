@@ -662,6 +662,40 @@ def test_bad_phenotype_row_is_data_error_at_its_line(tmp_path, capsys, command, 
 
 
 @pytest.mark.parametrize("text, value", [
+    ("1", True), ("TRUE", True), ("Yes", True), (" true ", True),
+    ("0", False), ("False", False), ("NO", False),
+    ("ture", None), ("nope", None), ("", None), ("on", None), ("2", None),
+])
+def test_is_mprage_values_are_strict(tmp_path, capsys, text, value):
+    from normcharts.cli import _default_truth
+    from normcharts.phenotype import synth_cohort, write_phenotype_csv
+
+    good = tmp_path / "good.csv"
+    write_phenotype_csv(good, synth_cohort(seed=3, n_sessions=3, n_scanners=1,
+                                           truth=_default_truth(PipelineConfig(n_scanners=1))))
+    with open(good, newline="") as f:
+        rows = list(csv.reader(f))
+    column = rows[0].index("is_mprage")
+    for row in rows[1:]:
+        row[column] = text
+    bad = tmp_path / "ph.csv"
+    _write_csv(bad, rows[0], rows[1:])
+    out = tmp_path / "sessions.csv"
+    rc = main(["aggregate", "--phenotypes", str(bad), "--method", "mprage", "--out", str(out)])
+    captured = capsys.readouterr()
+    if value is not None:
+        assert rc == 0
+        dropped = 0 if value else 3
+        assert captured.out.endswith(f"{3 - dropped} out, 0 dropped by QC, {dropped} without MPRAGE\n")
+        return
+    assert rc == 3
+    assert captured.err == (
+        f"data error: {bad}:2: is_mprage must be one of 1/true/yes/0/false/no, got {text!r}\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, value", [
     ("1", True), ("TRUE", True), ("Yes", True), ("0", False), ("False", False), ("NO", False),
     ("ture", None), ("nope", None), ("", None), ("on", None),
 ])

@@ -1,6 +1,8 @@
+import itertools
 import json
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +16,6 @@ from normcharts.growthchart import (
     FpSpec,
     GGParams,
     GrowthModel,
-    GrowthTruth,
     NU_BOUNDS,
     _basis_matrix,
     _converged,
@@ -24,11 +25,9 @@ from normcharts.growthchart import (
     centile,
     compare_centiles,
     fit,
-    fp_basis,
     fp_candidates,
     gg_cdf,
     gg_logpdf,
-    gg_pdf,
     gg_quantile,
     gg_sample_one,
     load_growth_model,
@@ -37,39 +36,56 @@ from normcharts.growthchart import (
     params_at,
     percentile_curves,
     save_growth_model,
-    truth_params,
 )
 from normcharts.phenotype import (
     AggregationMethod,
     Region,
-    SessionPhenotype,
     build_sessions,
     synth_cohort,
 )
 from normcharts.report_text import Sex
 
 
+def gg_pdf(y, p):
+    return math.exp(gg_logpdf(y, p))
+
+
 # --- fractional polynomial basis ---
 
 
 def test_fp_basis_first_order():
-    assert fp_basis(4.0, FpSpec(1, (0.5,))) == [pytest.approx(2.0)]
-    assert fp_basis(5.0, FpSpec(1, (0.0,))) == [pytest.approx(math.log(5.0))]
+    assert _basis_matrix([4.0], FpSpec(1, (0.5,))).tolist() == [[pytest.approx(2.0)]]
+    assert _basis_matrix([5.0], FpSpec(1, (0.0,))).tolist() == [[pytest.approx(math.log(5.0))]]
 
 
 def test_fp_basis_second_order_distinct_and_repeated():
     e = math.e
-    assert fp_basis(e, FpSpec(2, (0.0, 0.0))) == [pytest.approx(1.0), pytest.approx(1.0)]
-    out = fp_basis(2.0, FpSpec(2, (1.0, 1.0)))
+    assert _basis_matrix([e], FpSpec(2, (0.0, 0.0))).tolist() == [
+        [pytest.approx(1.0), pytest.approx(1.0)]
+    ]
+    (out,) = _basis_matrix([2.0], FpSpec(2, (1.0, 1.0)))
     assert out[0] == pytest.approx(2.0)
     assert out[1] == pytest.approx(2.0 * math.log(2.0))
 
 
 def test_fp_basis_rejects_nonpositive_x():
     with pytest.raises(DomainError):
-        fp_basis(0.0, FpSpec(1, (1.0,)))
+        _basis_matrix(0.0, FpSpec(1, (1.0,)))
     with pytest.raises(DomainError):
-        fp_basis(-3.0, FpSpec(1, (2.0,)))
+        _basis_matrix([-3.0], FpSpec(1, (2.0,)))
+
+
+def scalar_fp_basis(x: float, spec: FpSpec) -> list[float]:
+    """The FP basis at one x with libm's log and pow: power 0 means ln x, and
+    a repeated power (p, p) gives [x^p, x^p ln x]."""
+
+    def term(p):
+        return math.log(x) if p == 0.0 else x**p
+
+    if spec.order == 1:
+        return [term(spec.powers[0])]
+    p, q = spec.powers
+    return [term(p), term(p) * math.log(x)] if p == q else [term(p), term(q)]
 
 
 @pytest.mark.parametrize("spec", fp_candidates(), ids=str)
@@ -78,12 +94,20 @@ def test_basis_matrix_matches_scalar_basis(spec):
     # x^p * ln x column of a repeated power multiplies two such factors.
     ages = np.concatenate([np.arange(1, 7000, 7) / 365.25, [0.01, 1.0, 30.0]])
     got = _basis_matrix(ages, spec)
-    want = np.asarray([fp_basis(a, spec) for a in ages])
+    want = np.asarray([scalar_fp_basis(a, spec) for a in ages.tolist()])
     assert got.shape == want.shape == (ages.size, spec.order)
     repeated = spec.order == 2 and spec.powers[0] == spec.powers[1]
     np.testing.assert_array_max_ulp(got[:, 0], want[:, 0], maxulp=1)
     if spec.order == 2:
         np.testing.assert_array_max_ulp(got[:, 1], want[:, 1], maxulp=3 if repeated else 1)
+
+
+def test_basis_matrix_of_one_age_equals_its_row():
+    ages = np.array([0.3, 2.0, 17.5])
+    for spec in fp_candidates():
+        rows = _basis_matrix(ages, spec)
+        for k, age in enumerate(ages.tolist()):
+            assert _basis_matrix(age, spec).tobytes() == rows[k].tobytes()
 
 
 def test_basis_matrix_rejects_nonpositive_age():
@@ -159,6 +183,44 @@ def test_quantile_against_gammaincinv():
         assert gg_quantile(q, p) == pytest.approx(closed, rel=1e-9)
 
 
+def brent_quantile(q, p):
+    """gg_cdf inverted by bracket expansion and Brent's method."""
+    lo = hi = p.mu
+    while gg_cdf(lo, p) > q:
+        lo *= 0.5
+    while gg_cdf(hi, p) < q:
+        hi *= 2.0
+    if lo == hi:
+        return lo
+    return optimize.brentq(lambda y: gg_cdf(y, p) - q, lo, hi, xtol=1e-300, rtol=1e-14)
+
+
+QUANTILE_MUS = (1e3, 3.7e4, 1e6)
+QUANTILE_SIGMAS = (0.03, 0.12, 0.5)
+QUANTILE_NUS = (0.05, 0.4, 1.5, 8.0, -0.05, -0.4, -1.5, -8.0)
+QUANTILE_PROBS = (0.001, 0.025, 0.3, 0.5, 0.975, 0.999)
+
+
+@pytest.mark.parametrize("nu", QUANTILE_NUS)
+def test_closed_form_quantile_matches_brent_reference(nu):
+    worst = 0.0
+    for mu, sigma, q in itertools.product(QUANTILE_MUS, QUANTILE_SIGMAS, QUANTILE_PROBS):
+        p = GGParams(mu=mu, sigma=sigma, nu=nu)
+        want = brent_quantile(q, p)
+        worst = max(worst, abs(gg_quantile(q, p) - want) / want)
+    assert worst <= 1e-9
+
+
+@pytest.mark.parametrize("nu", QUANTILE_NUS)
+def test_quantile_array_call_equals_scalar_calls(nu):
+    grid = np.array(list(itertools.product(QUANTILE_MUS, QUANTILE_SIGMAS, QUANTILE_PROBS)))
+    mu, sigma, q = grid.T
+    got = gg_quantile(q, GGParams(mu=mu, sigma=sigma, nu=nu))
+    want = [gg_quantile(qk, GGParams(mu=mk, sigma=sk, nu=nu)) for mk, sk, qk in grid.tolist()]
+    assert all(type(w) is float for w in want)
+    assert got.tobytes() == np.array(want).tobytes()
+
+
 def test_exponential_special_case():
     # theta = 1 requires sigma = 1 with nu = 1; then y ~ Exp(rate 1/mu)
     p = GGParams(mu=2.0, sigma=1.0, nu=1.0)
@@ -201,7 +263,7 @@ def test_sampler_matches_cdf_ks():
 
 def small_truth(scanners=("scan-00", "scan-01")):
     shifts = dict(zip(scanners, (0.03, -0.03)))
-    return GrowthTruth(
+    return GrowthModel(
         region=Region.CORTICAL_GM,
         fp_mu=FpSpec(1, (0.5,)),
         mu_coef=(12.2, 0.12, -0.05),
@@ -222,16 +284,15 @@ def build_cohort(seed, n_sessions, truth, n_scanners=2):
 def test_objective_gradient_matches_finite_differences():
     truth = small_truth()
     cohort = build_cohort(3, 50, truth)
-    logy = np.log([s.volumes[Region.CORTICAL_GM] for s in cohort])
-    ages = np.asarray([s.age_years for s in cohort])
+    logy = np.log(cohort.volume(Region.CORTICAL_GM))
+    ages = cohort.age_years
     x_mu = np.column_stack([
         np.ones(len(cohort)),
         _basis_matrix(ages, FpSpec(1, (0.5,))),
-        [1.0 if s.sex is Sex.F else 0.0 for s in cohort],
+        cohort.female.astype(float),
     ])
     x_sigma = np.ones((len(cohort), 1))
-    scanners = sorted({s.scanner_id for s in cohort})
-    idx = np.asarray([scanners.index(s.scanner_id) for s in cohort])
+    _, idx = np.unique(cohort.scanner_id, return_inverse=True)
     rng = np.random.default_rng(9)
     vec = np.concatenate([
         [12.0, 0.1, -0.02], rng.normal(0, 0.02, size=2), [-2.0], [1.3],
@@ -256,7 +317,7 @@ def quick_options(**kw):
 
 def test_fit_requires_minimum_cohort():
     truth = small_truth()
-    cohort = build_cohort(1, 20, truth)[:29]
+    cohort = build_cohort(1, 20, truth).take(slice(0, 29))
     with pytest.raises(DegenerateInput):
         fit(cohort, Region.CORTICAL_GM, quick_options())
 
@@ -271,7 +332,7 @@ def test_scanner_intercepts_mean_zero():
 
 def test_single_scanner_intercept_is_zero():
     truth = small_truth(scanners=("scan-00",))
-    truth = GrowthTruth(
+    truth = GrowthModel(
         region=truth.region, fp_mu=truth.fp_mu, mu_coef=truth.mu_coef,
         fp_sigma=None, sigma_coef=truth.sigma_coef, nu=truth.nu,
         scanner_intercepts={"scan-00": 0.0},
@@ -283,11 +344,7 @@ def test_single_scanner_intercept_is_zero():
 
 def test_single_sex_cohort_warns_and_zeroes_coefficient():
     cohort = build_cohort(7, 80, small_truth())
-    males = [
-        SessionPhenotype(s.session_id, s.scanner_id, s.age_days, Sex.M,
-                         s.volumes, s.method)
-        for s in cohort
-    ]
+    males = replace(cohort, sex=np.full(len(cohort), "M", dtype=object))
     with pytest.warns(UserWarning):
         model = fit(males, Region.CORTICAL_GM, quick_options())
     assert model.mu_coef[-1] == 0.0
@@ -299,11 +356,12 @@ def test_fit_loglik_at_least_truth_loglik():
     model = fit(cohort, Region.CORTICAL_GM, quick_options(n_restarts=2))
     truth_ll = sum(
         gg_logpdf(
-            s.volumes[Region.CORTICAL_GM],
-            truth_params(truth, s.age_years, s.sex,
-                         scanner_shift=truth.scanner_intercepts[s.scanner_id]),
+            y, params_at(truth, age, female, scanner)
         )
-        for s in cohort
+        for y, age, female, scanner in zip(
+            cohort.volume(Region.CORTICAL_GM).tolist(), cohort.age_years.tolist(),
+            cohort.female.tolist(), cohort.scanner_id.tolist(),
+        )
     )
     assert model.loglik >= truth_ll - 1e-6
 
@@ -313,37 +371,90 @@ def fitted_model():
     return fit(cohort, Region.CORTICAL_GM, quick_options()), cohort
 
 
+def probe_sessions(cohort, volumes):
+    """The first session of cohort once per volume, every region set to it."""
+    rows = np.zeros(len(volumes), dtype=int)
+    probe = cohort.take(rows)
+    return replace(probe, volumes=np.repeat(np.asarray(volumes)[:, None], len(Region), axis=1))
+
+
 def test_centile_of_median_volume_is_half():
     model, cohort = fitted_model()
-    s = cohort[0]
-    p = params_at(model, s.age_years, s.sex, scanner_id=s.scanner_id)
+    p = params_at(model, cohort.age_years[0], cohort.female[0], cohort.scanner_id[0])
     med = gg_quantile(0.5, p)
-    probe = SessionPhenotype(s.session_id, s.scanner_id, s.age_days, s.sex,
-                             {Region.CORTICAL_GM: med}, s.method)
-    assert centile(model, probe) == pytest.approx(0.5, abs=1e-8)
+    (c,) = centile(model, probe_sessions(cohort, [med]))
+    assert c == pytest.approx(0.5, abs=1e-8)
 
 
 def test_centile_increases_with_volume():
     model, cohort = fitted_model()
-    s = cohort[0]
-    base = s.volumes[Region.CORTICAL_GM]
-    cents = []
-    for f in (0.8, 0.95, 1.0, 1.05, 1.2):
-        probe = SessionPhenotype(s.session_id, s.scanner_id, s.age_days, s.sex,
-                                 {Region.CORTICAL_GM: base * f}, s.method)
-        cents.append(centile(model, probe))
+    base = cohort.volume(Region.CORTICAL_GM)[0]
+    cents = centile(model, probe_sessions(cohort, [base * f for f in (0.8, 0.95, 1.0, 1.05, 1.2)]))
     assert all(b > a for a, b in zip(cents, cents[1:]))
+
+
+def scalar_centile(model, age_days, sex, scanner, y):
+    """One session's centile with libm and scipy's scalar incomplete gamma."""
+    x = age_days / 365.25
+    eta = model.mu_coef[0]
+    for c, b in zip(model.mu_coef[1:-1], scalar_fp_basis(x, model.fp_mu)):
+        eta += c * b
+    eta += model.mu_coef[-1] * (1.0 if sex == "F" else 0.0)
+    eta += model.scanner_intercepts.get(scanner, 0.0)
+    eta_sigma = model.sigma_coef[0]
+    if model.fp_sigma is not None:
+        for c, b in zip(model.sigma_coef[1:], scalar_fp_basis(x, model.fp_sigma)):
+            eta_sigma += c * b
+    mu, sigma, nu = math.exp(eta), math.exp(eta_sigma), model.nu
+    theta = 1.0 / (sigma * sigma * nu * nu)
+    z = math.exp(nu * (math.log(y) - math.log(mu)))
+    c = float(special.gammainc(theta, theta * z) if nu > 0 else special.gammaincc(theta, theta * z))
+    return min(max(c, 1e-15), 1.0 - 1e-15)
+
+
+@pytest.mark.parametrize("nu, fp_sigma, sigma_coef", [
+    (1.5, None, (-2.12,)),
+    (-0.7, FpSpec(1, (1.0,)), (-2.3, 0.02)),
+])
+def test_batched_centile_matches_scalar_reference(nu, fp_sigma, sigma_coef):
+    cohort = build_cohort(10, 300, small_truth())
+    model = replace(small_truth(), nu=nu, fp_sigma=fp_sigma, sigma_coef=sigma_coef,
+                    fp_mu=FpSpec(2, (-0.5, 2.0)), mu_coef=(12.1, 0.05, 0.001, -0.04))
+    # extreme volumes put the cdf at 0 and 1, where the 1e-15 clamp holds it
+    y = cohort.volume(Region.CORTICAL_GM).copy()
+    y[:3] = (1e-3, 1e30, 1e6)
+    cohort = replace(cohort, volumes=np.repeat(y[:, None], len(Region), axis=1))
+    got = centile(model, cohort)
+    want = [
+        scalar_centile(model, age, sex, scanner, v)
+        for age, sex, scanner, v in zip(cohort.age_days.tolist(), cohort.sex.tolist(),
+                                        cohort.scanner_id.tolist(), y.tolist())
+    ]
+    assert got.shape == (len(cohort),)
+    assert {got[0], got[1]} == {1e-15, 1.0 - 1e-15}
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_percentile_curves_match_per_age_quantiles():
+    model, _ = fitted_model()
+    grid = np.linspace(0.5, 19.0, 57)
+    for sex in (Sex.F, Sex.M):
+        curves = percentile_curves(model, grid, sex, probs=(0.01, 0.5, 0.9))
+        assert list(curves) == ["age_years", "p1", "p50", "p90"]
+        assert curves["age_years"].tolist() == grid.tolist()
+        for q, column in ((0.01, "p1"), (0.5, "p50"), (0.9, "p90")):
+            want = [gg_quantile(q, params_at(model, age, sex is Sex.F)) for age in grid.tolist()]
+            assert curves[column].tobytes() == np.array(want).tobytes()
 
 
 def test_percentile_curves_ordered_and_invertible():
     model, _ = fitted_model()
     grid = [1.0, 5.0, 10.0, 15.0]
-    rows = percentile_curves(model, grid, Sex.F)
-    assert [r["age_years"] for r in rows] == grid
-    for row in rows:
-        assert row["p2.5"] < row["p50"] < row["p97.5"]
-        p = params_at(model, row["age_years"], Sex.F)
-        assert gg_cdf(row["p97.5"], p) == pytest.approx(0.975, abs=1e-6)
+    curves = percentile_curves(model, grid, Sex.F)
+    assert curves["age_years"].tolist() == grid
+    assert np.all(curves["p2.5"] < curves["p50"]) and np.all(curves["p50"] < curves["p97.5"])
+    p = params_at(model, grid, True)
+    assert gg_cdf(curves["p97.5"], p) == pytest.approx(np.full(len(grid), 0.975), abs=1e-6)
 
 
 def test_percentile_curves_reject_bad_probs():
@@ -404,13 +515,13 @@ def test_convergence_uses_gradient_projected_on_nu_bounds(nu, nu_grad, expected)
 
 def test_standardized_objective_equals_original_objective():
     cohort = build_cohort(4, 200, small_truth())
-    logy = np.log([s.volumes[Region.CORTICAL_GM] for s in cohort])
-    ages = np.asarray([s.age_years for s in cohort])
+    logy = np.log(cohort.volume(Region.CORTICAL_GM))
+    ages = cohort.age_years
     n = len(cohort)
-    sex = [1.0 if s.sex is Sex.F else 0.0 for s in cohort]
+    sex = cohort.female.astype(float)
     x_mu = np.column_stack([np.ones(n), _basis_matrix(ages, FpSpec(2, (-2.0, 3.0))), sex])
     x_sigma = np.column_stack([np.ones(n), ages])
-    idx = np.asarray([int(s.scanner_id[-2:]) for s in cohort])
+    idx = np.asarray([int(s[-2:]) for s in cohort.scanner_id])
     z_mu, c_mu, s_mu = _standardize(x_mu)
     z_sigma, c_sig, s_sig = _standardize(x_sigma)
     assert np.allclose(z_mu[:, 1:].mean(axis=0), 0.0)
@@ -440,10 +551,8 @@ def test_flat_column_is_centred_not_divided():
 
 
 def test_same_age_cohort_fits_without_warning():
-    cohort = [
-        SessionPhenotype(s.session_id, s.scanner_id, 3000, s.sex, s.volumes, s.method)
-        for s in build_cohort(12, 120, small_truth())
-    ]
+    cohort = build_cohort(12, 120, small_truth())
+    cohort = replace(cohort, age_days=np.full(len(cohort), 3000))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         model = fit(cohort, Region.CORTICAL_GM, quick_options(sigma_age=True))

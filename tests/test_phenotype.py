@@ -1,3 +1,4 @@
+import csv
 import math
 import random
 import statistics
@@ -7,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from normcharts.errors import SchemaError
-from normcharts.growthchart import GrowthTruth, FpSpec, truth_params
+from normcharts.growthchart import FpSpec, GrowthModel, params_at
 from normcharts.phenotype import (
     QC_THRESHOLD,
     AggregationMethod,
@@ -15,10 +16,9 @@ from normcharts.phenotype import (
     PhenotypeTable,
     QcCategory,
     Region,
-    SessionPhenotype,
+    SessionTable,
     build_sessions,
     load_phenotype_csv,
-    load_sessions_csv,
     qc_filter,
     synth_cohort,
     write_phenotype_csv,
@@ -41,10 +41,11 @@ def make_table(*rows):
 
 
 def only_session(*rows, method=AggregationMethod.MEDIAN_ALL_SEQUENCES):
-    """The one session build_sessions makes of rows, or None if it drops it."""
+    """The one-row session table build_sessions makes of rows, or None if it
+    drops the session."""
     sessions, _ = build_sessions(make_table(*rows), method)
     assert len(sessions) <= 1
-    return sessions[0] if sessions else None
+    return sessions if len(sessions) else None
 
 
 def test_qc_filter_threshold_is_inclusive():
@@ -85,9 +86,9 @@ def test_record_rejects_nonpositive_volume():
 
 def test_median_odd_and_even():
     agg3 = only_session(*(make_row(seq=f"q{i}", vol=v) for i, v in enumerate((100.0, 130.0, 110.0))))
-    assert all(agg3.volumes[r] == 110.0 for r in Region)
+    assert agg3.volumes.tolist() == [[110.0] * len(Region)]
     agg2 = only_session(*(make_row(seq=f"q{i}", vol=v) for i, v in enumerate((100.0, 110.0))))
-    assert all(agg2.volumes[r] == 105.0 for r in Region)
+    assert agg2.volumes.tolist() == [[105.0] * len(Region)]
 
 
 def test_mprage_only_restricts_then_medians():
@@ -97,7 +98,7 @@ def test_mprage_only_restricts_then_medians():
         make_row(seq="q2", vol=120.0, is_mprage=True),
         method=AggregationMethod.MPRAGE_ONLY,
     )
-    assert agg.volumes[Region.CORTICAL_GM] == 110.0
+    assert agg.volume(Region.CORTICAL_GM).tolist() == [110.0]
 
 
 def test_mprage_only_none_when_no_mprage():
@@ -108,9 +109,9 @@ def test_mprage_only_none_when_no_mprage():
 def test_single_record_identity():
     row = make_row(vol=123.5)
     agg = only_session(row)
-    assert agg.volumes == {r: 123.5 for r in Region}
-    assert agg.session_id == row[0]
-    assert agg.age_days == row[3]
+    assert agg.volumes.tolist() == [[123.5] * len(Region)]
+    assert agg.session_id.tolist() == [row[0]]
+    assert agg.age_days.tolist() == [row[3]]
 
 
 def test_aggregate_permutation_invariant():
@@ -119,7 +120,7 @@ def test_aggregate_permutation_invariant():
     shuffled = rows[:]
     random.Random(3).shuffle(shuffled)
     agg1 = only_session(*shuffled)
-    assert agg0.volumes == agg1.volumes
+    assert agg0.volumes.tolist() == agg1.volumes.tolist()
 
 
 def test_aggregate_rejects_mixed_sessions():
@@ -129,7 +130,8 @@ def test_aggregate_rejects_mixed_sessions():
                    make_row(session="a", seq="q2", vol=2.0)),
         AggregationMethod.MEDIAN_ALL_SEQUENCES,
     )
-    assert [(s.session_id, s.volumes[Region.CORTICAL_GM]) for s in sessions] == [("a", 1.5), ("b", 3.0)]
+    got = list(zip(sessions.session_id.tolist(), sessions.volume(Region.CORTICAL_GM).tolist()))
+    assert got == [("a", 1.5), ("b", 3.0)]
 
 
 def test_attrition_must_balance():
@@ -149,17 +151,17 @@ def test_build_sessions_accounts_for_every_drop():
         make_row(session="d", seq="q1", qc_scores={QcCategory.BRAINSTEM: 0.1}),
     )
     sessions, report = build_sessions(table, AggregationMethod.MPRAGE_ONLY)
-    assert [s.session_id for s in sessions] == ["a", "d"]
+    assert sessions.session_id.tolist() == ["a", "d"]
     assert report == AttritionReport(4, 2, 1, 1)
 
 
 def test_age_years_property():
-    s = SessionPhenotype(
-        session_id="s", scanner_id="sc", age_days=3652, sex=Sex.F,
-        volumes={r: 1.0 for r in Region},
+    s = SessionTable(
+        session_id=["s"], scanner_id=["sc"], age_days=[3652], sex=[Sex.F.value],
+        volumes=[[1.0] * len(Region)],
         method=AggregationMethod.MEDIAN_ALL_SEQUENCES,
     )
-    assert s.age_years == pytest.approx(3652 / 365.25)
+    assert s.age_years.tolist() == [pytest.approx(3652 / 365.25)]
 
 
 def test_phenotype_csv_round_trip(tmp_path):
@@ -179,11 +181,20 @@ def test_sessions_csv_round_trip(tmp_path):
     )
     path = tmp_path / "ses.csv"
     write_sessions_csv(path, sessions)
-    assert load_sessions_csv(path) == sessions
+    with open(path, newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert [
+        (r["session_id"], r["scanner_id"], int(r["age_days"]), r["sex"], r["method"],
+         [float(r[region.value]) for region in Region])
+        for r in rows
+    ] == [
+        (sid, scanner, age, sex, "median", volumes)
+        for sid, scanner, age, sex, volumes in sessions.rows()
+    ]
 
 
 def small_truth():
-    return GrowthTruth(
+    return GrowthModel(
         region=Region.CORTICAL_GM,
         fp_mu=FpSpec(1, (0.5,)),
         mu_coef=(12.2, 0.12, -0.05),
@@ -220,11 +231,10 @@ def test_synth_cohort_median_tracks_truth():
     sessions, _ = build_sessions(table, AggregationMethod.MEDIAN_ALL_SEQUENCES)
     from normcharts.growthchart import gg_quantile
 
-    observed = statistics.median(s.volumes[Region.CORTICAL_GM] for s in sessions)
+    observed = statistics.median(sessions.volume(Region.CORTICAL_GM).tolist())
     expected = statistics.median(
-        gg_quantile(0.5, truth_params(truth, s.age_years, s.sex,
-                                      scanner_shift=truth.scanner_intercepts[s.scanner_id]))
-        for s in sessions
+        gg_quantile(0.5, params_at(truth, sessions.age_years, sessions.female,
+                                   sessions.scanner_id)).tolist()
     )
     assert observed == pytest.approx(expected, rel=0.02)
 
@@ -249,8 +259,8 @@ def _reference_sessions(rows, method):
             dropped_no_mprage += 1
             continue
         _, _, scanner, age, sex, _, _, _ = surviving[0]
-        volumes = {reg: statistics.median(r[6][k] for r in pool) for k, reg in enumerate(Region)}
-        sessions.append(SessionPhenotype(sid, scanner, age, Sex(sex), volumes, method))
+        volumes = [statistics.median(r[6][k] for r in pool) for k in range(len(Region))]
+        sessions.append((sid, scanner, age, sex, volumes))
     return sessions, AttritionReport(len(groups), len(sessions), dropped_qc, dropped_no_mprage)
 
 
@@ -309,4 +319,6 @@ _EXAMPLE_ROWS = [
 @example(rows=_EXAMPLE_ROWS, method=AggregationMethod.MEDIAN_ALL_SEQUENCES)
 def test_build_sessions_matches_per_session_reference(rows, method):
     rows = _numbered(rows)
-    assert build_sessions(make_table(*rows), method) == _reference_sessions(rows, method)
+    sessions, report = build_sessions(make_table(*rows), method)
+    assert (list(sessions.rows()), report) == _reference_sessions(rows, method)
+    assert sessions.method is method

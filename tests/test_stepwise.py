@@ -218,6 +218,22 @@ def test_http_source_wraps_transport_errors(monkeypatch):
     assert err.value.question_id == "Q2"
 
 
+@pytest.mark.parametrize("body", [[], "x", None, 3])
+def test_http_source_wraps_a_body_that_is_not_an_object(monkeypatch, body):
+    class FakeResponse:
+        def raise_for_status(self):
+            pass
+
+        def json(self):
+            return body
+
+    monkeypatch.setattr("normcharts.stepwise.requests.post", lambda *a, **k: FakeResponse())
+    src = HttpAnswerSource("http://example.test", "m")
+    with pytest.raises(ClientError) as err:
+        src.answer("r1", PROMPTS[QuestionId.Q3], "p")
+    assert err.value.question_id == "Q3"
+
+
 def test_evaluate_inquiry_missing_gold():
     src = DictSource({q: "No." for q in QuestionId})
     rec = run_inquiry(make_report(rid="orphan"), InquiryMode.STEPWISE, src)
