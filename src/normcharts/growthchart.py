@@ -175,8 +175,8 @@ def linear_predictors(model: GrowthModel, age_years, female, scanner_id=None):
         eta_mu = eta_mu + model.mu_coef[1 + k] * basis[..., k]
     eta_mu = eta_mu + model.mu_coef[-1] * np.asarray(female, dtype=float)
     if scanner_id is not None:
-        shift = model.scanner_intercepts.get
-        eta_mu = eta_mu + np.vectorize(lambda s: shift(s, 0.0), otypes=[float])(scanner_id)
+        shift = np.frompyfunc(lambda s: model.scanner_intercepts.get(s, 0.0), 1, 1)
+        eta_mu = eta_mu + np.asarray(shift(scanner_id), dtype=float)
     eta_sigma = model.sigma_coef[0]
     if model.fp_sigma is not None:
         basis = _basis_matrix(age_years, model.fp_sigma)
