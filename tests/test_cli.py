@@ -233,6 +233,30 @@ def test_eval_rejects_model_file_of_wrong_size(tmp_path, capsys, damage):
     assert str(model_path) in err and "Traceback" not in err
 
 
+def test_eval_on_empty_subset_is_data_error(tmp_path, capsys):
+    import numpy as np
+
+    from normcharts.classifier import FeatureConfig, LinearModel, save_model
+
+    model_path = tmp_path / "model.bin"
+    save_model(LinearModel(weights=np.zeros(1 << 10), bias=0.0,
+                           config=FeatureConfig(dimension=1 << 10), pos_weight=10.0),
+               model_path)
+    gold = data_file("edge_case_gold.csv")
+    split_path = tmp_path / "split.csv"
+    _write_csv(split_path, ["report_id", "subset"],
+               [[row["report_id"], "Train"] for row in read_metrics(gold)])
+    out = tmp_path / "eval.csv"
+    rc = main(["eval", "--model", str(model_path),
+               "--reports", str(data_file("edge_case_reports.jsonl")),
+               "--labels", str(gold), "--split", str(split_path),
+               "--subset", "Test", "--out", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err == "data error: empty evaluation\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("points", ["1", "0", "-3"])
 def test_curves_rejects_fewer_than_two_points(tmp_path, capsys, points):
     rc = main(["curves", "--model", str(tmp_path / "absent.json"),
