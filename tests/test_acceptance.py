@@ -161,11 +161,9 @@ def _train_and_eval(reports, labels, seed, balanced, mode):
         (compose_input(by_id[rid], mode), labels[rid]) for rid in sorted(train_ids)
     ]
     model = classifier.train(examples, tcfg)
-    preds, refs = [], []
-    for rid in assignment.ids(corpus.Subset.TEST):
-        preds.append(classifier.classify(model, compose_input(by_id[rid], mode)))
-        refs.append(labels[rid])
-    return metrics.confusion(preds, refs)
+    test_ids = assignment.ids(corpus.Subset.TEST)
+    preds = classifier.classify(model, [compose_input(by_id[rid], mode) for rid in test_ids])
+    return metrics.confusion(preds, [labels[rid] for rid in test_ids])
 
 
 def test_criterion_04_weighted_training_direction():
@@ -206,7 +204,7 @@ def test_criterion_05_gradient_checks():
         "findings new enhancing mass within the posterior fossa",
     ]
     fcfg = classifier.FeatureConfig(dimension=1 << 10)
-    X = classifier._design_matrix(texts, fcfg)
+    X = classifier.featurize(texts, fcfg)
     y = np.array([1, 0, 1, 0], dtype=float)
     rng = np.random.default_rng(3)
     w = rng.normal(0, 0.1, size=fcfg.dimension)

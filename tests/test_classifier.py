@@ -19,9 +19,9 @@ from normcharts.classifier import (
     save_model,
     tokenize,
     train,
-    _design_matrix,
     _gram_hash,
     _GRAM_CACHE_SIZE,
+    _SCORE_BLOCK,
     _sigmoid,
 )
 from normcharts.corpus import SplitMix64
@@ -46,15 +46,15 @@ def test_tokenize_no_lowercase():
 
 def test_featurize_counts_unigrams_and_bigrams():
     cfg = FeatureConfig()
-    feats = featurize("mass mass lesion", cfg)
+    feats = featurize(["mass mass lesion"], cfg)
     # 2 unigram buckets (mass x2, lesion) and 2 bigrams (mass mass, mass lesion)
-    assert sum(feats.values()) == 5
-    assert max(feats.values()) == 2
+    assert feats.sum() == 5
+    assert feats.max() == 2
 
 
 def test_featurize_empty_raises():
     with pytest.raises(EmptyInput):
-        featurize("...", FeatureConfig())
+        featurize(["..."], FeatureConfig())
 
 
 def test_feature_config_validation():
@@ -98,7 +98,7 @@ def _toy_matrix(seed=0, n=12, dim=1 << 10):
         for _ in range(n)
     ]
     fcfg = FeatureConfig(dimension=dim)
-    return _design_matrix(texts, fcfg), rng.integers(0, 2, size=n).astype(float), fcfg
+    return featurize(texts, fcfg), rng.integers(0, 2, size=n).astype(float), fcfg
 
 
 def test_gradient_matches_central_differences():
@@ -121,11 +121,28 @@ def test_gradient_matches_central_differences():
         assert gw[j] == pytest.approx(num, rel=1e-5, abs=1e-10)
 
 
+def _reference_counts(text, fcfg):
+    """One text's hashed n-gram counts as a dict, gram by gram: the scalar reference."""
+    tokens = tokenize(text, fcfg.lowercase)
+    counts = {}
+    for n in range(fcfg.ngram_min, fcfg.ngram_max + 1):
+        for i in range(len(tokens) - n + 1):
+            idx = fnv1a_64(" ".join(tokens[i : i + n]).encode("utf-8")) % fcfg.dimension
+            counts[idx] = counts.get(idx, 0.0) + 1.0
+    return counts
+
+
+def _row_counts(X, row):
+    """Row `row` of a CSR matrix as a {column: count} dict."""
+    start, end = X.indptr[row], X.indptr[row + 1]
+    return dict(zip(X.indices[start:end].tolist(), X.data[start:end].tolist()))
+
+
 def _reference_design_matrix(texts, fcfg):
-    """The scalar loop the array build replaced: one sorted featurize dict per row."""
+    """The scalar loop the array build replaced: one sorted count dict per row."""
     data, indices, indptr = [], [], [0]
     for text in texts:
-        feats = featurize(text, fcfg)
+        feats = _reference_counts(text, fcfg)
         for idx in sorted(feats):
             indices.append(idx)
             data.append(feats[idx])
@@ -146,7 +163,7 @@ def test_design_matrix_matches_featurize_dicts(fcfg):
     rng = np.random.default_rng(4)
     vocab = ["Mass", "mass", "lesion", "normal", "stable", "clear", "7", "T2"]
     texts = [" ".join(rng.choice(vocab, size=rng.integers(1, 30))) for _ in range(50)]
-    X = _design_matrix(texts, fcfg)
+    X = featurize(texts, fcfg)
     data, indices, indptr = _reference_design_matrix(texts, fcfg)
     assert X.shape == (len(texts), fcfg.dimension)
     assert np.array_equal(X.indptr, indptr)
@@ -157,7 +174,7 @@ def test_design_matrix_matches_featurize_dicts(fcfg):
 def _reference_train(examples, cfg, fcfg):
     """The full-width SGD loop: every step updates all `dimension` weights."""
     ordered = sorted(examples, key=lambda e: (e[0], e[1].value))
-    X = _design_matrix([t for t, _ in ordered], fcfg)
+    X = featurize([t for t, _ in ordered], fcfg)
     y = np.array([1.0 if lab is Label.NORMAL else 0.0 for _, lab in ordered])
     w, b = np.zeros(fcfg.dimension), 0.0
     rng = SplitMix64(cfg.seed ^ 0x1F2E3D4C5B6A7988)
@@ -195,7 +212,7 @@ def test_train_on_used_columns_matches_full_width_bitwise(l2, dim):
 def test_gram_hash_cache_stays_bounded():
     fcfg = FeatureConfig(dimension=1 << 12)
     text = " ".join(f"w{i}" for i in range(_GRAM_CACHE_SIZE))  # twice as many distinct grams
-    feats = featurize(text, fcfg)
+    feats = _row_counts(featurize([text], fcfg), 0)
     info = _gram_hash.cache_info()
     assert info.maxsize == _GRAM_CACHE_SIZE
     assert info.currsize <= _GRAM_CACHE_SIZE
@@ -231,8 +248,9 @@ def test_train_is_deterministic_and_order_invariant():
 
 def test_train_learns_separable_toy_problem():
     m = train(_toy_examples(), TrainConfig(epochs=20, seed=0), FeatureConfig(dimension=1 << 10))
-    assert classify(m, "unremarkable stable normal examination") is Label.NORMAL
-    assert classify(m, "new mass identified in the brain") is Label.ABNORMAL
+    assert classify(m, [
+        "unremarkable stable normal examination", "new mass identified in the brain",
+    ]) == [Label.NORMAL, Label.ABNORMAL]
 
 
 def test_train_requires_both_classes():
@@ -244,13 +262,35 @@ def test_train_requires_both_classes():
 def test_classify_tie_goes_abnormal():
     m = train(_toy_examples(), TrainConfig(epochs=2, seed=0), FeatureConfig(dimension=1 << 10))
     # threshold 1.0 can never be exceeded, so everything is Abnormal
-    assert classify(m, "unremarkable stable normal examination", threshold=1.0 - EPS) is Label.ABNORMAL
+    assert classify(m, ["unremarkable stable normal examination"], threshold=1.0 - EPS) == [Label.ABNORMAL]
 
 
 def test_predict_in_open_interval():
     m = train(_toy_examples(), TrainConfig(epochs=5, seed=0), FeatureConfig(dimension=1 << 10))
-    p = predict(m, "anything at all")
-    assert 0.0 < p < 1.0
+    p = predict(m, ["anything at all"])
+    assert p.shape == (1,)
+    assert 0.0 < p[0] < 1.0
+
+
+def test_predict_in_blocks_matches_per_text_dict_sum():
+    m = train(_toy_examples(), TrainConfig(epochs=5, seed=0), FeatureConfig(dimension=1 << 10))
+    rng = np.random.default_rng(8)
+    vocab = ["unremarkable", "stable", "normal", "new", "mass", "lesion", "brain", "x7"]
+    texts = [" ".join(rng.choice(vocab, size=rng.integers(1, 25))) for _ in range(2 * _SCORE_BLOCK + 37)]
+    reference = []
+    for text in texts:
+        z = m.bias + sum(m.weights[i] * c for i, c in _reference_counts(text, m.config).items())
+        reference.append(float(np.clip(_sigmoid(z), EPS, 1.0 - EPS)))
+    p = predict(m, texts)
+    assert p.shape == (len(texts),)
+    assert np.max(np.abs(p - reference)) <= 1e-14
+    assert classify(m, texts) == [Label.NORMAL if r > 0.5 else Label.ABNORMAL for r in reference]
+
+
+def test_predict_on_no_texts_is_empty():
+    m = train(_toy_examples(), TrainConfig(epochs=2, seed=0), FeatureConfig(dimension=1 << 10))
+    assert predict(m, []).shape == (0,)
+    assert classify(m, []) == []
 
 
 def test_model_round_trip(tmp_path):
@@ -276,9 +316,10 @@ def test_model_bytes_deterministic(tmp_path):
 def test_featurize_deterministic_property(text):
     cfg = FeatureConfig(dimension=1 << 10)
     try:
-        f1 = featurize(text, cfg)
+        f1 = featurize([text], cfg)
     except EmptyInput:
         assert not tokenize(text)
         return
-    assert f1 == featurize(text, cfg)
-    assert all(0 <= k < cfg.dimension for k in f1)
+    f2 = featurize([text], cfg)
+    assert np.array_equal(f1.indices, f2.indices) and np.array_equal(f1.data, f2.data)
+    assert all(0 <= k < cfg.dimension for k in f1.indices)
