@@ -64,8 +64,6 @@ class PipelineConfig:
     holdout_site: Optional[str] = None
     synth_n: int = 5000
     abnormal_fraction: float = 0.92
-    llm_endpoint: Optional[str] = None
-    llm_model: str = "default"
     n_sessions: int = 800
     n_scanners: int = 5
     ridge_lambda: float = 1.0
@@ -84,7 +82,7 @@ class PipelineConfig:
     def to_ini(self) -> str:
         cp = configparser.ConfigParser()
         for section, names in _INI_SECTIONS.items():
-            # an unset path is left out; an unset holdout_site or endpoint is written as ""
+            # an unset path is left out; an unset holdout_site is written as ""
             cp[section] = {
                 _ini_key(name): _format_value(getattr(self, name))
                 for name in names
@@ -106,12 +104,11 @@ _INI_SECTIONS = {
         "cutoff_year", "holdout_site", "synth_n", "abnormal_fraction",
     ),
     "growth": ("n_sessions", "n_scanners", "ridge_lambda", "sigma_age", "fp1_only", "region"),
-    "llm": ("llm_endpoint", "llm_model"),
 }
 
 
 def _ini_key(name: str) -> str:
-    return name.removesuffix("_path").removeprefix("llm_")
+    return name.removesuffix("_path")
 
 
 def _format_value(value) -> str:
@@ -158,7 +155,10 @@ def load_config(path: Optional[str]) -> PipelineConfig:
 
 
 def _load_csv_map(path, key: str, column: str, parse) -> dict:
-    """Map each row's `key` to parse(its `column`); a bad row is a DataError at path:line."""
+    """Map each row's `key` to parse(its `column`).
+
+    A bad value or a repeated key is a DataError at path:line.
+    """
     out = {}
     with open(path, encoding="utf-8", newline="") as f:
         reader = csv.DictReader(f)
@@ -166,11 +166,20 @@ def _load_csv_map(path, key: str, column: str, parse) -> dict:
         if missing:
             raise DataError(f"{path}:1: missing column(s) {missing}")
         for row in reader:
+            if row[key] in out:
+                raise DataError(f"{path}:{reader.line_num}: repeated {key} {row[key]!r}")
             try:
                 out[row[key]] = parse(row[column])
             except (TypeError, ValueError) as e:
                 raise DataError(f"{path}:{reader.line_num}: {e}") from e
     return out
+
+
+def _parse_centile(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value <= 1.0:  # false for nan too
+        raise ValueError(f"centile must be a number in [0, 1], got {text!r}")
+    return value
 
 
 def _load_labels_csv(path) -> dict[str, Label]:
@@ -567,6 +576,9 @@ def _cmd_curves(args) -> int:
     n = args.points
     if n < 2:
         raise ConfigError(f"--points must be at least 2, got {n}")
+    for flag, age in (("--age-min", args.age_min), ("--age-max", args.age_max)):
+        if not 0.0 < age < float("inf"):  # false for nan too
+            raise ConfigError(f"{flag} must be a positive finite age in years, got {age}")
     model = growthchart.load_growth_model(args.model)
     ages = [args.age_min + i * (args.age_max - args.age_min) / (n - 1) for i in range(n)]
     _write_curves_csv(args.out, model, ages, Sex(args.sex))
@@ -575,8 +587,8 @@ def _cmd_curves(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    a = _load_csv_map(args.a, "session_id", "centile", float)
-    b = _load_csv_map(args.b, "session_id", "centile", float)
+    a = _load_csv_map(args.a, "session_id", "centile", _parse_centile)
+    b = _load_csv_map(args.b, "session_id", "centile", _parse_centile)
     shared = sorted(set(a) & set(b))
     if len(shared) < 3:
         raise DataError(f"only {len(shared)} shared sessions between the two files")

@@ -133,6 +133,11 @@ def load_reports_jsonl(path) -> list[Report]:
                 obj = json.loads(line)
             except json.JSONDecodeError as e:
                 raise SchemaError(f"{path}:{lineno}: invalid JSON ({e})") from e
+            if not isinstance(obj, dict):
+                raise SchemaError(f"{path}:{lineno}: expected a JSON object, got {type(obj).__name__}")
+            text = obj.get("text", "")
+            if not isinstance(text, str):
+                raise SchemaError(f"{path}:{lineno}: text must be a string, got {type(text).__name__}")
             try:
                 reports.append(
                     Report(
@@ -145,6 +150,6 @@ def load_reports_jsonl(path) -> list[Report]:
                         procedure_description=str(obj.get("procedure_description", "")),
                     )
                 )
-            except (KeyError, ValueError) as e:
+            except (KeyError, TypeError, ValueError, OverflowError) as e:
                 raise SchemaError(f"{path}:{lineno}: {e}") from e
     return reports

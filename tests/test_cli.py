@@ -64,6 +64,19 @@ def test_main_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("line, message", [
+    ("[1, 2]", "expected a JSON object, got list"),
+    ('"abc"', "expected a JSON object, got str"),
+    ('{"id": "a", "text": 5}', "text must be a string, got int"),
+    ('{"id": "a", "text": "x", "age_days": 1.5e999}', "cannot convert float infinity to integer"),
+])
+def test_malformed_report_line_is_schema_error(tmp_path, capsys, line, message):
+    bad = tmp_path / "reports.jsonl"
+    bad.write_text('{"id": "ok", "text": "fine"}\n' + line + "\n")
+    assert main(["ingest", "--reports", str(bad)]) == 3
+    assert capsys.readouterr().err == f"data error: {bad}:2: {message}\n"
+
+
 def test_bundled_fixture_files_exist():
     for name in ("edge_case_reports.jsonl", "edge_case_gold.csv",
                  "edge_case_responses.tsv"):
@@ -266,6 +279,18 @@ def test_curves_rejects_fewer_than_two_points(tmp_path, capsys, points):
     assert not (tmp_path / "curves.csv").exists()
 
 
+@pytest.mark.parametrize("flag", ["--age-min", "--age-max"])
+@pytest.mark.parametrize("age", ["nan", "inf", "0", "-1"])
+def test_curves_rejects_non_positive_or_non_finite_ages(tmp_path, capsys, flag, age):
+    out = tmp_path / "curves.csv"
+    rc = main(["curves", "--model", str(tmp_path / "absent.json"), flag, age, "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith(f"config error: {flag} must be a positive finite age")
+    assert not out.exists()
+
+
 def _write_csv(path, header, rows):
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
@@ -275,7 +300,8 @@ def _write_csv(path, header, rows):
 
 @pytest.mark.parametrize("case", [
     "unknown_label", "missing_label_column", "unknown_subset",
-    "non_numeric_centile", "missing_centile_column",
+    "non_numeric_centile", "missing_centile_column", "nan_centile", "centile_above_one",
+    "repeated_label", "repeated_subset", "repeated_centile",
 ])
 def test_bad_csv_maps_are_data_errors(tmp_path, capsys, case):
     reports = str(data_file("edge_case_reports.jsonl"))
@@ -296,6 +322,22 @@ def test_bad_csv_maps_are_data_errors(tmp_path, capsys, case):
     elif case == "non_numeric_centile":
         _write_csv(bad, ["session_id", "centile"], [["s0", "0.1"], ["s1", "x"]])
         argv = ["compare", "--a", str(good), "--b", str(bad)]
+    elif case == "nan_centile":
+        _write_csv(bad, ["session_id", "centile"], [["s0", "0.1"], ["s1", "nan"]])
+        argv = ["compare", "--a", str(good), "--b", str(bad)]
+    elif case == "centile_above_one":
+        _write_csv(bad, ["session_id", "centile"], [["s0", "0.1"], ["s1", "1.5"]])
+        argv = ["compare", "--a", str(bad), "--b", str(good)]
+    elif case == "repeated_label":
+        _write_csv(bad, ["report_id", "label"], [["r1", "Normal"], ["r1", "Abnormal"]])
+        argv = ["split", "--reports", reports, "--labels", str(bad), "--out", str(tmp_path / "s.csv")]
+    elif case == "repeated_subset":
+        _write_csv(bad, ["report_id", "subset"], [["r1", "Train"], ["r1", "Test"]])
+        argv = ["train", "--reports", reports, "--labels", gold, "--split", str(bad),
+                "--out", str(tmp_path / "m.bin")]
+    elif case == "repeated_centile":
+        _write_csv(bad, ["session_id", "centile"], [["s0", "0.1"], ["s0", "0.1"]])
+        argv = ["compare", "--a", str(good), "--b", str(bad)]
     else:
         _write_csv(bad, ["session_id", "score"], [["s0", "0.1"]])
         argv = ["compare", "--a", str(bad), "--b", str(good)]
@@ -304,6 +346,8 @@ def test_bad_csv_maps_are_data_errors(tmp_path, capsys, case):
     assert err.count("\n") == 1 and "Traceback" not in err
     line = 1 if case.startswith("missing") else 3
     assert err.startswith(f"data error: {bad}:{line}: ")
+    if case.startswith("repeated"):
+        assert "repeated" in err
 
 
 def test_unknown_region_is_config_error_without_run_dir(tmp_path, capsys):
@@ -362,7 +406,8 @@ def _sha256s(run_dir, names):
 # Run with the default relative out_dir from inside tmp_path, so config.ini
 # (which echoes out_dir) has the same bytes on every machine.
 SMALL = {"seeds": (1, 2), "synth_n": 400, "dimension": 1 << 12}
-SMALL_CONFIG_INI = "dc687b78530ace630698ff49faddcb65eb73a96048a79415edeeb6735cb4de7f"
+# re-recorded when the unread [llm] section was dropped from config.ini
+SMALL_CONFIG_INI = "2cbb0c83c05497b96e33779b4dc279166394d9d458e195c5a50b58b5b0350fec"
 
 # sha256 of the artifacts below, recorded from the scalar-loop classifier; any
 # change to hashing, the design matrix or the SGD arithmetic shows up here.
@@ -455,7 +500,8 @@ def test_exp6_keeps_basis_and_bic(tmp_path, name):
 
 
 # config.ini of a config with every field away from its default, recorded
-# before to_ini/load_config were derived from the dataclass fields.
+# before to_ini/load_config were derived from the dataclass fields; the [llm]
+# section was removed when its two unread fields were dropped.
 FULL_CONFIG_INI = """\
 [paths]
 reports = r.jsonl
@@ -484,10 +530,6 @@ sigma_age = False
 fp1_only = False
 region = vol_ventricles
 
-[llm]
-endpoint = http://localhost:1/x
-model = m
-
 """
 
 
@@ -497,14 +539,24 @@ def test_config_ini_with_every_field_set(tmp_path):
         fixture_path="f.tsv", gold_path="g.csv", out_dir="out", seeds=(7, 8),
         pos_weight=2.5, epochs=3, learning_rate=0.25, dimension=1 << 12,
         cutoff_year=2016, holdout_site="site-B", synth_n=90, abnormal_fraction=0.5,
-        llm_endpoint="http://localhost:1/x", llm_model="m", n_sessions=60,
-        n_scanners=3, ridge_lambda=0.5, sigma_age=False, fp1_only=False,
+        n_sessions=60, n_scanners=3, ridge_lambda=0.5, sigma_age=False, fp1_only=False,
         region="vol_ventricles",
     )
     assert cfg.to_ini() == FULL_CONFIG_INI
     path = tmp_path / "cfg.ini"
     path.write_text(FULL_CONFIG_INI)
     assert load_config(str(path)) == cfg
+
+
+def test_config_with_an_llm_section_still_runs(tmp_path, monkeypatch, capsys):
+    # config.ini files written before the [llm] section was dropped still load
+    cfg_path = tmp_path / "old.ini"
+    cfg_path.write_text("[train]\nseeds = 1\n\n[llm]\nendpoint = http://localhost:1/x\nmodel = m\n")
+    assert load_config(str(cfg_path)) == PipelineConfig(seeds=(1,))
+    monkeypatch.chdir(tmp_path)
+    assert main(["run-experiment", "exp5_stepwise", "--config", str(cfg_path)]) == 0
+    run_dir = next((tmp_path / "runs").iterdir())
+    assert "[llm]" not in (run_dir / "config.ini").read_text()
 
 
 def test_experiment_names():
