@@ -84,7 +84,7 @@ class PipelineConfig:
         for section, names in _INI_SECTIONS.items():
             # an unset path is left out; an unset holdout_site is written as ""
             cp[section] = {
-                _ini_key(name): _format_value(getattr(self, name))
+                name.removesuffix("_path"): _format_value(getattr(self, name))
                 for name in names
                 if getattr(self, name) is not None or section != "paths"
             }
@@ -105,10 +105,6 @@ _INI_SECTIONS = {
     ),
     "growth": ("n_sessions", "n_scanners", "ridge_lambda", "sigma_age", "fp1_only", "region"),
 }
-
-
-def _ini_key(name: str) -> str:
-    return name.removesuffix("_path")
 
 
 def _format_value(value) -> str:
@@ -143,7 +139,7 @@ def load_config(path: Optional[str]) -> PipelineConfig:
             if not cp.has_section(section):
                 continue
             for name in names:
-                text = cp[section].get(_ini_key(name))
+                text = cp[section].get(name.removesuffix("_path"))
                 if text is not None:
                     values[name] = _parse_value(by_name[name], text)
     except configparser.Error as e:
@@ -155,10 +151,7 @@ def load_config(path: Optional[str]) -> PipelineConfig:
 
 
 def _load_csv_map(path, key: str, column: str, parse) -> dict:
-    """Map each row's `key` to parse(its `column`).
-
-    A bad value or a repeated key is a DataError at path:line.
-    """
+    """Map each row's `key` to parse(its `column`); a bad or repeated row is a DataError at path:line."""
     out = {}
     with open(path, encoding="utf-8", newline="") as f:
         reader = csv.DictReader(f)
@@ -234,25 +227,25 @@ def _fit_options(fp1_only: bool, sigma_age: bool, ridge_lambda: float) -> growth
     )
 
 
-def _labelled(reports: list[Report], ids: set[str], labels: dict[str, Label]) -> list[Report]:
-    """Reports in `ids` whose label is Normal or Abnormal, in corpus order."""
-    known = (Label.NORMAL, Label.ABNORMAL)
-    return [r for r in reports if r.id in ids and labels.get(r.id) in known]
-
-
 def _examples(
     reports: list[Report],
     ids: set[str],
     labels: dict[str, Label],
     mode: InputMode,
 ) -> list[tuple[str, Label]]:
-    return [(compose_input(r, mode), labels[r.id]) for r in _labelled(reports, ids, labels)]
+    """(input, label) of each report in `ids` labelled Normal or Abnormal, in corpus order."""
+    known = (Label.NORMAL, Label.ABNORMAL)
+    return [
+        (compose_input(r, mode), labels[r.id])
+        for r in reports
+        if r.id in ids and labels.get(r.id) in known
+    ]
 
 
 def _evaluate_model(model, reports, ids, labels, mode) -> metrics.EvalResult:
-    picked = _labelled(reports, ids, labels)
-    preds = classifier.classify(model, [compose_input(r, mode) for r in picked])
-    return metrics.confusion(preds, [labels[r.id] for r in picked])
+    examples = _examples(reports, ids, labels, mode)
+    preds = classifier.classify(model, [text for text, _ in examples])
+    return metrics.confusion(preds, [label for _, label in examples])
 
 
 # ---------------------------------------------------------------------------
@@ -724,7 +717,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as e:
+    except (ConfigError, FileNotFoundError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except DataError as e:
@@ -733,9 +726,6 @@ def main(argv=None) -> int:
     except NumericalError as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 4
-    except FileNotFoundError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
     except NormchartsError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3

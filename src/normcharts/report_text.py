@@ -133,11 +133,8 @@ def load_reports_jsonl(path) -> list[Report]:
                 obj = json.loads(line)
             except json.JSONDecodeError as e:
                 raise SchemaError(f"{path}:{lineno}: invalid JSON ({e})") from e
-            if not isinstance(obj, dict):
-                raise SchemaError(f"{path}:{lineno}: expected a JSON object, got {type(obj).__name__}")
-            text = obj.get("text", "")
-            if not isinstance(text, str):
-                raise SchemaError(f"{path}:{lineno}: text must be a string, got {type(text).__name__}")
+            if not isinstance(obj, dict) or not isinstance(obj.get("text", ""), str):
+                raise SchemaError(f"{path}:{lineno}: expected a JSON object whose text is a string")
             try:
                 reports.append(
                     Report(

@@ -65,9 +65,9 @@ def test_main_exit_codes(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("line, message", [
-    ("[1, 2]", "expected a JSON object, got list"),
-    ('"abc"', "expected a JSON object, got str"),
-    ('{"id": "a", "text": 5}', "text must be a string, got int"),
+    ("[1, 2]", "expected a JSON object whose text is a string"),
+    ('"abc"', "expected a JSON object whose text is a string"),
+    ('{"id": "a", "text": 5}', "expected a JSON object whose text is a string"),
     ('{"id": "a", "text": "x", "age_days": 1.5e999}', "cannot convert float infinity to integer"),
 ])
 def test_malformed_report_line_is_schema_error(tmp_path, capsys, line, message):
