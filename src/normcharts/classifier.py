@@ -23,8 +23,8 @@ _MASK64 = (1 << 64) - 1
 # Distinct grams whose hash is kept.  Clinical vocabularies are Zipfian, so a
 # bounded cache still catches most occurrences without growing with the corpus.
 _GRAM_CACHE_SIZE = 1 << 16
-# Rows featurized per step when scoring: a block's CSR matrix stays small, where
-# one matrix over a whole 5,000-report subset raised peak RSS by about 30 MB.
+# Rows featurized per step when scoring.  One matrix over a whole 5,000-report
+# subset raised the peak RSS of `eval` by over 30 MB; blocks of 256 add about 2 MB.
 _SCORE_BLOCK = 256
 
 
