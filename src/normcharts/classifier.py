@@ -1,7 +1,6 @@
 """Reference text classifier: hashed n-gram features, sigmoid linear model,
 weighted cross-entropy with a configurable minority-class penalty."""
 
-import functools
 import itertools
 import re
 import struct
@@ -20,16 +19,18 @@ EPS = 1e-12
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
-# Distinct grams whose hash is kept.  Clinical vocabularies are Zipfian, so a
-# bounded cache still catches most occurrences without growing with the corpus.
-_GRAM_CACHE_SIZE = 1 << 16
-# Rows featurized per step when scoring.  One matrix over a whole 5,000-report
-# subset raised the peak RSS of `eval` by over 30 MB; blocks of 256 add about 2 MB.
+# Rows featurized per step, inside `featurize` and per `featurize` call in
+# `predict`.  One matrix over a whole 5,000-report subset raised the peak RSS
+# of `eval` by over 30 MB; blocks of 256 add about 2 MB.
 _SCORE_BLOCK = 256
 
 
 def fnv1a_64(data: bytes) -> int:
-    """FNV-1a 64-bit hash; the fixed, documented feature hash."""
+    """FNV-1a 64-bit hash; the fixed, documented feature hash.
+
+    `featurize` computes the same hash of each space-joined gram with uint64
+    array arithmetic; this scalar form is the reference it is tested against.
+    """
     h = _FNV_OFFSET
     for b in data:
         h = ((h ^ b) * _FNV_PRIME) & _MASK64
@@ -46,8 +47,9 @@ class FeatureConfig:
     def __post_init__(self):
         if not (1 <= self.ngram_min <= self.ngram_max <= 3):
             raise InvalidParams("require 1 <= ngram_min <= ngram_max <= 3")
-        if self.dimension < (1 << 10) or self.dimension & (self.dimension - 1):
-            raise InvalidParams("dimension must be a power of two >= 2^10")
+        # featurize packs a row number within a block and a column into one uint64 sort key
+        if not (1 << 10) <= self.dimension <= (1 << 48) or self.dimension & (self.dimension - 1):
+            raise InvalidParams("dimension must be a power of two in [2^10, 2^48]")
 
 
 @dataclass(frozen=True)
@@ -72,34 +74,72 @@ def tokenize(text: str, lowercase: bool = True) -> list[str]:
     return re.findall(r"[a-zA-Z0-9]+", text)
 
 
-@functools.lru_cache(maxsize=_GRAM_CACHE_SIZE)
-def _gram_hash(gram: str) -> int:
-    """Full 64-bit hash of one gram; reduced per FeatureConfig by the caller."""
-    return fnv1a_64(gram.encode("utf-8"))
+def _no_tokens(row: int) -> EmptyInput:
+    return EmptyInput(f"text {row} has no tokens after normalization", row=row)
+
+
+def _block_counts(texts: Sequence[str], config: FeatureConfig, first_row: int):
+    """Hashed n-gram counts of one block of texts: (nonzeros per row, columns, counts).
+
+    FNV-1a is a left fold over bytes, so the hash of the n-gram ending at
+    token j continues the (n-1)-gram ending at token j-1: xor in the joining
+    space, multiply, then fold token j's bytes.  Every gram of the block is
+    hashed at once in wrapping uint64 arithmetic; no gram string is built.
+    """
+    token_lists = [tokenize(text, config.lowercase) for text in texts]
+    per_row = np.fromiter(map(len, token_lists), dtype=np.int64, count=len(texts))
+    if not per_row.all():
+        raise _no_tokens(first_row + int(np.argmin(per_row)))
+    tokens = list(itertools.chain.from_iterable(token_lists))
+    # Tokens match [a-zA-Z0-9]+, so every character is one ASCII byte.
+    buf = np.frombuffer("".join(tokens).encode("ascii"), dtype=np.uint8)
+    lengths = np.fromiter(map(len, tokens), dtype=np.int64, count=len(tokens))
+    # Byte k of every token that has one, longest tokens first, so that the
+    # tokens still being folded at byte k are a prefix of that order.
+    by_length = np.argsort(-lengths, kind="stable")
+    starts = (np.cumsum(lengths) - lengths)[by_length]
+    n_longer = np.searchsorted(-lengths[by_length], -np.arange(lengths.max()), side="left")
+    byte_columns = [buf[starts[:m] + k] for k, m in enumerate(n_longer)]
+    prime = np.uint64(_FNV_PRIME)
+
+    def fold(state):
+        h = state[by_length]
+        for col in byte_columns:
+            head = h[: len(col)]
+            head ^= col
+            head *= prime
+        state[by_length] = h
+        return state
+
+    row = np.repeat(np.arange(len(texts), dtype=np.uint64), per_row)
+    position = np.arange(len(tokens)) - np.repeat(np.cumsum(per_row) - per_row, per_row)
+    state = fold(np.full(len(tokens), _FNV_OFFSET, dtype=np.uint64))
+    # One uint64 key per gram, row in the high bits and column in the low
+    # bits, so a single sort groups each row's columns in order.
+    shift = np.uint64(config.dimension.bit_length() - 1)
+    mask = np.uint64(config.dimension - 1)
+    keys = []
+    for n in range(1, config.ngram_max + 1):
+        if n > 1:
+            state[1:] = (state[:-1] ^ np.uint64(0x20)) * prime
+            state = fold(state)
+        if n >= config.ngram_min:
+            whole = position >= n - 1
+            keys.append((row[whole] << shift) | (state[whole] & mask))
+    distinct, counts = np.unique(np.concatenate(keys), return_counts=True)
+    nnz = np.bincount((distinct >> shift).astype(np.intp), minlength=len(texts))
+    return nnz, (distinct & mask).astype(np.int64), counts.astype(np.float64)
 
 
 def featurize(texts: Sequence[str], config: FeatureConfig) -> sparse.csr_matrix:
     """Hashed word n-gram counts: one CSR row per text, sorted column indices per row."""
-    mask = np.uint64(config.dimension - 1)  # dimension is a power of two
-    row_indices, row_counts = [], []
-    for text in texts:
-        tokens = tokenize(text, config.lowercase)
-        if not tokens:
-            raise EmptyInput("no tokens after normalization")
-        grams = itertools.chain.from_iterable(
-            map(" ".join, zip(*(tokens[k:] for k in range(n))))
-            for n in range(config.ngram_min, config.ngram_max + 1)
-        )
-        hashes = np.fromiter(map(_gram_hash, grams), dtype=np.uint64)
-        idx, cnt = np.unique(hashes & mask, return_counts=True)
-        row_indices.append(idx.astype(np.int64))
-        row_counts.append(cnt.astype(np.float64))
+    nnz, indices, counts = map(np.concatenate, zip(*(
+        _block_counts(texts[start : start + _SCORE_BLOCK], config, start)
+        for start in range(0, len(texts), _SCORE_BLOCK)
+    )))
     indptr = np.zeros(len(texts) + 1, dtype=np.int64)
-    np.cumsum([len(idx) for idx in row_indices], out=indptr[1:])
-    return sparse.csr_matrix(
-        (np.concatenate(row_counts), np.concatenate(row_indices), indptr),
-        shape=(len(texts), config.dimension),
-    )
+    np.cumsum(nnz, out=indptr[1:])
+    return sparse.csr_matrix((counts, indices, indptr), shape=(len(texts), config.dimension))
 
 
 @dataclass
@@ -159,10 +199,12 @@ def train(
     if labels != {Label.NORMAL, Label.ABNORMAL}:
         raise MissingClass("training needs both Normal and Abnormal examples")
 
-    ordered = sorted(examples, key=lambda e: (e[0], e[1].value))
-    texts = [t for t, _ in ordered]
-    y = np.array([1.0 if lab is Label.NORMAL else 0.0 for _, lab in ordered])
-    X = featurize(texts, fcfg)
+    ordered = sorted(range(len(examples)), key=lambda i: (examples[i][0], examples[i][1].value))
+    y = np.array([1.0 if examples[i][1] is Label.NORMAL else 0.0 for i in ordered])
+    try:
+        X = featurize([examples[i][0] for i in ordered], fcfg)
+    except EmptyInput as e:
+        raise _no_tokens(ordered[e.row]) from None
     n = len(ordered)
     # A column no training text uses gets gradient 2 * l2 * 0 at every step,
     # so its weight stays exactly 0: SGD runs on the used columns only.  Rows
@@ -199,7 +241,10 @@ def predict(model: LinearModel, texts: Sequence[str]) -> np.ndarray:
     z = np.empty(len(texts))
     for start in range(0, len(texts), _SCORE_BLOCK):
         block = texts[start : start + _SCORE_BLOCK]
-        z[start : start + len(block)] = featurize(block, model.config) @ model.weights
+        try:
+            z[start : start + len(block)] = featurize(block, model.config) @ model.weights
+        except EmptyInput as e:
+            raise _no_tokens(start + e.row) from None
     return np.clip(_sigmoid(z + model.bias), EPS, 1.0 - EPS)
 
 

@@ -11,6 +11,7 @@ failure.
 
 import argparse
 import configparser
+import contextlib
 import csv
 import datetime
 import io
@@ -24,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from . import classifier, corpus, growthchart, labeling, metrics, phenotype, stepwise
-from .errors import ConfigError, DataError, NormchartsError, NumericalError
+from .errors import ConfigError, DataError, EmptyInput, NormchartsError, NumericalError
 from .labeling import Label
 from .phenotype import BOOLEANS, AggregationMethod, Region
 from .report_text import InputMode, Report, Sex, compose_input, load_reports_jsonl
@@ -232,19 +233,37 @@ def _examples(
     ids: set[str],
     labels: dict[str, Label],
     mode: InputMode,
-) -> list[tuple[str, Label]]:
-    """(input, label) of each report in `ids` labelled Normal or Abnormal, in corpus order."""
+) -> tuple[list[str], list[tuple[str, Label]]]:
+    """Report ids and (input, label) pairs of the reports in `ids` labelled
+    Normal or Abnormal, in corpus order."""
     known = (Label.NORMAL, Label.ABNORMAL)
-    return [
-        (compose_input(r, mode), labels[r.id])
-        for r in reports
-        if r.id in ids and labels.get(r.id) in known
-    ]
+    chosen = [r for r in reports if r.id in ids and labels.get(r.id) in known]
+    return [r.id for r in chosen], [(compose_input(r, mode), labels[r.id]) for r in chosen]
 
 
-def _evaluate_model(model, reports, ids, labels, mode) -> metrics.EvalResult:
-    examples = _examples(reports, ids, labels, mode)
-    preds = classifier.classify(model, [text for text, _ in examples])
+@contextlib.contextmanager
+def _naming_reports(path, report_ids: list[str]):
+    """Name the report behind a classifier input that has no tokens."""
+    try:
+        yield
+    except EmptyInput as e:
+        if e.row is None:
+            raise
+        raise EmptyInput(
+            f"{path}: report {report_ids[e.row]!r} has no tokens after normalization"
+        ) from None
+
+
+def _train(path, reports, ids, labels, mode, tcfg, fcfg=None) -> classifier.LinearModel:
+    report_ids, examples = _examples(reports, ids, labels, mode)
+    with _naming_reports(path, report_ids):
+        return classifier.train(examples, tcfg, fcfg)
+
+
+def _evaluate_model(path, model, reports, ids, labels, mode) -> metrics.EvalResult:
+    report_ids, examples = _examples(reports, ids, labels, mode)
+    with _naming_reports(path, report_ids):
+        preds = classifier.classify(model, [text for text, _ in examples])
     return metrics.confusion(preds, [label for _, label in examples])
 
 
@@ -295,11 +314,11 @@ def _classifier_experiment(name: str, cfg: PipelineConfig, run_dir: Path) -> lis
             seed=seed,
         )
         fcfg = classifier.FeatureConfig(dimension=cfg.dimension)
-        model = classifier.train(_examples(pool, set(train_ids), labels, mode), tcfg, fcfg)
+        model = _train(cfg.reports_path, pool, set(train_ids), labels, mode, tcfg, fcfg)
         classifier.save_model(model, run_dir / f"model-seed{seed}.bin")
         test_set = ("test", pool, set(assignment.ids(corpus.Subset.TEST)))
         for eval_name, eval_pool, ids in [test_set] + fixed_sets:
-            result = _evaluate_model(model, eval_pool, ids, labels, mode)
+            result = _evaluate_model(cfg.reports_path, model, eval_pool, ids, labels, mode)
             results.setdefault(eval_name, []).append(result)
             rows.extend(metrics.result_rows(result, **keys, evaluation_set=eval_name, seed=seed))
     for eval_name, bucket in results.items():
@@ -475,7 +494,7 @@ def _cmd_train(args) -> int:
         epochs=args.epochs,
         seed=args.seed,
     )
-    model = classifier.train(_examples(reports, train_ids, labels, mode), tcfg)
+    model = _train(args.reports, reports, train_ids, labels, mode, tcfg)
     classifier.save_model(model, args.out)
     print(f"trained on {len(train_ids)} reports, final loss {model.final_loss:.6f} -> {args.out}")
     return 0
@@ -488,7 +507,7 @@ def _cmd_eval(args) -> int:
     ids = _subset_ids(args.split, subset)
     model = classifier.load_model(args.model)
     mode = InputMode(args.input_mode)
-    result = _evaluate_model(model, reports, ids, labels, mode)
+    result = _evaluate_model(args.reports, model, reports, ids, labels, mode)
     rows = metrics.result_rows(
         result,
         model="linear",

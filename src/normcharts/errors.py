@@ -18,7 +18,11 @@ class NumericalError(NormchartsError):
 
 
 class EmptyInput(DataError):
-    pass
+    """Input with nothing to work on; `row` indexes the offending text when known."""
+
+    def __init__(self, message, row=None):
+        super().__init__(message)
+        self.row = row
 
 
 class EmptyAnnotation(DataError):

@@ -1,12 +1,13 @@
 """Radiology report parsing: section extraction and classifier input composition."""
 
+import functools
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping
 
-from .errors import EmptyInput, SchemaError
+from .errors import DuplicateId, EmptyInput, SchemaError
 
 
 class SectionKind(Enum):
@@ -84,7 +85,7 @@ def parse_sections(raw_text: str) -> dict[SectionKind, str]:
 
 @dataclass(frozen=True)
 class Report:
-    """One radiology report with parsed sections and EHR metadata."""
+    """One radiology report with EHR metadata; its sections are parsed on first use."""
 
     id: str
     raw_text: str
@@ -93,15 +94,16 @@ class Report:
     age_days: int
     sex: Sex
     procedure_description: str
-    sections: Mapping[SectionKind, str] = field(default=None, compare=False)  # type: ignore[assignment]
 
     def __post_init__(self):
         if not self.raw_text:
             raise EmptyInput(f"report {self.id!r} has empty text")
         if self.age_days < 0:
             raise SchemaError(f"report {self.id!r} has negative age_days")
-        if self.sections is None:
-            object.__setattr__(self, "sections", parse_sections(self.raw_text))
+
+    @functools.cached_property
+    def sections(self) -> Mapping[SectionKind, str]:
+        return parse_sections(self.raw_text)
 
     def section(self, kind: SectionKind) -> str:
         return self.sections.get(kind, "")
@@ -122,8 +124,9 @@ def compose_input(report: Report, mode: InputMode) -> str:
 
 
 def load_reports_jsonl(path) -> list[Report]:
-    """Read reports from a JSON-lines file; unknown fields are ignored."""
+    """Read reports from a JSON-lines file; unknown fields are ignored and ids are unique."""
     reports = []
+    seen: set[str] = set()
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, 1):
             line = line.strip()
@@ -136,17 +139,19 @@ def load_reports_jsonl(path) -> list[Report]:
             if not isinstance(obj, dict) or not isinstance(obj.get("text", ""), str):
                 raise SchemaError(f"{path}:{lineno}: expected a JSON object whose text is a string")
             try:
-                reports.append(
-                    Report(
-                        id=str(obj["id"]),
-                        raw_text=obj["text"],
-                        exam_year=int(obj.get("exam_year", 0)),
-                        site=str(obj.get("site", "")),
-                        age_days=int(obj.get("age_days", 0)),
-                        sex=Sex(obj.get("sex", "Unknown")),
-                        procedure_description=str(obj.get("procedure_description", "")),
-                    )
+                report = Report(
+                    id=str(obj["id"]),
+                    raw_text=obj["text"],
+                    exam_year=int(obj.get("exam_year", 0)),
+                    site=str(obj.get("site", "")),
+                    age_days=int(obj.get("age_days", 0)),
+                    sex=Sex(obj.get("sex", "Unknown")),
+                    procedure_description=str(obj.get("procedure_description", "")),
                 )
             except (KeyError, TypeError, ValueError, OverflowError) as e:
                 raise SchemaError(f"{path}:{lineno}: {e}") from e
+            if report.id in seen:
+                raise DuplicateId(f"{path}:{lineno}: repeated report id {report.id!r}")
+            seen.add(report.id)
+            reports.append(report)
     return reports

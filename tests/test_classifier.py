@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
@@ -19,8 +19,6 @@ from normcharts.classifier import (
     save_model,
     tokenize,
     train,
-    _gram_hash,
-    _GRAM_CACHE_SIZE,
     _SCORE_BLOCK,
     _sigmoid,
 )
@@ -57,11 +55,31 @@ def test_featurize_empty_raises():
         featurize(["..."], FeatureConfig())
 
 
+def test_text_with_no_tokens_is_named_by_its_row():
+    texts = [f"word{i} stable" for i in range(2 * _SCORE_BLOCK)]
+    texts[_SCORE_BLOCK + 3] = "!!! ..."
+    with pytest.raises(EmptyInput, match=f"text {_SCORE_BLOCK + 3} has no tokens") as e:
+        featurize(texts, FeatureConfig())
+    assert e.value.row == _SCORE_BLOCK + 3
+    m = train(_toy_examples(), TrainConfig(epochs=2, seed=0), FeatureConfig(dimension=1 << 10))
+    with pytest.raises(EmptyInput) as e:
+        predict(m, texts)
+    assert e.value.row == _SCORE_BLOCK + 3
+    # train sorts its examples; the row still indexes the examples as given
+    examples = _toy_examples()
+    examples[5] = ("!!! ...", examples[5][1])
+    with pytest.raises(EmptyInput, match="text 5 has no tokens") as e:
+        train(examples, TrainConfig(epochs=2, seed=0), FeatureConfig(dimension=1 << 10))
+    assert e.value.row == 5
+
+
 def test_feature_config_validation():
     with pytest.raises(InvalidParams):
         FeatureConfig(dimension=1000)  # not a power of two
     with pytest.raises(InvalidParams):
         FeatureConfig(dimension=512)  # below 2^10
+    with pytest.raises(InvalidParams):
+        FeatureConfig(dimension=1 << 49)  # a block row and a column no longer fit one uint64
     with pytest.raises(InvalidParams):
         FeatureConfig(ngram_min=2, ngram_max=1)
 
@@ -151,6 +169,7 @@ def _reference_design_matrix(texts, fcfg):
         FeatureConfig(dimension=1 << 18),
         FeatureConfig(dimension=1 << 10, ngram_min=1, ngram_max=3, lowercase=False),
         FeatureConfig(dimension=1 << 12, ngram_min=2, ngram_max=2),
+        FeatureConfig(dimension=1 << 48, ngram_min=1, ngram_max=3),
     ],
 )
 def test_design_matrix_matches_featurize_dicts(fcfg):
@@ -160,6 +179,41 @@ def test_design_matrix_matches_featurize_dicts(fcfg):
     X = featurize(texts, fcfg)
     data, indices, indptr = _reference_design_matrix(texts, fcfg)
     assert X.shape == (len(texts), fcfg.dimension)
+    assert np.array_equal(X.indptr, indptr)
+    assert np.array_equal(X.indices, indices)
+    assert np.array_equal(X.data, data)
+
+
+# Words of few bytes and of many, mixed case, digits, the Kelvin sign (which
+# lowercases to ASCII "k") and other non-ASCII letters that tokenize drops.
+_PIECES = ["mass", "Mass", "MASS", "lesion", "7", "T2", "a", "\u212a", "\u212aelvin",
+           "\u00e9dema", "na\u00efve", "x" * 40, "!!!"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    pieces=st.lists(
+        st.lists(st.sampled_from(_PIECES), min_size=1, max_size=7),
+        min_size=1, max_size=12,
+    ),
+    separators=st.lists(st.sampled_from([" ", "  ", ", ", "\n", "-", ""]), min_size=1, max_size=4),
+    n_texts=st.integers(1, 2 * _SCORE_BLOCK + 40),
+    ngrams=st.sampled_from([(1, 1), (1, 2), (1, 3), (2, 3), (3, 3)]),
+    lowercase=st.booleans(),
+    dimension=st.sampled_from([1 << 10, 1 << 18]),
+)
+@example(pieces=[["mass"]], separators=[" "], n_texts=2 * _SCORE_BLOCK + 1,
+         ngrams=(3, 3), lowercase=True, dimension=1 << 10)
+@example(pieces=[["\u212a", "Mass", "\u212aelvin"]], separators=[" "], n_texts=3,
+         ngrams=(1, 3), lowercase=True, dimension=1 << 18)
+def test_featurize_matches_scalar_reference_property(pieces, separators, n_texts, ngrams, lowercase, dimension):
+    # every text keeps an ASCII token, so none is empty under either case rule
+    distinct = [separators[i % len(separators)].join(p) + " w" for i, p in enumerate(pieces)]
+    texts = [distinct[i % len(distinct)] for i in range(n_texts)]
+    fcfg = FeatureConfig(dimension=dimension, ngram_min=ngrams[0], ngram_max=ngrams[1], lowercase=lowercase)
+    X = featurize(texts, fcfg)
+    data, indices, indptr = _reference_design_matrix(texts, fcfg)
+    assert X.shape == (n_texts, dimension)
     assert np.array_equal(X.indptr, indptr)
     assert np.array_equal(X.indices, indices)
     assert np.array_equal(X.data, data)
@@ -204,13 +258,10 @@ def test_train_on_used_columns_matches_full_width_bitwise(l2, dim):
 
 
 def test_gram_hash_cache_stays_bounded():
+    # 2^17 distinct grams in one text, hashed with no per-gram cache
     fcfg = FeatureConfig(dimension=1 << 12)
-    text = " ".join(f"w{i}" for i in range(_GRAM_CACHE_SIZE))  # twice as many distinct grams
+    text = " ".join(f"w{i}" for i in range(1 << 16))
     X = featurize([text], fcfg)
-    info = _gram_hash.cache_info()
-    assert info.maxsize == _GRAM_CACHE_SIZE
-    assert info.currsize <= _GRAM_CACHE_SIZE
-    # evicted grams hash the same when seen again
     assert dict(zip(X.indices.tolist(), X.data.tolist())) == _reference_counts(text, fcfg)
 
 

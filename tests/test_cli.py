@@ -77,6 +77,79 @@ def test_malformed_report_line_is_schema_error(tmp_path, capsys, line, message):
     assert capsys.readouterr().err == f"data error: {bad}:2: {message}\n"
 
 
+def _write_jsonl(path, rows):
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+
+
+def _zero_model(path):
+    import numpy as np
+
+    from normcharts.classifier import FeatureConfig, LinearModel, save_model
+
+    save_model(LinearModel(weights=np.zeros(1 << 10), bias=0.0,
+                           config=FeatureConfig(dimension=1 << 10), pos_weight=10.0),
+               path)
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "run-experiment"])
+def test_report_with_no_tokens_is_named(tmp_path, capsys, monkeypatch, command):
+    texts = {f"r{i}": f"new mass number {i}" if i % 2 else f"unremarkable study {i}"
+             for i in range(20)}
+    texts["r7"] = "!!! ..."
+    reports = tmp_path / "reports.jsonl"
+    _write_jsonl(reports, [{"id": rid, "text": text} for rid, text in texts.items()])
+    labels, split = tmp_path / "labels.csv", tmp_path / "split.csv"
+    _write_csv(labels, ["report_id", "label"],
+               [[rid, "Abnormal" if i % 2 else "Normal"] for i, rid in enumerate(texts)])
+    subset = "Test" if command == "eval" else "Train"
+    _write_csv(split, ["report_id", "subset"], [[rid, subset] for rid in texts])
+    if command == "train":
+        argv = ["train", "--reports", str(reports), "--labels", str(labels),
+                "--split", str(split), "--epochs", "2", "--out", str(tmp_path / "m.bin")]
+    elif command == "eval":
+        _zero_model(tmp_path / "m.bin")
+        argv = ["eval", "--model", str(tmp_path / "m.bin"), "--reports", str(reports),
+                "--labels", str(labels), "--split", str(split), "--out", str(tmp_path / "e.csv")]
+    else:
+        _write_jsonl(tmp_path / "annotations.jsonl",
+                     [{"report_id": rid, "grades": [0, 0, 0] if i % 2 else [2, 2, 2]}
+                      for i, rid in enumerate(texts)])
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(f"[paths]\nreports = {reports}\nannotations = {tmp_path / 'annotations.jsonl'}\n"
+                       "[train]\nseeds = 1\nepochs = 2\n")
+        monkeypatch.chdir(tmp_path)
+        argv = ["run-experiment", "exp2_weighted", "--config", str(cfg)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err == f"data error: {reports}: report 'r7' has no tokens after normalization\n"
+
+
+@pytest.mark.parametrize("command", ["ingest", "label", "train", "eval", "triage"])
+def test_repeated_report_id_is_rejected_at_its_line(tmp_path, capsys, command):
+    bundled = data_file("edge_case_reports.jsonl").read_text().splitlines()
+    reports = tmp_path / "reports.jsonl"
+    reports.write_text("\n".join(bundled + [bundled[1]]) + "\n")
+    gold = str(data_file("edge_case_gold.csv"))
+    split = tmp_path / "split.csv"
+    _write_csv(split, ["report_id", "subset"],
+               [[row["report_id"], "Train"] for row in read_metrics(gold)])
+    model = tmp_path / "m.bin"
+    _zero_model(model)
+    argv = {
+        "ingest": ["ingest"],
+        "label": ["label", "--out", str(tmp_path / "labels.csv")],
+        "train": ["train", "--labels", gold, "--split", str(split), "--out", str(model)],
+        "eval": ["eval", "--model", str(model), "--labels", gold, "--split", str(split),
+                 "--subset", "Train", "--out", str(tmp_path / "e.csv")],
+        "triage": ["triage", "--mode", "stepwise", "--out", str(tmp_path / "t.csv"),
+                   "--fixture", str(data_file("edge_case_responses.tsv"))],
+    }[command]
+    assert main(argv + ["--reports", str(reports)]) == 3
+    rid = json.loads(bundled[1])["id"]
+    line = len(bundled) + 1
+    assert capsys.readouterr().err == f"data error: {reports}:{line}: repeated report id {rid!r}\n"
+
+
 def test_bundled_fixture_files_exist():
     for name in ("edge_case_reports.jsonl", "edge_case_gold.csv",
                  "edge_case_responses.tsv"):
@@ -247,14 +320,8 @@ def test_eval_rejects_model_file_of_wrong_size(tmp_path, capsys, damage):
 
 
 def test_eval_on_empty_subset_is_data_error(tmp_path, capsys):
-    import numpy as np
-
-    from normcharts.classifier import FeatureConfig, LinearModel, save_model
-
     model_path = tmp_path / "model.bin"
-    save_model(LinearModel(weights=np.zeros(1 << 10), bias=0.0,
-                           config=FeatureConfig(dimension=1 << 10), pos_weight=10.0),
-               model_path)
+    _zero_model(model_path)
     gold = data_file("edge_case_gold.csv")
     split_path = tmp_path / "split.csv"
     _write_csv(split_path, ["report_id", "subset"],

@@ -1,9 +1,13 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from normcharts import report_text
+from normcharts.classifier import FeatureConfig, LinearModel, save_model
+from normcharts.cli import data_file, main
 from normcharts.errors import EmptyInput, SchemaError
 from normcharts.report_text import (
     InputMode,
@@ -146,3 +150,38 @@ def test_load_reports_jsonl_bad_line_number_in_error(tmp_path):
     path.write_text('{"id": "a", "text": "ok"}\n{"text": "missing id"}\n')
     with pytest.raises(SchemaError, match=":2"):
         load_reports_jsonl(path)
+
+
+def test_sections_are_parsed_on_first_use(tmp_path, monkeypatch, capsys):
+    reports_path = data_file("edge_case_reports.jsonl")
+    gold = data_file("edge_case_gold.csv")
+    split = tmp_path / "split.csv"
+    split.write_text("report_id,subset\n" + "".join(
+        f"{line.split(',')[0]},Test\n" for line in gold.read_text().splitlines()[1:]
+    ))
+    model = tmp_path / "model.bin"
+    save_model(LinearModel(weights=np.zeros(1 << 10), bias=0.0,
+                           config=FeatureConfig(dimension=1 << 10), pos_weight=10.0), model)
+
+    def refuse(raw_text):
+        raise AssertionError("sections parsed")
+
+    with monkeypatch.context() as m:
+        m.setattr(report_text, "parse_sections", refuse)
+        reports = load_reports_jsonl(reports_path)
+        assert main(["eval", "--model", str(model), "--reports", str(reports_path),
+                     "--labels", str(gold), "--split", str(split), "--input-mode", "full",
+                     "--out", str(tmp_path / "eval.csv")]) == 0
+    assert all(r.sections == parse_sections(r.raw_text) for r in reports)
+    capsys.readouterr()
+    assert main(["ingest", "--reports", str(reports_path)]) == 0
+    # recorded when sections were still parsed as each report was read
+    assert capsys.readouterr().out == (
+        "reports: 41\n"
+        "sections[ClinicalIndication]: 35\n"
+        "sections[Comparison]: 35\n"
+        "sections[Findings]: 31\n"
+        "sections[Impression]: 4\n"
+        "sections[Preamble]: 41\n"
+        "sections[Technique]: 35\n"
+    )
