@@ -17,7 +17,7 @@ import datetime
 import io
 import json
 import sys
-from dataclasses import Field, dataclass, fields
+from dataclasses import Field, asdict, dataclass, fields
 from importlib import resources
 from pathlib import Path
 from typing import Optional
@@ -57,18 +57,18 @@ class PipelineConfig:
     gold_path: Optional[str] = None
     out_dir: str = "runs"
     seeds: tuple[int, ...] = DEFAULT_SEEDS
-    pos_weight: float = 10.0
-    epochs: int = 20
-    learning_rate: float = 0.5
-    dimension: int = 1 << 18
+    pos_weight: float = classifier.TrainConfig.pos_weight
+    epochs: int = classifier.TrainConfig.epochs
+    learning_rate: float = classifier.TrainConfig.learning_rate
+    dimension: int = classifier.FeatureConfig.dimension
     cutoff_year: int = 2018
     holdout_site: Optional[str] = None
     synth_n: int = 5000
     abnormal_fraction: float = 0.92
     n_sessions: int = 800
     n_scanners: int = 5
-    ridge_lambda: float = 1.0
-    sigma_age: bool = True
+    ridge_lambda: float = growthchart.FitOptions.ridge_lambda
+    sigma_age: bool = growthchart.FitOptions.sigma_age
     fp1_only: bool = True
     region: str = Region.CORTICAL_GM.value
 
@@ -201,15 +201,12 @@ def _write_triage_csv(path, records: list[stepwise.StepwiseRecord]) -> None:
             )
 
 
-_CURVE_COLUMNS = ("age_years", "p2.5", "p50", "p97.5")
-
-
 def _write_curves_csv(path, model: growthchart.GrowthModel, ages: list[float], sex: Sex) -> None:
+    curves = growthchart.percentile_curves(model, ages, sex)
     with open(path, "w", encoding="utf-8", newline="") as f:
         w = csv.writer(f)
-        w.writerow(_CURVE_COLUMNS)
-        curves = growthchart.percentile_curves(model, ages, sex)
-        columns = [curves[c].tolist() for c in _CURVE_COLUMNS]
+        w.writerow(list(curves))
+        columns = [c.tolist() for c in curves.values()]
         w.writerows([f"{v:.4f}" for v in row] for row in zip(*columns))
 
 
@@ -271,15 +268,16 @@ def _evaluate_model(path, model, reports, ids, labels, mode) -> metrics.EvalResu
 # experiment protocols
 
 
+def _labels(reports: list[Report], annotations_path: Optional[str]) -> dict[str, Label]:
+    """Reference labels of `reports`, with the annotations file if one is given."""
+    annotations = labeling.load_annotations_jsonl(annotations_path) if annotations_path else []
+    return labeling.label_reports(reports, annotations)
+
+
 def _corpus_for(cfg: PipelineConfig):
     if cfg.reports_path:
         reports = load_reports_jsonl(cfg.reports_path)
-        if cfg.annotations_path:
-            annotations = labeling.load_annotations_jsonl(cfg.annotations_path)
-        else:
-            annotations = []
-        labels = labeling.label_reports(reports, annotations)
-        return reports, labels
+        return reports, _labels(reports, cfg.annotations_path)
     return synth_reports(seed=0, n=cfg.synth_n, abnormal_fraction=cfg.abnormal_fraction)
 
 
@@ -383,16 +381,7 @@ def _growth_experiment(cfg: PipelineConfig, run_dir: Path) -> list[dict]:
         table, AggregationMethod.MEDIAN_ALL_SEQUENCES
     )
     with open(run_dir / "attrition.json", "w", encoding="utf-8") as f:
-        json.dump(
-            {
-                "input_sessions": attrition.n_input_sessions,
-                "output_sessions": attrition.n_output_sessions,
-                "dropped_qc": attrition.dropped_qc,
-                "dropped_no_mprage": attrition.dropped_no_mprage,
-            },
-            f,
-            indent=2,
-        )
+        json.dump({k.removeprefix("n_"): v for k, v in asdict(attrition).items()}, f, indent=2)
         f.write("\n")
     region = Region(cfg.region)
     # two overlapping subsets sharing 92% of sessions, as row indices
@@ -457,10 +446,7 @@ def _cmd_ingest(args) -> int:
 
 def _cmd_label(args) -> int:
     reports = load_reports_jsonl(args.reports)
-    annotations = (
-        labeling.load_annotations_jsonl(args.annotations) if args.annotations else []
-    )
-    labels = labeling.label_reports(reports, annotations)
+    labels = _labels(reports, args.annotations)
     _write_csv_map(args.out, "report_id", "label", labels)
     print(f"labeled {len(labels)} of {len(reports)} reports -> {args.out}")
     return 0
@@ -546,9 +532,14 @@ def _cmd_qc(args) -> int:
     return 0
 
 
-def _cmd_aggregate(args) -> int:
+def _sessions(args) -> tuple[phenotype.SessionTable, phenotype.AttritionReport]:
+    """The sessions of the --phenotypes file, aggregated by --method."""
     table = phenotype.load_phenotype_csv(args.phenotypes)
-    sessions, attrition = phenotype.build_sessions(table, AggregationMethod(args.method))
+    return phenotype.build_sessions(table, AggregationMethod(args.method))
+
+
+def _cmd_aggregate(args) -> int:
+    sessions, attrition = _sessions(args)
     phenotype.write_sessions_csv(args.out, sessions)
     print(
         f"sessions: {attrition.n_input_sessions} in, {attrition.n_output_sessions} out, "
@@ -558,8 +549,7 @@ def _cmd_aggregate(args) -> int:
 
 
 def _cmd_fit_growth(args) -> int:
-    table = phenotype.load_phenotype_csv(args.phenotypes)
-    sessions, _ = phenotype.build_sessions(table, AggregationMethod(args.method))
+    sessions, _ = _sessions(args)
     options = _fit_options(args.fp1_only, not args.no_sigma_age, args.ridge_lambda)
     model = growthchart.fit(sessions, Region(args.region), options)
     growthchart.save_growth_model(args.out, model)
@@ -573,8 +563,7 @@ def _cmd_fit_growth(args) -> int:
 
 def _cmd_centiles(args) -> int:
     model = growthchart.load_growth_model(args.model)
-    table = phenotype.load_phenotype_csv(args.phenotypes)
-    sessions, _ = phenotype.build_sessions(table, AggregationMethod(args.method))
+    sessions, _ = _sessions(args)
     with open(args.out, "w", encoding="utf-8", newline="") as f:
         w = csv.writer(f)
         w.writerow(["session_id", "centile"])
@@ -650,9 +639,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--pos-weight", type=float, default=10.0)
-    p.add_argument("--learning-rate", type=float, default=0.5)
-    p.add_argument("--epochs", type=int, default=20)
+    p.add_argument("--pos-weight", type=float, default=classifier.TrainConfig.pos_weight)
+    p.add_argument("--learning-rate", type=float, default=classifier.TrainConfig.learning_rate)
+    p.add_argument("--epochs", type=int, default=classifier.TrainConfig.epochs)
     p.add_argument("--balanced", action="store_true")
     p.add_argument("--input-mode", choices=[m.value for m in InputMode], default="full")
     p.set_defaults(func=_cmd_train)
@@ -692,7 +681,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phenotypes", required=True)
     p.add_argument("--region", choices=[r.value for r in Region], required=True)
     p.add_argument("--method", choices=[m.value for m in AggregationMethod], default="median")
-    p.add_argument("--ridge-lambda", type=float, default=1.0)
+    p.add_argument("--ridge-lambda", type=float, default=growthchart.FitOptions.ridge_lambda)
     p.add_argument("--no-sigma-age", action="store_true")
     p.add_argument("--fp1-only", action="store_true")
     p.add_argument("--out", required=True)

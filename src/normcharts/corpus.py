@@ -53,7 +53,6 @@ class SplitMix64:
 
 @dataclass(frozen=True)
 class SplitAssignment:
-    seed: int
     assignment: Mapping[str, Subset]
 
     def ids(self, subset: Subset) -> list[str]:
@@ -112,7 +111,7 @@ def split(
             rng.next()
         rng.shuffle(stratum)
         assignment.update(_cut(stratum))
-    return SplitAssignment(seed=seed, assignment=assignment)
+    return SplitAssignment(assignment)
 
 
 def balance(

@@ -15,7 +15,7 @@ import itertools
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -480,21 +480,8 @@ def compare_centiles(a: Sequence[float], b: Sequence[float]) -> float:
 
 
 def model_to_dict(model: GrowthModel) -> dict:
-    return {
-        "region": model.region.value,
-        "fp_mu": {"order": model.fp_mu.order, "powers": list(model.fp_mu.powers)},
-        "mu_coef": list(model.mu_coef),
-        "fp_sigma": None
-        if model.fp_sigma is None
-        else {"order": model.fp_sigma.order, "powers": list(model.fp_sigma.powers)},
-        "sigma_coef": list(model.sigma_coef),
-        "nu": model.nu,
-        "scanner_intercepts": dict(model.scanner_intercepts),
-        "ridge_lambda": model.ridge_lambda,
-        "converged": model.converged,
-        "loglik": model.loglik,
-        "bic": model.bic,
-    }
+    """The model as JSON values: its fields by name, the region by its value."""
+    return {**asdict(model), "region": model.region.value}
 
 
 def _number(value, key: str) -> float:
@@ -504,7 +491,7 @@ def _number(value, key: str) -> float:
 
 
 def _numbers(value, key: str) -> tuple[float, ...]:
-    if not isinstance(value, list):
+    if not isinstance(value, (list, tuple)):
         raise TypeError(f"{key} must be a list of numbers, got {value!r}")
     return tuple(_number(v, key) for v in value)
 

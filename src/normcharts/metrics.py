@@ -140,21 +140,13 @@ def metric_row(*, model, experiment, distribution, evaluation_set, seed, metric,
     }
 
 
-def result_rows(
-    result: EvalResult,
-    *,
-    model: str,
-    experiment: str,
-    distribution: str,
-    evaluation_set: str,
-    seed,
-) -> list[dict]:
-    keys = dict(model=model, experiment=experiment, distribution=distribution, evaluation_set=evaluation_set)
-    return [metric_row(**keys, seed=seed, metric=name, value=result.metric(name)) for name in METRIC_NAMES]
+def result_rows(result: EvalResult, **keys) -> list[dict]:
+    """One row per metric; `keys` are metric_row's key columns, seed included."""
+    return [metric_row(**keys, metric=name, value=result.metric(name)) for name in METRIC_NAMES]
 
 
-def summary_rows(summary: SeedSummary, *, model, experiment, distribution, evaluation_set) -> list[dict]:
-    keys = dict(model=model, experiment=experiment, distribution=distribution, evaluation_set=evaluation_set)
+def summary_rows(summary: SeedSummary, **keys) -> list[dict]:
+    """Mean and std rows per metric; `keys` are metric_row's key columns but seed."""
     rows = []
     for name in METRIC_NAMES:
         rows.append(metric_row(**keys, seed="mean", metric=name, value=summary.mean[name]))

@@ -279,20 +279,8 @@ PHENOTYPE_COLUMNS = (
     "age_days",
     "sex",
     "is_mprage",
-    "vol_cortical_gm",
-    "vol_subcortical_gm",
-    "vol_white_matter",
-    "vol_ventricles",
-    "vol_cerebellum",
-    "vol_tiv",
-    "qc_gwm",
-    "qc_ggm",
-    "qc_gcsf",
-    "qc_cerebellum",
-    "qc_brainstem",
-    "qc_thalamus",
-    "qc_putamen_pallidum",
-    "qc_hippocampus_amygdala",
+    *(r.value for r in Region),
+    *(q.value for q in QcCategory),
 )
 
 
@@ -361,12 +349,7 @@ SESSION_COLUMNS = (
     "age_days",
     "sex",
     "method",
-    "vol_cortical_gm",
-    "vol_subcortical_gm",
-    "vol_white_matter",
-    "vol_ventricles",
-    "vol_cerebellum",
-    "vol_tiv",
+    *(r.value for r in Region),
 )
 
 

@@ -40,10 +40,7 @@ _HEADER_TO_KIND = {
     "TECHNIQUE": SectionKind.TECHNIQUE,
     "COMPARISON": SectionKind.COMPARISON,
 }
-_HEADER_RE = re.compile(
-    r"(?<![Oo][Ff] )\b(IMPRESSION|FINDINGS|CLINICAL INDICATION|TECHNIQUE|COMPARISON)\s*:",
-    re.IGNORECASE,
-)
+_HEADER_RE = re.compile(rf"(?<![Oo][Ff] )\b({'|'.join(_HEADER_TO_KIND)})\s*:", re.IGNORECASE)
 
 
 def normalize_whitespace(text: str) -> str:
@@ -61,25 +58,14 @@ def parse_sections(raw_text: str) -> dict[SectionKind, str]:
     """
     if not raw_text:
         raise EmptyInput("report text is empty")
+    # the header group captures, so the split is [preamble, header, body, header, body, ...]
+    parts = _HEADER_RE.split(raw_text)
+    kinds = [SectionKind.PREAMBLE] + [_HEADER_TO_KIND[h.upper()] for h in parts[1::2]]
     sections: dict[SectionKind, str] = {}
-    matches = list(_HEADER_RE.finditer(raw_text))
-
-    def add(kind: SectionKind, chunk: str) -> None:
+    for kind, chunk in zip(kinds, parts[0::2]):
         chunk = normalize_whitespace(chunk)
-        if not chunk:
-            return
-        if kind in sections:
-            sections[kind] = sections[kind] + "\n" + chunk
-        else:
-            sections[kind] = chunk
-
-    first = matches[0].start() if matches else len(raw_text)
-    if raw_text[:first].strip():
-        add(SectionKind.PREAMBLE, raw_text[:first])
-    for i, m in enumerate(matches):
-        kind = _HEADER_TO_KIND[m.group(1).upper()]
-        end = matches[i + 1].start() if i + 1 < len(matches) else len(raw_text)
-        add(kind, raw_text[m.end():end])
+        if chunk:
+            sections[kind] = sections[kind] + "\n" + chunk if kind in sections else chunk
     return sections
 
 

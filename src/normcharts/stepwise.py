@@ -40,39 +40,18 @@ class InquiryMode(Enum):
     STEPWISE = "stepwise"
 
 
-@dataclass(frozen=True)
-class PromptSpec:
-    id: QuestionId
-    text: str
-
-
-PROMPTS: dict[QuestionId, PromptSpec] = {
-    QuestionId.Q1: PromptSpec(
-        QuestionId.Q1,
-        "Does the provided radiology report indicate any brain abnormalities? "
-        "(Yes/No followed by reasoning)",
-    ),
-    QuestionId.Q2: PromptSpec(
-        QuestionId.Q2,
-        "Does the provided radiology report indicate that the pathology is outside "
-        "of the brain? (Yes/No followed by reasoning)",
-    ),
-    QuestionId.Q3: PromptSpec(
-        QuestionId.Q3,
-        "Does the provided radiology report indicate any motion artifact or low "
-        "quality scan? (Yes/No followed by reasoning)",
-    ),
-    QuestionId.Q4: PromptSpec(
-        QuestionId.Q4,
-        "Does the provided radiology report indicate any immediate clinical follow "
-        "up is required? (Yes/No followed by reasoning)",
-    ),
-    QuestionId.Q5: PromptSpec(
-        QuestionId.Q5,
-        "Does the provided radiology report indicate that the radiologist or the "
-        "medical doctor is highly concerned about the patient's condition? "
-        "(Yes/No followed by reasoning)",
-    ),
+PROMPTS: dict[QuestionId, str] = {
+    QuestionId.Q1: "Does the provided radiology report indicate any brain abnormalities? "
+                   "(Yes/No followed by reasoning)",
+    QuestionId.Q2: "Does the provided radiology report indicate that the pathology is outside "
+                   "of the brain? (Yes/No followed by reasoning)",
+    QuestionId.Q3: "Does the provided radiology report indicate any motion artifact or low "
+                   "quality scan? (Yes/No followed by reasoning)",
+    QuestionId.Q4: "Does the provided radiology report indicate any immediate clinical follow "
+                   "up is required? (Yes/No followed by reasoning)",
+    QuestionId.Q5: "Does the provided radiology report indicate that the radiologist or the "
+                   "medical doctor is highly concerned about the patient's condition? "
+                   "(Yes/No followed by reasoning)",
 }
 
 _FIRST_WORD = re.compile(r"[A-Za-z]+")
@@ -117,12 +96,11 @@ def aggregate_stepwise(answers: Mapping[QuestionId, Verdict]) -> Label:
 class StepwiseRecord:
     report_id: str
     answers: Mapping[QuestionId, Verdict]
-    reasoning: Mapping[QuestionId, str]
     label: Label
 
 
 class AnswerSource(Protocol):
-    def answer(self, report_id: str, question: PromptSpec, prompt: str) -> str:
+    def answer(self, report_id: str, question: QuestionId, prompt: str) -> str:
         """Return the raw response text for one prompt."""
         ...
 
@@ -143,9 +121,9 @@ class FixtureAnswerSource:
             for row in reader:
                 self.responses[(row["report_id"], row["question_id"])] = row["response_text"]
 
-    def answer(self, report_id: str, question: PromptSpec, prompt: str) -> str:
+    def answer(self, report_id: str, question: QuestionId, prompt: str) -> str:
         # Missing cell parses to Unparsed downstream.
-        return self.responses.get((report_id, question.id.value), "")
+        return self.responses.get((report_id, question.value), "")
 
 
 class HttpAnswerSource:
@@ -157,7 +135,7 @@ class HttpAnswerSource:
         self.timeout = timeout
         self.token = os.environ.get(token_env, "")
 
-    def answer(self, report_id: str, question: PromptSpec, prompt: str) -> str:
+    def answer(self, report_id: str, question: QuestionId, prompt: str) -> str:
         headers = {"Content-Type": "application/json"}
         if self.token:
             headers["Authorization"] = f"Bearer {self.token}"
@@ -172,12 +150,12 @@ class HttpAnswerSource:
             return str(resp.json()["text"])
         except (requests.RequestException, KeyError, TypeError, ValueError) as e:
             # TypeError: a JSON body that is not an object, such as a list or a string
-            raise ClientError(str(e), question_id=question.id.value) from e
+            raise ClientError(str(e), question_id=question.value) from e
 
 
-def build_prompt(question: PromptSpec, report: Report) -> str:
+def build_prompt(question: QuestionId, report: Report) -> str:
     """Question first, then the full report text, separated by a blank line."""
-    return f"{question.text}\n\n{report.raw_text}"
+    return f"{PROMPTS[question]}\n\n{report.raw_text}"
 
 
 def run_inquiry(
@@ -194,25 +172,21 @@ def run_inquiry(
     """
     questions = [QuestionId.Q1] if mode is InquiryMode.DIRECT else list(QuestionId)
     answers: dict[QuestionId, Verdict] = {q: Verdict.UNPARSED for q in QuestionId}
-    reasoning: dict[QuestionId, str] = {q: "" for q in QuestionId}
     for qid in questions:
-        spec = PROMPTS[qid]
-        prompt = build_prompt(spec, report)
+        prompt = build_prompt(qid, report)
         text = ""
-        for attempt in range(retries + 1):
+        for _ in range(retries + 1):
             try:
-                text = client.answer(report.id, spec, prompt)
+                text = client.answer(report.id, qid, prompt)
                 break
             except ClientError:
-                if attempt == retries:
-                    text = ""
+                pass
         answers[qid] = parse_answer(text)
-        reasoning[qid] = text
     if mode is InquiryMode.DIRECT:
         label = aggregate_direct(answers[QuestionId.Q1])
     else:
         label = aggregate_stepwise(answers)
-    return StepwiseRecord(report_id=report.id, answers=answers, reasoning=reasoning, label=label)
+    return StepwiseRecord(report_id=report.id, answers=answers, label=label)
 
 
 def evaluate_inquiry(

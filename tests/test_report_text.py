@@ -1,8 +1,9 @@
 import json
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from normcharts import report_text
@@ -89,6 +90,83 @@ def test_parse_sections_total_and_lossless_word_count(text):
     joined = " ".join(sections.values())
     for word in joined.split():
         assert word in text or word in normalize_whitespace(text)
+
+
+_REFERENCE_HEADER_RE = re.compile(
+    r"(?<![Oo][Ff] )\b(IMPRESSION|FINDINGS|CLINICAL INDICATION|TECHNIQUE|COMPARISON)\s*:",
+    re.IGNORECASE,
+)
+_REFERENCE_KINDS = {
+    "IMPRESSION": SectionKind.IMPRESSION,
+    "FINDINGS": SectionKind.FINDINGS,
+    "CLINICAL INDICATION": SectionKind.CLINICAL_INDICATION,
+    "TECHNIQUE": SectionKind.TECHNIQUE,
+    "COMPARISON": SectionKind.COMPARISON,
+}
+
+
+def _reference_sections(raw_text):
+    """The header walk parse_sections used before it became one split: find
+    every header, give each the text up to the next, the rest to Preamble."""
+    sections = {}
+    matches = list(_REFERENCE_HEADER_RE.finditer(raw_text))
+
+    def add(kind, chunk):
+        chunk = normalize_whitespace(chunk)
+        if not chunk:
+            return
+        if kind in sections:
+            sections[kind] = sections[kind] + "\n" + chunk
+        else:
+            sections[kind] = chunk
+
+    first = matches[0].start() if matches else len(raw_text)
+    if raw_text[:first].strip():
+        add(SectionKind.PREAMBLE, raw_text[:first])
+    for i, m in enumerate(matches):
+        kind = _REFERENCE_KINDS[m.group(1).upper()]
+        end = matches[i + 1].start() if i + 1 < len(matches) else len(raw_text)
+        add(kind, raw_text[m.end():end])
+    return sections
+
+
+def _mixed_case(word):
+    return st.lists(st.booleans(), min_size=len(word), max_size=len(word)).map(
+        lambda upper: "".join(c.upper() if u else c.lower() for c, u in zip(word, upper))
+    )
+
+
+_GAPS = st.sampled_from(["", " ", "  ", "\t", " \t ", "\n", "\n\n", "\t\t\n "])
+_HEADER = st.builds(
+    lambda name, gap: name + gap + ":",
+    st.sampled_from(list(_REFERENCE_KINDS)).flatmap(_mixed_case),
+    _GAPS,
+)
+# "of " right before a header keeps it body text; "of  " (two spaces) does not
+_END_OF = st.builds(
+    lambda of, header: of + header,
+    st.sampled_from(["END OF ", "end of ", "End Of ", "END OF  ", "OF"]),
+    _HEADER,
+)
+_BODY = st.one_of(
+    st.sampled_from(["normal", "No acute findings.", "x", "MRI brain", "Impression", "of"]),
+    st.text(alphabet="abXY .:,\t\n", max_size=12),
+)
+_REPORT_TEXT = (
+    st.lists(st.one_of(_HEADER, _END_OF, _BODY, _GAPS), min_size=1, max_size=14)
+    .map("".join)
+    .filter(bool)
+)
+
+
+@given(_REPORT_TEXT)
+@example("FINDINGS: ventricles normal.\nIMPRESSION: normal.")  # empty preamble
+@example("Summary.\tIMPRESSION:   \t\nFINDINGS: x")  # a header with no body
+@example("IMPRESSION: a.\nEND OF IMPRESSION:\nimpression : b\n  IMPRESSION\t:c")  # repeats
+@example("Preamble  text \t here.\nfindings :  one\t\ttwo")
+def test_parse_sections_matches_the_header_walk(text):
+    assert parse_sections(text) == _reference_sections(text)
+    assert list(parse_sections(text)) == list(_reference_sections(text))
 
 
 def test_normalize_whitespace_preserves_newlines():

@@ -14,7 +14,6 @@ from normcharts.stepwise import (
     FixtureAnswerSource,
     HttpAnswerSource,
     InquiryMode,
-    PromptSpec,
     QuestionId,
     Verdict,
     aggregate_direct,
@@ -43,14 +42,14 @@ def test_exactly_five_prompts_q2_inverse():
 
 
 def test_prompt_texts_mention_their_subject():
-    assert "brain abnormalities" in PROMPTS[QuestionId.Q1].text
-    assert "outside of the brain" in PROMPTS[QuestionId.Q2].text
-    assert "motion artifact or low quality" in PROMPTS[QuestionId.Q3].text
-    assert "immediate clinical follow up" in PROMPTS[QuestionId.Q4].text
-    assert "highly concerned" in PROMPTS[QuestionId.Q5].text
-    for spec in PROMPTS.values():
-        assert spec.text.startswith("Does the provided radiology report")
-        assert spec.text.endswith("(Yes/No followed by reasoning)")
+    assert "brain abnormalities" in PROMPTS[QuestionId.Q1]
+    assert "outside of the brain" in PROMPTS[QuestionId.Q2]
+    assert "motion artifact or low quality" in PROMPTS[QuestionId.Q3]
+    assert "immediate clinical follow up" in PROMPTS[QuestionId.Q4]
+    assert "highly concerned" in PROMPTS[QuestionId.Q5]
+    for text in PROMPTS.values():
+        assert text.startswith("Does the provided radiology report")
+        assert text.endswith("(Yes/No followed by reasoning)")
 
 
 def test_parse_answer_yes_no_unparsed():
@@ -123,7 +122,7 @@ class DictSource:
 
     def answer(self, report_id, question, prompt):
         self.prompts.append(prompt)
-        return self.mapping.get(question.id, "")
+        return self.mapping.get(question, "")
 
 
 def test_run_inquiry_stepwise_all_no_is_normal():
@@ -144,8 +143,8 @@ def test_run_inquiry_direct_only_q1():
 
 def test_prompt_is_question_then_report():
     r = make_report()
-    prompt = build_prompt(PROMPTS[QuestionId.Q1], r)
-    assert prompt == PROMPTS[QuestionId.Q1].text + "\n\n" + r.raw_text
+    prompt = build_prompt(QuestionId.Q1, r)
+    assert prompt == PROMPTS[QuestionId.Q1] + "\n\n" + r.raw_text
 
 
 class FailingSource:
@@ -156,7 +155,7 @@ class FailingSource:
     def answer(self, report_id, question, prompt):
         self.calls += 1
         if self.calls <= self.failures:
-            raise ClientError("boom", question_id=question.id.value)
+            raise ClientError("boom", question_id=question.value)
         return "No."
 
 
@@ -178,8 +177,8 @@ def test_fixture_source_missing_cell_unparsed(tmp_path):
     p = tmp_path / "fix.tsv"
     p.write_text("report_id\tquestion_id\tresponse_text\nr1\tQ1\tNo.\n")
     src = FixtureAnswerSource(p)
-    assert parse_answer(src.answer("r1", PROMPTS[QuestionId.Q1], "")) is Verdict.NO
-    assert parse_answer(src.answer("r1", PROMPTS[QuestionId.Q2], "")) is Verdict.UNPARSED
+    assert parse_answer(src.answer("r1", QuestionId.Q1, "")) is Verdict.NO
+    assert parse_answer(src.answer("r1", QuestionId.Q2, "")) is Verdict.UNPARSED
 
 
 def test_http_source_posts_prompt_and_model(monkeypatch):
@@ -199,7 +198,7 @@ def test_http_source_posts_prompt_and_model(monkeypatch):
     monkeypatch.setenv("NORMCHARTS_LLM_TOKEN", "sekret")
     monkeypatch.setattr("normcharts.stepwise.requests.post", fake_post)
     src = HttpAnswerSource("http://example.test/v1", "model-x")
-    out = src.answer("r1", PROMPTS[QuestionId.Q1], "prompt text")
+    out = src.answer("r1", QuestionId.Q1, "prompt text")
     assert out == "Yes."
     assert captured["body"] == {"prompt": "prompt text", "model": "model-x"}
     assert captured["headers"]["Authorization"] == "Bearer sekret"
@@ -214,7 +213,7 @@ def test_http_source_wraps_transport_errors(monkeypatch):
     monkeypatch.setattr("normcharts.stepwise.requests.post", fake_post)
     src = HttpAnswerSource("http://example.test", "m")
     with pytest.raises(ClientError) as err:
-        src.answer("r1", PROMPTS[QuestionId.Q2], "p")
+        src.answer("r1", QuestionId.Q2, "p")
     assert err.value.question_id == "Q2"
 
 
@@ -230,7 +229,7 @@ def test_http_source_wraps_a_body_that_is_not_an_object(monkeypatch, body):
     monkeypatch.setattr("normcharts.stepwise.requests.post", lambda *a, **k: FakeResponse())
     src = HttpAnswerSource("http://example.test", "m")
     with pytest.raises(ClientError) as err:
-        src.answer("r1", PROMPTS[QuestionId.Q3], "p")
+        src.answer("r1", QuestionId.Q3, "p")
     assert err.value.question_id == "Q3"
 
 
