@@ -1,7 +1,8 @@
-"""Reference text classifier: hashed n-gram features, sigmoid linear model,
-weighted cross-entropy with a configurable minority-class penalty."""
+"""Reference text classifier: hashed 1- and 2-gram features of lowercased tokens,
+sigmoid linear model, weighted cross-entropy with a configurable minority-class penalty."""
 
 import itertools
+import math
 import re
 import struct
 from dataclasses import dataclass, field
@@ -11,7 +12,7 @@ import numpy as np
 from scipy import sparse
 
 from .corpus import SplitMix64
-from .errors import Divergence, EmptyInput, InvalidParams, MissingClass, SchemaError
+from .errors import ConfigError, Divergence, EmptyInput, InvalidParams, MissingClass, SchemaError
 from .labeling import Label
 
 EPS = 1e-12
@@ -23,6 +24,9 @@ _MASK64 = (1 << 64) - 1
 # `predict`.  One matrix over a whole 5,000-report subset raised the peak RSS
 # of `eval` by over 30 MB; blocks of 256 add about 2 MB.
 _SCORE_BLOCK = 256
+# The l2 penalty on the weights and the SGD mini-batch size of `train`.
+_L2 = 1e-6
+_BATCH_SIZE = 64
 
 
 def fnv1a_64(data: bytes) -> int:
@@ -40,16 +44,11 @@ def fnv1a_64(data: bytes) -> int:
 @dataclass(frozen=True)
 class FeatureConfig:
     dimension: int = 1 << 18
-    ngram_min: int = 1
-    ngram_max: int = 2
-    lowercase: bool = True
 
     def __post_init__(self):
-        if not (1 <= self.ngram_min <= self.ngram_max <= 3):
-            raise InvalidParams("require 1 <= ngram_min <= ngram_max <= 3")
         # featurize packs a row number within a block and a column into one uint64 sort key
         if not (1 << 10) <= self.dimension <= (1 << 48) or self.dimension & (self.dimension - 1):
-            raise InvalidParams("dimension must be a power of two in [2^10, 2^48]")
+            raise ConfigError(f"dimension must be a power of two in [2^10, 2^48], got {self.dimension}")
 
 
 @dataclass(frozen=True)
@@ -57,21 +56,19 @@ class TrainConfig:
     pos_weight: float = 10.0
     learning_rate: float = 0.5
     epochs: int = 20
-    l2: float = 1e-6
     seed: int = 0
-    batch_size: int = 64
 
     def __post_init__(self):
-        if self.pos_weight <= 0:
-            raise InvalidParams("pos_weight must be positive")
+        if not 0.0 < self.pos_weight < math.inf:
+            raise ConfigError(f"pos_weight must be positive and finite, got {self.pos_weight}")
+        if not math.isfinite(self.learning_rate):
+            raise ConfigError(f"learning_rate must be finite, got {self.learning_rate}")
         if self.epochs < 1:
-            raise InvalidParams("epochs must be >= 1")
+            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
 
 
-def tokenize(text: str, lowercase: bool = True) -> list[str]:
-    if lowercase:
-        text = text.lower()
-    return re.findall(r"[a-zA-Z0-9]+", text)
+def tokenize(text: str) -> list[str]:
+    return re.findall(r"[a-zA-Z0-9]+", text.lower())
 
 
 def _no_tokens(row: int) -> EmptyInput:
@@ -79,14 +76,14 @@ def _no_tokens(row: int) -> EmptyInput:
 
 
 def _block_counts(texts: Sequence[str], config: FeatureConfig, first_row: int):
-    """Hashed n-gram counts of one block of texts: (nonzeros per row, columns, counts).
+    """Hashed 1- and 2-gram counts of one block of texts: (nonzeros per row, columns, counts).
 
-    FNV-1a is a left fold over bytes, so the hash of the n-gram ending at
-    token j continues the (n-1)-gram ending at token j-1: xor in the joining
-    space, multiply, then fold token j's bytes.  Every gram of the block is
-    hashed at once in wrapping uint64 arithmetic; no gram string is built.
+    FNV-1a is a left fold over bytes, so the hash of the bigram ending at
+    token j continues the unigram at token j-1: xor in the joining space,
+    multiply, then fold token j's bytes.  Every gram of the block is hashed at
+    once in wrapping uint64 arithmetic; no gram string is built.
     """
-    token_lists = [tokenize(text, config.lowercase) for text in texts]
+    token_lists = [tokenize(text) for text in texts]
     per_row = np.fromiter(map(len, token_lists), dtype=np.int64, count=len(texts))
     if not per_row.all():
         raise _no_tokens(first_row + int(np.argmin(per_row)))
@@ -118,21 +115,19 @@ def _block_counts(texts: Sequence[str], config: FeatureConfig, first_row: int):
     # bits, so a single sort groups each row's columns in order.
     shift = np.uint64(config.dimension.bit_length() - 1)
     mask = np.uint64(config.dimension - 1)
-    keys = []
-    for n in range(1, config.ngram_max + 1):
-        if n > 1:
-            state[1:] = (state[:-1] ^ np.uint64(0x20)) * prime
-            state = fold(state)
-        if n >= config.ngram_min:
-            whole = position >= n - 1
-            keys.append((row[whole] << shift) | (state[whole] & mask))
-    distinct, counts = np.unique(np.concatenate(keys), return_counts=True)
+    unigrams = (row << shift) | (state & mask)
+    state[1:] = (state[:-1] ^ np.uint64(0x20)) * prime
+    state = fold(state)
+    # a row's first token ends no bigram
+    second = position >= 1
+    bigrams = (row[second] << shift) | (state[second] & mask)
+    distinct, counts = np.unique(np.concatenate([unigrams, bigrams]), return_counts=True)
     nnz = np.bincount((distinct >> shift).astype(np.intp), minlength=len(texts))
     return nnz, (distinct & mask).astype(np.int64), counts.astype(np.float64)
 
 
 def featurize(texts: Sequence[str], config: FeatureConfig) -> sparse.csr_matrix:
-    """Hashed word n-gram counts: one CSR row per text, sorted column indices per row."""
+    """Hashed word 1- and 2-gram counts: one CSR row per text, sorted column indices per row."""
     nnz, indices, counts = map(np.concatenate, zip(*(
         _block_counts(texts[start : start + _SCORE_BLOCK], config, start)
         for start in range(0, len(texts), _SCORE_BLOCK)
@@ -219,10 +214,10 @@ def train(
     loss = float("nan")
     for _ in range(cfg.epochs):
         rng.shuffle(order)
-        for start in range(0, n, cfg.batch_size):
-            batch = order[start : start + cfg.batch_size]
+        for start in range(0, n, _BATCH_SIZE):
+            batch = order[start : start + _BATCH_SIZE]
             loss, gw, gb = objective_and_gradient(
-                X_used[batch], y[batch], w_used, bias, cfg.pos_weight, cfg.l2
+                X_used[batch], y[batch], w_used, bias, cfg.pos_weight, _L2
             )
             if not np.isfinite(loss):
                 raise Divergence(f"non-finite loss {loss}")
@@ -230,7 +225,7 @@ def train(
             bias -= cfg.learning_rate * gb
     weights = np.zeros(fcfg.dimension)
     weights[used] = w_used
-    final, _, _ = objective_and_gradient(X, y, weights, bias, cfg.pos_weight, cfg.l2)
+    final, _, _ = objective_and_gradient(X, y, weights, bias, cfg.pos_weight, _L2)
     if not np.isfinite(final):
         raise Divergence(f"non-finite final loss {final}")
     return LinearModel(weights=weights, bias=bias, config=fcfg, pos_weight=cfg.pos_weight, final_loss=final)
@@ -248,25 +243,25 @@ def predict(model: LinearModel, texts: Sequence[str]) -> np.ndarray:
     return np.clip(_sigmoid(z + model.bias), EPS, 1.0 - EPS)
 
 
-def classify(model: LinearModel, texts: Sequence[str], threshold: float = 0.5) -> list[Label]:
-    """Thresholded predictions; ties at the threshold go to Abnormal."""
-    return [Label.NORMAL if p > threshold else Label.ABNORMAL for p in predict(model, texts)]
+def classify(model: LinearModel, texts: Sequence[str]) -> list[Label]:
+    """Normal where the predicted probability exceeds 0.5; a tie at 0.5 goes to Abnormal."""
+    return [Label.NORMAL if p > 0.5 else Label.ABNORMAL for p in predict(model, texts)]
 
 
 _MAGIC = b"NCLM"
 _VERSION = 1
 # magic, version, dimension, ngram_min, ngram_max, lowercase (+3 pad), pos_weight
 _HEADER = struct.Struct("<4sIQIIB3xd")
+# The header's ngram_min, ngram_max and lowercase: always 1- and 2-grams of lowercased tokens.
+_FEATURE_FIELDS = (1, 2, 1)
 
 
 def save_model(model: LinearModel, path) -> None:
     """Flat little-endian binary: header, weights, bias."""
-    cfg = model.config
     with open(path, "wb") as f:
         f.write(
             _HEADER.pack(
-                _MAGIC, _VERSION, cfg.dimension, cfg.ngram_min, cfg.ngram_max,
-                int(cfg.lowercase), model.pos_weight,
+                _MAGIC, _VERSION, model.config.dimension, *_FEATURE_FIELDS, model.pos_weight
             )
         )
         f.write(model.weights.astype("<f8").tobytes())
@@ -280,16 +275,18 @@ def load_model(path) -> LinearModel:
         raise SchemaError(f"{path}: bad magic")
     if len(blob) < _HEADER.size:
         raise SchemaError(f"{path}: truncated header ({len(blob)} bytes)")
-    _, version, dimension, ngram_min, ngram_max, lowercase, pos_weight = _HEADER.unpack_from(blob)
+    _, version, dimension, *features, pos_weight = _HEADER.unpack_from(blob)
     if version != _VERSION:
         raise SchemaError(f"{path}: unsupported version {version}")
+    if tuple(features) != _FEATURE_FIELDS:  # its weights belong to other features
+        raise SchemaError(f"{path}: n-gram range and case {tuple(features)}, expected {_FEATURE_FIELDS}")
     expected = _HEADER.size + 8 * dimension + 8
     if len(blob) != expected:
         raise SchemaError(f"{path}: {len(blob)} bytes, expected {expected} for dimension {dimension}")
     weights = np.frombuffer(blob, dtype="<f8", count=dimension, offset=_HEADER.size).copy()
     (bias,) = struct.unpack_from("<d", blob, expected - 8)
     try:
-        fcfg = FeatureConfig(dimension=dimension, ngram_min=ngram_min, ngram_max=ngram_max, lowercase=bool(lowercase))
+        fcfg = FeatureConfig(dimension=dimension)
         return LinearModel(weights=weights, bias=bias, config=fcfg, pos_weight=pos_weight)
-    except InvalidParams as e:
+    except (ConfigError, InvalidParams) as e:
         raise SchemaError(f"{path}: {e}") from e

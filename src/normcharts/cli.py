@@ -17,7 +17,7 @@ import datetime
 import io
 import json
 import sys
-from dataclasses import Field, asdict, dataclass, fields
+from dataclasses import Field, asdict, dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 from typing import Optional
@@ -48,29 +48,35 @@ def data_file(name: str) -> Path:
     return Path(str(resources.files("normcharts").joinpath("data", name)))
 
 
+# The three sections of config.ini, as the metadata of the PipelineConfig fields each holds.
+_PATHS, _TRAIN, _GROWTH = ({"section": name} for name in ("paths", "train", "growth"))
+
+
 @dataclass
 class PipelineConfig:
-    reports_path: Optional[str] = None
-    annotations_path: Optional[str] = None
-    phenotypes_path: Optional[str] = None
-    fixture_path: Optional[str] = None
-    gold_path: Optional[str] = None
-    out_dir: str = "runs"
-    seeds: tuple[int, ...] = DEFAULT_SEEDS
-    pos_weight: float = classifier.TrainConfig.pos_weight
-    epochs: int = classifier.TrainConfig.epochs
-    learning_rate: float = classifier.TrainConfig.learning_rate
-    dimension: int = classifier.FeatureConfig.dimension
-    cutoff_year: int = 2018
-    holdout_site: Optional[str] = None
-    synth_n: int = 5000
-    abnormal_fraction: float = 0.92
-    n_sessions: int = 800
-    n_scanners: int = 5
-    ridge_lambda: float = growthchart.FitOptions.ridge_lambda
-    sigma_age: bool = growthchart.FitOptions.sigma_age
-    fp1_only: bool = True
-    region: str = Region.CORTICAL_GM.value
+    """The settings of run-experiment; the fields are declared in config.ini's order."""
+
+    reports_path: Optional[str] = field(default=None, metadata=_PATHS)
+    annotations_path: Optional[str] = field(default=None, metadata=_PATHS)
+    phenotypes_path: Optional[str] = field(default=None, metadata=_PATHS)
+    fixture_path: Optional[str] = field(default=None, metadata=_PATHS)
+    gold_path: Optional[str] = field(default=None, metadata=_PATHS)
+    out_dir: str = field(default="runs", metadata=_PATHS)
+    seeds: tuple[int, ...] = field(default=DEFAULT_SEEDS, metadata=_TRAIN)
+    pos_weight: float = field(default=classifier.TrainConfig.pos_weight, metadata=_TRAIN)
+    epochs: int = field(default=classifier.TrainConfig.epochs, metadata=_TRAIN)
+    learning_rate: float = field(default=classifier.TrainConfig.learning_rate, metadata=_TRAIN)
+    dimension: int = field(default=classifier.FeatureConfig.dimension, metadata=_TRAIN)
+    cutoff_year: int = field(default=2018, metadata=_TRAIN)
+    holdout_site: Optional[str] = field(default=None, metadata=_TRAIN)
+    synth_n: int = field(default=5000, metadata=_TRAIN)
+    abnormal_fraction: float = field(default=0.92, metadata=_TRAIN)
+    n_sessions: int = field(default=800, metadata=_GROWTH)
+    n_scanners: int = field(default=5, metadata=_GROWTH)
+    ridge_lambda: float = field(default=growthchart.FitOptions.ridge_lambda, metadata=_GROWTH)
+    sigma_age: bool = field(default=growthchart.FitOptions.sigma_age, metadata=_GROWTH)
+    fp1_only: bool = field(default=True, metadata=_GROWTH)
+    region: str = field(default=Region.CORTICAL_GM.value, metadata=_GROWTH)
 
     def __post_init__(self):
         if not self.seeds:
@@ -79,33 +85,32 @@ class PipelineConfig:
             raise ConfigError(
                 f"unknown region {self.region!r}; choose from {[r.value for r in Region]}"
             )
+        if min(self.n_sessions, self.n_scanners) < 1:
+            raise ConfigError(
+                f"n_sessions and n_scanners must be >= 1, got {self.n_sessions} and {self.n_scanners}"
+            )
+        # the settings objects the protocols build check the rest, before any run directory exists
+        classifier.TrainConfig(
+            pos_weight=self.pos_weight, learning_rate=self.learning_rate, epochs=self.epochs
+        )
+        classifier.FeatureConfig(self.dimension)
+        growthchart.FitOptions(sigma_age=self.sigma_age, ridge_lambda=self.ridge_lambda)
 
     def to_ini(self) -> str:
-        cp = configparser.ConfigParser()
-        for section, names in _INI_SECTIONS.items():
+        cp = configparser.ConfigParser(interpolation=None)
+        for section, key, f in _ini_fields():
+            value = getattr(self, f.name)
             # an unset path is left out; an unset holdout_site is written as ""
-            cp[section] = {
-                name.removesuffix("_path"): _format_value(getattr(self, name))
-                for name in names
-                if getattr(self, name) is not None or section != "paths"
-            }
+            if value is not None or key == f.name:
+                cp.read_dict({section: {key: _format_value(value)}})
         buf = io.StringIO()
         cp.write(buf)
         return buf.getvalue()
 
 
-# INI section of every PipelineConfig field, in config.ini's order.
-_INI_SECTIONS = {
-    "paths": (
-        "reports_path", "annotations_path", "phenotypes_path", "fixture_path",
-        "gold_path", "out_dir",
-    ),
-    "train": (
-        "seeds", "pos_weight", "epochs", "learning_rate", "dimension",
-        "cutoff_year", "holdout_site", "synth_n", "abnormal_fraction",
-    ),
-    "growth": ("n_sessions", "n_scanners", "ridge_lambda", "sigma_age", "fp1_only", "region"),
-}
+def _ini_fields() -> list[tuple[str, str, Field]]:
+    """(section, key, field) per PipelineConfig field; a key is the name without "_path"."""
+    return [(f.metadata["section"], f.name.removesuffix("_path"), f) for f in fields(PipelineConfig)]
 
 
 def _format_value(value) -> str:
@@ -130,19 +135,16 @@ def _parse_value(f: Field, text: str):
 def load_config(path: Optional[str]) -> PipelineConfig:
     if path is None:
         return PipelineConfig()
-    cp = configparser.ConfigParser()
-    by_name = {f.name: f for f in fields(PipelineConfig)}
+    # no % interpolation: a value is read back exactly as to_ini wrote it
+    cp = configparser.ConfigParser(interpolation=None)
     values = {}
     try:
         if not cp.read(path):
             raise ConfigError(f"config file not found: {path}")
-        for section, names in _INI_SECTIONS.items():
-            if not cp.has_section(section):
-                continue
-            for name in names:
-                text = cp[section].get(name.removesuffix("_path"))
-                if text is not None:
-                    values[name] = _parse_value(by_name[name], text)
+        for section, key, f in _ini_fields():
+            text = cp.get(section, key, fallback=None)
+            if text is not None:
+                values[f.name] = _parse_value(f, text)
     except configparser.Error as e:
         # configparser's messages span several lines; the CLI prints one
         raise ConfigError(f"{path}: {' '.join(str(e).split())}") from e
@@ -281,7 +283,7 @@ def _corpus_for(cfg: PipelineConfig):
     return synth_reports(seed=0, n=cfg.synth_n, abnormal_fraction=cfg.abnormal_fraction)
 
 
-def _classifier_experiment(name: str, cfg: PipelineConfig, run_dir: Path) -> list[dict]:
+def _classifier_experiment(name: str, cfg: PipelineConfig, run_dir: Path) -> list[metrics.MetricRow]:
     """exp1-exp4: per seed, split the training pool, train, save, and score the
     seed's test subset plus any fixed evaluation sets; then summarize each set."""
     balanced = name == "exp1_balanced"
@@ -298,7 +300,7 @@ def _classifier_experiment(name: str, cfg: PipelineConfig, run_dir: Path) -> lis
         if not pool or not ood:
             raise DataError("OOD partition left one side empty; adjust cutoff_year")
         fixed_sets.append(("ood", ood, {r.id for r in ood}))
-    rows: list[dict] = []
+    rows: list[metrics.MetricRow] = []
     results: dict[str, list[metrics.EvalResult]] = {}
     for seed in cfg.seeds:
         assignment = corpus.split(pool, seed, labels=labels)
@@ -326,14 +328,14 @@ def _classifier_experiment(name: str, cfg: PipelineConfig, run_dir: Path) -> lis
     return rows
 
 
-def _stepwise_experiment(cfg: PipelineConfig, run_dir: Path) -> list[dict]:
+def _stepwise_experiment(cfg: PipelineConfig, run_dir: Path) -> list[metrics.MetricRow]:
     reports_path = cfg.reports_path or data_file("edge_case_reports.jsonl")
     fixture_path = cfg.fixture_path or data_file("edge_case_responses.tsv")
     gold_path = cfg.gold_path or data_file("edge_case_gold.csv")
     reports = load_reports_jsonl(reports_path)
     gold = _load_labels_csv(gold_path)
     source = stepwise.FixtureAnswerSource(fixture_path)
-    rows: list[dict] = []
+    rows: list[metrics.MetricRow] = []
     for mode in (stepwise.InquiryMode.DIRECT, stepwise.InquiryMode.STEPWISE):
         records = [stepwise.run_inquiry(r, mode, source) for r in reports]
         _write_triage_csv(run_dir / f"triage-{mode.value}.csv", records)
@@ -366,7 +368,7 @@ def _default_truth(cfg: PipelineConfig) -> growthchart.GrowthModel:
     )
 
 
-def _growth_experiment(cfg: PipelineConfig, run_dir: Path) -> list[dict]:
+def _growth_experiment(cfg: PipelineConfig, run_dir: Path) -> list[metrics.MetricRow]:
     if cfg.phenotypes_path:
         table = phenotype.load_phenotype_csv(cfg.phenotypes_path)
     else:

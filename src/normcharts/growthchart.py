@@ -21,11 +21,12 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 from scipy import optimize, special
 
-from .errors import DegenerateInput, DomainError, InvalidParams, SchemaError, ShapeError
+from .errors import ConfigError, DegenerateInput, DomainError, InvalidParams, SchemaError, ShapeError
 from .phenotype import Region, SessionTable
 from .report_text import Sex
 
 FP_POWERS = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0)
+PERCENTILES = (0.025, 0.5, 0.975)
 
 
 @dataclass(frozen=True)
@@ -257,25 +258,26 @@ def _neg_penalized_loglik(vec, logy, x_mu, x_sigma, scanner_idx, n_scanners, lam
 
 @dataclass(frozen=True)
 class FitOptions:
-    """Search settings for fit().
-
-    n_restarts caps the L-BFGS-B starts per candidate basis: the first start
-    is cold, and each further seeded start runs only while the best start so
-    far has not converged (see _converged, with tolerance tol * n).
-    """
+    """Search settings for fit(); fp_candidates None means all 44 location bases."""
 
     fp_candidates: Optional[Sequence[FpSpec]] = None
     sigma_age: bool = True
     ridge_lambda: float = 1.0
-    max_iter: int = 400
-    tol: float = 1e-3
-    n_restarts: int = 3
+
+    def __post_init__(self):
+        if not 0.0 <= self.ridge_lambda < math.inf:  # false for nan too
+            raise ConfigError(f"ridge_lambda must be finite and >= 0, got {self.ridge_lambda}")
 
 
 # The scale predictor uses a fixed first-order basis when sigma_age is on;
 # candidate search applies to the location predictor only.
 SIGMA_FP = FpSpec(1, (1.0,))
 NU_BOUNDS = (0.05, 8.0)
+# The starting shape of each L-BFGS-B start per candidate (see _fit_one), the
+# iteration cap of one start, and the gradient tolerance per session of _converged.
+_NU_STARTS = (1.0, 2.0, 0.5)
+_MAX_ITER = 400
+_TOL = 1e-3
 
 
 def _converged(res: optimize.OptimizeResult, tol: float) -> bool:
@@ -312,11 +314,11 @@ def _unstandardize(coef: np.ndarray, centre: np.ndarray, scale: np.ndarray) -> n
     return out
 
 
-def _fit_one(logy, x_mu, x_sigma, scanner_idx, n_scanners, options):
+def _fit_one(logy, x_mu, x_sigma, scanner_idx, n_scanners, ridge_lambda):
     """Fit one design by L-BFGS-B in the standardized parametrization.
 
     Returns the coefficient vector on the original design and whether the
-    fit converged. A further seeded start runs, up to options.n_restarts,
+    fit converged. A further seeded start runs, one per _NU_STARTS shape,
     only while the best start so far has not converged.
     """
     n = logy.size
@@ -328,29 +330,28 @@ def _fit_one(logy, x_mu, x_sigma, scanner_idx, n_scanners, options):
     med = float(np.median(y))
     cv = float(np.std(y) / np.mean(y))
     cv = min(max(cv, 1e-3), 5.0)
-    nu_inits = [1.0, 2.0, 0.5] + [1.5] * max(0, options.n_restarts - 3)
     bounds = [(None, None)] * (p_mu + n_scanners + p_sig) + [NU_BOUNDS]
     best, converged = None, False
-    for r in range(options.n_restarts):
+    for r, nu in enumerate(_NU_STARTS):
         x0 = np.zeros(p_mu + n_scanners + p_sig + 1)
         x0[0] = math.log(med)
         x0[p_mu + n_scanners] = math.log(cv)
-        x0[-1] = nu_inits[r]
+        x0[-1] = nu
         if r > 0:
             rng = np.random.default_rng(1000 + r)
             x0[:p_mu] += rng.normal(0.0, 0.05, size=p_mu)
         res = optimize.minimize(
             _neg_penalized_loglik,
             x0,
-            args=(logy, z_mu, z_sigma, scanner_idx, n_scanners, options.ridge_lambda),
+            args=(logy, z_mu, z_sigma, scanner_idx, n_scanners, ridge_lambda),
             jac=True,
             method="L-BFGS-B",
             bounds=bounds,
-            options={"maxiter": options.max_iter, "ftol": 1e-12, "gtol": 1e-8},
+            options={"maxiter": _MAX_ITER, "ftol": 1e-12, "gtol": 1e-8},
         )
         if best is None or res.fun < best.fun:
             best = res
-            converged = _converged(best, options.tol * n)
+            converged = _converged(best, _TOL * n)
         if converged:
             break
     vec = best.x.copy()
@@ -400,7 +401,7 @@ def fit(
             cols.append(sex_col.reshape(-1, 1))
         x_mu = np.column_stack(cols)
         vec, converged = _fit_one(
-            logy, x_mu, x_sigma, scanner_idx, len(scanners), options
+            logy, x_mu, x_sigma, scanner_idx, len(scanners), options.ridge_lambda
         )
         p_mu = x_mu.shape[1]
         beta_mu = vec[:p_mu]
@@ -452,14 +453,13 @@ def percentile_curves(
     model: GrowthModel,
     age_grid: Sequence[float],
     sex: Sex,
-    probs: Sequence[float] = (0.025, 0.5, 0.975),
 ) -> dict[str, np.ndarray]:
     """Population-level quantile curves over an age grid, as columns:
-    "age_years" and one "p<100 q>" column per probability (p2.5, p50, ...)."""
+    "age_years" and one "p<100 q>" column per PERCENTILES probability (p2.5, p50, p97.5)."""
     ages = np.asarray(age_grid, dtype=float)
     p = params_at(model, ages, sex is Sex.F)
     curves = {"age_years": ages}
-    for q in probs:
+    for q in PERCENTILES:
         curves[f"p{100 * q:g}"] = gg_quantile(q, p)
     return curves
 

@@ -1,11 +1,10 @@
 """Reference labels: coarse keyword flagging and human-grade aggregation."""
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 
 from .errors import EmptyAnnotation, SchemaError
-from .report_text import Report, SectionKind
+from .report_text import Report, SectionKind, json_objects
 
 
 class Label(Enum):
@@ -67,18 +66,23 @@ class AnnotationSet:
 
 
 def load_annotations_jsonl(path) -> list[AnnotationSet]:
-    """Read annotation sets from a JSON-lines file: {report_id, grades}."""
+    """Read annotation sets from a JSON-lines file: {report_id, grades}, where
+    grades is a non-empty list of the JSON integers 0, 1 and 2."""
     out = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                out.append(AnnotationSet(str(obj["report_id"]), tuple(int(g) for g in obj["grades"])))
-            except (json.JSONDecodeError, KeyError, ValueError, TypeError) as e:
-                raise SchemaError(f"{path}:{lineno}: {e}") from e
+    for lineno, obj in json_objects(path):
+        if "report_id" not in obj:
+            raise SchemaError(f"{path}:{lineno}: missing key 'report_id'")
+        grades = obj.get("grades")
+        # True == 1 and 2.0 == 2, but neither is a grade
+        if not (
+            isinstance(grades, list)
+            and grades
+            and all(type(g) is int and g in (0, 1, 2) for g in grades)
+        ):
+            raise SchemaError(
+                f"{path}:{lineno}: grades must be a non-empty list of 0, 1 or 2, got {grades!r}"
+            )
+        out.append(AnnotationSet(str(obj["report_id"]), tuple(grades)))
     return out
 
 

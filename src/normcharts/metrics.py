@@ -7,7 +7,7 @@ reports, specificity is recall of abnormal reports.
 import csv
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .errors import EmptyInput, InvalidLabel, ShapeError
 from .labeling import Label
@@ -117,36 +117,38 @@ def seed_summary(results: Sequence[EvalResult]) -> SeedSummary:
     return SeedSummary(n_seeds=len(results), mean=mean, std=std)
 
 
-def write_results_csv(path, rows: Sequence[dict]) -> None:
-    """Emit one row per (model, experiment, distribution, evaluation_set, seed, metric)."""
-    fieldnames = ["model", "experiment", "distribution", "evaluation_set", "seed", "metric", "value"]
+class MetricRow(NamedTuple):
+    """One metrics.csv row; the fields are the file's columns, in order."""
+
+    model: str
+    experiment: str
+    distribution: str
+    evaluation_set: str
+    seed: Union[int, str]
+    metric: str
+    value: str
+
+
+def write_results_csv(path, rows: Sequence[MetricRow]) -> None:
+    """Emit a MetricRow header line, then one line per row."""
     with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.DictWriter(f, fieldnames=fieldnames, lineterminator="\n")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(MetricRow._fields)
+        writer.writerows(rows)
 
 
-def metric_row(*, model, experiment, distribution, evaluation_set, seed, metric, value) -> dict:
-    """One metrics.csv row; an undefined value (None) is written empty."""
-    return {
-        "model": model,
-        "experiment": experiment,
-        "distribution": distribution,
-        "evaluation_set": evaluation_set,
-        "seed": seed,
-        "metric": metric,
-        "value": "" if value is None else f"{value:.6f}",
-    }
+def metric_row(*, value: Optional[float], **keys) -> MetricRow:
+    """The row of one metric value; an undefined value (None) is written empty."""
+    return MetricRow(**keys, value="" if value is None else f"{value:.6f}")
 
 
-def result_rows(result: EvalResult, **keys) -> list[dict]:
-    """One row per metric; `keys` are metric_row's key columns, seed included."""
+def result_rows(result: EvalResult, **keys) -> list[MetricRow]:
+    """One row per metric; `keys` are the MetricRow columns before metric, seed included."""
     return [metric_row(**keys, metric=name, value=result.metric(name)) for name in METRIC_NAMES]
 
 
-def summary_rows(summary: SeedSummary, **keys) -> list[dict]:
-    """Mean and std rows per metric; `keys` are metric_row's key columns but seed."""
+def summary_rows(summary: SeedSummary, **keys) -> list[MetricRow]:
+    """Mean and std rows per metric; `keys` are the MetricRow columns before seed."""
     rows = []
     for name in METRIC_NAMES:
         rows.append(metric_row(**keys, seed="mean", metric=name, value=summary.mean[name]))

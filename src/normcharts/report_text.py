@@ -5,7 +5,7 @@ import json
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .errors import DuplicateId, EmptyInput, SchemaError
 
@@ -109,10 +109,12 @@ def compose_input(report: Report, mode: InputMode) -> str:
     return text
 
 
-def load_reports_jsonl(path) -> list[Report]:
-    """Read reports from a JSON-lines file; unknown fields are ignored and ids are unique."""
-    reports = []
-    seen: set[str] = set()
+def json_objects(path, expected: str = "a JSON object") -> Iterator[tuple[int, dict]]:
+    """(line number, object) of each non-blank line of a JSON-lines file.
+
+    Invalid JSON or a line that is not an object is a SchemaError at
+    path:line, whose message says `expected`.
+    """
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, 1):
             line = line.strip()
@@ -122,22 +124,35 @@ def load_reports_jsonl(path) -> list[Report]:
                 obj = json.loads(line)
             except json.JSONDecodeError as e:
                 raise SchemaError(f"{path}:{lineno}: invalid JSON ({e})") from e
-            if not isinstance(obj, dict) or not isinstance(obj.get("text", ""), str):
-                raise SchemaError(f"{path}:{lineno}: expected a JSON object whose text is a string")
-            try:
-                report = Report(
-                    id=str(obj["id"]),
-                    raw_text=obj["text"],
-                    exam_year=int(obj.get("exam_year", 0)),
-                    site=str(obj.get("site", "")),
-                    age_days=int(obj.get("age_days", 0)),
-                    sex=Sex(obj.get("sex", "Unknown")),
-                    procedure_description=str(obj.get("procedure_description", "")),
-                )
-            except (KeyError, TypeError, ValueError, OverflowError) as e:
-                raise SchemaError(f"{path}:{lineno}: {e}") from e
-            if report.id in seen:
-                raise DuplicateId(f"{path}:{lineno}: repeated report id {report.id!r}")
-            seen.add(report.id)
-            reports.append(report)
+            if not isinstance(obj, dict):
+                raise SchemaError(f"{path}:{lineno}: expected {expected}")
+            yield lineno, obj
+
+
+_REPORT_LINE = "a JSON object whose text is a string"
+
+
+def load_reports_jsonl(path) -> list[Report]:
+    """Read reports from a JSON-lines file; unknown fields are ignored and ids are unique."""
+    reports = []
+    seen: set[str] = set()
+    for lineno, obj in json_objects(path, _REPORT_LINE):
+        if not isinstance(obj.get("text", ""), str):
+            raise SchemaError(f"{path}:{lineno}: expected {_REPORT_LINE}")
+        try:
+            report = Report(
+                id=str(obj["id"]),
+                raw_text=obj["text"],
+                exam_year=int(obj.get("exam_year", 0)),
+                site=str(obj.get("site", "")),
+                age_days=int(obj.get("age_days", 0)),
+                sex=Sex(obj.get("sex", "Unknown")),
+                procedure_description=str(obj.get("procedure_description", "")),
+            )
+        except (KeyError, TypeError, ValueError, OverflowError) as e:
+            raise SchemaError(f"{path}:{lineno}: {e}") from e
+        if report.id in seen:
+            raise DuplicateId(f"{path}:{lineno}: repeated report id {report.id!r}")
+        seen.add(report.id)
+        reports.append(report)
     return reports

@@ -55,6 +55,8 @@ PROMPTS: dict[QuestionId, str] = {
 }
 
 _FIRST_WORD = re.compile(r"[A-Za-z]+")
+# Transport errors on one question retried before its answer counts as Unparsed.
+_RETRIES = 2
 
 
 def parse_answer(response_text: str) -> Verdict:
@@ -109,7 +111,9 @@ FIXTURE_COLUMNS = ("report_id", "question_id", "response_text")
 
 
 class FixtureAnswerSource:
-    """Canned responses from a TSV of (report_id, question_id, response_text)."""
+    """Canned responses from a TSV of (report_id, question_id, response_text);
+    a row without its response_text cell or a repeated (report_id,
+    question_id) is a SchemaError at path:line."""
 
     def __init__(self, path):
         self.responses: dict[tuple[str, str], str] = {}
@@ -119,21 +123,26 @@ class FixtureAnswerSource:
             if missing:
                 raise SchemaError(f"{path}:1: fixture missing columns {missing}")
             for row in reader:
-                self.responses[(row["report_id"], row["question_id"])] = row["response_text"]
+                key = (row["report_id"], row["question_id"])
+                if row["response_text"] is None:
+                    raise SchemaError(f"{path}:{reader.line_num}: row has no response_text cell")
+                if key in self.responses:
+                    raise SchemaError(f"{path}:{reader.line_num}: repeated (report_id, question_id) {key}")
+                self.responses[key] = row["response_text"]
 
     def answer(self, report_id: str, question: QuestionId, prompt: str) -> str:
-        # Missing cell parses to Unparsed downstream.
+        # A question with no row parses to Unparsed downstream.
         return self.responses.get((report_id, question.value), "")
 
 
 class HttpAnswerSource:
     """POSTs {"prompt", "model"} to a configured endpoint; expects {"text"}."""
 
-    def __init__(self, base_url: str, model: str, timeout: float = 60.0, token_env: str = "NORMCHARTS_LLM_TOKEN"):
+    def __init__(self, base_url: str, model: str, timeout: float = 60.0):
         self.base_url = base_url
         self.model = model
         self.timeout = timeout
-        self.token = os.environ.get(token_env, "")
+        self.token = os.environ.get("NORMCHARTS_LLM_TOKEN", "")
 
     def answer(self, report_id: str, question: QuestionId, prompt: str) -> str:
         headers = {"Content-Type": "application/json"}
@@ -162,12 +171,11 @@ def run_inquiry(
     report: Report,
     mode: InquiryMode,
     client: AnswerSource,
-    retries: int = 2,
 ) -> StepwiseRecord:
     """Issue the direct (Q1) or full five-question inquiry for one report.
 
     Each question is asked independently (no shared conversation state).
-    Transport errors retry up to `retries` times, then the answer is treated
+    Transport errors retry up to _RETRIES times, then the answer is treated
     as Unparsed.
     """
     questions = [QuestionId.Q1] if mode is InquiryMode.DIRECT else list(QuestionId)
@@ -175,7 +183,7 @@ def run_inquiry(
     for qid in questions:
         prompt = build_prompt(qid, report)
         text = ""
-        for _ in range(retries + 1):
+        for _ in range(_RETRIES + 1):
             try:
                 text = client.answer(report.id, qid, prompt)
                 break

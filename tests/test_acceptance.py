@@ -299,7 +299,6 @@ def test_criterion_07_parameter_recovery():
     options = FitOptions(
         fp_candidates=[FpSpec(1, (p,)) for p in FP_POWERS],
         sigma_age=False,
-        n_restarts=3,
     )
     model = fit(sessions, Region.CORTICAL_GM, options)
     sigma_true = math.exp(truth.sigma_coef[0])
@@ -316,17 +315,12 @@ def test_criterion_07_parameter_recovery():
     median_ok = max(rel) <= 0.03
 
     freezes = 0
-    bic_options = FitOptions(
-        fp_candidates=[FpSpec(1, (p,)) for p in FP_POWERS],
-        sigma_age=False,
-        n_restarts=2,
-    )
     for rep_seed in range(100, 150):
         rep_sessions, _ = build_sessions(
             synth_cohort(seed=rep_seed, n_sessions=300, n_scanners=5, truth=truth),
             AggregationMethod.MEDIAN_ALL_SEQUENCES,
         )
-        rep_model = fit(rep_sessions, Region.CORTICAL_GM, bic_options)
+        rep_model = fit(rep_sessions, Region.CORTICAL_GM, options)
         if rep_model.fp_mu == truth.fp_mu:
             freezes += 1
     elapsed = time.perf_counter() - t0

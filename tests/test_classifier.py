@@ -6,9 +6,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
+from normcharts import classifier
 from normcharts.classifier import (
     EPS,
     FeatureConfig,
+    LinearModel,
     TrainConfig,
     classify,
     featurize,
@@ -23,7 +25,7 @@ from normcharts.classifier import (
     _sigmoid,
 )
 from normcharts.corpus import SplitMix64
-from normcharts.errors import EmptyInput, InvalidParams, MissingClass
+from normcharts.errors import ConfigError, EmptyInput, MissingClass
 from normcharts.labeling import Label
 
 
@@ -36,10 +38,6 @@ def test_fnv1a_64_known_vectors():
 
 def test_tokenize_alphanumeric_runs():
     assert tokenize("No acute infarct, age 7!") == ["no", "acute", "infarct", "age", "7"]
-
-
-def test_tokenize_no_lowercase():
-    assert tokenize("Acute MASS", lowercase=False) == ["Acute", "MASS"]
 
 
 def test_featurize_counts_unigrams_and_bigrams():
@@ -74,14 +72,23 @@ def test_text_with_no_tokens_is_named_by_its_row():
 
 
 def test_feature_config_validation():
-    with pytest.raises(InvalidParams):
+    with pytest.raises(ConfigError):
         FeatureConfig(dimension=1000)  # not a power of two
-    with pytest.raises(InvalidParams):
+    with pytest.raises(ConfigError):
         FeatureConfig(dimension=512)  # below 2^10
-    with pytest.raises(InvalidParams):
+    with pytest.raises(ConfigError):
         FeatureConfig(dimension=1 << 49)  # a block row and a column no longer fit one uint64
-    with pytest.raises(InvalidParams):
-        FeatureConfig(ngram_min=2, ngram_max=1)
+    with pytest.raises(TypeError):
+        FeatureConfig(ngram_min=2, ngram_max=1)  # the n-gram range is fixed at (1, 2)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"epochs": 0}, {"pos_weight": 0.0}, {"pos_weight": -1.0}, {"pos_weight": math.inf},
+    {"pos_weight": math.nan}, {"learning_rate": math.inf}, {"learning_rate": math.nan},
+])
+def test_train_config_validation(kwargs):
+    with pytest.raises(ConfigError, match=next(iter(kwargs))):
+        TrainConfig(**kwargs)
 
 
 def _one_row_loss(y, p, pos_weight):
@@ -140,10 +147,10 @@ def test_gradient_matches_central_differences():
 
 
 def _reference_counts(text, fcfg):
-    """One text's hashed n-gram counts as a dict, gram by gram: the scalar reference."""
-    tokens = tokenize(text, fcfg.lowercase)
+    """One text's hashed 1- and 2-gram counts as a dict, gram by gram: the scalar reference."""
+    tokens = tokenize(text)
     counts = {}
-    for n in range(fcfg.ngram_min, fcfg.ngram_max + 1):
+    for n in (1, 2):
         for i in range(len(tokens) - n + 1):
             idx = fnv1a_64(" ".join(tokens[i : i + n]).encode("utf-8")) % fcfg.dimension
             counts[idx] = counts.get(idx, 0.0) + 1.0
@@ -167,9 +174,9 @@ def _reference_design_matrix(texts, fcfg):
     [
         FeatureConfig(dimension=1 << 10),
         FeatureConfig(dimension=1 << 18),
-        FeatureConfig(dimension=1 << 10, ngram_min=1, ngram_max=3, lowercase=False),
-        FeatureConfig(dimension=1 << 12, ngram_min=2, ngram_max=2),
-        FeatureConfig(dimension=1 << 48, ngram_min=1, ngram_max=3),
+        FeatureConfig(dimension=1 << 11),
+        FeatureConfig(dimension=1 << 12),
+        FeatureConfig(dimension=1 << 48),
     ],
 )
 def test_design_matrix_matches_featurize_dicts(fcfg):
@@ -198,19 +205,15 @@ _PIECES = ["mass", "Mass", "MASS", "lesion", "7", "T2", "a", "\u212a", "\u212ael
     ),
     separators=st.lists(st.sampled_from([" ", "  ", ", ", "\n", "-", ""]), min_size=1, max_size=4),
     n_texts=st.integers(1, 2 * _SCORE_BLOCK + 40),
-    ngrams=st.sampled_from([(1, 1), (1, 2), (1, 3), (2, 3), (3, 3)]),
-    lowercase=st.booleans(),
     dimension=st.sampled_from([1 << 10, 1 << 18]),
 )
-@example(pieces=[["mass"]], separators=[" "], n_texts=2 * _SCORE_BLOCK + 1,
-         ngrams=(3, 3), lowercase=True, dimension=1 << 10)
-@example(pieces=[["\u212a", "Mass", "\u212aelvin"]], separators=[" "], n_texts=3,
-         ngrams=(1, 3), lowercase=True, dimension=1 << 18)
-def test_featurize_matches_scalar_reference_property(pieces, separators, n_texts, ngrams, lowercase, dimension):
-    # every text keeps an ASCII token, so none is empty under either case rule
+@example(pieces=[["mass"]], separators=[" "], n_texts=2 * _SCORE_BLOCK + 1, dimension=1 << 10)
+@example(pieces=[["\u212a", "Mass", "\u212aelvin"]], separators=[" "], n_texts=3, dimension=1 << 18)
+def test_featurize_matches_scalar_reference_property(pieces, separators, n_texts, dimension):
+    # every text keeps an ASCII token, so none is empty
     distinct = [separators[i % len(separators)].join(p) + " w" for i, p in enumerate(pieces)]
     texts = [distinct[i % len(distinct)] for i in range(n_texts)]
-    fcfg = FeatureConfig(dimension=dimension, ngram_min=ngrams[0], ngram_max=ngrams[1], lowercase=lowercase)
+    fcfg = FeatureConfig(dimension=dimension)
     X = featurize(texts, fcfg)
     data, indices, indptr = _reference_design_matrix(texts, fcfg)
     assert X.shape == (n_texts, dimension)
@@ -229,9 +232,9 @@ def _reference_train(examples, cfg, fcfg):
     order = list(range(len(ordered)))
     for _ in range(cfg.epochs):
         rng.shuffle(order)
-        for start in range(0, len(order), cfg.batch_size):
-            batch = order[start : start + cfg.batch_size]
-            _, gw, gb = objective_and_gradient(X[batch], y[batch], w, b, cfg.pos_weight, cfg.l2)
+        for start in range(0, len(order), classifier._BATCH_SIZE):
+            batch = order[start : start + classifier._BATCH_SIZE]
+            _, gw, gb = objective_and_gradient(X[batch], y[batch], w, b, cfg.pos_weight, classifier._L2)
             w -= cfg.learning_rate * gw
             b -= cfg.learning_rate * gb
     return w, b
@@ -239,7 +242,9 @@ def _reference_train(examples, cfg, fcfg):
 
 @pytest.mark.parametrize("l2", [0.0, 1e-6, 1e-2])
 @pytest.mark.parametrize("dim", [1 << 10, 1 << 16])
-def test_train_on_used_columns_matches_full_width_bitwise(l2, dim):
+def test_train_on_used_columns_matches_full_width_bitwise(l2, dim, monkeypatch):
+    monkeypatch.setattr(classifier, "_L2", l2)
+    monkeypatch.setattr(classifier, "_BATCH_SIZE", 16)
     rng = np.random.default_rng(6)
     vocab = ["mass", "lesion", "normal", "stable", "clear", "edema", "no", "acute"]
     # shared words repeat columns within a batch; one rare word per text gives
@@ -249,7 +254,7 @@ def test_train_on_used_columns_matches_full_width_bitwise(l2, dim):
          Label.NORMAL if i % 3 == 0 else Label.ABNORMAL)
         for i in range(90)
     ]
-    cfg = TrainConfig(epochs=4, seed=2, l2=l2, batch_size=16)
+    cfg = TrainConfig(epochs=4, seed=2)
     fcfg = FeatureConfig(dimension=dim)
     model = train(examples, cfg, fcfg)
     w, b = _reference_train(examples, cfg, fcfg)
@@ -301,13 +306,17 @@ def test_train_requires_both_classes():
 
 
 def test_classify_tie_goes_abnormal():
-    m = train(_toy_examples(), TrainConfig(epochs=2, seed=0), FeatureConfig(dimension=1 << 10))
-    # threshold 1.0 can never be exceeded, so everything is Abnormal
-    assert classify(m, ["unremarkable stable normal examination"], threshold=1.0 - EPS) == [Label.ABNORMAL]
-    # a probability exactly at the threshold is a tie
     texts = ["unremarkable stable normal examination", "new mass identified in the brain"]
-    p = predict(m, texts)
-    assert classify(m, texts, threshold=p[0]) == [Label.ABNORMAL, Label.ABNORMAL]
+    # an all-zero model scores p = 0.5 exactly: a tie
+    tie = LinearModel(weights=np.zeros(1 << 10), bias=0.0,
+                      config=FeatureConfig(dimension=1 << 10), pos_weight=10.0)
+    assert predict(tie, texts).tolist() == [0.5, 0.5]
+    assert classify(tie, texts) == [Label.ABNORMAL, Label.ABNORMAL]
+    # the smallest step above 0.5 is Normal
+    above = LinearModel(weights=np.zeros(1 << 10), bias=1e-15,
+                        config=FeatureConfig(dimension=1 << 10), pos_weight=10.0)
+    assert predict(above, texts)[0] > 0.5
+    assert classify(above, texts) == [Label.NORMAL, Label.NORMAL]
 
 
 def test_predict_in_open_interval():

@@ -3,6 +3,8 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from normcharts.cli import (
     DEFAULT_SEEDS,
@@ -245,6 +247,54 @@ def test_triage_fixture_without_a_column_is_schema_error(tmp_path, capsys, colum
     assert not out.exists()
 
 
+@pytest.mark.parametrize("case", ["repeated_row", "row_without_response_text"])
+def test_triage_fixture_bad_row_is_schema_error_at_its_line(tmp_path, capsys, case):
+    lines = data_file("edge_case_responses.tsv").read_text().splitlines()
+    if case == "repeated_row":
+        lines.insert(4, lines[2].split("\t", 2)[0] + "\t" + lines[2].split("\t", 2)[1] + "\tYes.")
+    else:
+        lines[4] = "\t".join(lines[4].split("\t")[:2])
+    fixture = tmp_path / "fixture.tsv"
+    fixture.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "triage.csv"
+    rc = main(["triage", "--reports", str(data_file("edge_case_reports.jsonl")),
+               "--mode", "stepwise", "--fixture", str(fixture), "--out", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {fixture}:5: ")
+    assert ("repeated" if case == "repeated_row" else "no response_text cell") in err
+    assert err.count("\n") == 1 and not out.exists()
+
+
+BAD_GRADES = "grades must be a non-empty list of 0, 1 or 2"
+
+
+@pytest.mark.parametrize("line, message", [
+    ('{"report_id": "a", "grades": [1e999]}', BAD_GRADES),
+    ('{"report_id": "a", "grades": "22"}', BAD_GRADES),
+    ('{"report_id": "a", "grades": [1.9, 1.9]}', BAD_GRADES),
+    ('{"report_id": "a", "grades": [2.0, 2]}', BAD_GRADES),
+    ('{"report_id": "a", "grades": [true, 2]}', BAD_GRADES),
+    ('{"report_id": "a", "grades": []}', BAD_GRADES),
+    ('{"report_id": "a", "grades": [3]}', BAD_GRADES),
+    ('{"report_id": "a", "grades": 2}', BAD_GRADES),
+    ('{"report_id": "a"}', BAD_GRADES),
+    ('{"grades": [2]}', "missing key 'report_id'"),
+    ('[2, 2]', "expected a JSON object"),
+    ('{"report_id": "a", "grades": [2', "invalid JSON"),
+])
+def test_bad_annotation_line_is_data_error_at_its_line(tmp_path, capsys, line, message):
+    annotations = tmp_path / "annotations.jsonl"
+    annotations.write_text('{"report_id": "ok", "grades": [0, 1, 2]}\n' + line + "\n")
+    out = tmp_path / "labels.csv"
+    rc = main(["label", "--reports", str(data_file("edge_case_reports.jsonl")),
+               "--annotations", str(annotations), "--out", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {annotations}:2: {message}")
+    assert err.count("\n") == 1 and not out.exists()
+
+
 def test_growth_pipeline_chain(tmp_path, capsys):
     from normcharts.cli import _default_truth
     from normcharts.phenotype import synth_cohort, write_phenotype_csv
@@ -284,7 +334,7 @@ def test_growth_pipeline_chain(tmp_path, capsys):
     assert "pearson_r: 1.000000" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("damage", ["intact", "truncated", "padded", "bad_dimension"])
+@pytest.mark.parametrize("damage", ["intact", "truncated", "padded", "bad_dimension", "trigrams"])
 def test_eval_rejects_model_file_of_wrong_size(tmp_path, capsys, damage):
     import numpy as np
 
@@ -297,8 +347,10 @@ def test_eval_rejects_model_file_of_wrong_size(tmp_path, capsys, damage):
     blob = model_path.read_bytes()
     # consistent length, but a header dimension FeatureConfig rejects
     bad_dimension = _HEADER.pack(b"NCLM", 1, 1000, 1, 2, 1, 10.0) + bytes(8 * 1000 + 8)
+    # the right length, but features of an n-gram range (1, 3) that featurize no longer builds
+    trigrams = _HEADER.pack(b"NCLM", 1, 1 << 10, 1, 3, 1, 10.0) + blob[_HEADER.size:]
     model_path.write_bytes({"intact": blob, "truncated": blob[:-1], "padded": blob + b"\0",
-                            "bad_dimension": bad_dimension}[damage])
+                            "bad_dimension": bad_dimension, "trigrams": trigrams}[damage])
     gold = data_file("edge_case_gold.csv")
     split_path = tmp_path / "split.csv"
     with open(split_path, "w", newline="") as f:
@@ -317,6 +369,8 @@ def test_eval_rejects_model_file_of_wrong_size(tmp_path, capsys, damage):
     assert rc == 3
     assert err.count("\n") == 1
     assert str(model_path) in err and "Traceback" not in err
+    if damage == "trigrams":
+        assert err == f"data error: {model_path}: n-gram range and case (1, 3, 1), expected (1, 2, 1)\n"
 
 
 def test_eval_on_empty_subset_is_data_error(tmp_path, capsys):
@@ -433,10 +487,101 @@ def test_unknown_region_is_config_error_without_run_dir(tmp_path, capsys):
 def test_ini_sections_cover_every_config_field():
     from dataclasses import fields
 
-    from normcharts.cli import _INI_SECTIONS
+    # every field names its section, and the fields come in config.ini's order
+    sections = [f.metadata["section"] for f in fields(PipelineConfig)]
+    assert sections == ["paths"] * 6 + ["train"] * 9 + ["growth"] * 6
 
-    listed = [name for names in _INI_SECTIONS.values() for name in names]
-    assert sorted(listed) == sorted(f.name for f in fields(PipelineConfig))
+
+# Settings that used to fail only once a run was under way (a numerical
+# failure, or a ZeroDivisionError for n_scanners = 0), or were accepted.
+BAD_SETTINGS = [
+    ("train", "dimension = 1000", "dimension"),
+    ("train", "epochs = 0", "epochs"),
+    ("train", "pos_weight = -1", "pos_weight"),
+    ("train", "pos_weight = inf", "pos_weight"),
+    ("train", "learning_rate = nan", "learning_rate"),
+    ("growth", "n_sessions = 0", "n_sessions"),
+    ("growth", "n_scanners = 0", "n_scanners"),
+    ("growth", "ridge_lambda = -5", "ridge_lambda"),
+    ("growth", "ridge_lambda = nan", "ridge_lambda"),
+]
+
+
+@pytest.mark.parametrize("section, line, name", BAD_SETTINGS)
+@pytest.mark.parametrize("experiment", ["exp2_weighted", "exp6_growthcharts"])
+def test_bad_setting_exits_2_without_run_dir(tmp_path, capsys, section, line, name, experiment):
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(f"[{section}]\n{line}\n")
+    out = tmp_path / "runs"
+    rc = main(["run-experiment", experiment, "--config", str(cfg_path), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and name in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [["--epochs", "0"], ["--pos-weight", "-1"], ["--learning-rate", "inf"]])
+def test_train_with_a_bad_setting_exits_2(tmp_path, capsys, flags):
+    gold = str(data_file("edge_case_gold.csv"))
+    split = tmp_path / "split.csv"
+    _write_csv(split, ["report_id", "subset"],
+               [[row["report_id"], "Train"] for row in read_metrics(gold)])
+    out = tmp_path / "m.bin"
+    rc = main(["train", "--reports", str(data_file("edge_case_reports.jsonl")), "--labels", gold,
+               "--split", str(split), "--out", str(out), *flags])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and flags[0].lstrip("-").replace("-", "_") in err
+    assert err.count("\n") == 1 and not out.exists()
+
+
+def test_percent_signs_are_kept_in_config_ini(tmp_path, capsys, monkeypatch):
+    # config.ini has no % interpolation: a path is read back as written
+    monkeypatch.chdir(tmp_path)
+    assert main(["run-experiment", "exp5_stepwise", "--out", "runs%1"]) == 0
+    run_dir = next((tmp_path / "runs%1").iterdir())
+    assert load_config(str(run_dir / "config.ini")) == PipelineConfig(out_dir="runs%1")
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text("[paths]\nreports = my%20reports.jsonl\nout_dir = %(here)s\n")
+    cfg = load_config(str(cfg_path))
+    assert (cfg.reports_path, cfg.out_dir) == ("my%20reports.jsonl", "%(here)s")
+
+
+# A path or site: no blank at either end (configparser strips them) and no
+# line break; "%" and "$" included.
+_INI_TEXT = st.text(alphabet="abcXYZ019/._-%${}() ", min_size=1, max_size=12).map(str.strip).filter(bool)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    paths=st.fixed_dictionaries({
+        name: st.none() | _INI_TEXT
+        for name in ("reports_path", "annotations_path", "phenotypes_path", "fixture_path", "gold_path")
+    }),
+    out_dir=_INI_TEXT,
+    seeds=st.lists(st.integers(-(2**63), 2**64), min_size=1, max_size=5).map(tuple),
+    pos_weight=st.floats(min_value=1e-300, max_value=1e300),
+    epochs=st.integers(1, 10**6),
+    learning_rate=_FINITE,
+    dimension=st.sampled_from([1 << k for k in range(10, 49)]),
+    cutoff_year=st.integers(-3000, 3000),
+    holdout_site=st.none() | _INI_TEXT,
+    synth_n=st.integers(0, 10**6),
+    abnormal_fraction=_FINITE,
+    n_sessions=st.integers(1, 10**6),
+    n_scanners=st.integers(1, 1000),
+    ridge_lambda=st.floats(min_value=0.0, max_value=1e300),
+    sigma_age=st.booleans(),
+    fp1_only=st.booleans(),
+    region=st.sampled_from(["vol_cortical_gm", "vol_ventricles", "vol_tiv"]),
+)
+def test_config_ini_round_trip_property(tmp_path_factory, paths, **values):
+    cfg = PipelineConfig(**paths, **values)
+    path = tmp_path_factory.mktemp("ini") / "cfg.ini"
+    path.write_text(cfg.to_ini())
+    assert load_config(str(path)) == cfg
 
 
 def test_run_experiment_rejects_unknown_name():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import integrate, optimize, special, stats
 
-from normcharts.errors import DegenerateInput, DomainError, InvalidParams, ShapeError
+from normcharts.errors import ConfigError, DegenerateInput, DomainError, InvalidParams, ShapeError
 from normcharts import growthchart
 from normcharts.growthchart import (
     FP_POWERS,
@@ -17,6 +17,7 @@ from normcharts.growthchart import (
     GGParams,
     GrowthModel,
     NU_BOUNDS,
+    PERCENTILES,
     _basis_matrix,
     _converged,
     _neg_penalized_loglik,
@@ -309,8 +310,15 @@ def test_objective_gradient_matches_finite_differences():
         assert grad[k] == pytest.approx(numeric, rel=1e-4, abs=1e-6)
 
 
+@pytest.mark.parametrize("ridge_lambda", [-5.0, -1e-300, math.inf, math.nan])
+def test_fit_options_reject_a_negative_or_non_finite_ridge(ridge_lambda):
+    with pytest.raises(ConfigError, match="ridge_lambda"):
+        FitOptions(ridge_lambda=ridge_lambda)
+    assert FitOptions(ridge_lambda=0.0).ridge_lambda == 0.0
+
+
 def quick_options(**kw):
-    defaults = dict(fp_candidates=[FpSpec(1, (0.5,))], sigma_age=False, n_restarts=1)
+    defaults = dict(fp_candidates=[FpSpec(1, (0.5,))], sigma_age=False)
     defaults.update(kw)
     return FitOptions(**defaults)
 
@@ -353,7 +361,7 @@ def test_single_sex_cohort_warns_and_zeroes_coefficient():
 def test_fit_loglik_at_least_truth_loglik():
     truth = small_truth()
     cohort = build_cohort(8, 300, truth)
-    model = fit(cohort, Region.CORTICAL_GM, quick_options(n_restarts=2))
+    model = fit(cohort, Region.CORTICAL_GM, quick_options())
     truth_ll = sum(
         gg_logpdf(
             y, params_at(truth, age, female, scanner)
@@ -439,10 +447,10 @@ def test_percentile_curves_match_per_age_quantiles():
     model, _ = fitted_model()
     grid = np.linspace(0.5, 19.0, 57)
     for sex in (Sex.F, Sex.M):
-        curves = percentile_curves(model, grid, sex, probs=(0.01, 0.5, 0.9))
-        assert list(curves) == ["age_years", "p1", "p50", "p90"]
+        curves = percentile_curves(model, grid, sex)
+        assert list(curves) == ["age_years", "p2.5", "p50", "p97.5"]
         assert curves["age_years"].tolist() == grid.tolist()
-        for q, column in ((0.01, "p1"), (0.5, "p50"), (0.9, "p90")):
+        for q, column in zip(PERCENTILES, ("p2.5", "p50", "p97.5")):
             want = [gg_quantile(q, params_at(model, age, sex is Sex.F)) for age in grid.tolist()]
             assert curves[column].tobytes() == np.array(want).tobytes()
 
@@ -457,10 +465,11 @@ def test_percentile_curves_ordered_and_invertible():
     assert gg_cdf(curves["p97.5"], p) == pytest.approx(np.full(len(grid), 0.975), abs=1e-6)
 
 
-def test_percentile_curves_reject_bad_probs():
+def test_percentile_curves_reject_bad_probs(monkeypatch):
     model, _ = fitted_model()
+    monkeypatch.setattr(growthchart, "PERCENTILES", (0.0, 0.5))
     with pytest.raises(DomainError):
-        percentile_curves(model, [5.0], Sex.M, probs=(0.0, 0.5))
+        percentile_curves(model, [5.0], Sex.M)
 
 
 def test_compare_centiles_reference_values():
@@ -576,14 +585,15 @@ def test_one_start_per_candidate_when_it_converges(monkeypatch):
     calls = _count_minimize(monkeypatch)
     cohort = build_cohort(13, 300, small_truth())
     specs = [FpSpec(1, (0.5,)), FpSpec(2, (-1.0, 2.0))]
-    model = fit(cohort, Region.CORTICAL_GM, quick_options(fp_candidates=specs, n_restarts=3))
+    model = fit(cohort, Region.CORTICAL_GM, quick_options(fp_candidates=specs))
     assert model.converged
     assert len(calls) == len(specs)
 
 
 def test_every_start_runs_while_none_converges(monkeypatch):
     calls = _count_minimize(monkeypatch)
+    monkeypatch.setattr(growthchart, "_MAX_ITER", 1)
     cohort = build_cohort(13, 300, small_truth())
-    model = fit(cohort, Region.CORTICAL_GM, quick_options(n_restarts=3, max_iter=1))
+    model = fit(cohort, Region.CORTICAL_GM, quick_options())
     assert not model.converged
-    assert len(calls) == 3
+    assert len(calls) == len(growthchart._NU_STARTS) == 3

@@ -161,13 +161,13 @@ class FailingSource:
 
 def test_run_inquiry_retry_then_success():
     src = FailingSource(failures=2)
-    rec = run_inquiry(make_report(), InquiryMode.DIRECT, src, retries=2)
+    rec = run_inquiry(make_report(), InquiryMode.DIRECT, src)
     assert rec.answers[QuestionId.Q1] is Verdict.NO
 
 
 def test_run_inquiry_exhausted_retries_unparsed():
     src = FailingSource(failures=10)
-    rec = run_inquiry(make_report(), InquiryMode.DIRECT, src, retries=2)
+    rec = run_inquiry(make_report(), InquiryMode.DIRECT, src)
     assert rec.answers[QuestionId.Q1] is Verdict.UNPARSED
     assert rec.label is Label.ABNORMAL
     assert src.calls == 3
