@@ -1,15 +1,22 @@
 """Reference text classifier: hashed 1- and 2-gram features of lowercased tokens,
-sigmoid linear model, weighted cross-entropy with a configurable minority-class penalty."""
+sigmoid linear model, weighted cross-entropy with a configurable minority-class penalty.
+
+The design matrix is a `CsrMatrix`: the three compressed-sparse-row arrays
+`data`, `indices` and `indptr`, the shape, and the row of every nonzero.  Its
+two products are `np.bincount` sums over the nonzeros in storage order,
+starting from 0.  That is the order in which scipy.sparse's CSR kernel adds
+up `X @ w` and its CSC kernel adds up `X.T @ c`, so both agree with scipy bit
+for bit, and a trained model's bytes do not depend on which one computed it.
+"""
 
 import itertools
 import math
 import re
 import struct
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .corpus import SplitMix64
 from .errors import ConfigError, Divergence, EmptyInput, InvalidParams, MissingClass, SchemaError
@@ -61,8 +68,8 @@ class TrainConfig:
     def __post_init__(self):
         if not 0.0 < self.pos_weight < math.inf:
             raise ConfigError(f"pos_weight must be positive and finite, got {self.pos_weight}")
-        if not math.isfinite(self.learning_rate):
-            raise ConfigError(f"learning_rate must be finite, got {self.learning_rate}")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ConfigError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
 
@@ -126,7 +133,39 @@ def _block_counts(texts: Sequence[str], config: FeatureConfig, first_row: int):
     return nnz, (distinct & mask).astype(np.int64), counts.astype(np.float64)
 
 
-def featurize(texts: Sequence[str], config: FeatureConfig) -> sparse.csr_matrix:
+class CsrMatrix(NamedTuple):
+    """A sparse matrix in compressed sparse row form.
+
+    Row r holds data[indptr[r] : indptr[r + 1]] in columns indices[same
+    slice]; rows[k] is the row of nonzero k.
+    """
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    rows: np.ndarray
+    shape: tuple[int, int]
+
+    def matvec(self, w: np.ndarray) -> np.ndarray:
+        """X @ w."""
+        return np.bincount(self.rows, weights=self.data * w[self.indices], minlength=self.shape[0])
+
+    def rmatvec(self, c: np.ndarray) -> np.ndarray:
+        """X.T @ c."""
+        return np.bincount(self.indices, weights=self.data * c[self.rows], minlength=self.shape[1])
+
+    def take_rows(self, which: np.ndarray) -> "CsrMatrix":
+        """Rows `which`, in that order, as a new matrix: scipy's X[which]."""
+        starts = self.indptr[which]
+        lengths = self.indptr[which + 1] - starts
+        indptr = np.zeros(len(which) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=indptr[1:])
+        src = np.repeat(starts - indptr[:-1], lengths) + np.arange(indptr[-1])
+        rows = np.repeat(np.arange(len(which)), lengths)
+        return CsrMatrix(self.data[src], self.indices[src], indptr, rows, (len(which), self.shape[1]))
+
+
+def featurize(texts: Sequence[str], config: FeatureConfig) -> CsrMatrix:
     """Hashed word 1- and 2-gram counts: one CSR row per text, sorted column indices per row."""
     nnz, indices, counts = map(np.concatenate, zip(*(
         _block_counts(texts[start : start + _SCORE_BLOCK], config, start)
@@ -134,7 +173,8 @@ def featurize(texts: Sequence[str], config: FeatureConfig) -> sparse.csr_matrix:
     )))
     indptr = np.zeros(len(texts) + 1, dtype=np.int64)
     np.cumsum(nnz, out=indptr[1:])
-    return sparse.csr_matrix((counts, indices, indptr), shape=(len(texts), config.dimension))
+    rows = np.repeat(np.arange(len(texts)), nnz)
+    return CsrMatrix(counts, indices, indptr, rows, (len(texts), config.dimension))
 
 
 @dataclass
@@ -157,7 +197,7 @@ def _sigmoid(z):
 
 
 def objective_and_gradient(
-    X: sparse.csr_matrix,
+    X: CsrMatrix,
     y: np.ndarray,
     weights: np.ndarray,
     bias: float,
@@ -166,15 +206,15 @@ def objective_and_gradient(
 ) -> tuple[float, np.ndarray, float]:
     """Mean weighted cross-entropy + l2 penalty, with its analytic gradient."""
     n = X.shape[0]
-    z = X @ weights + bias
+    z = X.matvec(weights) + bias
     p = np.clip(_sigmoid(z), EPS, 1.0 - EPS)
     sample_w = np.where(y == 1, pos_weight, 1.0)
     loss = -np.mean(sample_w * (y * np.log(p) + (1 - y) * np.log(1.0 - p)))
     loss += l2 * float(weights @ weights)
     coef = sample_w * (p - y) / n
-    grad_w = X.T @ coef + 2.0 * l2 * weights
+    grad_w = X.rmatvec(coef) + 2.0 * l2 * weights
     grad_b = float(np.sum(coef))
-    return float(loss), np.asarray(grad_w).ravel(), grad_b
+    return float(loss), grad_w, grad_b
 
 
 def train(
@@ -205,7 +245,7 @@ def train(
     # so its weight stays exactly 0: SGD runs on the used columns only.  Rows
     # keep their order, so the weights come out bit for bit as at full width.
     used, renumbered = np.unique(X.indices, return_inverse=True)
-    X_used = sparse.csr_matrix((X.data, renumbered, X.indptr), shape=(n, len(used)))
+    X_used = X._replace(indices=renumbered, shape=(n, len(used)))
 
     w_used = np.zeros(len(used))
     bias = 0.0
@@ -214,10 +254,11 @@ def train(
     loss = float("nan")
     for _ in range(cfg.epochs):
         rng.shuffle(order)
+        perm = np.array(order)
         for start in range(0, n, _BATCH_SIZE):
-            batch = order[start : start + _BATCH_SIZE]
+            batch = perm[start : start + _BATCH_SIZE]
             loss, gw, gb = objective_and_gradient(
-                X_used[batch], y[batch], w_used, bias, cfg.pos_weight, _L2
+                X_used.take_rows(batch), y[batch], w_used, bias, cfg.pos_weight, _L2
             )
             if not np.isfinite(loss):
                 raise Divergence(f"non-finite loss {loss}")
@@ -237,7 +278,7 @@ def predict(model: LinearModel, texts: Sequence[str]) -> np.ndarray:
     for start in range(0, len(texts), _SCORE_BLOCK):
         block = texts[start : start + _SCORE_BLOCK]
         try:
-            z[start : start + len(block)] = featurize(block, model.config) @ model.weights
+            z[start : start + len(block)] = featurize(block, model.config).matvec(model.weights)
         except EmptyInput as e:
             raise _no_tokens(start + e.row) from None
     return np.clip(_sigmoid(z + model.bias), EPS, 1.0 - EPS)

@@ -89,6 +89,10 @@ class PipelineConfig:
             raise ConfigError(
                 f"n_sessions and n_scanners must be >= 1, got {self.n_sessions} and {self.n_scanners}"
             )
+        if self.synth_n < 1:
+            raise ConfigError(f"synth_n must be >= 1, got {self.synth_n}")
+        if not 0.0 < self.abnormal_fraction < 1.0:  # false for nan too
+            raise ConfigError(f"abnormal_fraction must be in (0, 1), got {self.abnormal_fraction}")
         # the settings objects the protocols build check the rest, before any run directory exists
         classifier.TrainConfig(
             pos_weight=self.pos_weight, learning_rate=self.learning_rate, epochs=self.epochs

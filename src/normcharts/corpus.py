@@ -4,11 +4,14 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Optional, Sequence
 
+import numpy as np
+
 from .errors import DuplicateId, MissingClass
 from .labeling import Label
 from .report_text import Report
 
 MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
 
 
 class Subset(Enum):
@@ -28,7 +31,7 @@ class SplitMix64:
         self.state = seed & MASK64
 
     def next(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & MASK64
+        self.state = (self.state + _GAMMA) & MASK64
         z = self.state
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
@@ -45,10 +48,32 @@ class SplitMix64:
                 return x % n
 
     def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.below(i + 1)
+        """In-place Fisher-Yates shuffle.
+
+        splitmix64 is counter-based: draw k mixes state + k * gamma.  So the
+        draws of a whole shuffle are computed at once in wrapping uint64
+        arithmetic, as `below` would make them when it rejects none; if any
+        is rejected, the scalar loop runs instead.  Either way the
+        permutation and the state afterwards are the same.
+        """
+        n = np.arange(len(items), 1, -1, dtype=np.uint64)  # draw k picks j in [0, n[k])
+        z = np.arange(1, len(n) + 1, dtype=np.uint64) * np.uint64(_GAMMA) + np.uint64(self.state)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        z ^= z >> np.uint64(31)
+        if _all_within_limits(z, n):
+            self.state = (self.state + len(n) * _GAMMA) & MASK64
+            picks = (z % n).tolist()
+        else:
+            picks = [self.below(k) for k in n.tolist()]
+        for i, j in zip(range(len(items) - 1, 0, -1), picks):
             items[i], items[j] = items[j], items[i]
+
+
+def _all_within_limits(draws: np.ndarray, n: np.ndarray) -> bool:
+    """Whether `below(n[k])` accepts every draws[k]: each is at most MASK64 - 2**64 % n[k]."""
+    # 2**64 % n == (2**64 - n) % n, and 0 - n wraps to 2**64 - n
+    return bool(np.all(draws <= np.uint64(MASK64) - (np.uint64(0) - n) % n))
 
 
 @dataclass(frozen=True)

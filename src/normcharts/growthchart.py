@@ -9,6 +9,9 @@ links. The location predictor is an intercept, a fractional-polynomial basis
 of age in years, a sex indicator (1 for F), and per-scanner intercepts kept
 mean-zero by a ridge penalty. sigma is log-linear with an optional
 fractional-polynomial age term; nu is a constant shape.
+
+scipy.special and scipy.optimize are imported inside the functions that call
+them: every CLI command imports this module, and most never fit or score.
 """
 
 import itertools
@@ -19,7 +22,6 @@ from dataclasses import asdict, dataclass
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
-from scipy import optimize, special
 
 from .errors import ConfigError, DegenerateInput, DomainError, InvalidParams, SchemaError, ShapeError
 from .phenotype import Region, SessionTable
@@ -97,6 +99,8 @@ def _gg_terms(logy, log_mu, log_sigma, nu: float):
     Returns (logpdf, w, z, theta, log theta) with w = log y - log mu and
     z = exp(nu w); overflow is left to the caller to detect.
     """
+    from scipy import special
+
     with np.errstate(over="ignore", invalid="ignore"):
         w = logy - log_mu
         theta = np.exp(-2.0 * log_sigma) / (nu * nu)
@@ -119,6 +123,8 @@ def gg_logpdf(y, p: GGParams):
 
 
 def gg_cdf(y, p: GGParams):
+    from scipy import special
+
     y = _positive(y, "support is y > 0")
     theta = p.theta
     x = theta * np.exp(p.nu * (np.log(y) - np.log(p.mu)))
@@ -129,6 +135,8 @@ def gg_cdf(y, p: GGParams):
 def gg_quantile(q, p: GGParams):
     """Closed-form inverse of gg_cdf: y = mu * (G / theta)^(1/nu), where G
     solves P(theta, G) = q for nu > 0 and Q(theta, G) = q for nu < 0."""
+    from scipy import special
+
     q = np.asarray(q, dtype=float)
     inside = (q > 0.0) & (q < 1.0)
     if not np.all(inside):
@@ -224,6 +232,8 @@ def _neg_penalized_loglik(vec, logy, x_mu, x_sigma, scanner_idx, n_scanners, lam
     Layout of vec: mu coefficients, scanner intercepts, sigma coefficients,
     nu. Returns (_BIG, zeros) on numerical blow-up so the optimizer backs off.
     """
+    from scipy import special
+
     p_mu = x_mu.shape[1]
     p_sig = x_sigma.shape[1]
     beta_mu = vec[:p_mu]
@@ -280,7 +290,7 @@ _MAX_ITER = 400
 _TOL = 1e-3
 
 
-def _converged(res: optimize.OptimizeResult, tol: float) -> bool:
+def _converged(res, tol: float) -> bool:
     """Whether a fit converged: the minimiser says so, or its gradient
     projected onto the bounds is below tol.  A shape component sitting on a
     bound of NU_BOUNDS and pushing outward cannot move, so it counts as zero.
@@ -321,6 +331,8 @@ def _fit_one(logy, x_mu, x_sigma, scanner_idx, n_scanners, ridge_lambda):
     fit converged. A further seeded start runs, one per _NU_STARTS shape,
     only while the best start so far has not converged.
     """
+    from scipy import optimize
+
     n = logy.size
     p_mu = x_mu.shape[1]
     p_sig = x_sigma.shape[1]

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Protocol, Sequence
 
-import requests
-
 from .errors import ClientError, IncompleteRecord, MissingGold, SchemaError
 from .labeling import Label
 from .metrics import EvalResult, confusion
@@ -145,6 +143,8 @@ class HttpAnswerSource:
         self.token = os.environ.get("NORMCHARTS_LLM_TOKEN", "")
 
     def answer(self, report_id: str, question: QuestionId, prompt: str) -> str:
+        import requests  # here, not at module level: only a live endpoint needs it
+
         headers = {"Content-Type": "application/json"}
         if self.token:
             headers["Authorization"] = f"Bearer {self.token}"

@@ -9,6 +9,7 @@ from scipy import sparse
 from normcharts import classifier
 from normcharts.classifier import (
     EPS,
+    CsrMatrix,
     FeatureConfig,
     LinearModel,
     TrainConfig,
@@ -44,8 +45,8 @@ def test_featurize_counts_unigrams_and_bigrams():
     cfg = FeatureConfig()
     feats = featurize(["mass mass lesion"], cfg)
     # 2 unigram buckets (mass x2, lesion) and 2 bigrams (mass mass, mass lesion)
-    assert feats.sum() == 5
-    assert feats.max() == 2
+    assert feats.data.sum() == 5
+    assert feats.data.max() == 2
 
 
 def test_featurize_empty_raises():
@@ -85,17 +86,29 @@ def test_feature_config_validation():
 @pytest.mark.parametrize("kwargs", [
     {"epochs": 0}, {"pos_weight": 0.0}, {"pos_weight": -1.0}, {"pos_weight": math.inf},
     {"pos_weight": math.nan}, {"learning_rate": math.inf}, {"learning_rate": math.nan},
+    {"learning_rate": 0.0}, {"learning_rate": -50.0},
 ])
 def test_train_config_validation(kwargs):
     with pytest.raises(ConfigError, match=next(iter(kwargs))):
         TrainConfig(**kwargs)
 
 
+def _from_scipy(m) -> CsrMatrix:
+    """The CsrMatrix of a scipy.sparse matrix (or of a dense array)."""
+    m = sparse.csr_matrix(m)
+    rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+    return CsrMatrix(m.data, m.indices, m.indptr, rows, m.shape)
+
+
+def _to_scipy(X: CsrMatrix) -> sparse.csr_matrix:
+    return sparse.csr_matrix((X.data, X.indices, X.indptr), shape=X.shape)
+
+
 def _one_row_loss(y, p, pos_weight):
     """The weighted loss of one example scored p: a one-row objective, l2 = 0."""
     with np.errstate(divide="ignore"):
         bias = float(np.log(p) - np.log1p(-p))
-    X = sparse.csr_matrix(np.ones((1, 1)))
+    X = _from_scipy(np.ones((1, 1)))
     loss, _, _ = objective_and_gradient(X, np.array([float(y)]), np.zeros(1), bias, pos_weight, 0.0)
     return loss
 
@@ -144,6 +157,43 @@ def test_gradient_matches_central_differences():
         wm[j] -= h
         num = (f(wp, b) - f(wm, b)) / (2 * h)
         assert gw[j] == pytest.approx(num, rel=1e-5, abs=1e-10)
+
+
+_VALUES = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _csr_products(draw):
+    """A random CsrMatrix, empty rows included, a vector for each of its products, and rows to take."""
+    n_rows = draw(st.just(classifier._BATCH_SIZE) | st.integers(0, 70))
+    n_cols = draw(st.integers(1, 30))
+    row_cols = draw(st.lists(
+        st.lists(st.integers(0, n_cols - 1), unique=True, max_size=6).map(sorted),
+        min_size=n_rows, max_size=n_rows,
+    ))
+    nnz = sum(map(len, row_cols))
+    data = np.array(draw(st.lists(_VALUES, min_size=nnz, max_size=nnz)), dtype=float)
+    indices = np.array([j for cols in row_cols for j in cols], dtype=np.int64)
+    indptr = np.cumsum([0] + [len(cols) for cols in row_cols], dtype=np.int64)
+    rows = np.repeat(np.arange(n_rows), np.diff(indptr))
+    w = np.array(draw(st.lists(_VALUES, min_size=n_cols, max_size=n_cols)))
+    c = np.array(draw(st.lists(_VALUES, min_size=n_rows, max_size=n_rows)))
+    which = draw(st.lists(st.integers(0, n_rows - 1), max_size=70) if n_rows else st.just([]))
+    which = np.array(which, dtype=np.int64)
+    return CsrMatrix(data, indices, indptr, rows, (n_rows, n_cols)), w, c, which
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_csr_products())
+def test_csr_matrix_equals_scipy_bitwise(case):
+    X, w, c, which = case
+    reference = _to_scipy(X)
+    assert X.matvec(w).tobytes() == (reference @ w).tobytes()
+    assert X.rmatvec(c).tobytes() == (reference.T @ c).tobytes()
+    taken, expected = X.take_rows(which), _from_scipy(reference[which])
+    assert taken.shape == expected.shape
+    for name in ("data", "indices", "indptr", "rows"):
+        assert np.array_equal(getattr(taken, name), getattr(expected, name)), name
 
 
 def _reference_counts(text, fcfg):
@@ -225,7 +275,8 @@ def test_featurize_matches_scalar_reference_property(pieces, separators, n_texts
 def _reference_train(examples, cfg, fcfg):
     """The full-width SGD loop: every step updates all `dimension` weights."""
     ordered = sorted(examples, key=lambda e: (e[0], e[1].value))
-    X = featurize([t for t, _ in ordered], fcfg)
+    # scipy selects each mini-batch's rows
+    X = _to_scipy(featurize([t for t, _ in ordered], fcfg))
     y = np.array([1.0 if lab is Label.NORMAL else 0.0 for _, lab in ordered])
     w, b = np.zeros(fcfg.dimension), 0.0
     rng = SplitMix64(cfg.seed ^ 0x1F2E3D4C5B6A7988)
@@ -234,7 +285,9 @@ def _reference_train(examples, cfg, fcfg):
         rng.shuffle(order)
         for start in range(0, len(order), classifier._BATCH_SIZE):
             batch = order[start : start + classifier._BATCH_SIZE]
-            _, gw, gb = objective_and_gradient(X[batch], y[batch], w, b, cfg.pos_weight, classifier._L2)
+            _, gw, gb = objective_and_gradient(
+                _from_scipy(X[batch]), y[batch], w, b, cfg.pos_weight, classifier._L2
+            )
             w -= cfg.learning_rate * gw
             b -= cfg.learning_rate * gb
     return w, b

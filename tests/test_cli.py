@@ -1,11 +1,17 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import normcharts
 from normcharts.cli import (
     DEFAULT_SEEDS,
     EXPERIMENTS,
@@ -219,6 +225,26 @@ def test_triage_command_replays_fixture(tmp_path, capsys):
         rows = list(csv.DictReader(f))
     assert len(rows) == 41
     assert set(rows[0]) == {"report_id", "Q1", "Q2", "Q3", "Q4", "Q5", "label"}
+
+
+def test_cli_import_leaves_out_scipy_and_requests(tmp_path):
+    # Each command starts a fresh interpreter, so import time is paid per command.
+    script = textwrap.dedent(f"""
+        import sys
+        from normcharts.cli import data_file, main
+        loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "requests"))
+        assert not loaded, loaded
+        rc = main(["triage", "--reports", str(data_file("edge_case_reports.jsonl")),
+                   "--mode", "stepwise", "--fixture", str(data_file("edge_case_responses.tsv")),
+                   "--out", {str(tmp_path / "triage.csv")!r}])
+        assert rc == 0, rc
+        loaded = sorted({{"scipy.optimize", "requests"}} & set(sys.modules))
+        assert not loaded, loaded
+    """)
+    src = str(Path(normcharts.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 def test_triage_without_source_is_config_error(tmp_path):
@@ -500,6 +526,9 @@ BAD_SETTINGS = [
     ("train", "pos_weight = -1", "pos_weight"),
     ("train", "pos_weight = inf", "pos_weight"),
     ("train", "learning_rate = nan", "learning_rate"),
+    ("train", "learning_rate = -50", "learning_rate"),
+    ("train", "synth_n = 0", "synth_n"),
+    ("train", "abnormal_fraction = 2", "abnormal_fraction"),
     ("growth", "n_sessions = 0", "n_sessions"),
     ("growth", "n_scanners = 0", "n_scanners"),
     ("growth", "ridge_lambda = -5", "ridge_lambda"),
@@ -551,7 +580,6 @@ def test_percent_signs_are_kept_in_config_ini(tmp_path, capsys, monkeypatch):
 # A path or site: no blank at either end (configparser strips them) and no
 # line break; "%" and "$" included.
 _INI_TEXT = st.text(alphabet="abcXYZ019/._-%${}() ", min_size=1, max_size=12).map(str.strip).filter(bool)
-_FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
 @settings(max_examples=60, deadline=None)
@@ -564,12 +592,12 @@ _FINITE = st.floats(allow_nan=False, allow_infinity=False)
     seeds=st.lists(st.integers(-(2**63), 2**64), min_size=1, max_size=5).map(tuple),
     pos_weight=st.floats(min_value=1e-300, max_value=1e300),
     epochs=st.integers(1, 10**6),
-    learning_rate=_FINITE,
+    learning_rate=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
     dimension=st.sampled_from([1 << k for k in range(10, 49)]),
     cutoff_year=st.integers(-3000, 3000),
     holdout_site=st.none() | _INI_TEXT,
-    synth_n=st.integers(0, 10**6),
-    abnormal_fraction=_FINITE,
+    synth_n=st.integers(1, 10**6),
+    abnormal_fraction=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
     n_sessions=st.integers(1, 10**6),
     n_scanners=st.integers(1, 1000),
     ridge_lambda=st.floats(min_value=0.0, max_value=1e300),

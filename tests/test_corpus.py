@@ -1,8 +1,12 @@
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from normcharts.corpus import SplitMix64, Subset, balance, ood_partition, split
+from normcharts import corpus
+from normcharts.corpus import MASK64, SplitMix64, Subset, balance, ood_partition, split
 from normcharts.errors import DuplicateId, MissingClass
 from normcharts.labeling import Label
 from normcharts.report_text import Report, Sex
@@ -40,6 +44,59 @@ def test_shuffle_is_permutation_and_deterministic():
     SplitMix64(5).shuffle(b)
     assert a == b
     assert sorted(a) == list(range(50))
+
+
+def _scalar_shuffle(rng, items):
+    """Fisher-Yates one `below` call per swap: the reference for the array draws."""
+    for i in range(len(items) - 1, 0, -1):
+        j = rng.below(i + 1)
+        items[i], items[j] = items[j], items[i]
+
+
+_SIZES = (0, 1, 2, 3, 5, 64, 65, 200, 1000, 4097)
+
+
+def _shuffle_matches_scalar_reference(seeds):
+    for k, seed in enumerate(seeds):
+        rng, ref = SplitMix64(seed), SplitMix64(seed)
+        # a second shuffle of another size, then a plain draw, continue the same stream
+        for size in (_SIZES[k % len(_SIZES)], _SIZES[(3 * k + 1) % len(_SIZES)]):
+            items, expected = list(range(size)), list(range(size))
+            rng.shuffle(items)
+            _scalar_shuffle(ref, expected)
+            assert items == expected, (seed, size)
+            assert rng.state == ref.state, (seed, size)
+        assert rng.next() == ref.next()
+
+
+_draw_seed = random.Random(17).getrandbits
+# about half of the random seeds have the top bit set too
+_SEEDS = [0, 1, MASK64, 1 << 63, (1 << 63) + 5] + [_draw_seed(64) for _ in range(300)]
+
+
+def test_shuffle_matches_scalar_fisher_yates():
+    _shuffle_matches_scalar_reference(_SEEDS)
+
+
+def test_shuffle_falls_back_to_scalar_draws_on_a_rejection(monkeypatch):
+    calls = []
+
+    def reject(draws, n):
+        calls.append(len(n))
+        return False
+
+    monkeypatch.setattr(corpus, "_all_within_limits", reject)
+    _shuffle_matches_scalar_reference(_SEEDS[:40])
+    assert calls
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 1000, 2**32 + 1, 2**63 + 1, MASK64])
+def test_rejection_limit_matches_below(n):
+    limit = MASK64 - (MASK64 + 1) % n  # the largest draw `below(n)` accepts
+    sizes = np.array([n], dtype=np.uint64)
+    assert corpus._all_within_limits(np.array([limit], dtype=np.uint64), sizes)
+    if limit < MASK64:
+        assert not corpus._all_within_limits(np.array([limit + 1], dtype=np.uint64), sizes)
 
 
 def test_split_sizes_80_10_10():

@@ -571,13 +571,13 @@ def test_same_age_cohort_fits_without_warning():
 
 def _count_minimize(monkeypatch):
     calls = []
-    real = growthchart.optimize.minimize
+    real = optimize.minimize
 
     def counting(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(growthchart.optimize, "minimize", counting)
+    monkeypatch.setattr(optimize, "minimize", counting)
     return calls
 
 

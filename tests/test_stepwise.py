@@ -196,7 +196,7 @@ def test_http_source_posts_prompt_and_model(monkeypatch):
         return FakeResponse()
 
     monkeypatch.setenv("NORMCHARTS_LLM_TOKEN", "sekret")
-    monkeypatch.setattr("normcharts.stepwise.requests.post", fake_post)
+    monkeypatch.setattr("requests.post", fake_post)
     src = HttpAnswerSource("http://example.test/v1", "model-x")
     out = src.answer("r1", QuestionId.Q1, "prompt text")
     assert out == "Yes."
@@ -210,7 +210,7 @@ def test_http_source_wraps_transport_errors(monkeypatch):
     def fake_post(*a, **k):
         raise requests.ConnectionError("down")
 
-    monkeypatch.setattr("normcharts.stepwise.requests.post", fake_post)
+    monkeypatch.setattr("requests.post", fake_post)
     src = HttpAnswerSource("http://example.test", "m")
     with pytest.raises(ClientError) as err:
         src.answer("r1", QuestionId.Q2, "p")
@@ -226,7 +226,7 @@ def test_http_source_wraps_a_body_that_is_not_an_object(monkeypatch, body):
         def json(self):
             return body
 
-    monkeypatch.setattr("normcharts.stepwise.requests.post", lambda *a, **k: FakeResponse())
+    monkeypatch.setattr("requests.post", lambda *a, **k: FakeResponse())
     src = HttpAnswerSource("http://example.test", "m")
     with pytest.raises(ClientError) as err:
         src.answer("r1", QuestionId.Q3, "p")
