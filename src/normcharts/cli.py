@@ -731,7 +731,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError) as e:
+    except (ConfigError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
+            PermissionError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except DataError as e:

@@ -10,9 +10,11 @@ balances.
 import csv
 import math
 import operator
+import warnings
 from array import array
 from dataclasses import dataclass, fields, replace
 from enum import Enum
+from types import SimpleNamespace
 from typing import Iterable
 
 import numpy as np
@@ -285,16 +287,74 @@ PHENOTYPE_COLUMNS = (
 
 
 def load_phenotype_csv(path) -> PhenotypeTable:
-    """Read a phenotype CSV in one pass; a bad row is a SchemaError at path:line."""
+    """Read a phenotype CSV; a bad row or a byte that is not UTF-8 is a
+    SchemaError at path:line.
+
+    The header is read by csv and the body is parsed by np.loadtxt in one C
+    pass. Whatever that pass does not take cleanly -- an error or a warning
+    from loadtxt, an unknown is_mprage spelling, a row PhenotypeTable rejects
+    -- is read again by the row loop, which returns the table or names the bad
+    line. So the values accepted and the messages are those of int and float.
+    """
+    try:
+        table = _load_columns(path)
+    except (ValueError, Warning, BadRow):  # UnicodeDecodeError is a ValueError
+        table = None
+    try:
+        return _load_rows(path) if table is None else table
+    except UnicodeDecodeError:
+        raise SchemaError(_not_utf8(path)) from None
+
+
+def _column_positions(path, header: list[str]) -> list[int]:
+    """The position in `header` of each of PHENOTYPE_COLUMNS."""
+    missing = [c for c in PHENOTYPE_COLUMNS if c not in header]
+    if missing:
+        raise SchemaError(f"{path}:1: missing columns {missing}")
+    return [header.index(c) for c in PHENOTYPE_COLUMNS]
+
+
+def _load_columns(path) -> PhenotypeTable | None:
+    """The file parsed by np.loadtxt; None if is_mprage has an unknown spelling.
+
+    The file is opened with newline="" and handed on after the header, as csv
+    reads it: loadtxt opening the path itself would turn a quoted "\r\n"
+    into "\n". Every header field is a column of the structured dtype, so a
+    row of another length is an error, as it is in the row loop.
+    """
+    with open(path, encoding="utf-8", newline="") as f:
+        header = next(csv.reader(f), [])
+        pos = _column_positions(path, header)
+        kinds = [object] * len(header)
+        kinds[pos[3]] = np.int64
+        for i in pos[6:]:
+            kinds[i] = float
+        dtype = np.dtype([(f"f{i}", kind) for i, kind in enumerate(kinds)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            body = np.loadtxt(f, dtype=dtype, delimiter=",", quotechar='"', comments=None, ndmin=1)
+    # copies: a view would keep the whole parsed body alive with the table
+    session_id, sequence_id, scanner_id, age_days, sex = (body[f"f{i}"].copy() for i in pos[:5])
+    mprage = body[f"f{pos[5]}"].tolist()
+    flags = {s: BOOLEANS.get(s.strip().lower()) for s in set(mprage)}
+    if None in flags.values():
+        return None
+    numbers = np.stack([body[f"f{i}"] for i in pos[6:]], axis=1)
+    return PhenotypeTable(
+        session_id, sequence_id, scanner_id, age_days, sex,
+        np.fromiter(map(flags.__getitem__, mprage), bool, len(mprage)),
+        numbers[:, : len(Region)], numbers[:, len(Region) :],
+    )
+
+
+def _load_rows(path) -> PhenotypeTable:
+    """Read the file row by row with csv and int/float; raise at path:line."""
     session_id, sequence_id, scanner_id, sex, is_mprage = [], [], [], [], []
     age_days, numbers, lines = array("q"), array("d"), array("q")
     with open(path, encoding="utf-8", newline="") as f:
         reader = csv.reader(f)
         header = next(reader, [])
-        missing = [c for c in PHENOTYPE_COLUMNS if c not in header]
-        if missing:
-            raise SchemaError(f"{path}:1: missing columns {missing}")
-        pos = [header.index(c) for c in PHENOTYPE_COLUMNS]
+        pos = _column_positions(path, header)
         numeric = operator.itemgetter(*pos[6:])
         i_sid, i_seq, i_scan, i_age, i_sex, i_mprage = pos[:6]
         for row in reader:
@@ -331,6 +391,19 @@ def load_phenotype_csv(path) -> PhenotypeTable:
         raise SchemaError(f"{path}:{lines[e.row]}: {e.problem}") from None
 
 
+def _not_utf8(path) -> str:
+    """path:line and the first byte of the file that is not UTF-8."""
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        head = data[: e.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        return f"{path}:{line}: not UTF-8: byte {data[e.start]:#04x} ({e.reason})"
+    return f"{path}: not UTF-8"
+
+
 def write_phenotype_csv(path, table: PhenotypeTable) -> None:
     with open(path, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f)
@@ -353,14 +426,23 @@ SESSION_COLUMNS = (
 )
 
 
+# one row's volumes after its id fields, to 6 decimals
+_SESSION_VOLUMES = ",".join(["%.6f"] * len(Region)) + "\r\n"
+
+
 def write_sessions_csv(path, sessions: SessionTable) -> None:
+    # csv.writer quotes the id fields. Each of its lines ends in an empty
+    # field, so cutting the "\r\n" leaves the comma before the volumes.
+    method = sessions.method.value
+    ids = []
+    csv.writer(SimpleNamespace(write=ids.append)).writerows(
+        (sid, scanner, age, sex, method, "") for sid, scanner, age, sex, _ in sessions.rows()
+    )
     with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(SESSION_COLUMNS)
-        method = sessions.method.value
-        writer.writerows(
-            [sid, scanner, age, sex, method] + [f"{v:.6f}" for v in volumes]
-            for sid, scanner, age, sex, volumes in sessions.rows()
+        csv.writer(f).writerow(SESSION_COLUMNS)
+        f.writelines(
+            line[:-2] + _SESSION_VOLUMES % tuple(volumes)
+            for line, volumes in zip(ids, sessions.volumes.tolist())
         )
 
 

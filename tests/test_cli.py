@@ -1030,3 +1030,71 @@ def test_boolean_config_values_are_strict(tmp_path, capsys, text, value):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not out.exists()
+
+
+def _phenotype_argv(command, phenotypes, out, tmp_path):
+    """argv running `command` on a phenotype CSV, with a good growth model for centiles."""
+    model_path = tmp_path / "gm.json"
+    model_path.write_text(json.dumps(GOOD_GROWTH_MODEL))
+    return {
+        "aggregate": ["aggregate"],
+        "centiles": ["centiles", "--model", str(model_path)],
+        "qc": ["qc"],
+        "fit-growth": ["fit-growth", "--region", "vol_cortical_gm"],
+    }[command] + ["--phenotypes", str(phenotypes), "--out", str(out)]
+
+
+@pytest.mark.parametrize("command", ["aggregate", "qc", "centiles"])
+def test_header_only_phenotype_csv_writes_nothing_to_stderr(tmp_path, command):
+    from normcharts.phenotype import PHENOTYPE_COLUMNS
+
+    path = tmp_path / "empty.csv"
+    path.write_text(",".join(PHENOTYPE_COLUMNS) + "\n")
+    argv = _phenotype_argv(command, path, tmp_path / "out.csv", tmp_path)
+    # a fresh interpreter, so a warning is printed as it would be for a user
+    src = str(Path(normcharts.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run([sys.executable, "-m", "normcharts.cli", *argv],
+                            env=env, capture_output=True, text=True)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout.startswith(
+        {"aggregate": "sessions: 0 in, 0 out, ", "qc": "kept 0 of 0 sequences",
+         "centiles": "centiles for 0 sessions"}[command]
+    )
+
+
+@pytest.mark.parametrize("command", ["aggregate", "centiles", "qc", "fit-growth"])
+def test_phenotype_csv_that_is_not_utf8_is_data_error(tmp_path, capsys, command):
+    from normcharts.cli import _default_truth
+    from normcharts.phenotype import synth_cohort, write_phenotype_csv
+
+    good = tmp_path / "good.csv"
+    write_phenotype_csv(good, synth_cohort(seed=3, n_sessions=4, n_scanners=1,
+                                           truth=_default_truth(PipelineConfig(n_scanners=1))))
+    lines = good.read_bytes().split(b"\n")
+    lines[2] = lines[2].replace(b"ses-", b"s\xffs-", 1)
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"\n".join(lines))
+    out = tmp_path / "out"
+    assert main(_phenotype_argv(command, bad, out, tmp_path)) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err == f"data error: {bad}:3: not UTF-8: byte 0xff (invalid start byte)\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, argv", [
+    ("--reports", ["ingest"]),
+    ("--out", ["label", "--reports", str(data_file("edge_case_reports.jsonl"))]),
+    ("--model", ["curves", "--out", "curves.csv"]),
+    ("--phenotypes", ["aggregate", "--out", "sessions.csv"]),
+])
+def test_directory_for_a_file_is_config_error(tmp_path, monkeypatch, capsys, flag, argv):
+    monkeypatch.chdir(tmp_path)
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    assert main([*argv, flag, str(folder)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("config error: ") and str(folder) in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["folder"]

@@ -3,13 +3,17 @@ import math
 import random
 import statistics
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from normcharts import phenotype
 from normcharts.errors import SchemaError
 from normcharts.growthchart import FpSpec, GrowthModel, params_at
 from normcharts.phenotype import (
+    BOOLEANS,
+    PHENOTYPE_COLUMNS,
     QC_THRESHOLD,
     AggregationMethod,
     AttritionReport,
@@ -193,6 +197,26 @@ def test_sessions_csv_round_trip(tmp_path):
     ]
 
 
+def test_sessions_csv_quotes_ids_as_csv_writer_does(tmp_path):
+    ids = ["plain", "a,b", 'say "hi"', "two\r\nlines", "lf\nonly", " padded ", "é#1"]
+    sessions, _ = build_sessions(
+        make_table(*(make_row(session=sid, scanner=sid[::-1], vol=1.0 / (i + 3))
+                     for i, sid in enumerate(ids))),
+        AggregationMethod.MPRAGE_ONLY,
+    )
+    path = tmp_path / "ses.csv"
+    write_sessions_csv(path, sessions)
+    expected = tmp_path / "expected.csv"
+    with open(expected, "w", encoding="utf-8", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(["session_id", "scanner_id", "age_days", "sex", "method",
+                         *(r.value for r in Region)])
+        for sid, scanner, age, sex, volumes in sessions.rows():
+            writer.writerow([sid, scanner, age, sex, "mprage", *(f"{v:.6f}" for v in volumes)])
+    assert path.read_bytes() == expected.read_bytes()
+    assert b'"a,b"' in path.read_bytes()
+
+
 def small_truth():
     return GrowthModel(
         region=Region.CORTICAL_GM,
@@ -322,3 +346,145 @@ def test_build_sessions_matches_per_session_reference(rows, method):
     sessions, report = build_sessions(make_table(*rows), method)
     assert (list(sessions.rows()), report) == _reference_sessions(rows, method)
     assert sessions.method is method
+
+
+# --- the C pass of load_phenotype_csv against the row loop ---
+
+# Field texts around the edges of int and float, per column kind: some both
+# parsers take, some only Python's (underscores, full-width and Arabic-Indic
+# digits), some neither.
+_EDGE_FIELDS = {
+    "age_days": ["1.5", "1e3", "12.0", "1_000", "１２", "١٢", " 12 ", "+7", "0", "-5", "",
+                 "abc", "99999999999999999999"],
+    "sex": ["X", " M", "m", ""],
+    "is_mprage": ["ture", "on", "2", "", "yes please"],
+    "number": ["1_000", "１.５", " 1.5 ", "nan", "-nan", "NaN", "inf", "-inf", "Infinity",
+               "1e999", "-1e999", "0x10", ".5", "1.", "", "abc", "-5", "0"],
+}
+_MPRAGE_SPELLINGS = [
+    *BOOLEANS, "TRUE", "True", "Yes", "YES", "No", "FALSE", " true ", "\tno", " 1 ",
+]
+_ID = st.text(st.sampled_from(list('ab9-_ ,"#\r\n\t\x00é\xa0\u2003\U0001f600')), max_size=6)
+_LINE_END = st.sampled_from(["\n", "\r\n", "\r"])
+# a header and the numbers of a clean row, in PHENOTYPE_COLUMNS order
+_HEADER = ",".join(PHENOTYPE_COLUMNS)
+_NUMBERS = ",".join(["1.5"] * len(Region) + ["0.9"] * len(QcCategory))
+
+
+def _csv_field(text: str, quoting: str) -> str:
+    if quoting == "always" or (quoting == "minimal" and any(c in text for c in ',"\r\n')):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+# The values of a clean row that both parsers take, by column.
+_VOLUME_TEXT = st.floats(1e-3, 1e7).map(repr) | st.sampled_from(["2.5", "1e3"])
+_QC_TEXT = st.floats(0.0, 1.0).map("{:.4f}".format)
+_FIELD = {
+    "age_days": st.integers(1, 40000).map(str),
+    "sex": st.sampled_from(["M", "F"]),
+    "is_mprage": st.sampled_from(_MPRAGE_SPELLINGS),
+    **dict.fromkeys((r.value for r in Region), _VOLUME_TEXT),
+    **dict.fromkeys((q.value for q in QcCategory), _QC_TEXT),
+}
+# Ways to damage one row of a clean file.
+_EDIT = st.sampled_from(list(_EDGE_FIELDS)).flatmap(
+    lambda kind: st.tuples(
+        st.sampled_from(PHENOTYPE_COLUMNS[6:]) if kind == "number" else st.just(kind),
+        st.sampled_from(_EDGE_FIELDS[kind]),
+    )
+) | st.sampled_from(["short", "long", "trailing comma", "whitespace line", "unquoted"])
+
+
+@st.composite
+def _phenotype_csv_text(draw):
+    """The text of a phenotype CSV: a shuffled header, maybe with an unknown
+    column, up to six rows of values both parsers take, blank lines and mixed
+    line ends. Up to two edits each damage one row: an edge field, a field too
+    few or too many, a whitespace-only line, or special characters unquoted."""
+    header = list(draw(st.permutations(PHENOTYPE_COLUMNS + ("note, free text",))))
+    if draw(st.booleans()):
+        header.remove("note, free text")
+    rows = [[draw(_FIELD.get(c, _ID)) for c in header] for _ in range(draw(st.integers(0, 6)))]
+    quoting = [draw(st.sampled_from(["minimal", "always"])) for _ in rows]
+    blank = [draw(st.sampled_from([None, ""])) for _ in rows]
+    for i, edit in draw(st.lists(st.tuples(st.integers(0, 5), _EDIT), max_size=2)):
+        if i >= len(rows):
+            continue
+        if isinstance(edit, tuple):
+            rows[i][header.index(edit[0])] = edit[1]
+        elif edit == "whitespace line":
+            blank[i] = draw(st.sampled_from([" ", "\t"]))
+        elif edit == "unquoted":
+            quoting[i] = "never"
+        else:
+            rows[i] = {"short": rows[i][:-1], "long": rows[i] + ["x"],
+                       "trailing comma": rows[i] + [""]}[edit]
+    lines = [",".join(_csv_field(c, "minimal") for c in header)]
+    for row, quote, before in zip(rows, quoting, blank):
+        if before is not None:
+            lines.append(before)
+        lines.append(",".join(_csv_field(text, quote) for text in row))
+    ends = [draw(_LINE_END) for _ in lines]
+    if not draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+def _same_table(a: PhenotypeTable, b: PhenotypeTable) -> bool:
+    return (
+        all(getattr(a, c).tolist() == getattr(b, c).tolist()
+            for c in ("session_id", "sequence_id", "scanner_id", "age_days", "sex", "is_mprage"))
+        and all(np.array_equal(getattr(a, c), getattr(b, c), equal_nan=True)
+                and np.array_equal(np.signbit(getattr(a, c)), np.signbit(getattr(b, c)))
+                for c in ("volumes", "qc"))
+    )
+
+
+def _outcome(load, path):
+    """(table, None) or (None, the SchemaError's message)."""
+    try:
+        return load(path), None
+    except SchemaError as e:
+        return None, str(e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_phenotype_csv_text())
+@example(text=_HEADER + "\r\n")
+@example(text=_HEADER + '\n"a,b\r\nc""d",s#1,sc,3650,F,yes,' + _NUMBERS + "\n")
+@example(text=_HEADER + "\ns,q,sc,1.5,F,yes," + _NUMBERS + "\n")
+@example(text=_HEADER + "\ns,q,sc,1e3,F,yes," + _NUMBERS + "\n")
+@example(text=_HEADER + "\ns,q,sc,1_000,F,yes," + _NUMBERS.replace("1.5", "１.５") + "\n")
+@example(text=_HEADER + "\ns,q,sc,3650,F,yes," + _NUMBERS + ",\n")
+def test_c_parser_agrees_with_row_loop(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("csv") / "ph.csv"
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        f.write(text)
+    rows, message = _outcome(phenotype._load_rows, path)
+    try:
+        columns = phenotype._load_columns(path)
+    except (ValueError, Warning, SchemaError):
+        columns = None
+    # the C pass takes a file only if the row loop reads the same table from it
+    if columns is not None:
+        assert rows is not None and _same_table(columns, rows)
+    # and the loader as a whole is the row loop, table or message
+    table, error = _outcome(load_phenotype_csv, path)
+    assert error == message
+    assert table is None or _same_table(table, rows)
+
+
+def test_c_pass_reads_a_well_formed_file(tmp_path, monkeypatch):
+    rows = [make_row(session='ses,"1"\r\n', seq=f"q{i}", vol=100.0 + i) for i in range(3)]
+    rows.append(make_row(session="ses-#2", is_mprage=False, sex=Sex.F))
+    table = make_table(*rows)
+    path = tmp_path / "ph.csv"
+    write_phenotype_csv(path, table)
+    assert b'"ses,""1""\r\n"' in path.read_bytes() and path.read_bytes().count(b"\r\n") == 8
+
+    def row_loop(path):
+        raise AssertionError("the row loop ran")
+
+    monkeypatch.setattr(phenotype, "_load_rows", row_loop)
+    assert list(load_phenotype_csv(path).rows()) == list(table.rows())
