@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from . import classifier, corpus, growthchart, labeling, metrics, phenotype, stepwise
-from .errors import ConfigError, DataError, EmptyInput, NormchartsError, NumericalError
+from .errors import ConfigError, DataError, EmptyInput, NormchartsError, NumericalError, located
 from .labeling import Label
 from .phenotype import BOOLEANS, AggregationMethod, Region
 from .report_text import InputMode, Report, Sex, compose_input, load_reports_jsonl
@@ -158,10 +158,10 @@ def load_config(path: Optional[str]) -> PipelineConfig:
 
 
 def _load_csv_map(path, key: str, column: str, parse) -> dict:
-    """Map each row's `key` to parse(its `column`); a bad or repeated row is a DataError at path:line."""
+    """Map each row's `key` to parse(its `column`); a bad or repeated row, a
+    csv.Error or a byte that is not UTF-8 is a DataError at path:line."""
     out = {}
-    with open(path, encoding="utf-8", newline="") as f:
-        reader = csv.DictReader(f)
+    with open(path, encoding="utf-8", newline="") as f, located(path, csv.DictReader(f)) as reader:
         missing = sorted({key, column} - set(reader.fieldnames or ()))
         if missing:
             raise DataError(f"{path}:1: missing column(s) {missing}")

@@ -1,5 +1,6 @@
 """Reference labels: coarse keyword flagging and human-grade aggregation."""
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 
@@ -23,6 +24,11 @@ COARSE_KEYWORDS = (
     "surgical cavity",
     "post surgery",
 )
+# A keyword anywhere in the lowercased raw text, with each space standing for
+# the run of spaces and tabs that normalize_whitespace collapses to it.
+_RAW_KEYWORD_RE = re.compile(
+    "|".join("[ \t]+".join(map(re.escape, kw.split(" "))) for kw in COARSE_KEYWORDS)
+)
 
 
 def coarse_flag(report: Report) -> bool:
@@ -30,8 +36,15 @@ def coarse_flag(report: Report) -> bool:
 
     True iff the procedure description contains "brain" and the Findings
     section contains any coarse keyword, both case-insensitive.
+
+    Sections are parsed only if the raw text holds a keyword, which a hit
+    needs: the keywords are ASCII and hold no newline, so a hit lies in one
+    Findings chunk, which is raw text with its space/tab runs collapsed; and
+    lower() maps each character on its own except final sigma, not ASCII.
     """
     if "brain" not in report.procedure_description.lower():
+        return False
+    if not _RAW_KEYWORD_RE.search(report.raw_text.lower()):
         return False
     findings = report.section(SectionKind.FINDINGS).lower()
     return any(kw in findings for kw in COARSE_KEYWORDS)
@@ -91,11 +104,11 @@ def label_reports(reports: list[Report], annotations: list[AnnotationSet]) -> di
 
     Human grades are authoritative when present; otherwise a coarse keyword
     hit labels the report Abnormal.  Reports with neither stay unlabeled.
+    The keyword flag is computed only for reports without grades, since
+    grades would overwrite it.
     """
-    by_id = {}
-    for report in reports:
-        if coarse_flag(report):
-            by_id[report.id] = Label.ABNORMAL
+    graded = {ann.report_id for ann in annotations}
+    by_id = {r.id: Label.ABNORMAL for r in reports if r.id not in graded and coarse_flag(r)}
     for ann in annotations:
         by_id[ann.report_id] = ann.label()
     return by_id

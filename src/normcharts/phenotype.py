@@ -19,7 +19,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import InvalidParams, SchemaError
+from .errors import InvalidParams, SchemaError, located
 from .report_text import Sex
 
 QC_THRESHOLD = 0.65
@@ -287,8 +287,8 @@ PHENOTYPE_COLUMNS = (
 
 
 def load_phenotype_csv(path) -> PhenotypeTable:
-    """Read a phenotype CSV; a bad row or a byte that is not UTF-8 is a
-    SchemaError at path:line.
+    """Read a phenotype CSV; a bad row, a csv.Error or a byte that is not
+    UTF-8 is a SchemaError at path:line.
 
     The header is read by csv and the body is parsed by np.loadtxt in one C
     pass. Whatever that pass does not take cleanly -- an error or a warning
@@ -298,12 +298,9 @@ def load_phenotype_csv(path) -> PhenotypeTable:
     """
     try:
         table = _load_columns(path)
-    except (ValueError, Warning, BadRow):  # UnicodeDecodeError is a ValueError
+    except (ValueError, Warning, BadRow, csv.Error):  # UnicodeDecodeError is a ValueError
         table = None
-    try:
-        return _load_rows(path) if table is None else table
-    except UnicodeDecodeError:
-        raise SchemaError(_not_utf8(path)) from None
+    return _load_rows(path) if table is None else table
 
 
 def _column_positions(path, header: list[str]) -> list[int]:
@@ -351,8 +348,7 @@ def _load_rows(path) -> PhenotypeTable:
     """Read the file row by row with csv and int/float; raise at path:line."""
     session_id, sequence_id, scanner_id, sex, is_mprage = [], [], [], [], []
     age_days, numbers, lines = array("q"), array("d"), array("q")
-    with open(path, encoding="utf-8", newline="") as f:
-        reader = csv.reader(f)
+    with open(path, encoding="utf-8", newline="") as f, located(path, csv.reader(f)) as reader:
         header = next(reader, [])
         pos = _column_positions(path, header)
         numeric = operator.itemgetter(*pos[6:])
@@ -389,19 +385,6 @@ def _load_rows(path) -> PhenotypeTable:
         )
     except BadRow as e:
         raise SchemaError(f"{path}:{lines[e.row]}: {e.problem}") from None
-
-
-def _not_utf8(path) -> str:
-    """path:line and the first byte of the file that is not UTF-8."""
-    with open(path, "rb") as f:
-        data = f.read()
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as e:
-        head = data[: e.start]
-        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-        return f"{path}:{line}: not UTF-8: byte {data[e.start]:#04x} ({e.reason})"
-    return f"{path}: not UTF-8"
 
 
 def write_phenotype_csv(path, table: PhenotypeTable) -> None:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Mapping
 
-from .errors import DuplicateId, EmptyInput, SchemaError
+from .errors import DuplicateId, EmptyInput, SchemaError, located
 
 
 class SectionKind(Enum):
@@ -43,6 +43,14 @@ _HEADER_TO_KIND = {
 _HEADER_RE = re.compile(rf"(?<![Oo][Ff] )\b({'|'.join(_HEADER_TO_KIND)})\s*:", re.IGNORECASE)
 
 
+def _header_kind(header: str) -> SectionKind:
+    """The kind of a header _HEADER_RE matched, under the regex's own case rule:
+    it matches "İ" to "I", which upper() leaves as it is."""
+    return _HEADER_TO_KIND.get(header.upper()) or next(
+        k for name, k in _HEADER_TO_KIND.items() if re.fullmatch(name, header, re.IGNORECASE)
+    )
+
+
 def normalize_whitespace(text: str) -> str:
     """Collapse runs of spaces/tabs; newlines are preserved."""
     return re.sub(r"[ \t]+", " ", text).strip()
@@ -60,7 +68,7 @@ def parse_sections(raw_text: str) -> dict[SectionKind, str]:
         raise EmptyInput("report text is empty")
     # the header group captures, so the split is [preamble, header, body, header, body, ...]
     parts = _HEADER_RE.split(raw_text)
-    kinds = [SectionKind.PREAMBLE] + [_HEADER_TO_KIND[h.upper()] for h in parts[1::2]]
+    kinds = [SectionKind.PREAMBLE] + [_header_kind(h) for h in parts[1::2]]
     sections: dict[SectionKind, str] = {}
     for kind, chunk in zip(kinds, parts[0::2]):
         chunk = normalize_whitespace(chunk)
@@ -112,10 +120,10 @@ def compose_input(report: Report, mode: InputMode) -> str:
 def json_objects(path, expected: str = "a JSON object") -> Iterator[tuple[int, dict]]:
     """(line number, object) of each non-blank line of a JSON-lines file.
 
-    Invalid JSON or a line that is not an object is a SchemaError at
-    path:line, whose message says `expected`.
+    Invalid JSON, a line that is not an object (the message says `expected`)
+    or a byte that is not UTF-8 is a SchemaError at path:line.
     """
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8") as f, located(path):
         for lineno, line in enumerate(f, 1):
             line = line.strip()
             if not line:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Protocol, Sequence
 
-from .errors import ClientError, IncompleteRecord, MissingGold, SchemaError
+from .errors import ClientError, IncompleteRecord, MissingGold, SchemaError, located
 from .labeling import Label
 from .metrics import EvalResult, confusion
 from .report_text import Report
@@ -110,13 +110,16 @@ FIXTURE_COLUMNS = ("report_id", "question_id", "response_text")
 
 class FixtureAnswerSource:
     """Canned responses from a TSV of (report_id, question_id, response_text);
-    a row without its response_text cell or a repeated (report_id,
-    question_id) is a SchemaError at path:line."""
+    a row without its response_text cell, a repeated (report_id,
+    question_id), a csv.Error or a byte that is not UTF-8 is a SchemaError
+    at path:line."""
 
     def __init__(self, path):
         self.responses: dict[tuple[str, str], str] = {}
-        with open(path, encoding="utf-8", newline="") as f:
-            reader = csv.DictReader(f, delimiter="\t")
+        with (
+            open(path, encoding="utf-8", newline="") as f,
+            located(path, csv.DictReader(f, delimiter="\t")) as reader,
+        ):
             missing = [c for c in FIXTURE_COLUMNS if c not in (reader.fieldnames or ())]
             if missing:
                 raise SchemaError(f"{path}:1: fixture missing columns {missing}")

@@ -1098,3 +1098,100 @@ def test_directory_for_a_file_is_config_error(tmp_path, monkeypatch, capsys, fla
     assert err.count("\n") == 1 and "Traceback" not in err
     assert err.startswith("config error: ") and str(folder) in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["folder"]
+
+
+def test_header_that_folds_to_a_known_one_is_read(tmp_path, capsys):
+    # the header regex matches "İ" (U+0130) to "I"; upper() leaves it as it is
+    reports = tmp_path / "reports.jsonl"
+    _write_jsonl(reports, [{"id": "r1", "text": "FİNDINGS: resection cavity.\nImpreſſion: stable.",
+                            "procedure_description": "MRI brain"}])
+    assert main(["ingest", "--reports", str(reports)]) == 0
+    assert capsys.readouterr().out == (
+        "reports: 1\nsections[Findings]: 1\nsections[Impression]: 1\n"
+    )
+    out = tmp_path / "labels.csv"
+    assert main(["label", "--reports", str(reports), "--out", str(out)]) == 0
+    assert out.read_text().splitlines() == ["report_id,label", "r1,Abnormal"]
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("file", ["reports", "annotations", "labels", "fixture"])
+def test_file_that_is_not_utf8_is_data_error(tmp_path, capsys, file):
+    reports = tmp_path / "reports.jsonl"
+    reports.write_bytes(data_file("edge_case_reports.jsonl").read_bytes())
+    labels = tmp_path / "labels.csv"
+    labels.write_bytes(data_file("edge_case_gold.csv").read_bytes())
+    fixture = tmp_path / "fixture.tsv"
+    fixture.write_bytes(data_file("edge_case_responses.tsv").read_bytes())
+    annotations = tmp_path / "annotations.jsonl"
+    _write_jsonl(annotations, [{"report_id": "a", "grades": [2]}, {"report_id": "b", "grades": [0]}])
+    bad = {"reports": reports, "annotations": annotations, "labels": labels, "fixture": fixture}[file]
+    lines = bad.read_bytes().split(b"\n")
+    lines[1] = lines[1][:5] + b"\xff" + lines[1][5:]
+    bad.write_bytes(b"\n".join(lines))
+    argv = {
+        "reports": ["ingest", "--reports", str(reports)],
+        "annotations": ["label", "--reports", str(data_file("edge_case_reports.jsonl")),
+                        "--annotations", str(annotations), "--out", str(tmp_path / "l.csv")],
+        "labels": ["split", "--reports", str(data_file("edge_case_reports.jsonl")),
+                   "--labels", str(labels), "--out", str(tmp_path / "s.csv")],
+        "fixture": ["triage", "--reports", str(data_file("edge_case_reports.jsonl")),
+                    "--mode", "stepwise", "--fixture", str(fixture), "--out", str(tmp_path / "t.csv")],
+    }[file]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err == f"data error: {bad}:2: not UTF-8: byte 0xff (invalid start byte)\n"
+    assert argv[-2] != "--out" or not Path(argv[-1]).exists()
+
+
+_LONG_FIELD = "x" * 200_000  # over csv's default field_size_limit() of 131,072
+
+
+@pytest.mark.parametrize("file", ["phenotypes", "phenotype_header", "labels", "split", "gold",
+                                  "fixture", "centiles"])
+def test_csv_field_over_the_limit_is_data_error(tmp_path, capsys, file):
+    from normcharts.cli import _default_truth
+    from normcharts.phenotype import synth_cohort, write_phenotype_csv
+
+    limit = csv.field_size_limit()
+    reports, gold = str(data_file("edge_case_reports.jsonl")), str(data_file("edge_case_gold.csv"))
+    bad, line = tmp_path / "bad.csv", 3
+    if file.startswith("phenotype"):
+        write_phenotype_csv(bad, synth_cohort(seed=3, n_sessions=4, n_scanners=1,
+                                              truth=_default_truth(PipelineConfig(n_scanners=1))))
+        lines = bad.read_text().split("\n")
+        if file == "phenotypes":
+            # the C pass reads the long field; the bad age on line 4 sends the file to the row loop
+            lines[2] = lines[2].replace("ses-", _LONG_FIELD, 1)
+            fields = lines[3].split(",")
+            fields[3] = "x"  # age_days
+            lines[3] = ",".join(fields)
+        else:
+            lines[0] += "," + _LONG_FIELD
+            line = 1
+        bad.write_text("\n".join(lines))
+        argv = ["aggregate", "--phenotypes", str(bad), "--out", str(tmp_path / "out.csv")]
+    elif file == "fixture":
+        bad = tmp_path / "bad.tsv"
+        rows = data_file("edge_case_responses.tsv").read_text().splitlines()
+        rows[2] = rows[2] + _LONG_FIELD
+        bad.write_text("\n".join(rows) + "\n")
+        argv = ["triage", "--reports", reports, "--mode", "stepwise", "--fixture", str(bad),
+                "--out", str(tmp_path / "t.csv")]
+    else:
+        key, column, value = {
+            "labels": ("report_id", "label", "Normal"), "split": ("report_id", "subset", "Train"),
+            "gold": ("report_id", "label", "Normal"), "centiles": ("session_id", "centile", "0.5"),
+        }[file]
+        _write_csv(bad, [key, column], [["r1", value], [_LONG_FIELD, value], ["r3", value]])
+        argv = {
+            "labels": ["split", "--reports", reports, "--labels", str(bad)],
+            "split": ["train", "--reports", reports, "--labels", gold, "--split", str(bad)],
+            "gold": ["triage", "--reports", reports, "--mode", "stepwise", "--gold", str(bad),
+                     "--fixture", str(data_file("edge_case_responses.tsv"))],
+            "centiles": ["compare", "--a", str(bad), "--b", str(bad)],
+        }[file] + ([] if file == "centiles" else ["--out", str(tmp_path / "out")])
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err == f"data error: {bad}:{line}: field larger than field limit (131072)\n"
+    assert csv.field_size_limit() == limit
