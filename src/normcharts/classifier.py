@@ -9,7 +9,6 @@ up `X @ w` and its CSC kernel adds up `X.T @ c`, so both agree with scipy bit
 for bit, and a trained model's bytes do not depend on which one computed it.
 """
 
-import itertools
 import math
 import re
 import struct
@@ -75,7 +74,18 @@ class TrainConfig:
 
 
 def tokenize(text: str) -> list[str]:
+    """The tokens of a text: the runs of ASCII letters and digits after lowercasing.
+
+    `featurize` finds the same tokens with a byte mask over a whole block;
+    this regex form is the reference it is tested against.
+    """
     return re.findall(r"[a-zA-Z0-9]+", text.lower())
+
+
+# Byte value -> whether it is a token byte: ASCII letters and digits.  Every
+# byte of a multi-byte UTF-8 sequence is >= 0x80, so no token byte.
+_TOKEN_BYTE = np.zeros(256, dtype=bool)
+_TOKEN_BYTE[list(b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789")] = True
 
 
 def _no_tokens(row: int) -> EmptyInput:
@@ -85,24 +95,41 @@ def _no_tokens(row: int) -> EmptyInput:
 def _block_counts(texts: Sequence[str], config: FeatureConfig, first_row: int):
     """Hashed 1- and 2-gram counts of one block of texts: (nonzeros per row, columns, counts).
 
+    The block is one byte buffer: each text lowercased and UTF-8 encoded,
+    one separator byte before, between and after them.  `surrogatepass`
+    encodes a lone surrogate (which JSON's \\ud800 escape allows) as three
+    non-token bytes, so it separates tokens as in `tokenize`.  Tokens are the
+    runs of `_TOKEN_BYTE`, found from the edges of its mask, and a token's
+    row comes from the texts' byte offsets, so a text may hold any byte.
+
     FNV-1a is a left fold over bytes, so the hash of the bigram ending at
     token j continues the unigram at token j-1: xor in the joining space,
     multiply, then fold token j's bytes.  Every gram of the block is hashed at
     once in wrapping uint64 arithmetic; no gram string is built.
     """
-    token_lists = [tokenize(text) for text in texts]
-    per_row = np.fromiter(map(len, token_lists), dtype=np.int64, count=len(texts))
+    encoded = [text.lower().encode("utf-8", "surrogatepass") for text in texts]
+    buf = np.frombuffer(b"\n".join([b"", *encoded, b""]), dtype=np.uint8)
+    # Each text and the separator before it; a text starts after that byte.
+    spans = np.fromiter(map(len, encoded), dtype=np.int64, count=len(texts)) + 1
+    offsets = np.cumsum(spans) - spans + 1
+    is_token = _TOKEN_BYTE[buf]
+    # The buffer starts and ends with a separator, so edges pair up: a token
+    # starts at each even edge and ends at the odd one after it.
+    edges = np.flatnonzero(is_token[1:] != is_token[:-1]) + 1
+    token_starts, token_ends = edges[0::2], edges[1::2]
+    row = np.searchsorted(offsets, token_starts, side="right") - 1
+    per_row = np.bincount(row, minlength=len(texts))
     if not per_row.all():
         raise _no_tokens(first_row + int(np.argmin(per_row)))
-    tokens = list(itertools.chain.from_iterable(token_lists))
-    # Tokens match [a-zA-Z0-9]+, so every character is one ASCII byte.
-    buf = np.frombuffer("".join(tokens).encode("ascii"), dtype=np.uint8)
-    lengths = np.fromiter(map(len, tokens), dtype=np.int64, count=len(tokens))
+    lengths = token_ends - token_starts
     # Byte k of every token that has one, longest tokens first, so that the
-    # tokens still being folded at byte k are a prefix of that order.
-    by_length = np.argsort(-lengths, kind="stable")
-    starts = (np.cumsum(lengths) - lengths)[by_length]
-    n_longer = np.searchsorted(-lengths[by_length], -np.arange(lengths.max()), side="left")
+    # tokens still being folded at byte k are a prefix of that order.  numpy
+    # sorts 16-bit keys stably by radix, several times faster than 64-bit ones.
+    longest = lengths.max()
+    shortfall = (longest - lengths).astype(np.uint16 if longest <= 1 << 16 else np.int64)
+    by_length = np.argsort(shortfall, kind="stable")
+    starts = token_starts[by_length]
+    n_longer = np.searchsorted(-lengths[by_length], -np.arange(longest), side="left")
     byte_columns = [buf[starts[:m] + k] for k, m in enumerate(n_longer)]
     prime = np.uint64(_FNV_PRIME)
 
@@ -115,18 +142,18 @@ def _block_counts(texts: Sequence[str], config: FeatureConfig, first_row: int):
         state[by_length] = h
         return state
 
-    row = np.repeat(np.arange(len(texts), dtype=np.uint64), per_row)
-    position = np.arange(len(tokens)) - np.repeat(np.cumsum(per_row) - per_row, per_row)
-    state = fold(np.full(len(tokens), _FNV_OFFSET, dtype=np.uint64))
+    state = fold(np.full(len(lengths), _FNV_OFFSET, dtype=np.uint64))
     # One uint64 key per gram, row in the high bits and column in the low
     # bits, so a single sort groups each row's columns in order.
+    row = row.astype(np.uint64)
     shift = np.uint64(config.dimension.bit_length() - 1)
     mask = np.uint64(config.dimension - 1)
     unigrams = (row << shift) | (state & mask)
     state[1:] = (state[:-1] ^ np.uint64(0x20)) * prime
     state = fold(state)
     # a row's first token ends no bigram
-    second = position >= 1
+    second = np.zeros(len(row), dtype=bool)
+    second[1:] = row[1:] == row[:-1]
     bigrams = (row[second] << shift) | (state[second] & mask)
     distinct, counts = np.unique(np.concatenate([unigrams, bigrams]), return_counts=True)
     nnz = np.bincount((distinct >> shift).astype(np.intp), minlength=len(texts))
@@ -244,8 +271,13 @@ def train(
     # A column no training text uses gets gradient 2 * l2 * 0 at every step,
     # so its weight stays exactly 0: SGD runs on the used columns only.  Rows
     # keep their order, so the weights come out bit for bit as at full width.
-    used, renumbered = np.unique(X.indices, return_inverse=True)
-    X_used = X._replace(indices=renumbered, shape=(n, len(used)))
+    # The used columns in ascending order, and each nonzero's rank among
+    # them, come from a mask over all columns with no sort; the mask's cumsum
+    # is no larger than the full-width weights below.
+    in_use = np.zeros(fcfg.dimension, dtype=bool)
+    in_use[X.indices] = True
+    used = np.flatnonzero(in_use)
+    X_used = X._replace(indices=(np.cumsum(in_use) - 1)[X.indices], shape=(n, len(used)))
 
     w_used = np.zeros(len(used))
     bias = 0.0

@@ -515,6 +515,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_triage(args) -> int:
     reports = load_reports_jsonl(args.reports)
+    gold = _load_labels_csv(args.gold) if args.gold else None
     if args.fixture:
         source = stepwise.FixtureAnswerSource(args.fixture)
     elif args.endpoint:
@@ -523,10 +524,12 @@ def _cmd_triage(args) -> int:
         raise ConfigError("triage needs --fixture or --endpoint")
     mode = stepwise.InquiryMode(args.mode)
     records = [stepwise.run_inquiry(r, mode, source) for r in reports]
+    # a gold file that misses a report fails before --out is written
+    scores = None if gold is None else stepwise.evaluate_inquiry(records, gold)
     _write_triage_csv(args.out, records)
     print(f"triaged {len(records)} reports -> {args.out}")
-    if args.gold:
-        _print_metrics(stepwise.evaluate_inquiry(records, _load_labels_csv(args.gold)))
+    if scores is not None:
+        _print_metrics(scores)
     return 0
 
 
@@ -570,10 +573,10 @@ def _cmd_fit_growth(args) -> int:
 def _cmd_centiles(args) -> int:
     model = growthchart.load_growth_model(args.model)
     sessions, _ = _sessions(args)
+    centiles = growthchart.centile(model, sessions).tolist()
     with open(args.out, "w", encoding="utf-8", newline="") as f:
         w = csv.writer(f)
         w.writerow(["session_id", "centile"])
-        centiles = growthchart.centile(model, sessions).tolist()
         w.writerows([sid, f"{c:.6f}"] for sid, c in zip(sessions.session_id.tolist(), centiles))
     print(f"centiles for {len(sessions)} sessions -> {args.out}")
     return 0

@@ -242,9 +242,11 @@ def test_design_matrix_matches_featurize_dicts(fcfg):
 
 
 # Words of few bytes and of many, mixed case, digits, the Kelvin sign (which
-# lowercases to ASCII "k") and other non-ASCII letters that tokenize drops.
+# lowercases to ASCII "k"), the dotted capital I (which lowercases to "i" and a
+# combining dot), other non-ASCII letters that tokenize drops, a lone surrogate
+# (which JSON allows), and a NUL and a newline, neither of which ends a text.
 _PIECES = ["mass", "Mass", "MASS", "lesion", "7", "T2", "a", "\u212a", "\u212aelvin",
-           "\u00e9dema", "na\u00efve", "x" * 40, "!!!"]
+           "\u00e9dema", "na\u00efve", "x" * 40, "!!!", "\ud800", "\u0130", "\x00", "\n"]
 
 
 @settings(max_examples=40, deadline=None)
@@ -259,6 +261,9 @@ _PIECES = ["mass", "Mass", "MASS", "lesion", "7", "T2", "a", "\u212a", "\u212ael
 )
 @example(pieces=[["mass"]], separators=[" "], n_texts=2 * _SCORE_BLOCK + 1, dimension=1 << 10)
 @example(pieces=[["\u212a", "Mass", "\u212aelvin"]], separators=[" "], n_texts=3, dimension=1 << 18)
+@example(pieces=[["mass\ud800", "\u0130", "\x00lesion", "\n"]], separators=[""], n_texts=3, dimension=1 << 10)
+# a token too long for the 16-bit sort keys that order tokens by length
+@example(pieces=[["abc", "x" * ((1 << 16) + 3)]], separators=[" "], n_texts=2, dimension=1 << 10)
 def test_featurize_matches_scalar_reference_property(pieces, separators, n_texts, dimension):
     # every text keeps an ASCII token, so none is empty
     distinct = [separators[i % len(separators)].join(p) + " w" for i, p in enumerate(pieces)]

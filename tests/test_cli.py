@@ -132,6 +132,31 @@ def test_report_with_no_tokens_is_named(tmp_path, capsys, monkeypatch, command):
     assert err == f"data error: {reports}: report 'r7' has no tokens after normalization\n"
 
 
+def test_lone_surrogate_in_a_report_separates_tokens(tmp_path, monkeypatch):
+    # JSON allows a lone surrogate escape; the featurizer reads it as a
+    # separator, so the run is that of the text without it
+    digests = {}
+    for tag, extra in (("plain", ""), ("surrogate", "\ud800")):
+        work = tmp_path / tag
+        work.mkdir()
+        texts = {f"r{i}": f"new mass{extra} number {i}" if i % 2 else f"unremarkable {extra}study {i}"
+                 for i in range(20)}
+        reports = work / "reports.jsonl"
+        _write_jsonl(reports, [{"id": rid, "text": text} for rid, text in texts.items()])
+        assert (b"\\ud800" in reports.read_bytes()) == bool(extra)
+        _write_jsonl(work / "annotations.jsonl",
+                     [{"report_id": rid, "grades": [0, 0, 0] if i % 2 else [2, 2, 2]}
+                      for i, rid in enumerate(texts)])
+        cfg = work / "cfg.ini"
+        cfg.write_text(f"[paths]\nreports = {reports}\nannotations = {work / 'annotations.jsonl'}\n"
+                       "[train]\nseeds = 1\nepochs = 2\n")
+        monkeypatch.chdir(work)
+        assert main(["run-experiment", "exp2_weighted", "--config", str(cfg)]) == 0
+        (run_dir,) = (work / "runs").iterdir()
+        digests[tag] = _sha256s(run_dir, ["metrics.csv", "model-seed1.bin"])
+    assert digests["surrogate"] == digests["plain"]
+
+
 @pytest.mark.parametrize("command", ["ingest", "label", "train", "eval", "triage"])
 def test_repeated_report_id_is_rejected_at_its_line(tmp_path, capsys, command):
     bundled = data_file("edge_case_reports.jsonl").read_text().splitlines()
@@ -245,6 +270,26 @@ def test_cli_import_leaves_out_scipy_and_requests(tmp_path):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("case", ["bad_label", "missing_report"])
+def test_triage_with_bad_gold_writes_nothing(tmp_path, capsys, case):
+    gold = read_metrics(data_file("edge_case_gold.csv"))
+    if case == "bad_label":
+        gold[1]["label"] = "Weird"
+    else:
+        del gold[1]
+    bad = tmp_path / "gold.csv"
+    _write_csv(bad, ["report_id", "label"], [[r["report_id"], r["label"]] for r in gold])
+    out = tmp_path / "triage.csv"
+    rc = main(["triage", "--reports", str(data_file("edge_case_reports.jsonl")),
+               "--mode", "stepwise", "--fixture", str(data_file("edge_case_responses.tsv")),
+               "--gold", str(bad), "--out", str(out)])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("data error: ") and captured.err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_triage_without_source_is_config_error(tmp_path):
@@ -1044,6 +1089,23 @@ def _phenotype_argv(command, phenotypes, out, tmp_path):
     }[command] + ["--phenotypes", str(phenotypes), "--out", str(out)]
 
 
+def test_centiles_that_fail_write_nothing(tmp_path, capsys):
+    from normcharts.cli import _default_truth
+    from normcharts.phenotype import synth_cohort, write_phenotype_csv
+
+    phenotypes = tmp_path / "p.csv"
+    write_phenotype_csv(phenotypes, synth_cohort(seed=3, n_sessions=4, n_scanners=1,
+                                                 truth=_default_truth(PipelineConfig(n_scanners=1))))
+    model_path = tmp_path / "gm.json"
+    # mu = exp(800) overflows to inf, which the scale parameter rejects
+    model_path.write_text(json.dumps({**GOOD_GROWTH_MODEL, "mu_coef": [800.0, 0.12, -0.05]}))
+    out = tmp_path / "out.csv"
+    argv = ["centiles", "--model", str(model_path), "--phenotypes", str(phenotypes), "--out", str(out)]
+    assert main(argv) == 4
+    assert capsys.readouterr().err.startswith("numerical failure: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["aggregate", "qc", "centiles"])
 def test_header_only_phenotype_csv_writes_nothing_to_stderr(tmp_path, command):
     from normcharts.phenotype import PHENOTYPE_COLUMNS
@@ -1195,3 +1257,4 @@ def test_csv_field_over_the_limit_is_data_error(tmp_path, capsys, file):
     err = capsys.readouterr().err
     assert err == f"data error: {bad}:{line}: field larger than field limit (131072)\n"
     assert csv.field_size_limit() == limit
+    assert argv[-2] != "--out" or not Path(argv[-1]).exists()
