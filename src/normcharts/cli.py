@@ -397,6 +397,14 @@ def _growth_experiment(cfg: PipelineConfig, run_dir: Path) -> list[metrics.Metri
     options = _fit_options(cfg.fp1_only, cfg.sigma_age, cfg.ridge_lambda)
     model_a = growthchart.fit(sessions.take(np.concatenate([shared, only_a])), region, options)
     model_b = growthchart.fit(sessions.take(np.concatenate([shared, only_b])), region, options)
+    for tag, model in (("A", model_a), ("B", model_b)):
+        if not model.converged:
+            import logging  # here, so that importing the CLI stays as cheap as it is
+
+            logging.getLogger(__name__).warning(
+                "growth model %s for %s did not converge (FP powers %s)",
+                tag, region.value, ", ".join(f"{q:g}" for q in model.fp_mu.powers),
+            )
     growthchart.save_growth_model(run_dir / "growth-model-a.json", model_a)
     growthchart.save_growth_model(run_dir / "growth-model-b.json", model_b)
     r = growthchart.compare_centiles(

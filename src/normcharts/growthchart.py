@@ -41,16 +41,17 @@ class GGParams:
     nu: float
 
     def __post_init__(self):
-        ok = (
-            np.all(np.isfinite(self.mu) & (np.asarray(self.mu) > 0.0))
-            and np.all(np.isfinite(self.sigma) & (np.asarray(self.sigma) > 0.0))
-            and math.isfinite(self.nu)
-            and self.nu != 0.0
-        )
-        if not ok:
-            raise InvalidParams(
-                f"require mu>0, sigma>0, nu!=0 and finite; got {self}"
-            )
+        for name in ("mu", "sigma"):
+            value = np.asarray(getattr(self, name))
+            ok = np.isfinite(value) & (value > 0.0)
+            if not ok.all():
+                bad = ~ok
+                raise InvalidParams(
+                    f"{name} must be finite and > 0, got {value[bad][0]} "
+                    f"({np.count_nonzero(bad)} of {value.size} values bad)"
+                )
+        if not (math.isfinite(self.nu) and self.nu != 0.0):
+            raise InvalidParams(f"nu must be finite and nonzero, got {self.nu}")
 
     @property
     def theta(self):
@@ -96,25 +97,36 @@ def _positive(y, what: str) -> np.ndarray:
 def _gg_terms(logy, log_mu, log_sigma, nu: float):
     """The GG log-density at log y and the terms its gradient reuses.
 
-    Returns (logpdf, w, z, theta, log theta) with w = log y - log mu and
-    z = exp(nu w); overflow is left to the caller to detect.
+    Returns (logpdf, w, nu w, z, theta, theta nu, log theta) with
+    w = log y - log mu and z = exp(nu w); overflow is left to the caller to
+    detect. The logpdf is
+    log|nu| + theta log theta + theta nu w - theta z - lgamma(theta) - log y,
+    evaluated left to right with buffers updated in place and operands only
+    swapped where that is exact, so its bits are those of the formula. Every
+    array returned is allocated here, so a caller may overwrite it.
     """
     from scipy import special
 
+    log_nu = math.log(abs(nu))
     with np.errstate(over="ignore", invalid="ignore"):
         w = logy - log_mu
-        theta = np.exp(-2.0 * log_sigma) / (nu * nu)
-        z = np.exp(nu * w)
-        log_theta = -2.0 * log_sigma - 2.0 * math.log(abs(nu))
-        ll = (
-            math.log(abs(nu))
-            + theta * log_theta
-            + theta * nu * w
-            - theta * z
-            - special.gammaln(theta)
-            - logy
-        )
-    return ll, w, z, theta, log_theta
+        log_theta = -2.0 * log_sigma
+        theta = np.exp(log_theta)
+        theta /= nu * nu
+        nu_w = nu * w
+        z = np.exp(nu_w)
+        log_theta -= 2.0 * log_nu
+        theta_nu = theta * nu
+        # ll starts from theta nu w, which has the full broadcast shape;
+        # adding (log|nu| + theta log theta) to it is the formula's first sum
+        ll = theta_nu * w
+        head = theta * log_theta
+        head += log_nu
+        ll += head
+        ll -= theta * z
+        ll -= special.gammaln(theta)
+        ll -= logy
+    return ll, w, nu_w, z, theta, theta_nu, log_theta
 
 
 def gg_logpdf(y, p: GGParams):
@@ -197,7 +209,9 @@ def linear_predictors(model: GrowthModel, age_years, female, scanner_id=None):
 def params_at(model: GrowthModel, age_years, female, scanner_id=None) -> GGParams:
     """The model's (mu, sigma, nu) at each age, sex and scanner; see linear_predictors."""
     eta_mu, eta_sigma = linear_predictors(model, age_years, female, scanner_id)
-    return GGParams(mu=np.exp(eta_mu), sigma=np.exp(eta_sigma), nu=model.nu)
+    # an overflow to inf is reported once, by GGParams, rather than warned per call
+    with np.errstate(over="ignore"):
+        return GGParams(mu=np.exp(eta_mu), sigma=np.exp(eta_sigma), nu=model.nu)
 
 
 def _basis_matrix(ages, spec: FpSpec) -> np.ndarray:
@@ -231,6 +245,15 @@ def _neg_penalized_loglik(vec, logy, x_mu, x_sigma, scanner_idx, n_scanners, lam
 
     Layout of vec: mu coefficients, scanner intercepts, sigma coefficients,
     nu. Returns (_BIG, zeros) on numerical blow-up so the optimizer backs off.
+    The gradient terms, per session, are
+
+        g_mu    = theta nu (z - 1)
+        g_sigma = -2 theta a,  a = log theta + 1 + nu w - z - digamma(theta)
+        g_nu    = 1/nu + theta w (1 - z) - (2 theta / nu) a
+
+    evaluated in place in _gg_terms' buffers; each differs from the
+    expression above only by exact swaps and sign flips, so the objective and
+    gradient are bit for bit those of the expression.
     """
     from scipy import special
 
@@ -242,26 +265,42 @@ def _neg_penalized_loglik(vec, logy, x_mu, x_sigma, scanner_idx, n_scanners, lam
     nu = vec[-1]
     if nu == 0.0:
         return _BIG, np.zeros_like(vec)
-    eta_mu = x_mu @ beta_mu + d[scanner_idx]
+    eta_mu = x_mu @ beta_mu
+    eta_mu += d[scanner_idx]
     log_sigma = x_sigma @ beta_sig
-    ll, w, z, theta, log_theta = _gg_terms(logy, eta_mu, log_sigma, nu)
-    if not np.all(np.isfinite(ll)):
+    ll, w, nu_w, z, theta, theta_nu, log_theta = _gg_terms(logy, eta_mu, log_sigma, nu)
+    # a sum is finite only if every term is; a finite-term sum can still overflow
+    total = float(ll.sum())
+    if not math.isfinite(total) and not np.isfinite(ll).all():
         return _BIG, np.zeros_like(vec)
-    penalty = lam * float(d @ d)
-    obj = -(float(np.sum(ll)) - penalty)
-    digam = special.digamma(theta)
-    a = log_theta + 1.0 + nu * w - z - digam
-    g_mu = theta * nu * (z - 1.0)
-    g_sigma = -2.0 * theta * a
-    g_nu = 1.0 / nu + theta * w * (1.0 - z) - (2.0 * theta / nu) * a
+    obj = -(total - lam * float(d @ d))
+    a = log_theta
+    a += 1.0
+    a += nu_w
+    a -= z
+    a -= special.digamma(theta)
+    z_m1 = z
+    z_m1 -= 1.0
+    g_mu = theta_nu
+    g_mu *= z_m1
+    # theta w (1 - z) is -(theta w (z - 1)), and 1/nu + (-x) is 1/nu - x
+    g_nu = theta * w
+    g_nu *= z_m1
+    np.subtract(1.0 / nu, g_nu, out=g_nu)
+    # -2 theta gives g_sigma, and (-2 theta / nu) a is -((2 theta / nu) a)
+    m2_theta = theta * -2.0
+    g_sigma = m2_theta * a
+    m2_theta /= nu
+    m2_theta *= a
+    g_nu += m2_theta
     grad = np.empty_like(vec)
     grad[:p_mu] = x_mu.T @ g_mu
     grad[p_mu : p_mu + n_scanners] = (
         np.bincount(scanner_idx, weights=g_mu, minlength=n_scanners) - 2.0 * lam * d
     )
     grad[p_mu + n_scanners : p_mu + n_scanners + p_sig] = x_sigma.T @ g_sigma
-    grad[-1] = float(np.sum(g_nu))
-    if not np.all(np.isfinite(grad)):
+    grad[-1] = float(g_nu.sum())
+    if not np.isfinite(grad).all():
         return _BIG, np.zeros_like(vec)
     return obj, -grad
 
@@ -324,30 +363,37 @@ def _unstandardize(coef: np.ndarray, centre: np.ndarray, scale: np.ndarray) -> n
     return out
 
 
-def _fit_one(logy, x_mu, x_sigma, scanner_idx, n_scanners, ridge_lambda):
+def _start_values(logy) -> tuple[float, float]:
+    """The location and scale intercepts every start begins from: the log of
+    the median volume and of its coefficient of variation, clamped to [1e-3, 5]."""
+    y = np.exp(logy)
+    med = float(np.median(y))
+    cv = float(np.std(y) / np.mean(y))
+    return math.log(med), math.log(min(max(cv, 1e-3), 5.0))
+
+
+def _fit_one(logy, x_mu, sigma_design, scanner_idx, n_scanners, ridge_lambda, start):
     """Fit one design by L-BFGS-B in the standardized parametrization.
 
-    Returns the coefficient vector on the original design and whether the
-    fit converged. A further seeded start runs, one per _NU_STARTS shape,
-    only while the best start so far has not converged.
+    sigma_design is _standardize of the scale design and start is
+    _start_values(logy); neither depends on the location basis. Returns the
+    coefficient vector on the original design and whether the fit converged.
+    A further seeded start runs, one per _NU_STARTS shape, only while the
+    best start so far has not converged.
     """
     from scipy import optimize
 
     n = logy.size
     p_mu = x_mu.shape[1]
-    p_sig = x_sigma.shape[1]
     z_mu, centre_mu, scale_mu = _standardize(x_mu)
-    z_sigma, centre_sig, scale_sig = _standardize(x_sigma)
-    y = np.exp(logy)
-    med = float(np.median(y))
-    cv = float(np.std(y) / np.mean(y))
-    cv = min(max(cv, 1e-3), 5.0)
+    z_sigma, centre_sig, scale_sig = sigma_design
+    p_sig = z_sigma.shape[1]
+    # the bounds list has one entry per coefficient, so it follows p_mu
     bounds = [(None, None)] * (p_mu + n_scanners + p_sig) + [NU_BOUNDS]
     best, converged = None, False
     for r, nu in enumerate(_NU_STARTS):
         x0 = np.zeros(p_mu + n_scanners + p_sig + 1)
-        x0[0] = math.log(med)
-        x0[p_mu + n_scanners] = math.log(cv)
+        x0[0], x0[p_mu + n_scanners] = start
         x0[-1] = nu
         if r > 0:
             rng = np.random.default_rng(1000 + r)
@@ -404,6 +450,8 @@ def fit(
         x_sigma = np.column_stack([np.ones(n), _basis_matrix(ages, fp_sigma)])
     else:
         x_sigma = np.ones((n, 1))
+    sigma_design = _standardize(x_sigma)
+    start = _start_values(logy)
     candidates = list(options.fp_candidates) if options.fp_candidates else fp_candidates()
     best_model = None
     for spec in candidates:
@@ -413,7 +461,7 @@ def fit(
             cols.append(sex_col.reshape(-1, 1))
         x_mu = np.column_stack(cols)
         vec, converged = _fit_one(
-            logy, x_mu, x_sigma, scanner_idx, len(scanners), options.ridge_lambda
+            logy, x_mu, sigma_design, scanner_idx, len(scanners), options.ridge_lambda, start
         )
         p_mu = x_mu.shape[1]
         beta_mu = vec[:p_mu]

@@ -756,6 +756,31 @@ def test_protocol_golden_digests(tmp_path, monkeypatch, name):
     assert _sha256s(run_dir, expected) == expected
 
 
+def test_exp6_warns_once_per_model_that_did_not_converge(tmp_path, monkeypatch, caplog):
+    from normcharts import growthchart
+
+    overrides, expected = GOLDEN["exp6_growthcharts"]
+    monkeypatch.chdir(tmp_path)
+    with caplog.at_level("WARNING"):
+        run_experiment("exp6_growthcharts", PipelineConfig(**overrides), timestamp="t0")
+    assert caplog.records == []
+
+    real = growthchart._fit_one
+    monkeypatch.setattr(growthchart, "_fit_one", lambda *args: (real(*args)[0], False))
+    with caplog.at_level("WARNING"):
+        run_dir = run_experiment("exp6_growthcharts", PipelineConfig(**overrides), timestamp="t1")
+    region = PipelineConfig(**overrides).region
+    assert [r.getMessage() for r in caplog.records] == [
+        f"growth model {tag} for {region} did not converge (FP powers 0.5)" for tag in "AB"
+    ]
+    assert all(r.levelname == "WARNING" for r in caplog.records)
+    for tag in "ab":
+        assert json.loads((run_dir / f"growth-model-{tag}.json").read_text())["converged"] is False
+    # the flag is the only change: every other artifact keeps its golden bytes
+    others = {k: v for k, v in expected.items() if not k.startswith("growth-model-")}
+    assert _sha256s(run_dir, others) == others
+
+
 # Selected location powers and BIC of both exp6 models, recorded from the fit
 # that ran three cold L-BFGS starts per candidate on the raw design. A fit may
 # change the coefficients' last digits but must keep the basis and may not
@@ -1103,6 +1128,33 @@ def test_centiles_that_fail_write_nothing(tmp_path, capsys):
     argv = ["centiles", "--model", str(model_path), "--phenotypes", str(phenotypes), "--out", str(out)]
     assert main(argv) == 4
     assert capsys.readouterr().err.startswith("numerical failure: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["centiles", "curves"])
+def test_overflowing_growth_model_fails_in_one_line(tmp_path, command):
+    from normcharts.cli import _default_truth
+    from normcharts.phenotype import synth_cohort, write_phenotype_csv
+
+    phenotypes = tmp_path / "p.csv"
+    write_phenotype_csv(phenotypes, synth_cohort(seed=3, n_sessions=400, n_scanners=1,
+                                                 truth=_default_truth(PipelineConfig(n_scanners=1))))
+    model_path = tmp_path / "gm.json"
+    model_path.write_text(json.dumps({**GOOD_GROWTH_MODEL, "mu_coef": [800.0, 0.12, -0.05]}))
+    out = tmp_path / "out.csv"
+    argv = {
+        "centiles": ["centiles", "--phenotypes", str(phenotypes)],
+        "curves": ["curves"],
+    }[command] + ["--model", str(model_path), "--out", str(out)]
+    # a fresh interpreter, so a numpy warning would be printed as it is for a user
+    src = str(Path(normcharts.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run([sys.executable, "-m", "normcharts.cli", *argv],
+                            env=env, capture_output=True, text=True)
+    assert result.returncode == 4
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numerical failure: mu must be finite and > 0")
+    assert "values bad" in lines[0]
     assert not out.exists()
 
 

@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import integrate, optimize, special, stats
 
 from normcharts.errors import ConfigError, DegenerateInput, DomainError, InvalidParams, ShapeError
@@ -308,6 +310,146 @@ def test_objective_gradient_matches_finite_differences():
         fd, _ = _neg_penalized_loglik(dn, logy, x_mu, x_sigma, idx, 2, 1.0)
         numeric = (fu - fd) / (2 * h)
         assert grad[k] == pytest.approx(numeric, rel=1e-4, abs=1e-6)
+
+
+# The objective as the plain expressions, each operation in its order, and
+# the same BLAS operands (x_mu.T @ g): the in-place objective must give these
+# bits. Regrouping (theta nu) w as theta (nu w), or dividing by nu or nu nu
+# through a multiplication by the reciprocal, changes them.
+def reference_gg_terms(logy, log_mu, log_sigma, nu):
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = logy - log_mu
+        theta = np.exp(-2.0 * log_sigma) / (nu * nu)
+        z = np.exp(nu * w)
+        log_theta = -2.0 * log_sigma - 2.0 * math.log(abs(nu))
+        ll = (
+            math.log(abs(nu))
+            + theta * log_theta
+            + theta * nu * w
+            - theta * z
+            - special.gammaln(theta)
+            - logy
+        )
+    return ll, w, z, theta, log_theta
+
+
+def reference_neg_penalized_loglik(vec, logy, x_mu, x_sigma, scanner_idx, n_scanners, lam):
+    p_mu = x_mu.shape[1]
+    p_sig = x_sigma.shape[1]
+    beta_mu = vec[:p_mu]
+    d = vec[p_mu : p_mu + n_scanners]
+    beta_sig = vec[p_mu + n_scanners : p_mu + n_scanners + p_sig]
+    nu = vec[-1]
+    if nu == 0.0:
+        return growthchart._BIG, np.zeros_like(vec)
+    eta_mu = x_mu @ beta_mu + d[scanner_idx]
+    log_sigma = x_sigma @ beta_sig
+    ll, w, z, theta, log_theta = reference_gg_terms(logy, eta_mu, log_sigma, nu)
+    if not np.all(np.isfinite(ll)):
+        return growthchart._BIG, np.zeros_like(vec)
+    penalty = lam * float(d @ d)
+    obj = -(float(np.sum(ll)) - penalty)
+    digam = special.digamma(theta)
+    a = log_theta + 1.0 + nu * w - z - digam
+    g_mu = theta * nu * (z - 1.0)
+    g_sigma = -2.0 * theta * a
+    g_nu = 1.0 / nu + theta * w * (1.0 - z) - (2.0 * theta / nu) * a
+    grad = np.empty_like(vec)
+    grad[:p_mu] = x_mu.T @ g_mu
+    grad[p_mu : p_mu + n_scanners] = (
+        np.bincount(scanner_idx, weights=g_mu, minlength=n_scanners) - 2.0 * lam * d
+    )
+    grad[p_mu + n_scanners : p_mu + n_scanners + p_sig] = x_sigma.T @ g_sigma
+    grad[-1] = float(np.sum(g_nu))
+    if not np.all(np.isfinite(grad)):
+        return growthchart._BIG, np.zeros_like(vec)
+    return obj, -grad
+
+
+# nu on both NU_BOUNDS and their negatives, zero, and anywhere in between
+_NUS = st.one_of(
+    st.sampled_from([NU_BOUNDS[0], NU_BOUNDS[1], -NU_BOUNDS[0], -NU_BOUNDS[1], 0.0]),
+    st.floats(-NU_BOUNDS[1], NU_BOUNDS[1]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 70),
+    p_mu=st.integers(1, 4),
+    p_sig=st.integers(1, 3),
+    n_scanners=st.integers(1, 4),
+    # coefficient scale: the larger ones overflow z, theta or the sum
+    scale=st.sampled_from([1e-3, 0.05, 0.3, 1.0, 5.0, 40.0, 400.0]),
+    nu=_NUS,
+    lam=st.sampled_from([0.0, 1.0, 2.5]),
+)
+@example(seed=1, n=50, p_mu=3, p_sig=2, n_scanners=3, scale=400.0, nu=8.0, lam=1.0)
+@example(seed=2, n=50, p_mu=3, p_sig=2, n_scanners=3, scale=0.05, nu=-0.05, lam=1.0)
+def test_objective_equals_reference_bit_for_bit(seed, n, p_mu, p_sig, n_scanners, scale, nu, lam):
+    rng = np.random.default_rng(seed)
+    logy = rng.normal(12.0, 0.5, size=n)
+    x_mu = np.column_stack([np.ones(n), rng.normal(0.0, 1.5, size=(n, p_mu - 1))])
+    x_sigma = np.column_stack([np.ones(n), rng.normal(0.0, 1.5, size=(n, p_sig - 1))])
+    idx = rng.integers(0, n_scanners, size=n)
+    vec = rng.normal(0.0, scale, size=p_mu + n_scanners + p_sig + 1)
+    vec[0] += 12.0
+    vec[p_mu + n_scanners] -= 2.0
+    vec[-1] = nu
+    args = (logy, x_mu, x_sigma, idx, n_scanners, lam)
+    with np.errstate(all="ignore"):
+        obj, grad = _neg_penalized_loglik(vec, *args)
+        ref_obj, ref_grad = reference_neg_penalized_loglik(vec, *args)
+    assert np.array_equal(obj, ref_obj, equal_nan=True) and type(obj) is type(ref_obj)
+    assert np.array_equal(grad, ref_grad)
+    if nu != 0.0:
+        with np.errstate(over="ignore"):
+            mu = np.exp(x_mu @ vec[:p_mu])
+            sigma = np.exp(x_sigma @ vec[p_mu + n_scanners : -1])
+        if np.all(np.isfinite(mu) & (mu > 0.0) & np.isfinite(sigma) & (sigma > 0.0)):
+            y = np.exp(logy)
+            # arrays throughout, a scalar y, and a scalar mu and sigma
+            for yy, m, s in ((y, mu, sigma), (y[0], mu, sigma), (y, mu[0], sigma[0])):
+                with np.errstate(all="ignore"):
+                    got = gg_logpdf(yy, GGParams(mu=m, sigma=s, nu=nu))
+                    ref = reference_gg_terms(np.log(yy), np.log(m), np.log(s), nu)[0]
+                assert np.array_equal(got, ref, equal_nan=True)
+
+
+def test_objective_keeps_an_overflowing_sum_of_finite_terms():
+    # every term finite but their sum -inf: the objective is +inf, not _BIG
+    n, n_scanners = 1000, 8
+    logy = 12.0 + np.tile([2.0, -2.0], n // 2)
+    x_mu = np.full((n, 1), 0.01)
+    x_sigma = np.full((n, 1), 0.01)
+    idx = np.arange(n) % n_scanners
+    # theta = 0.8e305 at nu = 1, mu = exp(12)
+    vec = np.concatenate([[1200.0], np.zeros(n_scanners), [-0.5 * math.log(0.8e305) / 0.01], [1.0]])
+    args = (logy, x_mu, x_sigma, idx, n_scanners, 1.0)
+    with np.errstate(all="ignore"):
+        obj, grad = _neg_penalized_loglik(vec, *args)
+        ref_obj, ref_grad = reference_neg_penalized_loglik(vec, *args)
+    assert ref_obj == obj == math.inf
+    assert np.all(np.isfinite(ref_grad)) and np.array_equal(grad, ref_grad)
+
+
+def test_objective_equals_reference_along_a_fit(monkeypatch):
+    """Every evaluation of a real search matches the reference."""
+    cohort = build_cohort(5, 400, small_truth())
+    calls = []
+    real = growthchart._neg_penalized_loglik
+
+    def both(vec, *args):
+        got = real(vec, *args)
+        calls.append((got, reference_neg_penalized_loglik(vec, *args)))
+        return got
+
+    monkeypatch.setattr(growthchart, "_neg_penalized_loglik", both)
+    fit(cohort, Region.CORTICAL_GM, quick_options(fp_candidates=[FpSpec(2, (-1.0, 2.0))]))
+    assert len(calls) > 20
+    for (obj, grad), (ref_obj, ref_grad) in calls:
+        assert obj == ref_obj and np.array_equal(grad, ref_grad)
 
 
 @pytest.mark.parametrize("ridge_lambda", [-5.0, -1e-300, math.inf, math.nan])
