@@ -535,6 +535,13 @@ def _cmd_triage(args) -> int:
     # a gold file that misses a report fails before --out is written
     scores = None if gold is None else stepwise.evaluate_inquiry(records, gold)
     _write_triage_csv(args.out, records)
+    failed = sum(v is stepwise.Verdict.FAILED for rec in records for v in rec.answers.values())
+    if failed:
+        import logging  # here, so that importing the CLI stays as cheap as it is
+
+        logging.getLogger(__name__).warning(
+            "%d answers are Failed: every try at the endpoint was a transport error", failed
+        )
     print(f"triaged {len(records)} reports -> {args.out}")
     if scores is not None:
         _print_metrics(scores)

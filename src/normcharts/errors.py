@@ -96,10 +96,6 @@ def located(path, reader=None):
 class ClientError(NormchartsError):
     """Transport failure talking to an answer source."""
 
-    def __init__(self, message, question_id=None):
-        super().__init__(message)
-        self.question_id = question_id
-
 
 class DomainError(NumericalError):
     pass

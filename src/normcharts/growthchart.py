@@ -41,7 +41,10 @@ class GGParams:
     nu: float
 
     def __post_init__(self):
-        for name in ("mu", "sigma"):
+        if not (math.isfinite(self.nu) and self.nu != 0.0):
+            raise InvalidParams(f"nu must be finite and nonzero, got {self.nu}")
+        # theta too: it overflows, or divides by zero once sigma nu underflows
+        for name in ("mu", "sigma", "theta"):
             value = np.asarray(getattr(self, name))
             ok = np.isfinite(value) & (value > 0.0)
             if not ok.all():
@@ -50,12 +53,11 @@ class GGParams:
                     f"{name} must be finite and > 0, got {value[bad][0]} "
                     f"({np.count_nonzero(bad)} of {value.size} values bad)"
                 )
-        if not (math.isfinite(self.nu) and self.nu != 0.0):
-            raise InvalidParams(f"nu must be finite and nonzero, got {self.nu}")
 
     @property
     def theta(self):
-        return 1.0 / (self.sigma * self.sigma * self.nu * self.nu)
+        with np.errstate(divide="ignore", over="ignore"):
+            return 1.0 / (np.multiply(self.sigma, self.sigma) * self.nu * self.nu)
 
 
 @dataclass(frozen=True)
@@ -532,11 +534,14 @@ def compare_centiles(a: Sequence[float], b: Sequence[float]) -> float:
         raise ShapeError("need at least 3 paired values")
     av = np.asarray(a, dtype=float)
     bv = np.asarray(b, dtype=float)
-    if float(np.var(av)) == 0.0 or float(np.var(bv)) == 0.0:
-        raise DegenerateInput("zero variance in a centile vector")
     ac = av - av.mean()
     bc = bv - bv.mean()
-    return float((ac @ bc) / math.sqrt((ac @ ac) * (bc @ bc)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = float((ac @ bc) / math.sqrt((ac @ ac) * (bc @ bc)))
+    if not math.isfinite(r):
+        # 0/0 for zero variance; x/0 once a sum of squares underflows
+        raise DegenerateInput(f"Pearson r is {r}: zero variance, or an underflow, in a centile vector")
+    return r
 
 
 def model_to_dict(model: GrowthModel) -> dict:

@@ -7,13 +7,15 @@ inverse-polarity question (a Yes there argues for normality).
 """
 
 import csv
+import json
 import os
 import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Protocol, Sequence
+from urllib.parse import urlsplit
 
-from .errors import ClientError, IncompleteRecord, MissingGold, SchemaError, located
+from .errors import ClientError, ConfigError, IncompleteRecord, MissingGold, SchemaError, located
 from .labeling import Label
 from .metrics import EvalResult, confusion
 from .report_text import Report
@@ -31,6 +33,7 @@ class Verdict(Enum):
     YES = "Yes"
     NO = "No"
     UNPARSED = "Unparsed"
+    FAILED = "Failed"  # every try of the question raised ClientError
 
 
 class InquiryMode(Enum):
@@ -53,8 +56,9 @@ PROMPTS: dict[QuestionId, str] = {
 }
 
 _FIRST_WORD = re.compile(r"[A-Za-z]+")
-# Transport errors on one question retried before its answer counts as Unparsed.
+# Transport errors on one question retried before its answer counts as Failed.
 _RETRIES = 2
+_TIMEOUT_S = 60.0  # seconds a live endpoint has to connect, and then for each read
 
 
 def parse_answer(response_text: str) -> Verdict:
@@ -81,7 +85,7 @@ def aggregate_direct(q1: Verdict) -> Label:
 
 
 def aggregate_stepwise(answers: Mapping[QuestionId, Verdict]) -> Label:
-    """Five-question decision rule; Unparsed fails every required condition."""
+    """Five-question decision rule; Unparsed and Failed fail every required condition."""
     missing = [q for q in QuestionId if q not in answers]
     if missing:
         raise IncompleteRecord(f"missing answers for {[q.value for q in missing]}")
@@ -137,32 +141,37 @@ class FixtureAnswerSource:
 
 
 class HttpAnswerSource:
-    """POSTs {"prompt", "model"} to a configured endpoint; expects {"text"}."""
+    """POSTs {"prompt", "model"} as JSON to an http(s) endpoint; expects {"text"}."""
 
-    def __init__(self, base_url: str, model: str, timeout: float = 60.0):
+    def __init__(self, base_url: str, model: str):
+        try:
+            parts = urlsplit(base_url)
+            if parts.scheme not in ("http", "https") or not parts.hostname or parts.port == 0:
+                raise ValueError("not an http or https URL with a host and a nonzero port")
+        except ValueError as e:  # urlsplit's too, and .port's for one not in 0-65535
+            raise ConfigError(f"endpoint {base_url!r}: {e}") from None
         self.base_url = base_url
         self.model = model
-        self.timeout = timeout
         self.token = os.environ.get("NORMCHARTS_LLM_TOKEN", "")
 
     def answer(self, report_id: str, question: QuestionId, prompt: str) -> str:
-        import requests  # here, not at module level: only a live endpoint needs it
+        # here, not at module level: only a live endpoint needs them
+        import http.client
+        import urllib.request
 
-        headers = {"Content-Type": "application/json"}
+        body = json.dumps({"prompt": prompt, "model": self.model}).encode("utf-8")
+        req = urllib.request.Request(self.base_url, body, {"Content-Type": "application/json"})
         if self.token:
-            headers["Authorization"] = f"Bearer {self.token}"
+            # unredirected: urllib copies an ordinary header onto a redirect to any host
+            req.add_unredirected_header("Authorization", f"Bearer {self.token}")
         try:
-            resp = requests.post(
-                self.base_url,
-                json={"prompt": prompt, "model": self.model},
-                headers=headers,
-                timeout=self.timeout,
-            )
-            resp.raise_for_status()
-            return str(resp.json()["text"])
-        except (requests.RequestException, KeyError, TypeError, ValueError) as e:
-            # TypeError: a JSON body that is not an object, such as a list or a string
-            raise ClientError(str(e), question_id=question.value) from e
+            with urllib.request.urlopen(req, timeout=_TIMEOUT_S) as resp:
+                return str(json.loads(resp.read())["text"])
+        except (OSError, http.client.HTTPException, KeyError, TypeError, ValueError) as e:
+            # IncompleteRead is not an OSError; TypeError is a JSON body that is not an object
+            if isinstance(e, urllib.error.HTTPError):
+                e.close()  # release the error response
+            raise ClientError(str(e)) from e
 
 
 def build_prompt(question: QuestionId, report: Report) -> str:
@@ -178,21 +187,19 @@ def run_inquiry(
     """Issue the direct (Q1) or full five-question inquiry for one report.
 
     Each question is asked independently (no shared conversation state).
-    Transport errors retry up to _RETRIES times, then the answer is treated
-    as Unparsed.
+    Transport errors retry up to _RETRIES times, then the answer is Failed.
     """
     questions = [QuestionId.Q1] if mode is InquiryMode.DIRECT else list(QuestionId)
     answers: dict[QuestionId, Verdict] = {q: Verdict.UNPARSED for q in QuestionId}
     for qid in questions:
         prompt = build_prompt(qid, report)
-        text = ""
+        answers[qid] = Verdict.FAILED
         for _ in range(_RETRIES + 1):
             try:
-                text = client.answer(report.id, qid, prompt)
+                answers[qid] = parse_answer(client.answer(report.id, qid, prompt))
                 break
             except ClientError:
                 pass
-        answers[qid] = parse_answer(text)
     if mode is InquiryMode.DIRECT:
         label = aggregate_direct(answers[QuestionId.Q1])
     else:

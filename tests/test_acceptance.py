@@ -110,7 +110,7 @@ def test_criterion_02_truth_table_oracle():
         for tup in itertools.product((Verdict.YES, Verdict.NO), repeat=5)
     )
     elapsed = time.perf_counter() - t0
-    report_line(2, "boolean rule vs 243-tuple brute force", all_match and normals == 3 and elapsed < 1.0)
+    report_line(2, "boolean rule vs 1,024-tuple brute force", all_match and normals == 3 and elapsed < 1.0)
 
 
 # --- 3: metric recomputation ---

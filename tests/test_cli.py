@@ -263,7 +263,7 @@ def test_cli_import_leaves_out_scipy_and_requests(tmp_path):
                    "--mode", "stepwise", "--fixture", str(data_file("edge_case_responses.tsv")),
                    "--out", {str(tmp_path / "triage.csv")!r}])
         assert rc == 0, rc
-        loaded = sorted({{"scipy.optimize", "requests"}} & set(sys.modules))
+        loaded = sorted({{"scipy.optimize", "requests", "urllib.request"}} & set(sys.modules))
         assert not loaded, loaded
     """)
     src = str(Path(normcharts.__file__).parents[1])
@@ -540,6 +540,19 @@ def test_bad_csv_maps_are_data_errors(tmp_path, capsys, case):
     assert err.startswith(f"data error: {bad}:{line}: ")
     if case.startswith("repeated"):
         assert "repeated" in err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("b_centiles", [["0.5", "0.5", "0.5"], ["0", "2e-160", "1e-160"]],
+                         ids=["zero_variance", "underflow"])
+def test_compare_without_a_finite_r_is_a_data_error(tmp_path, capsys, b_centiles):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    _write_csv(a, ["session_id", "centile"], [["s0", "0"], ["s1", "1e-160"], ["s2", "2e-160"]])
+    _write_csv(b, ["session_id", "centile"], [[f"s{i}", c] for i, c in enumerate(b_centiles)])
+    assert main(["compare", "--a", str(a), "--b", str(b)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("data error: Pearson r is ") and captured.err.count("\n") == 1
 
 
 def test_unknown_region_is_config_error_without_run_dir(tmp_path, capsys):
@@ -1131,8 +1144,9 @@ def test_centiles_that_fail_write_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["centiles", "curves"])
-def test_overflowing_growth_model_fails_in_one_line(tmp_path, command):
+def _run_growth_command(tmp_path, command, model):
+    """`command` (centiles or curves) on a 400-session cohort with `model`, in a
+    fresh interpreter, so a numpy warning would be printed as it is for a user."""
     from normcharts.cli import _default_truth
     from normcharts.phenotype import synth_cohort, write_phenotype_csv
 
@@ -1140,22 +1154,37 @@ def test_overflowing_growth_model_fails_in_one_line(tmp_path, command):
     write_phenotype_csv(phenotypes, synth_cohort(seed=3, n_sessions=400, n_scanners=1,
                                                  truth=_default_truth(PipelineConfig(n_scanners=1))))
     model_path = tmp_path / "gm.json"
-    model_path.write_text(json.dumps({**GOOD_GROWTH_MODEL, "mu_coef": [800.0, 0.12, -0.05]}))
-    out = tmp_path / "out.csv"
+    model_path.write_text(json.dumps(model))
     argv = {
         "centiles": ["centiles", "--phenotypes", str(phenotypes)],
         "curves": ["curves"],
-    }[command] + ["--model", str(model_path), "--out", str(out)]
-    # a fresh interpreter, so a numpy warning would be printed as it is for a user
+    }[command] + ["--model", str(model_path), "--out", str(tmp_path / "out.csv")]
     src = str(Path(normcharts.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    result = subprocess.run([sys.executable, "-m", "normcharts.cli", *argv],
-                            env=env, capture_output=True, text=True)
+    return subprocess.run([sys.executable, "-m", "normcharts.cli", *argv],
+                          env=env, capture_output=True, text=True)
+
+
+@pytest.mark.parametrize("command", ["centiles", "curves"])
+@pytest.mark.parametrize("change", [{"nu": 1e-200}, {"sigma_coef": [-400.0]}], ids=["nu", "sigma"])
+def test_growth_model_whose_theta_is_not_finite_fails_in_one_line(tmp_path, command, change):
+    # theta = 1/(sigma^2 nu^2) divides by zero once sigma nu underflows
+    result = _run_growth_command(tmp_path, command, {**GOOD_GROWTH_MODEL, **change})
+    assert result.returncode == 4
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numerical failure: theta must be finite and > 0")
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["centiles", "curves"])
+def test_overflowing_growth_model_fails_in_one_line(tmp_path, command):
+    result = _run_growth_command(tmp_path, command, {**GOOD_GROWTH_MODEL, "mu_coef": [800.0, 0.12, -0.05]})
     assert result.returncode == 4
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("numerical failure: mu must be finite and > 0")
     assert "values bad" in lines[0]
-    assert not out.exists()
+    assert not (tmp_path / "out.csv").exists()
 
 
 @pytest.mark.parametrize("command", ["aggregate", "qc", "centiles"])

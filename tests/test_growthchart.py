@@ -250,6 +250,12 @@ def test_params_validation():
         GGParams(mu=1.0, sigma=0.0, nu=1.0)
     with pytest.raises(InvalidParams):
         GGParams(mu=1.0, sigma=0.3, nu=0.0)
+    # sigma and nu that each pass, but theta = 1/(sigma^2 nu^2) is inf or 0
+    for sigma, nu, bad in ((1.0, 1e-200, "inf"), (math.exp(-400), 1.0, "inf"), (1e200, 1e200, "0.0")):
+        with pytest.raises(InvalidParams, match=rf"^theta must be finite and > 0, got {bad} \(1 of 1"):
+            GGParams(mu=1.0, sigma=sigma, nu=nu)
+    with pytest.raises(InvalidParams, match=r"^theta .* got inf \(2 of 3 values bad\)$"):
+        GGParams(mu=np.ones(3), sigma=np.array([1e-170, 0.5, 1e-200]), nu=1.0)
 
 
 def test_sampler_matches_cdf_ks():
@@ -411,6 +417,13 @@ def test_objective_equals_reference_bit_for_bit(seed, n, p_mu, p_sig, n_scanners
             y = np.exp(logy)
             # arrays throughout, a scalar y, and a scalar mu and sigma
             for yy, m, s in ((y, mu, sigma), (y[0], mu, sigma), (y, mu[0], sigma[0])):
+                with np.errstate(all="ignore"):
+                    theta = 1.0 / (s * s * nu * nu)
+                if not np.all(np.isfinite(theta) & (theta > 0.0)):
+                    # a shape that overflows, or divides by zero, has no GGParams
+                    with pytest.raises(InvalidParams, match="^theta must be finite and > 0"):
+                        GGParams(mu=m, sigma=s, nu=nu)
+                    continue
                 with np.errstate(all="ignore"):
                     got = gg_logpdf(yy, GGParams(mu=m, sigma=s, nu=nu))
                     ref = reference_gg_terms(np.log(yy), np.log(m), np.log(s), nu)[0]
@@ -629,6 +642,9 @@ def test_compare_centiles_errors():
         compare_centiles([0.1, 0.2], [0.3, 0.4])
     with pytest.raises(DegenerateInput):
         compare_centiles([0.5, 0.5, 0.5], [0.1, 0.2, 0.3])
+    # nonzero variances whose sums of squares underflow: r would be x/0 = inf
+    with pytest.raises(DegenerateInput):
+        compare_centiles([0.0, 1e-160, 2e-160], [0.0, 2e-160, 1e-160])
 
 
 def test_model_json_round_trip(tmp_path):
