@@ -18,7 +18,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .corpus import SplitMix64
-from .errors import ConfigError, Divergence, EmptyInput, InvalidParams, MissingClass, SchemaError
+from .errors import ConfigError, DataError, EmptyInput, NumericalError
 from .labeling import Label
 
 EPS = 1e-12
@@ -214,9 +214,9 @@ class LinearModel:
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.weights)):
-            raise InvalidParams("non-finite weights")
+            raise NumericalError("non-finite weights")
         if self.pos_weight <= 0:
-            raise InvalidParams("pos_weight must be positive")
+            raise NumericalError("pos_weight must be positive")
 
 
 def _sigmoid(z):
@@ -257,9 +257,9 @@ def train(
     fcfg = fcfg or FeatureConfig()
     labels = {lab for _, lab in examples}
     if Label.UNCERTAIN in labels:
-        raise SchemaError("Uncertain examples must be excluded upstream")
+        raise DataError("Uncertain examples must be excluded upstream")
     if labels != {Label.NORMAL, Label.ABNORMAL}:
-        raise MissingClass("training needs both Normal and Abnormal examples")
+        raise DataError("training needs both Normal and Abnormal examples")
 
     ordered = sorted(range(len(examples)), key=lambda i: (examples[i][0], examples[i][1].value))
     y = np.array([1.0 if examples[i][1] is Label.NORMAL else 0.0 for i in ordered])
@@ -293,14 +293,14 @@ def train(
                 X_used.take_rows(batch), y[batch], w_used, bias, cfg.pos_weight, _L2
             )
             if not np.isfinite(loss):
-                raise Divergence(f"non-finite loss {loss}")
+                raise NumericalError(f"non-finite loss {loss}")
             w_used -= cfg.learning_rate * gw
             bias -= cfg.learning_rate * gb
     weights = np.zeros(fcfg.dimension)
     weights[used] = w_used
     final, _, _ = objective_and_gradient(X, y, weights, bias, cfg.pos_weight, _L2)
     if not np.isfinite(final):
-        raise Divergence(f"non-finite final loss {final}")
+        raise NumericalError(f"non-finite final loss {final}")
     return LinearModel(weights=weights, bias=bias, config=fcfg, pos_weight=cfg.pos_weight, final_loss=final)
 
 
@@ -345,21 +345,21 @@ def load_model(path) -> LinearModel:
     with open(path, "rb") as f:
         blob = f.read()
     if blob[:4] != _MAGIC:
-        raise SchemaError(f"{path}: bad magic")
+        raise DataError(f"{path}: bad magic")
     if len(blob) < _HEADER.size:
-        raise SchemaError(f"{path}: truncated header ({len(blob)} bytes)")
+        raise DataError(f"{path}: truncated header ({len(blob)} bytes)")
     _, version, dimension, *features, pos_weight = _HEADER.unpack_from(blob)
     if version != _VERSION:
-        raise SchemaError(f"{path}: unsupported version {version}")
+        raise DataError(f"{path}: unsupported version {version}")
     if tuple(features) != _FEATURE_FIELDS:  # its weights belong to other features
-        raise SchemaError(f"{path}: n-gram range and case {tuple(features)}, expected {_FEATURE_FIELDS}")
+        raise DataError(f"{path}: n-gram range and case {tuple(features)}, expected {_FEATURE_FIELDS}")
     expected = _HEADER.size + 8 * dimension + 8
     if len(blob) != expected:
-        raise SchemaError(f"{path}: {len(blob)} bytes, expected {expected} for dimension {dimension}")
+        raise DataError(f"{path}: {len(blob)} bytes, expected {expected} for dimension {dimension}")
     weights = np.frombuffer(blob, dtype="<f8", count=dimension, offset=_HEADER.size).copy()
     (bias,) = struct.unpack_from("<d", blob, expected - 8)
     try:
         fcfg = FeatureConfig(dimension=dimension)
         return LinearModel(weights=weights, bias=bias, config=fcfg, pos_weight=pos_weight)
-    except (ConfigError, InvalidParams) as e:
-        raise SchemaError(f"{path}: {e}") from e
+    except (ConfigError, NumericalError) as e:
+        raise DataError(f"{path}: {e}") from e

@@ -6,7 +6,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import DuplicateId, MissingClass
+from .errors import DataError
 from .labeling import Label
 from .report_text import Report
 
@@ -117,7 +117,7 @@ def split(
         seen, dupes = set(), set()
         for rid in ids:
             (dupes if rid in seen else seen).add(rid)
-        raise DuplicateId(f"duplicate report ids: {sorted(dupes)}")
+        raise DataError(f"duplicate report ids: {sorted(dupes)}")
 
     strata: dict[object, list[str]]
     if labels is None:
@@ -152,7 +152,7 @@ def balance(
     normals = [rid for rid in train_ids if labels.get(rid) is Label.NORMAL]
     abnormals = [rid for rid in train_ids if labels.get(rid) is Label.ABNORMAL]
     if not normals or not abnormals:
-        raise MissingClass("both classes must be present to balance")
+        raise DataError("both classes must be present to balance")
     minority, majority = (normals, abnormals) if len(normals) <= len(abnormals) else (abnormals, normals)
     pool = sorted(majority)
     rng = SplitMix64(seed ^ 0xB7E151628AED2A6A)

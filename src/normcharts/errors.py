@@ -1,5 +1,6 @@
-"""Exception hierarchy shared across the pipeline, and the file-reading
-failures every loader reports at path:line."""
+"""The exit-code contract as exceptions (`cli.main` exits 2 on a ConfigError,
+3 on a DataError and 4 on a NumericalError), and the file-reading failures
+every loader reports at path:line."""
 
 import contextlib
 import csv
@@ -29,40 +30,8 @@ class EmptyInput(DataError):
         self.row = row
 
 
-class EmptyAnnotation(DataError):
-    pass
-
-
-class DuplicateId(DataError):
-    pass
-
-
-class MissingClass(DataError):
-    pass
-
-
-class MissingGold(DataError):
-    pass
-
-
-class IncompleteRecord(DataError):
-    pass
-
-
-class ShapeError(DataError):
-    pass
-
-
-class InvalidLabel(DataError):
-    pass
-
-
-class SchemaError(DataError):
-    pass
-
-
-class DegenerateInput(DataError):
-    pass
+class ClientError(NormchartsError):
+    """Transport failure talking to an answer source."""
 
 
 def not_utf8(path) -> str:
@@ -81,29 +50,13 @@ def not_utf8(path) -> str:
 @contextlib.contextmanager
 def located(path, reader=None):
     """Yield `reader`; a byte of `path` that is not UTF-8, or a csv.Error from
-    `reader` (a field over csv.field_size_limit(), say), is a SchemaError at
+    `reader` (a field over csv.field_size_limit(), say), is a DataError at
     path:line."""
     try:
         yield reader
     except UnicodeDecodeError:
-        raise SchemaError(not_utf8(path)) from None
+        raise DataError(not_utf8(path)) from None
     except csv.Error as e:
         # a DictReader updates its own line_num only after a row it has read
         line = getattr(reader, "reader", reader).line_num
-        raise SchemaError(f"{path}:{line}: {e}") from None
-
-
-class ClientError(NormchartsError):
-    """Transport failure talking to an answer source."""
-
-
-class DomainError(NumericalError):
-    pass
-
-
-class InvalidParams(NumericalError):
-    pass
-
-
-class Divergence(NumericalError):
-    pass
+        raise DataError(f"{path}:{line}: {e}") from None

@@ -23,7 +23,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateInput, DomainError, InvalidParams, SchemaError, ShapeError
+from .errors import ConfigError, DataError, NumericalError
 from .phenotype import Region, SessionTable
 from .report_text import Sex
 
@@ -42,14 +42,14 @@ class GGParams:
 
     def __post_init__(self):
         if not (math.isfinite(self.nu) and self.nu != 0.0):
-            raise InvalidParams(f"nu must be finite and nonzero, got {self.nu}")
+            raise NumericalError(f"nu must be finite and nonzero, got {self.nu}")
         # theta too: it overflows, or divides by zero once sigma nu underflows
         for name in ("mu", "sigma", "theta"):
             value = np.asarray(getattr(self, name))
             ok = np.isfinite(value) & (value > 0.0)
             if not ok.all():
                 bad = ~ok
-                raise InvalidParams(
+                raise NumericalError(
                     f"{name} must be finite and > 0, got {value[bad][0]} "
                     f"({np.count_nonzero(bad)} of {value.size} values bad)"
                 )
@@ -67,12 +67,12 @@ class FpSpec:
 
     def __post_init__(self):
         if self.order not in (1, 2):
-            raise InvalidParams(f"order must be 1 or 2, got {self.order}")
+            raise NumericalError(f"order must be 1 or 2, got {self.order}")
         if len(self.powers) != self.order:
-            raise InvalidParams("powers length must equal order")
+            raise NumericalError("powers length must equal order")
         for p in self.powers:
             if p not in FP_POWERS:
-                raise InvalidParams(f"power {p} not in the allowed set")
+                raise NumericalError(f"power {p} not in the allowed set")
 
 
 def fp_candidates() -> list[FpSpec]:
@@ -92,7 +92,7 @@ def _scalar_or_array(a):
 def _positive(y, what: str) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if not np.all(y > 0.0):
-        raise DomainError(f"{what}, got {y[~(y > 0.0)][0]}")
+        raise NumericalError(f"{what}, got {y[~(y > 0.0)][0]}")
     return y
 
 
@@ -154,7 +154,7 @@ def gg_quantile(q, p: GGParams):
     q = np.asarray(q, dtype=float)
     inside = (q > 0.0) & (q < 1.0)
     if not np.all(inside):
-        raise DomainError(f"quantile probability must be in (0,1), got {q[~inside][0]}")
+        raise NumericalError(f"quantile probability must be in (0,1), got {q[~inside][0]}")
     theta = p.theta
     g = special.gammaincinv(theta, q) if p.nu > 0 else special.gammainccinv(theta, q)
     return _scalar_or_array(p.mu * np.power(g / theta, 1.0 / p.nu))
@@ -224,7 +224,7 @@ def _basis_matrix(ages, spec: FpSpec) -> np.ndarray:
     """
     ages = np.asarray(ages, dtype=float)
     if np.any(ages <= 0.0):
-        raise DomainError(f"fractional polynomials need x > 0, got {ages[ages <= 0.0][0]}")
+        raise NumericalError(f"fractional polynomials need x > 0, got {ages[ages <= 0.0][0]}")
     log_x = np.log(ages)
 
     def term(p: float) -> np.ndarray:
@@ -435,10 +435,10 @@ def fit(
     the fit, with the shift folded into the intercept.
     """
     if len(cohort) < 30:
-        raise DegenerateInput(f"need at least 30 sessions, got {len(cohort)}")
+        raise DataError(f"need at least 30 sessions, got {len(cohort)}")
     y = cohort.volume(region)
     if np.any(y <= 0.0):
-        raise DegenerateInput("volumes must be positive")
+        raise DataError("volumes must be positive")
     ages = cohort.age_years
     sex_col = cohort.female.astype(float)
     scanners, scanner_idx = np.unique(cohort.scanner_id, return_inverse=True)
@@ -529,9 +529,9 @@ def percentile_curves(
 def compare_centiles(a: Sequence[float], b: Sequence[float]) -> float:
     """Sample Pearson correlation between two centile vectors."""
     if len(a) != len(b):
-        raise ShapeError(f"length mismatch: {len(a)} vs {len(b)}")
+        raise DataError(f"length mismatch: {len(a)} vs {len(b)}")
     if len(a) < 3:
-        raise ShapeError("need at least 3 paired values")
+        raise DataError("need at least 3 paired values")
     av = np.asarray(a, dtype=float)
     bv = np.asarray(b, dtype=float)
     ac = av - av.mean()
@@ -540,7 +540,7 @@ def compare_centiles(a: Sequence[float], b: Sequence[float]) -> float:
         r = float((ac @ bc) / math.sqrt((ac @ ac) * (bc @ bc)))
     if not math.isfinite(r):
         # 0/0 for zero variance; x/0 once a sum of squares underflows
-        raise DegenerateInput(f"Pearson r is {r}: zero variance, or an underflow, in a centile vector")
+        raise DataError(f"Pearson r is {r}: zero variance, or an underflow, in a centile vector")
     return r
 
 
@@ -569,7 +569,7 @@ def _fp_spec(value, key: str) -> FpSpec:
 
 def model_from_dict(doc: dict) -> GrowthModel:
     """Inverse of model_to_dict; a missing key raises KeyError, a wrong type
-    TypeError and a wrong value ValueError or InvalidParams."""
+    TypeError and a wrong value ValueError or NumericalError."""
     if not isinstance(doc, dict):
         raise TypeError(f"a growth model must be an object, got {type(doc).__name__}")
     fp_mu = _fp_spec(doc["fp_mu"], "fp_mu")
@@ -609,15 +609,15 @@ def save_growth_model(path, model: GrowthModel) -> None:
 
 
 def load_growth_model(path) -> GrowthModel:
-    """Read a save_growth_model file; a malformed one is a SchemaError naming it."""
+    """Read a save_growth_model file; a malformed one is a DataError naming it."""
     try:
         with open(path, encoding="utf-8") as f:
             doc = json.load(f)
     except ValueError as e:
-        raise SchemaError(f"{path}: not valid JSON: {e}") from e
+        raise DataError(f"{path}: not valid JSON: {e}") from e
     try:
         return model_from_dict(doc)
     except KeyError as e:
-        raise SchemaError(f"{path}: missing key {e}") from e
-    except (TypeError, ValueError, InvalidParams) as e:
-        raise SchemaError(f"{path}: {e}") from e
+        raise DataError(f"{path}: missing key {e}") from e
+    except (TypeError, ValueError, NumericalError) as e:
+        raise DataError(f"{path}: {e}") from e

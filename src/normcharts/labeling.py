@@ -4,7 +4,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import EmptyAnnotation, SchemaError
+from .errors import DataError
 from .report_text import Report, SectionKind, json_objects
 
 
@@ -57,10 +57,10 @@ def aggregate_grades(grades: list[int]) -> Label:
     Uncertain.  Both inequalities are strict.
     """
     if not grades:
-        raise EmptyAnnotation("no grades given")
+        raise DataError("no grades given")
     for g in grades:
         if g not in (0, 1, 2):
-            raise SchemaError(f"grade {g!r} outside {{0,1,2}}")
+            raise DataError(f"grade {g!r} outside {{0,1,2}}")
     mean = sum(grades) / len(grades)
     if mean > 1.5:
         return Label.NORMAL
@@ -84,7 +84,7 @@ def load_annotations_jsonl(path) -> list[AnnotationSet]:
     out = []
     for lineno, obj in json_objects(path):
         if "report_id" not in obj:
-            raise SchemaError(f"{path}:{lineno}: missing key 'report_id'")
+            raise DataError(f"{path}:{lineno}: missing key 'report_id'")
         grades = obj.get("grades")
         # True == 1 and 2.0 == 2, but neither is a grade
         if not (
@@ -92,7 +92,7 @@ def load_annotations_jsonl(path) -> list[AnnotationSet]:
             and grades
             and all(type(g) is int and g in (0, 1, 2) for g in grades)
         ):
-            raise SchemaError(
+            raise DataError(
                 f"{path}:{lineno}: grades must be a non-empty list of 0, 1 or 2, got {grades!r}"
             )
         out.append(AnnotationSet(str(obj["report_id"]), tuple(grades)))
@@ -100,15 +100,18 @@ def load_annotations_jsonl(path) -> list[AnnotationSet]:
 
 
 def label_reports(reports: list[Report], annotations: list[AnnotationSet]) -> dict[str, Label]:
-    """Produce the reference label per report id.
+    """Produce the reference label per report id of `reports`.
 
     Human grades are authoritative when present; otherwise a coarse keyword
-    hit labels the report Abnormal.  Reports with neither stay unlabeled.
-    The keyword flag is computed only for reports without grades, since
-    grades would overwrite it.
+    hit labels the report Abnormal.  Reports with neither stay unlabeled, and
+    an annotation whose id is not among `reports` is skipped.  The keyword
+    flag is computed only for reports without grades, since grades would
+    overwrite it.
     """
     graded = {ann.report_id for ann in annotations}
     by_id = {r.id: Label.ABNORMAL for r in reports if r.id not in graded and coarse_flag(r)}
+    ids = {r.id for r in reports}
     for ann in annotations:
-        by_id[ann.report_id] = ann.label()
+        if ann.report_id in ids:
+            by_id[ann.report_id] = ann.label()
     return by_id

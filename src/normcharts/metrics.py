@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence, Union
 
-from .errors import EmptyInput, InvalidLabel, ShapeError
+from .errors import DataError, EmptyInput
 from .labeling import Label
 
 METRIC_NAMES = ("accuracy", "sensitivity", "specificity", "precision", "f1")
@@ -28,7 +28,7 @@ class EvalResult:
 
     def __post_init__(self):
         if min(self.tp, self.fp, self.tn, self.fn) < 0 or self.total < 1:
-            raise ShapeError("confusion counts must be non-negative with total >= 1")
+            raise DataError("confusion counts must be non-negative with total >= 1")
 
     @property
     def total(self) -> int:
@@ -66,13 +66,13 @@ class EvalResult:
 def confusion(predictions: Sequence[Label], gold: Sequence[Label]) -> EvalResult:
     """Accumulate confusion counts with Normal as the positive class."""
     if len(predictions) != len(gold):
-        raise ShapeError(f"length mismatch: {len(predictions)} predictions vs {len(gold)} gold")
+        raise DataError(f"length mismatch: {len(predictions)} predictions vs {len(gold)} gold")
     if len(gold) == 0:
-        raise ShapeError("empty evaluation")
+        raise DataError("empty evaluation")
     tp = fp = tn = fn = 0
     for pred, ref in zip(predictions, gold):
         if Label.UNCERTAIN in (pred, ref):
-            raise InvalidLabel("Uncertain labels are excluded from evaluation")
+            raise DataError("Uncertain labels are excluded from evaluation")
         if pred is Label.NORMAL:
             if ref is Label.NORMAL:
                 tp += 1

@@ -19,7 +19,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import InvalidParams, SchemaError, located
+from .errors import DataError, NumericalError, located
 from .report_text import Sex
 
 QC_THRESHOLD = 0.65
@@ -58,7 +58,7 @@ _SEX_CODES = (Sex.M.value, Sex.F.value)
 BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
-class BadRow(SchemaError):
+class BadRow(DataError):
     """A table row that fails validation; `row` is its 0-based index."""
 
     def __init__(self, row: int, problem: str):
@@ -79,7 +79,7 @@ class _Columns:
             column = np.asarray(getattr(self, name), dtype=dtype)
             shape = (n,) if width is None else (n, width)
             if column.shape != shape:
-                raise SchemaError(f"column {name} has shape {column.shape}, expected {shape}")
+                raise DataError(f"column {name} has shape {column.shape}, expected {shape}")
             object.__setattr__(self, name, column)
 
     @classmethod
@@ -214,7 +214,7 @@ class AttritionReport:
     def __post_init__(self):
         total = self.n_output_sessions + self.dropped_qc + self.dropped_no_mprage
         if total != self.n_input_sessions:
-            raise SchemaError(
+            raise DataError(
                 f"attrition does not balance: {self.n_input_sessions} != {total}"
             )
 
@@ -288,7 +288,7 @@ PHENOTYPE_COLUMNS = (
 
 def load_phenotype_csv(path) -> PhenotypeTable:
     """Read a phenotype CSV; a bad row, a csv.Error or a byte that is not
-    UTF-8 is a SchemaError at path:line.
+    UTF-8 is a DataError at path:line.
 
     The header is read by csv and the body is parsed by np.loadtxt in one C
     pass. Whatever that pass does not take cleanly -- an error or a warning
@@ -307,7 +307,7 @@ def _column_positions(path, header: list[str]) -> list[int]:
     """The position in `header` of each of PHENOTYPE_COLUMNS."""
     missing = [c for c in PHENOTYPE_COLUMNS if c not in header]
     if missing:
-        raise SchemaError(f"{path}:1: missing columns {missing}")
+        raise DataError(f"{path}:1: missing columns {missing}")
     return [header.index(c) for c in PHENOTYPE_COLUMNS]
 
 
@@ -357,17 +357,17 @@ def _load_rows(path) -> PhenotypeTable:
             if len(row) != len(header):
                 if not row:
                     continue
-                raise SchemaError(
+                raise DataError(
                     f"{path}:{reader.line_num}: expected {len(header)} fields, got {len(row)}"
                 )
             try:
                 age_days.append(int(row[i_age]))
                 numbers.extend(map(float, numeric(row)))
             except (ValueError, OverflowError) as e:
-                raise SchemaError(f"{path}:{reader.line_num}: {e}") from None
+                raise DataError(f"{path}:{reader.line_num}: {e}") from None
             flag = BOOLEANS.get(row[i_mprage].strip().lower())
             if flag is None:
-                raise SchemaError(
+                raise DataError(
                     f"{path}:{reader.line_num}: is_mprage must be one of "
                     f"{'/'.join(BOOLEANS)}, got {row[i_mprage]!r}"
                 )
@@ -384,7 +384,7 @@ def _load_rows(path) -> PhenotypeTable:
             numbers[:, : len(Region)], numbers[:, len(Region) :],
         )
     except BadRow as e:
-        raise SchemaError(f"{path}:{lines[e.row]}: {e.problem}") from None
+        raise DataError(f"{path}:{lines[e.row]}: {e.problem}") from None
 
 
 def write_phenotype_csv(path, table: PhenotypeTable) -> None:
@@ -460,14 +460,14 @@ def synth_cohort(
     from .growthchart import GGParams, GrowthModel, gg_sample_one, linear_predictors
 
     if not isinstance(truth, GrowthModel):
-        raise InvalidParams("truth must be a GrowthModel")
+        raise NumericalError("truth must be a GrowthModel")
     if n_sessions < 1 or n_scanners < 1:
-        raise InvalidParams("n_sessions and n_scanners must be >= 1")
+        raise NumericalError("n_sessions and n_scanners must be >= 1")
     rng = np.random.default_rng(seed)
     if truth.scanner_intercepts:
         scanner_ids = sorted(truth.scanner_intercepts)
         if len(scanner_ids) != n_scanners:
-            raise InvalidParams(
+            raise NumericalError(
                 f"truth has {len(scanner_ids)} scanner intercepts, expected {n_scanners}"
             )
     else:

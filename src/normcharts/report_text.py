@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Mapping
 
-from .errors import DuplicateId, EmptyInput, SchemaError, located
+from .errors import DataError, EmptyInput, located
 
 
 class SectionKind(Enum):
@@ -93,7 +93,7 @@ class Report:
         if not self.raw_text:
             raise EmptyInput(f"report {self.id!r} has empty text")
         if self.age_days < 0:
-            raise SchemaError(f"report {self.id!r} has negative age_days")
+            raise DataError(f"report {self.id!r} has negative age_days")
 
     @functools.cached_property
     def sections(self) -> Mapping[SectionKind, str]:
@@ -121,7 +121,7 @@ def json_objects(path, expected: str = "a JSON object") -> Iterator[tuple[int, d
     """(line number, object) of each non-blank line of a JSON-lines file.
 
     Invalid JSON, a line that is not an object (the message says `expected`)
-    or a byte that is not UTF-8 is a SchemaError at path:line.
+    or a byte that is not UTF-8 is a DataError at path:line.
     """
     with open(path, encoding="utf-8") as f, located(path):
         for lineno, line in enumerate(f, 1):
@@ -131,9 +131,9 @@ def json_objects(path, expected: str = "a JSON object") -> Iterator[tuple[int, d
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as e:
-                raise SchemaError(f"{path}:{lineno}: invalid JSON ({e})") from e
+                raise DataError(f"{path}:{lineno}: invalid JSON ({e})") from e
             if not isinstance(obj, dict):
-                raise SchemaError(f"{path}:{lineno}: expected {expected}")
+                raise DataError(f"{path}:{lineno}: expected {expected}")
             yield lineno, obj
 
 
@@ -146,7 +146,7 @@ def load_reports_jsonl(path) -> list[Report]:
     seen: set[str] = set()
     for lineno, obj in json_objects(path, _REPORT_LINE):
         if not isinstance(obj.get("text", ""), str):
-            raise SchemaError(f"{path}:{lineno}: expected {_REPORT_LINE}")
+            raise DataError(f"{path}:{lineno}: expected {_REPORT_LINE}")
         try:
             report = Report(
                 id=str(obj["id"]),
@@ -158,9 +158,9 @@ def load_reports_jsonl(path) -> list[Report]:
                 procedure_description=str(obj.get("procedure_description", "")),
             )
         except (KeyError, TypeError, ValueError, OverflowError) as e:
-            raise SchemaError(f"{path}:{lineno}: {e}") from e
+            raise DataError(f"{path}:{lineno}: {e}") from e
         if report.id in seen:
-            raise DuplicateId(f"{path}:{lineno}: repeated report id {report.id!r}")
+            raise DataError(f"{path}:{lineno}: repeated report id {report.id!r}")
         seen.add(report.id)
         reports.append(report)
     return reports

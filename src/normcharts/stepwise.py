@@ -7,6 +7,7 @@ inverse-polarity question (a Yes there argues for normality).
 """
 
 import csv
+import functools
 import json
 import os
 import re
@@ -15,7 +16,7 @@ from enum import Enum
 from typing import Mapping, Protocol, Sequence
 from urllib.parse import urlsplit
 
-from .errors import ClientError, ConfigError, IncompleteRecord, MissingGold, SchemaError, located
+from .errors import ClientError, ConfigError, DataError, located
 from .labeling import Label
 from .metrics import EvalResult, confusion
 from .report_text import Report
@@ -88,7 +89,7 @@ def aggregate_stepwise(answers: Mapping[QuestionId, Verdict]) -> Label:
     """Five-question decision rule; Unparsed and Failed fail every required condition."""
     missing = [q for q in QuestionId if q not in answers]
     if missing:
-        raise IncompleteRecord(f"missing answers for {[q.value for q in missing]}")
+        raise DataError(f"missing answers for {[q.value for q in missing]}")
     gate = answers[QuestionId.Q1] is Verdict.NO or answers[QuestionId.Q2] is Verdict.YES
     clear = all(
         answers[q] is Verdict.NO for q in (QuestionId.Q3, QuestionId.Q4, QuestionId.Q5)
@@ -115,7 +116,7 @@ FIXTURE_COLUMNS = ("report_id", "question_id", "response_text")
 class FixtureAnswerSource:
     """Canned responses from a TSV of (report_id, question_id, response_text);
     a row without its response_text cell, a repeated (report_id,
-    question_id), a csv.Error or a byte that is not UTF-8 is a SchemaError
+    question_id), a csv.Error or a byte that is not UTF-8 is a DataError
     at path:line."""
 
     def __init__(self, path):
@@ -126,18 +127,31 @@ class FixtureAnswerSource:
         ):
             missing = [c for c in FIXTURE_COLUMNS if c not in (reader.fieldnames or ())]
             if missing:
-                raise SchemaError(f"{path}:1: fixture missing columns {missing}")
+                raise DataError(f"{path}:1: fixture missing columns {missing}")
             for row in reader:
                 key = (row["report_id"], row["question_id"])
                 if row["response_text"] is None:
-                    raise SchemaError(f"{path}:{reader.line_num}: row has no response_text cell")
+                    raise DataError(f"{path}:{reader.line_num}: row has no response_text cell")
                 if key in self.responses:
-                    raise SchemaError(f"{path}:{reader.line_num}: repeated (report_id, question_id) {key}")
+                    raise DataError(f"{path}:{reader.line_num}: repeated (report_id, question_id) {key}")
                 self.responses[key] = row["response_text"]
 
     def answer(self, report_id: str, question: QuestionId, prompt: str) -> str:
         # A question with no row parses to Unparsed downstream.
         return self.responses.get((report_id, question.value), "")
+
+
+@functools.cache
+def _opener_refusing_redirects():
+    """An opener on which every 30x reply is an HTTPError: urllib would follow a
+    301/302/303 of the POST as a bodiless GET, and return a reply to no prompt."""
+    import urllib.request  # here, not at module level: only a live endpoint needs it
+
+    class RefuseRedirects(urllib.request.HTTPRedirectHandler):
+        def redirect_request(self, *args):
+            return None  # the default error handler then raises HTTPError
+
+    return urllib.request.build_opener(RefuseRedirects)
 
 
 class HttpAnswerSource:
@@ -165,7 +179,7 @@ class HttpAnswerSource:
             # unredirected: urllib copies an ordinary header onto a redirect to any host
             req.add_unredirected_header("Authorization", f"Bearer {self.token}")
         try:
-            with urllib.request.urlopen(req, timeout=_TIMEOUT_S) as resp:
+            with _opener_refusing_redirects().open(req, timeout=_TIMEOUT_S) as resp:
                 return str(json.loads(resp.read())["text"])
         except (OSError, http.client.HTTPException, KeyError, TypeError, ValueError) as e:
             # IncompleteRead is not an OSError; TypeError is a JSON body that is not an object
@@ -214,7 +228,7 @@ def evaluate_inquiry(
     """Score inquiry labels against gold, Normal as the positive class."""
     missing = [r.report_id for r in records if r.report_id not in gold]
     if missing:
-        raise MissingGold(f"no gold label for {missing}")
+        raise DataError(f"no gold label for {missing}")
     preds = [r.label for r in records]
     refs = [gold[r.report_id] for r in records]
     return confusion(preds, refs)

@@ -13,11 +13,11 @@ import pytest
 from scipy import integrate
 
 from normcharts import classifier, corpus, metrics
-from normcharts.cli import (
+from normcharts.experiments import (
     PipelineConfig,
     _default_truth,
-    _load_labels_csv,
     data_file,
+    load_labels_csv,
     run_experiment,
 )
 from normcharts.growthchart import (
@@ -68,7 +68,7 @@ def report_line(number, name, ok):
 def test_criterion_01_edge_case_replay():
     t0 = time.perf_counter()
     reports = load_reports_jsonl(data_file("edge_case_reports.jsonl"))
-    gold = _load_labels_csv(data_file("edge_case_gold.csv"))
+    gold = load_labels_csv(data_file("edge_case_gold.csv"))
     source = FixtureAnswerSource(data_file("edge_case_responses.tsv"))
     stepwise_recs = [run_inquiry(r, InquiryMode.STEPWISE, source) for r in reports]
     res = evaluate_inquiry(stepwise_recs, gold)

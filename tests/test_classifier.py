@@ -26,7 +26,7 @@ from normcharts.classifier import (
     _sigmoid,
 )
 from normcharts.corpus import SplitMix64
-from normcharts.errors import ConfigError, EmptyInput, MissingClass
+from normcharts.errors import ConfigError, DataError, EmptyInput
 from normcharts.labeling import Label
 
 
@@ -359,7 +359,7 @@ def test_train_learns_separable_toy_problem():
 
 def test_train_requires_both_classes():
     ex = [("all good", Label.NORMAL)] * 5
-    with pytest.raises(MissingClass):
+    with pytest.raises(DataError, match="^training needs both Normal and Abnormal examples$"):
         train(ex, TrainConfig())
 
 

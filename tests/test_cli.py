@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -12,16 +13,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import normcharts
-from normcharts.cli import (
+from normcharts.cli import main
+from normcharts.experiments import (
     DEFAULT_SEEDS,
     EXPERIMENTS,
     PipelineConfig,
     data_file,
     load_config,
-    main,
     run_experiment,
 )
-from normcharts.errors import ConfigError
+from normcharts.errors import ConfigError, DataError, NumericalError
 
 
 def read_metrics(path):
@@ -256,7 +257,8 @@ def test_cli_import_leaves_out_scipy_and_requests(tmp_path):
     # Each command starts a fresh interpreter, so import time is paid per command.
     script = textwrap.dedent(f"""
         import sys
-        from normcharts.cli import data_file, main
+        from normcharts.cli import main
+        from normcharts.experiments import data_file
         loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "requests"))
         assert not loaded, loaded
         rc = main(["triage", "--reports", str(data_file("edge_case_reports.jsonl")),
@@ -367,7 +369,7 @@ def test_bad_annotation_line_is_data_error_at_its_line(tmp_path, capsys, line, m
 
 
 def test_growth_pipeline_chain(tmp_path, capsys):
-    from normcharts.cli import _default_truth
+    from normcharts.experiments import _default_truth
     from normcharts.phenotype import synth_cohort, write_phenotype_csv
 
     cfg = PipelineConfig(n_scanners=5)
@@ -697,6 +699,70 @@ def test_runs_are_byte_identical(tmp_path):
     assert (dir_a / "model-seed3.bin").read_bytes() == (dir_b / "model-seed3.bin").read_bytes()
 
 
+def test_same_stamp_runs_get_their_own_directories(tmp_path):
+    cfg = PipelineConfig(out_dir=str(tmp_path))
+    runs = [run_experiment("exp5_stepwise", cfg, timestamp="t0") for _ in range(3)]
+    assert runs == [tmp_path / name for name in ("exp5_stepwise-t0", "exp5_stepwise-t0-1",
+                                                  "exp5_stepwise-t0-2")]
+    assert len({(run / "metrics.csv").read_bytes() for run in runs}) == 1
+
+
+def test_out_that_is_a_dangling_link_is_config_error(tmp_path, capsys):
+    out = tmp_path / "runs"
+    out.symlink_to(tmp_path / "missing")
+    assert main(["run-experiment", "exp5_stepwise", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["runs"]
+
+
+def _fail_after(real, error):
+    """`real`, which then raises `error`: the step's own output is written."""
+
+    def step(*args, **kwargs):
+        real(*args, **kwargs)
+        raise error
+
+    return step
+
+
+# A step in the middle of each kind of protocol, the error it raises, and the
+# exit code and stderr prefix of that error.
+MID_PROTOCOL_FAILURES = {
+    "exp2_weighted": ("classifier", "save_model", PermissionError("denied"), 2, "config error: "),
+    "exp5_stepwise": ("stepwise", "evaluate_inquiry", DataError("no gold"), 3, "data error: "),
+    "exp6_growthcharts": ("growthchart", "save_growth_model", NumericalError("nan"), 4,
+                          "numerical failure: "),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MID_PROTOCOL_FAILURES))
+def test_a_failed_run_leaves_no_run_directory(tmp_path, capsys, monkeypatch, name):
+    module, attr, error, code, prefix = MID_PROTOCOL_FAILURES[name]
+    module = importlib.import_module(f"normcharts.{module}")
+    monkeypatch.setattr(module, attr, _fail_after(getattr(module, attr), error))
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text("[train]\nsynth_n = 400\ndimension = 4096\n[growth]\nn_sessions = 300\n")
+    out = tmp_path / "runs"
+    rc = main(["run-experiment", name, "--config", str(cfg_path), "--seed", "1", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert (rc, captured.out, captured.err) == (code, "", f"{prefix}{error}\n")
+    assert list(out.iterdir()) == []
+
+
+def test_exp6_with_a_phenotype_csv_without_columns_leaves_no_run_directory(tmp_path, capsys):
+    phenotypes = tmp_path / "phenotypes.csv"
+    phenotypes.write_text("session_id,age_days\ns1,100\n")
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(f"[paths]\nphenotypes = {phenotypes}\n")
+    out = tmp_path / "runs"
+    assert main(["run-experiment", "exp6_growthcharts", "--config", str(cfg_path),
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {phenotypes}:1: missing columns ") and err.count("\n") == 1
+    assert list(out.iterdir()) == []
+
+
 def _sha256s(run_dir, names):
     return {name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest() for name in names}
 
@@ -993,7 +1059,7 @@ GOLDEN_PHENOTYPE = {
 
 
 def test_phenotype_commands_golden_digests(tmp_path, monkeypatch, capsys):
-    from normcharts.cli import _default_truth
+    from normcharts.experiments import _default_truth
     from normcharts.phenotype import synth_cohort, write_phenotype_csv
 
     monkeypatch.chdir(tmp_path)
@@ -1032,7 +1098,7 @@ BAD_PHENOTYPE_ROWS = {
 @pytest.mark.parametrize("command", ["aggregate", "centiles", "qc", "fit-growth"])
 @pytest.mark.parametrize("case", sorted(BAD_PHENOTYPE_ROWS))
 def test_bad_phenotype_row_is_data_error_at_its_line(tmp_path, capsys, command, case):
-    from normcharts.cli import _default_truth
+    from normcharts.experiments import _default_truth
     from normcharts.phenotype import synth_cohort, write_phenotype_csv
 
     good = tmp_path / "good.csv"
@@ -1066,7 +1132,7 @@ def test_bad_phenotype_row_is_data_error_at_its_line(tmp_path, capsys, command, 
     ("ture", None), ("nope", None), ("", None), ("on", None), ("2", None),
 ])
 def test_is_mprage_values_are_strict(tmp_path, capsys, text, value):
-    from normcharts.cli import _default_truth
+    from normcharts.experiments import _default_truth
     from normcharts.phenotype import synth_cohort, write_phenotype_csv
 
     good = tmp_path / "good.csv"
@@ -1128,7 +1194,7 @@ def _phenotype_argv(command, phenotypes, out, tmp_path):
 
 
 def test_centiles_that_fail_write_nothing(tmp_path, capsys):
-    from normcharts.cli import _default_truth
+    from normcharts.experiments import _default_truth
     from normcharts.phenotype import synth_cohort, write_phenotype_csv
 
     phenotypes = tmp_path / "p.csv"
@@ -1147,7 +1213,7 @@ def test_centiles_that_fail_write_nothing(tmp_path, capsys):
 def _run_growth_command(tmp_path, command, model):
     """`command` (centiles or curves) on a 400-session cohort with `model`, in a
     fresh interpreter, so a numpy warning would be printed as it is for a user."""
-    from normcharts.cli import _default_truth
+    from normcharts.experiments import _default_truth
     from normcharts.phenotype import synth_cohort, write_phenotype_csv
 
     phenotypes = tmp_path / "p.csv"
@@ -1208,7 +1274,7 @@ def test_header_only_phenotype_csv_writes_nothing_to_stderr(tmp_path, command):
 
 @pytest.mark.parametrize("command", ["aggregate", "centiles", "qc", "fit-growth"])
 def test_phenotype_csv_that_is_not_utf8_is_data_error(tmp_path, capsys, command):
-    from normcharts.cli import _default_truth
+    from normcharts.experiments import _default_truth
     from normcharts.phenotype import synth_cohort, write_phenotype_csv
 
     good = tmp_path / "good.csv"
@@ -1293,7 +1359,7 @@ _LONG_FIELD = "x" * 200_000  # over csv's default field_size_limit() of 131,072
 @pytest.mark.parametrize("file", ["phenotypes", "phenotype_header", "labels", "split", "gold",
                                   "fixture", "centiles"])
 def test_csv_field_over_the_limit_is_data_error(tmp_path, capsys, file):
-    from normcharts.cli import _default_truth
+    from normcharts.experiments import _default_truth
     from normcharts.phenotype import synth_cohort, write_phenotype_csv
 
     limit = csv.field_size_limit()

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from normcharts import corpus
 from normcharts.corpus import MASK64, SplitMix64, Subset, balance, ood_partition, split
-from normcharts.errors import DuplicateId, MissingClass
+from normcharts.errors import DataError
 from normcharts.labeling import Label
 from normcharts.report_text import Report, Sex
 
@@ -123,7 +123,7 @@ def test_split_deterministic_and_seed_sensitive():
 
 def test_split_duplicate_ids_raise():
     reports = make_reports(5) + make_reports(1)
-    with pytest.raises(DuplicateId):
+    with pytest.raises(DataError, match=r"^duplicate report ids: \['r0000'\]$"):
         split(reports, 0)
 
 
@@ -169,7 +169,7 @@ def test_balance_equal_counts():
 def test_balance_missing_class_raises():
     reports = make_reports(10)
     labels = {r.id: Label.ABNORMAL for r in reports}
-    with pytest.raises(MissingClass):
+    with pytest.raises(DataError, match="^both classes must be present to balance$"):
         balance([r.id for r in reports], labels, seed=0)
 
 

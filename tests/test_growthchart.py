@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, optimize, special, stats
 
-from normcharts.errors import ConfigError, DegenerateInput, DomainError, InvalidParams, ShapeError
+from normcharts.errors import ConfigError, DataError, NumericalError
 from normcharts import growthchart
 from normcharts.growthchart import (
     FP_POWERS,
@@ -72,9 +72,9 @@ def test_fp_basis_second_order_distinct_and_repeated():
 
 
 def test_fp_basis_rejects_nonpositive_x():
-    with pytest.raises(DomainError):
+    with pytest.raises(NumericalError, match=r"^fractional polynomials need x > 0, got 0\.0$"):
         _basis_matrix(0.0, FpSpec(1, (1.0,)))
-    with pytest.raises(DomainError):
+    with pytest.raises(NumericalError, match=r"^fractional polynomials need x > 0, got -3\.0$"):
         _basis_matrix([-3.0], FpSpec(1, (2.0,)))
 
 
@@ -114,7 +114,7 @@ def test_basis_matrix_of_one_age_equals_its_row():
 
 
 def test_basis_matrix_rejects_nonpositive_age():
-    with pytest.raises(DomainError):
+    with pytest.raises(NumericalError, match=r"^fractional polynomials need x > 0, got 0\.0$"):
         _basis_matrix(np.array([1.0, 0.0]), FpSpec(1, (1.0,)))
 
 
@@ -235,26 +235,26 @@ def test_exponential_special_case():
 
 def test_logpdf_rejects_nonpositive_support():
     p = GGParams(mu=1.0, sigma=0.3, nu=1.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(NumericalError, match=r"^support is y > 0, got 0\.0$"):
         gg_logpdf(0.0, p)
-    with pytest.raises(DomainError):
+    with pytest.raises(NumericalError, match=r"^support is y > 0, got -1\.0$"):
         gg_cdf(-1.0, p)
-    with pytest.raises(DomainError):
+    with pytest.raises(NumericalError, match=r"^quantile probability must be in \(0,1\), got 0\.0$"):
         gg_quantile(0.0, p)
 
 
 def test_params_validation():
-    with pytest.raises(InvalidParams):
+    with pytest.raises(NumericalError, match=r"^mu must be finite and > 0, got -1\.0 \(1 of 1 values bad\)$"):
         GGParams(mu=-1.0, sigma=0.3, nu=1.0)
-    with pytest.raises(InvalidParams):
+    with pytest.raises(NumericalError, match=r"^sigma must be finite and > 0, got 0\.0 \(1 of 1 values bad\)$"):
         GGParams(mu=1.0, sigma=0.0, nu=1.0)
-    with pytest.raises(InvalidParams):
+    with pytest.raises(NumericalError, match=r"^nu must be finite and nonzero, got 0\.0$"):
         GGParams(mu=1.0, sigma=0.3, nu=0.0)
     # sigma and nu that each pass, but theta = 1/(sigma^2 nu^2) is inf or 0
     for sigma, nu, bad in ((1.0, 1e-200, "inf"), (math.exp(-400), 1.0, "inf"), (1e200, 1e200, "0.0")):
-        with pytest.raises(InvalidParams, match=rf"^theta must be finite and > 0, got {bad} \(1 of 1"):
+        with pytest.raises(NumericalError, match=rf"^theta must be finite and > 0, got {bad} \(1 of 1"):
             GGParams(mu=1.0, sigma=sigma, nu=nu)
-    with pytest.raises(InvalidParams, match=r"^theta .* got inf \(2 of 3 values bad\)$"):
+    with pytest.raises(NumericalError, match=r"^theta .* got inf \(2 of 3 values bad\)$"):
         GGParams(mu=np.ones(3), sigma=np.array([1e-170, 0.5, 1e-200]), nu=1.0)
 
 
@@ -421,7 +421,7 @@ def test_objective_equals_reference_bit_for_bit(seed, n, p_mu, p_sig, n_scanners
                     theta = 1.0 / (s * s * nu * nu)
                 if not np.all(np.isfinite(theta) & (theta > 0.0)):
                     # a shape that overflows, or divides by zero, has no GGParams
-                    with pytest.raises(InvalidParams, match="^theta must be finite and > 0"):
+                    with pytest.raises(NumericalError, match="^theta must be finite and > 0"):
                         GGParams(mu=m, sigma=s, nu=nu)
                     continue
                 with np.errstate(all="ignore"):
@@ -481,7 +481,7 @@ def quick_options(**kw):
 def test_fit_requires_minimum_cohort():
     truth = small_truth()
     cohort = build_cohort(1, 20, truth).take(slice(0, 29))
-    with pytest.raises(DegenerateInput):
+    with pytest.raises(DataError, match="^need at least 30 sessions, got 20$"):
         fit(cohort, Region.CORTICAL_GM, quick_options())
 
 
@@ -623,7 +623,7 @@ def test_percentile_curves_ordered_and_invertible():
 def test_percentile_curves_reject_bad_probs(monkeypatch):
     model, _ = fitted_model()
     monkeypatch.setattr(growthchart, "PERCENTILES", (0.0, 0.5))
-    with pytest.raises(DomainError):
+    with pytest.raises(NumericalError, match=r"^quantile probability must be in \(0,1\), got 0\.0$"):
         percentile_curves(model, [5.0], Sex.M)
 
 
@@ -636,14 +636,14 @@ def test_compare_centiles_reference_values():
 
 
 def test_compare_centiles_errors():
-    with pytest.raises(ShapeError):
+    with pytest.raises(DataError, match="^length mismatch: 2 vs 3$"):
         compare_centiles([0.1, 0.2], [0.1, 0.2, 0.3])
-    with pytest.raises(ShapeError):
+    with pytest.raises(DataError, match="^need at least 3 paired values$"):
         compare_centiles([0.1, 0.2], [0.3, 0.4])
-    with pytest.raises(DegenerateInput):
+    with pytest.raises(DataError, match="^Pearson r is nan: zero variance, or an underflow, in a centile vector$"):
         compare_centiles([0.5, 0.5, 0.5], [0.1, 0.2, 0.3])
     # nonzero variances whose sums of squares underflow: r would be x/0 = inf
-    with pytest.raises(DegenerateInput):
+    with pytest.raises(DataError, match="^Pearson r is inf: zero variance, or an underflow, in a centile vector$"):
         compare_centiles([0.0, 1e-160, 2e-160], [0.0, 2e-160, 1e-160])
 
 

@@ -1,12 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import normcharts
 from normcharts import report_text
 from normcharts.cli import main
-from normcharts.errors import EmptyAnnotation, SchemaError
+from normcharts.errors import DataError
 from normcharts.labeling import (
     COARSE_KEYWORDS,
     AnnotationSet,
@@ -78,12 +83,12 @@ def test_grade_mean_between_thresholds_is_uncertain():
 
 
 def test_grade_empty_raises():
-    with pytest.raises(EmptyAnnotation):
+    with pytest.raises(DataError, match="^no grades given$"):
         aggregate_grades([])
 
 
 def test_grade_out_of_range_raises():
-    with pytest.raises(SchemaError):
+    with pytest.raises(DataError, match=r"^grade 3 outside \{0,1,2\}$"):
         aggregate_grades([3])
 
 
@@ -102,7 +107,7 @@ def test_label_reports_coarse_then_override():
     anns = [AnnotationSet("a", (2, 2)), AnnotationSet("c", (0, 0))]
     labels = label_reports([flagged, plain], anns)
     assert labels["a"] is Label.NORMAL  # human grades win over the keyword hit
-    assert labels["c"] is Label.ABNORMAL
+    assert "c" not in labels  # an annotation of a report not given is skipped
     assert "b" not in labels  # no keyword, no annotation
 
 
@@ -165,13 +170,16 @@ def test_coarse_flag_matches_the_parsed_definition(text, procedure):
 
 
 def _flag_all_then_overwrite(reports, annotations):
-    """label_reports as it was: flag every report, then let grades overwrite."""
+    """label_reports by the parse: flag every report, then let the grades of
+    the given reports overwrite."""
     by_id = {}
     for report in reports:
         if _parsed_flag(report):
             by_id[report.id] = Label.ABNORMAL
+    ids = {r.id for r in reports}
     for ann in annotations:
-        by_id[ann.report_id] = ann.label()
+        if ann.report_id in ids:
+            by_id[ann.report_id] = ann.label()
     return by_id
 
 
@@ -183,7 +191,7 @@ _FINDINGS = ["post surgery changes", "normal study", "Resected mass", "no acute 
     st.lists(st.tuples(st.sampled_from(_IDS), st.sampled_from(_FINDINGS),
                        st.sampled_from(["MRI brain", "MRI spine"])),
              unique_by=lambda r: r[0], max_size=5),
-    # ids may be unknown to the reports or repeated; the last set of a repeat wins
+    # ids may be unknown to the reports (skipped) or repeated; the last set of a repeat wins
     st.lists(st.tuples(st.sampled_from(_IDS + ["x", "y"]),
                        st.lists(st.integers(0, 2), min_size=1, max_size=3)), max_size=6),
 )
@@ -217,3 +225,25 @@ def test_label_parses_no_sections_of_annotated_or_keyword_free_reports(
     assert out.read_text().splitlines() == [
         "report_id,label", "r0,Abnormal", "r1,Normal", "r2,Abnormal", "r3,Normal",
     ]
+
+
+def test_label_skips_annotations_of_reports_it_was_not_given(tmp_path):
+    """One annotations file may cover several reports files: ids outside
+    --reports are neither written nor counted, and stderr says how many."""
+    reports, annotations = tmp_path / "reports.jsonl", tmp_path / "annotations.jsonl"
+    reports.write_text(json.dumps({"id": "r1", "text": "FINDINGS: normal."}) + "\n")
+    annotations.write_text("".join(
+        json.dumps({"report_id": rid, "grades": [2]}) + "\n" for rid in ("zz1", "r1", "zz2", "zz1")
+    ))
+    out = tmp_path / "labels.csv"
+    src = str(Path(normcharts.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run(
+        [sys.executable, "-m", "normcharts.cli", "label", "--reports", str(reports),
+         "--annotations", str(annotations), "--out", str(out)],
+        env=env, capture_output=True, text=True,
+    )
+    assert result.returncode == 0
+    assert result.stdout == f"labeled 1 of 1 reports -> {out}\n"
+    assert result.stderr == f"2 annotated report ids are not in {reports}; skipped\n"
+    assert out.read_text().splitlines() == ["report_id,label", "r1,Normal"]

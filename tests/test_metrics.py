@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from normcharts.errors import EmptyInput, InvalidLabel, ShapeError
+from normcharts.errors import DataError, EmptyInput
 from normcharts.labeling import Label
 from normcharts.metrics import (
     METRIC_NAMES,
@@ -87,12 +87,12 @@ def test_confusion_perfect_agreement():
 
 
 def test_confusion_length_mismatch():
-    with pytest.raises(ShapeError):
+    with pytest.raises(DataError, match="^length mismatch: 1 predictions vs 2 gold$"):
         confusion([Label.NORMAL], [Label.NORMAL, Label.ABNORMAL])
 
 
 def test_confusion_rejects_uncertain():
-    with pytest.raises(InvalidLabel):
+    with pytest.raises(DataError, match="^Uncertain labels are excluded from evaluation$"):
         confusion([Label.UNCERTAIN], [Label.NORMAL])
 
 

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from normcharts import phenotype
-from normcharts.errors import SchemaError
+from normcharts.errors import DataError
 from normcharts.growthchart import FpSpec, GrowthModel, params_at
 from normcharts.phenotype import (
     BOOLEANS,
@@ -71,7 +71,7 @@ def test_qc_filter_idempotent():
 
 def test_record_requires_every_qc_category():
     seven = PhenotypeTable.from_rows([make_row()]).qc[:, 1:]
-    with pytest.raises(SchemaError):
+    with pytest.raises(DataError, match=r"^column qc has shape \(1, 7\), expected \(1, 8\)$"):
         PhenotypeTable(
             session_id=["s"], sequence_id=["q"], scanner_id=["sc"], age_days=[10],
             sex=["F"], is_mprage=[True], volumes=[[1.0] * len(Region)], qc=seven,
@@ -81,7 +81,7 @@ def test_record_requires_every_qc_category():
 def test_record_rejects_nonpositive_volume():
     volumes = [1.0] * len(Region)
     volumes[list(Region).index(Region.VENTRICLES)] = 0.0
-    with pytest.raises(SchemaError, match="vol_ventricles"):
+    with pytest.raises(DataError, match="vol_ventricles"):
         PhenotypeTable(
             session_id=["s"], sequence_id=["q"], scanner_id=["sc"], age_days=[10],
             sex=["F"], is_mprage=[True], volumes=[volumes], qc=[[0.9] * len(QcCategory)],
@@ -141,7 +141,7 @@ def test_aggregate_rejects_mixed_sessions():
 def test_attrition_must_balance():
     AttritionReport(n_input_sessions=5, n_output_sessions=3, dropped_qc=1,
                     dropped_no_mprage=1)
-    with pytest.raises(SchemaError):
+    with pytest.raises(DataError, match="^attrition does not balance: 5 != 6$"):
         AttritionReport(n_input_sessions=5, n_output_sessions=3, dropped_qc=1,
                         dropped_no_mprage=2)
 
@@ -442,10 +442,10 @@ def _same_table(a: PhenotypeTable, b: PhenotypeTable) -> bool:
 
 
 def _outcome(load, path):
-    """(table, None) or (None, the SchemaError's message)."""
+    """(table, None) or (None, the DataError's message)."""
     try:
         return load(path), None
-    except SchemaError as e:
+    except DataError as e:
         return None, str(e)
 
 
@@ -464,7 +464,7 @@ def test_c_parser_agrees_with_row_loop(tmp_path_factory, text):
     rows, message = _outcome(phenotype._load_rows, path)
     try:
         columns = phenotype._load_columns(path)
-    except (ValueError, Warning, SchemaError):
+    except (ValueError, Warning, DataError):
         columns = None
     # the C pass takes a file only if the row loop reads the same table from it
     if columns is not None:

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from normcharts import report_text
 from normcharts.classifier import FeatureConfig, LinearModel, save_model
-from normcharts.cli import data_file, main
-from normcharts.errors import EmptyInput, SchemaError
+from normcharts.cli import main
+from normcharts.errors import DataError, EmptyInput
+from normcharts.experiments import data_file
 from normcharts.report_text import (
     InputMode,
     Report,
@@ -201,7 +202,7 @@ def test_compose_input_no_impression_no_preamble_raises():
 
 
 def test_report_rejects_negative_age():
-    with pytest.raises(SchemaError):
+    with pytest.raises(DataError, match="^report 'r1' has negative age_days$"):
         make_report(age_days=-1)
 
 
@@ -226,7 +227,7 @@ def test_load_reports_jsonl(tmp_path):
 def test_load_reports_jsonl_bad_line_number_in_error(tmp_path):
     path = tmp_path / "reports.jsonl"
     path.write_text('{"id": "a", "text": "ok"}\n{"text": "missing id"}\n')
-    with pytest.raises(SchemaError, match=":2"):
+    with pytest.raises(DataError, match=r"reports\.jsonl:2: "):
         load_reports_jsonl(path)
 
 

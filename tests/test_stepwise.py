@@ -18,8 +18,9 @@ from hypothesis import strategies as st
 
 import normcharts
 from normcharts import stepwise
-from normcharts.cli import data_file, _load_labels_csv, main
-from normcharts.errors import ClientError, ConfigError, IncompleteRecord, MissingGold
+from normcharts.cli import main
+from normcharts.errors import ClientError, ConfigError, DataError
+from normcharts.experiments import data_file, load_labels_csv
 from normcharts.labeling import Label
 from normcharts.report_text import Report, Sex, load_reports_jsonl
 from normcharts.stepwise import (
@@ -99,7 +100,7 @@ def test_aggregate_stepwise_reference_rows():
 
 
 def test_aggregate_stepwise_missing_raises():
-    with pytest.raises(IncompleteRecord):
+    with pytest.raises(DataError, match=r"^missing answers for \['Q2', 'Q3', 'Q4', 'Q5'\]$"):
         aggregate_stepwise({QuestionId.Q1: Verdict.NO})
 
 
@@ -309,22 +310,18 @@ def test_http_source_times_out(monkeypatch):
             release.set()
 
 
-@pytest.mark.parametrize("status", [302, 307])
+@pytest.mark.parametrize("status", [301, 302, 303, 307, 308])
 def test_http_source_sends_no_token_on_a_redirect(monkeypatch, status):
-    """urllib follows a 302 of a POST as a GET and does not follow a 307 at all;
-    either way the other host never sees the token."""
+    """No redirect is followed: a 301/302/303 would come back as a GET without
+    the prompt, so every 30x is a transport failure, and the other host sees
+    nothing, the token least of all."""
     monkeypatch.setenv("NORMCHARTS_LLM_TOKEN", "sekret")
     with serving(lambda h, _: reply_json(h, {"text": "No."})) as (target, target_seen):
         with serving(lambda h, _: reply(h, status=status, headers=[("Location", target)])) as (url, seen):
-            src = HttpAnswerSource(url, "m")
-            if status == 307:
-                with pytest.raises(ClientError, match="307"):
-                    src.answer("r1", QuestionId.Q1, "p")
-            else:
-                assert src.answer("r1", QuestionId.Q1, "p") == "No."
+            with pytest.raises(ClientError, match=f"^HTTP Error {status}: "):
+                HttpAnswerSource(url, "m").answer("r1", QuestionId.Q1, "p")
     assert [h["Authorization"] for _, h, _ in seen] == ["Bearer sekret"]
-    assert len(target_seen) == (status == 302)
-    assert all("Authorization" not in h for _, h, _ in target_seen)
+    assert target_seen == []
 
 
 @pytest.mark.parametrize("url, reason", [
@@ -432,13 +429,13 @@ def test_triage_endpoint_runs_without_requests_and_marks_failed_answers(tmp_path
 def test_evaluate_inquiry_missing_gold():
     src = DictSource({q: "No." for q in QuestionId})
     rec = run_inquiry(make_report(rid="orphan"), InquiryMode.STEPWISE, src)
-    with pytest.raises(MissingGold):
+    with pytest.raises(DataError, match=r"^no gold label for \['orphan'\]$"):
         evaluate_inquiry([rec], {})
 
 
 def test_edge_case_fixture_replay():
     reports = load_reports_jsonl(data_file("edge_case_reports.jsonl"))
-    gold = _load_labels_csv(data_file("edge_case_gold.csv"))
+    gold = load_labels_csv(data_file("edge_case_gold.csv"))
     src = FixtureAnswerSource(data_file("edge_case_responses.tsv"))
     assert len(reports) == 41
     records = [run_inquiry(r, InquiryMode.STEPWISE, src) for r in reports]
