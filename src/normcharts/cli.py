@@ -24,15 +24,6 @@ def _parse_centile(text: str) -> float:
     return value
 
 
-def _write_csv_map(path, key: str, column: str, mapping: dict) -> None:
-    """The file experiments.load_csv_map reads: one row per key in sorted order, enum values."""
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        w = csv.writer(f)
-        w.writerow([key, column])
-        for k in sorted(mapping):
-            w.writerow([k, mapping[k].value])
-
-
 def _print_metrics(result: metrics.EvalResult) -> None:
     for name in metrics.METRIC_NAMES:
         value = result.metric(name)
@@ -66,7 +57,7 @@ def _cmd_label(args) -> int:
         logging.getLogger(__name__).warning(
             "%d annotated report ids are not in %s; skipped", len(skipped), args.reports
         )
-    _write_csv_map(args.out, "report_id", "label", labels)
+    experiments.write_csv_map(args.out, "report_id", "label", labels)
     print(f"labeled {len(labels)} of {len(reports)} reports -> {args.out}")
     return 0
 
@@ -75,7 +66,7 @@ def _cmd_split(args) -> int:
     reports = load_reports_jsonl(args.reports)
     labels = experiments.load_labels_csv(args.labels) if args.labels else None
     assignment = corpus.split(reports, args.seed, labels=labels)
-    _write_csv_map(args.out, "report_id", "subset", assignment.assignment)
+    experiments.write_csv_map(args.out, "report_id", "subset", assignment.assignment)
     for subset in corpus.Subset:
         print(f"{subset.value}: {len(assignment.ids(subset))}")
     return 0

@@ -161,6 +161,15 @@ def load_csv_map(path, key: str, column: str, parse) -> dict:
     return out
 
 
+def write_csv_map(path, key: str, column: str, mapping: dict) -> None:
+    """The file load_csv_map reads: one row per key in sorted order, enum values."""
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        w = csv.writer(f)
+        w.writerow([key, column])
+        for k in sorted(mapping):
+            w.writerow([k, mapping[k].value])
+
+
 def load_labels_csv(path) -> dict[str, Label]:
     return load_csv_map(path, "report_id", "label", Label)
 

@@ -48,11 +48,7 @@ class GGParams:
             value = np.asarray(getattr(self, name))
             ok = np.isfinite(value) & (value > 0.0)
             if not ok.all():
-                bad = ~ok
-                raise NumericalError(
-                    f"{name} must be finite and > 0, got {value[bad][0]} "
-                    f"({np.count_nonzero(bad)} of {value.size} values bad)"
-                )
+                raise NumericalError(f"{name} must be finite and > 0, got {_bad_values(value, ok)}")
 
     @property
     def theta(self):
@@ -82,6 +78,12 @@ def fp_candidates() -> list[FpSpec]:
         FpSpec(2, (p, q)) for p, q in itertools.combinations_with_replacement(FP_POWERS, 2)
     ]
     return first + second
+
+
+def _bad_values(value: np.ndarray, ok: np.ndarray) -> str:
+    """The first value where ok is False, and how many are, for an error message."""
+    bad = ~ok
+    return f"{value[bad][0]} ({np.count_nonzero(bad)} of {value.size} values bad)"
 
 
 def _scalar_or_array(a):
@@ -141,7 +143,9 @@ def gg_cdf(y, p: GGParams):
 
     y = _positive(y, "support is y > 0")
     theta = p.theta
-    x = theta * np.exp(p.nu * (np.log(y) - np.log(p.mu)))
+    # x = inf is the exact limit: P(theta, inf) = 1 and Q(theta, inf) = 0
+    with np.errstate(over="ignore"):
+        x = theta * np.exp(p.nu * (np.log(y) - np.log(p.mu)))
     c = special.gammainc(theta, x) if p.nu > 0 else special.gammaincc(theta, x)
     return _scalar_or_array(c)
 
@@ -157,7 +161,14 @@ def gg_quantile(q, p: GGParams):
         raise NumericalError(f"quantile probability must be in (0,1), got {q[~inside][0]}")
     theta = p.theta
     g = special.gammaincinv(theta, q) if p.nu > 0 else special.gammainccinv(theta, q)
-    return _scalar_or_array(p.mu * np.power(g / theta, 1.0 / p.nu))
+    # an overflow, or a zero G under a negative power, is reported once below
+    with np.errstate(over="ignore", divide="ignore"):
+        y = np.asarray(p.mu * np.power(g / theta, 1.0 / p.nu))
+    ok = np.isfinite(y)
+    if not ok.all():
+        at = np.broadcast_to(q, y.shape)[~ok][0]
+        raise NumericalError(f"the {at:g} quantile must be finite, got {_bad_values(y, ok)}")
+    return _scalar_or_array(y)
 
 
 def gg_sample_one(rng: np.random.Generator, p: GGParams) -> float:
@@ -239,15 +250,28 @@ def _basis_matrix(ages, spec: FpSpec) -> np.ndarray:
     return np.stack(columns, axis=-1)
 
 
+def _design(ages: np.ndarray, spec: Optional[FpSpec], *columns: np.ndarray) -> np.ndarray:
+    """A design matrix: an intercept column, the fractional-polynomial basis
+    of spec (none for None), then any further columns."""
+    basis = [] if spec is None else [_basis_matrix(ages, spec)]
+    return np.column_stack([np.ones(ages.size), *basis, *columns])
+
+
+def _layout(p_mu: int, n_scanners: int, p_sig: int) -> tuple[slice, slice, slice]:
+    """The slices of the fit's parameter vector holding the location coefficients,
+    the scanner intercepts and the scale coefficients; the shape nu is vec[-1]."""
+    sc = p_mu + n_scanners
+    return slice(0, p_mu), slice(p_mu, sc), slice(sc, sc + p_sig)
+
+
 _BIG = 1e30
 
 
 def _neg_penalized_loglik(vec, logy, x_mu, x_sigma, scanner_idx, n_scanners, lam):
     """Negative penalized log-likelihood and its analytic gradient.
 
-    Layout of vec: mu coefficients, scanner intercepts, sigma coefficients,
-    nu. Returns (_BIG, zeros) on numerical blow-up so the optimizer backs off.
-    The gradient terms, per session, are
+    vec is laid out as _layout gives it. Returns (_BIG, zeros) on numerical
+    blow-up so the optimizer backs off. The gradient terms, per session, are
 
         g_mu    = theta nu (z - 1)
         g_sigma = -2 theta a,  a = log theta + 1 + nu w - z - digamma(theta)
@@ -259,12 +283,8 @@ def _neg_penalized_loglik(vec, logy, x_mu, x_sigma, scanner_idx, n_scanners, lam
     """
     from scipy import special
 
-    p_mu = x_mu.shape[1]
-    p_sig = x_sigma.shape[1]
-    beta_mu = vec[:p_mu]
-    d = vec[p_mu : p_mu + n_scanners]
-    beta_sig = vec[p_mu + n_scanners : p_mu + n_scanners + p_sig]
-    nu = vec[-1]
+    mu, sc, sig = _layout(x_mu.shape[1], n_scanners, x_sigma.shape[1])
+    beta_mu, d, beta_sig, nu = vec[mu], vec[sc], vec[sig], vec[-1]
     if nu == 0.0:
         return _BIG, np.zeros_like(vec)
     eta_mu = x_mu @ beta_mu
@@ -296,11 +316,9 @@ def _neg_penalized_loglik(vec, logy, x_mu, x_sigma, scanner_idx, n_scanners, lam
     m2_theta *= a
     g_nu += m2_theta
     grad = np.empty_like(vec)
-    grad[:p_mu] = x_mu.T @ g_mu
-    grad[p_mu : p_mu + n_scanners] = (
-        np.bincount(scanner_idx, weights=g_mu, minlength=n_scanners) - 2.0 * lam * d
-    )
-    grad[p_mu + n_scanners : p_mu + n_scanners + p_sig] = x_sigma.T @ g_sigma
+    grad[mu] = x_mu.T @ g_mu
+    grad[sc] = np.bincount(scanner_idx, weights=g_mu, minlength=n_scanners) - 2.0 * lam * d
+    grad[sig] = x_sigma.T @ g_sigma
     grad[-1] = float(g_nu.sum())
     if not np.isfinite(grad).all():
         return _BIG, np.zeros_like(vec)
@@ -385,21 +403,19 @@ def _fit_one(logy, x_mu, sigma_design, scanner_idx, n_scanners, ridge_lambda, st
     """
     from scipy import optimize
 
-    n = logy.size
-    p_mu = x_mu.shape[1]
     z_mu, centre_mu, scale_mu = _standardize(x_mu)
     z_sigma, centre_sig, scale_sig = sigma_design
-    p_sig = z_sigma.shape[1]
-    # the bounds list has one entry per coefficient, so it follows p_mu
-    bounds = [(None, None)] * (p_mu + n_scanners + p_sig) + [NU_BOUNDS]
+    mu, sc, sig = _layout(x_mu.shape[1], n_scanners, z_sigma.shape[1])
+    # one bound per entry of the vector: the coefficients are free, nu is not
+    bounds = [(None, None)] * sig.stop + [NU_BOUNDS]
     best, converged = None, False
     for r, nu in enumerate(_NU_STARTS):
-        x0 = np.zeros(p_mu + n_scanners + p_sig + 1)
-        x0[0], x0[p_mu + n_scanners] = start
+        x0 = np.zeros(len(bounds))
+        x0[mu.start], x0[sig.start] = start
         x0[-1] = nu
         if r > 0:
             rng = np.random.default_rng(1000 + r)
-            x0[:p_mu] += rng.normal(0.0, 0.05, size=p_mu)
+            x0[mu] += rng.normal(0.0, 0.05, size=x_mu.shape[1])
         res = optimize.minimize(
             _neg_penalized_loglik,
             x0,
@@ -411,21 +427,16 @@ def _fit_one(logy, x_mu, sigma_design, scanner_idx, n_scanners, ridge_lambda, st
         )
         if best is None or res.fun < best.fun:
             best = res
-            converged = _converged(best, _TOL * n)
+            converged = _converged(best, _TOL * logy.size)
         if converged:
             break
     vec = best.x.copy()
-    vec[:p_mu] = _unstandardize(vec[:p_mu], centre_mu, scale_mu)
-    sig = slice(p_mu + n_scanners, p_mu + n_scanners + p_sig)
+    vec[mu] = _unstandardize(vec[mu], centre_mu, scale_mu)
     vec[sig] = _unstandardize(vec[sig], centre_sig, scale_sig)
     return vec, converged
 
 
-def fit(
-    cohort: SessionTable,
-    region: Region,
-    options: FitOptions = FitOptions(),
-) -> GrowthModel:
+def fit(cohort: SessionTable, region: Region, options: FitOptions = FitOptions()) -> GrowthModel:
     """Fit the growth model, selecting the location basis by BIC.
 
     Every candidate basis is fit by L-BFGS-B with analytic gradients on
@@ -442,61 +453,40 @@ def fit(
     ages = cohort.age_years
     sex_col = cohort.female.astype(float)
     scanners, scanner_idx = np.unique(cohort.scanner_id, return_inverse=True)
+    n_scanners, lam = len(scanners), options.ridge_lambda
     logy = np.log(y)
-    n = y.size
     one_sex = bool(np.all(sex_col == sex_col[0]))
     if one_sex:
         warnings.warn("single-sex cohort: sex coefficient dropped", stacklevel=2)
     fp_sigma = SIGMA_FP if options.sigma_age else None
-    if fp_sigma is not None:
-        x_sigma = np.column_stack([np.ones(n), _basis_matrix(ages, fp_sigma)])
-    else:
-        x_sigma = np.ones((n, 1))
+    x_sigma = _design(ages, fp_sigma)
     sigma_design = _standardize(x_sigma)
     start = _start_values(logy)
     candidates = list(options.fp_candidates) if options.fp_candidates else fp_candidates()
     best_model = None
     for spec in candidates:
-        basis = _basis_matrix(ages, spec)
-        cols = [np.ones(n), basis]
-        if not one_sex:
-            cols.append(sex_col.reshape(-1, 1))
-        x_mu = np.column_stack(cols)
-        vec, converged = _fit_one(
-            logy, x_mu, sigma_design, scanner_idx, len(scanners), options.ridge_lambda, start
-        )
-        p_mu = x_mu.shape[1]
-        beta_mu = vec[:p_mu]
-        d = vec[p_mu : p_mu + len(scanners)]
-        beta_sig = vec[p_mu + len(scanners) : p_mu + len(scanners) + x_sigma.shape[1]]
-        nu = float(vec[-1])
-        shift = float(np.mean(d))
-        d = d - shift
-        beta_mu = beta_mu.copy()
-        beta_mu[0] += shift
+        x_mu = _design(ages, spec, *([] if one_sex else [sex_col]))
+        vec, converged = _fit_one(logy, x_mu, sigma_design, scanner_idx, n_scanners, lam, start)
+        mu, sc, sig = _layout(x_mu.shape[1], n_scanners, x_sigma.shape[1])
+        shift = float(np.mean(vec[sc]))
+        vec[sc] -= shift
+        vec[mu.start] += shift
         # unpenalized loglik at the centered parameters, for BIC
-        vec = np.concatenate([beta_mu, d, beta_sig, [nu]])
-        obj, _ = _neg_penalized_loglik(
-            vec, logy, x_mu, x_sigma, scanner_idx, len(scanners), options.ridge_lambda
-        )
-        loglik = -obj + options.ridge_lambda * float(d @ d)
-        k = p_mu + len(scanners) + x_sigma.shape[1] + 1
-        bic = -2.0 * loglik + k * math.log(n)
-        mu_coef = list(beta_mu)
-        if one_sex:
-            mu_coef.append(0.0)
+        obj, _ = _neg_penalized_loglik(vec, logy, x_mu, x_sigma, scanner_idx, n_scanners, lam)
+        d = vec[sc]
+        loglik = -obj + lam * float(d @ d)
         model = GrowthModel(
             region=region,
             fp_mu=spec,
-            mu_coef=tuple(float(c) for c in mu_coef),
+            mu_coef=tuple(vec[mu].tolist() + ([0.0] if one_sex else [])),
             fp_sigma=fp_sigma,
-            sigma_coef=tuple(float(c) for c in beta_sig),
-            nu=nu,
+            sigma_coef=tuple(vec[sig].tolist()),
+            nu=float(vec[-1]),
             scanner_intercepts=dict(zip(scanners.tolist(), d.tolist())),
-            ridge_lambda=options.ridge_lambda,
+            ridge_lambda=lam,
             converged=converged,
             loglik=float(loglik),
-            bic=float(bic),
+            bic=float(-2.0 * loglik + vec.size * math.log(len(cohort))),
         )
         if best_model is None or model.bic < best_model.bic:
             best_model = model

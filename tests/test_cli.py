@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import hashlib
 import importlib
@@ -1080,6 +1081,47 @@ def test_phenotype_commands_golden_digests(tmp_path, monkeypatch, capsys):
     assert _sha256s(tmp_path, GOLDEN_PHENOTYPE) == GOLDEN_PHENOTYPE
 
 
+# sha256 of fit-growth's model file and stdout on the two design layouts the
+# digests above leave out, recorded before the fit's parameter vector and its
+# intercept-plus-basis designs were each defined in one place: a single-sex
+# cohort (no sex column) without the scale basis, and the full FP1+FP2 search
+# on a two-sex cohort with it. A misplaced slice of the vector changes both.
+GOLDEN_FIT_LAYOUTS = {
+    "one_sex_no_sigma_age": (["--fp1-only", "--no-sigma-age"], {
+        "growth.json": "1c07d6f6d8dad0cc42ecd514a2450259adffe628c414e640433bd872fbd8da52",
+        "stdout": "a758b9ef16d52d892414e2ae890aeffaaaf803e69fd64a5847ff6f345eef2296",
+    }),
+    "two_sex_full_search": ([], {
+        "growth.json": "6c595b100ed9e7db9f6a296e999e84773a39ece79636c8208849a5984bf86a38",
+        "stdout": "0c5dfe1b4f5c2f1ddc0616bfdb96c0d8d628dc9565945283163870e06338d726",
+    }),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_FIT_LAYOUTS))
+def test_fit_growth_layouts_golden_digests(tmp_path, monkeypatch, capsys, case):
+    from normcharts.experiments import _default_truth
+    from normcharts.phenotype import synth_cohort, write_phenotype_csv
+
+    monkeypatch.chdir(tmp_path)
+    flags, expected = GOLDEN_FIT_LAYOUTS[case]
+    write_phenotype_csv("cohort.csv", synth_cohort(
+        seed=5, n_sessions=300, n_scanners=3, truth=_default_truth(PipelineConfig(n_scanners=3)),
+    ))
+    one_sex = case.startswith("one_sex")
+    if one_sex:
+        with open("cohort.csv", newline="") as f:
+            rows = list(csv.reader(f))
+        sex = rows[0].index("sex")
+        _write_csv("cohort.csv", rows[0], [row for row in rows[1:] if row[sex] == "F"])
+    argv = ["fit-growth", "--phenotypes", "cohort.csv", "--region", "vol_cortical_gm", *flags,
+            "--out", "growth.json"]
+    with pytest.warns(UserWarning, match="single-sex") if one_sex else contextlib.nullcontext():
+        assert main(argv) == 0
+    (tmp_path / "stdout").write_text(capsys.readouterr().out)
+    assert _sha256s(tmp_path, expected) == expected
+
+
 # Damage to the second data row (line 3) of a phenotype CSV, and the message
 # the error must carry.
 BAD_PHENOTYPE_ROWS = {
@@ -1251,6 +1293,58 @@ def test_overflowing_growth_model_fails_in_one_line(tmp_path, command):
     assert len(lines) == 1 and lines[0].startswith("numerical failure: mu must be finite and > 0")
     assert "values bad" in lines[0]
     assert not (tmp_path / "out.csv").exists()
+
+
+# Two models whose quantile curves are not finite though theta is: mu * G^(1/nu)
+# overflows in the multiply, and with nu = -800 a G that is 0 in double is
+# raised to a negative power. Each with the first curve that fails.
+INFINITE_QUANTILE_MODELS = {
+    "overflow": ({**GOOD_GROWTH_MODEL, "mu_coef": [706.9, 0.0, 0.0], "sigma_coef": [1.0986],
+                  "nu": 0.05}, "0.975"),
+    "zero_to_negative_power": ({**GOOD_GROWTH_MODEL, "nu": -800.0}, "0.5"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INFINITE_QUANTILE_MODELS))
+def test_curves_that_are_not_finite_fail_in_one_line(tmp_path, case):
+    model, q = INFINITE_QUANTILE_MODELS[case]
+    result = _run_growth_command(tmp_path, "curves", model)
+    assert (result.returncode, result.stdout) == (4, "")
+    # the default grid has 38 ages, and every one fails
+    assert result.stderr == (
+        f"numerical failure: the {q} quantile must be finite, got inf (38 of 38 values bad)\n"
+    )
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_exp6_whose_curves_are_not_finite_leaves_no_run(tmp_path, monkeypatch, capsys):
+    from normcharts import growthchart
+
+    model = growthchart.model_from_dict(INFINITE_QUANTILE_MODELS["zero_to_negative_power"][0])
+    monkeypatch.setattr(growthchart, "fit", lambda *args: model)
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text("[growth]\nn_sessions = 60\n")
+    out = tmp_path / "runs"
+    rc = main(["run-experiment", "exp6_growthcharts", "--config", str(cfg_path), "--out", str(out)])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("numerical failure: the 0.5 quantile")
+    assert list(out.iterdir()) == []
+
+
+# sha256 of the centiles of the 400-session cohort under a location of exp(-745),
+# recorded before the overflow to x = inf in gg_cdf was silenced.
+CENTILES_AT_UNDERFLOWING_MU = "45b08dfbc1b46e487e9babedf10bbed6722c4ebebad8aa200e7e2498e7cb8e13"
+
+
+def test_centiles_whose_cdf_argument_overflows_stay_silent(tmp_path):
+    # mu = exp(-745) is the smallest positive double, so (y / mu)^nu overflows:
+    # x = inf is the exact limit, where the centile is 1
+    result = _run_growth_command(tmp_path, "centiles", {**GOOD_GROWTH_MODEL,
+                                                        "mu_coef": [-745.0, 0.12, -0.05]})
+    assert (result.returncode, result.stderr) == (0, "")
+    digest = hashlib.sha256((tmp_path / "out.csv").read_bytes()).hexdigest()
+    assert digest == CENTILES_AT_UNDERFLOWING_MU
 
 
 @pytest.mark.parametrize("command", ["aggregate", "qc", "centiles"])

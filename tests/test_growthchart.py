@@ -755,3 +755,23 @@ def test_every_start_runs_while_none_converges(monkeypatch):
     model = fit(cohort, Region.CORTICAL_GM, quick_options())
     assert not model.converged
     assert len(calls) == len(growthchart._NU_STARTS) == 3
+
+
+def test_seeded_starts_move_only_the_location_coefficients(monkeypatch):
+    starts = []
+    real = optimize.minimize
+
+    def recording(fun, x0, *args, **kwargs):
+        starts.append(x0.copy())
+        return real(fun, x0, *args, **kwargs)
+
+    monkeypatch.setattr(optimize, "minimize", recording)
+    monkeypatch.setattr(growthchart, "_MAX_ITER", 1)
+    cohort = build_cohort(13, 300, small_truth())
+    fit(cohort, Region.CORTICAL_GM, quick_options(sigma_age=True))
+    # [intercept, FP term, sex | 2 scanner intercepts | scale intercept, age slope | nu]
+    cold, *seeded = starts
+    assert cold.size == 8 and cold[3:].tolist() == [0.0, 0.0, cold[5], 0.0, 1.0]
+    for x0, nu in zip(seeded, growthchart._NU_STARTS[1:], strict=True):
+        assert np.flatnonzero(x0[:-1] != cold[:-1]).tolist() == [0, 1, 2]
+        assert x0[-1] == nu
