@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from . import classifier, corpus, growthchart, labeling, metrics, phenotype, stepwise
-from .errors import ConfigError, DataError, EmptyInput, located
+from .errors import ConfigError, DataError, EmptyInput, csv_rows
 from .labeling import Label
 from .phenotype import BOOLEANS, AggregationMethod, Region
 from .report_text import InputMode, Report, Sex, compose_input, load_reports_jsonl
@@ -144,20 +144,17 @@ def load_config(path: Optional[str]) -> PipelineConfig:
 
 
 def load_csv_map(path, key: str, column: str, parse) -> dict:
-    """Map each row's `key` to parse(its `column`); a bad or repeated row, a
-    csv.Error or a byte that is not UTF-8 is a DataError at path:line."""
+    """Map each row's `key` to parse(its `column`); a row errors.csv_rows
+    rejects, a repeated key or a value `parse` rejects is a DataError at
+    path:line."""
     out = {}
-    with open(path, encoding="utf-8", newline="") as f, located(path, csv.DictReader(f)) as reader:
-        missing = sorted({key, column} - set(reader.fieldnames or ()))
-        if missing:
-            raise DataError(f"{path}:1: missing column(s) {missing}")
-        for row in reader:
-            if row[key] in out:
-                raise DataError(f"{path}:{reader.line_num}: repeated {key} {row[key]!r}")
-            try:
-                out[row[key]] = parse(row[column])
-            except (TypeError, ValueError) as e:
-                raise DataError(f"{path}:{reader.line_num}: {e}") from e
+    for line, (k, value) in csv_rows(path, (key, column)):
+        if k in out:
+            raise DataError(f"{path}:{line}: repeated {key} {k!r}")
+        try:
+            out[k] = parse(value)
+        except ValueError as e:
+            raise DataError(f"{path}:{line}: {e}") from e
     return out
 
 

@@ -17,7 +17,6 @@ them: every CLI command imports this module, and most never fit or score.
 import itertools
 import json
 import math
-import warnings
 from dataclasses import asdict, dataclass
 from typing import Mapping, Optional, Sequence
 
@@ -457,7 +456,9 @@ def fit(cohort: SessionTable, region: Region, options: FitOptions = FitOptions()
     logy = np.log(y)
     one_sex = bool(np.all(sex_col == sex_col[0]))
     if one_sex:
-        warnings.warn("single-sex cohort: sex coefficient dropped", stacklevel=2)
+        import logging  # here, so that importing the CLI stays as cheap as it is
+
+        logging.getLogger(__name__).warning("single-sex cohort: sex coefficient dropped")
     fp_sigma = SIGMA_FP if options.sigma_age else None
     x_sigma = _design(ages, fp_sigma)
     sigma_design = _standardize(x_sigma)

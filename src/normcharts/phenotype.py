@@ -9,7 +9,6 @@ balances.
 
 import csv
 import math
-import operator
 import warnings
 from array import array
 from dataclasses import dataclass, fields, replace
@@ -19,7 +18,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import DataError, NumericalError, located
+from .errors import DataError, NumericalError, column_positions, csv_rows
 from .report_text import Sex
 
 QC_THRESHOLD = 0.65
@@ -303,14 +302,6 @@ def load_phenotype_csv(path) -> PhenotypeTable:
     return _load_rows(path) if table is None else table
 
 
-def _column_positions(path, header: list[str]) -> list[int]:
-    """The position in `header` of each of PHENOTYPE_COLUMNS."""
-    missing = [c for c in PHENOTYPE_COLUMNS if c not in header]
-    if missing:
-        raise DataError(f"{path}:1: missing columns {missing}")
-    return [header.index(c) for c in PHENOTYPE_COLUMNS]
-
-
 def _load_columns(path) -> PhenotypeTable | None:
     """The file parsed by np.loadtxt; None if is_mprage has an unknown spelling.
 
@@ -321,7 +312,7 @@ def _load_columns(path) -> PhenotypeTable | None:
     """
     with open(path, encoding="utf-8", newline="") as f:
         header = next(csv.reader(f), [])
-        pos = _column_positions(path, header)
+        pos = column_positions(path, header, PHENOTYPE_COLUMNS)
         kinds = [object] * len(header)
         kinds[pos[3]] = np.int64
         for i in pos[6:]:
@@ -345,38 +336,26 @@ def _load_columns(path) -> PhenotypeTable | None:
 
 
 def _load_rows(path) -> PhenotypeTable:
-    """Read the file row by row with csv and int/float; raise at path:line."""
+    """Read the file row by row with errors.csv_rows and int/float; raise at path:line."""
     session_id, sequence_id, scanner_id, sex, is_mprage = [], [], [], [], []
     age_days, numbers, lines = array("q"), array("d"), array("q")
-    with open(path, encoding="utf-8", newline="") as f, located(path, csv.reader(f)) as reader:
-        header = next(reader, [])
-        pos = _column_positions(path, header)
-        numeric = operator.itemgetter(*pos[6:])
-        i_sid, i_seq, i_scan, i_age, i_sex, i_mprage = pos[:6]
-        for row in reader:
-            if len(row) != len(header):
-                if not row:
-                    continue
-                raise DataError(
-                    f"{path}:{reader.line_num}: expected {len(header)} fields, got {len(row)}"
-                )
-            try:
-                age_days.append(int(row[i_age]))
-                numbers.extend(map(float, numeric(row)))
-            except (ValueError, OverflowError) as e:
-                raise DataError(f"{path}:{reader.line_num}: {e}") from None
-            flag = BOOLEANS.get(row[i_mprage].strip().lower())
-            if flag is None:
-                raise DataError(
-                    f"{path}:{reader.line_num}: is_mprage must be one of "
-                    f"{'/'.join(BOOLEANS)}, got {row[i_mprage]!r}"
-                )
-            session_id.append(row[i_sid])
-            sequence_id.append(row[i_seq])
-            scanner_id.append(row[i_scan])
-            sex.append(row[i_sex])
-            is_mprage.append(flag)
-            lines.append(reader.line_num)
+    for line, (sid, seq, scanner, age, sex_code, mprage, *values) in csv_rows(path, PHENOTYPE_COLUMNS):
+        try:
+            age_days.append(int(age))
+            numbers.extend(map(float, values))
+        except (ValueError, OverflowError) as e:
+            raise DataError(f"{path}:{line}: {e}") from None
+        flag = BOOLEANS.get(mprage.strip().lower())
+        if flag is None:
+            raise DataError(
+                f"{path}:{line}: is_mprage must be one of {'/'.join(BOOLEANS)}, got {mprage!r}"
+            )
+        session_id.append(sid)
+        sequence_id.append(seq)
+        scanner_id.append(scanner)
+        sex.append(sex_code)
+        is_mprage.append(flag)
+        lines.append(line)
     numbers = np.frombuffer(numbers, dtype=float).reshape(len(lines), len(Region) + len(QcCategory))
     try:
         return PhenotypeTable(

@@ -6,7 +6,6 @@ if (Q1 = No or Q2 = Yes) and Q3 = Q4 = Q5 = No.  Q2 is the single
 inverse-polarity question (a Yes there argues for normality).
 """
 
-import csv
 import functools
 import json
 import os
@@ -16,7 +15,7 @@ from enum import Enum
 from typing import Mapping, Protocol, Sequence
 from urllib.parse import urlsplit
 
-from .errors import ClientError, ConfigError, DataError, located
+from .errors import ClientError, ConfigError, DataError, csv_rows
 from .labeling import Label
 from .metrics import EvalResult, confusion
 from .report_text import Report
@@ -115,26 +114,16 @@ FIXTURE_COLUMNS = ("report_id", "question_id", "response_text")
 
 class FixtureAnswerSource:
     """Canned responses from a TSV of (report_id, question_id, response_text);
-    a row without its response_text cell, a repeated (report_id,
-    question_id), a csv.Error or a byte that is not UTF-8 is a DataError
-    at path:line."""
+    a row errors.csv_rows rejects or a repeated (report_id, question_id) is a
+    DataError at path:line."""
 
     def __init__(self, path):
         self.responses: dict[tuple[str, str], str] = {}
-        with (
-            open(path, encoding="utf-8", newline="") as f,
-            located(path, csv.DictReader(f, delimiter="\t")) as reader,
-        ):
-            missing = [c for c in FIXTURE_COLUMNS if c not in (reader.fieldnames or ())]
-            if missing:
-                raise DataError(f"{path}:1: fixture missing columns {missing}")
-            for row in reader:
-                key = (row["report_id"], row["question_id"])
-                if row["response_text"] is None:
-                    raise DataError(f"{path}:{reader.line_num}: row has no response_text cell")
-                if key in self.responses:
-                    raise DataError(f"{path}:{reader.line_num}: repeated (report_id, question_id) {key}")
-                self.responses[key] = row["response_text"]
+        for line, (report_id, question_id, text) in csv_rows(path, FIXTURE_COLUMNS, delimiter="\t"):
+            key = (report_id, question_id)
+            if key in self.responses:
+                raise DataError(f"{path}:{line}: repeated (report_id, question_id) {key}")
+            self.responses[key] = text
 
     def answer(self, report_id: str, question: QuestionId, prompt: str) -> str:
         # A question with no row parses to Unparsed downstream.

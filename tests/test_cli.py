@@ -1,4 +1,3 @@
-import contextlib
 import csv
 import hashlib
 import importlib
@@ -10,7 +9,7 @@ import textwrap
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import normcharts
@@ -21,9 +20,13 @@ from normcharts.experiments import (
     PipelineConfig,
     data_file,
     load_config,
+    load_csv_map,
     run_experiment,
+    write_csv_map,
 )
 from normcharts.errors import ConfigError, DataError, NumericalError
+from normcharts.labeling import Label
+from normcharts.stepwise import FIXTURE_COLUMNS, FixtureAnswerSource
 
 
 def read_metrics(path):
@@ -336,7 +339,7 @@ def test_triage_fixture_bad_row_is_schema_error_at_its_line(tmp_path, capsys, ca
     assert rc == 3
     err = capsys.readouterr().err
     assert err.startswith(f"data error: {fixture}:5: ")
-    assert ("repeated" if case == "repeated_row" else "no response_text cell") in err
+    assert ("repeated" if case == "repeated_row" else "expected 3 fields, got 2") in err
     assert err.count("\n") == 1 and not out.exists()
 
 
@@ -1098,8 +1101,11 @@ GOLDEN_FIT_LAYOUTS = {
 }
 
 
+SINGLE_SEX_WARNING = "single-sex cohort: sex coefficient dropped"
+
+
 @pytest.mark.parametrize("case", sorted(GOLDEN_FIT_LAYOUTS))
-def test_fit_growth_layouts_golden_digests(tmp_path, monkeypatch, capsys, case):
+def test_fit_growth_layouts_golden_digests(tmp_path, monkeypatch, capsys, caplog, case):
     from normcharts.experiments import _default_truth
     from normcharts.phenotype import synth_cohort, write_phenotype_csv
 
@@ -1116,10 +1122,19 @@ def test_fit_growth_layouts_golden_digests(tmp_path, monkeypatch, capsys, case):
         _write_csv("cohort.csv", rows[0], [row for row in rows[1:] if row[sex] == "F"])
     argv = ["fit-growth", "--phenotypes", "cohort.csv", "--region", "vol_cortical_gm", *flags,
             "--out", "growth.json"]
-    with pytest.warns(UserWarning, match="single-sex") if one_sex else contextlib.nullcontext():
+    with caplog.at_level("WARNING"):
         assert main(argv) == 0
+    warned = [SINGLE_SEX_WARNING] if one_sex else []
+    assert [(r.levelname, r.getMessage()) for r in caplog.records] == [("WARNING", w) for w in warned]
     (tmp_path / "stdout").write_text(capsys.readouterr().out)
     assert _sha256s(tmp_path, expected) == expected
+    if one_sex:
+        # outside pytest's log capture the warning is one stderr line, without a source line
+        src = str(Path(normcharts.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        result = subprocess.run([sys.executable, "-m", "normcharts.cli", *argv[:-1], "again.json"],
+                                env=env, capture_output=True, text=True)
+        assert (result.returncode, result.stderr) == (0, SINGLE_SEX_WARNING + "\n")
 
 
 # Damage to the second data row (line 3) of a phenotype CSV, and the message
@@ -1450,43 +1465,57 @@ def test_file_that_is_not_utf8_is_data_error(tmp_path, capsys, file):
 _LONG_FIELD = "x" * 200_000  # over csv's default field_size_limit() of 131,072
 
 
-@pytest.mark.parametrize("file", ["phenotypes", "phenotype_header", "labels", "split", "gold",
-                                  "fixture", "centiles"])
-def test_csv_field_over_the_limit_is_data_error(tmp_path, capsys, file):
+def _damaged_table(tmp_path, file, damage):
+    """Write an input of kind `file` with `damage` done to one row, and return
+    (its path, the line of the damage, the argv that reads it).
+
+    `damage` is "long_field", "extra_field" or "missing_field"; the header is
+    damaged only for "phenotype_header".
+    """
     from normcharts.experiments import _default_truth
     from normcharts.phenotype import synth_cohort, write_phenotype_csv
 
-    limit = csv.field_size_limit()
+    def damaged(fields):
+        if damage == "long_field":
+            return fields[:-1] + [fields[-1] + _LONG_FIELD]
+        return fields + ["extra"] if damage == "extra_field" else fields[:-1]
+
     reports, gold = str(data_file("edge_case_reports.jsonl")), str(data_file("edge_case_gold.csv"))
     bad, line = tmp_path / "bad.csv", 3
     if file.startswith("phenotype"):
         write_phenotype_csv(bad, synth_cohort(seed=3, n_sessions=4, n_scanners=1,
                                               truth=_default_truth(PipelineConfig(n_scanners=1))))
         lines = bad.read_text().split("\n")
-        if file == "phenotypes":
+        if file == "phenotype_header":
+            lines[0] += "," + _LONG_FIELD
+            line = 1
+        elif damage == "long_field":
             # the C pass reads the long field; the bad age on line 4 sends the file to the row loop
             lines[2] = lines[2].replace("ses-", _LONG_FIELD, 1)
             fields = lines[3].split(",")
             fields[3] = "x"  # age_days
             lines[3] = ",".join(fields)
         else:
-            lines[0] += "," + _LONG_FIELD
-            line = 1
+            lines[2] = ",".join(damaged(lines[2].split(",")))
         bad.write_text("\n".join(lines))
         argv = ["aggregate", "--phenotypes", str(bad), "--out", str(tmp_path / "out.csv")]
     elif file == "fixture":
         bad = tmp_path / "bad.tsv"
         rows = data_file("edge_case_responses.tsv").read_text().splitlines()
-        rows[2] = rows[2] + _LONG_FIELD
+        rows[2] = "\t".join(damaged(rows[2].split("\t")))
         bad.write_text("\n".join(rows) + "\n")
         argv = ["triage", "--reports", reports, "--mode", "stepwise", "--fixture", str(bad),
                 "--out", str(tmp_path / "t.csv")]
     else:
-        key, column, value = {
-            "labels": ("report_id", "label", "Normal"), "split": ("report_id", "subset", "Train"),
-            "gold": ("report_id", "label", "Normal"), "centiles": ("session_id", "centile", "0.5"),
-        }[file]
-        _write_csv(bad, [key, column], [["r1", value], [_LONG_FIELD, value], ["r3", value]])
+        # the real gold labels, so that each file but for its damage is one the command accepts
+        with open(gold, newline="") as f:
+            header, *rows = csv.reader(f)
+        if file == "split":
+            header, rows = ["report_id", "subset"], [[rid, "Train"] for rid, _ in rows]
+        elif file == "centiles":
+            header, rows = ["session_id", "centile"], [["s1", "0.1"], ["s2", "0.5"], ["s3", "0.9"]]
+        rows[1] = damaged(rows[1])
+        _write_csv(bad, header, rows)
         argv = {
             "labels": ["split", "--reports", reports, "--labels", str(bad)],
             "split": ["train", "--reports", reports, "--labels", gold, "--split", str(bad)],
@@ -1494,8 +1523,61 @@ def test_csv_field_over_the_limit_is_data_error(tmp_path, capsys, file):
                      "--fixture", str(data_file("edge_case_responses.tsv"))],
             "centiles": ["compare", "--a", str(bad), "--b", str(bad)],
         }[file] + ([] if file == "centiles" else ["--out", str(tmp_path / "out")])
+    return bad, line, argv
+
+
+@pytest.mark.parametrize("file", ["phenotypes", "phenotype_header", "labels", "split", "gold",
+                                  "fixture", "centiles"])
+def test_csv_field_over_the_limit_is_data_error(tmp_path, capsys, file):
+    limit = csv.field_size_limit()
+    bad, line, argv = _damaged_table(tmp_path, file, "long_field")
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert err == f"data error: {bad}:{line}: field larger than field limit (131072)\n"
     assert csv.field_size_limit() == limit
     assert argv[-2] != "--out" or not Path(argv[-1]).exists()
+
+
+@pytest.mark.parametrize("damage", ["extra_field", "missing_field"])
+@pytest.mark.parametrize("file", ["phenotypes", "labels", "split", "gold", "fixture", "centiles"])
+def test_csv_row_of_the_wrong_length_is_data_error(tmp_path, capsys, file, damage):
+    """Every CSV/TSV input has one row-shape rule: a non-blank row has as
+    many fields as the header."""
+    bad, line, argv = _damaged_table(tmp_path, file, damage)
+    n = {"phenotypes": 20, "fixture": 3}.get(file, 2)
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    got = n + 1 if damage == "extra_field" else n - 1
+    assert err == f"data error: {bad}:{line}: expected {n} fields, got {got}\n"
+    assert argv[-2] != "--out" or not Path(argv[-1]).exists()
+
+
+# cell text that CSV quoting must carry through: delimiters, quotes, line
+# breaks, blanks at either end, non-ASCII and the empty string. No NUL: the
+# csv module before Python 3.11 rejects it.
+_CELL_TEXT = st.text(
+    st.sampled_from([",", '"', "\t", "\r", "\n", " ", "é", "中", "🙂"])
+    | st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
+    max_size=8,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(_CELL_TEXT, st.sampled_from(Label)))
+@example({"": Label.NORMAL, ' a,"b"\t\r\n': Label.ABNORMAL, "é ": Label.NORMAL})
+def test_csv_map_round_trip_property(tmp_path_factory, mapping):
+    path = tmp_path_factory.mktemp("map") / "labels.csv"
+    write_csv_map(path, "report_id", "label", mapping)
+    assert load_csv_map(path, "report_id", "label", Label) == mapping
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(st.tuples(_CELL_TEXT, _CELL_TEXT), _CELL_TEXT))
+@example({("", ""): "", ("r1", "Q1"): 'No\t"Yes, abnormal"\r\n ', ("é", "Q2 "): " 中"})
+def test_fixture_round_trip_property(tmp_path_factory, responses):
+    path = tmp_path_factory.mktemp("fixture") / "fixture.tsv"
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        w = csv.writer(f, delimiter="\t")
+        w.writerow(FIXTURE_COLUMNS)
+        w.writerows((*key, text) for key, text in responses.items())
+    assert FixtureAnswerSource(path).responses == responses

@@ -505,11 +505,14 @@ def test_single_scanner_intercept_is_zero():
     assert model.scanner_intercepts == {"scan-00": 0.0}
 
 
-def test_single_sex_cohort_warns_and_zeroes_coefficient():
+def test_single_sex_cohort_warns_and_zeroes_coefficient(caplog):
     cohort = build_cohort(7, 80, small_truth())
     males = replace(cohort, sex=np.full(len(cohort), "M", dtype=object))
-    with pytest.warns(UserWarning):
+    with caplog.at_level("WARNING"):
         model = fit(males, Region.CORTICAL_GM, quick_options())
+    assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] == [
+        ("normcharts.growthchart", "WARNING", "single-sex cohort: sex coefficient dropped")
+    ]
     assert model.mu_coef[-1] == 0.0
 
 
