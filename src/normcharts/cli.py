@@ -8,11 +8,10 @@ failure.
 """
 
 import argparse
-import csv
 import sys
 
 from . import classifier, corpus, experiments, growthchart, labeling, metrics, phenotype, stepwise
-from .errors import ConfigError, DataError, NormchartsError, NumericalError
+from .errors import ConfigError, DataError, NormchartsError, NumericalError, write_number_csv
 from .phenotype import AggregationMethod, Region
 from .report_text import InputMode, Sex, load_reports_jsonl
 
@@ -184,11 +183,9 @@ def _cmd_fit_growth(args) -> int:
 def _cmd_centiles(args) -> int:
     model = growthchart.load_growth_model(args.model)
     sessions, _ = _sessions(args)
-    centiles = growthchart.centile(model, sessions).tolist()
-    with open(args.out, "w", encoding="utf-8", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["session_id", "centile"])
-        w.writerows([sid, f"{c:.6f}"] for sid, c in zip(sessions.session_id.tolist(), centiles))
+    centiles = growthchart.centile(model, sessions)
+    write_number_csv(args.out, ["session_id", "centile"], [sessions.session_id.tolist()],
+                     centiles[:, None], ["%.6f"])
     print(f"centiles for {len(sessions)} sessions -> {args.out}")
     return 0
 

@@ -1,10 +1,12 @@
 """The exit-code contract as exceptions (`cli.main` exits 2 on a ConfigError,
 3 on a DataError and 4 on a NumericalError), the file-reading failures every
-loader reports at path:line, and csv_rows, which reads every CSV/TSV input."""
+loader reports at path:line, csv_rows, which reads every CSV/TSV input, and
+write_number_csv, which writes every CSV of numbers."""
 
 import contextlib
 import csv
 import operator
+from types import SimpleNamespace
 from typing import Iterator
 
 
@@ -91,3 +93,22 @@ def csv_rows(path, columns, delimiter=",") -> Iterator[tuple[int, tuple[str, ...
                 yield reader.line_num, pick(fields)
         except csv.Error as e:
             raise DataError(f"{path}:{reader.line_num}: {e}") from None
+
+
+def write_number_csv(path, header, texts, numbers, formats) -> None:
+    """Write `header`, then per row of the 2-D `numbers` its fields in the
+    `texts` columns (maybe none), quoted as csv.writer quotes them, and its
+    numbers by `formats`, one %-format per column ("%.6f", say). The bytes are
+    csv.writer's with an f-string per number: a number holds nothing csv quotes.
+    """
+    line = ",".join(formats) + "\r\n"
+    columns = numbers.T.tolist()
+    if texts:
+        # each quoted line ends in an empty field: cutting "\r\n" leaves a comma
+        quoted = []
+        csv.writer(SimpleNamespace(write=quoted.append)).writerows(zip(*texts, [""] * len(numbers)))
+        line = "%s" + line
+        columns.insert(0, map(operator.itemgetter(slice(-2)), quoted))
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        csv.writer(f).writerow(header)
+        f.writelines(map(line.__mod__, zip(*columns)))

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from . import classifier, corpus, growthchart, labeling, metrics, phenotype, stepwise
-from .errors import ConfigError, DataError, EmptyInput, csv_rows
+from .errors import ConfigError, DataError, EmptyInput, csv_rows, write_number_csv
 from .labeling import Label
 from .phenotype import BOOLEANS, AggregationMethod, Region
 from .report_text import InputMode, Report, Sex, compose_input, load_reports_jsonl
@@ -185,11 +185,7 @@ def write_triage_csv(path, records: list[stepwise.StepwiseRecord]) -> None:
 
 def write_curves_csv(path, model: growthchart.GrowthModel, ages: list[float], sex: Sex) -> None:
     curves = growthchart.percentile_curves(model, ages, sex)
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(list(curves))
-        columns = [c.tolist() for c in curves.values()]
-        w.writerows([f"{v:.4f}" for v in row] for row in zip(*columns))
+    write_number_csv(path, list(curves), (), np.column_stack(list(curves.values())), ["%.4f"] * len(curves))
 
 
 # steps the protocols and the subcommands share

@@ -7,18 +7,18 @@ session, and every drop is tallied by cause so the attrition arithmetic always
 balances.
 """
 
+import copy
 import csv
 import math
 import warnings
 from array import array
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from enum import Enum
-from types import SimpleNamespace
 from typing import Iterable
 
 import numpy as np
 
-from .errors import DataError, NumericalError, column_positions, csv_rows
+from .errors import DataError, NumericalError, column_positions, csv_rows, write_number_csv
 from .report_text import Sex
 
 QC_THRESHOLD = 0.65
@@ -89,8 +89,11 @@ class _Columns:
         return len(self.session_id)
 
     def take(self, rows):
-        """The table of the rows that `rows` (a mask or an index array) picks."""
-        return replace(self, **{name: getattr(self, name)[rows] for name in self._column_names()})
+        """The table of the rows that `rows` (a mask or an index array) picks,
+        not checked again: the rows of a checked table pass its checks."""
+        taken = copy.copy(self)
+        taken.__dict__.update((name, getattr(self, name)[rows]) for name in self._column_names())
+        return taken
 
     def rows(self) -> Iterable[tuple]:
         """The rows as tuples of Python values, columns in field order."""
@@ -221,22 +224,23 @@ class AttritionReport:
 def _group_medians(values: np.ndarray, group: np.ndarray, n_groups: int):
     """statistics.median of each column of `values` within each group.
 
-    Returns the medians of the groups that have rows, in group order, and
-    the mask of those groups. An even count takes (a + b) / 2 of the two
-    middle values, exactly as statistics.median does.
+    `group` must be sorted; rows tied on a value keep their order. Returns
+    the medians of the groups that have rows, in group order, and the mask
+    of those groups. An even count takes (a + b) / 2 of the two middle
+    values, exactly as statistics.median does. The groups of one size c are
+    sorted as one (groups, c, columns) block: memory linear in the rows.
     """
     counts = np.bincount(group, minlength=n_groups)
     present = counts > 0
-    start = (np.cumsum(counts) - counts)[present]
     counts = counts[present]
-    lo = start + (counts - 1) // 2
-    even = counts % 2 == 0
-    hi = lo[even] + 1
+    start = np.cumsum(counts) - counts
     medians = np.empty((len(counts), values.shape[1]))
-    for k in range(values.shape[1]):
-        ordered = values[np.lexsort((values[:, k], group)), k]
-        medians[:, k] = ordered[lo]
-        medians[even, k] = (ordered[lo[even]] + ordered[hi]) / 2
+    by_size = np.argsort(counts, kind="stable")
+    sizes, begin = np.unique(counts[by_size], return_index=True)
+    for c, at in zip(sizes.tolist(), np.split(by_size, begin[1:])):
+        block = np.sort(values[start[at, None] + np.arange(c)], axis=1, kind="stable")
+        lo = (c - 1) // 2
+        medians[at] = block[:, lo] if c % 2 else (block[:, lo] + block[:, lo + 1]) / 2
     return medians, present
 
 
@@ -250,25 +254,24 @@ def build_sessions(
     age and sex are those of its first QC-passing row. MPRAGE_ONLY takes the
     medians over QC-passing MPRAGE rows only and drops a session that has none.
     """
-    n_input = len(np.unique(table.session_id))
-    kept = qc_filter(table)
-    ids, first, group = np.unique(kept.session_id, return_index=True, return_inverse=True)
+    # return_index makes np.unique sort stably, in linear time on ids already in order
+    ids, _, inverse = np.unique(table.session_id, return_index=True, return_inverse=True)
+    # sorted stably by session, each kept session's rows are contiguous and in file order
+    kept = qc_filter(table.take(np.argsort(inverse, kind="stable")))
+    starts = np.ones(len(kept), dtype=bool)
+    starts[1:] = kept.session_id[1:] != kept.session_id[:-1]
+    group = np.cumsum(starts) - 1
+    first = np.flatnonzero(starts)
     pool = kept.is_mprage if method is AggregationMethod.MPRAGE_ONLY else slice(None)
-    medians, present = _group_medians(kept.volumes[pool], group[pool], len(ids))
+    medians, present = _group_medians(kept.volumes[pool], group[pool], len(first))
     first = first[present]
-    sessions = SessionTable(
-        session_id=ids[present],
-        scanner_id=kept.scanner_id[first],
-        age_days=kept.age_days[first],
-        sex=kept.sex[first],
-        volumes=medians,
-        method=method,
-    )
+    # session_id, scanner_id, age_days and sex of each session's first kept row
+    sessions = SessionTable(*(getattr(kept, c)[first] for c in SESSION_COLUMNS[:4]), medians, method)
     report = AttritionReport(
-        n_input_sessions=n_input,
+        n_input_sessions=len(ids),
         n_output_sessions=len(sessions),
-        dropped_qc=n_input - len(ids),
-        dropped_no_mprage=len(ids) - len(sessions),
+        dropped_qc=len(ids) - len(present),
+        dropped_no_mprage=len(present) - len(sessions),
     )
     return sessions, report
 
@@ -367,15 +370,10 @@ def _load_rows(path) -> PhenotypeTable:
 
 
 def write_phenotype_csv(path, table: PhenotypeTable) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(PHENOTYPE_COLUMNS)
-        for *ids, age, sex, mprage, volumes, qc in table.rows():
-            writer.writerow(
-                [*ids, age, sex, "true" if mprage else "false"]
-                + [f"{v:.6f}" for v in volumes]
-                + [f"{q:.4f}" for q in qc]
-            )
+    ids = [getattr(table, name).tolist() for name in PHENOTYPE_COLUMNS[:5]]
+    mprage = ["true" if m else "false" for m in table.is_mprage.tolist()]
+    formats = ["%.6f"] * len(Region) + ["%.4f"] * len(QcCategory)
+    write_number_csv(path, PHENOTYPE_COLUMNS, [*ids, mprage], np.hstack([table.volumes, table.qc]), formats)
 
 
 SESSION_COLUMNS = (
@@ -388,24 +386,10 @@ SESSION_COLUMNS = (
 )
 
 
-# one row's volumes after its id fields, to 6 decimals
-_SESSION_VOLUMES = ",".join(["%.6f"] * len(Region)) + "\r\n"
-
-
 def write_sessions_csv(path, sessions: SessionTable) -> None:
-    # csv.writer quotes the id fields. Each of its lines ends in an empty
-    # field, so cutting the "\r\n" leaves the comma before the volumes.
-    method = sessions.method.value
-    ids = []
-    csv.writer(SimpleNamespace(write=ids.append)).writerows(
-        (sid, scanner, age, sex, method, "") for sid, scanner, age, sex, _ in sessions.rows()
-    )
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        csv.writer(f).writerow(SESSION_COLUMNS)
-        f.writelines(
-            line[:-2] + _SESSION_VOLUMES % tuple(volumes)
-            for line, volumes in zip(ids, sessions.volumes.tolist())
-        )
+    ids = [getattr(sessions, name).tolist() for name in SESSION_COLUMNS[:4]]
+    method = [sessions.method.value] * len(sessions)
+    write_number_csv(path, SESSION_COLUMNS, [*ids, method], sessions.volumes, ["%.6f"] * len(Region))
 
 
 # Relative size of each region against the modeled one; used only when

@@ -1,7 +1,10 @@
 import csv
+import io
 import math
 import random
 import statistics
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from normcharts import phenotype
-from normcharts.errors import DataError
+from normcharts.errors import DataError, write_number_csv
 from normcharts.growthchart import FpSpec, GrowthModel, params_at
 from normcharts.phenotype import (
     BOOLEANS,
@@ -217,6 +220,36 @@ def test_sessions_csv_quotes_ids_as_csv_writer_does(tmp_path):
     assert b'"a,b"' in path.read_bytes()
 
 
+_FLOAT = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
+    [math.nan, -math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.2e-308, 1e300, -1e300, 0.5e-6]
+)
+_TEXT = st.text(st.sampled_from('ab,"\r\n é#'), max_size=6) | st.integers(-(2**63), 2**63)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    n_rows=st.integers(0, 5),
+    n_texts=st.integers(0, 3),
+    digits=st.lists(st.sampled_from([4, 6]), min_size=1, max_size=4),
+)
+def test_write_number_csv_matches_csv_writer_with_f_strings(tmp_path_factory, data, n_rows, n_texts, digits):
+    # the former writers: csv.writer, with one f-string per number
+    texts = [data.draw(st.lists(_TEXT, min_size=n_rows, max_size=n_rows)) for _ in range(n_texts)]
+    numbers = np.array(
+        [[data.draw(_FLOAT) for _ in digits] for _ in range(n_rows)], dtype=float
+    ).reshape(n_rows, len(digits))
+    header = [f"c{i}" for i in range(len(texts) + len(digits))]
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(header)
+    for i, row in enumerate(numbers.tolist()):
+        writer.writerow([t[i] for t in texts] + [f"{v:.{d}f}" for v, d in zip(row, digits)])
+    path = tmp_path_factory.mktemp("csv") / "numbers.csv"
+    write_number_csv(path, header, texts, numbers, [f"%.{d}f" for d in digits])
+    assert path.read_bytes() == expected.getvalue().encode("utf-8")
+
+
 def small_truth():
     return GrowthModel(
         region=Region.CORTICAL_GM,
@@ -346,6 +379,127 @@ def test_build_sessions_matches_per_session_reference(rows, method):
     sessions, report = build_sessions(make_table(*rows), method)
     assert (list(sessions.rows()), report) == _reference_sessions(rows, method)
     assert sessions.method is method
+
+
+def test_build_sessions_reaches_qc_filter_through_the_module(monkeypatch):
+    # the benchmark's traced runs see phenotype.qc_filter only through the
+    # module's globals, which their tracer rebinds
+    calls = []
+
+    def counting(table):
+        calls.append(len(table))
+        return qc_filter(table)
+
+    monkeypatch.setattr(phenotype, "qc_filter", counting)
+    for method in AggregationMethod:
+        build_sessions(make_table(make_row(), make_row(seq="q1")), method)
+    assert calls == [2, 2]
+
+
+# --- the size-block medians against the per-column lexsort they replaced ---
+
+
+def _lexsort_group_medians(values, group, n_groups):
+    """The former phenotype._group_medians: one lexsort per column, over
+    rows in any order."""
+    counts = np.bincount(group, minlength=n_groups)
+    present = counts > 0
+    start = (np.cumsum(counts) - counts)[present]
+    counts = counts[present]
+    lo = start + (counts - 1) // 2
+    even = counts % 2 == 0
+    hi = lo[even] + 1
+    medians = np.empty((len(counts), values.shape[1]))
+    for k in range(values.shape[1]):
+        ordered = values[np.lexsort((values[:, k], group)), k]
+        medians[:, k] = ordered[lo]
+        medians[even, k] = (ordered[lo[even]] + ordered[hi]) / 2
+    return medians, present
+
+
+def _lexsort_build_sessions(table, method):
+    """The former build_sessions, on _lexsort_group_medians."""
+    n_input = len(np.unique(table.session_id))
+    kept = qc_filter(table)
+    ids, first, group = np.unique(kept.session_id, return_index=True, return_inverse=True)
+    pool = kept.is_mprage if method is AggregationMethod.MPRAGE_ONLY else slice(None)
+    medians, present = _lexsort_group_medians(kept.volumes[pool], group[pool], len(ids))
+    first = first[present]
+    sessions = list(zip(ids[present].tolist(), kept.scanner_id[first].tolist(),
+                        kept.age_days[first].tolist(), kept.sex[first].tolist()))
+    report = AttritionReport(n_input, len(sessions), n_input - len(ids), len(ids) - len(sessions))
+    return sessions, medians, report
+
+
+def _assert_same_medians(values, group, n_groups):
+    order = np.argsort(group, kind="stable")
+    with np.errstate(invalid="ignore"):  # (-inf + inf) / 2 as the middle pair
+        expected, expected_present = _lexsort_group_medians(values, group, n_groups)
+        got, present = phenotype._group_medians(values[order], group[order], n_groups)
+    assert present.tolist() == expected_present.tolist()
+    assert got.tobytes() == expected.tobytes()  # bit for bit: NaN payloads and -0.0 too
+
+
+# One NaN: the sum of two NaNs that differ in sign or payload is either one,
+# as numpy's add loop for the array's length and layout picks, in the
+# lexsort form as well.
+_TIES = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, -1.0, 2.5])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    sizes=st.lists(st.integers(0, 6), min_size=1, max_size=12),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_group_medians_match_lexsort(sizes, data, seed):
+    # groups of 0 (an empty group id) to 6 rows, rows in shuffled order
+    group = np.repeat(np.arange(len(sizes)), sizes)
+    np.random.default_rng(seed).shuffle(group)
+    values = np.array(
+        [[data.draw(_TIES | st.floats(allow_nan=False)) for _ in range(3)] for _ in group], dtype=float
+    ).reshape(len(group), 3)
+    _assert_same_medians(values, group, len(sizes))
+
+
+def test_group_medians_of_one_large_group_among_singletons_stay_linear_in_memory():
+    rng = np.random.default_rng(3)
+    n_single, n_large = 20_000, 10_000
+    group = np.concatenate([np.arange(n_single), np.full(n_large, n_single // 2)])
+    group[group > n_single // 2] += 1  # the large group takes its own id
+    rng.shuffle(group)
+    # mostly 0.0 and -0.0, so the large group's middle pair is a tie that only
+    # a stable sort resolves as lexsort does
+    values = rng.choice(np.array([math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, -3.0]),
+                        size=(len(group), len(Region)), p=[0.1, 0.1, 0.1, 0.3, 0.3, 0.05, 0.05])
+    _assert_same_medians(values, group, n_single + 1)
+    order = np.argsort(group, kind="stable")
+    values, group = values[order], group[order]
+    tracemalloc.start()
+    try:
+        phenotype._group_medians(values, group, n_single + 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # padding every group to the largest would take 20,001 x 10,000 x 6 floats (9.6 GB)
+    assert peak < 10 * values.nbytes
+
+
+@pytest.mark.parametrize("method", list(AggregationMethod))
+def test_build_sessions_matches_lexsort_build(method):
+    cohort = synth_cohort(seed=11, n_sessions=300, n_scanners=2, truth=small_truth(), qc_fail_rate=0.2)
+    rng = np.random.default_rng(11)
+    # rows in shuffled order, each session's rows repeated to make ties, and
+    # each row with its own scanner and age, so a session's first row shows
+    table = cohort.take(rng.permutation(np.repeat(np.arange(len(cohort)), rng.integers(1, 4, len(cohort)))))
+    table = replace(table, scanner_id=rng.choice(["s0", "s1", "s2"], len(table)).astype(object),
+                    age_days=rng.integers(1, 9999, len(table)))
+    sessions, report = build_sessions(table, method)
+    ref_sessions, ref_medians, ref_report = _lexsort_build_sessions(table, method)
+    assert [row[:4] for row in sessions.rows()] == ref_sessions
+    assert sessions.volumes.tobytes() == ref_medians.tobytes()
+    assert report == ref_report
+    assert report.dropped_qc > 0 and (report.dropped_no_mprage > 0) == (method is AggregationMethod.MPRAGE_ONLY)
 
 
 # --- the C pass of load_phenotype_csv against the row loop ---
