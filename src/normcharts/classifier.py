@@ -7,10 +7,24 @@ two products are `np.bincount` sums over the nonzeros in storage order,
 starting from 0.  That is the order in which scipy.sparse's CSR kernel adds
 up `X @ w` and its CSC kernel adds up `X.T @ c`, so both agree with scipy bit
 for bit, and a trained model's bytes do not depend on which one computed it.
+
+`train` takes each SGD batch from `PaddedRows` (ELLPACK): two `(rows, width)`
+arrays, counts and columns, in which a row shorter than the longest is padded
+with count 0.0 in a pad column that no row uses.  A batch is then two row
+gathers, trimmed to its longest row.  Its products keep the bincount sums:
+- `matvec` adds down axis 0 of the C-contiguous transpose of the products.
+  numpy adds such an array one operand row at a time into the output, so each
+  output is its row's products summed in order from +0.0.  On a transposed
+  view, or a lone row, numpy sums pairwise instead, which rounds differently.
+- `rmatvec` is the same row-major `np.bincount`; the pads add 0.0 to the pad
+  column.
+A pad adds a signed zero to a sum that starts at +0.0, which changes none of
+its bits.  The padding takes `rows * width` cells; past `_PAD_BOUND` cells
+per nonzero (a corpus with a few very long texts), `train` gathers each batch
+from the CSR arrays instead, which bounds its memory.
 """
 
 import math
-import re
 import struct
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
@@ -25,7 +39,6 @@ EPS = 1e-12
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
-_MASK64 = (1 << 64) - 1
 # Rows featurized per step, inside `featurize` and per `featurize` call in
 # `predict`.  One matrix over a whole 5,000-report subset raised the peak RSS
 # of `eval` by over 30 MB; blocks of 256 add about 2 MB.
@@ -33,18 +46,14 @@ _SCORE_BLOCK = 256
 # The l2 penalty on the weights and the SGD mini-batch size of `train`.
 _L2 = 1e-6
 _BATCH_SIZE = 64
-
-
-def fnv1a_64(data: bytes) -> int:
-    """FNV-1a 64-bit hash; the fixed, documented feature hash.
-
-    `featurize` computes the same hash of each space-joined gram with uint64
-    array arithmetic; this scalar form is the reference it is tested against.
-    """
-    h = _FNV_OFFSET
-    for b in data:
-        h = ((h ^ b) * _FNV_PRIME) & _MASK64
-    return h
+# `train` pads its rows when that takes at most this many cells per nonzero.
+# A cell takes at most 16 bytes, so the padding then takes at most 32 bytes a
+# nonzero, as a CSR matrix's counts, columns and row numbers plus its
+# used-column indices do.
+_PAD_BOUND = 2
+# Rows of the padded arrays filled per step, which keeps the fill's
+# temporaries small next to the matrix.
+_PAD_FILL_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -73,15 +82,6 @@ class TrainConfig:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
 
 
-def tokenize(text: str) -> list[str]:
-    """The tokens of a text: the runs of ASCII letters and digits after lowercasing.
-
-    `featurize` finds the same tokens with a byte mask over a whole block;
-    this regex form is the reference it is tested against.
-    """
-    return re.findall(r"[a-zA-Z0-9]+", text.lower())
-
-
 # Byte value -> whether it is a token byte: ASCII letters and digits.  Every
 # byte of a multi-byte UTF-8 sequence is >= 0x80, so no token byte.
 _TOKEN_BYTE = np.zeros(256, dtype=bool)
@@ -98,13 +98,16 @@ def _block_counts(texts: Sequence[str], config: FeatureConfig, first_row: int):
     The block is one byte buffer: each text lowercased and UTF-8 encoded,
     one separator byte before, between and after them.  `surrogatepass`
     encodes a lone surrogate (which JSON's \\ud800 escape allows) as three
-    non-token bytes, so it separates tokens as in `tokenize`.  Tokens are the
-    runs of `_TOKEN_BYTE`, found from the edges of its mask, and a token's
-    row comes from the texts' byte offsets, so a text may hold any byte.
+    non-token bytes, so it separates tokens as the regex `[a-zA-Z0-9]+` of
+    the scalar reference in the tests does.  Tokens are the runs of
+    `_TOKEN_BYTE`, found from the edges of its mask, and a token's row comes
+    from the texts' byte offsets, so a text may hold any byte.
 
-    FNV-1a is a left fold over bytes, so the hash of the bigram ending at
-    token j continues the unigram at token j-1: xor in the joining space,
-    multiply, then fold token j's bytes.  Every gram of the block is hashed at
+    A gram's column is the 64-bit FNV-1a hash of its space-joined tokens mod
+    the dimension; the tests hash byte by byte as the reference.  FNV-1a is a
+    left fold over bytes, so the hash of the bigram ending at token j
+    continues the unigram at token j-1: xor in the joining space, multiply,
+    then fold token j's bytes.  Every gram of the block is hashed at
     once in wrapping uint64 arithmetic; no gram string is built.
     """
     encoded = [text.lower().encode("utf-8", "surrogatepass") for text in texts]
@@ -192,6 +195,56 @@ class CsrMatrix(NamedTuple):
         return CsrMatrix(self.data[src], self.indices[src], indptr, rows, (len(which), self.shape[1]))
 
 
+class PaddedRows(NamedTuple):
+    """A sparse matrix as rows padded to one width (ELLPACK).
+
+    Row r holds data[r, k] in column ids[r, k] for k < lengths[r]; the cells
+    after those hold 0.0 in the pad column, shape[1] - 1, which no row uses.
+    `_pad_rows` stores the ids in the smallest unsigned type that holds the
+    pad column (uint16 below 65,536 used columns); a taken batch holds them
+    as intp, the index type of `w[ids]` and `np.bincount`.
+    """
+
+    data: np.ndarray
+    ids: np.ndarray
+    lengths: np.ndarray
+    shape: tuple[int, int]
+
+    def matvec(self, w: np.ndarray) -> np.ndarray:
+        """X @ w, each row's products added in order from +0.0, as `CsrMatrix.matvec` adds them."""
+        products = self.data * w[self.ids]
+        if len(products) == 1:  # numpy sums a lone row pairwise
+            return np.bincount(np.zeros(products.shape[1], dtype=np.intp), weights=products[0], minlength=1)
+        return np.add.reduce(np.ascontiguousarray(products.T), axis=0, initial=0.0)
+
+    def rmatvec(self, c: np.ndarray) -> np.ndarray:
+        """X.T @ c."""
+        return np.bincount(self.ids.ravel(), weights=(self.data * c[:, None]).ravel(), minlength=self.shape[1])
+
+    def take_rows(self, which: np.ndarray) -> "PaddedRows":
+        """Rows `which`, in that order, trimmed to the longest of them."""
+        lengths = self.lengths[which]
+        width = lengths.max(initial=0)
+        ids = self.ids[which, :width].astype(np.intp)
+        return PaddedRows(self.data[which, :width], ids, lengths, (len(which), self.shape[1]))
+
+
+def _pad_rows(X: CsrMatrix, columns: np.ndarray, shape: tuple[int, int]) -> PaddedRows:
+    """X's rows in columns `columns[X.indices]`, padded to the longest row."""
+    lengths = np.diff(X.indptr)
+    width = lengths.max(initial=0)
+    data = np.zeros((shape[0], width))
+    ids = np.full((shape[0], width), shape[1] - 1, dtype=np.min_scalar_type(shape[1] - 1))
+    for start in range(0, shape[0], _PAD_FILL_BLOCK):
+        block = slice(start, start + _PAD_FILL_BLOCK)
+        # row-major order over the cells in use is CSR storage order
+        in_use = np.arange(width) < lengths[block, None]
+        nonzeros = slice(X.indptr[start], X.indptr[start + len(in_use)])
+        data[block][in_use] = X.data[nonzeros]
+        ids[block][in_use] = columns[X.indices[nonzeros]]
+    return PaddedRows(data, ids, lengths, shape)
+
+
 def featurize(texts: Sequence[str], config: FeatureConfig) -> CsrMatrix:
     """Hashed word 1- and 2-gram counts: one CSR row per text, sorted column indices per row."""
     nnz, indices, counts = map(np.concatenate, zip(*(
@@ -215,8 +268,10 @@ class LinearModel:
     def __post_init__(self):
         if not np.all(np.isfinite(self.weights)):
             raise NumericalError("non-finite weights")
-        if self.pos_weight <= 0:
-            raise NumericalError("pos_weight must be positive")
+        if not math.isfinite(self.bias):
+            raise NumericalError(f"non-finite bias {self.bias}")
+        if not 0.0 < self.pos_weight < math.inf:
+            raise NumericalError(f"pos_weight must be positive and finite, got {self.pos_weight}")
 
 
 def _sigmoid(z):
@@ -277,9 +332,17 @@ def train(
     in_use = np.zeros(fcfg.dimension, dtype=bool)
     in_use[X.indices] = True
     used = np.flatnonzero(in_use)
-    X_used = X._replace(indices=(np.cumsum(in_use) - 1)[X.indices], shape=(n, len(used)))
+    # One column more, the pad column: no row uses it, so its weight stays 0.0.
+    shape = (n, len(used) + 1)
+    # X's row of each nonzero is rebuilt for the final objective.
+    X = X._replace(rows=None)
+    lengths = np.diff(X.indptr)
+    if n * lengths.max() <= _PAD_BOUND * len(X.data):
+        design = _pad_rows(X, np.cumsum(in_use) - 1, shape)
+    else:
+        design = X._replace(indices=(np.cumsum(in_use) - 1)[X.indices], shape=shape)
 
-    w_used = np.zeros(len(used))
+    w_used = np.zeros(shape[1])
     bias = 0.0
     rng = SplitMix64(cfg.seed ^ 0x1F2E3D4C5B6A7988)
     order = list(range(n))
@@ -290,14 +353,16 @@ def train(
         for start in range(0, n, _BATCH_SIZE):
             batch = perm[start : start + _BATCH_SIZE]
             loss, gw, gb = objective_and_gradient(
-                X_used.take_rows(batch), y[batch], w_used, bias, cfg.pos_weight, _L2
+                design.take_rows(batch), y[batch], w_used, bias, cfg.pos_weight, _L2
             )
             if not np.isfinite(loss):
                 raise NumericalError(f"non-finite loss {loss}")
             w_used -= cfg.learning_rate * gw
             bias -= cfg.learning_rate * gb
+    del design  # before the full-width arrays of the final objective
     weights = np.zeros(fcfg.dimension)
-    weights[used] = w_used
+    weights[used] = w_used[:-1]
+    X = X._replace(rows=np.repeat(np.arange(n), lengths))
     final, _, _ = objective_and_gradient(X, y, weights, bias, cfg.pos_weight, _L2)
     if not np.isfinite(final):
         raise NumericalError(f"non-finite final loss {final}")

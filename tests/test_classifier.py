@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,17 +11,16 @@ from normcharts import classifier
 from normcharts.classifier import (
     EPS,
     CsrMatrix,
+    PaddedRows,
     FeatureConfig,
     LinearModel,
     TrainConfig,
     classify,
     featurize,
-    fnv1a_64,
     load_model,
     objective_and_gradient,
     predict,
     save_model,
-    tokenize,
     train,
     _SCORE_BLOCK,
     _sigmoid,
@@ -28,6 +28,20 @@ from normcharts.classifier import (
 from normcharts.corpus import SplitMix64
 from normcharts.errors import ConfigError, DataError, EmptyInput
 from normcharts.labeling import Label
+
+
+def fnv1a_64(data: bytes) -> int:
+    """FNV-1a 64-bit hash, byte by byte: the scalar reference for featurize's uint64 arrays."""
+    h = 0xCBF29CE484222325
+    for b in data:
+        h = ((h ^ b) * 0x100000001B3) & ((1 << 64) - 1)
+    return h
+
+
+def tokenize(text: str) -> list[str]:
+    """The runs of ASCII letters and digits after lowercasing: the regex reference
+    for featurize's byte mask."""
+    return re.findall(r"[a-zA-Z0-9]+", text.lower())
 
 
 def test_fnv1a_64_known_vectors():
@@ -196,6 +210,52 @@ def test_csr_matrix_equals_scipy_bitwise(case):
         assert np.array_equal(getattr(taken, name), getattr(expected, name)), name
 
 
+def _values(rng, size):
+    """Signed zeros, and numbers of magnitudes from 1e-6 to 1e6 whose sums round."""
+    values = rng.normal(size=size) * 10.0 ** rng.integers(-6, 7, size=size)
+    zeros = rng.random(size) < 0.2
+    values[zeros] = np.where(rng.random(zeros.sum()) < 0.5, 0.0, -0.0)
+    return values
+
+
+@st.composite
+def _padded_products(draw):
+    """A CsrMatrix whose rows take 0 to 24 nonzeros, vectors for its products, and a batch.
+
+    numpy sums 8 or more values pairwise where it reduces along a contiguous
+    axis, so rows are long enough to show that order.  Hypothesis draws the
+    shapes; the values come from a drawn seed."""
+    n_rows = draw(st.sampled_from([1, classifier._BATCH_SIZE]) | st.integers(0, 70))
+    n_cols = draw(st.integers(1, 40))
+    lengths = draw(st.lists(st.integers(0, min(n_cols, 24)), min_size=n_rows, max_size=n_rows))
+    n_taken = draw(st.sampled_from([1, classifier._BATCH_SIZE]) | st.integers(0, 70))
+    which = draw(st.lists(st.integers(0, n_rows - 1), min_size=n_taken, max_size=n_taken) if n_rows else st.just([]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    indices = np.array([j for n in lengths for j in np.sort(rng.choice(n_cols, n, replace=False))], dtype=np.int64)
+    indptr = np.cumsum([0, *lengths], dtype=np.int64)
+    rows = np.repeat(np.arange(n_rows), lengths)
+    X = CsrMatrix(_values(rng, len(indices)), indices, indptr, rows, (n_rows, n_cols))
+    return X, _values(rng, n_cols), _values(rng, n_rows), np.array(which, dtype=np.int64)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_padded_products())
+def test_padded_rows_equal_scipy_bitwise(case):
+    X, w, c, which = case
+    n_rows, n_cols = X.shape
+    reference = _to_scipy(X)
+    padded = classifier._pad_rows(X, np.arange(n_cols), (n_rows, n_cols + 1))
+    w_pad = np.append(w, 0.0)  # the pad column's weight
+    assert padded.matvec(w_pad).tobytes() == (reference @ w).tobytes()
+    assert padded.rmatvec(c).tobytes() == (reference.T @ c).tobytes() + np.zeros(1).tobytes()
+    batch, expected = padded.take_rows(which), reference[which]
+    # trimmed to the batch's longest row, which may be the longest of all
+    assert batch.data.shape == (len(which), max(np.diff(expected.indptr), default=0))
+    assert batch.matvec(w_pad).tobytes() == (expected @ w).tobytes()
+    c = c[which]
+    assert batch.rmatvec(c).tobytes() == (expected.T @ c).tobytes() + np.zeros(1).tobytes()
+
+
 def _reference_counts(text, fcfg):
     """One text's hashed 1- and 2-gram counts as a dict, gram by gram: the scalar reference."""
     tokens = tokenize(text)
@@ -278,7 +338,9 @@ def test_featurize_matches_scalar_reference_property(pieces, separators, n_texts
 
 
 def _reference_train(examples, cfg, fcfg):
-    """The full-width SGD loop: every step updates all `dimension` weights."""
+    """The full-width SGD loop: every step updates all `dimension` weights.
+
+    Returns the weights, the bias and the final loss."""
     ordered = sorted(examples, key=lambda e: (e[0], e[1].value))
     # scipy selects each mini-batch's rows
     X = _to_scipy(featurize([t for t, _ in ordered], fcfg))
@@ -295,29 +357,60 @@ def _reference_train(examples, cfg, fcfg):
             )
             w -= cfg.learning_rate * gw
             b -= cfg.learning_rate * gb
-    return w, b
+    final, _, _ = objective_and_gradient(_from_scipy(X), y, w, b, cfg.pos_weight, classifier._L2)
+    return w, b, final
 
 
-@pytest.mark.parametrize("l2", [0.0, 1e-6, 1e-2])
-@pytest.mark.parametrize("dim", [1 << 10, 1 << 16])
-def test_train_on_used_columns_matches_full_width_bitwise(l2, dim, monkeypatch):
+def _train_matches_full_width(l2, dim, gather, monkeypatch):
+    """train's model, one objective call per step, equals the full-width loop's bit for bit."""
     monkeypatch.setattr(classifier, "_L2", l2)
     monkeypatch.setattr(classifier, "_BATCH_SIZE", 16)
     rng = np.random.default_rng(6)
     vocab = ["mass", "lesion", "normal", "stable", "clear", "edema", "no", "acute"]
     # shared words repeat columns within a batch; one rare word per text gives
-    # columns used once
+    # columns used once; 97 texts end each epoch on a one-row batch
     examples = [
         (" ".join([*rng.choice(vocab, size=rng.integers(2, 12)), f"rare{i}"]),
          Label.NORMAL if i % 3 == 0 else Label.ABNORMAL)
-        for i in range(90)
+        for i in range(97)
     ]
+    # past _PAD_BOUND, each batch is taken from the CSR arrays
+    if gather == "long_text":
+        examples.append((" ".join(f"word{i}" for i in range(400)), Label.ABNORMAL))
+    if gather == "bound":
+        monkeypatch.setattr(classifier, "_PAD_BOUND", 1)
+    # train looks the objective up on the module at each step, where a tracer can wrap it
+    seen = []
+    objective = classifier.objective_and_gradient
+
+    def counted(X, *rest):
+        seen.append(type(X))
+        return objective(X, *rest)
+
+    monkeypatch.setattr(classifier, "objective_and_gradient", counted)
     cfg = TrainConfig(epochs=4, seed=2)
     fcfg = FeatureConfig(dimension=dim)
     model = train(examples, cfg, fcfg)
-    w, b = _reference_train(examples, cfg, fcfg)
+    steps = cfg.epochs * math.ceil(len(examples) / 16)
+    assert seen == [PaddedRows if gather == "padded" else CsrMatrix] * steps + [CsrMatrix]
+    w, b, final = _reference_train(examples, cfg, fcfg)
     assert model.weights.tobytes() == w.tobytes()  # signs of zero included
     assert model.bias == b
+    assert model.final_loss == final
+
+
+@pytest.mark.parametrize("l2", [0.0, 1e-6, 1e-2])
+@pytest.mark.parametrize("dim", [1 << 10, 1 << 16])
+def test_train_on_used_columns_matches_full_width_bitwise(l2, dim, monkeypatch):
+    _train_matches_full_width(l2, dim, "padded", monkeypatch)
+
+
+# the same with each batch taken from the CSR arrays
+@pytest.mark.parametrize("l2", [0.0, 1e-2])
+@pytest.mark.parametrize("dim", [1 << 10, 1 << 16])
+@pytest.mark.parametrize("gather", ["long_text", "bound"])
+def test_train_on_csr_batches_matches_full_width_bitwise(l2, dim, gather, monkeypatch):
+    _train_matches_full_width(l2, dim, gather, monkeypatch)
 
 
 def test_gram_hash_cache_stays_bounded():

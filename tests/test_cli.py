@@ -2,7 +2,9 @@ import csv
 import hashlib
 import importlib
 import json
+import math
 import os
+import struct
 import subprocess
 import sys
 import textwrap
@@ -411,7 +413,8 @@ def test_growth_pipeline_chain(tmp_path, capsys):
     assert "pearson_r: 1.000000" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("damage", ["intact", "truncated", "padded", "bad_dimension", "trigrams"])
+@pytest.mark.parametrize("damage", ["intact", "truncated", "padded", "bad_dimension", "trigrams",
+                                    "nan_bias", "inf_bias", "nan_pos_weight", "inf_pos_weight"])
 def test_eval_rejects_model_file_of_wrong_size(tmp_path, capsys, damage):
     import numpy as np
 
@@ -426,8 +429,16 @@ def test_eval_rejects_model_file_of_wrong_size(tmp_path, capsys, damage):
     bad_dimension = _HEADER.pack(b"NCLM", 1, 1000, 1, 2, 1, 10.0) + bytes(8 * 1000 + 8)
     # the right length, but features of an n-gram range (1, 3) that featurize no longer builds
     trigrams = _HEADER.pack(b"NCLM", 1, 1 << 10, 1, 3, 1, 10.0) + blob[_HEADER.size:]
+    # the trailing bias, or the header's pos_weight (its last 8 bytes), not finite
+    def with_double(offset, value):
+        return blob[:offset] + struct.pack("<d", value) + blob[offset + 8:]
+
     model_path.write_bytes({"intact": blob, "truncated": blob[:-1], "padded": blob + b"\0",
-                            "bad_dimension": bad_dimension, "trigrams": trigrams}[damage])
+                            "bad_dimension": bad_dimension, "trigrams": trigrams,
+                            "nan_bias": with_double(len(blob) - 8, math.nan),
+                            "inf_bias": with_double(len(blob) - 8, -math.inf),
+                            "nan_pos_weight": with_double(_HEADER.size - 8, math.nan),
+                            "inf_pos_weight": with_double(_HEADER.size - 8, math.inf)}[damage])
     gold = data_file("edge_case_gold.csv")
     split_path = tmp_path / "split.csv"
     with open(split_path, "w", newline="") as f:
@@ -445,7 +456,8 @@ def test_eval_rejects_model_file_of_wrong_size(tmp_path, capsys, damage):
         return
     assert rc == 3
     assert err.count("\n") == 1
-    assert str(model_path) in err and "Traceback" not in err
+    assert err.startswith(f"data error: {model_path}: ") and "Traceback" not in err
+    assert not (tmp_path / "eval.csv").exists()
     if damage == "trigrams":
         assert err == f"data error: {model_path}: n-gram range and case (1, 3, 1), expected (1, 2, 1)\n"
 

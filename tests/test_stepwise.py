@@ -212,12 +212,19 @@ class _Handler(http.server.BaseHTTPRequestHandler):
         pass
 
 
+class _Server(http.server.ThreadingHTTPServer):
+    def handle_error(self, request, client_address):
+        # a client that timed out has closed the socket the reply goes to
+        if not isinstance(sys.exc_info()[1], (BrokenPipeError, ConnectionResetError)):
+            super().handle_error(request, client_address)
+
+
 @contextlib.contextmanager
 def serving(respond):
     """An HTTP server on 127.0.0.1 that hands each request to respond(handler, body).
 
     Yields its URL and the list of (method, headers, body) it has seen."""
-    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
+    server = _Server(("127.0.0.1", 0), _Handler)
     server.respond, server.seen = respond, []
     # a short poll, so that shutdown() does not wait out the default half second
     threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True).start()
