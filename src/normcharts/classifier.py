@@ -310,6 +310,13 @@ def train(
     so training is deterministic given the example multiset, cfg, and fcfg.
     """
     fcfg = fcfg or FeatureConfig()
+    # Fail before any work on a dimension whose full-width weights no address
+    # space holds. The weights themselves are made after SGD, in memory it
+    # frees: held from here, they add their size to the peak RSS.
+    try:
+        np.zeros(fcfg.dimension)
+    except MemoryError:
+        raise ConfigError(f"dimension {fcfg.dimension}: no memory for its weights") from None
     labels = {lab for _, lab in examples}
     if Label.UNCERTAIN in labels:
         raise DataError("Uncertain examples must be excluded upstream")

@@ -21,7 +21,7 @@ from .errors import ConfigError, DataError, EmptyInput, csv_rows, write_number_c
 from .labeling import Label
 from .phenotype import BOOLEANS, AggregationMethod, Region
 from .report_text import InputMode, Report, Sex, compose_input, load_reports_jsonl
-from .synthcorpus import synth_reports
+from .synthcorpus import synth_cohort, synth_reports
 
 DEFAULT_SEEDS = (11, 23, 37, 41, 53)
 
@@ -340,13 +340,7 @@ def _growth_experiment(name: str, cfg: PipelineConfig, run_dir: Path) -> list[me
     if cfg.phenotypes_path:
         table = phenotype.load_phenotype_csv(cfg.phenotypes_path)
     else:
-        truth = _default_truth(cfg)
-        table = phenotype.synth_cohort(
-            seed=cfg.seeds[0],
-            n_sessions=cfg.n_sessions,
-            n_scanners=cfg.n_scanners,
-            truth=truth,
-        )
+        table = synth_cohort(cfg.seeds[0], cfg.n_sessions, cfg.n_scanners, _default_truth(cfg))
     sessions, attrition = phenotype.build_sessions(
         table, AggregationMethod.MEDIAN_ALL_SEQUENCES
     )

@@ -88,7 +88,6 @@ def confusion(predictions: Sequence[Label], gold: Sequence[Label]) -> EvalResult
 
 @dataclass(frozen=True)
 class SeedSummary:
-    n_seeds: int
     mean: dict[str, Optional[float]]
     std: dict[str, Optional[float]]
 
@@ -114,7 +113,7 @@ def seed_summary(results: Sequence[EvalResult]) -> SeedSummary:
             std[name] = 0.0
         else:
             std[name] = math.sqrt(sum((v - m) ** 2 for v in values) / (len(values) - 1))
-    return SeedSummary(n_seeds=len(results), mean=mean, std=std)
+    return SeedSummary(mean=mean, std=std)
 
 
 class MetricRow(NamedTuple):

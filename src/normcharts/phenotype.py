@@ -1,10 +1,11 @@
-"""Volumetric phenotype ingestion, QC exclusion, and session-level aggregation.
+"""Phenotype files: read, checked, QC-filtered, aggregated and written.
 
 A phenotype row is one imaging sequence: six regional volumes plus eight
 automated QC scores. A file of rows is held as one columnar PhenotypeTable.
 Rows failing QC are dropped, survivors are collapsed to one phenotype per scan
 session, and every drop is tallied by cause so the attrition arithmetic always
-balances.
+balances. The module knows nothing of growth models: synthetic cohorts drawn
+from one live in synthcorpus.
 """
 
 import copy
@@ -18,7 +19,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import DataError, NumericalError, column_positions, csv_rows, write_number_csv
+from .errors import DataError, column_positions, csv_rows, write_number_csv
 from .report_text import Sex
 
 QC_THRESHOLD = 0.65
@@ -94,10 +95,6 @@ class _Columns:
         taken = copy.copy(self)
         taken.__dict__.update((name, getattr(self, name)[rows]) for name in self._column_names())
         return taken
-
-    def rows(self) -> Iterable[tuple]:
-        """The rows as tuples of Python values, columns in field order."""
-        return zip(*(getattr(self, name).tolist() for name in self._column_names()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -391,72 +388,3 @@ def write_sessions_csv(path, sessions: SessionTable) -> None:
     method = [sessions.method.value] * len(sessions)
     write_number_csv(path, SESSION_COLUMNS, [*ids, method], sessions.volumes, ["%.6f"] * len(Region))
 
-
-# Relative size of each region against the modeled one; used only when
-# synthesizing cohorts so every column of the CSV is populated.
-_REGION_SCALE = {
-    Region.CORTICAL_GM: 1.0,
-    Region.SUBCORTICAL_GM: 0.12,
-    Region.WHITE_MATTER: 0.80,
-    Region.VENTRICLES: 0.04,
-    Region.CEREBELLUM: 0.25,
-    Region.TOTAL_INTRACRANIAL: 2.60,
-}
-
-
-def synth_cohort(
-    seed: int,
-    n_sessions: int,
-    n_scanners: int,
-    truth,
-    age_range_days: tuple[float, float] = (135.0, 7100.0),
-    qc_fail_rate: float = 0.02,
-    jitter_sigma: float = 0.01,
-) -> PhenotypeTable:
-    """Draw a synthetic cohort from a known growth model.
-
-    Ages are uniform over age_range_days, sexes fair-coin, scanners assigned
-    round-robin, and 1 to 4 sequences per session carry small multiplicative
-    jitter around the session draw. A qc_fail_rate fraction of sequences get
-    one QC category planted below the exclusion threshold.
-    """
-    from .growthchart import GGParams, GrowthModel, gg_sample_one, linear_predictors
-
-    if not isinstance(truth, GrowthModel):
-        raise NumericalError("truth must be a GrowthModel")
-    if n_sessions < 1 or n_scanners < 1:
-        raise NumericalError("n_sessions and n_scanners must be >= 1")
-    rng = np.random.default_rng(seed)
-    if truth.scanner_intercepts:
-        scanner_ids = sorted(truth.scanner_intercepts)
-        if len(scanner_ids) != n_scanners:
-            raise NumericalError(
-                f"truth has {len(scanner_ids)} scanner intercepts, expected {n_scanners}"
-            )
-    else:
-        scanner_ids = [f"scan-{i:02d}" for i in range(n_scanners)]
-    rows = []
-    lo, hi = age_range_days
-    for i in range(n_sessions):
-        age_days = int(round(rng.uniform(lo, hi)))
-        age_days = max(1, age_days)
-        sex = Sex.M if rng.random() < 0.5 else Sex.F
-        scanner = scanner_ids[i % n_scanners]
-        eta_mu, eta_sigma = linear_predictors(truth, age_days / 365.25, sex is Sex.F, scanner)
-        # libm's exp, not numpy's: they differ in the last bit for about one
-        # argument in twenty, and the tests pin digests of cohorts drawn with libm.
-        params = GGParams(math.exp(eta_mu), math.exp(eta_sigma), truth.nu)
-        base = gg_sample_one(rng, params)
-        n_seq = int(rng.integers(1, 5))
-        for j in range(n_seq):
-            jitter = float(np.exp(rng.normal(0.0, jitter_sigma)))
-            modeled = base * jitter
-            volumes = tuple(modeled * _REGION_SCALE[region] for region in Region)
-            qc = [float(rng.uniform(0.70, 1.0)) for _ in QcCategory]
-            if rng.random() < qc_fail_rate:
-                bad = int(rng.integers(0, len(QcCategory)))
-                qc[bad] = float(rng.uniform(0.0, 0.649))
-            is_mprage = bool(rng.random() < 0.6)
-            rows.append((f"ses-{i:05d}", f"ses-{i:05d}-seq-{j}", scanner, age_days,
-                         sex.value, is_mprage, volumes, qc))
-    return PhenotypeTable.from_rows(rows)

@@ -1,7 +1,8 @@
-"""Synthetic radiology-report corpus for pipeline exercises and benchmarks.
+"""Synthetic inputs of both pipelines: radiology reports with a gold label,
+and phenotype cohorts drawn from a known growth model.
 
-Real clinical text cannot ship with the package, so experiments on the
-classifier run against generated reports with a known gold label. Abnormal
+Real clinical text and scans cannot ship with the package, so the
+self-contained protocols run on generated data with a known truth. Abnormal
 reports carry their diagnostic cue words only in the Findings section; the
 Impression is deliberately weak evidence, with hedged "unremarkable" wording
 appearing in both classes at different rates. A long tail of rare cue words
@@ -9,9 +10,15 @@ makes small (class-balanced, downsampled) training sets lose coverage that
 the full corpus retains.
 """
 
+import math
 import random
 
+import numpy as np
+
+from .errors import NumericalError
+from .growthchart import GGParams, GrowthModel, gg_sample_one, linear_predictors
 from .labeling import Label
+from .phenotype import PhenotypeTable, QcCategory, Region
 from .report_text import Report, Sex
 
 COMMON_CUES = ("lesion", "edema", "hemorrhage", "infarct", "hydrocephalus")
@@ -137,7 +144,7 @@ def _impression(rng: random.Random, label: Label) -> str:
 def synth_reports(
     seed: int,
     n: int,
-    abnormal_fraction: float = 0.92,
+    abnormal_fraction: float,
 ) -> tuple[list[Report], dict[str, Label]]:
     """Generate n reports with gold labels, deterministic per seed."""
     rng = random.Random(seed)
@@ -169,3 +176,60 @@ def synth_reports(
     rng.shuffle(order)
     reports = [reports[i] for i in order]
     return reports, gold
+
+
+AGE_RANGE_DAYS = (135.0, 7100.0)
+QC_FAIL_RATE = 0.02
+JITTER_SIGMA = 0.01
+
+# Relative size of each region against the modeled one, so that every volume
+# column of a synthetic cohort is populated.
+_REGION_SCALE = {
+    Region.CORTICAL_GM: 1.0,
+    Region.SUBCORTICAL_GM: 0.12,
+    Region.WHITE_MATTER: 0.80,
+    Region.VENTRICLES: 0.04,
+    Region.CEREBELLUM: 0.25,
+    Region.TOTAL_INTRACRANIAL: 2.60,
+}
+
+
+def synth_cohort(seed: int, n_sessions: int, n_scanners: int, truth: GrowthModel) -> PhenotypeTable:
+    """Draw a synthetic cohort from a known growth model.
+
+    Ages are uniform over AGE_RANGE_DAYS, sexes fair-coin, the truth's
+    scanners (one intercept each, n_scanners of them) assigned round-robin,
+    and 1 to 4 sequences per session scale the session draw by a jitter of
+    exp(N(0, JITTER_SIGMA)). A QC_FAIL_RATE share of sequences get one QC
+    category planted below the exclusion threshold.
+    """
+    if not isinstance(truth, GrowthModel):
+        raise NumericalError("truth must be a GrowthModel")
+    if n_sessions < 1 or n_scanners < 1:
+        raise NumericalError("n_sessions and n_scanners must be >= 1")
+    rng = np.random.default_rng(seed)
+    scanner_ids = sorted(truth.scanner_intercepts)
+    if len(scanner_ids) != n_scanners:
+        raise NumericalError(f"truth has {len(scanner_ids)} scanner intercepts, expected {n_scanners}")
+    rows = []
+    for i in range(n_sessions):
+        age_days = max(1, int(round(rng.uniform(*AGE_RANGE_DAYS))))
+        sex = Sex.M if rng.random() < 0.5 else Sex.F
+        scanner = scanner_ids[i % n_scanners]
+        eta_mu, eta_sigma = linear_predictors(truth, age_days / 365.25, sex is Sex.F, scanner)
+        # libm's exp, not numpy's: they differ in the last bit for about one
+        # argument in twenty, and the tests pin digests of cohorts drawn with libm.
+        params = GGParams(math.exp(eta_mu), math.exp(eta_sigma), truth.nu)
+        base = gg_sample_one(rng, params)
+        n_seq = int(rng.integers(1, 5))
+        for j in range(n_seq):
+            jitter = float(np.exp(rng.normal(0.0, JITTER_SIGMA)))
+            volumes = tuple(base * jitter * _REGION_SCALE[region] for region in Region)
+            qc = [float(rng.uniform(0.70, 1.0)) for _ in QcCategory]
+            if rng.random() < QC_FAIL_RATE:
+                bad = int(rng.integers(0, len(QcCategory)))
+                qc[bad] = float(rng.uniform(0.0, 0.649))
+            is_mprage = bool(rng.random() < 0.6)
+            rows.append((f"ses-{i:05d}", f"ses-{i:05d}-seq-{j}", scanner, age_days,
+                         sex.value, is_mprage, volumes, qc))
+    return PhenotypeTable.from_rows(rows)

@@ -42,7 +42,6 @@ from normcharts.phenotype import (
     Region,
     build_sessions,
     qc_filter,
-    synth_cohort,
 )
 from normcharts.report_text import InputMode, Sex, compose_input, load_reports_jsonl
 from normcharts.stepwise import (
@@ -54,7 +53,7 @@ from normcharts.stepwise import (
     evaluate_inquiry,
     run_inquiry,
 )
-from normcharts.synthcorpus import synth_reports
+from normcharts.synthcorpus import synth_cohort, synth_reports
 
 
 def report_line(number, name, ok):
@@ -388,7 +387,7 @@ def test_criterion_09_qc_and_aggregation():
 
 
 def test_criterion_10_determinism(tmp_path):
-    reports, labels = synth_reports(seed=8, n=600)
+    reports, labels = synth_reports(seed=8, n=600, abnormal_fraction=0.92)
     a = corpus.split(reports, 4, labels=labels)
     b = corpus.split(list(reports), 4, labels=labels)
     splits_ok = all(a.ids(s) == b.ids(s) for s in corpus.Subset)

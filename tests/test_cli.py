@@ -199,7 +199,7 @@ def test_bundled_fixture_files_exist():
 def test_classifier_pipeline_chain(tmp_path, capsys):
     from normcharts.synthcorpus import synth_reports
 
-    reports, labels = synth_reports(seed=2, n=300)
+    reports, labels = synth_reports(seed=2, n=300, abnormal_fraction=0.92)
     reports_path = tmp_path / "reports.jsonl"
     with open(reports_path, "w") as f:
         for r in reports:
@@ -376,7 +376,8 @@ def test_bad_annotation_line_is_data_error_at_its_line(tmp_path, capsys, line, m
 
 def test_growth_pipeline_chain(tmp_path, capsys):
     from normcharts.experiments import _default_truth
-    from normcharts.phenotype import synth_cohort, write_phenotype_csv
+    from normcharts.phenotype import write_phenotype_csv
+    from normcharts.synthcorpus import synth_cohort
 
     cfg = PipelineConfig(n_scanners=5)
     records = synth_cohort(seed=4, n_sessions=120, n_scanners=5,
@@ -561,16 +562,19 @@ def test_bad_csv_maps_are_data_errors(tmp_path, capsys, case):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("b_centiles", [["0.5", "0.5", "0.5"], ["0", "2e-160", "1e-160"]],
-                         ids=["zero_variance", "underflow"])
-def test_compare_without_a_finite_r_is_a_data_error(tmp_path, capsys, b_centiles):
+@pytest.mark.parametrize("b_centiles, message", [
+    (["0.5", "0.5", "0.5"], "Pearson r is "),
+    (["0", "2e-160", "1e-160"], "Pearson r is "),
+    (["0", "1e-160"], "only 2 shared sessions between the two files\n"),
+], ids=["zero_variance", "underflow", "two_shared"])
+def test_compare_without_a_finite_r_is_a_data_error(tmp_path, capsys, b_centiles, message):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     _write_csv(a, ["session_id", "centile"], [["s0", "0"], ["s1", "1e-160"], ["s2", "2e-160"]])
     _write_csv(b, ["session_id", "centile"], [[f"s{i}", c] for i, c in enumerate(b_centiles)])
     assert main(["compare", "--a", str(a), "--b", str(b)]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("data error: Pearson r is ") and captured.err.count("\n") == 1
+    assert captured.err.startswith(f"data error: {message}") and captured.err.count("\n") == 1
 
 
 def test_unknown_region_is_config_error_without_run_dir(tmp_path, capsys):
@@ -624,6 +628,20 @@ def test_bad_setting_exits_2_without_run_dir(tmp_path, capsys, section, line, na
     assert err.startswith("config error: ") and name in err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not out.exists()
+
+
+def test_dimension_with_no_room_for_its_weights_exits_2(tmp_path, capsys):
+    # 2^48 doubles (2 PiB) exceed the user address space, so the allocation
+    # of the weights fails at once and touches no memory
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text("[train]\ndimension = 281474976710656\nsynth_n = 60\nseeds = 1\nepochs = 1\n")
+    out = tmp_path / "runs"
+    rc = main(["run-experiment", "exp2_weighted", "--config", str(cfg_path), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: dimension 281474976710656")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("flags", [["--epochs", "0"], ["--pos-weight", "-1"], ["--learning-rate", "inf"]])
@@ -1075,13 +1093,15 @@ GOLDEN_PHENOTYPE = {
 
 
 def test_phenotype_commands_golden_digests(tmp_path, monkeypatch, capsys):
+    from normcharts import synthcorpus
     from normcharts.experiments import _default_truth
-    from normcharts.phenotype import synth_cohort, write_phenotype_csv
+    from normcharts.phenotype import write_phenotype_csv
 
     monkeypatch.chdir(tmp_path)
-    write_phenotype_csv("cohort.csv", synth_cohort(
+    monkeypatch.setattr(synthcorpus, "QC_FAIL_RATE", 0.1)
+    write_phenotype_csv("cohort.csv", synthcorpus.synth_cohort(
         seed=21, n_sessions=400, n_scanners=5,
-        truth=_default_truth(PipelineConfig(n_scanners=5)), qc_fail_rate=0.1,
+        truth=_default_truth(PipelineConfig(n_scanners=5)),
     ))
     ph = ["--phenotypes", "cohort.csv"]
     for argv in (
@@ -1119,7 +1139,8 @@ SINGLE_SEX_WARNING = "single-sex cohort: sex coefficient dropped"
 @pytest.mark.parametrize("case", sorted(GOLDEN_FIT_LAYOUTS))
 def test_fit_growth_layouts_golden_digests(tmp_path, monkeypatch, capsys, caplog, case):
     from normcharts.experiments import _default_truth
-    from normcharts.phenotype import synth_cohort, write_phenotype_csv
+    from normcharts.phenotype import write_phenotype_csv
+    from normcharts.synthcorpus import synth_cohort
 
     monkeypatch.chdir(tmp_path)
     flags, expected = GOLDEN_FIT_LAYOUTS[case]
@@ -1168,7 +1189,8 @@ BAD_PHENOTYPE_ROWS = {
 @pytest.mark.parametrize("case", sorted(BAD_PHENOTYPE_ROWS))
 def test_bad_phenotype_row_is_data_error_at_its_line(tmp_path, capsys, command, case):
     from normcharts.experiments import _default_truth
-    from normcharts.phenotype import synth_cohort, write_phenotype_csv
+    from normcharts.phenotype import write_phenotype_csv
+    from normcharts.synthcorpus import synth_cohort
 
     good = tmp_path / "good.csv"
     write_phenotype_csv(good, synth_cohort(seed=3, n_sessions=4, n_scanners=1,
@@ -1202,7 +1224,8 @@ def test_bad_phenotype_row_is_data_error_at_its_line(tmp_path, capsys, command, 
 ])
 def test_is_mprage_values_are_strict(tmp_path, capsys, text, value):
     from normcharts.experiments import _default_truth
-    from normcharts.phenotype import synth_cohort, write_phenotype_csv
+    from normcharts.phenotype import write_phenotype_csv
+    from normcharts.synthcorpus import synth_cohort
 
     good = tmp_path / "good.csv"
     write_phenotype_csv(good, synth_cohort(seed=3, n_sessions=3, n_scanners=1,
@@ -1264,7 +1287,8 @@ def _phenotype_argv(command, phenotypes, out, tmp_path):
 
 def test_centiles_that_fail_write_nothing(tmp_path, capsys):
     from normcharts.experiments import _default_truth
-    from normcharts.phenotype import synth_cohort, write_phenotype_csv
+    from normcharts.phenotype import write_phenotype_csv
+    from normcharts.synthcorpus import synth_cohort
 
     phenotypes = tmp_path / "p.csv"
     write_phenotype_csv(phenotypes, synth_cohort(seed=3, n_sessions=4, n_scanners=1,
@@ -1283,7 +1307,8 @@ def _run_growth_command(tmp_path, command, model):
     """`command` (centiles or curves) on a 400-session cohort with `model`, in a
     fresh interpreter, so a numpy warning would be printed as it is for a user."""
     from normcharts.experiments import _default_truth
-    from normcharts.phenotype import synth_cohort, write_phenotype_csv
+    from normcharts.phenotype import write_phenotype_csv
+    from normcharts.synthcorpus import synth_cohort
 
     phenotypes = tmp_path / "p.csv"
     write_phenotype_csv(phenotypes, synth_cohort(seed=3, n_sessions=400, n_scanners=1,
@@ -1396,7 +1421,8 @@ def test_header_only_phenotype_csv_writes_nothing_to_stderr(tmp_path, command):
 @pytest.mark.parametrize("command", ["aggregate", "centiles", "qc", "fit-growth"])
 def test_phenotype_csv_that_is_not_utf8_is_data_error(tmp_path, capsys, command):
     from normcharts.experiments import _default_truth
-    from normcharts.phenotype import synth_cohort, write_phenotype_csv
+    from normcharts.phenotype import write_phenotype_csv
+    from normcharts.synthcorpus import synth_cohort
 
     good = tmp_path / "good.csv"
     write_phenotype_csv(good, synth_cohort(seed=3, n_sessions=4, n_scanners=1,
@@ -1485,7 +1511,8 @@ def _damaged_table(tmp_path, file, damage):
     damaged only for "phenotype_header".
     """
     from normcharts.experiments import _default_truth
-    from normcharts.phenotype import synth_cohort, write_phenotype_csv
+    from normcharts.phenotype import write_phenotype_csv
+    from normcharts.synthcorpus import synth_cohort
 
     def damaged(fields):
         if damage == "long_field":

@@ -40,13 +40,9 @@ from normcharts.growthchart import (
     percentile_curves,
     save_growth_model,
 )
-from normcharts.phenotype import (
-    AggregationMethod,
-    Region,
-    build_sessions,
-    synth_cohort,
-)
+from normcharts.phenotype import AggregationMethod, Region, build_sessions
 from normcharts.report_text import Sex
+from normcharts.synthcorpus import synth_cohort
 
 
 def gg_pdf(y, p):

@@ -1,0 +1,61 @@
+"""The package's modules import one another without a cycle."""
+
+import ast
+from pathlib import Path
+
+import normcharts
+
+PACKAGE = Path(normcharts.__file__).parent
+
+
+def _imports(path: Path) -> set[str]:
+    """The package modules one source file imports by relative import, at any
+    depth (function bodies included)."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is None:  # from . import a, b
+                found.update(alias.name for alias in node.names)
+            else:  # from .a import x
+                found.add(node.module.split(".")[0])
+    return found
+
+
+def import_graph() -> dict[str, set[str]]:
+    modules = {path.stem: path for path in PACKAGE.glob("*.py")}
+    return {name: _imports(path) & modules.keys() - {name} for name, path in modules.items()}
+
+
+def find_cycle(graph: dict[str, set[str]]) -> list[str] | None:
+    """One cycle of the graph as a path that ends where it starts, or None."""
+    done, path = set(), []
+
+    def visit(node):
+        if node in path:
+            return path[path.index(node):] + [node]
+        if node in done:
+            return None
+        path.append(node)
+        for succ in sorted(graph[node]):
+            if cycle := visit(succ):
+                return cycle
+        path.pop()
+        done.add(node)
+        return None
+
+    return next(filter(None, map(visit, sorted(graph))), None)
+
+
+def test_find_cycle_sees_a_function_level_import(tmp_path):
+    (tmp_path / "a.py").write_text("from . import b\n")
+    (tmp_path / "b.py").write_text("def f():\n    from .a import x\n")
+    graph = {path.stem: _imports(path) for path in tmp_path.glob("*.py")}
+    assert find_cycle(graph) in (["a", "b", "a"], ["b", "a", "b"])
+    assert find_cycle({"a": {"b"}, "b": set()}) is None
+
+
+def test_module_graph_has_no_cycle():
+    graph = import_graph()
+    assert {"cli", "experiments", "growthchart", "phenotype", "synthcorpus"} <= graph.keys()
+    assert "phenotype" in graph["growthchart"]  # the walk sees module-level imports
+    assert find_cycle(graph) is None

@@ -113,11 +113,15 @@ def test_label_reports_coarse_then_override():
 
 def test_load_annotations_jsonl(tmp_path):
     p = tmp_path / "ann.jsonl"
-    p.write_text('{"report_id": "x", "grades": [2, 1]}\n')
-    anns = load_annotations_jsonl(p)
-    assert anns[0].report_id == "x"
-    assert anns[0].grades == (2, 1)
-    assert anns[0].label() is Label.UNCERTAIN
+    # blank and whitespace-only lines are skipped
+    for text in ('{"report_id": "x", "grades": [2, 1]}\n',
+                 '\n \t\n{"report_id": "x", "grades": [2, 1]}\n\n  \n'):
+        p.write_text(text)
+        anns = load_annotations_jsonl(p)
+        assert len(anns) == 1
+        assert anns[0].report_id == "x"
+        assert anns[0].grades == (2, 1)
+        assert anns[0].label() is Label.UNCERTAIN
 
 
 def _parsed_flag(report):

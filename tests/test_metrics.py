@@ -100,7 +100,6 @@ def test_seed_summary_two_point_std():
     a = EvalResult(tp=99, fp=0, tn=0, fn=1)   # accuracy 0.99
     b = EvalResult(tp=100, fp=0, tn=0, fn=0)  # accuracy 1.00
     s = seed_summary([a, b])
-    assert s.n_seeds == 2
     assert s.mean["accuracy"] == pytest.approx(0.995, abs=1e-12)
     assert s.std["accuracy"] == pytest.approx(0.007071067811865475, rel=1e-9)
 
@@ -115,7 +114,6 @@ def test_seed_summary_identical_results_zero_std():
 def test_seed_summary_single_result():
     r = EvalResult(tp=5, fp=2, tn=8, fn=1)
     s = seed_summary([r])
-    assert s.n_seeds == 1
     assert s.mean["accuracy"] == r.accuracy
     assert s.std["accuracy"] == 0.0
 

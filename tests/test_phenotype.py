@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from normcharts import phenotype
+from normcharts import phenotype, synthcorpus
 from normcharts.errors import DataError, write_number_csv
 from normcharts.growthchart import FpSpec, GrowthModel, params_at
 from normcharts.phenotype import (
@@ -27,11 +27,11 @@ from normcharts.phenotype import (
     build_sessions,
     load_phenotype_csv,
     qc_filter,
-    synth_cohort,
     write_phenotype_csv,
     write_sessions_csv,
 )
 from normcharts.report_text import Sex
+from normcharts.synthcorpus import synth_cohort
 
 
 def make_row(session="ses-1", seq="seq-0", qc_scores=None, vol=1000.0,
@@ -47,6 +47,12 @@ def make_table(*rows):
     return PhenotypeTable.from_rows(rows)
 
 
+def table_rows(table):
+    """The rows of a phenotype or session table as tuples of Python values,
+    columns in field order."""
+    return list(zip(*(getattr(table, name).tolist() for name in table._column_names())))
+
+
 def only_session(*rows, method=AggregationMethod.MEDIAN_ALL_SEQUENCES):
     """The one-row session table build_sessions makes of rows, or None if it
     drops the session."""
@@ -60,7 +66,7 @@ def test_qc_filter_threshold_is_inclusive():
     at = make_row(qc_scores={QcCategory.BRAINSTEM: 0.65})
     high = make_row()
     kept = qc_filter(make_table(below, at, high))
-    assert list(kept.rows()) == list(make_table(at, high).rows())
+    assert table_rows(kept) == table_rows(make_table(at, high))
     assert QC_THRESHOLD == 0.65
 
 
@@ -68,7 +74,7 @@ def test_qc_filter_idempotent():
     rows = [make_row(qc_scores={c: 0.3}) for c in QcCategory]
     rows.append(make_row())
     once = qc_filter(make_table(*rows))
-    assert list(qc_filter(once).rows()) == list(once.rows())
+    assert table_rows(qc_filter(once)) == table_rows(once)
     assert len(once) == 1
 
 
@@ -178,7 +184,7 @@ def test_phenotype_csv_round_trip(tmp_path):
     path = tmp_path / "ph.csv"
     write_phenotype_csv(path, table)
     back = load_phenotype_csv(path)
-    assert list(back.rows()) == list(table.rows())
+    assert table_rows(back) == table_rows(table)
 
 
 def test_sessions_csv_round_trip(tmp_path):
@@ -196,7 +202,7 @@ def test_sessions_csv_round_trip(tmp_path):
         for r in rows
     ] == [
         (sid, scanner, age, sex, "median", volumes)
-        for sid, scanner, age, sex, volumes in sessions.rows()
+        for sid, scanner, age, sex, volumes in table_rows(sessions)
     ]
 
 
@@ -214,7 +220,7 @@ def test_sessions_csv_quotes_ids_as_csv_writer_does(tmp_path):
         writer = csv.writer(f)
         writer.writerow(["session_id", "scanner_id", "age_days", "sex", "method",
                          *(r.value for r in Region)])
-        for sid, scanner, age, sex, volumes in sessions.rows():
+        for sid, scanner, age, sex, volumes in table_rows(sessions):
             writer.writerow([sid, scanner, age, sex, "mprage", *(f"{v:.6f}" for v in volumes)])
     assert path.read_bytes() == expected.read_bytes()
     assert b'"a,b"' in path.read_bytes()
@@ -263,16 +269,16 @@ def small_truth():
 
 
 def test_synth_cohort_deterministic():
-    a = list(synth_cohort(seed=5, n_sessions=40, n_scanners=2, truth=small_truth()).rows())
-    b = list(synth_cohort(seed=5, n_sessions=40, n_scanners=2, truth=small_truth()).rows())
+    a = table_rows(synth_cohort(seed=5, n_sessions=40, n_scanners=2, truth=small_truth()))
+    b = table_rows(synth_cohort(seed=5, n_sessions=40, n_scanners=2, truth=small_truth()))
     assert a == b
-    c = list(synth_cohort(seed=6, n_sessions=40, n_scanners=2, truth=small_truth()).rows())
+    c = table_rows(synth_cohort(seed=6, n_sessions=40, n_scanners=2, truth=small_truth()))
     assert a != c
 
 
-def test_synth_cohort_planted_failure_rate():
-    table = synth_cohort(seed=11, n_sessions=600, n_scanners=2,
-                         truth=small_truth(), qc_fail_rate=0.05)
+def test_synth_cohort_planted_failure_rate(monkeypatch):
+    monkeypatch.setattr(synthcorpus, "QC_FAIL_RATE", 0.05)
+    table = synth_cohort(seed=11, n_sessions=600, n_scanners=2, truth=small_truth())
     n = len(table)
     fails = int((table.qc < QC_THRESHOLD).any(axis=1).sum())
     rate = fails / n
@@ -281,10 +287,11 @@ def test_synth_cohort_planted_failure_rate():
     assert abs(rate - 0.05) < 4 * sigma
 
 
-def test_synth_cohort_median_tracks_truth():
+def test_synth_cohort_median_tracks_truth(monkeypatch):
+    monkeypatch.setattr(synthcorpus, "AGE_RANGE_DAYS", (3600, 3700))
+    monkeypatch.setattr(synthcorpus, "QC_FAIL_RATE", 0.0)
     truth = small_truth()
-    table = synth_cohort(seed=13, n_sessions=1500, n_scanners=2, truth=truth,
-                         age_range_days=(3600, 3700), qc_fail_rate=0.0)
+    table = synth_cohort(seed=13, n_sessions=1500, n_scanners=2, truth=truth)
     sessions, _ = build_sessions(table, AggregationMethod.MEDIAN_ALL_SEQUENCES)
     from normcharts.growthchart import gg_quantile
 
@@ -377,7 +384,7 @@ _EXAMPLE_ROWS = [
 def test_build_sessions_matches_per_session_reference(rows, method):
     rows = _numbered(rows)
     sessions, report = build_sessions(make_table(*rows), method)
-    assert (list(sessions.rows()), report) == _reference_sessions(rows, method)
+    assert (table_rows(sessions), report) == _reference_sessions(rows, method)
     assert sessions.method is method
 
 
@@ -486,8 +493,9 @@ def test_group_medians_of_one_large_group_among_singletons_stay_linear_in_memory
 
 
 @pytest.mark.parametrize("method", list(AggregationMethod))
-def test_build_sessions_matches_lexsort_build(method):
-    cohort = synth_cohort(seed=11, n_sessions=300, n_scanners=2, truth=small_truth(), qc_fail_rate=0.2)
+def test_build_sessions_matches_lexsort_build(monkeypatch, method):
+    monkeypatch.setattr(synthcorpus, "QC_FAIL_RATE", 0.2)
+    cohort = synth_cohort(seed=11, n_sessions=300, n_scanners=2, truth=small_truth())
     rng = np.random.default_rng(11)
     # rows in shuffled order, each session's rows repeated to make ties, and
     # each row with its own scanner and age, so a session's first row shows
@@ -496,7 +504,7 @@ def test_build_sessions_matches_lexsort_build(method):
                     age_days=rng.integers(1, 9999, len(table)))
     sessions, report = build_sessions(table, method)
     ref_sessions, ref_medians, ref_report = _lexsort_build_sessions(table, method)
-    assert [row[:4] for row in sessions.rows()] == ref_sessions
+    assert [row[:4] for row in table_rows(sessions)] == ref_sessions
     assert sessions.volumes.tobytes() == ref_medians.tobytes()
     assert report == ref_report
     assert report.dropped_qc > 0 and (report.dropped_no_mprage > 0) == (method is AggregationMethod.MPRAGE_ONLY)
@@ -641,4 +649,4 @@ def test_c_pass_reads_a_well_formed_file(tmp_path, monkeypatch):
         raise AssertionError("the row loop ran")
 
     monkeypatch.setattr(phenotype, "_load_rows", row_loop)
-    assert list(load_phenotype_csv(path).rows()) == list(table.rows())
+    assert table_rows(load_phenotype_csv(path)) == table_rows(table)

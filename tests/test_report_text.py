@@ -218,10 +218,12 @@ def test_load_reports_jsonl(tmp_path):
          "sex": "M", "procedure_description": "MRI brain", "extra_field": "ignored"},
         {"id": "b", "text": "Plain narrative."},
     ]
-    path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
-    reports = load_reports_jsonl(path)
-    assert [r.id for r in reports] == ["a", "b"]
-    assert reports[1].sex is Sex.UNKNOWN
+    # blank and whitespace-only lines are skipped
+    for sep in ("\n", "\n\n \t \n"):
+        path.write_text(sep.join(json.dumps(r) for r in rows) + sep)
+        reports = load_reports_jsonl(path)
+        assert [r.id for r in reports] == ["a", "b"]
+        assert reports[1].sex is Sex.UNKNOWN
 
 
 def test_load_reports_jsonl_bad_line_number_in_error(tmp_path):
