@@ -2,11 +2,12 @@
 sigmoid linear model, weighted cross-entropy with a configurable minority-class penalty.
 
 The design matrix is a `CsrMatrix`: the three compressed-sparse-row arrays
-`data`, `indices` and `indptr`, the shape, and the row of every nonzero.  Its
-two products are `np.bincount` sums over the nonzeros in storage order,
-starting from 0.  That is the order in which scipy.sparse's CSR kernel adds
-up `X @ w` and its CSC kernel adds up `X.T @ c`, so both agree with scipy bit
-for bit, and a trained model's bytes do not depend on which one computed it.
+`data`, `indices` and `indptr`, and the shape; each nonzero's row is derived
+from `indptr`.  Its two products are `np.bincount` sums over the nonzeros in
+storage order, starting from 0.  That is the order in which scipy.sparse's
+CSR kernel adds up `X @ w` and its CSC kernel adds up `X.T @ c`, so both
+agree with scipy bit for bit, and a trained model's bytes do not depend on
+which one computed it.
 
 `train` takes each SGD batch from `PaddedRows` (ELLPACK): two `(rows, width)`
 arrays, counts and columns, in which a row shorter than the longest is padded
@@ -21,7 +22,7 @@ gathers, trimmed to its longest row.  Its products keep the bincount sums:
 A pad adds a signed zero to a sum that starts at +0.0, which changes none of
 its bits.  The padding takes `rows * width` cells; past `_PAD_BOUND` cells
 per nonzero (a corpus with a few very long texts), `train` gathers each batch
-from the CSR arrays instead, which bounds its memory.
+from its CSR design instead, which bounds its memory.
 """
 
 import math
@@ -47,13 +48,9 @@ _SCORE_BLOCK = 256
 _L2 = 1e-6
 _BATCH_SIZE = 64
 # `train` pads its rows when that takes at most this many cells per nonzero.
-# A cell takes at most 16 bytes, so the padding then takes at most 32 bytes a
-# nonzero, as a CSR matrix's counts, columns and row numbers plus its
-# used-column indices do.
+# A padded cell and a nonzero of the CSR design each take an 8-byte count and
+# one column id, so the padding then takes at most twice the design's bytes.
 _PAD_BOUND = 2
-# Rows of the padded arrays filled per step, which keeps the fill's
-# temporaries small next to the matrix.
-_PAD_FILL_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -167,22 +164,23 @@ class CsrMatrix(NamedTuple):
     """A sparse matrix in compressed sparse row form.
 
     Row r holds data[indptr[r] : indptr[r + 1]] in columns indices[same
-    slice]; rows[k] is the row of nonzero k.
+    slice].
     """
 
     data: np.ndarray
     indices: np.ndarray
     indptr: np.ndarray
-    rows: np.ndarray
     shape: tuple[int, int]
 
     def matvec(self, w: np.ndarray) -> np.ndarray:
         """X @ w."""
-        return np.bincount(self.rows, weights=self.data * w[self.indices], minlength=self.shape[0])
+        rows = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+        return np.bincount(rows, weights=self.data * w[self.indices], minlength=self.shape[0])
 
     def rmatvec(self, c: np.ndarray) -> np.ndarray:
         """X.T @ c."""
-        return np.bincount(self.indices, weights=self.data * c[self.rows], minlength=self.shape[1])
+        c_of_nonzero = np.repeat(c, np.diff(self.indptr))
+        return np.bincount(self.indices, weights=self.data * c_of_nonzero, minlength=self.shape[1])
 
     def take_rows(self, which: np.ndarray) -> "CsrMatrix":
         """Rows `which`, in that order, as a new matrix: scipy's X[which]."""
@@ -191,8 +189,7 @@ class CsrMatrix(NamedTuple):
         indptr = np.zeros(len(which) + 1, dtype=np.int64)
         np.cumsum(lengths, out=indptr[1:])
         src = np.repeat(starts - indptr[:-1], lengths) + np.arange(indptr[-1])
-        rows = np.repeat(np.arange(len(which)), lengths)
-        return CsrMatrix(self.data[src], self.indices[src], indptr, rows, (len(which), self.shape[1]))
+        return CsrMatrix(self.data[src], self.indices[src], indptr, (len(which), self.shape[1]))
 
 
 class PaddedRows(NamedTuple):
@@ -200,9 +197,10 @@ class PaddedRows(NamedTuple):
 
     Row r holds data[r, k] in column ids[r, k] for k < lengths[r]; the cells
     after those hold 0.0 in the pad column, shape[1] - 1, which no row uses.
-    `_pad_rows` stores the ids in the smallest unsigned type that holds the
-    pad column (uint16 below 65,536 used columns); a taken batch holds them
-    as intp, the index type of `w[ids]` and `np.bincount`.
+    `_pad_rows` keeps the ids in the type of its CSR matrix's column indices,
+    which `train` narrows to the smallest unsigned type that holds the pad
+    column (uint16 below 65,536 used columns); a taken batch holds them as
+    intp, the index type of `w[ids]` and `np.bincount`.
     """
 
     data: np.ndarray
@@ -229,20 +227,16 @@ class PaddedRows(NamedTuple):
         return PaddedRows(self.data[which, :width], ids, lengths, (len(which), self.shape[1]))
 
 
-def _pad_rows(X: CsrMatrix, columns: np.ndarray, shape: tuple[int, int]) -> PaddedRows:
-    """X's rows in columns `columns[X.indices]`, padded to the longest row."""
+def _pad_rows(X: CsrMatrix) -> PaddedRows:
+    """X's rows padded to the longest, the pads in X's last column, which no row may use."""
     lengths = np.diff(X.indptr)
-    width = lengths.max(initial=0)
-    data = np.zeros((shape[0], width))
-    ids = np.full((shape[0], width), shape[1] - 1, dtype=np.min_scalar_type(shape[1] - 1))
-    for start in range(0, shape[0], _PAD_FILL_BLOCK):
-        block = slice(start, start + _PAD_FILL_BLOCK)
-        # row-major order over the cells in use is CSR storage order
-        in_use = np.arange(width) < lengths[block, None]
-        nonzeros = slice(X.indptr[start], X.indptr[start + len(in_use)])
-        data[block][in_use] = X.data[nonzeros]
-        ids[block][in_use] = columns[X.indices[nonzeros]]
-    return PaddedRows(data, ids, lengths, shape)
+    # row-major order over the cells in use is CSR storage order
+    in_use = np.arange(lengths.max(initial=0)) < lengths[:, None]
+    data = np.zeros(in_use.shape)
+    data[in_use] = X.data
+    ids = np.full(in_use.shape, X.shape[1] - 1, dtype=X.indices.dtype)
+    ids[in_use] = X.indices
+    return PaddedRows(data, ids, lengths, X.shape)
 
 
 def featurize(texts: Sequence[str], config: FeatureConfig) -> CsrMatrix:
@@ -253,8 +247,7 @@ def featurize(texts: Sequence[str], config: FeatureConfig) -> CsrMatrix:
     )))
     indptr = np.zeros(len(texts) + 1, dtype=np.int64)
     np.cumsum(nnz, out=indptr[1:])
-    rows = np.repeat(np.arange(len(texts)), nnz)
-    return CsrMatrix(counts, indices, indptr, rows, (len(texts), config.dimension))
+    return CsrMatrix(counts, indices, indptr, (len(texts), config.dimension))
 
 
 @dataclass
@@ -340,16 +333,15 @@ def train(
     in_use[X.indices] = True
     used = np.flatnonzero(in_use)
     # One column more, the pad column: no row uses it, so its weight stays 0.0.
-    shape = (n, len(used) + 1)
-    # X's row of each nonzero is rebuilt for the final objective.
-    X = X._replace(rows=None)
-    lengths = np.diff(X.indptr)
-    if n * lengths.max() <= _PAD_BOUND * len(X.data):
-        design = _pad_rows(X, np.cumsum(in_use) - 1, shape)
-    else:
-        design = X._replace(indices=(np.cumsum(in_use) - 1)[X.indices], shape=shape)
+    # A used column's cumsum is at least 1 and at most the pad column's id.
+    design = X._replace(
+        indices=np.cumsum(in_use, dtype=np.min_scalar_type(len(used)))[X.indices] - 1,
+        shape=(n, len(used) + 1),
+    )
+    if n * np.diff(X.indptr).max() <= _PAD_BOUND * len(X.data):
+        design = _pad_rows(design)
 
-    w_used = np.zeros(shape[1])
+    w_used = np.zeros(design.shape[1])
     bias = 0.0
     rng = SplitMix64(cfg.seed ^ 0x1F2E3D4C5B6A7988)
     order = list(range(n))
@@ -369,7 +361,6 @@ def train(
     del design  # before the full-width arrays of the final objective
     weights = np.zeros(fcfg.dimension)
     weights[used] = w_used[:-1]
-    X = X._replace(rows=np.repeat(np.arange(n), lengths))
     final, _, _ = objective_and_gradient(X, y, weights, bias, cfg.pos_weight, _L2)
     if not np.isfinite(final):
         raise NumericalError(f"non-finite final loss {final}")

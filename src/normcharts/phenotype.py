@@ -237,7 +237,8 @@ def _group_medians(values: np.ndarray, group: np.ndarray, n_groups: int):
     for c, at in zip(sizes.tolist(), np.split(by_size, begin[1:])):
         block = np.sort(values[start[at, None] + np.arange(c)], axis=1, kind="stable")
         lo = (c - 1) // 2
-        medians[at] = block[:, lo] if c % 2 else (block[:, lo] + block[:, lo + 1]) / 2
+        with np.errstate(over="ignore"):  # a sum past the largest float is inf, as in statistics.median
+            medians[at] = block[:, lo] if c % 2 else (block[:, lo] + block[:, lo + 1]) / 2
     return medians, present
 
 
@@ -296,14 +297,13 @@ def load_phenotype_csv(path) -> PhenotypeTable:
     line. So the values accepted and the messages are those of int and float.
     """
     try:
-        table = _load_columns(path)
+        return _load_columns(path)
     except (ValueError, Warning, BadRow, csv.Error):  # UnicodeDecodeError is a ValueError
-        table = None
-    return _load_rows(path) if table is None else table
+        return _load_rows(path)
 
 
-def _load_columns(path) -> PhenotypeTable | None:
-    """The file parsed by np.loadtxt; None if is_mprage has an unknown spelling.
+def _load_columns(path) -> PhenotypeTable:
+    """The file parsed by np.loadtxt; a ValueError if is_mprage has an unknown spelling.
 
     The file is opened with newline="" and handed on after the header, as csv
     reads it: loadtxt opening the path itself would turn a quoted "\r\n"
@@ -326,7 +326,7 @@ def _load_columns(path) -> PhenotypeTable | None:
     mprage = body[f"f{pos[5]}"].tolist()
     flags = {s: BOOLEANS.get(s.strip().lower()) for s in set(mprage)}
     if None in flags.values():
-        return None
+        raise ValueError("unknown is_mprage spelling")
     numbers = np.stack([body[f"f{i}"] for i in pos[6:]], axis=1)
     return PhenotypeTable(
         session_id, sequence_id, scanner_id, age_days, sex,

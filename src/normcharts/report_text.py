@@ -157,7 +157,7 @@ def load_reports_jsonl(path) -> list[Report]:
                 sex=Sex(obj.get("sex", "Unknown")),
                 procedure_description=str(obj.get("procedure_description", "")),
             )
-        except (KeyError, TypeError, ValueError, OverflowError) as e:
+        except (KeyError, TypeError, ValueError, OverflowError, DataError) as e:
             raise DataError(f"{path}:{lineno}: {e}") from e
         if report.id in seen:
             raise DataError(f"{path}:{lineno}: repeated report id {report.id!r}")

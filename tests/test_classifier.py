@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from normcharts.classifier import (
 from normcharts.corpus import SplitMix64
 from normcharts.errors import ConfigError, DataError, EmptyInput
 from normcharts.labeling import Label
+from normcharts.synthcorpus import synth_reports
 
 
 def fnv1a_64(data: bytes) -> int:
@@ -110,8 +112,7 @@ def test_train_config_validation(kwargs):
 def _from_scipy(m) -> CsrMatrix:
     """The CsrMatrix of a scipy.sparse matrix (or of a dense array)."""
     m = sparse.csr_matrix(m)
-    rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
-    return CsrMatrix(m.data, m.indices, m.indptr, rows, m.shape)
+    return CsrMatrix(m.data, m.indices, m.indptr, m.shape)
 
 
 def _to_scipy(X: CsrMatrix) -> sparse.csr_matrix:
@@ -189,12 +190,11 @@ def _csr_products(draw):
     data = np.array(draw(st.lists(_VALUES, min_size=nnz, max_size=nnz)), dtype=float)
     indices = np.array([j for cols in row_cols for j in cols], dtype=np.int64)
     indptr = np.cumsum([0] + [len(cols) for cols in row_cols], dtype=np.int64)
-    rows = np.repeat(np.arange(n_rows), np.diff(indptr))
     w = np.array(draw(st.lists(_VALUES, min_size=n_cols, max_size=n_cols)))
     c = np.array(draw(st.lists(_VALUES, min_size=n_rows, max_size=n_rows)))
     which = draw(st.lists(st.integers(0, n_rows - 1), max_size=70) if n_rows else st.just([]))
     which = np.array(which, dtype=np.int64)
-    return CsrMatrix(data, indices, indptr, rows, (n_rows, n_cols)), w, c, which
+    return CsrMatrix(data, indices, indptr, (n_rows, n_cols)), w, c, which
 
 
 @settings(max_examples=80, deadline=None)
@@ -206,7 +206,7 @@ def test_csr_matrix_equals_scipy_bitwise(case):
     assert X.rmatvec(c).tobytes() == (reference.T @ c).tobytes()
     taken, expected = X.take_rows(which), _from_scipy(reference[which])
     assert taken.shape == expected.shape
-    for name in ("data", "indices", "indptr", "rows"):
+    for name in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(taken, name), getattr(expected, name)), name
 
 
@@ -233,8 +233,7 @@ def _padded_products(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     indices = np.array([j for n in lengths for j in np.sort(rng.choice(n_cols, n, replace=False))], dtype=np.int64)
     indptr = np.cumsum([0, *lengths], dtype=np.int64)
-    rows = np.repeat(np.arange(n_rows), lengths)
-    X = CsrMatrix(_values(rng, len(indices)), indices, indptr, rows, (n_rows, n_cols))
+    X = CsrMatrix(_values(rng, len(indices)), indices, indptr, (n_rows, n_cols))
     return X, _values(rng, n_cols), _values(rng, n_rows), np.array(which, dtype=np.int64)
 
 
@@ -244,7 +243,7 @@ def test_padded_rows_equal_scipy_bitwise(case):
     X, w, c, which = case
     n_rows, n_cols = X.shape
     reference = _to_scipy(X)
-    padded = classifier._pad_rows(X, np.arange(n_cols), (n_rows, n_cols + 1))
+    padded = classifier._pad_rows(X._replace(shape=(n_rows, n_cols + 1)))
     w_pad = np.append(w, 0.0)  # the pad column's weight
     assert padded.matvec(w_pad).tobytes() == (reference @ w).tobytes()
     assert padded.rmatvec(c).tobytes() == (reference.T @ c).tobytes() + np.zeros(1).tobytes()
@@ -254,6 +253,24 @@ def test_padded_rows_equal_scipy_bitwise(case):
     assert batch.matvec(w_pad).tobytes() == (expected @ w).tobytes()
     c = c[which]
     assert batch.rmatvec(c).tobytes() == (expected.T @ c).tobytes() + np.zeros(1).tobytes()
+
+
+def test_pad_rows_fill_holds_no_nonzero_sized_index():
+    # the fill's temporaries, over what it returns, peak at the row-major mask:
+    # an int64 index per nonzero would add over half the padding's bytes
+    reports, _ = synth_reports(seed=3, n=3000, abnormal_fraction=0.92)
+    X = featurize([r.raw_text for r in reports], FeatureConfig())
+    used, ids = np.unique(X.indices, return_inverse=True)
+    design = X._replace(indices=ids.astype(np.min_scalar_type(len(used))), shape=(X.shape[0], len(used) + 1))
+    # a design that train pads
+    assert X.shape[0] * np.diff(X.indptr).max() <= classifier._PAD_BOUND * len(X.data)
+    tracemalloc.start()
+    try:
+        padded = classifier._pad_rows(design)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * sum(a.nbytes for a in (padded.data, padded.ids, padded.lengths))
 
 
 def _reference_counts(text, fcfg):

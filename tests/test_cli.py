@@ -190,6 +190,18 @@ def test_repeated_report_id_is_rejected_at_its_line(tmp_path, capsys, command):
     assert capsys.readouterr().err == f"data error: {reports}:{line}: repeated report id {rid!r}\n"
 
 
+def test_usage_error_exits_2_with_argparse_usage(tmp_path, capsys):
+    # the one error that takes more than one stderr line: argparse's usage block
+    out = tmp_path / "e.csv"
+    with pytest.raises(SystemExit) as e:
+        main(["eval", "--model", str(tmp_path / "m.bin"), "--reports", str(tmp_path / "r.jsonl"),
+              "--labels", str(tmp_path / "g.csv"), "--out", str(out)])
+    assert e.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1] == "normcharts eval: error: the following arguments are required: --split"
+    assert not out.exists()
+
+
 def test_bundled_fixture_files_exist():
     for name in ("edge_case_reports.jsonl", "edge_case_gold.csv",
                  "edge_case_responses.tsv"):
@@ -265,7 +277,7 @@ def test_cli_import_leaves_out_scipy_and_requests(tmp_path):
         import sys
         from normcharts.cli import main
         from normcharts.experiments import data_file
-        loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "requests"))
+        loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "requests", "logging"))
         assert not loaded, loaded
         rc = main(["triage", "--reports", str(data_file("edge_case_reports.jsonl")),
                    "--mode", "stepwise", "--fixture", str(data_file("edge_case_responses.tsv")),

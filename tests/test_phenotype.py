@@ -420,7 +420,8 @@ def _lexsort_group_medians(values, group, n_groups):
     for k in range(values.shape[1]):
         ordered = values[np.lexsort((values[:, k], group)), k]
         medians[:, k] = ordered[lo]
-        medians[even, k] = (ordered[lo[even]] + ordered[hi]) / 2
+        with np.errstate(over="ignore"):  # a middle pair summing past the largest float
+            medians[even, k] = (ordered[lo[even]] + ordered[hi]) / 2
     return medians, present
 
 

@@ -228,9 +228,15 @@ def test_load_reports_jsonl(tmp_path):
 
 def test_load_reports_jsonl_bad_line_number_in_error(tmp_path):
     path = tmp_path / "reports.jsonl"
-    path.write_text('{"id": "a", "text": "ok"}\n{"text": "missing id"}\n')
-    with pytest.raises(DataError, match=r"reports\.jsonl:2: "):
-        load_reports_jsonl(path)
+    # a missing id, and lines that fail Report's own checks
+    for line, message in [
+        ('{"text": "missing id"}', ""),
+        ('{"id": "b", "text": ""}', "report 'b' has empty text$"),
+        ('{"id": "b", "text": "ok", "age_days": -1}', "report 'b' has negative age_days$"),
+    ]:
+        path.write_text('{"id": "a", "text": "ok"}\n' + line + "\n")
+        with pytest.raises(DataError, match=r"reports\.jsonl:2: " + message):
+            load_reports_jsonl(path)
 
 
 def test_sections_are_parsed_on_first_use(tmp_path, monkeypatch, capsys):
