@@ -8,6 +8,7 @@ failure.
 """
 
 import argparse
+import functools
 import sys
 
 from . import classifier, corpus, experiments, growthchart, labeling, metrics, phenotype, stepwise
@@ -226,6 +227,7 @@ def _cmd_run_experiment(args) -> int:
     return 0
 
 
+@functools.cache  # built once per process: main runs many commands in one process
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="normcharts",
@@ -338,12 +340,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileExistsError, FileNotFoundError, IsADirectoryError,
-            NotADirectoryError, PermissionError) as e:
+    except (ConfigError, OSError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except DataError as e:

@@ -1,13 +1,16 @@
-"""The exit-code contract as exceptions (`cli.main` exits 2 on a ConfigError,
-3 on a DataError and 4 on a NumericalError), the file-reading failures every
-loader reports at path:line, csv_rows, which reads every CSV/TSV input, and
-write_number_csv, which writes every CSV of numbers."""
+"""The exit-code contract as exceptions (`cli.main` exits 2 on a ConfigError
+or an OSError, 3 on a DataError and 4 on a NumericalError), the file-reading
+failures every loader reports at path:line (UNDECODABLE_JSON among them),
+csv_rows, which reads every CSV/TSV input, and write_number_csv, which writes
+every CSV of numbers and refuses one that is not finite."""
 
 import contextlib
 import csv
 import operator
 from types import SimpleNamespace
 from typing import Iterator
+
+import numpy as np
 
 
 class NormchartsError(Exception):
@@ -36,6 +39,12 @@ class EmptyInput(DataError):
 
 class ClientError(NormchartsError):
     """Transport failure talking to an answer source."""
+
+
+# What json.load(s) raises on text it cannot decode: JSONDecodeError (a
+# ValueError), ValueError for an integer past sys.get_int_max_str_digits(),
+# and RecursionError for nesting too deep.
+UNDECODABLE_JSON = (ValueError, RecursionError)
 
 
 def not_utf8(path) -> str:
@@ -100,7 +109,15 @@ def write_number_csv(path, header, texts, numbers, formats) -> None:
     `texts` columns (maybe none), quoted as csv.writer quotes them, and its
     numbers by `formats`, one %-format per column ("%.6f", say). The bytes are
     csv.writer's with an f-string per number: a number holds nothing csv quotes.
+    A number that is not finite is a NumericalError, raised before `path` is opened.
     """
+    bad = ~np.isfinite(numbers)
+    if bad.any():
+        row, column = divmod(int(np.argmax(bad)), numbers.shape[1])
+        raise NumericalError(
+            f"{path}: {header[len(header) - numbers.shape[1] + column]} of row {row + 1} "
+            f"is {numbers[row, column]}, not a finite number"
+        )
     line = ",".join(formats) + "\r\n"
     columns = numbers.T.tolist()
     if texts:

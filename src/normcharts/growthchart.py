@@ -22,7 +22,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericalError
+from .errors import UNDECODABLE_JSON, ConfigError, DataError, NumericalError
 from .phenotype import Region, SessionTable
 from .report_text import Sex
 
@@ -604,7 +604,7 @@ def load_growth_model(path) -> GrowthModel:
     try:
         with open(path, encoding="utf-8") as f:
             doc = json.load(f)
-    except ValueError as e:
+    except UNDECODABLE_JSON as e:
         raise DataError(f"{path}: not valid JSON: {e}") from e
     try:
         return model_from_dict(doc)

@@ -4,8 +4,9 @@ A phenotype row is one imaging sequence: six regional volumes plus eight
 automated QC scores. A file of rows is held as one columnar PhenotypeTable.
 Rows failing QC are dropped, survivors are collapsed to one phenotype per scan
 session, and every drop is tallied by cause so the attrition arithmetic always
-balances. The module knows nothing of growth models: synthetic cohorts drawn
-from one live in synthcorpus.
+balances. Each column is declared once, as a field of its table: the field
+holds its dtype, and the CSV headers are read off the fields. The module knows
+nothing of growth models: synthetic cohorts drawn from one live in synthcorpus.
 """
 
 import copy
@@ -13,7 +14,7 @@ import csv
 import math
 import warnings
 from array import array
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Iterable
 
@@ -67,24 +68,41 @@ class BadRow(DataError):
         self.problem = problem
 
 
+def _column(dtype, entries: type[Enum] | None = None):
+    """A table column: a dataclass field whose metadata holds its dtype and,
+    for a 2-D column, the CSV name of each entry, the values of `entries`."""
+    names = None if entries is None else tuple(e.value for e in entries)
+    return field(metadata={"dtype": dtype, "names": names})
+
+
 class _Columns:
-    """Behaviour shared by the columnar tables: every field named in
-    _COLUMN_TYPES is a column, one entry (or row of a 2-D column) per row."""
+    """Behaviour shared by the columnar tables: every field made by _column is
+    a column, one entry (or row of a 2-D column) per row, coerced to the dtype
+    its field declares; csv_header reads the CSV header off the fields."""
 
     def _coerce(self) -> None:
         """Coerce every column to its dtype and check the shapes."""
         n = len(self.session_id)
-        for name in self._column_names():
-            dtype, width = _COLUMN_TYPES[name]
-            column = np.asarray(getattr(self, name), dtype=dtype)
-            shape = (n,) if width is None else (n, width)
+        for f in self._column_fields():
+            column = np.asarray(getattr(self, f.name), dtype=f.metadata["dtype"])
+            names = f.metadata["names"]
+            shape = (n,) if names is None else (n, len(names))
             if column.shape != shape:
-                raise DataError(f"column {name} has shape {column.shape}, expected {shape}")
-            object.__setattr__(self, name, column)
+                raise DataError(f"column {f.name} has shape {column.shape}, expected {shape}")
+            object.__setattr__(self, f.name, column)
+
+    @classmethod
+    def _column_fields(cls) -> list:
+        return [f for f in fields(cls) if "dtype" in f.metadata]
 
     @classmethod
     def _column_names(cls) -> list[str]:
-        return [f.name for f in fields(cls) if f.name in _COLUMN_TYPES]
+        return [f.name for f in cls._column_fields()]
+
+    @classmethod
+    def csv_header(cls) -> tuple[str, ...]:
+        """The field names in order, a 2-D column's replaced by its entries' names."""
+        return tuple(name for f in fields(cls) for name in f.metadata.get("names") or (f.name,))
 
     def __len__(self) -> int:
         return len(self.session_id)
@@ -109,14 +127,14 @@ class PhenotypeTable(_Columns):
     positive and finite.
     """
 
-    session_id: np.ndarray
-    sequence_id: np.ndarray
-    scanner_id: np.ndarray
-    age_days: np.ndarray
-    sex: np.ndarray
-    is_mprage: np.ndarray
-    volumes: np.ndarray
-    qc: np.ndarray
+    session_id: np.ndarray = _column(object)
+    sequence_id: np.ndarray = _column(object)
+    scanner_id: np.ndarray = _column(object)
+    age_days: np.ndarray = _column(np.int64)
+    sex: np.ndarray = _column(object)
+    is_mprage: np.ndarray = _column(bool)
+    volumes: np.ndarray = _column(float, Region)
+    qc: np.ndarray = _column(float, QcCategory)
 
     def __post_init__(self):
         self._coerce()
@@ -157,14 +175,16 @@ class SessionTable(_Columns):
 
     `session_id`, `scanner_id` and `sex` (the codes "M" and "F") hold Python
     strings, `age_days` is int64 and `volumes` is (n, 6) in Region order.
+    `method` is one value, not a column; it comes before `volumes` because the
+    session CSV has its column there.
     """
 
-    session_id: np.ndarray
-    scanner_id: np.ndarray
-    age_days: np.ndarray
-    sex: np.ndarray
-    volumes: np.ndarray
+    session_id: np.ndarray = _column(object)
+    scanner_id: np.ndarray = _column(object)
+    age_days: np.ndarray = _column(np.int64)
+    sex: np.ndarray = _column(object)
     method: AggregationMethod
+    volumes: np.ndarray = _column(float, Region)
 
     def __post_init__(self):
         self._coerce()
@@ -182,17 +202,8 @@ class SessionTable(_Columns):
         return self.volumes[:, _REGIONS.index(region)]
 
 
-# column -> (dtype, width of a 2-D column or None)
-_COLUMN_TYPES = {
-    "session_id": (object, None),
-    "sequence_id": (object, None),
-    "scanner_id": (object, None),
-    "age_days": (np.int64, None),
-    "sex": (object, None),
-    "is_mprage": (bool, None),
-    "volumes": (float, len(Region)),
-    "qc": (float, len(QcCategory)),
-}
+PHENOTYPE_COLUMNS = PhenotypeTable.csv_header()
+SESSION_COLUMNS = SessionTable.csv_header()
 
 
 def qc_filter(table: PhenotypeTable) -> PhenotypeTable:
@@ -264,7 +275,7 @@ def build_sessions(
     medians, present = _group_medians(kept.volumes[pool], group[pool], len(first))
     first = first[present]
     # session_id, scanner_id, age_days and sex of each session's first kept row
-    sessions = SessionTable(*(getattr(kept, c)[first] for c in SESSION_COLUMNS[:4]), medians, method)
+    sessions = SessionTable(*(getattr(kept, c)[first] for c in SESSION_COLUMNS[:4]), method, medians)
     report = AttritionReport(
         n_input_sessions=len(ids),
         n_output_sessions=len(sessions),
@@ -272,18 +283,6 @@ def build_sessions(
         dropped_no_mprage=len(present) - len(sessions),
     )
     return sessions, report
-
-
-PHENOTYPE_COLUMNS = (
-    "session_id",
-    "sequence_id",
-    "scanner_id",
-    "age_days",
-    "sex",
-    "is_mprage",
-    *(r.value for r in Region),
-    *(q.value for q in QcCategory),
-)
 
 
 def load_phenotype_csv(path) -> PhenotypeTable:
@@ -371,16 +370,6 @@ def write_phenotype_csv(path, table: PhenotypeTable) -> None:
     mprage = ["true" if m else "false" for m in table.is_mprage.tolist()]
     formats = ["%.6f"] * len(Region) + ["%.4f"] * len(QcCategory)
     write_number_csv(path, PHENOTYPE_COLUMNS, [*ids, mprage], np.hstack([table.volumes, table.qc]), formats)
-
-
-SESSION_COLUMNS = (
-    "session_id",
-    "scanner_id",
-    "age_days",
-    "sex",
-    "method",
-    *(r.value for r in Region),
-)
 
 
 def write_sessions_csv(path, sessions: SessionTable) -> None:

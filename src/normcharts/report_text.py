@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Mapping
 
-from .errors import DataError, EmptyInput, located
+from .errors import UNDECODABLE_JSON, DataError, EmptyInput, located
 
 
 class SectionKind(Enum):
@@ -130,7 +130,7 @@ def json_objects(path, expected: str = "a JSON object") -> Iterator[tuple[int, d
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as e:
+            except UNDECODABLE_JSON as e:
                 raise DataError(f"{path}:{lineno}: invalid JSON ({e})") from e
             if not isinstance(obj, dict):
                 raise DataError(f"{path}:{lineno}: expected {expected}")

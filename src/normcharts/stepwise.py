@@ -15,7 +15,7 @@ from enum import Enum
 from typing import Mapping, Protocol, Sequence
 from urllib.parse import urlsplit
 
-from .errors import ClientError, ConfigError, DataError, csv_rows
+from .errors import UNDECODABLE_JSON, ClientError, ConfigError, DataError, csv_rows
 from .labeling import Label
 from .metrics import EvalResult, confusion
 from .report_text import Report
@@ -170,7 +170,7 @@ class HttpAnswerSource:
         try:
             with _opener_refusing_redirects().open(req, timeout=_TIMEOUT_S) as resp:
                 return str(json.loads(resp.read())["text"])
-        except (OSError, http.client.HTTPException, KeyError, TypeError, ValueError) as e:
+        except (OSError, http.client.HTTPException, KeyError, TypeError, *UNDECODABLE_JSON) as e:
             # IncompleteRead is not an OSError; TypeError is a JSON body that is not an object
             if isinstance(e, urllib.error.HTTPError):
                 e.close()  # release the error response

@@ -1033,6 +1033,8 @@ GOOD_GROWTH_MODEL = {
     "bic": 30.0,
 }
 
+_TOO_DEEP = "[" * 200_000 + "]" * 200_000  # json raises RecursionError on it
+
 BAD_GROWTH_MODELS = {
     "region_only": '{"region": "vol_cortical_gm"}',
     "missing_nu": {k: v for k, v in GOOD_GROWTH_MODEL.items() if k != "nu"},
@@ -1043,6 +1045,7 @@ BAD_GROWTH_MODELS = {
     "unknown_region": {**GOOD_GROWTH_MODEL, "region": "vol_nope"},
     "not_an_object": "[1, 2]",
     "invalid_json": '{"region": ',
+    "nested_too_deep": _TOO_DEEP,
 }
 
 
@@ -1466,6 +1469,75 @@ def test_directory_for_a_file_is_config_error(tmp_path, monkeypatch, capsys, fla
     assert err.count("\n") == 1 and "Traceback" not in err
     assert err.startswith("config error: ") and str(folder) in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["folder"]
+
+
+@pytest.mark.parametrize("case", ["symlink_loop", "long_reports_name", "long_out_name"])
+def test_any_os_error_on_a_path_is_config_error(tmp_path, monkeypatch, capsys, case):
+    monkeypatch.chdir(tmp_path)
+    long_name = "x" * 300  # past NAME_MAX: open and mkdir raise ENAMETOOLONG
+    if case == "symlink_loop":
+        os.symlink("self", "self")  # ELOOP
+    argv = {
+        "symlink_loop": ["ingest", "--reports", "self"],
+        "long_reports_name": ["ingest", "--reports", long_name],
+        "long_out_name": ["run-experiment", "exp5_stepwise", "--out", long_name],
+    }[case]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("config error: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["self"] if case == "symlink_loop" else [])
+
+
+def test_parser_is_built_once():
+    from normcharts.cli import build_parser
+
+    assert build_parser() is build_parser()
+
+
+@pytest.mark.parametrize("command, line", [
+    ("ingest", _TOO_DEEP),
+    ("label", _TOO_DEEP),
+    # json raises a plain ValueError on an integer past sys.get_int_max_str_digits()
+    pytest.param("ingest", '{"id": "a", "text": "x", "exam_year": ' + "9" * 5000 + "}",
+                 marks=pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                          reason="no integer-digit limit before Python 3.11")),
+], ids=["ingest_nested", "label_nested", "ingest_long_integer"])
+def test_json_line_that_cannot_be_decoded_is_data_error(tmp_path, capsys, command, line):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(line + "\n")
+    out = tmp_path / "labels.csv"
+    argv = {
+        "ingest": ["ingest", "--reports", str(bad)],
+        "label": ["label", "--reports", str(data_file("edge_case_reports.jsonl")),
+                  "--annotations", str(bad), "--out", str(out)],
+    }[command]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith(f"data error: {bad}:1: invalid JSON (")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, rows, message", [
+    # two sequences of one session: each volume's median (a + b) / 2 overflows to inf
+    ("aggregate", [("q1", "1.7e308", "0.9"), ("q2", "1.7e308", "0.9")], "vol_cortical_gm of row 1 is inf"),
+    ("qc", [("q1", "1000.0", "inf")], "qc_gwm of row 1 is inf"),
+], ids=["aggregate_median_overflows", "qc_inf_score"])
+def test_phenotype_number_that_is_not_finite_exits_4(tmp_path, capsys, command, rows, message):
+    from normcharts.phenotype import PHENOTYPE_COLUMNS, QcCategory, Region
+
+    phenotypes = tmp_path / "phenotypes.csv"
+    phenotypes.write_text(",".join(PHENOTYPE_COLUMNS) + "\n" + "".join(
+        ",".join(["ses-1", seq, "sc-1", "3650", "F", "true"] + [volume] * len(Region)
+                 + [qc] * len(QcCategory)) + "\n"
+        for seq, volume, qc in rows
+    ))
+    out = tmp_path / "out.csv"
+    assert main([command, "--phenotypes", str(phenotypes), "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err == f"numerical failure: {out}: {message}, not a finite number\n"
+    assert not out.exists()
 
 
 def test_header_that_folds_to_a_known_one_is_read(tmp_path, capsys):

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from normcharts import phenotype, synthcorpus
-from normcharts.errors import DataError, write_number_csv
+from normcharts.errors import DataError, NumericalError, write_number_csv
 from normcharts.growthchart import FpSpec, GrowthModel, params_at
 from normcharts.phenotype import (
     BOOLEANS,
@@ -246,12 +246,23 @@ def test_write_number_csv_matches_csv_writer_with_f_strings(tmp_path_factory, da
         [[data.draw(_FLOAT) for _ in digits] for _ in range(n_rows)], dtype=float
     ).reshape(n_rows, len(digits))
     header = [f"c{i}" for i in range(len(texts) + len(digits))]
+    path = tmp_path_factory.mktemp("csv") / "numbers.csv"
+    bad = ~np.isfinite(numbers)
+    if bad.any():
+        # no number that is not finite is written: the first one is named, and no file opened
+        row, column = divmod(int(np.argmax(bad)), len(digits))
+        with pytest.raises(NumericalError) as e:
+            write_number_csv(path, header, texts, numbers, [f"%.{d}f" for d in digits])
+        assert str(e.value) == (
+            f"{path}: c{n_texts + column} of row {row + 1} is {numbers[row, column]}, not a finite number"
+        )
+        assert not path.exists()
+        return
     expected = io.StringIO(newline="")
     writer = csv.writer(expected)
     writer.writerow(header)
     for i, row in enumerate(numbers.tolist()):
         writer.writerow([t[i] for t in texts] + [f"{v:.{d}f}" for v, d in zip(row, digits)])
-    path = tmp_path_factory.mktemp("csv") / "numbers.csv"
     write_number_csv(path, header, texts, numbers, [f"%.{d}f" for d in digits])
     assert path.read_bytes() == expected.getvalue().encode("utf-8")
 

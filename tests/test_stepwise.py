@@ -301,6 +301,15 @@ def test_http_source_wraps_a_bad_reply(case):
     assert len(seen) == 1
 
 
+def test_http_reply_nested_too_deep_to_decode_is_failed():
+    # json.loads raises RecursionError, not a ValueError, on nesting this deep
+    nested = b'{"text": ' + b"[" * 200_000 + b"]" * 200_000 + b"}"
+    with serving(lambda h, _: reply(h, nested)) as (url, seen):
+        rec = run_inquiry(make_report(), InquiryMode.DIRECT, HttpAnswerSource(url, "m"))
+    assert rec.answers[QuestionId.Q1] is Verdict.FAILED
+    assert len(seen) == 3  # the first try and two retries
+
+
 def test_http_source_times_out(monkeypatch):
     monkeypatch.setattr(stepwise, "_TIMEOUT_S", 0.2)
     release = threading.Event()
