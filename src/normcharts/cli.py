@@ -12,7 +12,7 @@ import functools
 import sys
 
 from . import classifier, corpus, experiments, growthchart, labeling, metrics, phenotype, stepwise
-from .errors import ConfigError, DataError, NormchartsError, NumericalError, write_number_csv
+from .errors import ConfigError, DataError, NormchartsError, NumericalError, warn, write_number_csv
 from .phenotype import AggregationMethod, Region
 from .report_text import InputMode, Sex, load_reports_jsonl
 
@@ -52,11 +52,7 @@ def _cmd_label(args) -> int:
     # one annotations file may cover several reports files
     skipped = {a.report_id for a in annotations}.difference(r.id for r in reports)
     if skipped:
-        import logging  # here, so that importing the CLI stays as cheap as it is
-
-        logging.getLogger(__name__).warning(
-            "%d annotated report ids are not in %s; skipped", len(skipped), args.reports
-        )
+        warn(__name__, "%d annotated report ids are not in %s; skipped", len(skipped), args.reports)
     experiments.write_csv_map(args.out, "report_id", "label", labels)
     print(f"labeled {len(labels)} of {len(reports)} reports -> {args.out}")
     return 0
@@ -133,11 +129,9 @@ def _cmd_triage(args) -> int:
     experiments.write_triage_csv(args.out, records)
     failed = sum(v is stepwise.Verdict.FAILED for rec in records for v in rec.answers.values())
     if failed:
-        import logging  # here, so that importing the CLI stays as cheap as it is
-
-        logging.getLogger(__name__).warning(
-            "%d answers are Failed: every try at the endpoint was a transport error", failed
-        )
+        last = next(r.last_error for r in reversed(records) if stepwise.Verdict.FAILED in r.answers.values())
+        warn(__name__, "%d answers are Failed: every try at the endpoint was a transport error (last: %s)",
+             failed, last)
     print(f"triaged {len(records)} reports -> {args.out}")
     if scores is not None:
         _print_metrics(scores)

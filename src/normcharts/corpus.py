@@ -108,9 +108,9 @@ def split(
 ) -> SplitAssignment:
     """Assign each report to Train/Val/Test by a seeded deterministic shuffle.
 
-    Ids are sorted lexicographically, shuffled with splitmix64, and cut
-    80/10/10.  When a label mapping is given, shuffling and cutting happen
-    within each label stratum so class proportions carry over per subset.
+    Sorted ids are grouped into strata (one per label, None for an id `labels`
+    lacks; without `labels`, all in None), and each stratum is shuffled with
+    splitmix64 and cut 80/10/10, so class proportions carry over per subset.
     """
     ids = [r.id for r in corpus]
     if len(set(ids)) != len(ids):
@@ -119,13 +119,9 @@ def split(
             (dupes if rid in seen else seen).add(rid)
         raise DataError(f"duplicate report ids: {sorted(dupes)}")
 
-    strata: dict[object, list[str]]
-    if labels is None:
-        strata = {None: sorted(ids)}
-    else:
-        strata = {}
-        for rid in sorted(ids):
-            strata.setdefault(labels.get(rid), []).append(rid)
+    strata: dict[object, list[str]] = {}
+    for rid in sorted(ids):
+        strata.setdefault(None if labels is None else labels.get(rid), []).append(rid)
 
     assignment: dict[str, Subset] = {}
     for key in sorted(strata, key=lambda k: "" if k is None else str(k)):

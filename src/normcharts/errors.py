@@ -1,8 +1,9 @@
 """The exit-code contract as exceptions (`cli.main` exits 2 on a ConfigError
-or an OSError, 3 on a DataError and 4 on a NumericalError), the file-reading
-failures every loader reports at path:line (UNDECODABLE_JSON among them),
-csv_rows, which reads every CSV/TSV input, and write_number_csv, which writes
-every CSV of numbers and refuses one that is not finite."""
+or an OSError, 3 on a DataError and 4 on a NumericalError), warn, the one way
+a diagnostic reaches stderr, the file-reading failures every loader reports
+at path:line (UNDECODABLE_JSON among them), csv_rows, which reads every
+CSV/TSV input, and write_number_csv, which writes every CSV of numbers and
+refuses one that is not finite."""
 
 import contextlib
 import csv
@@ -39,6 +40,13 @@ class EmptyInput(DataError):
 
 class ClientError(NormchartsError):
     """Transport failure talking to an answer source."""
+
+
+def warn(logger: str, message: str, *args) -> None:
+    """Log `message % args` at WARNING on the logger named `logger` (a module's __name__)."""
+    import logging  # here, so that importing the CLI stays as cheap as it is
+
+    logging.getLogger(logger).warning(message, *args, stacklevel=2)
 
 
 # What json.load(s) raises on text it cannot decode: JSONDecodeError (a

@@ -17,9 +17,9 @@ from typing import Optional
 import numpy as np
 
 from . import classifier, corpus, growthchart, labeling, metrics, phenotype, stepwise
-from .errors import ConfigError, DataError, EmptyInput, csv_rows, write_number_csv
+from .errors import ConfigError, DataError, EmptyInput, csv_rows, warn, write_number_csv
 from .labeling import Label
-from .phenotype import BOOLEANS, AggregationMethod, Region
+from .phenotype import AggregationMethod, Region, parse_boolean
 from .report_text import InputMode, Report, Sex, compose_input, load_reports_jsonl
 from .synthcorpus import synth_cohort, synth_reports
 
@@ -111,9 +111,7 @@ def _parse_value(f: Field, text: str):
     if f.type == tuple[int, ...]:
         return tuple(int(s) for s in text.split(",")) if text else f.default
     if f.type is bool:
-        if text.lower() not in BOOLEANS:
-            raise ValueError(f"{f.name} must be one of {'/'.join(BOOLEANS)}, got {text!r}")
-        return BOOLEANS[text.lower()]
+        return parse_boolean(text, f.name)
     if f.type == Optional[str]:
         return text or None
     return f.type(text)
@@ -340,7 +338,7 @@ def _growth_experiment(name: str, cfg: PipelineConfig, run_dir: Path) -> list[me
     if cfg.phenotypes_path:
         table = phenotype.load_phenotype_csv(cfg.phenotypes_path)
     else:
-        table = synth_cohort(cfg.seeds[0], cfg.n_sessions, cfg.n_scanners, _default_truth(cfg))
+        table = synth_cohort(cfg.seeds[0], cfg.n_sessions, _default_truth(cfg))
     sessions, attrition = phenotype.build_sessions(
         table, AggregationMethod.MEDIAN_ALL_SEQUENCES
     )
@@ -357,12 +355,8 @@ def _growth_experiment(name: str, cfg: PipelineConfig, run_dir: Path) -> list[me
     model_b = growthchart.fit(sessions.take(np.concatenate([shared, only_b])), region, options)
     for tag, model in (("A", model_a), ("B", model_b)):
         if not model.converged:
-            import logging  # here, so that importing the CLI stays as cheap as it is
-
-            logging.getLogger(__name__).warning(
-                "growth model %s for %s did not converge (FP powers %s)",
-                tag, region.value, ", ".join(f"{q:g}" for q in model.fp_mu.powers),
-            )
+            warn(__name__, "growth model %s for %s did not converge (FP powers %s)",
+                 tag, region.value, ", ".join(f"{q:g}" for q in model.fp_mu.powers))
     growthchart.save_growth_model(run_dir / "growth-model-a.json", model_a)
     growthchart.save_growth_model(run_dir / "growth-model-b.json", model_b)
     r = growthchart.compare_centiles(

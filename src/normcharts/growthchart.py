@@ -22,7 +22,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import UNDECODABLE_JSON, ConfigError, DataError, NumericalError
+from .errors import UNDECODABLE_JSON, ConfigError, DataError, NumericalError, warn
 from .phenotype import Region, SessionTable
 from .report_text import Sex
 
@@ -456,9 +456,7 @@ def fit(cohort: SessionTable, region: Region, options: FitOptions = FitOptions()
     logy = np.log(y)
     one_sex = bool(np.all(sex_col == sex_col[0]))
     if one_sex:
-        import logging  # here, so that importing the CLI stays as cheap as it is
-
-        logging.getLogger(__name__).warning("single-sex cohort: sex coefficient dropped")
+        warn(__name__, "single-sex cohort: sex coefficient dropped")
     fp_sigma = SIGMA_FP if options.sigma_age else None
     x_sigma = _design(ages, fp_sigma)
     sigma_design = _standardize(x_sigma)

@@ -59,6 +59,14 @@ _SEX_CODES = (Sex.M.value, Sex.F.value)
 BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
+def parse_boolean(text: str, name: str) -> bool:
+    """`text` by BOOLEANS, stripped; any other spelling is a ValueError naming `name`."""
+    flag = BOOLEANS.get(text.strip().lower())
+    if flag is None:
+        raise ValueError(f"{name} must be one of {'/'.join(BOOLEANS)}, got {text!r}")
+    return flag
+
+
 class BadRow(DataError):
     """A table row that fails validation; `row` is its 0-based index."""
 
@@ -323,9 +331,7 @@ def _load_columns(path) -> PhenotypeTable:
     # copies: a view would keep the whole parsed body alive with the table
     session_id, sequence_id, scanner_id, age_days, sex = (body[f"f{i}"].copy() for i in pos[:5])
     mprage = body[f"f{pos[5]}"].tolist()
-    flags = {s: BOOLEANS.get(s.strip().lower()) for s in set(mprage)}
-    if None in flags.values():
-        raise ValueError("unknown is_mprage spelling")
+    flags = {s: parse_boolean(s, "is_mprage") for s in set(mprage)}
     numbers = np.stack([body[f"f{i}"] for i in pos[6:]], axis=1)
     return PhenotypeTable(
         session_id, sequence_id, scanner_id, age_days, sex,
@@ -342,18 +348,13 @@ def _load_rows(path) -> PhenotypeTable:
         try:
             age_days.append(int(age))
             numbers.extend(map(float, values))
+            is_mprage.append(parse_boolean(mprage, "is_mprage"))
         except (ValueError, OverflowError) as e:
             raise DataError(f"{path}:{line}: {e}") from None
-        flag = BOOLEANS.get(mprage.strip().lower())
-        if flag is None:
-            raise DataError(
-                f"{path}:{line}: is_mprage must be one of {'/'.join(BOOLEANS)}, got {mprage!r}"
-            )
         session_id.append(sid)
         sequence_id.append(seq)
         scanner_id.append(scanner)
         sex.append(sex_code)
-        is_mprage.append(flag)
         lines.append(line)
     numbers = np.frombuffer(numbers, dtype=float).reshape(len(lines), len(Region) + len(QcCategory))
     try:

@@ -101,6 +101,7 @@ class StepwiseRecord:
     report_id: str
     answers: Mapping[QuestionId, Verdict]
     label: Label
+    last_error: str = ""  # the ClientError text behind the last Failed answer
 
 
 class AnswerSource(Protocol):
@@ -190,24 +191,28 @@ def run_inquiry(
     """Issue the direct (Q1) or full five-question inquiry for one report.
 
     Each question is asked independently (no shared conversation state).
-    Transport errors retry up to _RETRIES times, then the answer is Failed.
+    Transport errors retry up to _RETRIES times, then the answer is Failed
+    and the last error's text is kept as the record's last_error.
     """
     questions = [QuestionId.Q1] if mode is InquiryMode.DIRECT else list(QuestionId)
     answers: dict[QuestionId, Verdict] = {q: Verdict.UNPARSED for q in QuestionId}
+    last_error = ""
     for qid in questions:
         prompt = build_prompt(qid, report)
-        answers[qid] = Verdict.FAILED
         for _ in range(_RETRIES + 1):
             try:
                 answers[qid] = parse_answer(client.answer(report.id, qid, prompt))
                 break
-            except ClientError:
-                pass
+            except ClientError as e:
+                error = str(e)
+        else:
+            answers[qid] = Verdict.FAILED
+            last_error = error
     if mode is InquiryMode.DIRECT:
         label = aggregate_direct(answers[QuestionId.Q1])
     else:
         label = aggregate_stepwise(answers)
-    return StepwiseRecord(report_id=report.id, answers=answers, label=label)
+    return StepwiseRecord(report_id=report.id, answers=answers, label=label, last_error=last_error)
 
 
 def evaluate_inquiry(

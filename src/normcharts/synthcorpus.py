@@ -15,7 +15,7 @@ import random
 
 import numpy as np
 
-from .errors import NumericalError
+from .corpus import MASK64
 from .growthchart import GGParams, GrowthModel, gg_sample_one, linear_predictors
 from .labeling import Label
 from .phenotype import PhenotypeTable, QcCategory, Region
@@ -194,28 +194,23 @@ _REGION_SCALE = {
 }
 
 
-def synth_cohort(seed: int, n_sessions: int, n_scanners: int, truth: GrowthModel) -> PhenotypeTable:
+def synth_cohort(seed: int, n_sessions: int, truth: GrowthModel) -> PhenotypeTable:
     """Draw a synthetic cohort from a known growth model.
 
     Ages are uniform over AGE_RANGE_DAYS, sexes fair-coin, the truth's
-    scanners (one intercept each, n_scanners of them) assigned round-robin,
-    and 1 to 4 sequences per session scale the session draw by a jitter of
+    scanners (sorted ids of its intercepts) assigned round-robin, and 1 to 4
+    sequences per session scale the session draw by a jitter of
     exp(N(0, JITTER_SIGMA)). A QC_FAIL_RATE share of sequences get one QC
-    category planted below the exclusion threshold.
+    category planted below the exclusion threshold. The generator is seeded
+    with the low 64 bits of `seed`, as the report splits are.
     """
-    if not isinstance(truth, GrowthModel):
-        raise NumericalError("truth must be a GrowthModel")
-    if n_sessions < 1 or n_scanners < 1:
-        raise NumericalError("n_sessions and n_scanners must be >= 1")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed & MASK64)
     scanner_ids = sorted(truth.scanner_intercepts)
-    if len(scanner_ids) != n_scanners:
-        raise NumericalError(f"truth has {len(scanner_ids)} scanner intercepts, expected {n_scanners}")
     rows = []
     for i in range(n_sessions):
         age_days = max(1, int(round(rng.uniform(*AGE_RANGE_DAYS))))
         sex = Sex.M if rng.random() < 0.5 else Sex.F
-        scanner = scanner_ids[i % n_scanners]
+        scanner = scanner_ids[i % len(scanner_ids)]
         eta_mu, eta_sigma = linear_predictors(truth, age_days / 365.25, sex is Sex.F, scanner)
         # libm's exp, not numpy's: they differ in the last bit for about one
         # argument in twenty, and the tests pin digests of cohorts drawn with libm.

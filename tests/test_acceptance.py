@@ -232,7 +232,7 @@ def test_criterion_05_gradient_checks():
         scanner_intercepts={"scan-00": 0.02, "scan-01": -0.02},
     )
     sessions, _ = build_sessions(
-        synth_cohort(seed=17, n_sessions=50, n_scanners=2, truth=truth),
+        synth_cohort(seed=17, n_sessions=50, truth=truth),
         AggregationMethod.MEDIAN_ALL_SEQUENCES,
     )
     logy = np.log(sessions.volume(Region.CORTICAL_GM))
@@ -292,7 +292,7 @@ def test_criterion_07_parameter_recovery():
     cfg = PipelineConfig(n_scanners=5)
     truth = _default_truth(cfg)
     sessions, _ = build_sessions(
-        synth_cohort(seed=6, n_sessions=2000, n_scanners=5, truth=truth),
+        synth_cohort(seed=6, n_sessions=2000, truth=truth),
         AggregationMethod.MEDIAN_ALL_SEQUENCES,
     )
     options = FitOptions(
@@ -316,7 +316,7 @@ def test_criterion_07_parameter_recovery():
     freezes = 0
     for rep_seed in range(100, 150):
         rep_sessions, _ = build_sessions(
-            synth_cohort(seed=rep_seed, n_sessions=300, n_scanners=5, truth=truth),
+            synth_cohort(seed=rep_seed, n_sessions=300, truth=truth),
             AggregationMethod.MEDIAN_ALL_SEQUENCES,
         )
         rep_model = fit(rep_sessions, Region.CORTICAL_GM, options)

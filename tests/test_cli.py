@@ -392,7 +392,7 @@ def test_growth_pipeline_chain(tmp_path, capsys):
     from normcharts.synthcorpus import synth_cohort
 
     cfg = PipelineConfig(n_scanners=5)
-    records = synth_cohort(seed=4, n_sessions=120, n_scanners=5,
+    records = synth_cohort(seed=4, n_sessions=120,
                            truth=_default_truth(cfg))
     ph_path = tmp_path / "phenotypes.csv"
     write_phenotype_csv(ph_path, records)
@@ -906,6 +906,27 @@ def test_exp6_warns_once_per_model_that_did_not_converge(tmp_path, monkeypatch, 
     assert _sha256s(run_dir, others) == others
 
 
+def test_exp6_draws_the_cohort_of_the_seed_modulo_2_64(tmp_path, capsys):
+    """--seed -1 and [train] seeds = 2^64 - 1 draw the same cohort: a seed is
+    taken modulo 2^64, as the report splits take it."""
+    artifacts = ["attrition.json", "growth-model-a.json", "growth-model-b.json", "curves.csv"]
+    runs = {
+        "neg": ("", ["--seed", "-1"]),
+        "max": ("[train]\nseeds = 18446744073709551615\n", []),
+    }
+    digests = []
+    for name, (seeds, flags) in runs.items():
+        cfg_path = tmp_path / f"{name}.ini"
+        cfg_path.write_text(f"[growth]\nn_sessions = 60\n{seeds}")
+        out = tmp_path / name
+        rc = main(["run-experiment", "exp6_growthcharts", "--config", str(cfg_path),
+                   "--out", str(out), *flags])
+        assert rc == 0, capsys.readouterr().err
+        (run_dir,) = out.iterdir()
+        digests.append(_sha256s(run_dir, artifacts))
+    assert digests[0] == digests[1]
+
+
 # Selected location powers and BIC of both exp6 models, recorded from the fit
 # that ran three cold L-BFGS starts per candidate on the raw design. A fit may
 # change the coefficients' last digits but must keep the basis and may not
@@ -1115,7 +1136,7 @@ def test_phenotype_commands_golden_digests(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(synthcorpus, "QC_FAIL_RATE", 0.1)
     write_phenotype_csv("cohort.csv", synthcorpus.synth_cohort(
-        seed=21, n_sessions=400, n_scanners=5,
+        seed=21, n_sessions=400,
         truth=_default_truth(PipelineConfig(n_scanners=5)),
     ))
     ph = ["--phenotypes", "cohort.csv"]
@@ -1160,7 +1181,7 @@ def test_fit_growth_layouts_golden_digests(tmp_path, monkeypatch, capsys, caplog
     monkeypatch.chdir(tmp_path)
     flags, expected = GOLDEN_FIT_LAYOUTS[case]
     write_phenotype_csv("cohort.csv", synth_cohort(
-        seed=5, n_sessions=300, n_scanners=3, truth=_default_truth(PipelineConfig(n_scanners=3)),
+        seed=5, n_sessions=300, truth=_default_truth(PipelineConfig(n_scanners=3)),
     ))
     one_sex = case.startswith("one_sex")
     if one_sex:
@@ -1208,7 +1229,7 @@ def test_bad_phenotype_row_is_data_error_at_its_line(tmp_path, capsys, command, 
     from normcharts.synthcorpus import synth_cohort
 
     good = tmp_path / "good.csv"
-    write_phenotype_csv(good, synth_cohort(seed=3, n_sessions=4, n_scanners=1,
+    write_phenotype_csv(good, synth_cohort(seed=3, n_sessions=4,
                                            truth=_default_truth(PipelineConfig(n_scanners=1))))
     with open(good, newline="") as f:
         rows = list(csv.reader(f))
@@ -1243,7 +1264,7 @@ def test_is_mprage_values_are_strict(tmp_path, capsys, text, value):
     from normcharts.synthcorpus import synth_cohort
 
     good = tmp_path / "good.csv"
-    write_phenotype_csv(good, synth_cohort(seed=3, n_sessions=3, n_scanners=1,
+    write_phenotype_csv(good, synth_cohort(seed=3, n_sessions=3,
                                            truth=_default_truth(PipelineConfig(n_scanners=1))))
     with open(good, newline="") as f:
         rows = list(csv.reader(f))
@@ -1306,7 +1327,7 @@ def test_centiles_that_fail_write_nothing(tmp_path, capsys):
     from normcharts.synthcorpus import synth_cohort
 
     phenotypes = tmp_path / "p.csv"
-    write_phenotype_csv(phenotypes, synth_cohort(seed=3, n_sessions=4, n_scanners=1,
+    write_phenotype_csv(phenotypes, synth_cohort(seed=3, n_sessions=4,
                                                  truth=_default_truth(PipelineConfig(n_scanners=1))))
     model_path = tmp_path / "gm.json"
     # mu = exp(800) overflows to inf, which the scale parameter rejects
@@ -1326,7 +1347,7 @@ def _run_growth_command(tmp_path, command, model):
     from normcharts.synthcorpus import synth_cohort
 
     phenotypes = tmp_path / "p.csv"
-    write_phenotype_csv(phenotypes, synth_cohort(seed=3, n_sessions=400, n_scanners=1,
+    write_phenotype_csv(phenotypes, synth_cohort(seed=3, n_sessions=400,
                                                  truth=_default_truth(PipelineConfig(n_scanners=1))))
     model_path = tmp_path / "gm.json"
     model_path.write_text(json.dumps(model))
@@ -1440,7 +1461,7 @@ def test_phenotype_csv_that_is_not_utf8_is_data_error(tmp_path, capsys, command)
     from normcharts.synthcorpus import synth_cohort
 
     good = tmp_path / "good.csv"
-    write_phenotype_csv(good, synth_cohort(seed=3, n_sessions=4, n_scanners=1,
+    write_phenotype_csv(good, synth_cohort(seed=3, n_sessions=4,
                                            truth=_default_truth(PipelineConfig(n_scanners=1))))
     lines = good.read_bytes().split(b"\n")
     lines[2] = lines[2].replace(b"ses-", b"s\xffs-", 1)
@@ -1606,7 +1627,7 @@ def _damaged_table(tmp_path, file, damage):
     reports, gold = str(data_file("edge_case_reports.jsonl")), str(data_file("edge_case_gold.csv"))
     bad, line = tmp_path / "bad.csv", 3
     if file.startswith("phenotype"):
-        write_phenotype_csv(bad, synth_cohort(seed=3, n_sessions=4, n_scanners=1,
+        write_phenotype_csv(bad, synth_cohort(seed=3, n_sessions=4,
                                               truth=_default_truth(PipelineConfig(n_scanners=1))))
         lines = bad.read_text().split("\n")
         if file == "phenotype_header":

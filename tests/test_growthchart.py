@@ -279,9 +279,8 @@ def small_truth(scanners=("scan-00", "scan-01")):
     )
 
 
-def build_cohort(seed, n_sessions, truth, n_scanners=2):
-    records = synth_cohort(seed=seed, n_sessions=n_sessions,
-                           n_scanners=n_scanners, truth=truth)
+def build_cohort(seed, n_sessions, truth):
+    records = synth_cohort(seed=seed, n_sessions=n_sessions, truth=truth)
     sessions, _ = build_sessions(records, AggregationMethod.MEDIAN_ALL_SEQUENCES)
     return sessions
 
@@ -496,7 +495,7 @@ def test_single_scanner_intercept_is_zero():
         fp_sigma=None, sigma_coef=truth.sigma_coef, nu=truth.nu,
         scanner_intercepts={"scan-00": 0.0},
     )
-    cohort = build_cohort(6, 80, truth, n_scanners=1)
+    cohort = build_cohort(6, 80, truth)
     model = fit(cohort, Region.CORTICAL_GM, quick_options())
     assert model.scanner_intercepts == {"scan-00": 0.0}
 

@@ -1,4 +1,5 @@
-"""The package's modules import one another without a cycle."""
+"""The package's modules import one another without a cycle, and only errors
+imports logging."""
 
 import ast
 from pathlib import Path
@@ -59,3 +60,27 @@ def test_module_graph_has_no_cycle():
     assert {"cli", "experiments", "growthchart", "phenotype", "synthcorpus"} <= graph.keys()
     assert "phenotype" in graph["growthchart"]  # the walk sees module-level imports
     assert find_cycle(graph) is None
+
+
+def _imports_logging(path: Path) -> bool:
+    """Whether a source file imports logging at any depth (function bodies included)."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "logging" for a in node.names):
+            return True
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] == "logging":
+            return True
+    return False
+
+
+def test_imports_logging_sees_every_spelling(tmp_path):
+    for text in ("import logging\n", "def f():\n    import logging.handlers\n",
+                 "from logging import getLogger\n", "import os, logging as log\n"):
+        (tmp_path / "a.py").write_text(text)
+        assert _imports_logging(tmp_path / "a.py"), text
+    (tmp_path / "a.py").write_text("from .logging import x\nimport logginghelpers\n")
+    assert not _imports_logging(tmp_path / "a.py")
+
+
+def test_only_errors_imports_logging():
+    """Every warning goes through errors.warn, so only errors.py imports logging."""
+    assert sorted(path.name for path in PACKAGE.glob("*.py") if _imports_logging(path)) == ["errors.py"]

@@ -280,16 +280,16 @@ def small_truth():
 
 
 def test_synth_cohort_deterministic():
-    a = table_rows(synth_cohort(seed=5, n_sessions=40, n_scanners=2, truth=small_truth()))
-    b = table_rows(synth_cohort(seed=5, n_sessions=40, n_scanners=2, truth=small_truth()))
+    a = table_rows(synth_cohort(seed=5, n_sessions=40, truth=small_truth()))
+    b = table_rows(synth_cohort(seed=5, n_sessions=40, truth=small_truth()))
     assert a == b
-    c = table_rows(synth_cohort(seed=6, n_sessions=40, n_scanners=2, truth=small_truth()))
+    c = table_rows(synth_cohort(seed=6, n_sessions=40, truth=small_truth()))
     assert a != c
 
 
 def test_synth_cohort_planted_failure_rate(monkeypatch):
     monkeypatch.setattr(synthcorpus, "QC_FAIL_RATE", 0.05)
-    table = synth_cohort(seed=11, n_sessions=600, n_scanners=2, truth=small_truth())
+    table = synth_cohort(seed=11, n_sessions=600, truth=small_truth())
     n = len(table)
     fails = int((table.qc < QC_THRESHOLD).any(axis=1).sum())
     rate = fails / n
@@ -302,7 +302,7 @@ def test_synth_cohort_median_tracks_truth(monkeypatch):
     monkeypatch.setattr(synthcorpus, "AGE_RANGE_DAYS", (3600, 3700))
     monkeypatch.setattr(synthcorpus, "QC_FAIL_RATE", 0.0)
     truth = small_truth()
-    table = synth_cohort(seed=13, n_sessions=1500, n_scanners=2, truth=truth)
+    table = synth_cohort(seed=13, n_sessions=1500, truth=truth)
     sessions, _ = build_sessions(table, AggregationMethod.MEDIAN_ALL_SEQUENCES)
     from normcharts.growthchart import gg_quantile
 
@@ -507,7 +507,7 @@ def test_group_medians_of_one_large_group_among_singletons_stay_linear_in_memory
 @pytest.mark.parametrize("method", list(AggregationMethod))
 def test_build_sessions_matches_lexsort_build(monkeypatch, method):
     monkeypatch.setattr(synthcorpus, "QC_FAIL_RATE", 0.2)
-    cohort = synth_cohort(seed=11, n_sessions=300, n_scanners=2, truth=small_truth())
+    cohort = synth_cohort(seed=11, n_sessions=300, truth=small_truth())
     rng = np.random.default_rng(11)
     # rows in shuffled order, each session's rows repeated to make ties, and
     # each row with its own scanner and age, so a session's first row shows

@@ -181,6 +181,7 @@ def test_run_inquiry_retry_then_success():
     src = FailingSource(failures=2)
     rec = run_inquiry(make_report(), InquiryMode.DIRECT, src)
     assert rec.answers[QuestionId.Q1] is Verdict.NO
+    assert rec.last_error == ""  # an error that a retry got past is not kept
 
 
 def test_run_inquiry_exhausted_retries_failed():
@@ -188,6 +189,7 @@ def test_run_inquiry_exhausted_retries_failed():
     rec = run_inquiry(make_report(), InquiryMode.DIRECT, src)
     assert rec.answers[QuestionId.Q1] is Verdict.FAILED
     assert rec.answers[QuestionId.Q2] is Verdict.UNPARSED  # not asked in direct mode
+    assert rec.last_error == "boom"
     assert rec.label is Label.ABNORMAL
     assert src.calls == 3
 
@@ -431,7 +433,8 @@ def test_triage_endpoint_runs_without_requests_and_marks_failed_answers(tmp_path
     assert result.returncode == 0, result.stderr
     assert result.stdout == f"triaged 41 reports -> {out}\n"
     assert result.stderr == (
-        "41 answers are Failed: every try at the endpoint was a transport error\n"
+        "41 answers are Failed: every try at the endpoint was a transport error"
+        " (last: HTTP Error 500: Internal Server Error)\n"
     )
     assert len(seen) == 41 * (4 + 3)  # Q3 is tried three times
     with open(out, newline="") as f:
