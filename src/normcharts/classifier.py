@@ -48,8 +48,8 @@ _SCORE_BLOCK = 256
 _L2 = 1e-6
 _BATCH_SIZE = 64
 # `train` pads its rows when that takes at most this many cells per nonzero.
-# A padded cell and a nonzero of the CSR design each take an 8-byte count and
-# one column id, so the padding then takes at most twice the design's bytes.
+# A padded cell holds a float64 count and a column id of at most 4 bytes, so
+# the padding then takes at most 24 bytes per nonzero of its design.
 _PAD_BOUND = 2
 
 
@@ -91,6 +91,8 @@ def _no_tokens(row: int) -> EmptyInput:
 
 def _block_counts(texts: Sequence[str], config: FeatureConfig, first_row: int):
     """Hashed 1- and 2-gram counts of one block of texts: (nonzeros per row, columns, counts).
+    Columns are int32 (int64 past a dimension of 2^31) and counts the smallest
+    unsigned type of the largest (uint8 on report text), each exact.
 
     The block is one byte buffer: each text lowercased and UTF-8 encoded,
     one separator byte before, between and after them.  `surrogatepass`
@@ -157,14 +159,18 @@ def _block_counts(texts: Sequence[str], config: FeatureConfig, first_row: int):
     bigrams = (row[second] << shift) | (state[second] & mask)
     distinct, counts = np.unique(np.concatenate([unigrams, bigrams]), return_counts=True)
     nnz = np.bincount((distinct >> shift).astype(np.intp), minlength=len(texts))
-    return nnz, (distinct & mask).astype(np.int64), counts.astype(np.float64)
+    # Signed ids: np.bincount casts its input safely to intp, which uint64 fails.
+    ids = (distinct & mask).astype(np.int32 if config.dimension <= 1 << 31 else np.int64)
+    return nnz, ids, counts.astype(np.min_scalar_type(counts.max()))
 
 
 class CsrMatrix(NamedTuple):
     """A sparse matrix in compressed sparse row form.
 
     Row r holds data[indptr[r] : indptr[r + 1]] in columns indices[same
-    slice].
+    slice].  `featurize` stores integer counts and column ids; each product
+    promotes a count to float64 before it multiplies, which is exact, so it
+    gives the bits of a float64 matrix.
     """
 
     data: np.ndarray
@@ -240,7 +246,8 @@ def _pad_rows(X: CsrMatrix) -> PaddedRows:
 
 
 def featurize(texts: Sequence[str], config: FeatureConfig) -> CsrMatrix:
-    """Hashed word 1- and 2-gram counts: one CSR row per text, sorted column indices per row."""
+    """Hashed word 1- and 2-gram counts: one CSR row per text, sorted column indices per row.
+    Counts and columns take `_block_counts`' types: 5 bytes per nonzero on report text, not 16."""
     nnz, indices, counts = map(np.concatenate, zip(*(
         _block_counts(texts[start : start + _SCORE_BLOCK], config, start)
         for start in range(0, len(texts), _SCORE_BLOCK)
@@ -292,37 +299,48 @@ def objective_and_gradient(
     return float(loss), grad_w, grad_b
 
 
-def train(
-    examples: Sequence[tuple[str, Label]],
-    cfg: TrainConfig,
-    fcfg: FeatureConfig | None = None,
-) -> LinearModel:
-    """Fit the linear model by seeded mini-batch gradient descent.
+def training_order(examples: Sequence[tuple[str, Label]]) -> list[int]:
+    """The order in which `design` puts examples: by text, then label, so a
+    model depends on the multiset of its examples and not on their order."""
+    return sorted(range(len(examples)), key=lambda i: (examples[i][0], examples[i][1].value))
 
-    Examples are canonicalized (sorted) before the seeded per-epoch shuffle,
-    so training is deterministic given the example multiset, cfg, and fcfg.
-    """
-    fcfg = fcfg or FeatureConfig()
-    # Fail before any work on a dimension whose full-width weights no address
-    # space holds. The weights themselves are made after SGD, in memory it
-    # frees: held from here, they add their size to the peak RSS.
+
+def _check_fit(y: np.ndarray, dimension: int) -> None:
+    """What `train` checks before any work; Uncertain is a target of nan."""
+    # Fail on a dimension whose full-width weights no address space holds.
+    # The weights themselves are made after SGD, in memory it frees: held
+    # from here, they add their size to the peak RSS.
     try:
-        np.zeros(fcfg.dimension)
+        np.zeros(dimension)
     except MemoryError:
-        raise ConfigError(f"dimension {fcfg.dimension}: no memory for its weights") from None
-    labels = {lab for _, lab in examples}
-    if Label.UNCERTAIN in labels:
+        raise ConfigError(f"dimension {dimension}: no memory for its weights") from None
+    if np.isnan(y).any():
         raise DataError("Uncertain examples must be excluded upstream")
-    if labels != {Label.NORMAL, Label.ABNORMAL}:
+    if y.all() or not y.any():
         raise DataError("training needs both Normal and Abnormal examples")
 
-    ordered = sorted(range(len(examples)), key=lambda i: (examples[i][0], examples[i][1].value))
-    y = np.array([1.0 if examples[i][1] is Label.NORMAL else 0.0 for i in ordered])
+
+def design(examples: Sequence[tuple[str, Label]], fcfg=FeatureConfig()) -> tuple[CsrMatrix, np.ndarray]:
+    """The rows `train` fits to `examples`: their features and targets (1.0 for
+    Normal) in `training_order`.  `train`'s checks come before any featurizing;
+    a text with no tokens is named by its index in `examples`."""
+    ordered = training_order(examples)
+    y = np.array([{Label.NORMAL: 1.0, Label.ABNORMAL: 0.0}.get(examples[i][1], np.nan) for i in ordered])
+    _check_fit(y, fcfg.dimension)
     try:
-        X = featurize([examples[i][0] for i in ordered], fcfg)
+        return featurize([examples[i][0] for i in ordered], fcfg), y
     except EmptyInput as e:
         raise _no_tokens(ordered[e.row]) from None
-    n = len(ordered)
+
+
+def train(X: CsrMatrix, y: np.ndarray, cfg: TrainConfig) -> LinearModel:
+    """Fit the linear model to the rows of a `design` by seeded mini-batch gradient descent.
+
+    The seeded shuffle permutes the rows as given, so the model is the same
+    from the examples' own design and from their rows of a larger one."""
+    fcfg = FeatureConfig(X.shape[1])
+    _check_fit(y, fcfg.dimension)
+    n = X.shape[0]
     # A column no training text uses gets gradient 2 * l2 * 0 at every step,
     # so its weight stays exactly 0: SGD runs on the used columns only.  Rows
     # keep their order, so the weights come out bit for bit as at full width.
@@ -334,14 +352,14 @@ def train(
     used = np.flatnonzero(in_use)
     # One column more, the pad column: no row uses it, so its weight stays 0.0.
     # A used column's cumsum is at least 1 and at most the pad column's id.
-    design = X._replace(
+    X_used = X._replace(
         indices=np.cumsum(in_use, dtype=np.min_scalar_type(len(used)))[X.indices] - 1,
         shape=(n, len(used) + 1),
     )
     if n * np.diff(X.indptr).max() <= _PAD_BOUND * len(X.data):
-        design = _pad_rows(design)
+        X_used = _pad_rows(X_used)
 
-    w_used = np.zeros(design.shape[1])
+    w_used = np.zeros(X_used.shape[1])
     bias = 0.0
     rng = SplitMix64(cfg.seed ^ 0x1F2E3D4C5B6A7988)
     order = list(range(n))
@@ -352,13 +370,13 @@ def train(
         for start in range(0, n, _BATCH_SIZE):
             batch = perm[start : start + _BATCH_SIZE]
             loss, gw, gb = objective_and_gradient(
-                design.take_rows(batch), y[batch], w_used, bias, cfg.pos_weight, _L2
+                X_used.take_rows(batch), y[batch], w_used, bias, cfg.pos_weight, _L2
             )
             if not np.isfinite(loss):
                 raise NumericalError(f"non-finite loss {loss}")
             w_used -= cfg.learning_rate * gw
             bias -= cfg.learning_rate * gb
-    del design  # before the full-width arrays of the final objective
+    del X_used  # before the full-width arrays of the final objective
     weights = np.zeros(fcfg.dimension)
     weights[used] = w_used[:-1]
     final, _, _ = objective_and_gradient(X, y, weights, bias, cfg.pos_weight, _L2)

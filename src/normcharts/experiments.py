@@ -224,10 +224,20 @@ def _naming_reports(path, report_ids: list[str]):
         ) from None
 
 
-def train_classifier(path, reports, ids, labels, mode, tcfg, fcfg=None) -> classifier.LinearModel:
-    report_ids, examples = _examples(reports, ids, labels, mode)
+def _training_design(path, reports, train_sets: list[set[str]], labels, mode, fcfg):
+    """classifier.design over the union of the training sets, and each set's rows of it: the
+    union is in classifier.training_order, so a set's rows, ascending, are its own design's."""
+    report_ids, examples = _examples(reports, set().union(*train_sets), labels, mode)
+    order = classifier.training_order(examples)
+    report_ids = [report_ids[i] for i in order]
     with _naming_reports(path, report_ids):
-        return classifier.train(examples, tcfg, fcfg)
+        X, y = classifier.design([examples[i] for i in order], fcfg)
+    return X, y, [np.flatnonzero([rid in ids for rid in report_ids]) for ids in train_sets]
+
+
+def train_classifier(path, reports, ids, labels, mode, tcfg, fcfg=None) -> classifier.LinearModel:
+    X, y, _ = _training_design(path, reports, [ids], labels, mode, fcfg or classifier.FeatureConfig())
+    return classifier.train(X, y, tcfg)
 
 
 def evaluate_classifier(path, model, reports, ids, labels, mode) -> metrics.EvalResult:
@@ -250,8 +260,9 @@ def _corpus_for(cfg: PipelineConfig):
 
 
 def _classifier_experiment(name: str, cfg: PipelineConfig, run_dir: Path) -> list[metrics.MetricRow]:
-    """exp1-exp4: per seed, split the training pool, train, save, and score the
-    seed's test subset plus any fixed evaluation sets; then summarize each set."""
+    """exp1-exp4: split the pool per seed and featurize every seed's training reports at once;
+    then per seed train on its rows, save, and score the seed's test subset plus any fixed
+    evaluation sets; then summarize each set."""
     balanced = name == "exp1_balanced"
     mode = InputMode.IMPRESSION_ONLY if name == "exp4_impression" else InputMode.FULL_REPORT
     keys = {
@@ -266,21 +277,30 @@ def _classifier_experiment(name: str, cfg: PipelineConfig, run_dir: Path) -> lis
         if not pool or not ood:
             raise DataError("OOD partition left one side empty; adjust cutoff_year")
         fixed_sets.append(("ood", ood, {r.id for r in ood}))
-    rows: list[metrics.MetricRow] = []
-    results: dict[str, list[metrics.EvalResult]] = {}
-    for seed in cfg.seeds:
+    fcfg = classifier.FeatureConfig(dimension=cfg.dimension)
+
+    def split(seed):
         assignment = corpus.split(pool, seed, labels=labels)
         train_ids = assignment.ids(corpus.Subset.TRAIN)
-        if balanced:
-            train_ids = corpus.balance(train_ids, labels, seed)
-        tcfg = classifier.TrainConfig(
-            pos_weight=1.0 if balanced else cfg.pos_weight,
-            learning_rate=cfg.learning_rate,
-            epochs=cfg.epochs,
-            seed=seed,
-        )
-        fcfg = classifier.FeatureConfig(dimension=cfg.dimension)
-        model = train_classifier(cfg.reports_path, pool, set(train_ids), labels, mode, tcfg, fcfg)
+        return assignment, set(corpus.balance(train_ids, labels, seed) if balanced else train_ids)
+
+    # One design for every seed.  Should it fail, each seed builds its own in turn, and the run
+    # fails as the per-seed path does: seed 1 scores its test set before seed 2 featurizes.
+    try:
+        splits = [split(seed) for seed in cfg.seeds]
+        X, y, seed_rows = _training_design(cfg.reports_path, pool, [s for _, s in splits], labels, mode, fcfg)
+    except (ConfigError, DataError):
+        splits = None
+    rows: list[metrics.MetricRow] = []
+    results: dict[str, list[metrics.EvalResult]] = {}
+    for i, seed in enumerate(cfg.seeds):
+        tcfg = classifier.TrainConfig(pos_weight=1.0 if balanced else cfg.pos_weight,
+                                      learning_rate=cfg.learning_rate, epochs=cfg.epochs, seed=seed)
+        assignment, train_ids = splits[i] if splits else split(seed)
+        if splits:
+            model = classifier.train(X.take_rows(seed_rows[i]), y[seed_rows[i]], tcfg)
+        else:
+            model = train_classifier(cfg.reports_path, pool, train_ids, labels, mode, tcfg, fcfg)
         classifier.save_model(model, run_dir / f"model-seed{seed}.bin")
         test_set = ("test", pool, set(assignment.ids(corpus.Subset.TEST)))
         for eval_name, eval_pool, ids in [test_set] + fixed_sets:

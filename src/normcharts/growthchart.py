@@ -170,7 +170,7 @@ def gg_quantile(q, p: GGParams):
     return _scalar_or_array(y)
 
 
-def gg_sample_one(rng: np.random.Generator, p: GGParams) -> float:
+def gg_sample_one(rng: "np.random.Generator", p: GGParams) -> float:
     """One draw via the gamma representation y = mu * (G/theta)^(1/nu)."""
     theta = p.theta
     g = rng.gamma(theta)

@@ -159,7 +159,7 @@ def _train_and_eval(reports, labels, seed, balanced, mode):
     examples = [
         (compose_input(by_id[rid], mode), labels[rid]) for rid in sorted(train_ids)
     ]
-    model = classifier.train(examples, tcfg)
+    model = classifier.train(*classifier.design(examples), tcfg)
     test_ids = assignment.ids(corpus.Subset.TEST)
     preds = classifier.classify(model, [compose_input(by_id[rid], mode) for rid in test_ids])
     return metrics.confusion(preds, [labels[rid] for rid in test_ids])

@@ -17,6 +17,7 @@ from normcharts.classifier import (
     LinearModel,
     TrainConfig,
     classify,
+    design,
     featurize,
     load_model,
     objective_and_gradient,
@@ -65,6 +66,15 @@ def test_featurize_counts_unigrams_and_bigrams():
     assert feats.data.max() == 2
 
 
+def test_featurize_stores_compact_dtypes():
+    # counts in the smallest unsigned type of the largest, ids signed for np.bincount
+    X = featurize(["mass mass lesion"], FeatureConfig(dimension=1 << 31))
+    assert (X.data.dtype, X.indices.dtype, X.indptr.dtype) == (np.uint8, np.int32, np.int64)
+    X = featurize(["lesion", " ".join(["mass"] * 300)], FeatureConfig(dimension=1 << 32))
+    assert (X.data.dtype, X.indices.dtype) == (np.uint16, np.int64)
+    assert sorted(X.data.tolist()) == [1, 299, 300]
+
+
 def test_featurize_empty_raises():
     with pytest.raises(EmptyInput):
         featurize(["..."], FeatureConfig())
@@ -76,15 +86,15 @@ def test_text_with_no_tokens_is_named_by_its_row():
     with pytest.raises(EmptyInput, match=f"text {_SCORE_BLOCK + 3} has no tokens") as e:
         featurize(texts, FeatureConfig())
     assert e.value.row == _SCORE_BLOCK + 3
-    m = train(_toy_examples(), TrainConfig(epochs=2, seed=0), FeatureConfig(dimension=1 << 10))
+    m = train(*design(_toy_examples(), FeatureConfig(dimension=1 << 10)), TrainConfig(epochs=2, seed=0))
     with pytest.raises(EmptyInput) as e:
         predict(m, texts)
     assert e.value.row == _SCORE_BLOCK + 3
-    # train sorts its examples; the row still indexes the examples as given
+    # design sorts its examples; the row still indexes the examples as given
     examples = _toy_examples()
     examples[5] = ("!!! ...", examples[5][1])
     with pytest.raises(EmptyInput, match="text 5 has no tokens") as e:
-        train(examples, TrainConfig(epochs=2, seed=0), FeatureConfig(dimension=1 << 10))
+        train(*design(examples, FeatureConfig(dimension=1 << 10)), TrainConfig(epochs=2, seed=0))
     assert e.value.row == 5
 
 
@@ -179,7 +189,10 @@ _VALUES = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 
 @st.composite
 def _csr_products(draw):
-    """A random CsrMatrix, empty rows included, a vector for each of its products, and rows to take."""
+    """A random CsrMatrix, empty rows included, a vector for each of its products, and rows to take.
+
+    It holds float64 values and int64 columns, or uint8 counts and int32
+    columns, the types `featurize` stores."""
     n_rows = draw(st.just(classifier._BATCH_SIZE) | st.integers(0, 70))
     n_cols = draw(st.integers(1, 30))
     row_cols = draw(st.lists(
@@ -187,8 +200,10 @@ def _csr_products(draw):
         min_size=n_rows, max_size=n_rows,
     ))
     nnz = sum(map(len, row_cols))
-    data = np.array(draw(st.lists(_VALUES, min_size=nnz, max_size=nnz)), dtype=float)
-    indices = np.array([j for cols in row_cols for j in cols], dtype=np.int64)
+    compact = draw(st.booleans())
+    values = st.lists(st.integers(0, 255) if compact else _VALUES, min_size=nnz, max_size=nnz)
+    data = np.array(draw(values), dtype=np.uint8 if compact else float)
+    indices = np.array([j for cols in row_cols for j in cols], dtype=np.int32 if compact else np.int64)
     indptr = np.cumsum([0] + [len(cols) for cols in row_cols], dtype=np.int64)
     w = np.array(draw(st.lists(_VALUES, min_size=n_cols, max_size=n_cols)))
     c = np.array(draw(st.lists(_VALUES, min_size=n_rows, max_size=n_rows)))
@@ -201,13 +216,15 @@ def _csr_products(draw):
 @given(case=_csr_products())
 def test_csr_matrix_equals_scipy_bitwise(case):
     X, w, c, which = case
-    reference = _to_scipy(X)
+    # compact counts give the bits of their float64 matrix
+    reference = _to_scipy(X._replace(data=X.data.astype(float)))
     assert X.matvec(w).tobytes() == (reference @ w).tobytes()
     assert X.rmatvec(c).tobytes() == (reference.T @ c).tobytes()
     taken, expected = X.take_rows(which), _from_scipy(reference[which])
     assert taken.shape == expected.shape
     for name in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(taken, name), getattr(expected, name)), name
+    assert (taken.data.dtype, taken.indices.dtype) == (X.data.dtype, X.indices.dtype)
 
 
 def _values(rng, size):
@@ -224,16 +241,20 @@ def _padded_products(draw):
 
     numpy sums 8 or more values pairwise where it reduces along a contiguous
     axis, so rows are long enough to show that order.  Hypothesis draws the
-    shapes; the values come from a drawn seed."""
+    shapes; the values come from a drawn seed.  The matrix holds float64
+    values and int64 columns, or uint8 counts and int32 columns."""
     n_rows = draw(st.sampled_from([1, classifier._BATCH_SIZE]) | st.integers(0, 70))
     n_cols = draw(st.integers(1, 40))
     lengths = draw(st.lists(st.integers(0, min(n_cols, 24)), min_size=n_rows, max_size=n_rows))
     n_taken = draw(st.sampled_from([1, classifier._BATCH_SIZE]) | st.integers(0, 70))
     which = draw(st.lists(st.integers(0, n_rows - 1), min_size=n_taken, max_size=n_taken) if n_rows else st.just([]))
+    compact = draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    indices = np.array([j for n in lengths for j in np.sort(rng.choice(n_cols, n, replace=False))], dtype=np.int64)
+    indices = np.array([j for n in lengths for j in np.sort(rng.choice(n_cols, n, replace=False))],
+                       dtype=np.int32 if compact else np.int64)
     indptr = np.cumsum([0, *lengths], dtype=np.int64)
-    X = CsrMatrix(_values(rng, len(indices)), indices, indptr, (n_rows, n_cols))
+    data = rng.integers(0, 256, len(indices), dtype=np.uint8) if compact else _values(rng, len(indices))
+    X = CsrMatrix(data, indices, indptr, (n_rows, n_cols))
     return X, _values(rng, n_cols), _values(rng, n_rows), np.array(which, dtype=np.int64)
 
 
@@ -242,7 +263,7 @@ def _padded_products(draw):
 def test_padded_rows_equal_scipy_bitwise(case):
     X, w, c, which = case
     n_rows, n_cols = X.shape
-    reference = _to_scipy(X)
+    reference = _to_scipy(X._replace(data=X.data.astype(float)))
     padded = classifier._pad_rows(X._replace(shape=(n_rows, n_cols + 1)))
     w_pad = np.append(w, 0.0)  # the pad column's weight
     assert padded.matvec(w_pad).tobytes() == (reference @ w).tobytes()
@@ -407,7 +428,7 @@ def _train_matches_full_width(l2, dim, gather, monkeypatch):
     monkeypatch.setattr(classifier, "objective_and_gradient", counted)
     cfg = TrainConfig(epochs=4, seed=2)
     fcfg = FeatureConfig(dimension=dim)
-    model = train(examples, cfg, fcfg)
+    model = train(*design(examples, fcfg), cfg)
     steps = cfg.epochs * math.ceil(len(examples) / 16)
     assert seen == [PaddedRows if gather == "padded" else CsrMatrix] * steps + [CsrMatrix]
     w, b, final = _reference_train(examples, cfg, fcfg)
@@ -454,14 +475,14 @@ def test_train_is_deterministic_and_order_invariant():
     ex = _toy_examples()
     cfg = TrainConfig(epochs=5, seed=3)
     fcfg = FeatureConfig(dimension=1 << 10)
-    m1 = train(ex, cfg, fcfg)
-    m2 = train(list(reversed(ex)), cfg, fcfg)
+    m1 = train(*design(ex, fcfg), cfg)
+    m2 = train(*design(list(reversed(ex)), fcfg), cfg)
     assert np.array_equal(m1.weights, m2.weights)
     assert m1.bias == m2.bias
 
 
 def test_train_learns_separable_toy_problem():
-    m = train(_toy_examples(), TrainConfig(epochs=20, seed=0), FeatureConfig(dimension=1 << 10))
+    m = train(*design(_toy_examples(), FeatureConfig(dimension=1 << 10)), TrainConfig(epochs=20, seed=0))
     assert classify(m, [
         "unremarkable stable normal examination", "new mass identified in the brain",
     ]) == [Label.NORMAL, Label.ABNORMAL]
@@ -470,7 +491,14 @@ def test_train_learns_separable_toy_problem():
 def test_train_requires_both_classes():
     ex = [("all good", Label.NORMAL)] * 5
     with pytest.raises(DataError, match="^training needs both Normal and Abnormal examples$"):
-        train(ex, TrainConfig())
+        train(*design(ex), TrainConfig())
+    # design makes train's checks before it featurizes
+    with pytest.raises(DataError, match="^training needs both"):
+        design([("!!! ...", Label.NORMAL)] * 5)
+    # and train checks the rows it is given
+    X, y = design([("all good", Label.NORMAL), ("new mass", Label.ABNORMAL)])
+    with pytest.raises(DataError, match="^training needs both"):
+        train(X.take_rows(np.array([1])), y[[1]], TrainConfig())
 
 
 def test_classify_tie_goes_abnormal():
@@ -488,14 +516,14 @@ def test_classify_tie_goes_abnormal():
 
 
 def test_predict_in_open_interval():
-    m = train(_toy_examples(), TrainConfig(epochs=5, seed=0), FeatureConfig(dimension=1 << 10))
+    m = train(*design(_toy_examples(), FeatureConfig(dimension=1 << 10)), TrainConfig(epochs=5, seed=0))
     p = predict(m, ["anything at all"])
     assert p.shape == (1,)
     assert 0.0 < p[0] < 1.0
 
 
 def test_predict_in_blocks_matches_per_text_dict_sum():
-    m = train(_toy_examples(), TrainConfig(epochs=5, seed=0), FeatureConfig(dimension=1 << 10))
+    m = train(*design(_toy_examples(), FeatureConfig(dimension=1 << 10)), TrainConfig(epochs=5, seed=0))
     rng = np.random.default_rng(8)
     vocab = ["unremarkable", "stable", "normal", "new", "mass", "lesion", "brain", "x7"]
     texts = [" ".join(rng.choice(vocab, size=rng.integers(1, 25))) for _ in range(2 * _SCORE_BLOCK + 37)]
@@ -510,13 +538,13 @@ def test_predict_in_blocks_matches_per_text_dict_sum():
 
 
 def test_predict_on_no_texts_is_empty():
-    m = train(_toy_examples(), TrainConfig(epochs=2, seed=0), FeatureConfig(dimension=1 << 10))
+    m = train(*design(_toy_examples(), FeatureConfig(dimension=1 << 10)), TrainConfig(epochs=2, seed=0))
     assert predict(m, []).shape == (0,)
     assert classify(m, []) == []
 
 
 def test_model_round_trip(tmp_path):
-    m = train(_toy_examples(), TrainConfig(epochs=4, seed=9), FeatureConfig(dimension=1 << 11))
+    m = train(*design(_toy_examples(), FeatureConfig(dimension=1 << 11)), TrainConfig(epochs=4, seed=9))
     path = tmp_path / "model.bin"
     save_model(m, path)
     loaded = load_model(path)
@@ -529,7 +557,7 @@ def test_model_round_trip(tmp_path):
 def test_model_bytes_deterministic(tmp_path):
     ex = _toy_examples()
     for name in ("a.bin", "b.bin"):
-        save_model(train(ex, TrainConfig(epochs=4, seed=9), FeatureConfig(dimension=1 << 11)), tmp_path / name)
+        save_model(train(*design(ex, FeatureConfig(dimension=1 << 11)), TrainConfig(epochs=4, seed=9)), tmp_path / name)
     assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
 
 

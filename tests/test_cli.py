@@ -273,12 +273,18 @@ def test_triage_command_replays_fixture(tmp_path, capsys):
 
 def test_cli_import_leaves_out_scipy_and_requests(tmp_path):
     # Each command starts a fresh interpreter, so import time is paid per command.
+    # numpy.random is left out too, where a bare `import numpy` leaves it out
+    # (numpy 1.24 imports it eagerly): only the growth fit's restarts and the
+    # synthetic cohort draw random numbers.
     script = textwrap.dedent(f"""
         import sys
+        import numpy
+        random_with_numpy = "numpy.random" in sys.modules
         from normcharts.cli import main
         from normcharts.experiments import data_file
         loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "requests", "logging"))
         assert not loaded, loaded
+        assert random_with_numpy or "numpy.random" not in sys.modules
         rc = main(["triage", "--reports", str(data_file("edge_case_reports.jsonl")),
                    "--mode", "stepwise", "--fixture", str(data_file("edge_case_responses.tsv")),
                    "--out", {str(tmp_path / "triage.csv")!r}])
@@ -879,6 +885,93 @@ def test_protocol_golden_digests(tmp_path, monkeypatch, name):
     overrides, expected = GOLDEN[name]
     run_dir = run_experiment(name, PipelineConfig(**overrides), timestamp="t0")
     assert _sha256s(run_dir, expected) == expected
+
+
+@pytest.mark.parametrize("name", ["exp1_balanced", "exp2_weighted", "exp4_impression"])
+def test_each_seed_trains_on_its_own_rows_of_one_design(tmp_path, monkeypatch, name):
+    import numpy as np
+
+    from normcharts import classifier, corpus
+    from normcharts.report_text import InputMode, compose_input
+    from normcharts.synthcorpus import synth_reports
+
+    fits, featurized = [], []
+    train, featurize = classifier.train, classifier.featurize
+    monkeypatch.setattr(classifier, "train", lambda X, y, cfg: fits.append((X, y)) or train(X, y, cfg))
+    monkeypatch.setattr(classifier, "featurize", lambda texts, f: featurized.append(len(texts)) or featurize(texts, f))
+    seeds, fcfg = (1, 2, 3), classifier.FeatureConfig(dimension=1 << 12)
+    cfg = PipelineConfig(out_dir=str(tmp_path), seeds=seeds, synth_n=400, dimension=fcfg.dimension, epochs=1)
+    run_experiment(name, cfg, timestamp="t0")
+
+    pool, labels = synth_reports(seed=0, n=400, abnormal_fraction=0.92)
+    mode = InputMode.IMPRESSION_ONLY if name == "exp4_impression" else InputMode.FULL_REPORT
+    union = set()
+    for seed, (X, y) in zip(seeds, fits, strict=True):
+        train_ids = corpus.split(pool, seed, labels=labels).ids(corpus.Subset.TRAIN)
+        if name == "exp1_balanced":
+            train_ids = corpus.balance(train_ids, labels, seed)
+        chosen = [r for r in pool if r.id in set(train_ids) and labels.get(r.id) in (Label.NORMAL, Label.ABNORMAL)]
+        union.update(r.id for r in chosen)
+        # the seed's own texts in train's canonical order
+        examples = sorted(((compose_input(r, mode), labels[r.id]) for r in chosen), key=lambda e: (e[0], e[1].value))
+        own = featurize([text for text, _ in examples], fcfg)
+        assert (X.data.dtype, X.indices.dtype) == (np.uint8, np.int32)
+        assert X.shape == own.shape
+        for field in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(X, field), getattr(own, field)), field
+        assert y.tolist() == [1.0 if label is Label.NORMAL else 0.0 for _, label in examples]
+    # one featurize call for every seed's training reports; the others score test blocks
+    assert featurized[0] == len(union)
+    assert len(featurized) == 1 + len(seeds) and max(featurized[1:]) <= classifier._SCORE_BLOCK
+
+
+# Each case gives reports that fall in the named subsets of seeds 1 and 2 a
+# text, and runs the protocol.  The messages were recorded on the per-seed
+# path that came before the shared design: a run fails on the error it met
+# first, seed by seed, and leaves no run directory.
+_T, _V, _E = "Train", "Val", "Test"
+SEED_ERROR_CASES = {
+    "tokenless_in_seed2_train": ("exp2_weighted", {(_V, _T): "!!! ..."},
+                                 "{reports}: report 'r007' has no tokens after normalization"),
+    "tokenless_in_seed1_test_first": ("exp2_weighted", {(_E, _E): "!!! ...", (_V, _T): "!!! ..."},
+                                      "{reports}: report 'r032' has no tokens after normalization"),
+    "no_impression_in_seed2_train": ("exp4_impression", {(_V, _T): "FINDINGS: new mass"},
+                                     "report 'r007' has no impression or preamble text"),
+    # a tokenless report in no training or test set raises nothing
+    "tokenless_in_val_only": ("exp2_weighted", {(_V, _V): "!!! ..."}, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SEED_ERROR_CASES))
+def test_first_error_over_seeds_is_named(tmp_path, capsys, case):
+    from normcharts import corpus
+    from normcharts.report_text import load_reports_jsonl
+
+    name, edits, error = SEED_ERROR_CASES[case]
+    texts = {f"r{i:03d}": f"new mass number {i}" if i % 2 else f"unremarkable study {i}" for i in range(100)}
+    reports = tmp_path / "reports.jsonl"
+    _write_jsonl(reports, [{"id": rid, "text": text} for rid, text in texts.items()])
+    annotations = tmp_path / "annotations.jsonl"
+    _write_jsonl(annotations, [{"report_id": rid, "grades": [0, 0, 0] if i % 2 else [2, 2, 2]}
+                               for i, rid in enumerate(texts)])
+    pool = load_reports_jsonl(reports)
+    labels = {r.id: Label.ABNORMAL if int(r.id[1:]) % 2 else Label.NORMAL for r in pool}
+    subsets = [corpus.split(pool, seed, labels=labels).assignment for seed in (1, 2)]
+    for (first, second), text in edits.items():
+        rid = next(rid for rid in sorted(texts) if (subsets[0][rid].value, subsets[1][rid].value) == (first, second))
+        texts[rid] = text
+    _write_jsonl(reports, [{"id": rid, "text": text} for rid, text in texts.items()])
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(f"[paths]\nreports = {reports}\nannotations = {annotations}\n"
+                   "[train]\nseeds = 1,2\nepochs = 2\n")
+    out = tmp_path / "runs"
+    rc = main(["run-experiment", name, "--config", str(cfg), "--out", str(out)])
+    err = capsys.readouterr().err
+    if error is None:
+        assert (rc, err, len(list(out.iterdir()))) == (0, "", 1)
+    else:
+        assert (rc, err) == (3, f"data error: {error.format(reports=reports)}\n")
+        assert list(out.iterdir()) == []
 
 
 def test_exp6_warns_once_per_model_that_did_not_converge(tmp_path, monkeypatch, caplog):
