@@ -12,7 +12,7 @@ import shutil
 from dataclasses import Field, asdict, dataclass, field, fields
 from importlib import resources
 from pathlib import Path
-from typing import Optional
+from typing import Collection, Optional
 
 import numpy as np
 
@@ -64,6 +64,8 @@ class PipelineConfig:
     def __post_init__(self):
         if not self.seeds:
             raise ConfigError("at least one seed is required")
+        if len({seed & corpus.MASK64 for seed in self.seeds}) < len(self.seeds):
+            raise ConfigError(f"seeds must differ modulo 2^64, got {_format_value(self.seeds)}")
         if self.region not in {r.value for r in Region}:
             raise ConfigError(
                 f"unknown region {self.region!r}; choose from {[r.value for r in Region]}"
@@ -224,7 +226,7 @@ def _naming_reports(path, report_ids: list[str]):
         ) from None
 
 
-def _training_design(path, reports, train_sets: list[set[str]], labels, mode, fcfg):
+def _training_design(path, reports, train_sets: list[Collection[str]], labels, mode, fcfg):
     """classifier.design over the union of the training sets, and each set's rows of it: the
     union is in classifier.training_order, so a set's rows, ascending, are its own design's."""
     report_ids, examples = _examples(reports, set().union(*train_sets), labels, mode)
@@ -232,11 +234,11 @@ def _training_design(path, reports, train_sets: list[set[str]], labels, mode, fc
     report_ids = [report_ids[i] for i in order]
     with _naming_reports(path, report_ids):
         X, y = classifier.design([examples[i] for i in order], fcfg)
-    return X, y, [np.flatnonzero([rid in ids for rid in report_ids]) for ids in train_sets]
+    return X, y, [np.flatnonzero([rid in ids for rid in report_ids]) for ids in map(set, train_sets)]
 
 
-def train_classifier(path, reports, ids, labels, mode, tcfg, fcfg=None) -> classifier.LinearModel:
-    X, y, _ = _training_design(path, reports, [ids], labels, mode, fcfg or classifier.FeatureConfig())
+def train_classifier(path, reports, ids, labels, mode, tcfg) -> classifier.LinearModel:
+    X, y, _ = _training_design(path, reports, [ids], labels, mode, classifier.FeatureConfig())
     return classifier.train(X, y, tcfg)
 
 
@@ -260,9 +262,9 @@ def _corpus_for(cfg: PipelineConfig):
 
 
 def _classifier_experiment(name: str, cfg: PipelineConfig, run_dir: Path) -> list[metrics.MetricRow]:
-    """exp1-exp4: split the pool per seed and featurize every seed's training reports at once;
-    then per seed train on its rows, save, and score the seed's test subset plus any fixed
-    evaluation sets; then summarize each set."""
+    """exp1-exp4, checked in one order: split every seed, and balance each for exp1; compose, check
+    and featurize every seed's training reports at once; then per seed train on its rows, save,
+    and score the seed's test subset plus any fixed evaluation sets.  Last, summarize each set."""
     balanced = name == "exp1_balanced"
     mode = InputMode.IMPRESSION_ONLY if name == "exp4_impression" else InputMode.FULL_REPORT
     keys = {
@@ -279,28 +281,17 @@ def _classifier_experiment(name: str, cfg: PipelineConfig, run_dir: Path) -> lis
         fixed_sets.append(("ood", ood, {r.id for r in ood}))
     fcfg = classifier.FeatureConfig(dimension=cfg.dimension)
 
-    def split(seed):
-        assignment = corpus.split(pool, seed, labels=labels)
-        train_ids = assignment.ids(corpus.Subset.TRAIN)
-        return assignment, set(corpus.balance(train_ids, labels, seed) if balanced else train_ids)
-
-    # One design for every seed.  Should it fail, each seed builds its own in turn, and the run
-    # fails as the per-seed path does: seed 1 scores its test set before seed 2 featurizes.
-    try:
-        splits = [split(seed) for seed in cfg.seeds]
-        X, y, seed_rows = _training_design(cfg.reports_path, pool, [s for _, s in splits], labels, mode, fcfg)
-    except (ConfigError, DataError):
-        splits = None
+    assignments = [corpus.split(pool, seed, labels=labels) for seed in cfg.seeds]
+    train_sets = [assignment.ids(corpus.Subset.TRAIN) for assignment in assignments]
+    if balanced:
+        train_sets = [corpus.balance(ids, labels, seed) for ids, seed in zip(train_sets, cfg.seeds)]
+    X, y, seed_rows = _training_design(cfg.reports_path, pool, train_sets, labels, mode, fcfg)
     rows: list[metrics.MetricRow] = []
     results: dict[str, list[metrics.EvalResult]] = {}
-    for i, seed in enumerate(cfg.seeds):
+    for seed, assignment, own in zip(cfg.seeds, assignments, seed_rows):
         tcfg = classifier.TrainConfig(pos_weight=1.0 if balanced else cfg.pos_weight,
                                       learning_rate=cfg.learning_rate, epochs=cfg.epochs, seed=seed)
-        assignment, train_ids = splits[i] if splits else split(seed)
-        if splits:
-            model = classifier.train(X.take_rows(seed_rows[i]), y[seed_rows[i]], tcfg)
-        else:
-            model = train_classifier(cfg.reports_path, pool, train_ids, labels, mode, tcfg, fcfg)
+        model = classifier.train(X.take_rows(own), y[own], tcfg)
         classifier.save_model(model, run_dir / f"model-seed{seed}.bin")
         test_set = ("test", pool, set(assignment.ids(corpus.Subset.TEST)))
         for eval_name, eval_pool, ids in [test_set] + fixed_sets:

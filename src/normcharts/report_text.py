@@ -140,6 +140,14 @@ def json_objects(path, expected: str = "a JSON object") -> Iterator[tuple[int, d
 _REPORT_LINE = "a JSON object whose text is a string"
 
 
+def _whole_number(obj: dict, key: str) -> int:
+    """obj[key], 0 if absent, as an int; a digit string is read, a JSON boolean or a fraction is not."""
+    value = obj.get(key, 0)
+    if isinstance(value, bool) or isinstance(value, float) and int(value) != value:
+        raise ValueError(f"{key} must be a whole number, got {json.dumps(value)}")
+    return int(value)
+
+
 def load_reports_jsonl(path) -> list[Report]:
     """Read reports from a JSON-lines file; unknown fields are ignored and ids are unique."""
     reports = []
@@ -151,9 +159,9 @@ def load_reports_jsonl(path) -> list[Report]:
             report = Report(
                 id=str(obj["id"]),
                 raw_text=obj["text"],
-                exam_year=int(obj.get("exam_year", 0)),
+                exam_year=_whole_number(obj, "exam_year"),
                 site=str(obj.get("site", "")),
-                age_days=int(obj.get("age_days", 0)),
+                age_days=_whole_number(obj, "age_days"),
                 sex=Sex(obj.get("sex", "Unknown")),
                 procedure_description=str(obj.get("procedure_description", "")),
             )

@@ -84,6 +84,11 @@ def test_main_exit_codes(tmp_path, capsys):
     ('"abc"', "expected a JSON object whose text is a string"),
     ('{"id": "a", "text": 5}', "expected a JSON object whose text is a string"),
     ('{"id": "a", "text": "x", "age_days": 1.5e999}', "cannot convert float infinity to integer"),
+    # True == 1 and 2015.0 == 2015, but true is no year and 2015.7 is no whole one
+    ('{"id": "a", "text": "x", "exam_year": true}', "exam_year must be a whole number, got true"),
+    ('{"id": "a", "text": "x", "exam_year": 2015.7}', "exam_year must be a whole number, got 2015.7"),
+    ('{"id": "a", "text": "x", "age_days": false}', "age_days must be a whole number, got false"),
+    ('{"id": "a", "text": "x", "age_days": 30.5}', "age_days must be a whole number, got 30.5"),
 ])
 def test_malformed_report_line_is_schema_error(tmp_path, capsys, line, message):
     bad = tmp_path / "reports.jsonl"
@@ -631,6 +636,8 @@ BAD_SETTINGS = [
     ("growth", "n_scanners = 0", "n_scanners"),
     ("growth", "ridge_lambda = -5", "ridge_lambda"),
     ("growth", "ridge_lambda = nan", "ridge_lambda"),
+    ("train", "seeds = 3,3", "seeds"),
+    ("train", "seeds = -1,18446744073709551615", "seeds"),
 ]
 
 
@@ -701,7 +708,8 @@ _INI_TEXT = st.text(alphabet="abcXYZ019/._-%${}() ", min_size=1, max_size=12).ma
         for name in ("reports_path", "annotations_path", "phenotypes_path", "fixture_path", "gold_path")
     }),
     out_dir=_INI_TEXT,
-    seeds=st.lists(st.integers(-(2**63), 2**64), min_size=1, max_size=5).map(tuple),
+    seeds=st.lists(st.integers(-(2**63), 2**64), min_size=1, max_size=5,
+                   unique_by=lambda s: s % 2**64).map(tuple),
     pos_weight=st.floats(min_value=1e-300, max_value=1e300),
     epochs=st.integers(1, 10**6),
     learning_rate=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
@@ -926,15 +934,17 @@ def test_each_seed_trains_on_its_own_rows_of_one_design(tmp_path, monkeypatch, n
 
 
 # Each case gives reports that fall in the named subsets of seeds 1 and 2 a
-# text, and runs the protocol.  The messages were recorded on the per-seed
-# path that came before the shared design: a run fails on the error it met
-# first, seed by seed, and leaves no run directory.
+# text, and runs the protocol.  A run splits every seed, then (exp1) balances
+# every seed, in seed order; then checks the training inputs of all seeds
+# together (composing, in corpus order, then the class check, then texts with
+# no tokens, in training_order); then trains and scores seed by seed.  It fails
+# on the first error it meets and leaves no run directory.
 _T, _V, _E = "Train", "Val", "Test"
 SEED_ERROR_CASES = {
     "tokenless_in_seed2_train": ("exp2_weighted", {(_V, _T): "!!! ..."},
                                  "{reports}: report 'r007' has no tokens after normalization"),
     "tokenless_in_seed1_test_first": ("exp2_weighted", {(_E, _E): "!!! ...", (_V, _T): "!!! ..."},
-                                      "{reports}: report 'r032' has no tokens after normalization"),
+                                      "{reports}: report 'r007' has no tokens after normalization"),
     "no_impression_in_seed2_train": ("exp4_impression", {(_V, _T): "FINDINGS: new mass"},
                                      "report 'r007' has no impression or preamble text"),
     # a tokenless report in no training or test set raises nothing
@@ -942,12 +952,12 @@ SEED_ERROR_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(SEED_ERROR_CASES))
-def test_first_error_over_seeds_is_named(tmp_path, capsys, case):
+def _run_with_edits(tmp_path, name, edits):
+    """Run `name` on seeds 1 and 2 over 100 reports, `edits` applied: the exit code, the out
+    dir and the reports file."""
     from normcharts import corpus
     from normcharts.report_text import load_reports_jsonl
 
-    name, edits, error = SEED_ERROR_CASES[case]
     texts = {f"r{i:03d}": f"new mass number {i}" if i % 2 else f"unremarkable study {i}" for i in range(100)}
     reports = tmp_path / "reports.jsonl"
     _write_jsonl(reports, [{"id": rid, "text": text} for rid, text in texts.items()])
@@ -965,13 +975,31 @@ def test_first_error_over_seeds_is_named(tmp_path, capsys, case):
     cfg.write_text(f"[paths]\nreports = {reports}\nannotations = {annotations}\n"
                    "[train]\nseeds = 1,2\nepochs = 2\n")
     out = tmp_path / "runs"
-    rc = main(["run-experiment", name, "--config", str(cfg), "--out", str(out)])
+    return main(["run-experiment", name, "--config", str(cfg), "--out", str(out)]), out, reports
+
+
+@pytest.mark.parametrize("case", sorted(SEED_ERROR_CASES))
+def test_first_error_over_seeds_is_named(tmp_path, capsys, case):
+    name, edits, error = SEED_ERROR_CASES[case]
+    rc, out, reports = _run_with_edits(tmp_path, name, edits)
     err = capsys.readouterr().err
     if error is None:
         assert (rc, err, len(list(out.iterdir()))) == (0, "", 1)
     else:
         assert (rc, err) == (3, f"data error: {error.format(reports=reports)}\n")
         assert list(out.iterdir()) == []
+
+
+def test_a_bad_training_input_fails_before_any_seed_trains(tmp_path, monkeypatch, capsys):
+    from normcharts import classifier
+
+    fits = []
+    train = classifier.train
+    monkeypatch.setattr(classifier, "train", lambda X, y, cfg: fits.append(cfg.seed) or train(X, y, cfg))
+    # a tokenless report in seed 2's training set only: seed 1 has nothing wrong
+    rc, out, _ = _run_with_edits(tmp_path, "exp2_weighted", {(_V, _T): "!!! ..."})
+    assert (rc, len(fits), list(out.iterdir())) == (3, 0, [])
+    assert "report 'r007' has no tokens" in capsys.readouterr().err
 
 
 def test_exp6_warns_once_per_model_that_did_not_converge(tmp_path, monkeypatch, caplog):
