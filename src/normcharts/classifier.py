@@ -11,18 +11,18 @@ which one computed it.
 
 `train` takes each SGD batch from `PaddedRows` (ELLPACK): two `(rows, width)`
 arrays, counts and columns, in which a row shorter than the longest is padded
-with count 0.0 in a pad column that no row uses.  A batch is then two row
-gathers, trimmed to its longest row.  Its products keep the bincount sums:
+with count 0.0 in column 0.  A batch is then two row gathers, trimmed to its
+longest row.  Its products keep the bincount sums:
 - `matvec` adds down axis 0 of the C-contiguous transpose of the products.
   numpy adds such an array one operand row at a time into the output, so each
   output is its row's products summed in order from +0.0.  On a transposed
   view, or a lone row, numpy sums pairwise instead, which rounds differently.
-- `rmatvec` is the same row-major `np.bincount`; the pads add 0.0 to the pad
-  column.
+- `rmatvec` is the same row-major `np.bincount`; the pads add 0.0 times c to
+  column 0's bin.
 A pad adds a signed zero to a sum that starts at +0.0, which changes none of
-its bits.  The padding takes `rows * width` cells; past `_PAD_BOUND` cells
-per nonzero (a corpus with a few very long texts), `train` gathers each batch
-from its CSR design instead, which bounds its memory.
+its bits: such a sum is never -0.0.  The padding takes `rows * width` cells;
+past `_PAD_BOUND` cells per nonzero (a corpus with a few very long texts),
+`train` gathers each batch from its CSR design instead, which bounds its memory.
 """
 
 import math
@@ -202,11 +202,12 @@ class PaddedRows(NamedTuple):
     """A sparse matrix as rows padded to one width (ELLPACK).
 
     Row r holds data[r, k] in column ids[r, k] for k < lengths[r]; the cells
-    after those hold 0.0 in the pad column, shape[1] - 1, which no row uses.
-    `_pad_rows` keeps the ids in the type of its CSR matrix's column indices,
-    which `train` narrows to the smallest unsigned type that holds the pad
-    column (uint16 below 65,536 used columns); a taken batch holds them as
-    intp, the index type of `w[ids]` and `np.bincount`.
+    after those hold 0.0 in column 0, so each adds a signed zero to both
+    products (see the module docstring).  `_pad_rows` keeps the ids in the
+    type of its CSR matrix's column indices, which `train` narrows to the
+    smallest unsigned type that holds them (uint16 below 65,536 used
+    columns); a taken batch holds them as intp, the index type of `w[ids]`
+    and `np.bincount`.
     """
 
     data: np.ndarray
@@ -234,13 +235,13 @@ class PaddedRows(NamedTuple):
 
 
 def _pad_rows(X: CsrMatrix) -> PaddedRows:
-    """X's rows padded to the longest, the pads in X's last column, which no row may use."""
+    """X's rows padded to the longest with count 0.0 in column 0 (see PaddedRows)."""
     lengths = np.diff(X.indptr)
     # row-major order over the cells in use is CSR storage order
     in_use = np.arange(lengths.max(initial=0)) < lengths[:, None]
     data = np.zeros(in_use.shape)
     data[in_use] = X.data
-    ids = np.full(in_use.shape, X.shape[1] - 1, dtype=X.indices.dtype)
+    ids = np.zeros(in_use.shape, dtype=X.indices.dtype)
     ids[in_use] = X.indices
     return PaddedRows(data, ids, lengths, X.shape)
 
@@ -350,11 +351,10 @@ def train(X: CsrMatrix, y: np.ndarray, cfg: TrainConfig) -> LinearModel:
     in_use = np.zeros(fcfg.dimension, dtype=bool)
     in_use[X.indices] = True
     used = np.flatnonzero(in_use)
-    # One column more, the pad column: no row uses it, so its weight stays 0.0.
-    # A used column's cumsum is at least 1 and at most the pad column's id.
+    # A used column's cumsum is at least 1 and at most len(used).
     X_used = X._replace(
         indices=np.cumsum(in_use, dtype=np.min_scalar_type(len(used)))[X.indices] - 1,
-        shape=(n, len(used) + 1),
+        shape=(n, len(used)),
     )
     if n * np.diff(X.indptr).max() <= _PAD_BOUND * len(X.data):
         X_used = _pad_rows(X_used)
@@ -378,7 +378,7 @@ def train(X: CsrMatrix, y: np.ndarray, cfg: TrainConfig) -> LinearModel:
             bias -= cfg.learning_rate * gb
     del X_used  # before the full-width arrays of the final objective
     weights = np.zeros(fcfg.dimension)
-    weights[used] = w_used[:-1]
+    weights[used] = w_used
     final, _, _ = objective_and_gradient(X, y, weights, bias, cfg.pos_weight, _L2)
     if not np.isfinite(final):
         raise NumericalError(f"non-finite final loss {final}")

@@ -192,6 +192,8 @@ def _cmd_curves(args) -> int:
     for flag, age in (("--age-min", args.age_min), ("--age-max", args.age_max)):
         if not 0.0 < age < float("inf"):  # false for nan too
             raise ConfigError(f"{flag} must be a positive finite age in years, got {age}")
+    if args.age_min >= args.age_max:
+        raise ConfigError(f"--age-min must be below --age-max, got {args.age_min} and {args.age_max}")
     model = growthchart.load_growth_model(args.model)
     ages = [args.age_min + i * (args.age_max - args.age_min) / (n - 1) for i in range(n)]
     experiments.write_curves_csv(args.out, model, ages, Sex(args.sex))

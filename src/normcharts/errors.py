@@ -2,8 +2,9 @@
 or an OSError, 3 on a DataError and 4 on a NumericalError), warn, the one way
 a diagnostic reaches stderr, the file-reading failures every loader reports
 at path:line (UNDECODABLE_JSON among them), csv_rows, which reads every
-CSV/TSV input, and write_number_csv, which writes every CSV of numbers and
-refuses one that is not finite."""
+CSV/TSV input, write_rows, which writes every CSV of text fields, and
+write_number_csv, which writes every CSV of numbers and refuses one that is
+not finite."""
 
 import contextlib
 import csv
@@ -110,6 +111,14 @@ def csv_rows(path, columns, delimiter=",") -> Iterator[tuple[int, tuple[str, ...
                 yield reader.line_num, pick(fields)
         except csv.Error as e:
             raise DataError(f"{path}:{reader.line_num}: {e}") from None
+
+
+def write_rows(path, header, rows, lineterminator="\r\n") -> None:
+    """Write `header`, then `rows`, as csv.writer writes them, each line ended by `lineterminator`."""
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        writer = csv.writer(f, lineterminator=lineterminator)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def write_number_csv(path, header, texts, numbers, formats) -> None:

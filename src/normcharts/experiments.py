@@ -3,7 +3,6 @@ the file readers and writers they share with the subcommands."""
 
 import configparser
 import contextlib
-import csv
 import datetime
 import io
 import itertools
@@ -17,7 +16,7 @@ from typing import Collection, Optional
 import numpy as np
 
 from . import classifier, corpus, growthchart, labeling, metrics, phenotype, stepwise
-from .errors import ConfigError, DataError, EmptyInput, csv_rows, warn, write_number_csv
+from .errors import ConfigError, DataError, EmptyInput, csv_rows, warn, write_number_csv, write_rows
 from .labeling import Label
 from .phenotype import AggregationMethod, Region, parse_boolean
 from .report_text import InputMode, Report, Sex, compose_input, load_reports_jsonl
@@ -160,11 +159,7 @@ def load_csv_map(path, key: str, column: str, parse) -> dict:
 
 def write_csv_map(path, key: str, column: str, mapping: dict) -> None:
     """The file load_csv_map reads: one row per key in sorted order, enum values."""
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        w = csv.writer(f)
-        w.writerow([key, column])
-        for k in sorted(mapping):
-            w.writerow([k, mapping[k].value])
+    write_rows(path, [key, column], ([k, mapping[k].value] for k in sorted(mapping)))
 
 
 def load_labels_csv(path) -> dict[str, Label]:
@@ -172,15 +167,9 @@ def load_labels_csv(path) -> dict[str, Label]:
 
 
 def write_triage_csv(path, records: list[stepwise.StepwiseRecord]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["report_id"] + [q.value for q in stepwise.QuestionId] + ["label"])
-        for rec in records:
-            w.writerow(
-                [rec.report_id]
-                + [rec.answers[q].value for q in stepwise.QuestionId]
-                + [rec.label.value]
-            )
+    questions = list(stepwise.QuestionId)
+    rows = ([rec.report_id, *(rec.answers[q].value for q in questions), rec.label.value] for rec in records)
+    write_rows(path, ["report_id", *(q.value for q in questions), "label"], rows)
 
 
 def write_curves_csv(path, model: growthchart.GrowthModel, ages: list[float], sex: Sex) -> None:
@@ -192,9 +181,7 @@ def write_curves_csv(path, model: growthchart.GrowthModel, ages: list[float], se
 
 
 def fit_options(fp1_only: bool, sigma_age: bool, ridge_lambda: float) -> growthchart.FitOptions:
-    candidates = None
-    if fp1_only:
-        candidates = [growthchart.FpSpec(1, (p,)) for p in growthchart.FP_POWERS]
+    candidates = [spec for spec in growthchart.fp_candidates() if spec.order == 1] if fp1_only else None
     return growthchart.FitOptions(
         fp_candidates=candidates, sigma_age=sigma_age, ridge_lambda=ridge_lambda
     )

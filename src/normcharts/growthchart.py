@@ -462,7 +462,7 @@ def fit(cohort: SessionTable, region: Region, options: FitOptions = FitOptions()
     sigma_design = _standardize(x_sigma)
     start = _start_values(logy)
     candidates = list(options.fp_candidates) if options.fp_candidates else fp_candidates()
-    best_model = None
+    models = []
     for spec in candidates:
         x_mu = _design(ages, spec, *([] if one_sex else [sex_col]))
         vec, converged = _fit_one(logy, x_mu, sigma_design, scanner_idx, n_scanners, lam, start)
@@ -474,7 +474,7 @@ def fit(cohort: SessionTable, region: Region, options: FitOptions = FitOptions()
         obj, _ = _neg_penalized_loglik(vec, logy, x_mu, x_sigma, scanner_idx, n_scanners, lam)
         d = vec[sc]
         loglik = -obj + lam * float(d @ d)
-        model = GrowthModel(
+        models.append(GrowthModel(
             region=region,
             fp_mu=spec,
             mu_coef=tuple(vec[mu].tolist() + ([0.0] if one_sex else [])),
@@ -486,10 +486,8 @@ def fit(cohort: SessionTable, region: Region, options: FitOptions = FitOptions()
             converged=converged,
             loglik=float(loglik),
             bic=float(-2.0 * loglik + vec.size * math.log(len(cohort))),
-        )
-        if best_model is None or model.bic < best_model.bic:
-            best_model = model
-    return best_model
+        ))
+    return min(models, key=lambda m: m.bic)
 
 
 def centile(model: GrowthModel, sessions: SessionTable) -> np.ndarray:

@@ -4,12 +4,11 @@ Normal is the positive class throughout: sensitivity is recall of normal
 reports, specificity is recall of abnormal reports.
 """
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence, Union
 
-from .errors import DataError, EmptyInput
+from .errors import DataError, EmptyInput, write_rows
 from .labeling import Label
 
 METRIC_NAMES = ("accuracy", "sensitivity", "specificity", "precision", "f1")
@@ -130,10 +129,7 @@ class MetricRow(NamedTuple):
 
 def write_results_csv(path, rows: Sequence[MetricRow]) -> None:
     """Emit a MetricRow header line, then one line per row."""
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(MetricRow._fields)
-        writer.writerows(rows)
+    write_rows(path, MetricRow._fields, rows, lineterminator="\n")
 
 
 def metric_row(*, value: Optional[float], **keys) -> MetricRow:

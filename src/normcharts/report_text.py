@@ -32,23 +32,14 @@ class InputMode(Enum):
 
 # The five headers seen consistently in the source reports.  Anything else,
 # including "END OF IMPRESSION:", is body text.  Matching is case-insensitive;
-# the lookbehind keeps "END OF IMPRESSION:" from registering as a header.
-_HEADER_TO_KIND = {
-    "IMPRESSION": SectionKind.IMPRESSION,
-    "FINDINGS": SectionKind.FINDINGS,
-    "CLINICAL INDICATION": SectionKind.CLINICAL_INDICATION,
-    "TECHNIQUE": SectionKind.TECHNIQUE,
-    "COMPARISON": SectionKind.COMPARISON,
-}
-_HEADER_RE = re.compile(rf"(?<![Oo][Ff] )\b({'|'.join(_HEADER_TO_KIND)})\s*:", re.IGNORECASE)
-
-
-def _header_kind(header: str) -> SectionKind:
-    """The kind of a header _HEADER_RE matched, under the regex's own case rule:
-    it matches "İ" to "I", which upper() leaves as it is."""
-    return _HEADER_TO_KIND.get(header.upper()) or next(
-        k for name, k in _HEADER_TO_KIND.items() if re.fullmatch(name, header, re.IGNORECASE)
-    )
+# the lookbehind keeps "END OF IMPRESSION:" from registering as a header.  A
+# header's kind is the name of the group it matched, so the regex's own case
+# rule (which matches "İ" to "I") decides it.
+_HEADER_RE = re.compile(
+    r"(?<![Oo][Ff] )\b(?:(?P<IMPRESSION>IMPRESSION)|(?P<FINDINGS>FINDINGS)"
+    r"|(?P<CLINICAL_INDICATION>CLINICAL INDICATION)|(?P<TECHNIQUE>TECHNIQUE)|(?P<COMPARISON>COMPARISON))\s*:",
+    re.IGNORECASE,
+)
 
 
 def normalize_whitespace(text: str) -> str:
@@ -66,12 +57,13 @@ def parse_sections(raw_text: str) -> dict[SectionKind, str]:
     """
     if not raw_text:
         raise EmptyInput("report text is empty")
-    # the header group captures, so the split is [preamble, header, body, header, body, ...]
-    parts = _HEADER_RE.split(raw_text)
-    kinds = [SectionKind.PREAMBLE] + [_header_kind(h) for h in parts[1::2]]
+    headers = list(_HEADER_RE.finditer(raw_text))
+    kinds = [SectionKind.PREAMBLE] + [SectionKind[m.lastgroup] for m in headers]
+    # each section's text runs from the end of its header to the start of the next
+    bounds = [0, *(i for m in headers for i in m.span()), len(raw_text)]
     sections: dict[SectionKind, str] = {}
-    for kind, chunk in zip(kinds, parts[0::2]):
-        chunk = normalize_whitespace(chunk)
+    for kind, start, end in zip(kinds, bounds[0::2], bounds[1::2]):
+        chunk = normalize_whitespace(raw_text[start:end])
         if chunk:
             sections[kind] = sections[kind] + "\n" + chunk if kind in sections else chunk
     return sections
@@ -141,9 +133,11 @@ _REPORT_LINE = "a JSON object whose text is a string"
 
 
 def _whole_number(obj: dict, key: str) -> int:
-    """obj[key], 0 if absent, as an int; a digit string is read, a JSON boolean or a fraction is not."""
+    """obj[key], 0 if absent, as an int: a JSON integer, a float with no
+    fraction or a string of ASCII digits after an optional "-"."""
     value = obj.get(key, 0)
-    if isinstance(value, bool) or isinstance(value, float) and int(value) != value:
+    if (isinstance(value, bool) or isinstance(value, float) and int(value) != value
+            or isinstance(value, str) and not re.fullmatch("-?[0-9]+", value)):
         raise ValueError(f"{key} must be a whole number, got {json.dumps(value)}")
     return int(value)
 

@@ -260,20 +260,22 @@ def _padded_products(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(case=_padded_products())
+# Row 1's pad lands in column 0, which no row uses, under a negative c and a
+# negative weight: 0.0 times each is -0.0, added to sums at +0.0.
+@example(case=(CsrMatrix(np.array([2.0]), np.array([1]), np.array([0, 1, 1]), (2, 2)),
+               np.array([-1.5, 2.0]), np.array([3.0, -0.5]), np.array([1, 0])))
 def test_padded_rows_equal_scipy_bitwise(case):
     X, w, c, which = case
-    n_rows, n_cols = X.shape
     reference = _to_scipy(X._replace(data=X.data.astype(float)))
-    padded = classifier._pad_rows(X._replace(shape=(n_rows, n_cols + 1)))
-    w_pad = np.append(w, 0.0)  # the pad column's weight
-    assert padded.matvec(w_pad).tobytes() == (reference @ w).tobytes()
-    assert padded.rmatvec(c).tobytes() == (reference.T @ c).tobytes() + np.zeros(1).tobytes()
+    padded = classifier._pad_rows(X)
+    assert padded.matvec(w).tobytes() == (reference @ w).tobytes()
+    assert padded.rmatvec(c).tobytes() == (reference.T @ c).tobytes()
     batch, expected = padded.take_rows(which), reference[which]
     # trimmed to the batch's longest row, which may be the longest of all
     assert batch.data.shape == (len(which), max(np.diff(expected.indptr), default=0))
-    assert batch.matvec(w_pad).tobytes() == (expected @ w).tobytes()
+    assert batch.matvec(w).tobytes() == (expected @ w).tobytes()
     c = c[which]
-    assert batch.rmatvec(c).tobytes() == (expected.T @ c).tobytes() + np.zeros(1).tobytes()
+    assert batch.rmatvec(c).tobytes() == (expected.T @ c).tobytes()
 
 
 def test_pad_rows_fill_holds_no_nonzero_sized_index():
@@ -282,7 +284,7 @@ def test_pad_rows_fill_holds_no_nonzero_sized_index():
     reports, _ = synth_reports(seed=3, n=3000, abnormal_fraction=0.92)
     X = featurize([r.raw_text for r in reports], FeatureConfig())
     used, ids = np.unique(X.indices, return_inverse=True)
-    design = X._replace(indices=ids.astype(np.min_scalar_type(len(used))), shape=(X.shape[0], len(used) + 1))
+    design = X._replace(indices=ids.astype(np.min_scalar_type(len(used))), shape=(X.shape[0], len(used)))
     # a design that train pads
     assert X.shape[0] * np.diff(X.indptr).max() <= classifier._PAD_BOUND * len(X.data)
     tracemalloc.start()

@@ -89,6 +89,12 @@ def test_main_exit_codes(tmp_path, capsys):
     ('{"id": "a", "text": "x", "exam_year": 2015.7}', "exam_year must be a whole number, got 2015.7"),
     ('{"id": "a", "text": "x", "age_days": false}', "age_days must be a whole number, got false"),
     ('{"id": "a", "text": "x", "age_days": 30.5}', "age_days must be a whole number, got 30.5"),
+    # Python's int() also reads these; a digit string is an optional "-" and ASCII digits only
+    ('{"id": "a", "text": "x", "exam_year": "20_15"}', 'exam_year must be a whole number, got "20_15"'),
+    ('{"id": "a", "text": "x", "age_days": "\\u0661\\u0662"}',
+     'age_days must be a whole number, got "\\u0661\\u0662"'),
+    ('{"id": "a", "text": "x", "exam_year": " 2016 "}', 'exam_year must be a whole number, got " 2016 "'),
+    ('{"id": "a", "text": "x", "age_days": "+7"}', 'age_days must be a whole number, got "+7"'),
 ])
 def test_malformed_report_line_is_schema_error(tmp_path, capsys, line, message):
     bad = tmp_path / "reports.jsonl"
@@ -522,6 +528,19 @@ def test_curves_rejects_non_positive_or_non_finite_ages(tmp_path, capsys, flag, 
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert err.startswith(f"config error: {flag} must be a positive finite age")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("age_min, age_max", [("5", "1"), ("5", "5")])
+def test_curves_rejects_ages_that_do_not_rise(tmp_path, capsys, age_min, age_max):
+    # the model is absent: the ages are checked before it is read
+    out = tmp_path / "curves.csv"
+    rc = main(["curves", "--model", str(tmp_path / "absent.json"), "--age-min", age_min,
+               "--age-max", age_max, "--points", "3", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"config error: --age-min must be below --age-max, got {float(age_min)} and {float(age_max)}\n"
+    )
     assert not out.exists()
 
 

@@ -1,5 +1,5 @@
-"""The package's modules import one another without a cycle, and only errors
-imports logging."""
+"""The package's modules import one another without a cycle, only errors
+imports logging, and only errors and phenotype import csv."""
 
 import ast
 from pathlib import Path
@@ -62,25 +62,35 @@ def test_module_graph_has_no_cycle():
     assert find_cycle(graph) is None
 
 
-def _imports_logging(path: Path) -> bool:
-    """Whether a source file imports logging at any depth (function bodies included)."""
+def _imports_module(path: Path, module: str) -> bool:
+    """Whether a source file imports the top-level `module` at any depth (function bodies included)."""
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "logging" for a in node.names):
+        if isinstance(node, ast.Import) and any(a.name.split(".")[0] == module for a in node.names):
             return True
-        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] == "logging":
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] == module:
             return True
     return False
+
+
+def _modules_importing(module: str) -> list[str]:
+    return sorted(path.name for path in PACKAGE.glob("*.py") if _imports_module(path, module))
 
 
 def test_imports_logging_sees_every_spelling(tmp_path):
     for text in ("import logging\n", "def f():\n    import logging.handlers\n",
                  "from logging import getLogger\n", "import os, logging as log\n"):
         (tmp_path / "a.py").write_text(text)
-        assert _imports_logging(tmp_path / "a.py"), text
+        assert _imports_module(tmp_path / "a.py", "logging"), text
     (tmp_path / "a.py").write_text("from .logging import x\nimport logginghelpers\n")
-    assert not _imports_logging(tmp_path / "a.py")
+    assert not _imports_module(tmp_path / "a.py", "logging")
 
 
 def test_only_errors_imports_logging():
     """Every warning goes through errors.warn, so only errors.py imports logging."""
-    assert sorted(path.name for path in PACKAGE.glob("*.py") if _imports_logging(path)) == ["errors.py"]
+    assert _modules_importing("logging") == ["errors.py"]
+
+
+def test_only_errors_and_phenotype_import_csv():
+    """errors.csv_rows reads and errors.write_rows and write_number_csv write
+    every CSV; phenotype reads only the header it hands to np.loadtxt."""
+    assert _modules_importing("csv") == ["errors.py", "phenotype.py"]

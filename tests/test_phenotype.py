@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from normcharts import phenotype, synthcorpus
-from normcharts.errors import DataError, NumericalError, write_number_csv
+from normcharts.errors import DataError, NumericalError, write_number_csv, write_rows
 from normcharts.growthchart import FpSpec, GrowthModel, params_at
 from normcharts.phenotype import (
     BOOLEANS,
@@ -264,6 +264,24 @@ def test_write_number_csv_matches_csv_writer_with_f_strings(tmp_path_factory, da
     for i, row in enumerate(numbers.tolist()):
         writer.writerow([t[i] for t in texts] + [f"{v:.{d}f}" for v, d in zip(row, digits)])
     write_number_csv(path, header, texts, numbers, [f"%.{d}f" for d in digits])
+    assert path.read_bytes() == expected.getvalue().encode("utf-8")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    header=st.lists(_TEXT, min_size=1, max_size=4),
+    rows=st.lists(st.lists(_TEXT, max_size=4), max_size=5),
+    lineterminator=st.sampled_from(["\r\n", "\n"]),
+)
+def test_write_rows_matches_csv_writer(tmp_path_factory, header, rows, lineterminator):
+    # fields with commas, quotes, CR, LF or nothing at all are quoted as csv.writer quotes them
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected, lineterminator=lineterminator)
+    writer.writerow(header)
+    writer.writerows(rows)
+    path = tmp_path_factory.mktemp("csv") / "rows.csv"
+    # "\r\n" is the default
+    write_rows(path, header, iter(rows), *([lineterminator] if lineterminator == "\n" else []))
     assert path.read_bytes() == expected.getvalue().encode("utf-8")
 
 
