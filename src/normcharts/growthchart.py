@@ -17,8 +17,9 @@ them: every CLI command imports this module, and most never fit or score.
 import itertools
 import json
 import math
-from dataclasses import asdict, dataclass
-from typing import Mapping, Optional, Sequence
+from collections import abc
+from dataclasses import asdict, dataclass, fields, is_dataclass
+from typing import Mapping, Optional, Sequence, Union, get_args, get_origin
 
 import numpy as np
 
@@ -201,21 +202,21 @@ def linear_predictors(model: GrowthModel, age_years, female, scanner_id=None):
     age_years, female and scanner_id broadcast against each other. An
     unknown or absent scanner gets no intercept: a population-level value.
     """
-    age_years = np.asarray(age_years, dtype=float)
-    basis = _basis_matrix(age_years, model.fp_mu)
-    eta_mu = model.mu_coef[0]
-    for k in range(model.fp_mu.order):
-        eta_mu = eta_mu + model.mu_coef[1 + k] * basis[..., k]
-    eta_mu = eta_mu + model.mu_coef[-1] * np.asarray(female, dtype=float)
+    eta_mu = _predictor(model.mu_coef, age_years, model.fp_mu, np.asarray(female, dtype=float))
     if scanner_id is not None:
         shift = np.frompyfunc(lambda s: model.scanner_intercepts.get(s, 0.0), 1, 1)
         eta_mu = eta_mu + np.asarray(shift(scanner_id), dtype=float)
-    eta_sigma = model.sigma_coef[0]
-    if model.fp_sigma is not None:
-        basis = _basis_matrix(age_years, model.fp_sigma)
-        for k in range(model.fp_sigma.order):
-            eta_sigma = eta_sigma + model.sigma_coef[1 + k] * basis[..., k]
-    return eta_mu, eta_sigma
+    return eta_mu, _predictor(model.sigma_coef, age_years, model.fp_sigma)
+
+
+def _predictor(coef, ages, spec: Optional[FpSpec], *columns):
+    """coef[0] plus each further coefficient times its column, in order: the
+    fractional-polynomial basis of spec at ages (none for None), then columns."""
+    basis = () if spec is None else np.moveaxis(_basis_matrix(ages, spec), -1, 0)
+    eta = coef[0]
+    for c, column in zip(coef[1:], [*basis, *columns], strict=True):
+        eta = eta + c * column
+    return eta
 
 
 def params_at(model: GrowthModel, age_years, female, scanner_id=None) -> GGParams:
@@ -341,7 +342,7 @@ class FitOptions:
 # candidate search applies to the location predictor only.
 SIGMA_FP = FpSpec(1, (1.0,))
 NU_BOUNDS = (0.05, 8.0)
-# The starting shape of each L-BFGS-B start per candidate (see _fit_one), the
+# The starting shape of each L-BFGS-B start per candidate (see fit), the
 # iteration cap of one start, and the gradient tolerance per session of _converged.
 _NU_STARTS = (1.0, 2.0, 0.5)
 _MAX_ITER = 400
@@ -391,64 +392,23 @@ def _start_values(logy) -> tuple[float, float]:
     return math.log(med), math.log(min(max(cv, 1e-3), 5.0))
 
 
-def _fit_one(logy, x_mu, sigma_design, scanner_idx, n_scanners, ridge_lambda, start):
-    """Fit one design by L-BFGS-B in the standardized parametrization.
-
-    sigma_design is _standardize of the scale design and start is
-    _start_values(logy); neither depends on the location basis. Returns the
-    coefficient vector on the original design and whether the fit converged.
-    A further seeded start runs, one per _NU_STARTS shape, only while the
-    best start so far has not converged.
-    """
-    from scipy import optimize
-
-    z_mu, centre_mu, scale_mu = _standardize(x_mu)
-    z_sigma, centre_sig, scale_sig = sigma_design
-    mu, sc, sig = _layout(x_mu.shape[1], n_scanners, z_sigma.shape[1])
-    # one bound per entry of the vector: the coefficients are free, nu is not
-    bounds = [(None, None)] * sig.stop + [NU_BOUNDS]
-    best, converged = None, False
-    for r, nu in enumerate(_NU_STARTS):
-        x0 = np.zeros(len(bounds))
-        x0[mu.start], x0[sig.start] = start
-        x0[-1] = nu
-        if r > 0:
-            rng = np.random.default_rng(1000 + r)
-            x0[mu] += rng.normal(0.0, 0.05, size=x_mu.shape[1])
-        res = optimize.minimize(
-            _neg_penalized_loglik,
-            x0,
-            args=(logy, z_mu, z_sigma, scanner_idx, n_scanners, ridge_lambda),
-            jac=True,
-            method="L-BFGS-B",
-            bounds=bounds,
-            options={"maxiter": _MAX_ITER, "ftol": 1e-12, "gtol": 1e-8},
-        )
-        if best is None or res.fun < best.fun:
-            best = res
-            converged = _converged(best, _TOL * logy.size)
-        if converged:
-            break
-    vec = best.x.copy()
-    vec[mu] = _unstandardize(vec[mu], centre_mu, scale_mu)
-    vec[sig] = _unstandardize(vec[sig], centre_sig, scale_sig)
-    return vec, converged
-
-
 def fit(cohort: SessionTable, region: Region, options: FitOptions = FitOptions()) -> GrowthModel:
     """Fit the growth model, selecting the location basis by BIC.
 
-    Every candidate basis is fit by L-BFGS-B with analytic gradients on
-    standardized design columns, restarting from a seeded start only while
-    no start has converged; BIC = -2 loglik + k ln n over all free
-    coefficients decides. Scanner intercepts are exactly recentered after
-    the fit, with the shift folded into the intercept.
+    fit_one fits one candidate basis by L-BFGS-B with analytic gradients on
+    standardized columns; a seeded start per further _NU_STARTS shape runs
+    only while the best start so far has not converged. It then recentres the
+    scanner intercepts, the shift folded into the intercept. The first lowest
+    BIC = -2 loglik + k ln n wins: k counts all free coefficients, and loglik
+    is unpenalized, at the recentred fit.
     """
     if len(cohort) < 30:
         raise DataError(f"need at least 30 sessions, got {len(cohort)}")
     y = cohort.volume(region)
     if np.any(y <= 0.0):
         raise DataError("volumes must be positive")
+    from scipy import optimize
+
     ages = cohort.age_years
     sex_col = cohort.female.astype(float)
     scanners, scanner_idx = np.unique(cohort.scanner_id, return_inverse=True)
@@ -459,22 +419,46 @@ def fit(cohort: SessionTable, region: Region, options: FitOptions = FitOptions()
         warn(__name__, "single-sex cohort: sex coefficient dropped")
     fp_sigma = SIGMA_FP if options.sigma_age else None
     x_sigma = _design(ages, fp_sigma)
-    sigma_design = _standardize(x_sigma)
+    z_sigma, centre_sig, scale_sig = _standardize(x_sigma)
     start = _start_values(logy)
-    candidates = list(options.fp_candidates) if options.fp_candidates else fp_candidates()
-    models = []
-    for spec in candidates:
+
+    def fit_one(spec: FpSpec) -> GrowthModel:
         x_mu = _design(ages, spec, *([] if one_sex else [sex_col]))
-        vec, converged = _fit_one(logy, x_mu, sigma_design, scanner_idx, n_scanners, lam, start)
+        z_mu, centre_mu, scale_mu = _standardize(x_mu)
         mu, sc, sig = _layout(x_mu.shape[1], n_scanners, x_sigma.shape[1])
+        # one bound per entry of the vector: the coefficients are free, nu is not
+        bounds = [(None, None)] * sig.stop + [NU_BOUNDS]
+        best, converged = None, False
+        for r, nu in enumerate(_NU_STARTS):
+            x0 = np.zeros(len(bounds))
+            x0[mu.start], x0[sig.start] = start
+            x0[-1] = nu
+            if r > 0:
+                x0[mu] += np.random.default_rng(1000 + r).normal(0.0, 0.05, size=x_mu.shape[1])
+            res = optimize.minimize(
+                _neg_penalized_loglik,
+                x0,
+                args=(logy, z_mu, z_sigma, scanner_idx, n_scanners, lam),
+                jac=True,
+                method="L-BFGS-B",
+                bounds=bounds,
+                options={"maxiter": _MAX_ITER, "ftol": 1e-12, "gtol": 1e-8},
+            )
+            if best is None or res.fun < best.fun:
+                best = res
+                converged = _converged(best, _TOL * logy.size)
+            if converged:
+                break
+        vec = best.x.copy()
+        vec[mu] = _unstandardize(vec[mu], centre_mu, scale_mu)
+        vec[sig] = _unstandardize(vec[sig], centre_sig, scale_sig)
         shift = float(np.mean(vec[sc]))
         vec[sc] -= shift
         vec[mu.start] += shift
-        # unpenalized loglik at the centered parameters, for BIC
         obj, _ = _neg_penalized_loglik(vec, logy, x_mu, x_sigma, scanner_idx, n_scanners, lam)
         d = vec[sc]
         loglik = -obj + lam * float(d @ d)
-        models.append(GrowthModel(
+        return GrowthModel(
             region=region,
             fp_mu=spec,
             mu_coef=tuple(vec[mu].tolist() + ([0.0] if one_sex else [])),
@@ -486,8 +470,9 @@ def fit(cohort: SessionTable, region: Region, options: FitOptions = FitOptions()
             converged=converged,
             loglik=float(loglik),
             bic=float(-2.0 * loglik + vec.size * math.log(len(cohort))),
-        ))
-    return min(models, key=lambda m: m.bic)
+        )
+
+    return min(map(fit_one, options.fp_candidates or fp_candidates()), key=lambda m: m.bic)
 
 
 def centile(model: GrowthModel, sessions: SessionTable) -> np.ndarray:
@@ -536,57 +521,53 @@ def model_to_dict(model: GrowthModel) -> dict:
     return {**asdict(model), "region": model.region.value}
 
 
-def _number(value, key: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"{key} must be a number, got {value!r}")
-    return float(value)
+# The JSON types that may hold a field of each declared type (a generic by its
+# origin) and their name in an error; any other type is a dataclass, an object.
+_JSON_TYPES = {
+    bool: ((bool,), "true or false"),
+    int: ((int,), "a whole number"),
+    float: ((int, float), "a number"),
+    Region: ((str,), "a string"),
+    tuple: ((list, tuple), "a list"),
+    abc.Mapping: ((dict,), "an object"),
+}
 
 
-def _numbers(value, key: str) -> tuple[float, ...]:
-    if not isinstance(value, (list, tuple)):
-        raise TypeError(f"{key} must be a list of numbers, got {value!r}")
-    return tuple(_number(v, key) for v in value)
+def _field(kind, value, key: str):
+    """A JSON value read as kind, a dataclass field's declared type; key is its
+    path ("" for the document). A missing key raises KeyError, another JSON
+    type TypeError (bool is no number), an integer past float OverflowError,
+    a wrong value ValueError or NumericalError."""
+    origin, args = get_origin(kind), get_args(kind)
+    if origin is Union:  # Optional[X]
+        return None if value is None else _field(args[0], value, key)
+    json_types, what = _JSON_TYPES.get(origin or kind, ((dict,), "an object"))
+    if not isinstance(value, json_types) or (isinstance(value, bool) and kind is not bool):
+        raise TypeError(f"{key or 'a growth model'} must be {what}, got {value!r}")
+    if origin is tuple:
+        return tuple(_field(args[0], v, key) for v in value)
+    if origin is abc.Mapping:
+        return {k: _field(args[1], v, key) for k, v in value.items()}
+    if is_dataclass(kind):
+        at = f"{key}." if key else ""
+        if missing := [f.name for f in fields(kind) if f.name not in value]:
+            raise KeyError(at + missing[0])
+        return kind(**{f.name: _field(f.type, value[f.name], at + f.name) for f in fields(kind)})
+    return kind(value)
 
 
-def _fp_spec(value, key: str) -> FpSpec:
-    if not isinstance(value, dict):
-        raise TypeError(f"{key} must be an object, got {value!r}")
-    return FpSpec(value["order"], _numbers(value["powers"], f"{key}.powers"))
-
-
-def model_from_dict(doc: dict) -> GrowthModel:
-    """Inverse of model_to_dict; a missing key raises KeyError, a wrong type
-    TypeError and a wrong value ValueError or NumericalError."""
-    if not isinstance(doc, dict):
-        raise TypeError(f"a growth model must be an object, got {type(doc).__name__}")
-    fp_mu = _fp_spec(doc["fp_mu"], "fp_mu")
-    fp_sigma = None if doc.get("fp_sigma") is None else _fp_spec(doc["fp_sigma"], "fp_sigma")
-    mu_coef = _numbers(doc["mu_coef"], "mu_coef")
-    sigma_coef = _numbers(doc["sigma_coef"], "sigma_coef")
+def model_from_dict(doc) -> GrowthModel:
+    """Inverse of model_to_dict: every field is read by its declared type
+    (_field), then the coefficient counts are checked against the bases."""
+    model = _field(GrowthModel, doc, "")
     # intercept, the FP terms, and the sex coefficient
-    if len(mu_coef) != fp_mu.order + 2:
-        raise ValueError(f"mu_coef needs {fp_mu.order + 2} entries, got {len(mu_coef)}")
-    n_sigma = 1 + (0 if fp_sigma is None else fp_sigma.order)
-    if len(sigma_coef) != n_sigma:
-        raise ValueError(f"sigma_coef needs {n_sigma} entries, got {len(sigma_coef)}")
-    intercepts = doc["scanner_intercepts"]
-    if not isinstance(intercepts, dict):
-        raise TypeError(f"scanner_intercepts must be an object, got {intercepts!r}")
-    if not isinstance(doc["converged"], bool):
-        raise TypeError(f"converged must be true or false, got {doc['converged']!r}")
-    return GrowthModel(
-        region=Region(doc["region"]),
-        fp_mu=fp_mu,
-        mu_coef=mu_coef,
-        fp_sigma=fp_sigma,
-        sigma_coef=sigma_coef,
-        nu=_number(doc["nu"], "nu"),
-        scanner_intercepts={k: _number(v, "scanner_intercepts") for k, v in intercepts.items()},
-        ridge_lambda=_number(doc["ridge_lambda"], "ridge_lambda"),
-        converged=doc["converged"],
-        loglik=_number(doc["loglik"], "loglik"),
-        bic=_number(doc["bic"], "bic"),
-    )
+    n_mu = model.fp_mu.order + 2
+    if len(model.mu_coef) != n_mu:
+        raise ValueError(f"mu_coef needs {n_mu} entries, got {len(model.mu_coef)}")
+    n_sigma = 1 + (0 if model.fp_sigma is None else model.fp_sigma.order)
+    if len(model.sigma_coef) != n_sigma:
+        raise ValueError(f"sigma_coef needs {n_sigma} entries, got {len(model.sigma_coef)}")
+    return model
 
 
 def save_growth_model(path, model: GrowthModel) -> None:
@@ -606,5 +587,5 @@ def load_growth_model(path) -> GrowthModel:
         return model_from_dict(doc)
     except KeyError as e:
         raise DataError(f"{path}: missing key {e}") from e
-    except (TypeError, ValueError, NumericalError) as e:
+    except (TypeError, ValueError, OverflowError, NumericalError) as e:
         raise DataError(f"{path}: {e}") from e

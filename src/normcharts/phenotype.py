@@ -11,7 +11,6 @@ nothing of growth models: synthetic cohorts drawn from one live in synthcorpus.
 
 import copy
 import csv
-import math
 import warnings
 from array import array
 from dataclasses import dataclass, field, fields
@@ -24,6 +23,7 @@ from .errors import DataError, column_positions, csv_rows, write_number_csv
 from .report_text import Sex
 
 QC_THRESHOLD = 0.65
+DAYS_PER_YEAR = 365.25
 
 
 class QcCategory(Enum):
@@ -146,25 +146,18 @@ class PhenotypeTable(_Columns):
 
     def __post_init__(self):
         self._coerce()
-        bad = (
-            (self.age_days <= 0)
-            | ~np.isin(self.sex, _SEX_CODES)
-            | ~(np.isfinite(self.volumes) & (self.volumes > 0.0)).all(axis=1)
-        )
+        volume_ok = np.isfinite(self.volumes) & (self.volumes > 0.0)
+        masks = (self.age_days <= 0, ~np.isin(self.sex, _SEX_CODES), ~volume_ok.all(axis=1))
+        bad = masks[0] | masks[1] | masks[2]
         if bad.any():
             row = int(np.argmax(bad))
-            raise BadRow(row, self._problem(row))
-
-    def _problem(self, row: int) -> str:
-        if self.age_days[row] <= 0:
-            return f"age_days must be positive, got {self.age_days[row]}"
-        if self.sex[row] not in _SEX_CODES:
-            return f"sex must be M or F, got {self.sex[row]!r}"
-        region, v = next(
-            (r, v) for r, v in zip(Region, self.volumes[row].tolist())
-            if not (v > 0.0 and math.isfinite(v))
-        )
-        return f"volume {region.value} must be positive and finite, got {v}"
+            k = int(np.argmin(volume_ok[row]))  # the row's first bad volume, if it has one
+            messages = (
+                f"age_days must be positive, got {self.age_days[row]}",
+                f"sex must be M or F, got {self.sex[row]!r}",
+                f"volume {_REGIONS[k].value} must be positive and finite, got {self.volumes[row, k].item()}",
+            )
+            raise BadRow(row, next(m for m, mask in zip(messages, masks) if mask[row]))
 
     @classmethod
     def from_rows(cls, rows: Iterable[tuple]) -> "PhenotypeTable":
@@ -199,7 +192,7 @@ class SessionTable(_Columns):
 
     @property
     def age_years(self) -> np.ndarray:
-        return self.age_days / 365.25
+        return self.age_days / DAYS_PER_YEAR
 
     @property
     def female(self) -> np.ndarray:

@@ -18,7 +18,7 @@ import numpy as np
 from .corpus import MASK64
 from .growthchart import GGParams, GrowthModel, gg_sample_one, linear_predictors
 from .labeling import Label
-from .phenotype import PhenotypeTable, QcCategory, Region
+from .phenotype import DAYS_PER_YEAR, PhenotypeTable, QcCategory, Region
 from .report_text import Report, Sex
 
 COMMON_CUES = ("lesion", "edema", "hemorrhage", "infarct", "hydrocephalus")
@@ -211,7 +211,7 @@ def synth_cohort(seed: int, n_sessions: int, truth: GrowthModel) -> PhenotypeTab
         age_days = max(1, int(round(rng.uniform(*AGE_RANGE_DAYS))))
         sex = Sex.M if rng.random() < 0.5 else Sex.F
         scanner = scanner_ids[i % len(scanner_ids)]
-        eta_mu, eta_sigma = linear_predictors(truth, age_days / 365.25, sex is Sex.F, scanner)
+        eta_mu, eta_sigma = linear_predictors(truth, age_days / DAYS_PER_YEAR, sex is Sex.F, scanner)
         # libm's exp, not numpy's: they differ in the last bit for about one
         # argument in twenty, and the tests pin digests of cohorts drawn with libm.
         params = GGParams(math.exp(eta_mu), math.exp(eta_sigma), truth.nu)

@@ -8,6 +8,7 @@ import struct
 import subprocess
 import sys
 import textwrap
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -27,6 +28,7 @@ from normcharts.experiments import (
     write_csv_map,
 )
 from normcharts.errors import ConfigError, DataError, NumericalError
+from normcharts.growthchart import FpSpec, GrowthModel
 from normcharts.labeling import Label
 from normcharts.stepwise import FIXTURE_COLUMNS, FixtureAnswerSource
 
@@ -1030,8 +1032,9 @@ def test_exp6_warns_once_per_model_that_did_not_converge(tmp_path, monkeypatch, 
         run_experiment("exp6_growthcharts", PipelineConfig(**overrides), timestamp="t0")
     assert caplog.records == []
 
-    real = growthchart._fit_one
-    monkeypatch.setattr(growthchart, "_fit_one", lambda *args: (real(*args)[0], False))
+    # one start per candidate, the cold one that converges above, now reported unconverged
+    monkeypatch.setattr(growthchart, "_NU_STARTS", (1.0,))
+    monkeypatch.setattr(growthchart, "_converged", lambda res, tol: False)
     with caplog.at_level("WARNING"):
         run_dir = run_experiment("exp6_growthcharts", PipelineConfig(**overrides), timestamp="t1")
     region = PipelineConfig(**overrides).region
@@ -1202,7 +1205,11 @@ BAD_GROWTH_MODELS = {
     "string_coefficients": {**GOOD_GROWTH_MODEL, "mu_coef": "abc"},
     "short_coefficients": {**GOOD_GROWTH_MODEL, "mu_coef": [12.2, 0.12]},
     "string_nu": {**GOOD_GROWTH_MODEL, "nu": "x"},
+    "huge_integer_nu": {**GOOD_GROWTH_MODEL, "nu": 10**400},  # no float holds it
     "bad_fp_spec": {**GOOD_GROWTH_MODEL, "fp_mu": 3},
+    "float_order": {**GOOD_GROWTH_MODEL, "fp_mu": {"order": 1.0, "powers": [0.5]}},
+    "bool_order": {**GOOD_GROWTH_MODEL, "fp_mu": {"order": True, "powers": [0.5]}},
+    "missing_fp_sigma": {k: v for k, v in GOOD_GROWTH_MODEL.items() if k != "fp_sigma"},
     "unknown_region": {**GOOD_GROWTH_MODEL, "region": "vol_nope"},
     "not_an_object": "[1, 2]",
     "invalid_json": '{"region": ',
@@ -1228,11 +1235,41 @@ def test_malformed_growth_model_is_schema_error(tmp_path, capsys, command, case)
     assert not out.exists()
 
 
+# A value of another JSON type than a good value, by the good value's type.
+_WRONG_JSON_TYPE = {str: 3, int: "1", float: "1.5", bool: 1, list: {"0": 0.5}, dict: [0.0], type(None): 3.0}
+_GOOD_FP_SIGMA = {**GOOD_GROWTH_MODEL, "fp_sigma": {"order": 1, "powers": [1.0]}, "sigma_coef": [-2.12, 0.0]}
+
+
+def _wrong_typed_fields():
+    """Per key path, GOOD_GROWTH_MODEL with a wrong-typed value there: one per
+    field of GrowthModel, and one per field of FpSpec under fp_mu and fp_sigma."""
+    for f in fields(GrowthModel):
+        yield f.name, {**GOOD_GROWTH_MODEL, f.name: _WRONG_JSON_TYPE[type(GOOD_GROWTH_MODEL[f.name])]}
+    for spec in ("fp_mu", "fp_sigma"):
+        for f in fields(FpSpec):
+            good = _GOOD_FP_SIGMA[spec]
+            bad = {**good, f.name: _WRONG_JSON_TYPE[type(good[f.name])]}
+            yield f"{spec}.{f.name}", {**_GOOD_FP_SIGMA, spec: bad}
+
+
+WRONG_TYPED_FIELDS = dict(_wrong_typed_fields())
+
+
+@pytest.mark.parametrize("key", sorted(WRONG_TYPED_FIELDS))
+def test_each_growth_model_field_is_read_by_its_type(tmp_path, capsys, key):
+    model_path = tmp_path / "gm.json"
+    model_path.write_text(json.dumps(WRONG_TYPED_FIELDS[key]))
+    assert main(["curves", "--model", str(model_path), "--out", str(tmp_path / "c.csv")]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"data error: {model_path}: {key} must be ")
+
+
 def test_good_growth_model_document_loads(tmp_path, capsys):
     model_path = tmp_path / "gm.json"
-    model_path.write_text(json.dumps(GOOD_GROWTH_MODEL))
-    assert main(["curves", "--model", str(model_path), "--points", "3",
-                 "--out", str(tmp_path / "c.csv")]) == 0
+    for doc in (GOOD_GROWTH_MODEL, _GOOD_FP_SIGMA):
+        model_path.write_text(json.dumps(doc))
+        assert main(["curves", "--model", str(model_path), "--points", "3",
+                     "--out", str(tmp_path / "c.csv")]) == 0
 
 
 def test_balanced_train_skips_unlabelled_reports(tmp_path, capsys):
