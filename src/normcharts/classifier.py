@@ -11,8 +11,10 @@ which one computed it.
 
 `train` takes each SGD batch from `PaddedRows` (ELLPACK): two `(rows, width)`
 arrays, counts and columns, in which a row shorter than the longest is padded
-with count 0.0 in column 0.  A batch is then two row gathers, trimmed to its
-longest row.  Its products keep the bincount sums:
+with count 0 in column 0.  The counts keep the design's type (uint8 on report
+text), promoted to float64 in each product as `CsrMatrix`'s are.  A batch is
+then two row gathers, trimmed to its longest row.  Its products keep the
+bincount sums:
 - `matvec` adds down axis 0 of the C-contiguous transpose of the products.
   numpy adds such an array one operand row at a time into the output, so each
   output is its row's products summed in order from +0.0.  On a transposed
@@ -48,9 +50,12 @@ _SCORE_BLOCK = 256
 _L2 = 1e-6
 _BATCH_SIZE = 64
 # `train` pads its rows when that takes at most this many cells per nonzero.
-# A padded cell holds a float64 count and a column id of at most 4 bytes, so
-# the padding then takes at most 24 bytes per nonzero of its design.
+# A padded cell holds a count and a column id in the design's types, at most 12
+# bytes (3 on report text), so the padding takes at most 24 bytes per nonzero.
 _PAD_BOUND = 2
+# Rows of the padding filled per step: a mask over all of it would take one
+# byte per cell, a third of the padding on report text.
+_PAD_FILL_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -189,25 +194,31 @@ class CsrMatrix(NamedTuple):
         return np.bincount(self.indices, weights=self.data * c_of_nonzero, minlength=self.shape[1])
 
     def take_rows(self, which: np.ndarray) -> "CsrMatrix":
-        """Rows `which`, in that order, as a new matrix: scipy's X[which]."""
-        starts = self.indptr[which]
-        lengths = self.indptr[which + 1] - starts
-        indptr = np.zeros(len(which) + 1, dtype=np.int64)
+        """Rows `which`, in that order, as a new matrix: scipy's X[which].  A boolean
+        mask `which` takes its rows' nonzeros through one bool each, no index."""
+        if which.dtype == bool:
+            row_lengths = np.diff(self.indptr)
+            src, lengths = np.repeat(which, row_lengths), row_lengths[which]
+        else:
+            starts = self.indptr[which]
+            lengths = self.indptr[which + 1] - starts
+            src = np.repeat(starts - np.cumsum(lengths) + lengths, lengths) + np.arange(lengths.sum())
+        indptr = np.zeros(len(lengths) + 1, dtype=np.int64)
         np.cumsum(lengths, out=indptr[1:])
-        src = np.repeat(starts - indptr[:-1], lengths) + np.arange(indptr[-1])
-        return CsrMatrix(self.data[src], self.indices[src], indptr, (len(which), self.shape[1]))
+        return CsrMatrix(self.data[src], self.indices[src], indptr, (len(lengths), self.shape[1]))
 
 
 class PaddedRows(NamedTuple):
     """A sparse matrix as rows padded to one width (ELLPACK).
 
     Row r holds data[r, k] in column ids[r, k] for k < lengths[r]; the cells
-    after those hold 0.0 in column 0, so each adds a signed zero to both
-    products (see the module docstring).  `_pad_rows` keeps the ids in the
-    type of its CSR matrix's column indices, which `train` narrows to the
+    after those hold 0 in column 0, so each adds a signed zero to both
+    products (see the module docstring).  `_pad_rows` keeps the counts and
+    ids in the types of its CSR matrix, whose ids `train` narrows to the
     smallest unsigned type that holds them (uint16 below 65,536 used
-    columns); a taken batch holds them as intp, the index type of `w[ids]`
-    and `np.bincount`.
+    columns); a taken batch holds the ids as intp, the index type of
+    `w[ids]` and `np.bincount`.  Each product promotes a count to float64,
+    which is exact.
     """
 
     data: np.ndarray
@@ -235,14 +246,18 @@ class PaddedRows(NamedTuple):
 
 
 def _pad_rows(X: CsrMatrix) -> PaddedRows:
-    """X's rows padded to the longest with count 0.0 in column 0 (see PaddedRows)."""
+    """X's rows padded to the longest with count 0 in column 0 (see PaddedRows),
+    in X's types, filled `_PAD_FILL_BLOCK` rows at a time."""
     lengths = np.diff(X.indptr)
-    # row-major order over the cells in use is CSR storage order
-    in_use = np.arange(lengths.max(initial=0)) < lengths[:, None]
-    data = np.zeros(in_use.shape)
-    data[in_use] = X.data
-    ids = np.zeros(in_use.shape, dtype=X.indices.dtype)
-    ids[in_use] = X.indices
+    data = np.zeros((len(lengths), lengths.max(initial=0)), dtype=X.data.dtype)
+    ids = np.zeros(data.shape, dtype=X.indices.dtype)
+    for start in range(0, len(lengths), _PAD_FILL_BLOCK):
+        rows = slice(start, start + _PAD_FILL_BLOCK)
+        # row-major order over the cells in use is CSR storage order
+        in_use = np.arange(data.shape[1]) < lengths[rows, None]
+        nonzeros = slice(X.indptr[start], X.indptr[start + len(in_use)])
+        data[rows][in_use] = X.data[nonzeros]
+        ids[rows][in_use] = X.indices[nonzeros]
     return PaddedRows(data, ids, lengths, X.shape)
 
 
@@ -279,6 +294,12 @@ def _sigmoid(z):
     return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
+def _loss(p, y, sample_w, weights, l2) -> float:
+    """Mean weighted cross-entropy of probabilities p, plus the l2 penalty."""
+    loss = -np.mean(sample_w * (y * np.log(p) + (1 - y) * np.log(1.0 - p)))
+    return float(loss + l2 * float(weights @ weights))
+
+
 def objective_and_gradient(
     X: CsrMatrix,
     y: np.ndarray,
@@ -288,16 +309,11 @@ def objective_and_gradient(
     l2: float,
 ) -> tuple[float, np.ndarray, float]:
     """Mean weighted cross-entropy + l2 penalty, with its analytic gradient."""
-    n = X.shape[0]
-    z = X.matvec(weights) + bias
-    p = np.clip(_sigmoid(z), EPS, 1.0 - EPS)
+    p = np.clip(_sigmoid(X.matvec(weights) + bias), EPS, 1.0 - EPS)
     sample_w = np.where(y == 1, pos_weight, 1.0)
-    loss = -np.mean(sample_w * (y * np.log(p) + (1 - y) * np.log(1.0 - p)))
-    loss += l2 * float(weights @ weights)
-    coef = sample_w * (p - y) / n
+    coef = sample_w * (p - y) / X.shape[0]
     grad_w = X.rmatvec(coef) + 2.0 * l2 * weights
-    grad_b = float(np.sum(coef))
-    return float(loss), grad_w, grad_b
+    return _loss(p, y, sample_w, weights, l2), grad_w, float(np.sum(coef))
 
 
 def training_order(examples: Sequence[tuple[str, Label]]) -> list[int]:
@@ -338,7 +354,8 @@ def train(X: CsrMatrix, y: np.ndarray, cfg: TrainConfig) -> LinearModel:
     """Fit the linear model to the rows of a `design` by seeded mini-batch gradient descent.
 
     The seeded shuffle permutes the rows as given, so the model is the same
-    from the examples' own design and from their rows of a larger one."""
+    from the examples' own design and from their rows of a larger one.  Each step calls
+    `objective_and_gradient` once; the final loss is scored in row blocks, with no gradient."""
     fcfg = FeatureConfig(X.shape[1])
     _check_fit(y, fcfg.dimension)
     n = X.shape[0]
@@ -376,10 +393,17 @@ def train(X: CsrMatrix, y: np.ndarray, cfg: TrainConfig) -> LinearModel:
                 raise NumericalError(f"non-finite loss {loss}")
             w_used -= cfg.learning_rate * gw
             bias -= cfg.learning_rate * gb
-    del X_used  # before the full-width arrays of the final objective
+    del X_used  # before the full-width weights
     weights = np.zeros(fcfg.dimension)
     weights[used] = w_used
-    final, _, _ = objective_and_gradient(X, y, weights, bias, cfg.pos_weight, _L2)
+    z = np.empty(n)
+    for start in range(0, n, _SCORE_BLOCK):
+        ptr = X.indptr[start : start + _SCORE_BLOCK + 1]
+        nonzeros = slice(ptr[0], ptr[-1])
+        block = CsrMatrix(X.data[nonzeros], X.indices[nonzeros], ptr - ptr[0], (len(ptr) - 1, X.shape[1]))
+        z[start : start + len(ptr) - 1] = block.matvec(weights)
+    p = np.clip(_sigmoid(z + bias), EPS, 1.0 - EPS)
+    final = _loss(p, y, np.where(y == 1, cfg.pos_weight, 1.0), weights, _L2)
     if not np.isfinite(final):
         raise NumericalError(f"non-finite final loss {final}")
     return LinearModel(weights=weights, bias=bias, config=fcfg, pos_weight=cfg.pos_weight, final_loss=final)

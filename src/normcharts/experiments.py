@@ -214,14 +214,15 @@ def _naming_reports(path, report_ids: list[str]):
 
 
 def _training_design(path, reports, train_sets: list[Collection[str]], labels, mode, fcfg):
-    """classifier.design over the union of the training sets, and each set's rows of it: the
-    union is in classifier.training_order, so a set's rows, ascending, are its own design's."""
+    """classifier.design over the union of the training sets, and each set's rows of it as a
+    mask: the union is in classifier.training_order, so a set's rows, ascending, are its own
+    design's."""
     report_ids, examples = _examples(reports, set().union(*train_sets), labels, mode)
     order = classifier.training_order(examples)
     report_ids = [report_ids[i] for i in order]
     with _naming_reports(path, report_ids):
         X, y = classifier.design([examples[i] for i in order], fcfg)
-    return X, y, [np.flatnonzero([rid in ids for rid in report_ids]) for ids in map(set, train_sets)]
+    return X, y, [np.array([rid in ids for rid in report_ids], dtype=bool) for ids in map(set, train_sets)]
 
 
 def train_classifier(path, reports, ids, labels, mode, tcfg) -> classifier.LinearModel:

@@ -537,7 +537,7 @@ def _field(kind, value, key: str):
     """A JSON value read as kind, a dataclass field's declared type; key is its
     path ("" for the document). A missing key raises KeyError, another JSON
     type TypeError (bool is no number), an integer past float OverflowError,
-    a wrong value ValueError or NumericalError."""
+    a key that is no field or a wrong value ValueError or NumericalError."""
     origin, args = get_origin(kind), get_args(kind)
     if origin is Union:  # Optional[X]
         return None if value is None else _field(args[0], value, key)
@@ -550,8 +550,11 @@ def _field(kind, value, key: str):
         return {k: _field(args[1], v, key) for k, v in value.items()}
     if is_dataclass(kind):
         at = f"{key}." if key else ""
-        if missing := [f.name for f in fields(kind) if f.name not in value]:
+        names = [f.name for f in fields(kind)]
+        if missing := [name for name in names if name not in value]:
             raise KeyError(at + missing[0])
+        if unknown := [k for k in value if k not in names]:
+            raise ValueError(f"unknown key {at + unknown[0]!r}")
         return kind(**{f.name: _field(f.type, value[f.name], at + f.name) for f in fields(kind)})
     return kind(value)
 

@@ -227,6 +227,71 @@ def test_csr_matrix_equals_scipy_bitwise(case):
     assert (taken.data.dtype, taken.indices.dtype) == (X.data.dtype, X.indices.dtype)
 
 
+@st.composite
+def _masked_rows(draw):
+    """A `_csr_products` matrix and a boolean mask over its rows: all False, all True or drawn."""
+    X = draw(_csr_products())[0]
+    n = X.shape[0]
+    drawn = st.lists(st.booleans(), min_size=n, max_size=n).map(lambda m: np.array(m, dtype=bool))
+    return X, draw(st.sampled_from([np.zeros(n, dtype=bool), np.ones(n, dtype=bool)]) | drawn)
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_masked_rows())
+def test_take_rows_by_mask_equals_index_and_scipy_bitwise(case):
+    X, mask = case
+    taken, by_index, expected = X.take_rows(mask), X.take_rows(np.flatnonzero(mask)), _to_scipy(X)[mask]
+    assert taken.shape == by_index.shape == expected.shape
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(taken, name), getattr(by_index, name)
+        assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), name
+        # scipy keeps the counts' type and picks its own index type
+        assert a.tobytes() == getattr(expected, name).astype(a.dtype).tobytes(), name
+    assert (taken.data.dtype, taken.indices.dtype) == (X.data.dtype, X.indices.dtype)
+
+
+@pytest.fixture(scope="module")
+def synthetic_design():
+    """The design of the labelled reports of a 3,000-report synthetic corpus."""
+    reports, labels = synth_reports(seed=3, n=3000, abnormal_fraction=0.92)
+    known = (Label.NORMAL, Label.ABNORMAL)
+    return design([(r.raw_text, labels[r.id]) for r in reports if labels.get(r.id) in known])
+
+
+def _traced_peak(call):
+    """call()'s result and the peak of the memory tracemalloc traces while it runs."""
+    tracemalloc.start()
+    try:
+        result = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_take_rows_by_mask_holds_no_index_per_nonzero(synthetic_design):
+    X, _ = synthetic_design
+    mask = np.arange(X.shape[0]) % 3 != 0
+    taken, peak = _traced_peak(lambda: X.take_rows(mask))
+    # over the output: one bool per source nonzero, the int64 lengths of the
+    # source and the taken rows, and 4 KiB of array objects; an int64 index
+    # per taken nonzero would add 8 bytes each
+    slack = 8 * (X.shape[0] + taken.shape[0]) + 4096
+    assert peak <= sum(a.nbytes for a in taken[:3]) + len(X.data) + slack
+
+
+def test_train_holds_no_full_width_gradient_nor_float64_per_nonzero(synthetic_design):
+    X, y = synthetic_design
+    model, peak = _traced_peak(lambda: train(X, y, TrainConfig(epochs=1)))
+    # over the full-width weights train returns, less than one more
+    # full-width float64 array (a gradient) and one float64 per nonzero
+    assert peak < model.weights.nbytes + 8 * min(X.shape[1], len(X.data))
+    # scored over many row blocks, the final loss is the full objective's
+    assert X.shape[0] > 4 * _SCORE_BLOCK
+    full, _, _ = objective_and_gradient(X, y, model.weights, model.bias, model.pos_weight, classifier._L2)
+    assert model.final_loss == full
+
+
 def _values(rng, size):
     """Signed zeros, and numbers of magnitudes from 1e-6 to 1e6 whose sums round."""
     values = rng.normal(size=size) * 10.0 ** rng.integers(-6, 7, size=size)
@@ -242,18 +307,21 @@ def _padded_products(draw):
     numpy sums 8 or more values pairwise where it reduces along a contiguous
     axis, so rows are long enough to show that order.  Hypothesis draws the
     shapes; the values come from a drawn seed.  The matrix holds float64
-    values and int64 columns, or uint8 counts and int32 columns."""
+    values and int64 columns, or uint8 or uint16 counts and int32 columns."""
     n_rows = draw(st.sampled_from([1, classifier._BATCH_SIZE]) | st.integers(0, 70))
     n_cols = draw(st.integers(1, 40))
     lengths = draw(st.lists(st.integers(0, min(n_cols, 24)), min_size=n_rows, max_size=n_rows))
     n_taken = draw(st.sampled_from([1, classifier._BATCH_SIZE]) | st.integers(0, 70))
     which = draw(st.lists(st.integers(0, n_rows - 1), min_size=n_taken, max_size=n_taken) if n_rows else st.just([]))
-    compact = draw(st.booleans())
+    counts = draw(st.sampled_from([np.float64, np.uint8, np.uint16]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     indices = np.array([j for n in lengths for j in np.sort(rng.choice(n_cols, n, replace=False))],
-                       dtype=np.int32 if compact else np.int64)
+                       dtype=np.int64 if counts is np.float64 else np.int32)
     indptr = np.cumsum([0, *lengths], dtype=np.int64)
-    data = rng.integers(0, 256, len(indices), dtype=np.uint8) if compact else _values(rng, len(indices))
+    if counts is np.float64:
+        data = _values(rng, len(indices))
+    else:
+        data = rng.integers(0, np.iinfo(counts).max, len(indices), dtype=counts, endpoint=True)
     X = CsrMatrix(data, indices, indptr, (n_rows, n_cols))
     return X, _values(rng, n_cols), _values(rng, n_rows), np.array(which, dtype=np.int64)
 
@@ -268,6 +336,7 @@ def test_padded_rows_equal_scipy_bitwise(case):
     X, w, c, which = case
     reference = _to_scipy(X._replace(data=X.data.astype(float)))
     padded = classifier._pad_rows(X)
+    assert (padded.data.dtype, padded.ids.dtype) == (X.data.dtype, X.indices.dtype)
     assert padded.matvec(w).tobytes() == (reference @ w).tobytes()
     assert padded.rmatvec(c).tobytes() == (reference.T @ c).tobytes()
     batch, expected = padded.take_rows(which), reference[which]
@@ -276,6 +345,10 @@ def test_padded_rows_equal_scipy_bitwise(case):
     assert batch.matvec(w).tobytes() == (expected @ w).tobytes()
     c = c[which]
     assert batch.rmatvec(c).tobytes() == (expected.T @ c).tobytes()
+    # integer counts give the float64 padding's bits
+    float_batch = classifier._pad_rows(X._replace(data=X.data.astype(float))).take_rows(which)
+    assert batch.matvec(w).tobytes() == float_batch.matvec(w).tobytes()
+    assert batch.rmatvec(c).tobytes() == float_batch.rmatvec(c).tobytes()
 
 
 def test_pad_rows_fill_holds_no_nonzero_sized_index():
@@ -402,7 +475,7 @@ def _reference_train(examples, cfg, fcfg):
 
 
 def _train_matches_full_width(l2, dim, gather, monkeypatch):
-    """train's model, one objective call per step, equals the full-width loop's bit for bit."""
+    """train's model, one objective call per step and none more, equals the full-width loop's bit for bit."""
     monkeypatch.setattr(classifier, "_L2", l2)
     monkeypatch.setattr(classifier, "_BATCH_SIZE", 16)
     rng = np.random.default_rng(6)
@@ -432,7 +505,8 @@ def _train_matches_full_width(l2, dim, gather, monkeypatch):
     fcfg = FeatureConfig(dimension=dim)
     model = train(*design(examples, fcfg), cfg)
     steps = cfg.epochs * math.ceil(len(examples) / 16)
-    assert seen == [PaddedRows if gather == "padded" else CsrMatrix] * steps + [CsrMatrix]
+    # the final loss is scored with no gradient, so no further call
+    assert seen == [PaddedRows if gather == "padded" else CsrMatrix] * steps
     w, b, final = _reference_train(examples, cfg, fcfg)
     assert model.weights.tobytes() == w.tobytes()  # signs of zero included
     assert model.bias == b

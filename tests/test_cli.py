@@ -1214,6 +1214,8 @@ BAD_GROWTH_MODELS = {
     "not_an_object": "[1, 2]",
     "invalid_json": '{"region": ',
     "nested_too_deep": _TOO_DEEP,
+    "extra_key": {**GOOD_GROWTH_MODEL, "extra": 1},
+    "extra_fp_key": {**GOOD_GROWTH_MODEL, "fp_mu": {**GOOD_GROWTH_MODEL["fp_mu"], "extra": 1}},
 }
 
 
@@ -1262,6 +1264,14 @@ def test_each_growth_model_field_is_read_by_its_type(tmp_path, capsys, key):
     assert main(["curves", "--model", str(model_path), "--out", str(tmp_path / "c.csv")]) == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith(f"data error: {model_path}: {key} must be ")
+
+
+@pytest.mark.parametrize("case, key", [("extra_key", "extra"), ("extra_fp_key", "fp_mu.extra")])
+def test_unknown_growth_model_key_is_named_by_its_path(tmp_path, capsys, case, key):
+    model_path = tmp_path / "gm.json"
+    model_path.write_text(json.dumps(BAD_GROWTH_MODELS[case]))
+    assert main(["curves", "--model", str(model_path), "--out", str(tmp_path / "c.csv")]) == 3
+    assert capsys.readouterr().err == f"data error: {model_path}: unknown key {key!r}\n"
 
 
 def test_good_growth_model_document_loads(tmp_path, capsys):
