@@ -30,7 +30,7 @@ past `_PAD_BOUND` cells per nonzero (a corpus with a few very long texts),
 import math
 import struct
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -337,11 +337,14 @@ def _check_fit(y: np.ndarray, dimension: int) -> None:
         raise DataError("training needs both Normal and Abnormal examples")
 
 
-def design(examples: Sequence[tuple[str, Label]], fcfg=FeatureConfig()) -> tuple[CsrMatrix, np.ndarray]:
+def design(
+    examples: Sequence[tuple[str, Label]], fcfg=FeatureConfig(), ordered: Optional[list[int]] = None
+) -> tuple[CsrMatrix, np.ndarray]:
     """The rows `train` fits to `examples`: their features and targets (1.0 for
-    Normal) in `training_order`.  `train`'s checks come before any featurizing;
-    a text with no tokens is named by its index in `examples`."""
-    ordered = training_order(examples)
+    Normal) in `training_order`, which a caller that has it passes as `ordered`.
+    `train`'s checks come before any featurizing; a text with no tokens is
+    named by its index in `examples`."""
+    ordered = training_order(examples) if ordered is None else ordered
     y = np.array([{Label.NORMAL: 1.0, Label.ABNORMAL: 0.0}.get(examples[i][1], np.nan) for i in ordered])
     _check_fit(y, fcfg.dimension)
     try:

@@ -219,9 +219,9 @@ def _training_design(path, reports, train_sets: list[Collection[str]], labels, m
     design's."""
     report_ids, examples = _examples(reports, set().union(*train_sets), labels, mode)
     order = classifier.training_order(examples)
-    report_ids = [report_ids[i] for i in order]
     with _naming_reports(path, report_ids):
-        X, y = classifier.design([examples[i] for i in order], fcfg)
+        X, y = classifier.design(examples, fcfg, order)
+    report_ids = [report_ids[i] for i in order]
     return X, y, [np.array([rid in ids for rid in report_ids], dtype=bool) for ids in map(set, train_sets)]
 
 

@@ -8,7 +8,9 @@ evaluated in log space throughout. mu and sigma are modeled through log
 links. The location predictor is an intercept, a fractional-polynomial basis
 of age in years, a sex indicator (1 for F), and per-scanner intercepts kept
 mean-zero by a ridge penalty. sigma is log-linear with an optional
-fractional-polynomial age term; nu is a constant shape.
+fractional-polynomial age term; nu is a constant shape. Each candidate basis
+is fit by Newton steps on the penalized log-likelihood's exact Hessian, in a
+trust region, with L-BFGS-B restarts only for a fit that did not converge.
 
 scipy.special and scipy.optimize are imported inside the functions that call
 them: every CLI command imports this module, and most never fit or score.
@@ -325,6 +327,86 @@ def _neg_penalized_loglik(vec, logy, x_mu, x_sigma, scanner_idx, n_scanners, lam
     return obj, -grad
 
 
+# The Bernoulli numbers B_2 to B_14 of the asymptotic series of trigamma
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6)
+
+
+def _one_minus_x_trigamma(x) -> np.ndarray:
+    """1 - x psi'(x) for x > 0, elementwise, with no cancellation at large x.
+
+    While the smallest x is below 6, the recurrence psi'(x) = 1/x^2 +
+    psi'(x + 1) moves every x up by one; from there 1 - x psi'(x) = -1/(2x) -
+    sum B_2k / x^2k. Written as a sum of those terms, not 1 - x psi'(x), it
+    keeps its relative precision where x psi'(x) tends to 1.
+    """
+    x = np.asarray(x, dtype=float)
+    xs, head, steps = x, 0.0, 0  # head: x times the recurrence's terms 1/(x + k)^2
+    lowest = x.min(initial=np.inf)
+    while steps < 6 and lowest + steps < 6.0:
+        head = head + x / xs / xs
+        xs = xs + 1.0
+        steps += 1
+    r = 1.0 / xs
+    r2 = r * r
+    series = np.full_like(r, _BERNOULLI[-1])
+    for b in _BERNOULLI[-2::-1]:
+        series *= r2
+        series += b
+    series *= r2
+    tail = -0.5 * r - series  # 1 - xs psi'(xs)
+    # 1 - x psi'(x) = 1 - head - (x / xs)(1 - tail), with xs - x = steps
+    return tail if steps == 0 else (steps + x * tail) * r - head
+
+
+def _neg_penalized_hessian(vec, logy, x_mu, x_sigma, scanner_idx, n_scanners, lam):
+    """The exact Hessian of _neg_penalized_loglik, with the same arguments.
+
+    With a, w, z and theta as there and t = 1 - theta psi'(theta), each
+    session's negative log-likelihood has the second derivatives, in
+    (eta_mu, log sigma, nu),
+
+        h_mm = theta nu^2 z             h_ms = 2 theta nu (z - 1)
+        h_ss = -4 theta (a + t)         h_mn = theta (z - 1 - nu w z)
+        h_sn = 2 theta (w (1 - z) - 2 (a + t) / nu)
+        h_nn = (1 - theta (6 a + 4 t)) / nu^2 + theta w (4 (1 - z) / nu + w z)
+
+    and each block is a design's X.T @ (h[:, None] * X), the scanner
+    intercepts' design being one-hot, plus the ridge's 2 lam on their
+    diagonal. On numerical blow-up an entry is inf or nan, and no warning
+    is raised.
+    """
+    from scipy import special
+
+    mu, sc, sig = _layout(x_mu.shape[1], n_scanners, x_sigma.shape[1])
+    nu = vec[-1]
+    eta_mu = x_mu @ vec[mu]
+    eta_mu += vec[sc][scanner_idx]
+    _, w, nu_w, z, theta, _, log_theta = _gg_terms(logy, eta_mu, x_sigma @ vec[sig], nu)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        a = log_theta + 1.0 + nu_w - z - special.digamma(theta)
+        t = _one_minus_x_trigamma(theta)
+        z_m1 = z - 1.0
+        h_mm = theta * (nu * nu) * z
+        h_ms = 2.0 * nu * theta * z_m1
+        h_mn = theta * (z_m1 - nu_w * z)
+        h_ss = -4.0 * theta * (a + t)
+        h_sn = 2.0 * theta * (-w * z_m1 - 2.0 * (a + t) / nu)
+        h_nn = (1.0 - theta * (6.0 * a + 4.0 * t)) / (nu * nu)
+        h_nn += theta * w * (-4.0 * z_m1 / nu + w * z)
+        d_mu = np.column_stack([x_mu, np.eye(n_scanners).take(scanner_idx, axis=0)])
+        hess = np.empty((vec.size, vec.size))
+        s = sig.start
+        hess[:s, :s] = d_mu.T @ (h_mm[:, None] * d_mu)
+        hess[:s, sig] = d_mu.T @ (h_ms[:, None] * x_sigma)
+        hess[sig, sig] = x_sigma.T @ (h_ss[:, None] * x_sigma)
+        hess[:-1, -1] = np.concatenate([d_mu.T @ h_mn, x_sigma.T @ h_sn])
+        hess[-1, -1] = h_nn.sum()
+    hess[sig, :s] = hess[:s, sig].T
+    hess[-1, :-1] = hess[:-1, -1]
+    hess[sc, sc] += 2.0 * lam * np.eye(n_scanners)
+    return hess
+
+
 @dataclass(frozen=True)
 class FitOptions:
     """Search settings for fit(); fp_candidates None means all 44 location bases."""
@@ -342,23 +424,102 @@ class FitOptions:
 # candidate search applies to the location predictor only.
 SIGMA_FP = FpSpec(1, (1.0,))
 NU_BOUNDS = (0.05, 8.0)
-# The starting shape of each L-BFGS-B start per candidate (see fit), the
-# iteration cap of one start, and the gradient tolerance per session of _converged.
+# The starting shape of each start per candidate (see fit), the iteration cap
+# of one start, and the gradient tolerance per session of _converged.
 _NU_STARTS = (1.0, 2.0, 0.5)
 _MAX_ITER = 400
 _TOL = 1e-3
 
 
+def _pinned(nu: float, nu_grad: float) -> bool:
+    """Whether the shape sits on a bound of NU_BOUNDS with its gradient
+    pushing outward, so that it cannot move."""
+    lo, hi = NU_BOUNDS
+    return bool((nu <= lo and nu_grad > 0.0) or (nu >= hi and nu_grad < 0.0))
+
+
 def _converged(res, tol: float) -> bool:
     """Whether a fit converged: the minimiser says so, or its gradient
-    projected onto the bounds is below tol.  A shape component sitting on a
-    bound of NU_BOUNDS and pushing outward cannot move, so it counts as zero.
+    projected onto the bounds is below tol, a _pinned shape's component
+    counting as zero.
     """
     grad = np.array(res.jac, dtype=float)
-    nu, (lo, hi) = res.x[-1], NU_BOUNDS
-    if (nu <= lo and grad[-1] > 0.0) or (nu >= hi and grad[-1] < 0.0):
+    if _pinned(res.x[-1], grad[-1]):
         grad[-1] = 0.0
     return bool(res.success or np.max(np.abs(grad)) < tol)
+
+
+# A Newton start converges once its Newton step predicts a smaller decrease:
+# near the optimum of an objective of about 2e4, a gradient rule spends its
+# iterations in rounding noise.
+_NEWTON_TOL = 1e-9
+
+
+def _trust_newton(fun, x0, args=(), hess=None, maxiter=_MAX_ITER, **_):
+    """Minimize fun(x, *args), which returns the value and the gradient, by
+    trust-region Newton steps on the exact Hessian hess(x, *args); a method
+    for optimize.minimize.
+
+    Each step solves the trust-region subproblem in the Hessian's eigenbasis:
+    the Newton step if the Hessian is positive definite and the step fits the
+    radius, else the step to the radius with every eigenvalue shifted by the
+    root of the secular equation (Nocedal and Wright, Algorithm 4.3). nu =
+    x[-1] keeps within NU_BOUNDS: a step past a bound is cut back to it, and
+    a _pinned nu is held there while the rest move. The solve converges when
+    an interior Newton step predicts a decrease below _NEWTON_TOL; it stops
+    unconverged at maxiter, on a non-finite Hessian, or when a step to the
+    radius predicts less.
+    """
+    (lo, hi), x = NU_BOUNDS, np.array(x0, dtype=float)
+    f, g = fun(x, *args)
+    # from a cold start on standardized columns a first radius of 1 was always too long
+    radius, nit, success = 0.1, 0, False
+    while nit < maxiter:
+        nit += 1
+        h = hess(x, *args)
+        if not np.isfinite(h).all():
+            break
+        k = x.size - _pinned(x[-1], g[-1])  # a pinned nu is held
+        lam, v = np.linalg.eigh(h[:k, :k])
+        gv = v.T @ g[:k]
+        # an eigenvalue below 1e-12 of the largest counts as singular
+        floor = 1e-12 * np.abs(lam).max()
+        newton = lam[0] > floor and (gv / lam) @ (gv / lam) <= radius * radius
+        shift = 0.0 if newton else max(0.0, -lam[0]) + floor
+        for _ in range(0 if newton else 50):
+            q = gv / (lam + shift)
+            norm = math.sqrt(q @ q)
+            if norm <= 1.001 * radius:
+                break
+            # a Newton step on 1/norm = 1/radius, which rises to its root
+            shift += (norm / radius - 1.0) * norm * norm / (q @ (q / (lam + shift)))
+        s = -gv / (lam + shift)
+        pred = -(gv @ s + 0.5 * (lam * s) @ s)
+        if pred < _NEWTON_TOL:
+            success = bool(newton)
+            break
+        p = np.zeros_like(x)
+        p[:k] = v @ s
+        trial = x + p
+        if not lo <= trial[-1] <= hi:
+            bound = lo if trial[-1] < lo else hi
+            cut = (bound - x[-1]) / p[-1]
+            s, trial = cut * s, x + cut * p
+            trial[-1] = bound
+            pred = -(gv @ s + 0.5 * (lam * s) @ s)
+        rho = -math.inf
+        if pred > 0.0:  # not so when nu is on a bound and the step leaves it at once
+            f_new, g_new = fun(trial, *args)
+            rho = (f - f_new) / pred
+            if rho > 0.0:
+                x, f, g = trial, f_new, g_new
+        if rho < 0.25:
+            radius *= 0.25
+        elif rho > 0.75:
+            radius = max(radius, 2.0 * math.sqrt(s @ s))
+    from scipy import optimize
+
+    return optimize.OptimizeResult(x=x, fun=f, jac=g, nit=nit, success=success)
 
 
 def _standardize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -395,9 +556,10 @@ def _start_values(logy) -> tuple[float, float]:
 def fit(cohort: SessionTable, region: Region, options: FitOptions = FitOptions()) -> GrowthModel:
     """Fit the growth model, selecting the location basis by BIC.
 
-    fit_one fits one candidate basis by L-BFGS-B with analytic gradients on
-    standardized columns; a seeded start per further _NU_STARTS shape runs
-    only while the best start so far has not converged. It then recentres the
+    fit_one fits one candidate basis on standardized columns: a cold start by
+    trust-region Newton on the exact Hessian (_trust_newton), then, only while
+    the best start so far has not converged, a seeded L-BFGS-B start with
+    analytic gradients per further _NU_STARTS shape. It then recentres the
     scanner intercepts, the shift folded into the intercept. The first lowest
     BIC = -2 loglik + k ln n wins: k counts all free coefficients, and loglik
     is unpenalized, at the recentred fit.
@@ -429,21 +591,19 @@ def fit(cohort: SessionTable, region: Region, options: FitOptions = FitOptions()
         # one bound per entry of the vector: the coefficients are free, nu is not
         bounds = [(None, None)] * sig.stop + [NU_BOUNDS]
         best, converged = None, False
+        args = (logy, z_mu, z_sigma, scanner_idx, n_scanners, lam)
         for r, nu in enumerate(_NU_STARTS):
             x0 = np.zeros(len(bounds))
             x0[mu.start], x0[sig.start] = start
             x0[-1] = nu
-            if r > 0:
+            if r == 0:
+                solver = dict(method=_trust_newton, hess=_neg_penalized_hessian)
+                limits = {"maxiter": _MAX_ITER}
+            else:
                 x0[mu] += np.random.default_rng(1000 + r).normal(0.0, 0.05, size=x_mu.shape[1])
-            res = optimize.minimize(
-                _neg_penalized_loglik,
-                x0,
-                args=(logy, z_mu, z_sigma, scanner_idx, n_scanners, lam),
-                jac=True,
-                method="L-BFGS-B",
-                bounds=bounds,
-                options={"maxiter": _MAX_ITER, "ftol": 1e-12, "gtol": 1e-8},
-            )
+                solver = dict(method="L-BFGS-B", jac=True, bounds=bounds)
+                limits = {"maxiter": _MAX_ITER, "ftol": 1e-12, "gtol": 1e-8}
+            res = optimize.minimize(_neg_penalized_loglik, x0, args=args, options=limits, **solver)
             if best is None or res.fun < best.fun:
                 best = res
                 converged = _converged(best, _TOL * logy.size)

@@ -873,7 +873,8 @@ def test_exp2_weighted_golden_digests(tmp_path, monkeypatch):
 # sha256 of every other protocol's artifacts, recorded before the experiment
 # code in cli.py was folded into shared helpers. exp6's curves.csv and model
 # files were re-recorded when the growth fit moved to standardized design
-# columns, which changes the fitted coefficients in their last digits.
+# columns, and again when each candidate's cold start became a trust-region
+# Newton fit, each of which changes the fitted coefficients in their last digits.
 GOLDEN = {
     "exp1_balanced": (SMALL, {
         "metrics.csv": "bd0314a3286eecb1837eef9014783cc0572241ef01503bddafcbb953a17eac8d",
@@ -899,10 +900,10 @@ GOLDEN = {
         "metrics.csv": "a24a15dcdf3759e340ceebbac0bb659a738f3c4cd6d695554688b6463b6b0b93",
     }),
     "exp6_growthcharts": ({"n_sessions": 300}, {
-        "curves.csv": "07284cb8eaefe95492539c57cd011fc7e02c5ac6a341c19be64aa3fb1fc961d6",
+        "curves.csv": "ba71e934ea4c0bc12914c58aef06da84cfe8403560822e8bfc05e9198c6a822f",
         "attrition.json": "0db70083dbc161b012f7a9ffa6875544954b045a0c841cf1a63490ab923dd816",
-        "growth-model-a.json": "335b1fe6eb6a76af89522a93056c7ec4d3bff95ebbb7fe21fd15483976d62c3f",
-        "growth-model-b.json": "78838ba52e5785718cffacb24413b4984ace4a3138d4333a558aa73b77dc3fcd",
+        "growth-model-a.json": "87ecebdf630f4c49da93b6180a9e5c2a222cadc1278aa76419519c2290266983",
+        "growth-model-b.json": "9b2e2039652b5f6d7a742c2dc9606d91dc3b5262744862a341e4c1dc2f321ba7",
         "metrics.csv": "4eefe866ad2a890feca02c7727427022c265f6d7aa221a9cf518cfda225d43e7",
     }),
 }
@@ -914,6 +915,30 @@ def test_protocol_golden_digests(tmp_path, monkeypatch, name):
     overrides, expected = GOLDEN[name]
     run_dir = run_experiment(name, PipelineConfig(**overrides), timestamp="t0")
     assert _sha256s(run_dir, expected) == expected
+
+
+def test_training_design_sorts_the_union_once(monkeypatch):
+    import numpy as np
+
+    from normcharts import classifier
+    from normcharts.experiments import _training_design
+    from normcharts.report_text import InputMode, compose_input
+    from normcharts.synthcorpus import synth_reports
+
+    sorts = []
+    training_order = classifier.training_order
+    monkeypatch.setattr(classifier, "training_order", lambda ex: sorts.append(len(ex)) or training_order(ex))
+    pool, labels = synth_reports(seed=0, n=300, abnormal_fraction=0.9)
+    fcfg = classifier.FeatureConfig(dimension=1 << 12)
+    ids = [r.id for r in pool]
+    X, y, masks = _training_design("r.jsonl", pool, [ids[:200], ids[100:]], labels, InputMode.FULL_REPORT, fcfg)
+    assert len(sorts) == 1
+    # the same rows as design sorting the union itself
+    known = [r for r in pool if labels.get(r.id) in (Label.NORMAL, Label.ABNORMAL)]
+    own_X, own_y = classifier.design([(compose_input(r, InputMode.FULL_REPORT), labels[r.id]) for r in known], fcfg)
+    for field in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(X, field), getattr(own_X, field)), field
+    assert np.array_equal(y, own_y) and (masks[0] | masks[1]).all()
 
 
 @pytest.mark.parametrize("name", ["exp1_balanced", "exp2_weighted", "exp4_impression"])
@@ -1303,15 +1328,16 @@ def test_balanced_train_skips_unlabelled_reports(tmp_path, capsys):
 
 # sha256 of the phenotype commands' outputs and stdout on a synthetic cohort,
 # recorded from the per-record phenotype code before loading, QC and session
-# medians became array operations.
+# medians became array operations. growth.json, centiles.csv and stdout were
+# re-recorded when each candidate's cold start became a trust-region Newton fit.
 GOLDEN_PHENOTYPE = {
     "cohort.csv": "75d3a0ea83a72a970be8840a4b95731ba2ce29f70deeea3c40f663a626f88e3f",
     "qc.csv": "37c1612486ebd90dda46679728bd6534b9feceb0c2ff2ce6913ea2858a231c86",
     "sessions-median.csv": "f19347e0e699754214e57a09710ca7073f1e91c2a12c4d65b071cfc58b3026b6",
     "sessions-mprage.csv": "317a0e73fe354f85d1006a460f48502785f20806eb403f9593e907d6765071a7",
-    "growth.json": "f4258c45665ab1c46e11012cb85895afffbb9035df707e315b3af26021a3d86d",
-    "centiles.csv": "bb352d348f08b600c4ac696389fdd93a731f1a2f1d44dea351f123db9ed22218",
-    "stdout": "142356fd1fc10c670b137367d28c896a43f62f508c3af4e49aade1da32170e7f",
+    "growth.json": "1cc66a80b40c4720bbdcffd92c523483c715f1f0011746e5c4f6ff7647f2f792",
+    "centiles.csv": "59aeeeb44eb974cd9b1eb6ce036a87dccfdbf20c9d6bda89f37653e1d82eab44",
+    "stdout": "ffd4d101117d8d3f49eec6794eb84fae998759b76589c6ba5bd9c64d53860583",
 }
 
 
@@ -1344,14 +1370,16 @@ def test_phenotype_commands_golden_digests(tmp_path, monkeypatch, capsys):
 # intercept-plus-basis designs were each defined in one place: a single-sex
 # cohort (no sex column) without the scale basis, and the full FP1+FP2 search
 # on a two-sex cohort with it. A misplaced slice of the vector changes both.
+# Both were re-recorded when each candidate's cold start became a trust-region
+# Newton fit, which also reads the vector through the same slices.
 GOLDEN_FIT_LAYOUTS = {
     "one_sex_no_sigma_age": (["--fp1-only", "--no-sigma-age"], {
-        "growth.json": "1c07d6f6d8dad0cc42ecd514a2450259adffe628c414e640433bd872fbd8da52",
-        "stdout": "a758b9ef16d52d892414e2ae890aeffaaaf803e69fd64a5847ff6f345eef2296",
+        "growth.json": "a5d0bb75f612398af064a67a097d5c18dea95af30a4c32cf2ba8bc051ca53f09",
+        "stdout": "0f42664b37897cf99073dedcecf6110c959c19d8401965ef1a8c4b96eae51be1",
     }),
     "two_sex_full_search": ([], {
-        "growth.json": "6c595b100ed9e7db9f6a296e999e84773a39ece79636c8208849a5984bf86a38",
-        "stdout": "0c5dfe1b4f5c2f1ddc0616bfdb96c0d8d628dc9565945283163870e06338d726",
+        "growth.json": "a79dfed580c6da15bca61b041ed9540de98d58a6e427d5bb2ec28fb0e6d43c19",
+        "stdout": "2a8676a40213454c9d3a4aabfdd8985bb007a2f228c695d8a92db9e5c6d53247",
     }),
 }
 

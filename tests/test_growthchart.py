@@ -454,10 +454,61 @@ def test_objective_equals_reference_along_a_fit(monkeypatch):
         return got
 
     monkeypatch.setattr(growthchart, "_neg_penalized_loglik", both)
-    fit(cohort, Region.CORTICAL_GM, quick_options(fp_candidates=[FpSpec(2, (-1.0, 2.0))]))
+    specs = [FpSpec(2, (-1.0, 2.0))] + [FpSpec(1, (p,)) for p in FP_POWERS]
+    fit(cohort, Region.CORTICAL_GM, quick_options(fp_candidates=specs))
     assert len(calls) > 20
     for (obj, grad), (ref_obj, ref_grad) in calls:
         assert obj == ref_obj and np.array_equal(grad, ref_grad)
+
+
+# location design: (FP basis, sex column?), scale design: with the age term?
+HESSIAN_LAYOUTS = {"two_sex": (True, True), "one_sex": (False, True), "no_sigma_age": (True, False)}
+
+
+@pytest.mark.parametrize("layout", sorted(HESSIAN_LAYOUTS))
+@pytest.mark.parametrize("nu", [0.06, 1.3, 7.9])
+@pytest.mark.parametrize("spec", [FpSpec(1, (0.5,)), FpSpec(2, (0.0, 0.0)), FpSpec(2, (-2.0, 3.0))], ids=str)
+def test_hessian_matches_central_differences_of_the_gradient(spec, nu, layout):
+    with_sex, sigma_age = HESSIAN_LAYOUTS[layout]
+    cohort = build_cohort(3, 200, small_truth())
+    logy = np.log(cohort.volume(Region.CORTICAL_GM))
+    ages = cohort.age_years
+    sex = [cohort.female.astype(float)] if with_sex else []
+    x_mu = _standardize(growthchart._design(ages, spec, *sex))[0]
+    x_sigma = _standardize(growthchart._design(ages, growthchart.SIGMA_FP if sigma_age else None))[0]
+    _, idx = np.unique(cohort.scanner_id, return_inverse=True)
+    rng = np.random.default_rng(1)
+    vec = np.concatenate([
+        [12.2], rng.normal(0.0, 0.03, x_mu.shape[1] - 1), rng.normal(0.0, 0.02, 2),
+        [-2.1], rng.normal(0.0, 0.05, x_sigma.shape[1] - 1), [nu],
+    ])
+    args = (logy, x_mu, x_sigma, idx, 2, 1.0)
+    hess = growthchart._neg_penalized_hessian(vec, *args)
+    numeric = np.empty_like(hess)
+    for k in range(vec.size):
+        step = np.zeros_like(vec)
+        step[k] = 1e-6 * max(1.0, abs(vec[k]))
+        up = _neg_penalized_loglik(vec + step, *args)[1]
+        dn = _neg_penalized_loglik(vec - step, *args)[1]
+        numeric[:, k] = (up - dn) / (2.0 * step[k])
+    # the difference quotient loses digits to the objective's rounding at small nu
+    tol = 2e-5 if nu < 0.1 else 1e-8
+    np.testing.assert_allclose(hess, numeric, rtol=tol, atol=tol * np.abs(hess).max())
+    assert np.array_equal(hess[-1, :], hess[:, -1])
+
+
+def test_one_minus_x_trigamma_matches_polygamma():
+    x = np.logspace(-3.0, 3.0, 2001)
+    np.testing.assert_allclose(
+        growthchart._one_minus_x_trigamma(x), 1.0 - x * special.polygamma(1, x), rtol=1e-9
+    )
+    # 1 - x psi'(x) = -1/(2x) - 1/(6x^2) - ..., where 1 - x * polygamma cancels to noise
+    big = np.array([1e6, 1e10, 1e100, 1e300])
+    np.testing.assert_allclose(2.0 * big * growthchart._one_minus_x_trigamma(big), -1.0, rtol=1e-6)
+    # beside a small x, which moves every x up the recurrence, as alone
+    for x_big in big:
+        got = growthchart._one_minus_x_trigamma(np.array([0.5, x_big]))
+        np.testing.assert_allclose(got, [1.0 - 0.5 * special.polygamma(1, 0.5), -0.5 / x_big], rtol=1e-6)
 
 
 @pytest.mark.parametrize("ridge_lambda", [-5.0, -1e-300, math.inf, math.nan])
@@ -773,3 +824,60 @@ def test_seeded_starts_move_only_the_location_coefficients(monkeypatch):
     for x0, nu in zip(seeded, growthchart._NU_STARTS[1:], strict=True):
         assert np.flatnonzero(x0[:-1] != cold[:-1]).tolist() == [0, 1, 2]
         assert x0[-1] == nu
+
+
+def _recording_minimize(monkeypatch):
+    """Record each start's method and result."""
+    starts = []
+    real = optimize.minimize
+
+    def recording(fun, x0, *args, **kwargs):
+        res = real(fun, x0, *args, **kwargs)
+        starts.append((kwargs["method"], res))
+        return res
+
+    monkeypatch.setattr(optimize, "minimize", recording)
+    return starts
+
+
+def test_newton_start_that_does_not_converge_falls_back_to_seeded_lbfgs(monkeypatch):
+    starts = _recording_minimize(monkeypatch)
+    monkeypatch.setattr(
+        growthchart, "_neg_penalized_hessian", lambda vec, *args: np.full((vec.size, vec.size), np.nan)
+    )
+    cohort = build_cohort(13, 300, small_truth())
+    model = fit(cohort, Region.CORTICAL_GM, quick_options())
+    (newton, cold), (lbfgs, seeded) = starts
+    assert newton is growthchart._trust_newton and not cold.success and cold.nit == 1
+    assert lbfgs == "L-BFGS-B" and seeded.success
+    assert model.converged
+
+
+@pytest.mark.parametrize("truth_nu, bound", [(0.02, NU_BOUNDS[0]), (14.0, NU_BOUNDS[1])])
+def test_newton_start_ends_on_the_bound_past_which_the_best_shape_lies(monkeypatch, truth_nu, bound):
+    starts = _recording_minimize(monkeypatch)
+    cohort = build_cohort(1, 300, replace(small_truth(), nu=truth_nu))
+    model = fit(cohort, Region.CORTICAL_GM, quick_options())
+    ((method, res),) = starts
+    assert method is growthchart._trust_newton and res.success
+    assert model.nu == bound and model.converged
+
+
+def test_non_finite_hessian_ends_the_newton_start_unconverged_and_silent():
+    cohort = build_cohort(3, 50, small_truth())
+    logy = np.log(cohort.volume(Region.CORTICAL_GM))
+    x_mu = np.ones((len(cohort), 1))
+    x_sigma = np.ones((len(cohort), 1))
+    _, idx = np.unique(cohort.scanner_id, return_inverse=True)
+    # mu = exp(-1000): z = (y / mu)^nu overflows, and so does every Hessian entry it enters
+    x0 = np.array([-1000.0, 0.0, 0.0, -2.0, 1.0])
+    args = (logy, x_mu, x_sigma, idx, 2, 1.0)
+    assert not np.isfinite(growthchart._neg_penalized_hessian(x0, *args)).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = optimize.minimize(
+            _neg_penalized_loglik, x0, args=args,
+            method=growthchart._trust_newton, hess=growthchart._neg_penalized_hessian,
+        )
+    assert not res.success and res.nit == 1
+    assert np.array_equal(res.x, x0) and res.fun == growthchart._BIG
