@@ -10,7 +10,7 @@ of age in years, a sex indicator (1 for F), and per-scanner intercepts kept
 mean-zero by a ridge penalty. sigma is log-linear with an optional
 fractional-polynomial age term; nu is a constant shape. Each candidate basis
 is fit by Newton steps on the penalized log-likelihood's exact Hessian, in a
-trust region, with L-BFGS-B restarts only for a fit that did not converge.
+trust region, with seeded restarts only for a fit that did not converge.
 
 scipy.special and scipy.optimize are imported inside the functions that call
 them: every CLI command imports this module, and most never fit or score.
@@ -266,29 +266,49 @@ def _layout(p_mu: int, n_scanners: int, p_sig: int) -> tuple[slice, slice, slice
     return slice(0, p_mu), slice(p_mu, sc), slice(sc, sc + p_sig)
 
 
+# The objective's value on numerical blow-up: above that of any fit, so a
+# trial step that blows up is rejected, and _converged never passes it.
 _BIG = 1e30
 
 
-def _neg_penalized_loglik(vec, logy, x_mu, x_sigma, scanner_idx, n_scanners, lam):
-    """Negative penalized log-likelihood and its analytic gradient.
+def _blown_up(vec):
+    """What _neg_penalized_loglik returns on numerical blow-up."""
+    return _BIG, np.zeros_like(vec), np.full((vec.size, vec.size), np.nan)
 
-    vec is laid out as _layout gives it. Returns (_BIG, zeros) on numerical
-    blow-up so the optimizer backs off. The gradient terms, per session, are
+
+def _neg_penalized_loglik(vec, logy, x_mu, x_sigma, scanner_idx, n_scanners, lam):
+    """Negative penalized log-likelihood, its analytic gradient and its exact
+    Hessian, from one set of per-session terms.
+
+    vec is laid out as _layout gives it. On numerical blow-up it returns
+    (_BIG, zeros, an all-NaN Hessian), which ends a Newton start at once.
+    With a = log theta + 1 + nu w - z - digamma(theta) and
+    t = 1 - theta psi'(theta), each session's terms are, in
+    (eta_mu, log sigma, nu),
 
         g_mu    = theta nu (z - 1)
-        g_sigma = -2 theta a,  a = log theta + 1 + nu w - z - digamma(theta)
+        g_sigma = -2 theta a
         g_nu    = 1/nu + theta w (1 - z) - (2 theta / nu) a
 
-    evaluated in place in _gg_terms' buffers; each differs from the
-    expression above only by exact swaps and sign flips, so the objective and
-    gradient are bit for bit those of the expression.
+        h_mm = theta nu^2 z             h_ms = 2 theta nu (z - 1)
+        h_ss = -4 theta (a + t)         h_mn = theta (z - 1 - nu w z)
+        h_sn = 2 theta (w (1 - z) - 2 (a + t) / nu)
+        h_nn = (1 - theta (6 a + 4 t)) / nu^2 + theta w (4 (1 - z) / nu + w z)
+
+    The gradient is evaluated in place in _gg_terms' buffers; each term
+    differs from the expression above only by exact swaps and sign flips, so
+    the objective and gradient are bit for bit those of the expression. Each
+    Hessian block is a design's X.T @ (h[:, None] * X), the scanner
+    intercepts' design being one-hot, plus the ridge's 2 lam on their
+    diagonal; past a finite gradient an entry may still be inf or nan, and
+    no warning is raised.
     """
     from scipy import special
 
     mu, sc, sig = _layout(x_mu.shape[1], n_scanners, x_sigma.shape[1])
     beta_mu, d, beta_sig, nu = vec[mu], vec[sc], vec[sig], vec[-1]
     if nu == 0.0:
-        return _BIG, np.zeros_like(vec)
+        return _blown_up(vec)
     eta_mu = x_mu @ beta_mu
     eta_mu += d[scanner_idx]
     log_sigma = x_sigma @ beta_sig
@@ -296,15 +316,14 @@ def _neg_penalized_loglik(vec, logy, x_mu, x_sigma, scanner_idx, n_scanners, lam
     # a sum is finite only if every term is; a finite-term sum can still overflow
     total = float(ll.sum())
     if not math.isfinite(total) and not np.isfinite(ll).all():
-        return _BIG, np.zeros_like(vec)
+        return _blown_up(vec)
     obj = -(total - lam * float(d @ d))
     a = log_theta
     a += 1.0
     a += nu_w
     a -= z
     a -= special.digamma(theta)
-    z_m1 = z
-    z_m1 -= 1.0
+    z_m1 = z - 1.0
     g_mu = theta_nu
     g_mu *= z_m1
     # theta w (1 - z) is -(theta w (z - 1)), and 1/nu + (-x) is 1/nu - x
@@ -323,8 +342,28 @@ def _neg_penalized_loglik(vec, logy, x_mu, x_sigma, scanner_idx, n_scanners, lam
     grad[sig] = x_sigma.T @ g_sigma
     grad[-1] = float(g_nu.sum())
     if not np.isfinite(grad).all():
-        return _BIG, np.zeros_like(vec)
-    return obj, -grad
+        return _blown_up(vec)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        t = _one_minus_x_trigamma(theta)
+        h_mm = theta * (nu * nu) * z
+        h_ms = 2.0 * nu * theta * z_m1
+        h_mn = theta * (z_m1 - nu_w * z)
+        h_ss = -4.0 * theta * (a + t)
+        h_sn = 2.0 * theta * (-w * z_m1 - 2.0 * (a + t) / nu)
+        h_nn = (1.0 - theta * (6.0 * a + 4.0 * t)) / (nu * nu)
+        h_nn += theta * w * (-4.0 * z_m1 / nu + w * z)
+        d_mu = np.column_stack([x_mu, np.eye(n_scanners).take(scanner_idx, axis=0)])
+        hess = np.empty((vec.size, vec.size))
+        s = sig.start
+        hess[:s, :s] = d_mu.T @ (h_mm[:, None] * d_mu)
+        hess[:s, sig] = d_mu.T @ (h_ms[:, None] * x_sigma)
+        hess[sig, sig] = x_sigma.T @ (h_ss[:, None] * x_sigma)
+        hess[:-1, -1] = np.concatenate([d_mu.T @ h_mn, x_sigma.T @ h_sn])
+        hess[-1, -1] = h_nn.sum()
+    hess[sig, :s] = hess[:s, sig].T
+    hess[-1, :-1] = hess[:-1, -1]
+    hess[sc, sc] += 2.0 * lam * np.eye(n_scanners)
+    return obj, -grad, hess
 
 
 # The Bernoulli numbers B_2 to B_14 of the asymptotic series of trigamma
@@ -356,55 +395,6 @@ def _one_minus_x_trigamma(x) -> np.ndarray:
     tail = -0.5 * r - series  # 1 - xs psi'(xs)
     # 1 - x psi'(x) = 1 - head - (x / xs)(1 - tail), with xs - x = steps
     return tail if steps == 0 else (steps + x * tail) * r - head
-
-
-def _neg_penalized_hessian(vec, logy, x_mu, x_sigma, scanner_idx, n_scanners, lam):
-    """The exact Hessian of _neg_penalized_loglik, with the same arguments.
-
-    With a, w, z and theta as there and t = 1 - theta psi'(theta), each
-    session's negative log-likelihood has the second derivatives, in
-    (eta_mu, log sigma, nu),
-
-        h_mm = theta nu^2 z             h_ms = 2 theta nu (z - 1)
-        h_ss = -4 theta (a + t)         h_mn = theta (z - 1 - nu w z)
-        h_sn = 2 theta (w (1 - z) - 2 (a + t) / nu)
-        h_nn = (1 - theta (6 a + 4 t)) / nu^2 + theta w (4 (1 - z) / nu + w z)
-
-    and each block is a design's X.T @ (h[:, None] * X), the scanner
-    intercepts' design being one-hot, plus the ridge's 2 lam on their
-    diagonal. On numerical blow-up an entry is inf or nan, and no warning
-    is raised.
-    """
-    from scipy import special
-
-    mu, sc, sig = _layout(x_mu.shape[1], n_scanners, x_sigma.shape[1])
-    nu = vec[-1]
-    eta_mu = x_mu @ vec[mu]
-    eta_mu += vec[sc][scanner_idx]
-    _, w, nu_w, z, theta, _, log_theta = _gg_terms(logy, eta_mu, x_sigma @ vec[sig], nu)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        a = log_theta + 1.0 + nu_w - z - special.digamma(theta)
-        t = _one_minus_x_trigamma(theta)
-        z_m1 = z - 1.0
-        h_mm = theta * (nu * nu) * z
-        h_ms = 2.0 * nu * theta * z_m1
-        h_mn = theta * (z_m1 - nu_w * z)
-        h_ss = -4.0 * theta * (a + t)
-        h_sn = 2.0 * theta * (-w * z_m1 - 2.0 * (a + t) / nu)
-        h_nn = (1.0 - theta * (6.0 * a + 4.0 * t)) / (nu * nu)
-        h_nn += theta * w * (-4.0 * z_m1 / nu + w * z)
-        d_mu = np.column_stack([x_mu, np.eye(n_scanners).take(scanner_idx, axis=0)])
-        hess = np.empty((vec.size, vec.size))
-        s = sig.start
-        hess[:s, :s] = d_mu.T @ (h_mm[:, None] * d_mu)
-        hess[:s, sig] = d_mu.T @ (h_ms[:, None] * x_sigma)
-        hess[sig, sig] = x_sigma.T @ (h_ss[:, None] * x_sigma)
-        hess[:-1, -1] = np.concatenate([d_mu.T @ h_mn, x_sigma.T @ h_sn])
-        hess[-1, -1] = h_nn.sum()
-    hess[sig, :s] = hess[:s, sig].T
-    hess[-1, :-1] = hess[:-1, -1]
-    hess[sc, sc] += 2.0 * lam * np.eye(n_scanners)
-    return hess
 
 
 @dataclass(frozen=True)
@@ -439,14 +429,14 @@ def _pinned(nu: float, nu_grad: float) -> bool:
 
 
 def _converged(res, tol: float) -> bool:
-    """Whether a fit converged: the minimiser says so, or its gradient
-    projected onto the bounds is below tol, a _pinned shape's component
-    counting as zero.
+    """Whether a fit converged: it left every blown-up point (its value is
+    below _BIG), and the minimiser says so or its gradient projected onto
+    NU_BOUNDS is below tol, a _pinned shape's component counting as zero.
     """
     grad = np.array(res.jac, dtype=float)
     if _pinned(res.x[-1], grad[-1]):
         grad[-1] = 0.0
-    return bool(res.success or np.max(np.abs(grad)) < tol)
+    return bool(res.fun < _BIG and (res.success or np.max(np.abs(grad)) < tol))
 
 
 # A Newton start converges once its Newton step predicts a smaller decrease:
@@ -455,10 +445,10 @@ def _converged(res, tol: float) -> bool:
 _NEWTON_TOL = 1e-9
 
 
-def _trust_newton(fun, x0, args=(), hess=None, maxiter=_MAX_ITER, **_):
-    """Minimize fun(x, *args), which returns the value and the gradient, by
-    trust-region Newton steps on the exact Hessian hess(x, *args); a method
-    for optimize.minimize.
+def _trust_newton(fun, x0, args=(), maxiter=_MAX_ITER, **_):
+    """Minimize fun(x, *args), which returns the value, the gradient and the
+    exact Hessian, by trust-region Newton steps; a method for
+    optimize.minimize.
 
     Each step solves the trust-region subproblem in the Hessian's eigenbasis:
     the Newton step if the Hessian is positive definite and the step fits the
@@ -467,16 +457,16 @@ def _trust_newton(fun, x0, args=(), hess=None, maxiter=_MAX_ITER, **_):
     x[-1] keeps within NU_BOUNDS: a step past a bound is cut back to it, and
     a _pinned nu is held there while the rest move. The solve converges when
     an interior Newton step predicts a decrease below _NEWTON_TOL; it stops
-    unconverged at maxiter, on a non-finite Hessian, or when a step to the
-    radius predicts less.
+    unconverged at maxiter, on a non-finite Hessian (every blow-up of fun
+    returns one), or when a step to the radius predicts less. The Hessian is
+    that of the last accepted point: a rejected step costs one evaluation.
     """
     (lo, hi), x = NU_BOUNDS, np.array(x0, dtype=float)
-    f, g = fun(x, *args)
+    f, g, h = fun(x, *args)
     # from a cold start on standardized columns a first radius of 1 was always too long
     radius, nit, success = 0.1, 0, False
     while nit < maxiter:
         nit += 1
-        h = hess(x, *args)
         if not np.isfinite(h).all():
             break
         k = x.size - _pinned(x[-1], g[-1])  # a pinned nu is held
@@ -509,10 +499,10 @@ def _trust_newton(fun, x0, args=(), hess=None, maxiter=_MAX_ITER, **_):
             pred = -(gv @ s + 0.5 * (lam * s) @ s)
         rho = -math.inf
         if pred > 0.0:  # not so when nu is on a bound and the step leaves it at once
-            f_new, g_new = fun(trial, *args)
+            f_new, g_new, h_new = fun(trial, *args)
             rho = (f - f_new) / pred
             if rho > 0.0:
-                x, f, g = trial, f_new, g_new
+                x, f, g, h = trial, f_new, g_new, h_new
         if rho < 0.25:
             radius *= 0.25
         elif rho > 0.75:
@@ -549,18 +539,20 @@ def _start_values(logy) -> tuple[float, float]:
     the median volume and of its coefficient of variation, clamped to [1e-3, 5]."""
     y = np.exp(logy)
     med = float(np.median(y))
-    cv = float(np.std(y) / np.mean(y))
-    return math.log(med), math.log(min(max(cv, 1e-3), 5.0))
+    # the sums behind std and mean overflow past about 1e300; NaN takes the clamp's top
+    with np.errstate(over="ignore", invalid="ignore"):
+        cv = float(np.std(y) / np.mean(y))
+    return math.log(med), math.log(5.0 if math.isnan(cv) else min(max(cv, 1e-3), 5.0))
 
 
 def fit(cohort: SessionTable, region: Region, options: FitOptions = FitOptions()) -> GrowthModel:
     """Fit the growth model, selecting the location basis by BIC.
 
-    fit_one fits one candidate basis on standardized columns: a cold start by
-    trust-region Newton on the exact Hessian (_trust_newton), then, only while
-    the best start so far has not converged, a seeded L-BFGS-B start with
-    analytic gradients per further _NU_STARTS shape. It then recentres the
-    scanner intercepts, the shift folded into the intercept. The first lowest
+    fit_one fits one candidate basis on standardized columns by trust-region
+    Newton on the exact Hessian (_trust_newton): a cold start, then, only
+    while the best start so far has not converged, a start per further
+    _NU_STARTS shape with seeded jitter on its location coefficients. It then
+    recentres the scanner intercepts, the shift folded into the intercept. The first lowest
     BIC = -2 loglik + k ln n wins: k counts all free coefficients, and loglik
     is unpenalized, at the recentred fit.
     """
@@ -588,22 +580,17 @@ def fit(cohort: SessionTable, region: Region, options: FitOptions = FitOptions()
         x_mu = _design(ages, spec, *([] if one_sex else [sex_col]))
         z_mu, centre_mu, scale_mu = _standardize(x_mu)
         mu, sc, sig = _layout(x_mu.shape[1], n_scanners, x_sigma.shape[1])
-        # one bound per entry of the vector: the coefficients are free, nu is not
-        bounds = [(None, None)] * sig.stop + [NU_BOUNDS]
         best, converged = None, False
         args = (logy, z_mu, z_sigma, scanner_idx, n_scanners, lam)
         for r, nu in enumerate(_NU_STARTS):
-            x0 = np.zeros(len(bounds))
+            x0 = np.zeros(sig.stop + 1)
             x0[mu.start], x0[sig.start] = start
             x0[-1] = nu
-            if r == 0:
-                solver = dict(method=_trust_newton, hess=_neg_penalized_hessian)
-                limits = {"maxiter": _MAX_ITER}
-            else:
+            if r:
                 x0[mu] += np.random.default_rng(1000 + r).normal(0.0, 0.05, size=x_mu.shape[1])
-                solver = dict(method="L-BFGS-B", jac=True, bounds=bounds)
-                limits = {"maxiter": _MAX_ITER, "ftol": 1e-12, "gtol": 1e-8}
-            res = optimize.minimize(_neg_penalized_loglik, x0, args=args, options=limits, **solver)
+            res = optimize.minimize(
+                _neg_penalized_loglik, x0, args=args, method=_trust_newton, options={"maxiter": _MAX_ITER}
+            )
             if best is None or res.fun < best.fun:
                 best = res
                 converged = _converged(best, _TOL * logy.size)
@@ -615,7 +602,7 @@ def fit(cohort: SessionTable, region: Region, options: FitOptions = FitOptions()
         shift = float(np.mean(vec[sc]))
         vec[sc] -= shift
         vec[mu.start] += shift
-        obj, _ = _neg_penalized_loglik(vec, logy, x_mu, x_sigma, scanner_idx, n_scanners, lam)
+        obj = _neg_penalized_loglik(vec, logy, x_mu, x_sigma, scanner_idx, n_scanners, lam)[0]
         d = vec[sc]
         loglik = -obj + lam * float(d @ d)
         return GrowthModel(

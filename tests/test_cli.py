@@ -1421,6 +1421,27 @@ def test_fit_growth_layouts_golden_digests(tmp_path, monkeypatch, capsys, caplog
         assert (result.returncode, result.stderr) == (0, SINGLE_SEX_WARNING + "\n")
 
 
+def test_fit_growth_that_never_leaves_a_blown_up_start_is_not_converged(tmp_path, monkeypatch, capsys):
+    from dataclasses import replace
+
+    from normcharts.experiments import _default_truth
+    from normcharts.phenotype import Region, write_phenotype_csv
+    from normcharts.synthcorpus import synth_cohort
+
+    monkeypatch.chdir(tmp_path)
+    # the cohort of GOLDEN_FIT_LAYOUTS with its cortical volumes near the largest double
+    table = synth_cohort(seed=5, n_sessions=300, truth=_default_truth(PipelineConfig(n_scanners=3)))
+    volumes = table.volumes.copy()
+    volumes[:, list(Region).index(Region.CORTICAL_GM)] *= 3e302
+    write_phenotype_csv("cohort.csv", replace(table, volumes=volumes))
+    argv = ["fit-growth", "--phenotypes", "cohort.csv", "--region", "vol_cortical_gm", "--fp1-only",
+            "--out", "growth.json"]
+    assert main(argv) == 0
+    assert "converged False" in capsys.readouterr().out
+    doc = json.loads(Path("growth.json").read_text())
+    assert doc["converged"] is False and doc["loglik"] == -1e30
+
+
 # Damage to the second data row (line 3) of a phenotype CSV, and the message
 # the error must carry.
 BAD_PHENOTYPE_ROWS = {

@@ -22,7 +22,10 @@ from normcharts.growthchart import (
     PERCENTILES,
     _basis_matrix,
     _converged,
+    _gg_terms,
+    _layout,
     _neg_penalized_loglik,
+    _one_minus_x_trigamma,
     _standardize,
     _unstandardize,
     centile,
@@ -301,14 +304,14 @@ def test_objective_gradient_matches_finite_differences():
     vec = np.concatenate([
         [12.0, 0.1, -0.02], rng.normal(0, 0.02, size=2), [-2.0], [1.3],
     ])
-    _, grad = _neg_penalized_loglik(vec, logy, x_mu, x_sigma, idx, 2, 1.0)
+    _, grad, _ = _neg_penalized_loglik(vec, logy, x_mu, x_sigma, idx, 2, 1.0)
     h = 1e-6
     for k in range(vec.size):
         up, dn = vec.copy(), vec.copy()
         up[k] += h
         dn[k] -= h
-        fu, _ = _neg_penalized_loglik(up, logy, x_mu, x_sigma, idx, 2, 1.0)
-        fd, _ = _neg_penalized_loglik(dn, logy, x_mu, x_sigma, idx, 2, 1.0)
+        fu = _neg_penalized_loglik(up, logy, x_mu, x_sigma, idx, 2, 1.0)[0]
+        fd = _neg_penalized_loglik(dn, logy, x_mu, x_sigma, idx, 2, 1.0)[0]
         numeric = (fu - fd) / (2 * h)
         assert grad[k] == pytest.approx(numeric, rel=1e-4, abs=1e-6)
 
@@ -367,6 +370,39 @@ def reference_neg_penalized_loglik(vec, logy, x_mu, x_sigma, scanner_idx, n_scan
     return obj, -grad
 
 
+# The Hessian as a second evaluation of its own, from its own _gg_terms: the
+# objective's Hessian, which reuses the gradient's terms, must give these bits.
+def reference_neg_penalized_hessian(vec, logy, x_mu, x_sigma, scanner_idx, n_scanners, lam):
+    mu, sc, sig = _layout(x_mu.shape[1], n_scanners, x_sigma.shape[1])
+    nu = vec[-1]
+    eta_mu = x_mu @ vec[mu]
+    eta_mu += vec[sc][scanner_idx]
+    _, w, nu_w, z, theta, _, log_theta = _gg_terms(logy, eta_mu, x_sigma @ vec[sig], nu)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        a = log_theta + 1.0 + nu_w - z - special.digamma(theta)
+        t = _one_minus_x_trigamma(theta)
+        z_m1 = z - 1.0
+        h_mm = theta * (nu * nu) * z
+        h_ms = 2.0 * nu * theta * z_m1
+        h_mn = theta * (z_m1 - nu_w * z)
+        h_ss = -4.0 * theta * (a + t)
+        h_sn = 2.0 * theta * (-w * z_m1 - 2.0 * (a + t) / nu)
+        h_nn = (1.0 - theta * (6.0 * a + 4.0 * t)) / (nu * nu)
+        h_nn += theta * w * (-4.0 * z_m1 / nu + w * z)
+        d_mu = np.column_stack([x_mu, np.eye(n_scanners).take(scanner_idx, axis=0)])
+        hess = np.empty((vec.size, vec.size))
+        s = sig.start
+        hess[:s, :s] = d_mu.T @ (h_mm[:, None] * d_mu)
+        hess[:s, sig] = d_mu.T @ (h_ms[:, None] * x_sigma)
+        hess[sig, sig] = x_sigma.T @ (h_ss[:, None] * x_sigma)
+        hess[:-1, -1] = np.concatenate([d_mu.T @ h_mn, x_sigma.T @ h_sn])
+        hess[-1, -1] = h_nn.sum()
+    hess[sig, :s] = hess[:s, sig].T
+    hess[-1, :-1] = hess[:-1, -1]
+    hess[sc, sc] += 2.0 * lam * np.eye(n_scanners)
+    return hess
+
+
 # nu on both NU_BOUNDS and their negatives, zero, and anywhere in between
 _NUS = st.one_of(
     st.sampled_from([NU_BOUNDS[0], NU_BOUNDS[1], -NU_BOUNDS[0], -NU_BOUNDS[1], 0.0]),
@@ -400,10 +436,14 @@ def test_objective_equals_reference_bit_for_bit(seed, n, p_mu, p_sig, n_scanners
     vec[-1] = nu
     args = (logy, x_mu, x_sigma, idx, n_scanners, lam)
     with np.errstate(all="ignore"):
-        obj, grad = _neg_penalized_loglik(vec, *args)
+        obj, grad, hess = _neg_penalized_loglik(vec, *args)
         ref_obj, ref_grad = reference_neg_penalized_loglik(vec, *args)
+        # a blow-up's Hessian is all NaN; past a finite gradient it is the reference's
+        blown = obj == growthchart._BIG
+        ref_hess = np.full_like(hess, np.nan) if blown else reference_neg_penalized_hessian(vec, *args)
     assert np.array_equal(obj, ref_obj, equal_nan=True) and type(obj) is type(ref_obj)
     assert np.array_equal(grad, ref_grad)
+    assert np.array_equal(hess, ref_hess, equal_nan=True)
     if nu != 0.0:
         with np.errstate(over="ignore"):
             mu = np.exp(x_mu @ vec[:p_mu])
@@ -436,7 +476,7 @@ def test_objective_keeps_an_overflowing_sum_of_finite_terms():
     vec = np.concatenate([[1200.0], np.zeros(n_scanners), [-0.5 * math.log(0.8e305) / 0.01], [1.0]])
     args = (logy, x_mu, x_sigma, idx, n_scanners, 1.0)
     with np.errstate(all="ignore"):
-        obj, grad = _neg_penalized_loglik(vec, *args)
+        obj, grad, _ = _neg_penalized_loglik(vec, *args)
         ref_obj, ref_grad = reference_neg_penalized_loglik(vec, *args)
     assert ref_obj == obj == math.inf
     assert np.all(np.isfinite(ref_grad)) and np.array_equal(grad, ref_grad)
@@ -450,15 +490,18 @@ def test_objective_equals_reference_along_a_fit(monkeypatch):
 
     def both(vec, *args):
         got = real(vec, *args)
-        calls.append((got, reference_neg_penalized_loglik(vec, *args)))
+        ref = reference_neg_penalized_loglik(vec, *args)
+        finite = ref[0] < growthchart._BIG
+        calls.append((got, ref, reference_neg_penalized_hessian(vec, *args) if finite else None))
         return got
 
     monkeypatch.setattr(growthchart, "_neg_penalized_loglik", both)
     specs = [FpSpec(2, (-1.0, 2.0))] + [FpSpec(1, (p,)) for p in FP_POWERS]
     fit(cohort, Region.CORTICAL_GM, quick_options(fp_candidates=specs))
     assert len(calls) > 20
-    for (obj, grad), (ref_obj, ref_grad) in calls:
+    for (obj, grad, hess), (ref_obj, ref_grad), ref_hess in calls:
         assert obj == ref_obj and np.array_equal(grad, ref_grad)
+        assert ref_hess is None or np.array_equal(hess, ref_hess)
 
 
 # location design: (FP basis, sex column?), scale design: with the age term?
@@ -483,7 +526,7 @@ def test_hessian_matches_central_differences_of_the_gradient(spec, nu, layout):
         [-2.1], rng.normal(0.0, 0.05, x_sigma.shape[1] - 1), [nu],
     ])
     args = (logy, x_mu, x_sigma, idx, 2, 1.0)
-    hess = growthchart._neg_penalized_hessian(vec, *args)
+    hess = _neg_penalized_loglik(vec, *args)[2]
     numeric = np.empty_like(hess)
     for k in range(vec.size):
         step = np.zeros_like(vec)
@@ -719,11 +762,14 @@ def test_model_json_round_trip(tmp_path):
 )
 def test_convergence_uses_gradient_projected_on_nu_bounds(nu, nu_grad, expected):
     res = optimize.OptimizeResult(
-        x=np.array([0.3, -0.1, nu]), jac=np.array([0.2, -0.4, nu_grad]), success=False
+        x=np.array([0.3, -0.1, nu]), jac=np.array([0.2, -0.4, nu_grad]), success=False, fun=10.0
     )
     assert _converged(res, tol=1.0) is expected
     res.success = True
     assert _converged(res, tol=1.0) is True
+    # a fit still at a blown-up point never converged, whatever its zero gradient says
+    res.fun = growthchart._BIG
+    assert _converged(res, tol=1.0) is False
 
 
 # --- standardized fit path ---
@@ -751,8 +797,8 @@ def test_standardized_objective_equals_original_objective():
         back = vec.copy()
         back[:4] = _unstandardize(vec[:4], c_mu, s_mu)
         back[6:8] = _unstandardize(vec[6:8], c_sig, s_sig)
-        f_std, _ = _neg_penalized_loglik(vec, logy, z_mu, z_sigma, idx, 2, 1.0)
-        f_orig, _ = _neg_penalized_loglik(back, logy, x_mu, x_sigma, idx, 2, 1.0)
+        f_std = _neg_penalized_loglik(vec, logy, z_mu, z_sigma, idx, 2, 1.0)[0]
+        f_orig = _neg_penalized_loglik(back, logy, x_mu, x_sigma, idx, 2, 1.0)[0]
         assert f_std == pytest.approx(f_orig, rel=1e-10)
 
 
@@ -774,6 +820,20 @@ def test_same_age_cohort_fits_without_warning():
         model = fit(cohort, Region.CORTICAL_GM, quick_options(sigma_age=True))
     values = list(model.mu_coef) + list(model.sigma_coef) + [model.nu, model.loglik, model.bic]
     assert all(math.isfinite(v) for v in values)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_volumes_whose_sums_overflow_fit_as_the_unscaled_ones():
+    # the start's mean and std of volumes near 1e306 overflow: the CV clamps to 5
+    cohort = build_cohort(5, 300, small_truth())
+    big = replace(cohort, volumes=cohort.volumes * 1e301)
+    with np.errstate(over="ignore"):
+        assert np.sum(big.volume(Region.CORTICAL_GM)) == math.inf
+    model = fit(big, Region.CORTICAL_GM, quick_options(sigma_age=True))
+    unscaled = fit(cohort, Region.CORTICAL_GM, quick_options(sigma_age=True))
+    assert model.converged
+    assert model.nu == pytest.approx(unscaled.nu, rel=1e-4)
+    assert model.mu_coef[0] == pytest.approx(unscaled.mu_coef[0] + 301 * math.log(10), rel=1e-6)
 
 
 def _count_minimize(monkeypatch):
@@ -840,17 +900,16 @@ def _recording_minimize(monkeypatch):
     return starts
 
 
-def test_newton_start_that_does_not_converge_falls_back_to_seeded_lbfgs(monkeypatch):
+def test_newton_start_that_does_not_converge_is_followed_by_a_seeded_newton_start(monkeypatch):
+    # the one cold start of 4,400 (100 full searches) that did not converge
     starts = _recording_minimize(monkeypatch)
-    monkeypatch.setattr(
-        growthchart, "_neg_penalized_hessian", lambda vec, *args: np.full((vec.size, vec.size), np.nan)
-    )
-    cohort = build_cohort(13, 300, small_truth())
-    model = fit(cohort, Region.CORTICAL_GM, quick_options())
-    (newton, cold), (lbfgs, seeded) = starts
-    assert newton is growthchart._trust_newton and not cold.success and cold.nit == 1
-    assert lbfgs == "L-BFGS-B" and seeded.success
-    assert model.converged
+    cohort = build_cohort(3, 40, replace(small_truth(), nu=5.0))
+    options = quick_options(fp_candidates=[FpSpec(2, (0.0, 2.0))], sigma_age=True)
+    model = fit(cohort, Region.CORTICAL_GM, options)
+    (newton, cold), (seeded_newton, seeded) = starts
+    assert newton is seeded_newton is growthchart._trust_newton
+    assert not _converged(cold, growthchart._TOL * len(cohort))
+    assert seeded.success and model.converged
 
 
 @pytest.mark.parametrize("truth_nu, bound", [(0.02, NU_BOUNDS[0]), (14.0, NU_BOUNDS[1])])
@@ -872,12 +931,9 @@ def test_non_finite_hessian_ends_the_newton_start_unconverged_and_silent():
     # mu = exp(-1000): z = (y / mu)^nu overflows, and so does every Hessian entry it enters
     x0 = np.array([-1000.0, 0.0, 0.0, -2.0, 1.0])
     args = (logy, x_mu, x_sigma, idx, 2, 1.0)
-    assert not np.isfinite(growthchart._neg_penalized_hessian(x0, *args)).all()
+    assert not np.isfinite(_neg_penalized_loglik(x0, *args)[2]).all()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        res = optimize.minimize(
-            _neg_penalized_loglik, x0, args=args,
-            method=growthchart._trust_newton, hess=growthchart._neg_penalized_hessian,
-        )
+        res = optimize.minimize(_neg_penalized_loglik, x0, args=args, method=growthchart._trust_newton)
     assert not res.success and res.nit == 1
     assert np.array_equal(res.x, x0) and res.fun == growthchart._BIG
