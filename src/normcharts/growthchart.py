@@ -10,7 +10,8 @@ of age in years, a sex indicator (1 for F), and per-scanner intercepts kept
 mean-zero by a ridge penalty. sigma is log-linear with an optional
 fractional-polynomial age term; nu is a constant shape. Each candidate basis
 is fit by Newton steps on the penalized log-likelihood's exact Hessian, in a
-trust region, with seeded restarts only for a fit that did not converge.
+trust region: an FP2 basis from the optimum of a nested FP1 basis fit before
+it, any other cold, with seeded restarts only for a fit that did not converge.
 
 scipy.special and scipy.optimize are imported inside the functions that call
 them: every CLI command imports this module, and most never fit or score.
@@ -276,13 +277,37 @@ def _blown_up(vec):
     return _BIG, np.zeros_like(vec), np.full((vec.size, vec.size), np.nan)
 
 
-def _neg_penalized_loglik(vec, logy, x_mu, x_sigma, scanner_idx, n_scanners, lam):
-    """Negative penalized log-likelihood, its analytic gradient and its exact
-    Hessian, from one set of per-session terms.
+def _objective_args(logy, x_mu, x_sigma, scanner_idx, n_scanners: int, lam: float) -> tuple:
+    """The arguments after vec of _neg_penalized_loglik: x_mu is also laid
+    beside the scanner intercepts' one-hot design, once, for its Hessian."""
+    d_mu = np.column_stack([x_mu, np.eye(n_scanners).take(scanner_idx, axis=0)])
+    return logy, x_mu, d_mu, x_sigma, scanner_idx, lam
 
-    vec is laid out as _layout gives it. On numerical blow-up it returns
-    (_BIG, zeros, an all-NaN Hessian), which ends a Newton start at once.
-    With a = log theta + 1 + nu w - z - digamma(theta) and
+
+def _penalized_loglik(vec, logy, x_mu, x_sigma, scanner_idx, n_scanners, lam):
+    """The penalized log-likelihood at vec, laid out as _layout gives it, and
+    the per-session _gg_terms behind it; (-_BIG, None) on numerical blow-up."""
+    mu, sc, sig = _layout(x_mu.shape[1], n_scanners, x_sigma.shape[1])
+    d, nu = vec[sc], vec[-1]
+    if nu == 0.0:
+        return -_BIG, None
+    eta_mu = x_mu @ vec[mu]
+    eta_mu += d[scanner_idx]
+    terms = _gg_terms(logy, eta_mu, x_sigma @ vec[sig], nu)
+    # a sum is finite only if every term is; a finite-term sum can still overflow
+    total = float(terms[0].sum())
+    if not math.isfinite(total) and not np.isfinite(terms[0]).all():
+        return -_BIG, None
+    return total - lam * float(d @ d), terms
+
+
+def _neg_penalized_loglik(vec, logy, x_mu, d_mu, x_sigma, scanner_idx, lam):
+    """Negative penalized log-likelihood, its analytic gradient and its exact
+    Hessian, from one set of per-session terms (_penalized_loglik's).
+
+    The arguments after vec are _objective_args'. On numerical blow-up it
+    returns (_BIG, zeros, an all-NaN Hessian), which ends a Newton start at
+    once. With a = log theta + 1 + nu w - z - digamma(theta) and
     t = 1 - theta psi'(theta), each session's terms are, in
     (eta_mu, log sigma, nu),
 
@@ -298,26 +323,21 @@ def _neg_penalized_loglik(vec, logy, x_mu, x_sigma, scanner_idx, n_scanners, lam
     The gradient is evaluated in place in _gg_terms' buffers; each term
     differs from the expression above only by exact swaps and sign flips, so
     the objective and gradient are bit for bit those of the expression. Each
-    Hessian block is a design's X.T @ (h[:, None] * X), the scanner
-    intercepts' design being one-hot, plus the ridge's 2 lam on their
-    diagonal; past a finite gradient an entry may still be inf or nan, and
-    no warning is raised.
+    Hessian block is a design's X.T @ (h[:, None] * X), d_mu for the location
+    and the scanner intercepts, plus the ridge's 2 lam on their diagonal;
+    past a finite gradient an entry may still be inf or nan, and no warning
+    is raised.
     """
     from scipy import special
 
+    n_scanners = d_mu.shape[1] - x_mu.shape[1]
+    pll, terms = _penalized_loglik(vec, logy, x_mu, x_sigma, scanner_idx, n_scanners, lam)
+    if terms is None:
+        return _blown_up(vec)
+    obj = -pll
+    _, w, nu_w, z, theta, theta_nu, log_theta = terms
     mu, sc, sig = _layout(x_mu.shape[1], n_scanners, x_sigma.shape[1])
-    beta_mu, d, beta_sig, nu = vec[mu], vec[sc], vec[sig], vec[-1]
-    if nu == 0.0:
-        return _blown_up(vec)
-    eta_mu = x_mu @ beta_mu
-    eta_mu += d[scanner_idx]
-    log_sigma = x_sigma @ beta_sig
-    ll, w, nu_w, z, theta, theta_nu, log_theta = _gg_terms(logy, eta_mu, log_sigma, nu)
-    # a sum is finite only if every term is; a finite-term sum can still overflow
-    total = float(ll.sum())
-    if not math.isfinite(total) and not np.isfinite(ll).all():
-        return _blown_up(vec)
-    obj = -(total - lam * float(d @ d))
+    d, nu = vec[sc], vec[-1]
     a = log_theta
     a += 1.0
     a += nu_w
@@ -352,7 +372,6 @@ def _neg_penalized_loglik(vec, logy, x_mu, x_sigma, scanner_idx, n_scanners, lam
         h_sn = 2.0 * theta * (-w * z_m1 - 2.0 * (a + t) / nu)
         h_nn = (1.0 - theta * (6.0 * a + 4.0 * t)) / (nu * nu)
         h_nn += theta * w * (-4.0 * z_m1 / nu + w * z)
-        d_mu = np.column_stack([x_mu, np.eye(n_scanners).take(scanner_idx, axis=0)])
         hess = np.empty((vec.size, vec.size))
         s = sig.start
         hess[:s, :s] = d_mu.T @ (h_mm[:, None] * d_mu)
@@ -549,10 +568,14 @@ def fit(cohort: SessionTable, region: Region, options: FitOptions = FitOptions()
     """Fit the growth model, selecting the location basis by BIC.
 
     fit_one fits one candidate basis on standardized columns by trust-region
-    Newton on the exact Hessian (_trust_newton): a cold start, then, only
-    while the best start so far has not converged, a start per further
-    _NU_STARTS shape with seeded jitter on its location coefficients. It then
-    recentres the scanner intercepts, the shift folded into the intercept. The first lowest
+    Newton on the exact Hessian (_trust_newton). Its first start is cold,
+    except for an FP2(p, q) basis after a converged FP1(p) or FP1(q) fit of
+    the same search: it starts at the optimum of the one with the lower
+    objective, whose column x^p (or x^q) it shares, the added column's
+    coefficient at 0 (Royston and Altman 1994). Only while the best start so
+    far has not converged, a start per further _NU_STARTS shape follows, cold
+    with seeded jitter on its location coefficients. It then recentres the
+    scanner intercepts, the shift folded into the intercept. The first lowest
     BIC = -2 loglik + k ln n wins: k counts all free coefficients, and loglik
     is unpenalized, at the recentred fit.
     """
@@ -561,6 +584,9 @@ def fit(cohort: SessionTable, region: Region, options: FitOptions = FitOptions()
     y = cohort.volume(region)
     if np.any(y <= 0.0):
         raise DataError("volumes must be positive")
+    finite = np.isfinite(y)
+    if not finite.all():
+        raise NumericalError(f"{region.value} must be finite, got {_bad_values(y, finite)}")
     from scipy import optimize
 
     ages = cohort.age_years
@@ -575,19 +601,25 @@ def fit(cohort: SessionTable, region: Region, options: FitOptions = FitOptions()
     x_sigma = _design(ages, fp_sigma)
     z_sigma, centre_sig, scale_sig = _standardize(x_sigma)
     start = _start_values(logy)
+    optima = {}  # the best start of each converged FP1 fit so far, by its power
 
     def fit_one(spec: FpSpec) -> GrowthModel:
         x_mu = _design(ages, spec, *([] if one_sex else [sex_col]))
         z_mu, centre_mu, scale_mu = _standardize(x_mu)
         mu, sc, sig = _layout(x_mu.shape[1], n_scanners, x_sigma.shape[1])
         best, converged = None, False
-        args = (logy, z_mu, z_sigma, scanner_idx, n_scanners, lam)
+        args = _objective_args(logy, z_mu, z_sigma, scanner_idx, n_scanners, lam)
+        nested = [p for p in spec.powers if p in optima] if spec.order == 2 else []
         for r, nu in enumerate(_NU_STARTS):
             x0 = np.zeros(sig.stop + 1)
             x0[mu.start], x0[sig.start] = start
             x0[-1] = nu
             if r:
                 x0[mu] += np.random.default_rng(1000 + r).normal(0.0, 0.05, size=x_mu.shape[1])
+            elif nested:
+                # the parent's x^p is column 1 + (its index in powers); the added one enters at 0
+                p = min(nested, key=lambda p: optima[p].fun)
+                x0 = np.insert(optima[p].x, mu.start + 2 - spec.powers.index(p), 0.0)
             res = optimize.minimize(
                 _neg_penalized_loglik, x0, args=args, method=_trust_newton, options={"maxiter": _MAX_ITER}
             )
@@ -596,15 +628,17 @@ def fit(cohort: SessionTable, region: Region, options: FitOptions = FitOptions()
                 converged = _converged(best, _TOL * logy.size)
             if converged:
                 break
+        if converged and spec.order == 1:
+            optima[spec.powers[0]] = best
         vec = best.x.copy()
         vec[mu] = _unstandardize(vec[mu], centre_mu, scale_mu)
         vec[sig] = _unstandardize(vec[sig], centre_sig, scale_sig)
         shift = float(np.mean(vec[sc]))
         vec[sc] -= shift
         vec[mu.start] += shift
-        obj = _neg_penalized_loglik(vec, logy, x_mu, x_sigma, scanner_idx, n_scanners, lam)[0]
         d = vec[sc]
-        loglik = -obj + lam * float(d @ d)
+        pll, _ = _penalized_loglik(vec, logy, x_mu, x_sigma, scanner_idx, n_scanners, lam)
+        loglik = pll + lam * float(d @ d)
         return GrowthModel(
             region=region,
             fp_mu=spec,

@@ -27,6 +27,7 @@ from normcharts.growthchart import (
     GGParams,
     _basis_matrix,
     _neg_penalized_loglik,
+    _objective_args,
     fit,
     gg_cdf,
     gg_logpdf,
@@ -245,14 +246,15 @@ def test_criterion_05_gradient_checks():
     x_sigma = np.ones((len(sessions), 1))
     idx = np.where(sessions.scanner_id == "scan-00", 0, 1)
     vec = np.array([12.1, 0.11, -0.03, 0.01, -0.01, -2.0, 1.4])
-    _, grad, _ = _neg_penalized_loglik(vec, logy, x_mu, x_sigma, idx, 2, 1.0)
+    args = _objective_args(logy, x_mu, x_sigma, idx, 2, 1.0)
+    _, grad, _ = _neg_penalized_loglik(vec, *args)
     growth_ok = True
     for k in range(vec.size):
         up, dn = vec.copy(), vec.copy()
         up[k] += h
         dn[k] -= h
-        fu = _neg_penalized_loglik(up, logy, x_mu, x_sigma, idx, 2, 1.0)[0]
-        fd = _neg_penalized_loglik(dn, logy, x_mu, x_sigma, idx, 2, 1.0)[0]
+        fu = _neg_penalized_loglik(up, *args)[0]
+        fd = _neg_penalized_loglik(dn, *args)[0]
         num = (fu - fd) / (2 * h)
         growth_ok &= abs(grad[k] - num) <= 1e-4 * max(1.0, abs(num))
     report_line(5, "analytic gradients vs central differences", bool(clf_ok and growth_ok))

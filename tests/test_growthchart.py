@@ -25,6 +25,7 @@ from normcharts.growthchart import (
     _gg_terms,
     _layout,
     _neg_penalized_loglik,
+    _objective_args,
     _one_minus_x_trigamma,
     _standardize,
     _unstandardize,
@@ -304,14 +305,15 @@ def test_objective_gradient_matches_finite_differences():
     vec = np.concatenate([
         [12.0, 0.1, -0.02], rng.normal(0, 0.02, size=2), [-2.0], [1.3],
     ])
-    _, grad, _ = _neg_penalized_loglik(vec, logy, x_mu, x_sigma, idx, 2, 1.0)
+    args = _objective_args(logy, x_mu, x_sigma, idx, 2, 1.0)
+    _, grad, _ = _neg_penalized_loglik(vec, *args)
     h = 1e-6
     for k in range(vec.size):
         up, dn = vec.copy(), vec.copy()
         up[k] += h
         dn[k] -= h
-        fu = _neg_penalized_loglik(up, logy, x_mu, x_sigma, idx, 2, 1.0)[0]
-        fd = _neg_penalized_loglik(dn, logy, x_mu, x_sigma, idx, 2, 1.0)[0]
+        fu = _neg_penalized_loglik(up, *args)[0]
+        fd = _neg_penalized_loglik(dn, *args)[0]
         numeric = (fu - fd) / (2 * h)
         assert grad[k] == pytest.approx(numeric, rel=1e-4, abs=1e-6)
 
@@ -436,7 +438,7 @@ def test_objective_equals_reference_bit_for_bit(seed, n, p_mu, p_sig, n_scanners
     vec[-1] = nu
     args = (logy, x_mu, x_sigma, idx, n_scanners, lam)
     with np.errstate(all="ignore"):
-        obj, grad, hess = _neg_penalized_loglik(vec, *args)
+        obj, grad, hess = _neg_penalized_loglik(vec, *_objective_args(*args))
         ref_obj, ref_grad = reference_neg_penalized_loglik(vec, *args)
         # a blow-up's Hessian is all NaN; past a finite gradient it is the reference's
         blown = obj == growthchart._BIG
@@ -476,7 +478,7 @@ def test_objective_keeps_an_overflowing_sum_of_finite_terms():
     vec = np.concatenate([[1200.0], np.zeros(n_scanners), [-0.5 * math.log(0.8e305) / 0.01], [1.0]])
     args = (logy, x_mu, x_sigma, idx, n_scanners, 1.0)
     with np.errstate(all="ignore"):
-        obj, grad, _ = _neg_penalized_loglik(vec, *args)
+        obj, grad, _ = _neg_penalized_loglik(vec, *_objective_args(*args))
         ref_obj, ref_grad = reference_neg_penalized_loglik(vec, *args)
     assert ref_obj == obj == math.inf
     assert np.all(np.isfinite(ref_grad)) and np.array_equal(grad, ref_grad)
@@ -490,6 +492,9 @@ def test_objective_equals_reference_along_a_fit(monkeypatch):
 
     def both(vec, *args):
         got = real(vec, *args)
+        # the reference takes the scanner count where the objective takes x_mu beside the one-hot design
+        logy, x_mu, d_mu, x_sigma, idx, lam = args
+        args = (logy, x_mu, x_sigma, idx, d_mu.shape[1] - x_mu.shape[1], lam)
         ref = reference_neg_penalized_loglik(vec, *args)
         finite = ref[0] < growthchart._BIG
         calls.append((got, ref, reference_neg_penalized_hessian(vec, *args) if finite else None))
@@ -525,7 +530,7 @@ def test_hessian_matches_central_differences_of_the_gradient(spec, nu, layout):
         [12.2], rng.normal(0.0, 0.03, x_mu.shape[1] - 1), rng.normal(0.0, 0.02, 2),
         [-2.1], rng.normal(0.0, 0.05, x_sigma.shape[1] - 1), [nu],
     ])
-    args = (logy, x_mu, x_sigma, idx, 2, 1.0)
+    args = _objective_args(logy, x_mu, x_sigma, idx, 2, 1.0)
     hess = _neg_penalized_loglik(vec, *args)[2]
     numeric = np.empty_like(hess)
     for k in range(vec.size):
@@ -797,8 +802,8 @@ def test_standardized_objective_equals_original_objective():
         back = vec.copy()
         back[:4] = _unstandardize(vec[:4], c_mu, s_mu)
         back[6:8] = _unstandardize(vec[6:8], c_sig, s_sig)
-        f_std = _neg_penalized_loglik(vec, logy, z_mu, z_sigma, idx, 2, 1.0)[0]
-        f_orig = _neg_penalized_loglik(back, logy, x_mu, x_sigma, idx, 2, 1.0)[0]
+        f_std = _neg_penalized_loglik(vec, *_objective_args(logy, z_mu, z_sigma, idx, 2, 1.0))[0]
+        f_orig = _neg_penalized_loglik(back, *_objective_args(logy, x_mu, x_sigma, idx, 2, 1.0))[0]
         assert f_std == pytest.approx(f_orig, rel=1e-10)
 
 
@@ -930,10 +935,87 @@ def test_non_finite_hessian_ends_the_newton_start_unconverged_and_silent():
     _, idx = np.unique(cohort.scanner_id, return_inverse=True)
     # mu = exp(-1000): z = (y / mu)^nu overflows, and so does every Hessian entry it enters
     x0 = np.array([-1000.0, 0.0, 0.0, -2.0, 1.0])
-    args = (logy, x_mu, x_sigma, idx, 2, 1.0)
+    args = _objective_args(logy, x_mu, x_sigma, idx, 2, 1.0)
     assert not np.isfinite(_neg_penalized_loglik(x0, *args)[2]).all()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         res = optimize.minimize(_neg_penalized_loglik, x0, args=args, method=growthchart._trust_newton)
     assert not res.success and res.nit == 1
     assert np.array_equal(res.x, x0) and res.fun == growthchart._BIG
+
+
+def _recording_starts(monkeypatch):
+    """Record each start's objective arguments, x0 and result."""
+    starts = []
+    real = optimize.minimize
+
+    def recording(fun, x0, *args, **kwargs):
+        x0 = x0.copy()
+        res = real(fun, x0, *args, **kwargs)
+        starts.append((kwargs["args"], x0, res))
+        return res
+
+    monkeypatch.setattr(optimize, "minimize", recording)
+    return starts
+
+
+def _starts_by_candidate(starts, specs):
+    """The recorded starts of each spec, in search order: a candidate's starts share its design."""
+    groups = []
+    for args, x0, res in starts:
+        if not groups or groups[-1][0][0][1] is not args[1]:
+            groups.append([])
+        groups[-1].append((args, x0, res))
+    assert len(groups) == len(specs)
+    return dict(zip(specs, groups))
+
+
+def _cold_start(x0):
+    """Whether x0 is a cold start: the two intercepts from the volumes, nu 1, else zeros."""
+    nonzero = np.flatnonzero(x0[:-1])
+    return bool(nonzero.size == 2 and nonzero[0] == 0 and x0[-1] == 1.0)
+
+
+@pytest.mark.parametrize("layout", ["two_sex", "one_sex_no_sigma_age"])
+def test_fp2_nested_start_begins_at_its_better_converged_fp1_optimum(monkeypatch, layout):
+    starts = _recording_starts(monkeypatch)
+    cohort = build_cohort(14, 300, small_truth())
+    options = FitOptions()
+    if layout.startswith("one_sex"):
+        cohort = replace(cohort, sex=np.full(len(cohort), "M", dtype=object))
+        options = FitOptions(sigma_age=False)
+    fit(cohort, Region.CORTICAL_GM, options)
+    by_spec = _starts_by_candidate(starts, fp_candidates())
+    tol = growthchart._TOL * len(cohort)
+    optima = {}
+    for spec, group in by_spec.items():
+        if spec.order == 1:
+            best = min((res for _, _, res in group), key=lambda res: res.fun)
+            assert _converged(best, tol)
+            optima[spec.powers[0]] = best
+    assert len(optima) == len(FP_POWERS)
+    for spec, ((args, x0, res), *_) in by_spec.items():
+        if spec.order == 1:
+            assert _cold_start(x0)
+            continue
+        parent = min(spec.powers, key=lambda p: optima[p].fun)
+        # [intercept, x^p, added column, ...] or [intercept, added column, x^q, ...]
+        added = 2 if parent == spec.powers[0] else 1
+        assert x0[added] == 0.0
+        assert np.array_equal(np.delete(x0, added), optima[parent].x)
+        f0 = _neg_penalized_loglik(x0, *args)[0]
+        assert f0 == pytest.approx(optima[parent].fun, rel=1e-9)
+        assert res.fun <= f0
+
+
+def test_fp2_specs_alone_get_no_nested_start_and_keep_their_bits(monkeypatch):
+    starts = _recording_starts(monkeypatch)
+    cohort = build_cohort(14, 300, small_truth())
+    specs = [FpSpec(2, (0.5, 0.5)), FpSpec(2, (-1.0, 2.0))]
+    model = fit(cohort, Region.CORTICAL_GM, FitOptions(fp_candidates=specs))
+    for (_, x0, _), *_ in _starts_by_candidate(starts, specs).values():
+        assert _cold_start(x0)
+    # the model this search gave before FP2 candidates had nested starts, bit for bit
+    assert model.fp_mu == FpSpec(2, (0.5, 0.5))
+    assert (model.loglik, model.bic, model.nu) == (-3571.274243789054, 7193.882529850013, 0.6653049236992472)
+    assert model.mu_coef == (12.072879587690664, 0.2207723564645942, -0.026737921845255374, -0.047404163311510275)
