@@ -294,6 +294,16 @@ def _sigmoid(z):
     return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
+def _probability(z, bias) -> np.ndarray:
+    """The probability of Normal at margins z + bias, kept within [EPS, 1 - EPS]."""
+    return np.clip(_sigmoid(z + bias), EPS, 1.0 - EPS)
+
+
+def _sample_weights(y: np.ndarray, pos_weight: float) -> np.ndarray:
+    """Each example's weight in the loss: pos_weight for Normal, 1 for Abnormal."""
+    return np.where(y == 1, pos_weight, 1.0)
+
+
 def _loss(p, y, sample_w, weights, l2) -> float:
     """Mean weighted cross-entropy of probabilities p, plus the l2 penalty."""
     loss = -np.mean(sample_w * (y * np.log(p) + (1 - y) * np.log(1.0 - p)))
@@ -309,8 +319,8 @@ def objective_and_gradient(
     l2: float,
 ) -> tuple[float, np.ndarray, float]:
     """Mean weighted cross-entropy + l2 penalty, with its analytic gradient."""
-    p = np.clip(_sigmoid(X.matvec(weights) + bias), EPS, 1.0 - EPS)
-    sample_w = np.where(y == 1, pos_weight, 1.0)
+    p = _probability(X.matvec(weights), bias)
+    sample_w = _sample_weights(y, pos_weight)
     coef = sample_w * (p - y) / X.shape[0]
     grad_w = X.rmatvec(coef) + 2.0 * l2 * weights
     return _loss(p, y, sample_w, weights, l2), grad_w, float(np.sum(coef))
@@ -405,8 +415,7 @@ def train(X: CsrMatrix, y: np.ndarray, cfg: TrainConfig) -> LinearModel:
         nonzeros = slice(ptr[0], ptr[-1])
         block = CsrMatrix(X.data[nonzeros], X.indices[nonzeros], ptr - ptr[0], (len(ptr) - 1, X.shape[1]))
         z[start : start + len(ptr) - 1] = block.matvec(weights)
-    p = np.clip(_sigmoid(z + bias), EPS, 1.0 - EPS)
-    final = _loss(p, y, np.where(y == 1, cfg.pos_weight, 1.0), weights, _L2)
+    final = _loss(_probability(z, bias), y, _sample_weights(y, cfg.pos_weight), weights, _L2)
     if not np.isfinite(final):
         raise NumericalError(f"non-finite final loss {final}")
     return LinearModel(weights=weights, bias=bias, config=fcfg, pos_weight=cfg.pos_weight, final_loss=final)
@@ -421,7 +430,7 @@ def predict(model: LinearModel, texts: Sequence[str]) -> np.ndarray:
             z[start : start + len(block)] = featurize(block, model.config).matvec(model.weights)
         except EmptyInput as e:
             raise _no_tokens(start + e.row) from None
-    return np.clip(_sigmoid(z + model.bias), EPS, 1.0 - EPS)
+    return _probability(z, model.bias)
 
 
 def classify(model: LinearModel, texts: Sequence[str]) -> list[Label]:

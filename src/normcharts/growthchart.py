@@ -268,7 +268,7 @@ def _layout(p_mu: int, n_scanners: int, p_sig: int) -> tuple[slice, slice, slice
 
 
 # The objective's value on numerical blow-up: above that of any fit, so a
-# trial step that blows up is rejected, and _converged never passes it.
+# trial step that blows up is rejected, and no start ending there converges.
 _BIG = 1e30
 
 
@@ -433,8 +433,8 @@ class FitOptions:
 # candidate search applies to the location predictor only.
 SIGMA_FP = FpSpec(1, (1.0,))
 NU_BOUNDS = (0.05, 8.0)
-# The starting shape of each start per candidate (see fit), the iteration cap
-# of one start, and the gradient tolerance per session of _converged.
+# The starting shape of each start per candidate (see fit), and the iteration
+# cap and per-session gradient tolerance of each start (gtol is _TOL * n).
 _NU_STARTS = (1.0, 2.0, 0.5)
 _MAX_ITER = 400
 _TOL = 1e-3
@@ -447,24 +447,13 @@ def _pinned(nu: float, nu_grad: float) -> bool:
     return bool((nu <= lo and nu_grad > 0.0) or (nu >= hi and nu_grad < 0.0))
 
 
-def _converged(res, tol: float) -> bool:
-    """Whether a fit converged: it left every blown-up point (its value is
-    below _BIG), and the minimiser says so or its gradient projected onto
-    NU_BOUNDS is below tol, a _pinned shape's component counting as zero.
-    """
-    grad = np.array(res.jac, dtype=float)
-    if _pinned(res.x[-1], grad[-1]):
-        grad[-1] = 0.0
-    return bool(res.fun < _BIG and (res.success or np.max(np.abs(grad)) < tol))
-
-
 # A Newton start converges once its Newton step predicts a smaller decrease:
 # near the optimum of an objective of about 2e4, a gradient rule spends its
 # iterations in rounding noise.
 _NEWTON_TOL = 1e-9
 
 
-def _trust_newton(fun, x0, args=(), maxiter=_MAX_ITER, **_):
+def _trust_newton(fun, x0, args=(), *, gtol, maxiter=_MAX_ITER, **_):
     """Minimize fun(x, *args), which returns the value, the gradient and the
     exact Hessian, by trust-region Newton steps; a method for
     optimize.minimize.
@@ -474,11 +463,15 @@ def _trust_newton(fun, x0, args=(), maxiter=_MAX_ITER, **_):
     radius, else the step to the radius with every eigenvalue shifted by the
     root of the secular equation (Nocedal and Wright, Algorithm 4.3). nu =
     x[-1] keeps within NU_BOUNDS: a step past a bound is cut back to it, and
-    a _pinned nu is held there while the rest move. The solve converges when
-    an interior Newton step predicts a decrease below _NEWTON_TOL; it stops
-    unconverged at maxiter, on a non-finite Hessian (every blow-up of fun
-    returns one), or when a step to the radius predicts less. The Hessian is
-    that of the last accepted point: a rejected step costs one evaluation.
+    a _pinned nu is held there while the rest move. The Hessian is that of
+    the last accepted point: a rejected step costs one evaluation.
+
+    Its success is the fit's one verdict of convergence. The solve converges
+    when an interior Newton step predicts a decrease below _NEWTON_TOL. It
+    also stops at maxiter, on a non-finite Hessian (every blow-up of fun
+    returns one), or when a step to the radius predicts less, and has then
+    converged if it left every blow-up (f < _BIG) with a gradient below
+    gtol, a _pinned nu's component left out.
     """
     (lo, hi), x = NU_BOUNDS, np.array(x0, dtype=float)
     f, g, h = fun(x, *args)
@@ -526,6 +519,9 @@ def _trust_newton(fun, x0, args=(), maxiter=_MAX_ITER, **_):
             radius *= 0.25
         elif rho > 0.75:
             radius = max(radius, 2.0 * math.sqrt(s @ s))
+    if not success and f < _BIG:
+        free = g[: x.size - _pinned(x[-1], g[-1])]
+        success = bool(np.abs(free).max() < gtol)
     from scipy import optimize
 
     return optimize.OptimizeResult(x=x, fun=f, jac=g, nit=nit, success=success)
@@ -539,7 +535,7 @@ def _standardize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     centre = x.mean(axis=0)
     scale = x.std(axis=0)
-    flat = np.ptp(x, axis=0) == 0.0
+    flat = (x == x[0]).all(axis=0)
     centre[flat] = x[0, flat]
     scale[flat] = 1.0
     centre[0], scale[0] = 0.0, 1.0
@@ -601,13 +597,14 @@ def fit(cohort: SessionTable, region: Region, options: FitOptions = FitOptions()
     x_sigma = _design(ages, fp_sigma)
     z_sigma, centre_sig, scale_sig = _standardize(x_sigma)
     start = _start_values(logy)
+    newton = {"maxiter": _MAX_ITER, "gtol": _TOL * logy.size}  # every start's options
     optima = {}  # the best start of each converged FP1 fit so far, by its power
 
     def fit_one(spec: FpSpec) -> GrowthModel:
         x_mu = _design(ages, spec, *([] if one_sex else [sex_col]))
         z_mu, centre_mu, scale_mu = _standardize(x_mu)
         mu, sc, sig = _layout(x_mu.shape[1], n_scanners, x_sigma.shape[1])
-        best, converged = None, False
+        best = None
         args = _objective_args(logy, z_mu, z_sigma, scanner_idx, n_scanners, lam)
         nested = [p for p in spec.powers if p in optima] if spec.order == 2 else []
         for r, nu in enumerate(_NU_STARTS):
@@ -620,15 +617,12 @@ def fit(cohort: SessionTable, region: Region, options: FitOptions = FitOptions()
                 # the parent's x^p is column 1 + (its index in powers); the added one enters at 0
                 p = min(nested, key=lambda p: optima[p].fun)
                 x0 = np.insert(optima[p].x, mu.start + 2 - spec.powers.index(p), 0.0)
-            res = optimize.minimize(
-                _neg_penalized_loglik, x0, args=args, method=_trust_newton, options={"maxiter": _MAX_ITER}
-            )
+            res = optimize.minimize(_neg_penalized_loglik, x0, args=args, method=_trust_newton, options=newton)
             if best is None or res.fun < best.fun:
                 best = res
-                converged = _converged(best, _TOL * logy.size)
-            if converged:
+            if best.success:
                 break
-        if converged and spec.order == 1:
+        if best.success and spec.order == 1:
             optima[spec.powers[0]] = best
         vec = best.x.copy()
         vec[mu] = _unstandardize(vec[mu], centre_mu, scale_mu)
@@ -648,7 +642,7 @@ def fit(cohort: SessionTable, region: Region, options: FitOptions = FitOptions()
             nu=float(vec[-1]),
             scanner_intercepts=dict(zip(scanners.tolist(), d.tolist())),
             ridge_lambda=lam,
-            converged=converged,
+            converged=best.success,
             loglik=float(loglik),
             bic=float(-2.0 * loglik + vec.size * math.log(len(cohort))),
         )

@@ -1059,7 +1059,14 @@ def test_exp6_warns_once_per_model_that_did_not_converge(tmp_path, monkeypatch, 
 
     # one start per candidate, the cold one that converges above, now reported unconverged
     monkeypatch.setattr(growthchart, "_NU_STARTS", (1.0,))
-    monkeypatch.setattr(growthchart, "_converged", lambda res, tol: False)
+    newton = growthchart._trust_newton
+
+    def unconverged(*args, **kwargs):
+        res = newton(*args, **kwargs)
+        res.success = False
+        return res
+
+    monkeypatch.setattr(growthchart, "_trust_newton", unconverged)
     with caplog.at_level("WARNING"):
         run_dir = run_experiment("exp6_growthcharts", PipelineConfig(**overrides), timestamp="t1")
     region = PipelineConfig(**overrides).region

@@ -21,7 +21,6 @@ from normcharts.growthchart import (
     NU_BOUNDS,
     PERCENTILES,
     _basis_matrix,
-    _converged,
     _gg_terms,
     _layout,
     _neg_penalized_loglik,
@@ -766,15 +765,32 @@ def test_model_json_round_trip(tmp_path):
     ],
 )
 def test_convergence_uses_gradient_projected_on_nu_bounds(nu, nu_grad, expected):
-    res = optimize.OptimizeResult(
-        x=np.array([0.3, -0.1, nu]), jac=np.array([0.2, -0.4, nu_grad]), success=False, fun=10.0
-    )
-    assert _converged(res, tol=1.0) is expected
-    res.success = True
-    assert _converged(res, tol=1.0) is True
-    # a fit still at a blown-up point never converged, whatever its zero gradient says
-    res.fun = growthchart._BIG
-    assert _converged(res, tol=1.0) is False
+    x0 = np.array([0.3, -0.1, nu])
+
+    def stalled(f, grad):
+        """The value f and gradient grad everywhere, and an all-NaN Hessian: the start ends at x0."""
+        return lambda x: (f, np.array(grad, dtype=float), np.full((x.size, x.size), np.nan))
+
+    res = growthchart._trust_newton(stalled(10.0, [0.2, -0.4, nu_grad]), x0, gtol=1.0)
+    assert res.nit == 1 and np.array_equal(res.x, x0)
+    assert res.success is expected
+    # a start still at a blown-up point never converged, whatever its zero gradient says
+    res = growthchart._trust_newton(stalled(growthchart._BIG, np.zeros(3)), x0, gtol=1.0)
+    assert res.success is False
+
+
+def test_newton_stop_converges_whatever_the_gradient_tolerance():
+    # a quadratic at its minimum: the first Newton step predicts no decrease
+    centre = np.array([0.3, -0.1, 1.5])
+    a = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 3.0]])
+
+    def quadratic(x):
+        d = x - centre
+        return 0.5 * d @ a @ d, a @ d, a
+
+    res = growthchart._trust_newton(quadratic, centre, gtol=0.0)
+    assert res.success is True and res.nit == 1
+    assert np.array_equal(res.x, centre)
 
 
 # --- standardized fit path ---
@@ -825,6 +841,17 @@ def test_same_age_cohort_fits_without_warning():
         model = fit(cohort, Region.CORTICAL_GM, quick_options(sigma_age=True))
     values = list(model.mu_coef) + list(model.sigma_coef) + [model.nu, model.loglik, model.bic]
     assert all(math.isfinite(v) for v in values)
+
+
+def test_same_age_cohort_is_converged_as_its_winning_start_says(monkeypatch):
+    # the Newton start stops short of a Newton step here, with a gradient below gtol
+    starts = _recording_minimize(monkeypatch)
+    cohort = build_cohort(12, 120, small_truth())
+    cohort = replace(cohort, age_days=np.full(len(cohort), 3000))
+    model = fit(cohort, Region.CORTICAL_GM, quick_options(sigma_age=True))
+    best = min((res for _, res in starts), key=lambda res: res.fun)
+    assert best.success is True
+    assert model.converged is best.success
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -913,7 +940,7 @@ def test_newton_start_that_does_not_converge_is_followed_by_a_seeded_newton_star
     model = fit(cohort, Region.CORTICAL_GM, options)
     (newton, cold), (seeded_newton, seeded) = starts
     assert newton is seeded_newton is growthchart._trust_newton
-    assert not _converged(cold, growthchart._TOL * len(cohort))
+    assert not cold.success
     assert seeded.success and model.converged
 
 
@@ -939,7 +966,9 @@ def test_non_finite_hessian_ends_the_newton_start_unconverged_and_silent():
     assert not np.isfinite(_neg_penalized_loglik(x0, *args)[2]).all()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        res = optimize.minimize(_neg_penalized_loglik, x0, args=args, method=growthchart._trust_newton)
+        res = optimize.minimize(
+            _neg_penalized_loglik, x0, args=args, method=growthchart._trust_newton, options={"gtol": 1.0}
+        )
     assert not res.success and res.nit == 1
     assert np.array_equal(res.x, x0) and res.fun == growthchart._BIG
 
@@ -986,12 +1015,11 @@ def test_fp2_nested_start_begins_at_its_better_converged_fp1_optimum(monkeypatch
         options = FitOptions(sigma_age=False)
     fit(cohort, Region.CORTICAL_GM, options)
     by_spec = _starts_by_candidate(starts, fp_candidates())
-    tol = growthchart._TOL * len(cohort)
     optima = {}
     for spec, group in by_spec.items():
         if spec.order == 1:
             best = min((res for _, _, res in group), key=lambda res: res.fun)
-            assert _converged(best, tol)
+            assert best.success
             optima[spec.powers[0]] = best
     assert len(optima) == len(FP_POWERS)
     for spec, ((args, x0, res), *_) in by_spec.items():
