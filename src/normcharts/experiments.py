@@ -351,7 +351,8 @@ def _growth_experiment(name: str, cfg: PipelineConfig, run_dir: Path) -> list[me
     shared, only_a, only_b = np.split(np.arange(n), [n_shared, n_shared + (n - n_shared) // 2])
     options = fit_options(cfg.fp1_only, cfg.sigma_age, cfg.ridge_lambda)
     model_a = growthchart.fit(sessions.take(np.concatenate([shared, only_a])), region, options)
-    model_b = growthchart.fit(sessions.take(np.concatenate([shared, only_b])), region, options)
+    # warm: B starts each candidate at A's optimum for its basis, where A's converged
+    model_b = growthchart.fit(sessions.take(np.concatenate([shared, only_b])), region, options, model_a.search)
     for tag, model in (("A", model_a), ("B", model_b)):
         if not model.converged:
             warn(__name__, "growth model %s for %s did not converge (FP powers %s)",

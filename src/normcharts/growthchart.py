@@ -20,8 +20,9 @@ them: every CLI command imports this module, and most never fit or score.
 import itertools
 import json
 import math
+import sys
 from collections import abc
-from dataclasses import asdict, dataclass, fields, is_dataclass
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from typing import Mapping, Optional, Sequence, Union, get_args, get_origin
 
 import numpy as np
@@ -184,7 +185,9 @@ def gg_sample_one(rng: "np.random.Generator", p: GGParams) -> float:
 @dataclass(frozen=True)
 class GrowthModel:
     """A growth model: a fitted one, or the known truth a cohort is drawn
-    from, whose fit diagnostics keep their defaults (NaN loglik and BIC)."""
+    from, whose fit diagnostics keep their defaults (NaN loglik and BIC).
+    A fitted model's search holds fit's FitRecord of every candidate; like
+    every field that takes no part in equality, it is no key of its JSON."""
 
     region: Region
     fp_mu: FpSpec
@@ -197,6 +200,7 @@ class GrowthModel:
     converged: bool = True
     loglik: float = math.nan
     bic: float = math.nan
+    search: tuple["FitRecord", ...] = field(default=(), compare=False, repr=False)
 
 
 def linear_predictors(model: GrowthModel, age_years, female, scanner_id=None):
@@ -416,6 +420,10 @@ def _one_minus_x_trigamma(x) -> np.ndarray:
     return tail if steps == 0 else (steps + x * tail) * r - head
 
 
+# The largest ridge_lambda: 2 lam on the Hessian's diagonal, plus a trust-region shift as large, is finite
+_MAX_RIDGE = sys.float_info.max / 4
+
+
 @dataclass(frozen=True)
 class FitOptions:
     """Search settings for fit(); fp_candidates None means all 44 location bases."""
@@ -425,8 +433,8 @@ class FitOptions:
     ridge_lambda: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 <= self.ridge_lambda < math.inf:  # false for nan too
-            raise ConfigError(f"ridge_lambda must be finite and >= 0, got {self.ridge_lambda}")
+        if not 0.0 <= self.ridge_lambda <= _MAX_RIDGE:  # false for nan too
+            raise ConfigError(f"ridge_lambda must be in [0, {_MAX_RIDGE:g}], got {self.ridge_lambda}")
 
 
 # The scale predictor uses a fixed first-order basis when sigma_age is on;
@@ -476,7 +484,7 @@ def _trust_newton(fun, x0, args=(), *, gtol, maxiter=_MAX_ITER, **_):
     (lo, hi), x = NU_BOUNDS, np.array(x0, dtype=float)
     f, g, h = fun(x, *args)
     # from a cold start on standardized columns a first radius of 1 was always too long
-    radius, nit, success = 0.1, 0, False
+    radius, nit, nfev, success = 0.1, 0, 1, False
     while nit < maxiter:
         nit += 1
         if not np.isfinite(h).all():
@@ -512,6 +520,7 @@ def _trust_newton(fun, x0, args=(), *, gtol, maxiter=_MAX_ITER, **_):
         rho = -math.inf
         if pred > 0.0:  # not so when nu is on a bound and the step leaves it at once
             f_new, g_new, h_new = fun(trial, *args)
+            nfev += 1
             rho = (f - f_new) / pred
             if rho > 0.0:
                 x, f, g, h = trial, f_new, g_new, h_new
@@ -524,7 +533,7 @@ def _trust_newton(fun, x0, args=(), *, gtol, maxiter=_MAX_ITER, **_):
         success = bool(np.abs(free).max() < gtol)
     from scipy import optimize
 
-    return optimize.OptimizeResult(x=x, fun=f, jac=g, nit=nit, success=success)
+    return optimize.OptimizeResult(x=x, fun=f, jac=g, nit=nit, nfev=nfev, success=success)
 
 
 def _standardize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -549,6 +558,13 @@ def _unstandardize(coef: np.ndarray, centre: np.ndarray, scale: np.ndarray) -> n
     return out
 
 
+def _standardized(coef: np.ndarray, centre: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Inverse of _unstandardize: coefficients on the standardized design."""
+    out = coef * scale
+    out[0] = coef[0] + float(coef[1:] @ centre[1:])
+    return out
+
+
 def _start_values(logy) -> tuple[float, float]:
     """The location and scale intercepts every start begins from: the log of
     the median volume and of its coefficient of variation, clamped to [1e-3, 5]."""
@@ -560,20 +576,42 @@ def _start_values(logy) -> tuple[float, float]:
     return math.log(med), math.log(5.0 if math.isnan(cv) else min(max(cv, 1e-3), 5.0))
 
 
-def fit(cohort: SessionTable, region: Region, options: FitOptions = FitOptions()) -> GrowthModel:
+@dataclass(frozen=True)
+class FitRecord:
+    """One candidate of fit's search: its model, the Newton iterations and
+    objective evaluations summed over its starts, and the start that won:
+    "warm", "nested", "cold" or "seeded r"."""
+
+    model: GrowthModel
+    nit: int
+    nfev: int
+    start: str
+
+    @property
+    def nu_on_bound(self) -> bool:
+        return self.model.nu in NU_BOUNDS
+
+
+def fit(
+    cohort: SessionTable, region: Region, options: FitOptions = FitOptions(), warm: Sequence[FitRecord] = ()
+) -> GrowthModel:
     """Fit the growth model, selecting the location basis by BIC.
 
     fit_one fits one candidate basis on standardized columns by trust-region
-    Newton on the exact Hessian (_trust_newton). Its first start is cold,
-    except for an FP2(p, q) basis after a converged FP1(p) or FP1(q) fit of
-    the same search: it starts at the optimum of the one with the lower
+    Newton on the exact Hessian (_trust_newton). A basis with a converged
+    model in warm, an earlier fit's search, starts warm: at that model on this
+    cohort's standardized columns, scanner intercepts by id (0 for one it
+    lacks), the sex coefficient kept or dropped. Otherwise, or if that start
+    did not converge, an FP2(p, q) basis after a converged FP1(p) or FP1(q)
+    fit of this search starts at the optimum of the one with the lower
     objective, whose column x^p (or x^q) it shares, the added column's
-    coefficient at 0 (Royston and Altman 1994). Only while the best start so
-    far has not converged, a start per further _NU_STARTS shape follows, cold
-    with seeded jitter on its location coefficients. It then recentres the
-    scanner intercepts, the shift folded into the intercept. The first lowest
-    BIC = -2 loglik + k ln n wins: k counts all free coefficients, and loglik
-    is unpenalized, at the recentred fit.
+    coefficient at 0 (Royston and Altman 1994); any other basis starts cold.
+    Only while the best start so far has not converged, a start per further
+    _NU_STARTS shape follows, cold with seeded jitter on its location
+    coefficients. It then recentres the scanner intercepts, the shift folded
+    into the intercept. The first lowest BIC = -2 loglik + k ln n wins: k
+    counts all free coefficients, and loglik is unpenalized, at the recentred
+    fit. The model returned keeps every candidate's FitRecord as its search.
     """
     if len(cohort) < 30:
         raise DataError(f"need at least 30 sessions, got {len(cohort)}")
@@ -599,27 +637,43 @@ def fit(cohort: SessionTable, region: Region, options: FitOptions = FitOptions()
     start = _start_values(logy)
     newton = {"maxiter": _MAX_ITER, "gtol": _TOL * logy.size}  # every start's options
     optima = {}  # the best start of each converged FP1 fit so far, by its power
+    priors = {r.model.fp_mu: r.model for r in warm if r.model.converged and r.model.fp_sigma == fp_sigma}
 
-    def fit_one(spec: FpSpec) -> GrowthModel:
+    def fit_one(spec: FpSpec) -> FitRecord:
         x_mu = _design(ages, spec, *([] if one_sex else [sex_col]))
         z_mu, centre_mu, scale_mu = _standardize(x_mu)
         mu, sc, sig = _layout(x_mu.shape[1], n_scanners, x_sigma.shape[1])
-        best = None
         args = _objective_args(logy, z_mu, z_sigma, scanner_idx, n_scanners, lam)
         nested = [p for p in spec.powers if p in optima] if spec.order == 2 else []
-        for r, nu in enumerate(_NU_STARTS):
-            x0 = np.zeros(sig.stop + 1)
-            x0[mu.start], x0[sig.start] = start
-            x0[-1] = nu
-            if r:
-                x0[mu] += np.random.default_rng(1000 + r).normal(0.0, 0.05, size=x_mu.shape[1])
-            elif nested:
-                # the parent's x^p is column 1 + (its index in powers); the added one enters at 0
-                p = min(nested, key=lambda p: optima[p].fun)
-                x0 = np.insert(optima[p].x, mu.start + 2 - spec.powers.index(p), 0.0)
+
+        def starts():
+            if prior := priors.get(spec):
+                yield "warm", np.concatenate([
+                    _standardized(np.array(prior.mu_coef[: mu.stop]), centre_mu, scale_mu),
+                    [prior.scanner_intercepts.get(s, 0.0) for s in scanners.tolist()],
+                    _standardized(np.array(prior.sigma_coef), centre_sig, scale_sig),
+                    [prior.nu],
+                ])
+            for r, nu in enumerate(_NU_STARTS):
+                x0 = np.zeros(sig.stop + 1)
+                x0[mu.start], x0[sig.start] = start
+                x0[-1] = nu
+                if r:
+                    x0[mu] += np.random.default_rng(1000 + r).normal(0.0, 0.05, size=x_mu.shape[1])
+                    yield f"seeded {r}", x0
+                elif nested:
+                    # the parent's x^p is column 1 + (its index in powers); the added one enters at 0
+                    p = min(nested, key=lambda p: optima[p].fun)
+                    yield "nested", np.insert(optima[p].x, mu.start + 2 - spec.powers.index(p), 0.0)
+                else:
+                    yield "cold", x0
+
+        best, nit, nfev = None, 0, 0
+        for kind, x0 in starts():
             res = optimize.minimize(_neg_penalized_loglik, x0, args=args, method=_trust_newton, options=newton)
+            nit, nfev = nit + res.nit, nfev + res.nfev
             if best is None or res.fun < best.fun:
-                best = res
+                best, won = res, kind
             if best.success:
                 break
         if best.success and spec.order == 1:
@@ -633,7 +687,7 @@ def fit(cohort: SessionTable, region: Region, options: FitOptions = FitOptions()
         d = vec[sc]
         pll, _ = _penalized_loglik(vec, logy, x_mu, x_sigma, scanner_idx, n_scanners, lam)
         loglik = pll + lam * float(d @ d)
-        return GrowthModel(
+        model = GrowthModel(
             region=region,
             fp_mu=spec,
             mu_coef=tuple(vec[mu].tolist() + ([0.0] if one_sex else [])),
@@ -646,8 +700,10 @@ def fit(cohort: SessionTable, region: Region, options: FitOptions = FitOptions()
             loglik=float(loglik),
             bic=float(-2.0 * loglik + vec.size * math.log(len(cohort))),
         )
+        return FitRecord(model, nit, nfev, won)
 
-    return min(map(fit_one, options.fp_candidates or fp_candidates()), key=lambda m: m.bic)
+    records = tuple(map(fit_one, options.fp_candidates or fp_candidates()))
+    return replace(min(records, key=lambda r: r.model.bic).model, search=records)
 
 
 def centile(model: GrowthModel, sessions: SessionTable) -> np.ndarray:
@@ -692,8 +748,11 @@ def compare_centiles(a: Sequence[float], b: Sequence[float]) -> float:
 
 
 def model_to_dict(model: GrowthModel) -> dict:
-    """The model as JSON values: its fields by name, the region by its value."""
-    return {**asdict(model), "region": model.region.value}
+    """The model as JSON values: its fields by name (search left out, see
+    GrowthModel), the region by its value."""
+    doc = asdict(replace(model, search=()))
+    del doc["search"]
+    return {**doc, "region": model.region.value}
 
 
 # The JSON types that may hold a field of each declared type (a generic by its
@@ -725,12 +784,13 @@ def _field(kind, value, key: str):
         return {k: _field(args[1], v, key) for k, v in value.items()}
     if is_dataclass(kind):
         at = f"{key}." if key else ""
-        names = [f.name for f in fields(kind)]
+        keyed = [f for f in fields(kind) if f.compare]  # a field outside equality is no key
+        names = [f.name for f in keyed]
         if missing := [name for name in names if name not in value]:
             raise KeyError(at + missing[0])
         if unknown := [k for k in value if k not in names]:
             raise ValueError(f"unknown key {at + unknown[0]!r}")
-        return kind(**{f.name: _field(f.type, value[f.name], at + f.name) for f in fields(kind)})
+        return kind(**{f.name: _field(f.type, value[f.name], at + f.name) for f in keyed})
     return kind(value)
 
 

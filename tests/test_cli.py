@@ -657,6 +657,7 @@ BAD_SETTINGS = [
     ("growth", "n_scanners = 0", "n_scanners"),
     ("growth", "ridge_lambda = -5", "ridge_lambda"),
     ("growth", "ridge_lambda = nan", "ridge_lambda"),
+    ("growth", "ridge_lambda = 1e308", "ridge_lambda"),
     ("train", "seeds = 3,3", "seeds"),
     ("train", "seeds = -1,18446744073709551615", "seeds"),
 ]
@@ -875,6 +876,8 @@ def test_exp2_weighted_golden_digests(tmp_path, monkeypatch):
 # files were re-recorded when the growth fit moved to standardized design
 # columns, and again when each candidate's cold start became a trust-region
 # Newton fit, each of which changes the fitted coefficients in their last digits.
+# growth-model-b.json alone was re-recorded on 2026-10-20, when model B began
+# each candidate at model A's optimum (its BIC moved by 1.5e-11, nu by 2e-9).
 GOLDEN = {
     "exp1_balanced": (SMALL, {
         "metrics.csv": "bd0314a3286eecb1837eef9014783cc0572241ef01503bddafcbb953a17eac8d",
@@ -903,7 +906,7 @@ GOLDEN = {
         "curves.csv": "ba71e934ea4c0bc12914c58aef06da84cfe8403560822e8bfc05e9198c6a822f",
         "attrition.json": "0db70083dbc161b012f7a9ffa6875544954b045a0c841cf1a63490ab923dd816",
         "growth-model-a.json": "87ecebdf630f4c49da93b6180a9e5c2a222cadc1278aa76419519c2290266983",
-        "growth-model-b.json": "9b2e2039652b5f6d7a742c2dc9606d91dc3b5262744862a341e4c1dc2f321ba7",
+        "growth-model-b.json": "f7c5e1c066bb12342b3c98637388eb2133462ac89c49af7c8a3b4b41755ffaa1",
         "metrics.csv": "4eefe866ad2a890feca02c7727427022c265f6d7aa221a9cf518cfda225d43e7",
     }),
 }
@@ -1130,6 +1133,29 @@ def test_exp6_keeps_basis_and_bic(tmp_path, name):
         assert doc["bic"] <= bic + 1e-6
 
 
+@pytest.mark.parametrize("name", sorted(EXP6_REFERENCE))
+def test_exp6_warm_b_ends_at_cold_b_bic_or_lower(tmp_path, monkeypatch, name):
+    from normcharts import growthchart
+
+    fits, real = [], growthchart.fit
+
+    def recording(*args):
+        fits.append((args, real(*args)))
+        return fits[-1][1]
+
+    monkeypatch.setattr(growthchart, "fit", recording)
+    overrides, _ = EXP6_REFERENCE[name]
+    run_experiment("exp6_growthcharts", PipelineConfig(out_dir=str(tmp_path), **overrides), timestamp="t0")
+    (_, a), (args, b) = fits
+    assert args[3] is a.search
+    cold = real(*args[:3])
+    assert b.fp_mu == cold.fp_mu
+    for warm, record in zip(b.search, cold.search, strict=True):
+        assert warm.start == "warm" and warm.model.converged
+        assert warm.model.bic <= record.model.bic + 1e-6
+    assert sum(r.nit for r in b.search) < sum(r.nit for r in cold.search)
+
+
 # config.ini of a config with every field away from its default, recorded
 # before to_ini/load_config were derived from the dataclass fields; the [llm]
 # section was removed when its two unread fields were dropped.
@@ -1276,8 +1302,9 @@ _GOOD_FP_SIGMA = {**GOOD_GROWTH_MODEL, "fp_sigma": {"order": 1, "powers": [1.0]}
 
 def _wrong_typed_fields():
     """Per key path, GOOD_GROWTH_MODEL with a wrong-typed value there: one per
-    field of GrowthModel, and one per field of FpSpec under fp_mu and fp_sigma."""
-    for f in fields(GrowthModel):
+    key of GrowthModel (a field that takes part in equality), and one per
+    field of FpSpec under fp_mu and fp_sigma."""
+    for f in filter(lambda f: f.compare, fields(GrowthModel)):
         yield f.name, {**GOOD_GROWTH_MODEL, f.name: _WRONG_JSON_TYPE[type(GOOD_GROWTH_MODEL[f.name])]}
     for spec in ("fp_mu", "fp_sigma"):
         for f in fields(FpSpec):

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import sys
 import warnings
 from dataclasses import replace
 
@@ -27,6 +28,7 @@ from normcharts.growthchart import (
     _objective_args,
     _one_minus_x_trigamma,
     _standardize,
+    _standardized,
     _unstandardize,
     centile,
     compare_centiles,
@@ -36,6 +38,7 @@ from normcharts.growthchart import (
     gg_logpdf,
     gg_quantile,
     gg_sample_one,
+    linear_predictors,
     load_growth_model,
     model_from_dict,
     model_to_dict,
@@ -43,6 +46,7 @@ from normcharts.growthchart import (
     percentile_curves,
     save_growth_model,
 )
+from normcharts.experiments import PipelineConfig, _default_truth
 from normcharts.phenotype import AggregationMethod, Region, build_sessions
 from normcharts.report_text import Sex
 from normcharts.synthcorpus import synth_cohort
@@ -558,11 +562,22 @@ def test_one_minus_x_trigamma_matches_polygamma():
         np.testing.assert_allclose(got, [1.0 - 0.5 * special.polygamma(1, 0.5), -0.5 / x_big], rtol=1e-6)
 
 
-@pytest.mark.parametrize("ridge_lambda", [-5.0, -1e-300, math.inf, math.nan])
+# 9e307 and just below half the largest double made the fit warn: 2 lam, or a
+# trust-region shift added to it, overflowed
+@pytest.mark.parametrize(
+    "ridge_lambda", [-5.0, -1e-300, math.inf, math.nan, 9e307, 1e308, math.nextafter(sys.float_info.max / 2, 0)]
+)
 def test_fit_options_reject_a_negative_or_non_finite_ridge(ridge_lambda):
     with pytest.raises(ConfigError, match="ridge_lambda"):
         FitOptions(ridge_lambda=ridge_lambda)
     assert FitOptions(ridge_lambda=0.0).ridge_lambda == 0.0
+
+
+def test_largest_ridge_fits_without_warning():
+    cohort = build_cohort(5, 300, small_truth())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit(cohort, Region.CORTICAL_GM, quick_options(ridge_lambda=growthchart._MAX_RIDGE, sigma_age=True))
 
 
 def quick_options(**kw):
@@ -952,6 +967,7 @@ def test_newton_start_ends_on_the_bound_past_which_the_best_shape_lies(monkeypat
     ((method, res),) = starts
     assert method is growthchart._trust_newton and res.success
     assert model.nu == bound and model.converged
+    assert model.search[0].nu_on_bound
 
 
 def test_non_finite_hessian_ends_the_newton_start_unconverged_and_silent():
@@ -1047,3 +1063,152 @@ def test_fp2_specs_alone_get_no_nested_start_and_keep_their_bits(monkeypatch):
     assert model.fp_mu == FpSpec(2, (0.5, 0.5))
     assert (model.loglik, model.bic, model.nu) == (-3571.274243789054, 7193.882529850013, 0.6653049236992472)
     assert model.mu_coef == (12.072879587690664, 0.2207723564645942, -0.026737921845255374, -0.047404163311510275)
+
+
+# --- the search records and warm starts ---
+
+
+def test_fit_keeps_one_search_record_per_candidate_and_returns_the_first_lowest_bic(monkeypatch, tmp_path):
+    starts = _recording_starts(monkeypatch)
+    evals, objective = [], growthchart._neg_penalized_loglik
+    monkeypatch.setattr(growthchart, "_neg_penalized_loglik", lambda *a: evals.append(1) or objective(*a))
+    cohort = build_cohort(14, 300, small_truth())
+    model = fit(cohort, Region.CORTICAL_GM, FitOptions())
+    specs = fp_candidates()
+    assert [r.model.fp_mu for r in model.search] == specs
+    bics = [r.model.bic for r in model.search]
+    assert model == model.search[bics.index(min(bics))].model
+    for record, group in zip(model.search, _starts_by_candidate(starts, specs).values(), strict=True):
+        results = [res for _, _, res in group]
+        assert (record.nit, record.nfev) == (sum(r.nit for r in results), sum(r.nfev for r in results))
+        assert record.start == ("cold" if record.model.fp_mu.order == 1 else "nested")
+        assert record.model.converged and not record.nu_on_bound and record.model.search == ()
+    assert sum(r.nfev for r in model.search) == len(evals)
+    # the records are no key of the model's JSON and no part of its equality
+    path = tmp_path / "model.json"
+    save_growth_model(path, model)
+    assert "search" not in json.loads(path.read_text()) and "search" not in model_to_dict(model)
+    assert load_growth_model(path) == model and load_growth_model(path).search == ()
+
+
+@settings(max_examples=200, deadline=None)
+@given(coef=st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=6), data=st.data())
+def test_standardized_is_the_inverse_of_unstandardize(coef, data):
+    k = len(coef) - 1
+    centre = [0.0, *data.draw(st.lists(st.floats(-1e3, 1e3), min_size=k, max_size=k))]
+    scale = [1.0, *data.draw(st.lists(st.floats(1e-3, 1e3), min_size=k, max_size=k))]
+    b, m, s = (np.array(v) for v in (coef, centre, scale))
+    back = _unstandardize(_standardized(b, m, s), m, s)
+    eps = np.finfo(float).eps
+    np.testing.assert_allclose(back[1:], b[1:], rtol=4 * eps, atol=1e-300)
+    # to within rounding of each product and sum, and of a product gone subnormal
+    assert abs(back[0] - b[0]) <= 8 * (k + 1) * eps * (abs(b[0]) + np.abs(b[1:] * m[1:]).sum()) + 1e-300
+
+
+def _halves(cohort):
+    """The two subsets of cohort that exp6 fits, sharing 92% of its sessions."""
+    n = len(cohort)
+    n_shared = round(0.92 * n)
+    shared, only_a, only_b = np.split(np.arange(n), [n_shared, n_shared + (n - n_shared) // 2])
+    return cohort.take(np.concatenate([shared, only_a])), cohort.take(np.concatenate([shared, only_b]))
+
+
+def _male(cohort):
+    return replace(cohort, sex=np.full(len(cohort), "M", dtype=object))
+
+
+@pytest.mark.parametrize("layout", ["two_sex", "one_sex_no_sigma_age"])
+def test_warm_start_begins_at_the_earlier_optimum_mapped_to_this_cohort(monkeypatch, layout):
+    cohort_a, cohort_b = _halves(build_cohort(15, 300, small_truth()))
+    specs = [FpSpec(1, (0.5,)), FpSpec(2, (-1.0, 2.0))]
+    options = FitOptions(fp_candidates=specs)
+    if layout.startswith("one_sex"):
+        cohort_a, cohort_b = _male(cohort_a), _male(cohort_b)
+        options = FitOptions(fp_candidates=specs, sigma_age=False)
+    a = fit(cohort_a, Region.CORTICAL_GM, options)
+    starts = _recording_starts(monkeypatch)
+    b = fit(cohort_b, Region.CORTICAL_GM, options, a.search)
+    for record, prior, ((args, x0, _),) in zip(b.search, a.search, _starts_by_candidate(starts, specs).values()):
+        assert record.start == "warm" and record.model.converged
+        _, z_mu, _, z_sigma, _, _ = args
+        mu, sc, sig = _layout(z_mu.shape[1], 2, z_sigma.shape[1])
+        # on this cohort's standardized design the start's predictors are the earlier model's
+        eta_mu, eta_sigma = linear_predictors(prior.model, cohort_b.age_years, cohort_b.female)
+        np.testing.assert_allclose(z_mu @ x0[mu], eta_mu, rtol=1e-12)
+        np.testing.assert_allclose(z_sigma @ x0[sig], eta_sigma, rtol=1e-12)
+        assert x0[sc].tolist() == [prior.model.scanner_intercepts[s] for s in ("scan-00", "scan-01")]
+        assert x0[-1] == prior.model.nu
+
+
+def test_unconverged_earlier_record_gives_no_warm_start(monkeypatch):
+    cohort_a, cohort_b = _halves(build_cohort(15, 300, small_truth()))
+    specs = [FpSpec(1, (0.5,)), FpSpec(1, (2.0,)), FpSpec(2, (0.5, 2.0))]
+    a = fit(cohort_a, Region.CORTICAL_GM, FitOptions(fp_candidates=specs))
+    # the earlier fit of FP1(2) and FP2(0.5, 2) said it did not converge
+    warm = [replace(r, model=replace(r.model, converged=r.model.fp_mu == specs[0])) for r in a.search]
+    starts = _recording_starts(monkeypatch)
+    b = fit(cohort_b, Region.CORTICAL_GM, FitOptions(fp_candidates=specs), warm)
+    assert [r.start for r in b.search] == ["warm", "cold", "nested"]
+    assert _cold_start(_starts_by_candidate(starts, specs)[specs[1]][0][1])
+
+
+def test_warm_start_that_does_not_converge_is_followed_by_the_cold_start(monkeypatch):
+    cohort_a, cohort_b = _halves(build_cohort(15, 300, small_truth()))
+    a = fit(cohort_a, Region.CORTICAL_GM, quick_options())
+    x0s, results, newton = [], [], growthchart._trust_newton
+
+    def warm_fails(fun, x0, *args, **kwargs):
+        res = newton(fun, x0, *args, **kwargs)
+        if not x0s:
+            res.success, res.fun = False, growthchart._BIG
+        x0s.append(x0.copy())
+        results.append(res)
+        return res
+
+    monkeypatch.setattr(growthchart, "_trust_newton", warm_fails)
+    b = fit(cohort_b, Region.CORTICAL_GM, quick_options(), a.search)
+    assert len(x0s) == 2 and not _cold_start(x0s[0]) and _cold_start(x0s[1])
+    (record,) = b.search
+    assert record.start == "cold" and b.converged
+    # a record sums the iterations and evaluations of every start it ran
+    assert (record.nit, record.nfev) == (sum(r.nit for r in results), sum(r.nfev for r in results))
+
+
+@pytest.mark.parametrize("layout", ["b_has_a_scanner_a_lacks", "b_one_sex", "a_one_sex"])
+def test_warm_start_across_scanner_and_sex_layouts_fits_and_converges(monkeypatch, layout):
+    shifts = {"scan-00": 0.03, "scan-01": -0.01, "scan-02": -0.02}
+    cohort_a, cohort_b = _halves(build_cohort(16, 300, replace(small_truth(), scanner_intercepts=shifts)))
+    if layout == "b_has_a_scanner_a_lacks":
+        cohort_a = cohort_a.take(np.flatnonzero(cohort_a.scanner_id != "scan-02"))
+    else:
+        cohort_a, cohort_b = (cohort_a, _male(cohort_b)) if layout == "b_one_sex" else (_male(cohort_a), cohort_b)
+    specs = [FpSpec(1, (0.5,)), FpSpec(2, (-1.0, 2.0))]
+    options = FitOptions(fp_candidates=specs)
+    a = fit(cohort_a, Region.CORTICAL_GM, options)
+    cold = fit(cohort_b, Region.CORTICAL_GM, options)
+    starts = _recording_starts(monkeypatch)
+    b = fit(cohort_b, Region.CORTICAL_GM, options, a.search)
+    for warm, record, ((args, x0, _), *_) in zip(
+        b.search, cold.search, _starts_by_candidate(starts, specs).values(), strict=True
+    ):
+        assert warm.start == "warm" and warm.model.converged
+        assert x0.size == args[2].shape[1] + args[3].shape[1] + 1
+        assert warm.model.bic <= record.model.bic + 1e-6
+    if layout == "b_has_a_scanner_a_lacks":
+        assert x0[_layout(args[1].shape[1], 3, args[3].shape[1])[1]][2] == 0.0
+    assert b.fp_mu == cold.fp_mu
+
+
+def test_warm_b_ends_at_cold_b_bic_or_lower_on_criterion_07_replicates():
+    # criterion 07's 50 replicate cohorts and search, each split as exp6 splits its cohort
+    truth = _default_truth(PipelineConfig(n_scanners=5))
+    options = FitOptions(fp_candidates=[FpSpec(1, (p,)) for p in FP_POWERS], sigma_age=False)
+    for rep_seed in range(100, 150):
+        cohort_a, cohort_b = _halves(build_cohort(rep_seed, 300, truth))
+        a = fit(cohort_a, Region.CORTICAL_GM, options)
+        b = fit(cohort_b, Region.CORTICAL_GM, options, a.search)
+        cold = fit(cohort_b, Region.CORTICAL_GM, options)
+        assert b.fp_mu == cold.fp_mu
+        for warm, record in zip(b.search, cold.search, strict=True):
+            assert warm.start == "warm" and warm.model.converged
+            assert warm.model.bic <= record.model.bic + 1e-6
