@@ -461,7 +461,7 @@ def _pinned(nu: float, nu_grad: float) -> bool:
 _NEWTON_TOL = 1e-9
 
 
-def _trust_newton(fun, x0, args=(), *, gtol, maxiter=_MAX_ITER, **_):
+def _trust_newton(fun, x0, args=(), *, gtol, **_):
     """Minimize fun(x, *args), which returns the value, the gradient and the
     exact Hessian, by trust-region Newton steps; a method for
     optimize.minimize.
@@ -476,16 +476,16 @@ def _trust_newton(fun, x0, args=(), *, gtol, maxiter=_MAX_ITER, **_):
 
     Its success is the fit's one verdict of convergence. The solve converges
     when an interior Newton step predicts a decrease below _NEWTON_TOL. It
-    also stops at maxiter, on a non-finite Hessian (every blow-up of fun
-    returns one), or when a step to the radius predicts less, and has then
-    converged if it left every blow-up (f < _BIG) with a gradient below
-    gtol, a _pinned nu's component left out.
+    also stops after _MAX_ITER steps, on a non-finite Hessian (every
+    blow-up of fun returns one), or when a step to the radius predicts
+    less, and has then converged if it left every blow-up (f < _BIG) with
+    a gradient below gtol, a _pinned nu's component left out.
     """
     (lo, hi), x = NU_BOUNDS, np.array(x0, dtype=float)
     f, g, h = fun(x, *args)
     # from a cold start on standardized columns a first radius of 1 was always too long
     radius, nit, nfev, success = 0.1, 0, 1, False
-    while nit < maxiter:
+    while nit < _MAX_ITER:
         nit += 1
         if not np.isfinite(h).all():
             break
@@ -635,7 +635,7 @@ def fit(
     x_sigma = _design(ages, fp_sigma)
     z_sigma, centre_sig, scale_sig = _standardize(x_sigma)
     start = _start_values(logy)
-    newton = {"maxiter": _MAX_ITER, "gtol": _TOL * logy.size}  # every start's options
+    newton = {"gtol": _TOL * logy.size}  # every start's options
     optima = {}  # the best start of each converged FP1 fit so far, by its power
     priors = {r.model.fp_mu: r.model for r in warm if r.model.converged and r.model.fp_sigma == fp_sigma}
 
