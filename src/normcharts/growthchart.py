@@ -13,10 +13,11 @@ is fit by Newton steps on the penalized log-likelihood's exact Hessian, in a
 trust region: an FP2 basis from the optimum of a nested FP1 basis fit before
 it, any other cold, with seeded restarts only for a fit that did not converge.
 
-scipy.special and scipy.optimize are imported inside the functions that call
-them: every CLI command imports this module, and most never fit or score.
+Scoring needs numpy alone. Only the fit imports scipy.special and scipy.optimize,
+inside the functions that call them: every CLI command imports this module.
 """
 
+import functools
 import itertools
 import json
 import math
@@ -143,28 +144,31 @@ def gg_logpdf(y, p: GGParams):
 
 
 def gg_cdf(y, p: GGParams):
-    from scipy import special
-
+    """P(theta, x) for nu > 0 and Q(theta, x) for nu < 0, x = theta (y / mu)^nu;
+    a value that is NaN or outside [0, 1] is a NumericalError, never clamped."""
     y = _positive(y, "support is y > 0")
     theta = p.theta
     # x = inf is the exact limit: P(theta, inf) = 1 and Q(theta, inf) = 0
     with np.errstate(over="ignore"):
         x = theta * np.exp(p.nu * (np.log(y) - np.log(p.mu)))
-    c = special.gammainc(theta, x) if p.nu > 0 else special.gammaincc(theta, x)
+    theta = np.broadcast_to(theta, x.shape).ravel()
+    c = _gamma_ratios(theta, x.ravel(), _LGAMMA(theta).astype(float))[0 if p.nu > 0 else 1].reshape(x.shape)
+    ok = (c >= 0.0) & (c <= 1.0)
+    if not ok.all():
+        raise NumericalError(f"the cdf must be in [0, 1], got {_bad_values(c, ok)}")
     return _scalar_or_array(c)
 
 
 def gg_quantile(q, p: GGParams):
     """Closed-form inverse of gg_cdf: y = mu * (G / theta)^(1/nu), where G
     solves P(theta, G) = q for nu > 0 and Q(theta, G) = q for nu < 0."""
-    from scipy import special
-
     q = np.asarray(q, dtype=float)
     inside = (q > 0.0) & (q < 1.0)
     if not np.all(inside):
         raise NumericalError(f"quantile probability must be in (0,1), got {q[~inside][0]}")
     theta = p.theta
-    g = special.gammaincinv(theta, q) if p.nu > 0 else special.gammainccinv(theta, q)
+    theta_b, q_b = np.broadcast_arrays(theta, q)
+    g = _gamma_inverse(theta_b.ravel(), q_b.ravel(), p.nu < 0).reshape(q_b.shape)
     # an overflow, or a zero G under a negative power, is reported once below
     with np.errstate(over="ignore", divide="ignore"):
         y = np.asarray(p.mu * np.power(g / theta, 1.0 / p.nu))
@@ -418,6 +422,121 @@ def _one_minus_x_trigamma(x) -> np.ndarray:
     tail = -0.5 * r - series  # 1 - xs psi'(xs)
     # 1 - x psi'(x) = 1 - head - (x / xs)(1 - tail), with xs - x = steps
     return tail if steps == 0 else (steps + x * tail) * r - head
+
+
+# Temme's expansion serves theta >= _TEMME_THETA with |x / theta - 1| <= _TEMME_T, where a series takes
+# O(sqrt(theta)) terms; Stirling's series of log Gamma(theta), sum _STIRLING[k] / theta^(2k + 1)
+_TEMME_THETA, _TEMME_T = 30.0, 0.3
+_STIRLING = [b / (2 * k * (2 * k - 1)) for k, b in enumerate(_BERNOULLI, 1)]
+_LGAMMA, _ERFC, _EPS = np.frompyfunc(math.lgamma, 1, 1), np.frompyfunc(math.erfc, 1, 1), sys.float_info.epsilon
+
+
+@functools.cache
+def _temme_coefficients(k_max: int = 10, n_max: int = 20) -> np.ndarray:
+    """d[k, n] of Temme's C_k(eta) = sum_n d[k, n] eta^n (DLMF 8.12.12), from
+    lambda - 1 = sum alpha_n eta^n, which inverts eta^2 / 2 = lambda - 1 - log
+    lambda, and g_k of Gamma*(a) = sum g_k / a^k, the exp of Stirling's series."""
+    alpha = [0.0, 1.0]  # (n + 1) alpha_n = alpha_(n-1) - sum_(i=2)^(n-1) (n + 1 - i) alpha_i alpha_(n+1-i)
+    for n in range(2, n_max + 2 * k_max + 1):
+        alpha.append((alpha[-1] - sum((n + 1 - i) * alpha[i] * alpha[n + 1 - i] for i in range(2, n))) / (n + 1))
+    g = [1.0]
+    for n in range(1, k_max):
+        g.append(sum(j * _STIRLING[j // 2] * g[n - j] for j in range(1, n + 1, 2)) / n)
+    d = [[-1.0 / 3.0] + [(n + 2) * alpha[n + 2] for n in range(1, len(alpha) - 2)]]
+    for k in range(1, k_max):
+        d.append([(-1) ** k * g[k] * d[0][n] + (n + 2) * d[-1][n + 2] for n in range(len(d[-1]) - 2)])
+    return np.array([row[:n_max] for row in d])
+
+
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def _gamma_ratios(theta: np.ndarray, x: np.ndarray, lgamma: np.ndarray):
+    """P(theta, x), Q = 1 - P and log D, D = x^theta e^-x / Gamma(theta), over 1-d arrays;
+    lgamma = log Gamma(theta). Near x = theta at large theta Temme's expansion
+    Q = erfc(eta sqrt(theta / 2)) / 2 + R serves; else P by its power series below
+    x = theta + 1 or Q by its continued fraction, and the other is 1 minus it."""
+    p, q, log_d = np.empty_like(x), np.empty_like(x), np.empty_like(x)
+    big, near = theta >= _TEMME_THETA, np.zeros(x.size, dtype=bool)
+    log_d[~big] = theta[~big] * np.log(x[~big]) - x[~big] - lgamma[~big]
+    if big.any():
+        th, t = theta[big], (x[big] - theta[big]) / theta[big]
+        near[big] = close = np.abs(t) <= _TEMME_T
+        poly = np.polynomial.polynomial
+        # theta (log(x / theta) - t) = -theta eta^2 / 2, by log1p where x is near theta
+        w = np.where(close, np.log1p(t), np.log(x[big] / th)) - t
+        log_d[big] = th * w + 0.5 * np.log(th / (2.0 * math.pi)) - poly.polyval(th**-2.0, _STIRLING) / th
+        th, eta = th[close], np.copysign(np.sqrt(-2.0 * w[close]), t[close])
+        c = poly.polyval(1.0 / th, _temme_coefficients())  # sum_k d[k, n] / theta^k
+        r = poly.polyval(eta, c, tensor=False) * np.exp(-0.5 * th * eta * eta) / np.sqrt(2.0 * math.pi * th)
+        q[near] = 0.5 * _ERFC(eta * np.sqrt(0.5 * th)).astype(float) + r
+        p[near] = 0.5 * _ERFC(-eta * np.sqrt(0.5 * th)).astype(float) - r
+    d, lower = np.exp(log_d), ~near & (x < theta + 1.0)
+    upper = ~near & ~lower
+    p[lower] = d[lower] / theta[lower] * _series(theta[lower], x[lower])
+    # Q is 0 where D underflows (or is NaN, at x = inf): the fraction runs where it is not
+    q[upper], live = 0.0, upper & (d > 0.0)
+    q[live] = d[live] * _fraction(theta[live], x[live])
+    q[lower], p[upper] = 1.0 - p[lower], 1.0 - q[upper]
+    return p, q, log_d
+
+
+def _series(theta, x):
+    """sum_(n >= 0) x^n / ((theta + 1) ... (theta + n)), each element until its term is below eps of its sum."""
+    total, term, live, n = np.ones_like(x), np.ones_like(x), np.ones(x.size, dtype=bool), 0
+    while live.any():
+        n += 1
+        term *= x / (theta + n)
+        np.add(total, term, out=total, where=live)
+        live &= term > _EPS * total
+    return total
+
+
+def _fraction(theta, x):
+    """Q / D by the continued fraction 1 / (x + 1 - theta - 1 (1 - theta) / (x + 3 - theta - ...)) for
+    x >= theta + 1, modified Lentz, each element until its factor is within eps of 1."""
+    b, c, live, i = x + 1.0 - theta, np.full_like(x, np.inf), np.ones(x.size, dtype=bool), 0
+    h = d = 1.0 / b
+    while live.any():
+        i += 1
+        a = -i * (i - theta)
+        b += 2.0
+        d = 1.0 / (a * d + b)
+        c = b + a / c
+        np.multiply(h, d * c, out=h, where=live)
+        live &= np.abs(d * c - 1.0) > _EPS
+    return h
+
+
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def _gamma_inverse(theta: np.ndarray, q: np.ndarray, upper: bool) -> np.ndarray:
+    """G with P(theta, G) = q, or Q(theta, G) = q if upper, over 1-d arrays; 0 where G underflows.
+
+    Halley steps in u = log G solve log f(G) = log s in the smaller tail (1 - q
+    is exact past 1/2); log f is concave in u, so P starts below the root and Q
+    above it, or steps there first. The starts (DiDonato and Morris 1986):
+    Wilson-Hilferty for theta >= 1 (normal quantile: Abramowitz and Stegun
+    26.2.23), below it the bound P <= G^theta / Gamma(theta + 1). An element stops
+    after a step below 1e-6 / sqrt(max(theta, 1)), an error of order 1e-18 on u's
+    scale 1 / sqrt(theta), or after 100 steps.
+    """
+    s, upper = np.minimum(q, 1.0 - q), (q > 0.5) != upper
+    sign, r, lgamma = np.where(upper, 1.0, -1.0), np.sqrt(-2.0 * np.log(s)), _LGAMMA(theta).astype(float)
+    z = r - (2.515517 + r * (0.802853 + 0.010328 * r)) / (1.0 + r * (1.432788 + r * (0.189269 + 0.001308 * r)))
+    wilson = theta * np.maximum(1.0 - 1.0 / (9.0 * theta) + sign * z / (3.0 * np.sqrt(theta)), 0.0) ** 3
+    small = np.exp((np.where(upper, np.log1p(-s), np.log(s)) + lgamma + np.log(theta)) / theta)
+    g = np.where(theta >= 1.0, np.where(upper, wilson, np.maximum(small, wilson)), small)
+    live, steps = np.flatnonzero(g > 0.0), 0
+    while live.size and steps < 100:
+        th, gl, sgn, steps = theta[live], g[live], sign[live], steps + 1
+        lower_tail, upper_tail, log_d = _gamma_ratios(th, gl, lgamma[live])
+        f = np.where(upper[live], upper_tail, lower_tail)
+        # d log f / du = -+D / f, whose derivative over itself is theta - G - d log f / du
+        slope = sgn * -np.exp(log_d) / f
+        newton = np.where(f > 0.0, np.log(f / s[live]) / slope, sgn * np.inf)  # f = 0: the largest step
+        halley = 1.0 - 0.5 * newton * (th - gl - slope)
+        step = np.clip(np.where(halley > 0.5, newton / halley, newton), -2.0, 2.0)
+        g[live] = gl + gl * np.expm1(-step)
+        live = live[np.abs(step) * np.sqrt(np.maximum(th, 1.0)) > 1e-6]
+    return g
 
 
 # The largest ridge_lambda: 2 lam on the Hessian's diagonal, plus a trust-region shift as large, is finite

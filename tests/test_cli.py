@@ -311,6 +311,33 @@ def test_cli_import_leaves_out_scipy_and_requests(tmp_path):
     assert result.returncode == 0, result.stderr
 
 
+def test_scoring_commands_leave_out_scipy(tmp_path):
+    # the incomplete gamma and its inverse are numpy code: only the growth fit imports scipy
+    from normcharts.experiments import _default_truth
+    from normcharts.phenotype import write_phenotype_csv
+    from normcharts.synthcorpus import synth_cohort
+
+    phenotypes, model = str(tmp_path / "p.csv"), str(tmp_path / "gm.json")
+    write_phenotype_csv(phenotypes, synth_cohort(seed=3, n_sessions=60,
+                                                 truth=_default_truth(PipelineConfig(n_scanners=2))))
+    Path(model).write_text(json.dumps(GOOD_GROWTH_MODEL))
+    script = textwrap.dedent(f"""
+        import sys
+        from normcharts.cli import main
+        for argv in (["aggregate", "--phenotypes", {phenotypes!r}, "--out", {str(tmp_path / "s.csv")!r}],
+                     ["centiles", "--model", {model!r}, "--phenotypes", {phenotypes!r},
+                      "--out", {str(tmp_path / "c.csv")!r}],
+                     ["curves", "--model", {model!r}, "--out", {str(tmp_path / "curves.csv")!r}]):
+            assert main(argv) == 0, argv
+        loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+        assert not loaded, loaded
+    """)
+    src = str(Path(normcharts.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+
+
 @pytest.mark.parametrize("case", ["bad_label", "missing_report"])
 def test_triage_with_bad_gold_writes_nothing(tmp_path, capsys, case):
     gold = read_metrics(data_file("edge_case_gold.csv"))
@@ -1695,6 +1722,32 @@ def test_exp6_whose_curves_are_not_finite_leaves_no_run(tmp_path, monkeypatch, c
 # sha256 of the centiles of the 400-session cohort under a location of exp(-745),
 # recorded before the overflow to x = inf in gg_cdf was silenced.
 CENTILES_AT_UNDERFLOWING_MU = "45b08dfbc1b46e487e9babedf10bbed6722c4ebebad8aa200e7e2498e7cb8e13"
+
+
+@pytest.mark.parametrize("bad", [math.nan, -1e-3, 1.5])
+def test_centiles_outside_unit_interval_fail_in_one_line(tmp_path, monkeypatch, capsys, bad):
+    from normcharts import growthchart
+    from normcharts.experiments import _default_truth
+    from normcharts.phenotype import write_phenotype_csv
+    from normcharts.synthcorpus import synth_cohort
+
+    ratios = growthchart._gamma_ratios
+
+    def broken(*args):
+        p, q, log_d = ratios(*args)
+        p[1::7], q[1::7] = bad, bad
+        return p, q, log_d
+
+    monkeypatch.setattr(growthchart, "_gamma_ratios", broken)
+    phenotypes, model, out = tmp_path / "p.csv", tmp_path / "gm.json", tmp_path / "out.csv"
+    write_phenotype_csv(phenotypes, synth_cohort(seed=3, n_sessions=60,
+                                                 truth=_default_truth(PipelineConfig(n_scanners=1))))
+    model.write_text(json.dumps(GOOD_GROWTH_MODEL))
+    rc = main(["centiles", "--model", str(model), "--phenotypes", str(phenotypes), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 4
+    assert err.count("\n") == 1 and err.startswith(f"numerical failure: the cdf must be in [0, 1], got {bad} (")
+    assert not out.exists()
 
 
 def test_centiles_whose_cdf_argument_overflows_stay_silent(tmp_path):

@@ -227,6 +227,106 @@ def test_quantile_array_call_equals_scalar_calls(nu):
     assert got.tobytes() == np.array(want).tobytes()
 
 
+@pytest.mark.parametrize("nu", QUANTILE_NUS)
+def test_cdf_array_call_equals_scalar_calls(nu):
+    grid = np.array(list(itertools.product(QUANTILE_MUS, QUANTILE_SIGMAS, QUANTILE_PROBS)))
+    mu, sigma, q = grid.T
+    p = GGParams(mu=mu, sigma=sigma, nu=nu)
+    y = gg_quantile(q, p)
+    got = gg_cdf(y, p)
+    want = [gg_cdf(yk, GGParams(mu=mk, sigma=sk, nu=nu)) for yk, mk, sk in zip(y.tolist(), mu.tolist(), sigma.tolist())]
+    assert all(type(w) is float for w in want)
+    assert got.tobytes() == np.array(want).tobytes()
+
+
+# --- special functions against scipy.special, the oracle ---
+
+# theta log-uniform over [1e-3, 1e7]; x anywhere, log-uniform, or within 40 standard deviations of theta
+ORACLE_THETAS = st.floats(-3.0, 7.0).map(lambda e: 10.0**e)
+ORACLE_PAIRS = st.one_of(
+    st.tuples(ORACLE_THETAS, st.one_of(st.floats(0.0, sys.float_info.max), st.floats(-700.0, 700.0).map(math.exp))),
+    st.tuples(ORACLE_THETAS, st.floats(-40.0, 40.0)).map(lambda t: (t[0], t[0] * math.exp(t[1] / math.sqrt(t[0] + 1.0)))),
+)
+
+
+def gamma_ratios(theta, x):
+    """growthchart's P, Q and log D at each (theta, x)."""
+    return growthchart._gamma_ratios(theta, x, np.array([math.lgamma(t) for t in theta.tolist()]))
+
+
+def gamma_ratio_oracle(theta, x):
+    """scipy's P and Q, except where scipy's power series stops at 2000 terms
+    before it converges: there, above theta = 2e5 and below x = theta, it is
+    off by up to 4% (theta = 1e7), and growthchart's power series summed to
+    convergence, a method apart from the Temme expansion that serves there,
+    is the oracle."""
+    p, q = special.gammainc(theta, x), special.gammaincc(theta, x)
+    cut = (theta > 2e5) & (x < theta)
+    log_d = gamma_ratios(theta[cut], x[cut])[2]
+    p[cut] = np.exp(log_d) / theta[cut] * growthchart._series(theta[cut], x[cut])
+    q[cut] = 1.0 - p[cut]
+    return p, q
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.lists(ORACLE_PAIRS, min_size=1, max_size=40))
+@example([(1e7, 1e7 * (1.0 - 3e-3)), (1e7, 1e7 * (1.0 + 3e-3)), (30.0, 39.0), (29.99, 29.99), (1e-3, 0.0),
+          (1e-3, math.inf), (5.0, 1e-300), (2e5, 2e5 - 2e3)])
+def test_incomplete_gamma_matches_scipy(pairs):
+    theta, x = (np.array(a) for a in zip(*pairs))
+    p, q, _ = gamma_ratios(theta, x)
+    want_p, want_q = gamma_ratio_oracle(theta, x)
+    np.testing.assert_allclose(p, want_p, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(q, want_q, rtol=0.0, atol=1e-12)
+    for got, want in ((p, want_p), (q, want_q)):
+        tail = (want >= 1e-300) & (want <= 1e-3)
+        np.testing.assert_allclose(got[tail], want[tail], rtol=1e-10)
+
+
+# q in (0, 1), and log-uniform near either end
+ORACLE_Q = st.one_of(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), st.floats(-745.0, -1e-3).map(math.exp),
+                     st.floats(-36.0, -1e-3).map(lambda e: -math.expm1(e)).filter(lambda q: q < 1.0))
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.lists(st.tuples(ORACLE_THETAS, ORACLE_Q), min_size=1, max_size=40), st.booleans())
+@example([(1e7, 1e-300), (1e7, 0.5), (1e-3, 0.5), (1e-3, 1e-300), (1.0, 0.5), (0.9, 1 - 1e-16), (30.0, 0.025)], False)
+@example([(1e7, 1e-300), (1e-3, 0.5), (1e-3, 1e-300), (0.5, 0.999), (2.3, 2e-164)], True)
+def test_incomplete_gamma_inverse_matches_scipy_and_round_trips(pairs, upper):
+    theta, q = (np.array(a) for a in zip(*pairs))
+    g = growthchart._gamma_inverse(theta, q, upper)
+    # scipy's inverse inherits the error of its P (see gamma_ratio_oracle) below x = theta;
+    # a subnormal q has too few bits to fix G to 1e-12
+    want = (special.gammainccinv if upper else special.gammaincinv)(theta, q)
+    compare = (theta >= 1.0) & (q >= sys.float_info.min) & ~((theta > 2e5) & (want < theta))
+    np.testing.assert_allclose(g[compare], want[compare], rtol=1e-12)
+    # where G underflows, the root lies below the least double
+    least = np.full(theta.size, 5e-324)
+    tails = gamma_ratios(theta, least)
+    under = (tails[1] <= q) if upper else (tails[0] >= q)
+    assert under[g == 0.0].all()
+    # elsewhere f(G) is q, to within the change four ulps of G make in f
+    g, theta, q = g[g > 0.0], theta[g > 0.0], q[g > 0.0]
+    p, q_tail, log_d = gamma_ratios(theta, g)
+    ulps = 4.0 * np.exp(log_d) * (np.spacing(g) / g)
+    assert np.all(np.abs((q_tail if upper else p) - q) <= 1e-13 + 1e-12 * q + ulps)
+
+
+def test_one_minus_x_trigamma_matches_polygamma():
+    x = np.logspace(-3.0, 3.0, 2001)
+    np.testing.assert_allclose(
+        growthchart._one_minus_x_trigamma(x), 1.0 - x * special.polygamma(1, x), rtol=1e-9
+    )
+    # 1 - x psi'(x) = -1/(2x) - 1/(6x^2) - ..., where 1 - x * polygamma cancels to noise
+    big = np.array([1e6, 1e10, 1e100, 1e300])
+    np.testing.assert_allclose(2.0 * big * growthchart._one_minus_x_trigamma(big), -1.0, rtol=1e-6)
+    # beside a small x, which moves every x up the recurrence, as alone
+    for x_big in big:
+        got = growthchart._one_minus_x_trigamma(np.array([0.5, x_big]))
+        np.testing.assert_allclose(got, [1.0 - 0.5 * special.polygamma(1, 0.5), -0.5 / x_big], rtol=1e-6)
+
+
+
 def test_exponential_special_case():
     # theta = 1 requires sigma = 1 with nu = 1; then y ~ Exp(rate 1/mu)
     p = GGParams(mu=2.0, sigma=1.0, nu=1.0)
@@ -546,20 +646,6 @@ def test_hessian_matches_central_differences_of_the_gradient(spec, nu, layout):
     tol = 2e-5 if nu < 0.1 else 1e-8
     np.testing.assert_allclose(hess, numeric, rtol=tol, atol=tol * np.abs(hess).max())
     assert np.array_equal(hess[-1, :], hess[:, -1])
-
-
-def test_one_minus_x_trigamma_matches_polygamma():
-    x = np.logspace(-3.0, 3.0, 2001)
-    np.testing.assert_allclose(
-        growthchart._one_minus_x_trigamma(x), 1.0 - x * special.polygamma(1, x), rtol=1e-9
-    )
-    # 1 - x psi'(x) = -1/(2x) - 1/(6x^2) - ..., where 1 - x * polygamma cancels to noise
-    big = np.array([1e6, 1e10, 1e100, 1e300])
-    np.testing.assert_allclose(2.0 * big * growthchart._one_minus_x_trigamma(big), -1.0, rtol=1e-6)
-    # beside a small x, which moves every x up the recurrence, as alone
-    for x_big in big:
-        got = growthchart._one_minus_x_trigamma(np.array([0.5, x_big]))
-        np.testing.assert_allclose(got, [1.0 - 0.5 * special.polygamma(1, 0.5), -0.5 / x_big], rtol=1e-6)
 
 
 # 9e307 and just below half the largest double made the fit warn: 2 lam, or a
