@@ -13,8 +13,9 @@ is fit by Newton steps on the penalized log-likelihood's exact Hessian, in a
 trust region: an FP2 basis from the optimum of a nested FP1 basis fit before
 it, any other cold, with seeded restarts only for a fit that did not converge.
 
-Scoring needs numpy alone. Only the fit imports scipy.special and scipy.optimize,
-inside the functions that call them: every CLI command imports this module.
+gg_cdf, gg_quantile and the scoring commands need numpy alone. The fit imports
+scipy.special and scipy.optimize, inside the functions that call them (every
+CLI command imports this module); gg_logpdf shares the fit's gammaln.
 """
 
 import functools
@@ -24,6 +25,7 @@ import math
 import sys
 from collections import abc
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from types import SimpleNamespace
 from typing import Mapping, Optional, Sequence, Union, get_args, get_origin
 
 import numpy as np
@@ -582,8 +584,8 @@ _NEWTON_TOL = 1e-9
 
 def _trust_newton(fun, x0, args=(), *, gtol, **_):
     """Minimize fun(x, *args), which returns the value, the gradient and the
-    exact Hessian, by trust-region Newton steps; a method for
-    optimize.minimize.
+    exact Hessian, by trust-region Newton steps, with no scipy: fit calls it
+    through optimize.minimize only so that perfbench/tracer.py sees every start.
 
     Each step solves the trust-region subproblem in the Hessian's eigenbasis:
     the Newton step if the Hessian is positive definite and the step fits the
@@ -650,9 +652,7 @@ def _trust_newton(fun, x0, args=(), *, gtol, **_):
     if not success and f < _BIG:
         free = g[: x.size - _pinned(x[-1], g[-1])]
         success = bool(np.abs(free).max() < gtol)
-    from scipy import optimize
-
-    return optimize.OptimizeResult(x=x, fun=f, jac=g, nit=nit, nfev=nfev, success=success)
+    return SimpleNamespace(x=x, fun=f, nit=nit, nfev=nfev, success=success)
 
 
 def _standardize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

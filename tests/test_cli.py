@@ -312,7 +312,7 @@ def test_cli_import_leaves_out_scipy_and_requests(tmp_path):
 
 
 def test_scoring_commands_leave_out_scipy(tmp_path):
-    # the incomplete gamma and its inverse are numpy code: only the growth fit imports scipy
+    # the incomplete gamma, its inverse and the growth fit's Newton solver are numpy code
     from normcharts.experiments import _default_truth
     from normcharts.phenotype import write_phenotype_csv
     from normcharts.synthcorpus import synth_cohort
@@ -329,6 +329,12 @@ def test_scoring_commands_leave_out_scipy(tmp_path):
                       "--out", {str(tmp_path / "c.csv")!r}],
                      ["curves", "--model", {model!r}, "--out", {str(tmp_path / "curves.csv")!r}]):
             assert main(argv) == 0, argv
+        import numpy as np
+        from normcharts.growthchart import _trust_newton
+        a, centre = np.array([[2.0, 0.5], [0.5, 1.0]]), np.array([0.3, 1.5])
+        res = _trust_newton(lambda x: (0.5 * (x - centre) @ a @ (x - centre), a @ (x - centre), a),
+                            np.array([0.0, 1.0]), gtol=0.0)
+        assert res.success and np.allclose(res.x, centre), vars(res)
         loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
         assert not loaded, loaded
     """)

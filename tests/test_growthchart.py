@@ -946,11 +946,11 @@ def test_same_age_cohort_fits_without_warning():
 
 def test_same_age_cohort_is_converged_as_its_winning_start_says(monkeypatch):
     # the Newton start stops short of a Newton step here, with a gradient below gtol
-    starts = _recording_minimize(monkeypatch)
+    starts = _recording_newton(monkeypatch)
     cohort = build_cohort(12, 120, small_truth())
     cohort = replace(cohort, age_days=np.full(len(cohort), 3000))
     model = fit(cohort, Region.CORTICAL_GM, quick_options(sigma_age=True))
-    best = min((res for _, res in starts), key=lambda res: res.fun)
+    best = min((res for _, _, res in starts), key=lambda res: res.fun)
     assert best.success is True
     assert model.converged is best.success
 
@@ -969,89 +969,69 @@ def test_volumes_whose_sums_overflow_fit_as_the_unscaled_ones():
     assert model.mu_coef[0] == pytest.approx(unscaled.mu_coef[0] + 301 * math.log(10), rel=1e-6)
 
 
-def _count_minimize(monkeypatch):
-    calls = []
-    real = optimize.minimize
+def _recording_newton(monkeypatch):
+    """Record each start's objective arguments, x0 and result."""
+    starts, newton = [], growthchart._trust_newton
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def recording(fun, x0, args=(), **kwargs):
+        x0 = x0.copy()
+        res = newton(fun, x0, args, **kwargs)
+        starts.append((args, x0, res))
+        return res
 
-    monkeypatch.setattr(optimize, "minimize", counting)
-    return calls
+    monkeypatch.setattr(growthchart, "_trust_newton", recording)
+    return starts
 
 
 def test_one_start_per_candidate_when_it_converges(monkeypatch):
-    calls = _count_minimize(monkeypatch)
+    starts = _recording_newton(monkeypatch)
     cohort = build_cohort(13, 300, small_truth())
     specs = [FpSpec(1, (0.5,)), FpSpec(2, (-1.0, 2.0))]
     model = fit(cohort, Region.CORTICAL_GM, quick_options(fp_candidates=specs))
     assert model.converged
-    assert len(calls) == len(specs)
+    assert len(starts) == len(specs)
 
 
 def test_every_start_runs_while_none_converges(monkeypatch):
-    calls = _count_minimize(monkeypatch)
+    starts = _recording_newton(monkeypatch)
     monkeypatch.setattr(growthchart, "_MAX_ITER", 1)
     cohort = build_cohort(13, 300, small_truth())
     model = fit(cohort, Region.CORTICAL_GM, quick_options())
     assert not model.converged
-    assert len(calls) == len(growthchart._NU_STARTS) == 3
+    assert len(starts) == len(growthchart._NU_STARTS) == 3
 
 
 def test_seeded_starts_move_only_the_location_coefficients(monkeypatch):
-    starts = []
-    real = optimize.minimize
-
-    def recording(fun, x0, *args, **kwargs):
-        starts.append(x0.copy())
-        return real(fun, x0, *args, **kwargs)
-
-    monkeypatch.setattr(optimize, "minimize", recording)
+    starts = _recording_newton(monkeypatch)
     monkeypatch.setattr(growthchart, "_MAX_ITER", 1)
     cohort = build_cohort(13, 300, small_truth())
     fit(cohort, Region.CORTICAL_GM, quick_options(sigma_age=True))
     # [intercept, FP term, sex | 2 scanner intercepts | scale intercept, age slope | nu]
-    cold, *seeded = starts
+    cold, *seeded = (x0 for _, x0, _ in starts)
     assert cold.size == 8 and cold[3:].tolist() == [0.0, 0.0, cold[5], 0.0, 1.0]
     for x0, nu in zip(seeded, growthchart._NU_STARTS[1:], strict=True):
         assert np.flatnonzero(x0[:-1] != cold[:-1]).tolist() == [0, 1, 2]
         assert x0[-1] == nu
 
 
-def _recording_minimize(monkeypatch):
-    """Record each start's method and result."""
-    starts = []
-    real = optimize.minimize
-
-    def recording(fun, x0, *args, **kwargs):
-        res = real(fun, x0, *args, **kwargs)
-        starts.append((kwargs["method"], res))
-        return res
-
-    monkeypatch.setattr(optimize, "minimize", recording)
-    return starts
-
-
 def test_newton_start_that_does_not_converge_is_followed_by_a_seeded_newton_start(monkeypatch):
     # the one cold start of 4,400 (100 full searches) that did not converge
-    starts = _recording_minimize(monkeypatch)
+    starts = _recording_newton(monkeypatch)
     cohort = build_cohort(3, 40, replace(small_truth(), nu=5.0))
     options = quick_options(fp_candidates=[FpSpec(2, (0.0, 2.0))], sigma_age=True)
     model = fit(cohort, Region.CORTICAL_GM, options)
-    (newton, cold), (seeded_newton, seeded) = starts
-    assert newton is seeded_newton is growthchart._trust_newton
+    (_, _, cold), (_, _, seeded) = starts
     assert not cold.success
     assert seeded.success and model.converged
 
 
 @pytest.mark.parametrize("truth_nu, bound", [(0.02, NU_BOUNDS[0]), (14.0, NU_BOUNDS[1])])
 def test_newton_start_ends_on_the_bound_past_which_the_best_shape_lies(monkeypatch, truth_nu, bound):
-    starts = _recording_minimize(monkeypatch)
+    starts = _recording_newton(monkeypatch)
     cohort = build_cohort(1, 300, replace(small_truth(), nu=truth_nu))
     model = fit(cohort, Region.CORTICAL_GM, quick_options())
-    ((method, res),) = starts
-    assert method is growthchart._trust_newton and res.success
+    ((_, _, res),) = starts
+    assert res.success
     assert model.nu == bound and model.converged
     assert model.search[0].nu_on_bound
 
@@ -1068,26 +1048,9 @@ def test_non_finite_hessian_ends_the_newton_start_unconverged_and_silent():
     assert not np.isfinite(_neg_penalized_loglik(x0, *args)[2]).all()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        res = optimize.minimize(
-            _neg_penalized_loglik, x0, args=args, method=growthchart._trust_newton, options={"gtol": 1.0}
-        )
+        res = growthchart._trust_newton(_neg_penalized_loglik, x0, args, gtol=1.0)
     assert not res.success and res.nit == 1
     assert np.array_equal(res.x, x0) and res.fun == growthchart._BIG
-
-
-def _recording_starts(monkeypatch):
-    """Record each start's objective arguments, x0 and result."""
-    starts = []
-    real = optimize.minimize
-
-    def recording(fun, x0, *args, **kwargs):
-        x0 = x0.copy()
-        res = real(fun, x0, *args, **kwargs)
-        starts.append((kwargs["args"], x0, res))
-        return res
-
-    monkeypatch.setattr(optimize, "minimize", recording)
-    return starts
 
 
 def _starts_by_candidate(starts, specs):
@@ -1109,7 +1072,7 @@ def _cold_start(x0):
 
 @pytest.mark.parametrize("layout", ["two_sex", "one_sex_no_sigma_age"])
 def test_fp2_nested_start_begins_at_its_better_converged_fp1_optimum(monkeypatch, layout):
-    starts = _recording_starts(monkeypatch)
+    starts = _recording_newton(monkeypatch)
     cohort = build_cohort(14, 300, small_truth())
     options = FitOptions()
     if layout.startswith("one_sex"):
@@ -1139,7 +1102,7 @@ def test_fp2_nested_start_begins_at_its_better_converged_fp1_optimum(monkeypatch
 
 
 def test_fp2_specs_alone_get_no_nested_start_and_keep_their_bits(monkeypatch):
-    starts = _recording_starts(monkeypatch)
+    starts = _recording_newton(monkeypatch)
     cohort = build_cohort(14, 300, small_truth())
     specs = [FpSpec(2, (0.5, 0.5)), FpSpec(2, (-1.0, 2.0))]
     model = fit(cohort, Region.CORTICAL_GM, FitOptions(fp_candidates=specs))
@@ -1155,7 +1118,7 @@ def test_fp2_specs_alone_get_no_nested_start_and_keep_their_bits(monkeypatch):
 
 
 def test_fit_keeps_one_search_record_per_candidate_and_returns_the_first_lowest_bic(monkeypatch, tmp_path):
-    starts = _recording_starts(monkeypatch)
+    starts = _recording_newton(monkeypatch)
     evals, objective = [], growthchart._neg_penalized_loglik
     monkeypatch.setattr(growthchart, "_neg_penalized_loglik", lambda *a: evals.append(1) or objective(*a))
     cohort = build_cohort(14, 300, small_truth())
@@ -1212,7 +1175,7 @@ def test_warm_start_begins_at_the_earlier_optimum_mapped_to_this_cohort(monkeypa
         cohort_a, cohort_b = _male(cohort_a), _male(cohort_b)
         options = FitOptions(fp_candidates=specs, sigma_age=False)
     a = fit(cohort_a, Region.CORTICAL_GM, options)
-    starts = _recording_starts(monkeypatch)
+    starts = _recording_newton(monkeypatch)
     b = fit(cohort_b, Region.CORTICAL_GM, options, a.search)
     for record, prior, ((args, x0, _),) in zip(b.search, a.search, _starts_by_candidate(starts, specs).values()):
         assert record.start == "warm" and record.model.converged
@@ -1232,7 +1195,7 @@ def test_unconverged_earlier_record_gives_no_warm_start(monkeypatch):
     a = fit(cohort_a, Region.CORTICAL_GM, FitOptions(fp_candidates=specs))
     # the earlier fit of FP1(2) and FP2(0.5, 2) said it did not converge
     warm = [replace(r, model=replace(r.model, converged=r.model.fp_mu == specs[0])) for r in a.search]
-    starts = _recording_starts(monkeypatch)
+    starts = _recording_newton(monkeypatch)
     b = fit(cohort_b, Region.CORTICAL_GM, FitOptions(fp_candidates=specs), warm)
     assert [r.start for r in b.search] == ["warm", "cold", "nested"]
     assert _cold_start(_starts_by_candidate(starts, specs)[specs[1]][0][1])
@@ -1272,7 +1235,7 @@ def test_warm_start_across_scanner_and_sex_layouts_fits_and_converges(monkeypatc
     options = FitOptions(fp_candidates=specs)
     a = fit(cohort_a, Region.CORTICAL_GM, options)
     cold = fit(cohort_b, Region.CORTICAL_GM, options)
-    starts = _recording_starts(monkeypatch)
+    starts = _recording_newton(monkeypatch)
     b = fit(cohort_b, Region.CORTICAL_GM, options, a.search)
     for warm, record, ((args, x0, _), *_) in zip(
         b.search, cold.search, _starts_by_candidate(starts, specs).values(), strict=True
