@@ -186,7 +186,9 @@ class CsrMatrix(NamedTuple):
     def matvec(self, w: np.ndarray) -> np.ndarray:
         """X @ w."""
         rows = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
-        return np.bincount(rows, weights=self.data * w[self.indices], minlength=self.shape[0])
+        products = w[self.indices]
+        products *= self.data
+        return np.bincount(rows, weights=products, minlength=self.shape[0])
 
     def rmatvec(self, c: np.ndarray) -> np.ndarray:
         """X.T @ c."""
@@ -228,7 +230,8 @@ class PaddedRows(NamedTuple):
 
     def matvec(self, w: np.ndarray) -> np.ndarray:
         """X @ w, each row's products added in order from +0.0, as `CsrMatrix.matvec` adds them."""
-        products = self.data * w[self.ids]
+        products = w[self.ids]
+        products *= self.data
         if len(products) == 1:  # numpy sums a lone row pairwise
             return np.bincount(np.zeros(products.shape[1], dtype=np.intp), weights=products[0], minlength=1)
         return np.add.reduce(np.ascontiguousarray(products.T), axis=0, initial=0.0)
@@ -294,9 +297,11 @@ def _sigmoid(z):
     return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
-def _probability(z, bias) -> np.ndarray:
-    """The probability of Normal at margins z + bias, kept within [EPS, 1 - EPS]."""
-    return np.clip(_sigmoid(z + bias), EPS, 1.0 - EPS)
+def _probability(margins) -> np.ndarray:
+    """The probability of Normal at each margin X @ w + bias, kept within [EPS, 1 - EPS]."""
+    p = _sigmoid(margins)
+    np.maximum(p, EPS, out=p)
+    return np.minimum(p, 1.0 - EPS, out=p)
 
 
 def _sample_weights(y: np.ndarray, pos_weight: float) -> np.ndarray:
@@ -305,8 +310,14 @@ def _sample_weights(y: np.ndarray, pos_weight: float) -> np.ndarray:
 
 
 def _loss(p, y, sample_w, weights, l2) -> float:
-    """Mean weighted cross-entropy of probabilities p, plus the l2 penalty."""
-    loss = -np.mean(sample_w * (y * np.log(p) + (1 - y) * np.log(1.0 - p)))
+    """Mean weighted cross-entropy of probabilities p at targets y in {0, 1}, plus the l2 penalty.
+
+    An example's term is log(p) where y is 1 and log(1 - p) where it is 0,
+    the bits of y log(p) + (1 - y) log(1 - p): the term y leaves out is a
+    -0.0, and p within [EPS, 1 - EPS] makes the other a negative finite log."""
+    terms = np.log(np.where(y == 1, p, 1.0 - p))
+    terms *= sample_w
+    loss = -(np.add.reduce(terms) / len(terms))
     return float(loss + l2 * float(weights @ weights))
 
 
@@ -318,12 +329,19 @@ def objective_and_gradient(
     pos_weight: float,
     l2: float,
 ) -> tuple[float, np.ndarray, float]:
-    """Mean weighted cross-entropy + l2 penalty, with its analytic gradient."""
-    p = _probability(X.matvec(weights), bias)
+    """Mean weighted cross-entropy + l2 penalty at targets y in {0, 1} (1 for
+    Normal), with its analytic gradient.  Its arrays are built in place."""
+    p = _probability(X.matvec(weights) + bias)
     sample_w = _sample_weights(y, pos_weight)
-    coef = sample_w * (p - y) / X.shape[0]
-    grad_w = X.rmatvec(coef) + 2.0 * l2 * weights
-    return _loss(p, y, sample_w, weights, l2), grad_w, float(np.sum(coef))
+    loss = _loss(p, y, sample_w, weights, l2)
+    coef = p  # sample_w * (p - y) / n
+    coef -= y
+    coef *= sample_w
+    coef /= X.shape[0]
+    # X.T @ coef is added to the penalty: over no nonzeros, np.bincount returns int64 zeros
+    grad_w = 2.0 * l2 * weights
+    grad_w += X.rmatvec(coef)
+    return loss, grad_w, float(coef.sum())
 
 
 def training_order(examples: Sequence[tuple[str, Label]]) -> list[int]:
@@ -393,44 +411,54 @@ def train(X: CsrMatrix, y: np.ndarray, cfg: TrainConfig) -> LinearModel:
     bias = 0.0
     rng = SplitMix64(cfg.seed ^ 0x1F2E3D4C5B6A7988)
     order = list(range(n))
-    loss = float("nan")
-    for _ in range(cfg.epochs):
-        rng.shuffle(order)
-        perm = np.array(order)
-        for start in range(0, n, _BATCH_SIZE):
-            batch = perm[start : start + _BATCH_SIZE]
-            loss, gw, gb = objective_and_gradient(
-                X_used.take_rows(batch), y[batch], w_used, bias, cfg.pos_weight, _L2
-            )
-            if not np.isfinite(loss):
-                raise NumericalError(f"non-finite loss {loss}")
-            w_used -= cfg.learning_rate * gw
-            bias -= cfg.learning_rate * gb
-    del X_used  # before the full-width weights
-    weights = np.zeros(fcfg.dimension)
-    weights[used] = w_used
-    z = np.empty(n)
-    for start in range(0, n, _SCORE_BLOCK):
-        ptr = X.indptr[start : start + _SCORE_BLOCK + 1]
-        nonzeros = slice(ptr[0], ptr[-1])
-        block = CsrMatrix(X.data[nonzeros], X.indices[nonzeros], ptr - ptr[0], (len(ptr) - 1, X.shape[1]))
-        z[start : start + len(ptr) - 1] = block.matvec(weights)
-    final = _loss(_probability(z, bias), y, _sample_weights(y, cfg.pos_weight), weights, _L2)
-    if not np.isfinite(final):
+    # An overflow shows as a loss that is not finite, the one error it raises.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(cfg.epochs):
+            rng.shuffle(order)
+            perm = np.array(order)
+            for start in range(0, n, _BATCH_SIZE):
+                batch = perm[start : start + _BATCH_SIZE]
+                loss, gw, gb = objective_and_gradient(
+                    X_used.take_rows(batch), y[batch], w_used, bias, cfg.pos_weight, _L2
+                )
+                if not math.isfinite(loss):
+                    raise NumericalError(f"non-finite loss {loss}")
+                gw *= cfg.learning_rate
+                w_used -= gw
+                bias -= cfg.learning_rate * gb
+        del X_used  # before the full-width weights
+        weights = np.zeros(fcfg.dimension)
+        weights[used] = w_used
+        z = np.empty(n)
+        for start in range(0, n, _SCORE_BLOCK):
+            ptr = X.indptr[start : start + _SCORE_BLOCK + 1]
+            nonzeros = slice(ptr[0], ptr[-1])
+            block = CsrMatrix(X.data[nonzeros], X.indices[nonzeros], ptr - ptr[0], (len(ptr) - 1, X.shape[1]))
+            z[start : start + len(ptr) - 1] = block.matvec(weights)
+        final = _loss(_probability(z + bias), y, _sample_weights(y, cfg.pos_weight), weights, _L2)
+    if not math.isfinite(final):
         raise NumericalError(f"non-finite final loss {final}")
     return LinearModel(weights=weights, bias=bias, config=fcfg, pos_weight=cfg.pos_weight, final_loss=final)
 
 
 def predict(model: LinearModel, texts: Sequence[str]) -> np.ndarray:
-    """Probability that each text is a Normal report, scored _SCORE_BLOCK rows at a time."""
-    z = np.empty(len(texts))
+    """Probability that each text is a Normal report, scored _SCORE_BLOCK rows at a time.
+    A margin X @ weights + bias that is not finite raises NumericalError naming its text."""
+    margins = np.empty(len(texts))
     for start in range(0, len(texts), _SCORE_BLOCK):
         block = texts[start : start + _SCORE_BLOCK]
         try:
-            z[start : start + len(block)] = featurize(block, model.config).matvec(model.weights)
+            X = featurize(block, model.config)
         except EmptyInput as e:
             raise _no_tokens(start + e.row) from None
-    return _probability(z, model.bias)
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = X.matvec(model.weights) + model.bias
+        finite = np.isfinite(m)
+        if not finite.all():
+            row = int(np.argmin(finite))
+            raise NumericalError(f"text {start + row} has non-finite margin {m[row]}")
+        margins[start : start + len(block)] = m
+    return _probability(margins)
 
 
 def classify(model: LinearModel, texts: Sequence[str]) -> list[Label]:

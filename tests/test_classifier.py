@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
@@ -28,7 +28,7 @@ from normcharts.classifier import (
     _sigmoid,
 )
 from normcharts.corpus import SplitMix64
-from normcharts.errors import ConfigError, DataError, EmptyInput
+from normcharts.errors import ConfigError, DataError, EmptyInput, NumericalError
 from normcharts.labeling import Label
 from normcharts.synthcorpus import synth_reports
 
@@ -351,6 +351,48 @@ def test_padded_rows_equal_scipy_bitwise(case):
     assert batch.rmatvec(c).tobytes() == float_batch.rmatvec(c).tobytes()
 
 
+def _textbook_objective(A, y, w, bias, pos_weight, l2):
+    """objective_and_gradient as first written, a new array per expression, with
+    scipy's CSR products: the oracle for the bits of its in-place arrays."""
+    p = np.clip(0.5 * (1.0 + np.tanh(0.5 * (A @ w + bias))), EPS, 1.0 - EPS)
+    sample_w = np.where(y == 1, pos_weight, 1.0)
+    coef = sample_w * (p - y) / A.shape[0]
+    loss = -np.mean(sample_w * (y * np.log(p) + (1 - y) * np.log(1.0 - p)))
+    return float(loss + l2 * float(w @ w)), A.T @ coef + 2.0 * l2 * w, float(np.sum(coef))
+
+
+def _bits(loss, grad, grad_bias):
+    return np.float64(loss).tobytes(), grad.tobytes(), np.float64(grad_bias).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    case=_padded_products(),
+    # a margin of +-40 or more puts p at 1 - EPS or EPS
+    bias=st.sampled_from([0.0, 0.3, -40.0, 40.0]),
+    pos_weight=st.sampled_from([1.0, 10.0, 0.37]),
+    l2=st.sampled_from([0.0, 1e-6, 1e-2]),
+)
+# one-row batches of 9 nonzeros, which numpy would sum pairwise, at each clamp;
+# the -0.0 weight of column 0, which no row uses, meets the pads there
+@example(case=(CsrMatrix(np.arange(1.0, 10.0), np.arange(1, 10), np.array([0, 9]), (1, 10)),
+               np.array([-0.0, *np.linspace(-0.5, 0.7, 9)]), np.array([1.0]), np.array([0])),
+         bias=40.0, pos_weight=10.0, l2=0.0)
+@example(case=(CsrMatrix(np.arange(1.0, 10.0), np.arange(1, 10), np.array([0, 9]), (1, 10)),
+               np.array([-0.0, *np.linspace(-0.5, 0.7, 9)]), np.array([-1.0]), np.array([0])),
+         bias=-40.0, pos_weight=10.0, l2=1e-2)
+def test_objective_equals_textbook_expressions_bitwise(case, bias, pos_weight, l2):
+    X, w, c, which = case
+    assume(len(which) > 0)
+    y = (c[which] > 0).astype(float)
+    A = _to_scipy(X._replace(data=X.data.astype(float)))[which]
+    expected = _bits(*_textbook_objective(A, y, w, bias, pos_weight, l2))
+    weights = w.tobytes()
+    for batch in (X.take_rows(which), classifier._pad_rows(X).take_rows(which)):
+        assert _bits(*objective_and_gradient(batch, y, w, bias, pos_weight, l2)) == expected
+    assert w.tobytes() == weights  # the weights are read, not written
+
+
 def test_pad_rows_fill_holds_no_nonzero_sized_index():
     # the fill's temporaries, over what it returns, peak at the row-major mask:
     # an int64 index per nonzero would add over half the padding's bytes
@@ -611,6 +653,19 @@ def test_predict_in_blocks_matches_per_text_dict_sum():
     assert p.shape == (len(texts),)
     assert np.max(np.abs(p - reference)) <= 1e-14
     assert classify(m, texts) == [Label.NORMAL if r > 0.5 else Label.ABNORMAL for r in reference]
+
+
+def test_non_finite_margin_is_named_by_its_row():
+    # a count of 2 times a finite weight of 1e308 overflows, with no numpy warning
+    fcfg = FeatureConfig(dimension=1 << 10)
+    weights = np.zeros(fcfg.dimension)
+    weights[featurize(["boom"], fcfg).indices] = 1e308
+    m = LinearModel(weights=weights, bias=0.0, config=fcfg, pos_weight=10.0)
+    texts = ["stable"] * (_SCORE_BLOCK + 5)
+    assert np.all(predict(m, texts) == 0.5)
+    texts[_SCORE_BLOCK + 3] = "boom boom"
+    with pytest.raises(NumericalError, match=f"text {_SCORE_BLOCK + 3} has non-finite margin inf"):
+        predict(m, texts)
 
 
 def test_predict_on_no_texts_is_empty():

@@ -724,19 +724,73 @@ def test_dimension_with_no_room_for_its_weights_exits_2(tmp_path, capsys):
     assert list(out.iterdir()) == []
 
 
-@pytest.mark.parametrize("flags", [["--epochs", "0"], ["--pos-weight", "-1"], ["--learning-rate", "inf"]])
-def test_train_with_a_bad_setting_exits_2(tmp_path, capsys, flags):
-    gold = str(data_file("edge_case_gold.csv"))
+def _all_reports_in(tmp_path, subset):
+    """A split file that puts every edge-case report in `subset`."""
     split = tmp_path / "split.csv"
     _write_csv(split, ["report_id", "subset"],
-               [[row["report_id"], "Train"] for row in read_metrics(gold)])
+               [[row["report_id"], subset] for row in read_metrics(data_file("edge_case_gold.csv"))])
+    return str(split)
+
+
+@pytest.mark.parametrize("flags", [["--epochs", "0"], ["--pos-weight", "-1"], ["--learning-rate", "inf"]])
+def test_train_with_a_bad_setting_exits_2(tmp_path, capsys, flags):
     out = tmp_path / "m.bin"
-    rc = main(["train", "--reports", str(data_file("edge_case_reports.jsonl")), "--labels", gold,
-               "--split", str(split), "--out", str(out), *flags])
+    rc = main(["train", "--reports", str(data_file("edge_case_reports.jsonl")),
+               "--labels", str(data_file("edge_case_gold.csv")), "--split", _all_reports_in(tmp_path, "Train"),
+               "--out", str(out), *flags])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and flags[0].lstrip("-").replace("-", "_") in err
     assert err.count("\n") == 1 and not out.exists()
+
+
+def _cli_in_fresh_interpreter(*argv):
+    """The CLI in a fresh interpreter, so that a numpy warning reaches stderr as a user sees it."""
+    src = str(Path(normcharts.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-m", "normcharts.cli", *argv], env=env, capture_output=True, text=True)
+
+
+@pytest.mark.parametrize("case", ["learning_rate", "pos_weight", "run_experiment"])
+def test_training_that_overflows_fails_in_one_line(tmp_path, case):
+    # the weights or the weighted loss overflow; numpy's warnings are not printed
+    out = tmp_path / "m.bin"
+    if case == "run_experiment":
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text("[train]\nlearning_rate = 1e308\nsynth_n = 200\nseeds = 1\n")
+        out = tmp_path / "runs"
+        argv = ["run-experiment", "exp2_weighted", "--config", str(cfg_path), "--out", str(out)]
+    else:
+        argv = ["train", "--reports", str(data_file("edge_case_reports.jsonl")),
+                "--labels", str(data_file("edge_case_gold.csv")), "--split", _all_reports_in(tmp_path, "Train"),
+                "--out", str(out), f"--{case.replace('_', '-')}", "1e308"]
+    result = _cli_in_fresh_interpreter(*argv)
+    assert result.returncode == 4
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numerical failure: non-finite loss "), result.stderr
+    assert not out.exists() or list(out.iterdir()) == []
+
+
+def test_eval_of_a_model_whose_margins_overflow_fails_in_one_line(tmp_path):
+    import numpy as np
+
+    from normcharts.classifier import FeatureConfig, LinearModel, save_model
+
+    # finite weights whose sums over a report's n-grams are +-inf or nan
+    model_path = tmp_path / "model.bin"
+    weights = np.where(np.arange(1 << 10) % 2 == 0, 1e308, -1e308)
+    save_model(LinearModel(weights=weights, bias=0.0, config=FeatureConfig(dimension=1 << 10), pos_weight=10.0),
+               model_path)
+    out = tmp_path / "eval.csv"
+    result = _cli_in_fresh_interpreter(
+        "eval", "--model", str(model_path), "--reports", str(data_file("edge_case_reports.jsonl")),
+        "--labels", str(data_file("edge_case_gold.csv")), "--split", _all_reports_in(tmp_path, "Test"),
+        "--out", str(out))
+    assert result.returncode == 4
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numerical failure: text 0 has non-finite margin "), result.stderr
+    assert not out.exists()
 
 
 def test_percent_signs_are_kept_in_config_ini(tmp_path, capsys, monkeypatch):
