@@ -42,8 +42,9 @@ EPS = 1e-12
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
-# Rows featurized per step, inside `featurize` and per `featurize` call in
-# `predict`.  One matrix over a whole 5,000-report subset raised the peak RSS
+# Rows per step of every blocked loop here: featurized inside `featurize` and
+# per `featurize` call in `predict`, padded in `_pad_rows`, scored for `train`'s
+# final loss.  One matrix over a whole 5,000-report subset raised the peak RSS
 # of `eval` by over 30 MB; blocks of 256 add about 2 MB.
 _SCORE_BLOCK = 256
 # The l2 penalty on the weights and the SGD mini-batch size of `train`.
@@ -53,9 +54,6 @@ _BATCH_SIZE = 64
 # A padded cell holds a count and a column id in the design's types, at most 12
 # bytes (3 on report text), so the padding takes at most 24 bytes per nonzero.
 _PAD_BOUND = 2
-# Rows of the padding filled per step: a mask over all of it would take one
-# byte per cell, a third of the padding on report text.
-_PAD_FILL_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -250,12 +248,13 @@ class PaddedRows(NamedTuple):
 
 def _pad_rows(X: CsrMatrix) -> PaddedRows:
     """X's rows padded to the longest with count 0 in column 0 (see PaddedRows),
-    in X's types, filled `_PAD_FILL_BLOCK` rows at a time."""
+    in X's types, filled `_SCORE_BLOCK` rows at a time: a mask over all of the
+    padding would take one byte per cell, a third of the padding on report text."""
     lengths = np.diff(X.indptr)
     data = np.zeros((len(lengths), lengths.max(initial=0)), dtype=X.data.dtype)
     ids = np.zeros(data.shape, dtype=X.indices.dtype)
-    for start in range(0, len(lengths), _PAD_FILL_BLOCK):
-        rows = slice(start, start + _PAD_FILL_BLOCK)
+    for start in range(0, len(lengths), _SCORE_BLOCK):
+        rows = slice(start, start + _SCORE_BLOCK)
         # row-major order over the cells in use is CSR storage order
         in_use = np.arange(data.shape[1]) < lengths[rows, None]
         nonzeros = slice(X.indptr[start], X.indptr[start + len(in_use)])
@@ -456,7 +455,7 @@ def predict(model: LinearModel, texts: Sequence[str]) -> np.ndarray:
         finite = np.isfinite(m)
         if not finite.all():
             row = int(np.argmin(finite))
-            raise NumericalError(f"text {start + row} has non-finite margin {m[row]}")
+            raise NumericalError(f"text {start + row} has non-finite margin {m[row]}", row=start + row)
         margins[start : start + len(block)] = m
     return _probability(margins)
 

@@ -16,7 +16,12 @@ import numpy as np
 
 
 class NormchartsError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors. `row` indexes the classifier input an
+    error is about, when it is about one; its message then begins "text <row> "."""
+
+    def __init__(self, message, row=None):
+        super().__init__(message)
+        self.row = row
 
 
 class ConfigError(NormchartsError):
@@ -32,11 +37,7 @@ class NumericalError(NormchartsError):
 
 
 class EmptyInput(DataError):
-    """Input with nothing to work on; `row` indexes the offending text when known."""
-
-    def __init__(self, message, row=None):
-        super().__init__(message)
-        self.row = row
+    """Input with nothing to work on."""
 
 
 class ClientError(NormchartsError):

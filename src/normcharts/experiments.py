@@ -16,7 +16,9 @@ from typing import Collection, Optional
 import numpy as np
 
 from . import classifier, corpus, growthchart, labeling, metrics, phenotype, stepwise
-from .errors import ConfigError, DataError, EmptyInput, csv_rows, warn, write_number_csv, write_rows
+from .errors import (
+    ConfigError, DataError, EmptyInput, NumericalError, csv_rows, warn, write_number_csv, write_rows,
+)
 from .labeling import Label
 from .phenotype import AggregationMethod, Region, parse_boolean
 from .report_text import InputMode, Report, Sex, compose_input, load_reports_jsonl
@@ -202,15 +204,14 @@ def _examples(
 
 @contextlib.contextmanager
 def _naming_reports(path, report_ids: list[str]):
-    """Name the report behind a classifier input that has no tokens."""
+    """Name the report behind a classifier input that has no tokens or a margin that is not finite."""
     try:
         yield
-    except EmptyInput as e:
+    except (EmptyInput, NumericalError) as e:
         if e.row is None:
             raise
-        raise EmptyInput(
-            f"{path}: report {report_ids[e.row]!r} has no tokens after normalization"
-        ) from None
+        problem = str(e).removeprefix(f"text {e.row} ")
+        raise type(e)(f"{path}: report {report_ids[e.row]!r} {problem}") from None
 
 
 def _training_design(path, reports, train_sets: list[Collection[str]], labels, mode, fcfg):

@@ -176,8 +176,9 @@ def gg_quantile(q, p: GGParams):
         y = np.asarray(p.mu * np.power(g / theta, 1.0 / p.nu))
     ok = np.isfinite(y)
     if not ok.all():
-        at = np.broadcast_to(q, y.shape)[~ok][0]
-        raise NumericalError(f"the {at:g} quantile must be finite, got {_bad_values(y, ok)}")
+        qs = np.broadcast_to(q, y.shape)
+        at = qs[~ok][0]  # the first probability with a bad value; only its values are counted
+        raise NumericalError(f"the {at:g} quantile must be finite, got {_bad_values(y[qs == at], ok[qs == at])}")
     return _scalar_or_array(y)
 
 
@@ -217,9 +218,15 @@ def linear_predictors(model: GrowthModel, age_years, female, scanner_id=None):
     """
     eta_mu = _predictor(model.mu_coef, age_years, model.fp_mu, np.asarray(female, dtype=float))
     if scanner_id is not None:
-        shift = np.frompyfunc(lambda s: model.scanner_intercepts.get(s, 0.0), 1, 1)
-        eta_mu = eta_mu + np.asarray(shift(scanner_id), dtype=float)
+        eta_mu = eta_mu + _scanner_shift(model, scanner_id)
     return eta_mu, _predictor(model.sigma_coef, age_years, model.fp_sigma)
+
+
+def _scanner_shift(model: GrowthModel, scanner_id) -> np.ndarray:
+    """Each scanner id's intercept, looked up once per distinct id; an unknown one gets none, 0.0."""
+    ids, where = np.unique(scanner_id, return_inverse=True)
+    intercepts = np.array([model.scanner_intercepts.get(s, 0.0) for s in ids.tolist()], dtype=float)
+    return intercepts[where.reshape(np.shape(scanner_id))]
 
 
 def _predictor(coef, ages, spec: Optional[FpSpec], *columns):
@@ -769,7 +776,7 @@ def fit(
             if prior := priors.get(spec):
                 yield "warm", np.concatenate([
                     _standardized(np.array(prior.mu_coef[: mu.stop]), centre_mu, scale_mu),
-                    [prior.scanner_intercepts.get(s, 0.0) for s in scanners.tolist()],
+                    _scanner_shift(prior, scanners),
                     _standardized(np.array(prior.sigma_coef), centre_sig, scale_sig),
                     [prior.nu],
                 ])
@@ -842,10 +849,8 @@ def percentile_curves(
     "age_years" and one "p<100 q>" column per PERCENTILES probability (p2.5, p50, p97.5)."""
     ages = np.asarray(age_grid, dtype=float)
     p = params_at(model, ages, sex is Sex.F)
-    curves = {"age_years": ages}
-    for q in PERCENTILES:
-        curves[f"p{100 * q:g}"] = gg_quantile(q, p)
-    return curves
+    quantiles = gg_quantile(np.array(PERCENTILES)[:, None], p)
+    return {"age_years": ages, **{f"p{100 * q:g}": y for q, y in zip(PERCENTILES, quantiles)}}
 
 
 def compare_centiles(a: Sequence[float], b: Sequence[float]) -> float:

@@ -12,7 +12,6 @@ nothing of growth models: synthetic cohorts drawn from one live in synthcorpus.
 import copy
 import csv
 import warnings
-from array import array
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Iterable
@@ -335,26 +334,17 @@ def _load_columns(path) -> PhenotypeTable:
 
 def _load_rows(path) -> PhenotypeTable:
     """Read the file row by row with errors.csv_rows and int/float; raise at path:line."""
-    session_id, sequence_id, scanner_id, sex, is_mprage = [], [], [], [], []
-    age_days, numbers, lines = array("q"), array("d"), array("q")
-    for line, (sid, seq, scanner, age, sex_code, mprage, *values) in csv_rows(path, PHENOTYPE_COLUMNS):
+    rows, lines = [], []
+    for line, (sid, seq, scanner, age, sex, mprage, *values) in csv_rows(path, PHENOTYPE_COLUMNS):
         try:
-            age_days.append(int(age))
-            numbers.extend(map(float, values))
-            is_mprage.append(parse_boolean(mprage, "is_mprage"))
+            age_days, numbers = np.int64(int(age)), [*map(float, values)]
+            rows.append((sid, seq, scanner, age_days, sex, parse_boolean(mprage, "is_mprage"),
+                         numbers[: len(Region)], numbers[len(Region) :]))
         except (ValueError, OverflowError) as e:
             raise DataError(f"{path}:{line}: {e}") from None
-        session_id.append(sid)
-        sequence_id.append(seq)
-        scanner_id.append(scanner)
-        sex.append(sex_code)
         lines.append(line)
-    numbers = np.frombuffer(numbers, dtype=float).reshape(len(lines), len(Region) + len(QcCategory))
     try:
-        return PhenotypeTable(
-            session_id, sequence_id, scanner_id, age_days, sex, is_mprage,
-            numbers[:, : len(Region)], numbers[:, len(Region) :],
-        )
+        return PhenotypeTable.from_rows(rows)
     except BadRow as e:
         raise DataError(f"{path}:{lines[e.row]}: {e.problem}") from None
 

@@ -211,7 +211,8 @@ def synth_cohort(seed: int, n_sessions: int, truth: GrowthModel) -> PhenotypeTab
         age_days = max(1, int(round(rng.uniform(*AGE_RANGE_DAYS))))
         sex = Sex.M if rng.random() < 0.5 else Sex.F
         scanner = scanner_ids[i % len(scanner_ids)]
-        eta_mu, eta_sigma = linear_predictors(truth, age_days / DAYS_PER_YEAR, sex is Sex.F, scanner)
+        eta_mu, eta_sigma = linear_predictors(truth, age_days / DAYS_PER_YEAR, sex is Sex.F)
+        eta_mu += truth.scanner_intercepts[scanner]
         # libm's exp, not numpy's: they differ in the last bit for about one
         # argument in twenty, and the tests pin digests of cohorts drawn with libm.
         params = GGParams(math.exp(eta_mu), math.exp(eta_sigma), truth.nu)

@@ -782,14 +782,17 @@ def test_eval_of_a_model_whose_margins_overflow_fails_in_one_line(tmp_path):
     save_model(LinearModel(weights=weights, bias=0.0, config=FeatureConfig(dimension=1 << 10), pos_weight=10.0),
                model_path)
     out = tmp_path / "eval.csv"
+    reports = data_file("edge_case_reports.jsonl")
     result = _cli_in_fresh_interpreter(
-        "eval", "--model", str(model_path), "--reports", str(data_file("edge_case_reports.jsonl")),
+        "eval", "--model", str(model_path), "--reports", str(reports),
         "--labels", str(data_file("edge_case_gold.csv")), "--split", _all_reports_in(tmp_path, "Test"),
         "--out", str(out))
     assert result.returncode == 4
     assert result.stdout == ""
     lines = result.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("numerical failure: text 0 has non-finite margin "), result.stderr
+    # the report is named by its id in the file, not by its index in the scored subset
+    expected = f"numerical failure: {reports}: report 'edge-01' has non-finite margin "
+    assert len(lines) == 1 and lines[0].startswith(expected), result.stderr
     assert not out.exists()
 
 
@@ -1535,10 +1538,7 @@ def test_fit_growth_layouts_golden_digests(tmp_path, monkeypatch, capsys, caplog
     assert _sha256s(tmp_path, expected) == expected
     if one_sex:
         # outside pytest's log capture the warning is one stderr line, without a source line
-        src = str(Path(normcharts.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        result = subprocess.run([sys.executable, "-m", "normcharts.cli", *argv[:-1], "again.json"],
-                                env=env, capture_output=True, text=True)
+        result = _cli_in_fresh_interpreter(*argv[:-1], "again.json")
         assert (result.returncode, result.stderr) == (0, SINGLE_SEX_WARNING + "\n")
 
 
@@ -1572,6 +1572,7 @@ BAD_PHENOTYPE_ROWS = {
     "long_row": (lambda row: row + ["x"], "expected 20 fields, got 21"),
     "bad_number": (lambda row: row[:11] + ["abc"] + row[12:], "could not convert string to float: 'abc'"),
     "zero_age": (lambda row: row[:3] + ["0"] + row[4:], "age_days must be positive, got 0"),
+    "age_past_int64": (lambda row: row[:3] + [str(2**63)] + row[4:], "Python int too large to convert to C long"),
     "unknown_sex": (lambda row: row[:4] + ["X"] + row[5:], "sex must be M or F, got 'X'"),
     "negative_volume": (lambda row: row[:6] + ["-5"] + row[7:],
                         "volume vol_cortical_gm must be positive and finite, got -5.0"),
@@ -1714,10 +1715,7 @@ def _run_growth_command(tmp_path, command, model):
         "centiles": ["centiles", "--phenotypes", str(phenotypes)],
         "curves": ["curves"],
     }[command] + ["--model", str(model_path), "--out", str(tmp_path / "out.csv")]
-    src = str(Path(normcharts.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    return subprocess.run([sys.executable, "-m", "normcharts.cli", *argv],
-                          env=env, capture_output=True, text=True)
+    return _cli_in_fresh_interpreter(*argv)
 
 
 @pytest.mark.parametrize("command", ["centiles", "curves"])
@@ -1828,10 +1826,7 @@ def test_header_only_phenotype_csv_writes_nothing_to_stderr(tmp_path, command):
     path.write_text(",".join(PHENOTYPE_COLUMNS) + "\n")
     argv = _phenotype_argv(command, path, tmp_path / "out.csv", tmp_path)
     # a fresh interpreter, so a warning is printed as it would be for a user
-    src = str(Path(normcharts.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    result = subprocess.run([sys.executable, "-m", "normcharts.cli", *argv],
-                            env=env, capture_output=True, text=True)
+    result = _cli_in_fresh_interpreter(*argv)
     assert (result.returncode, result.stderr) == (0, "")
     assert result.stdout.startswith(
         {"aggregate": "sessions: 0 in, 0 out, ", "qc": "kept 0 of 0 sequences",

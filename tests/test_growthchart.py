@@ -679,6 +679,20 @@ def test_fit_requires_minimum_cohort():
         fit(cohort, Region.CORTICAL_GM, quick_options())
 
 
+def test_linear_predictors_shift_each_session_by_its_scanners_intercept():
+    # known scanners get their intercept, unknown ones none; scanner ids broadcast as ages do
+    model = small_truth()
+    rng = np.random.default_rng(4)
+    ages, female = rng.uniform(0.5, 19.0, 12), rng.random(12) < 0.5
+    scanner_id = np.array(rng.choice(["scan-00", "scan-01", "scan-99", ""], (3, 12)).tolist(), dtype=object)
+    eta_mu, eta_sigma = linear_predictors(model, ages, female, scanner_id)
+    base_mu, base_sigma = linear_predictors(model, ages, female)
+    shift = np.array([[model.scanner_intercepts.get(s, 0.0) for s in row] for row in scanner_id.tolist()])
+    assert eta_mu.shape == scanner_id.shape
+    assert eta_mu.tobytes() == (base_mu + shift).tobytes()
+    assert np.asarray(eta_sigma).tobytes() == np.asarray(base_sigma).tobytes()
+
+
 def test_scanner_intercepts_mean_zero():
     cohort = build_cohort(5, 120, small_truth())
     model = fit(cohort, Region.CORTICAL_GM, quick_options())
@@ -805,6 +819,41 @@ def test_percentile_curves_match_per_age_quantiles():
         for q, column in zip(PERCENTILES, ("p2.5", "p50", "p97.5")):
             want = [gg_quantile(q, params_at(model, age, sex is Sex.F)) for age in grid.tolist()]
             assert curves[column].tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("nu, fp_sigma, sigma_coef", [
+    (1.5, None, (-2.12,)),
+    (-0.7, FpSpec(1, (1.0,)), (-2.3, 0.02)),
+])
+def test_percentile_curves_equal_one_quantile_call_per_probability(nu, fp_sigma, sigma_coef):
+    # one solve over a column of the probabilities, bit for bit a call per probability
+    model = replace(small_truth(), nu=nu, fp_sigma=fp_sigma, sigma_coef=sigma_coef)
+    grid = np.linspace(0.5, 19.0, 38)
+    for sex in (Sex.F, Sex.M):
+        curves = percentile_curves(model, grid, sex)
+        p = params_at(model, grid, sex is Sex.F)
+        for q in PERCENTILES:
+            assert curves[f"p{100 * q:g}"].tobytes() == gg_quantile(q, p).tobytes()
+
+
+@pytest.mark.parametrize("change", [
+    {"mu_coef": (709.4, 0.05, 0.0)},  # the 0.975 curve overflows at the older ages
+    {"nu": -800.0},  # G is 0 in double for 0.5 and 0.975, at every age
+])
+def test_percentile_curves_fail_as_the_first_failing_probability_alone(change):
+    model = replace(small_truth(), **change)
+    grid = np.linspace(0.5, 19.0, 38)
+    p = params_at(model, grid, False)
+    singles = []
+    for q in PERCENTILES:
+        try:
+            gg_quantile(q, p)
+        except NumericalError as e:
+            singles.append(str(e))
+    # the message names that probability and counts its values only
+    with pytest.raises(NumericalError) as e:
+        percentile_curves(model, grid, Sex.M)
+    assert str(e.value) == singles[0]
 
 
 def test_percentile_curves_ordered_and_invertible():

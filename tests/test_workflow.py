@@ -1,11 +1,15 @@
 """The CI workflow runs the one Tier-1 command on every leg of its test
 matrix, one leg of which pins the oldest numpy and Python pyproject.toml
 allows, and its benchmark smoke runs every workload BENCHMARK.json lists.
-The files are read as text, so no YAML parser is needed."""
+The files are read as text, so no YAML parser is needed. Under the warning
+filters of pyproject.toml, a failing Hypothesis test is reported as any other."""
 
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).parents[1]
@@ -53,3 +57,23 @@ def test_bench_smoke_reads_its_workloads_from_benchmark_json():
     assert 'json.load(open("BENCHMARK.json"))["workloads"]' in smoke
     workloads = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["workloads"]
     assert not [w["name"] for w in workloads if w["name"] in smoke]  # no hand-kept list
+
+
+def test_a_failing_hypothesis_test_prints_its_example_and_the_run_goes_on(tmp_path):
+    # pytest under pyproject.toml's settings, on a generated @given test that fails and a test after it
+    (tmp_path / "test_generated.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x < 5\n\n\n"
+        "def test_after():\n"
+        "    pass\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "PYTEST_ADDOPTS"}
+    argv = [sys.executable, "-m", "pytest", "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path),
+            "-p", "no:cacheprovider", "-q", "test_generated.py"]
+    result = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    output = result.stdout + result.stderr
+    assert "Falsifying example" in output, output
+    assert "INTERNALERROR" not in output, output
+    assert "1 failed, 1 passed" in output, output
