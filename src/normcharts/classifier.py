@@ -88,10 +88,6 @@ _TOKEN_BYTE = np.zeros(256, dtype=bool)
 _TOKEN_BYTE[list(b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789")] = True
 
 
-def _no_tokens(row: int) -> EmptyInput:
-    return EmptyInput(f"text {row} has no tokens after normalization", row=row)
-
-
 def _block_counts(texts: Sequence[str], config: FeatureConfig, first_row: int):
     """Hashed 1- and 2-gram counts of one block of texts: (nonzeros per row, columns, counts).
     Columns are int32 (int64 past a dimension of 2^31) and counts the smallest
@@ -125,7 +121,7 @@ def _block_counts(texts: Sequence[str], config: FeatureConfig, first_row: int):
     row = np.searchsorted(offsets, token_starts, side="right") - 1
     per_row = np.bincount(row, minlength=len(texts))
     if not per_row.all():
-        raise _no_tokens(first_row + int(np.argmin(per_row)))
+        raise EmptyInput("has no tokens after normalization", row=first_row + int(np.argmin(per_row)))
     lengths = token_ends - token_starts
     # Byte k of every token that has one, longest tokens first, so that the
     # tokens still being folded at byte k are a prefix of that order.  numpy
@@ -377,7 +373,7 @@ def design(
     try:
         return featurize([examples[i][0] for i in ordered], fcfg), y
     except EmptyInput as e:
-        raise _no_tokens(ordered[e.row]) from None
+        raise EmptyInput(e.problem, row=ordered[e.row]) from None
 
 
 def train(X: CsrMatrix, y: np.ndarray, cfg: TrainConfig) -> LinearModel:
@@ -449,13 +445,13 @@ def predict(model: LinearModel, texts: Sequence[str]) -> np.ndarray:
         try:
             X = featurize(block, model.config)
         except EmptyInput as e:
-            raise _no_tokens(start + e.row) from None
+            raise EmptyInput(e.problem, row=start + e.row) from None
         with np.errstate(over="ignore", invalid="ignore"):
             m = X.matvec(model.weights) + model.bias
         finite = np.isfinite(m)
         if not finite.all():
             row = int(np.argmin(finite))
-            raise NumericalError(f"text {start + row} has non-finite margin {m[row]}", row=start + row)
+            raise NumericalError(f"has non-finite margin {m[row]}", row=start + row)
         margins[start : start + len(block)] = m
     return _probability(margins)
 

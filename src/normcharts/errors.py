@@ -16,11 +16,14 @@ import numpy as np
 
 
 class NormchartsError(Exception):
-    """Base class for all library errors. `row` indexes the classifier input an
-    error is about, when it is about one; its message then begins "text <row> "."""
+    """Base class for all library errors: `problem` says what is wrong and
+    `row`, when the error is about one, indexes the input row it is about.
+    The message is `problem`, or "row <row>: <problem>"; a caller that knows
+    where the row came from re-raises from `problem` and `row`, not the message."""
 
-    def __init__(self, message, row=None):
-        super().__init__(message)
+    def __init__(self, problem, row=None):
+        super().__init__(problem if row is None else f"row {row}: {problem}")
+        self.problem = problem
         self.row = row
 
 

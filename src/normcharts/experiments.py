@@ -190,16 +190,20 @@ def fit_options(fp1_only: bool, sigma_age: bool, ridge_lambda: float) -> growthc
 
 
 def _examples(
+    path,
     reports: list[Report],
     ids: set[str],
     labels: dict[str, Label],
     mode: InputMode,
 ) -> tuple[list[str], list[tuple[str, Label]]]:
     """Report ids and (input, label) pairs of the reports in `ids` labelled
-    Normal or Abnormal, in corpus order."""
+    Normal or Abnormal, in corpus order; a report with no input is named at `path`."""
     known = (Label.NORMAL, Label.ABNORMAL)
     chosen = [r for r in reports if r.id in ids and labels.get(r.id) in known]
-    return [r.id for r in chosen], [(compose_input(r, mode), labels[r.id]) for r in chosen]
+    try:
+        return [r.id for r in chosen], [(compose_input(r, mode), labels[r.id]) for r in chosen]
+    except EmptyInput as e:
+        raise EmptyInput(f"{path}: {e.problem}") from None
 
 
 @contextlib.contextmanager
@@ -210,15 +214,14 @@ def _naming_reports(path, report_ids: list[str]):
     except (EmptyInput, NumericalError) as e:
         if e.row is None:
             raise
-        problem = str(e).removeprefix(f"text {e.row} ")
-        raise type(e)(f"{path}: report {report_ids[e.row]!r} {problem}") from None
+        raise type(e)(f"{path}: report {report_ids[e.row]!r} {e.problem}") from None
 
 
 def _training_design(path, reports, train_sets: list[Collection[str]], labels, mode, fcfg):
     """classifier.design over the union of the training sets, and each set's rows of it as a
     mask: the union is in classifier.training_order, so a set's rows, ascending, are its own
     design's."""
-    report_ids, examples = _examples(reports, set().union(*train_sets), labels, mode)
+    report_ids, examples = _examples(path, reports, set().union(*train_sets), labels, mode)
     order = classifier.training_order(examples)
     with _naming_reports(path, report_ids):
         X, y = classifier.design(examples, fcfg, order)
@@ -232,7 +235,7 @@ def train_classifier(path, reports, ids, labels, mode, tcfg) -> classifier.Linea
 
 
 def evaluate_classifier(path, model, reports, ids, labels, mode) -> metrics.EvalResult:
-    report_ids, examples = _examples(reports, ids, labels, mode)
+    report_ids, examples = _examples(path, reports, ids, labels, mode)
     with _naming_reports(path, report_ids):
         preds = classifier.classify(model, [text for text, _ in examples])
     return metrics.confusion(preds, [label for _, label in examples])

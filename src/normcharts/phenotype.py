@@ -66,15 +66,6 @@ def parse_boolean(text: str, name: str) -> bool:
     return flag
 
 
-class BadRow(DataError):
-    """A table row that fails validation; `row` is its 0-based index."""
-
-    def __init__(self, row: int, problem: str):
-        super().__init__(f"row {row}: {problem}")
-        self.row = row
-        self.problem = problem
-
-
 def _column(dtype, entries: type[Enum] | None = None):
     """A table column: a dataclass field whose metadata holds its dtype and,
     for a 2-D column, the CSV name of each entry, the values of `entries`."""
@@ -129,9 +120,9 @@ class PhenotypeTable(_Columns):
     The id columns and `sex` hold Python strings (sex as the codes "M" and
     "F"), `volumes` is (n, 6) in Region order and `qc` is (n, 8) in
     QcCategory order. The constructor coerces every column to its dtype,
-    checks the shapes, and raises BadRow for the first row whose age is not
-    positive, whose sex is unknown, or which holds a volume that is not
-    positive and finite.
+    checks the shapes, and raises a DataError at the `row` of the first row
+    whose age is not positive, whose sex is unknown, or which holds a volume
+    that is not positive and finite.
     """
 
     session_id: np.ndarray = _column(object)
@@ -156,7 +147,7 @@ class PhenotypeTable(_Columns):
                 f"sex must be M or F, got {self.sex[row]!r}",
                 f"volume {_REGIONS[k].value} must be positive and finite, got {self.volumes[row, k].item()}",
             )
-            raise BadRow(row, next(m for m, mask in zip(messages, masks) if mask[row]))
+            raise DataError(next(m for m, mask in zip(messages, masks) if mask[row]), row=row)
 
     @classmethod
     def from_rows(cls, rows: Iterable[tuple]) -> "PhenotypeTable":
@@ -291,13 +282,14 @@ def load_phenotype_csv(path) -> PhenotypeTable:
 
     The header is read by csv and the body is parsed by np.loadtxt in one C
     pass. Whatever that pass does not take cleanly -- an error or a warning
-    from loadtxt, an unknown is_mprage spelling, a row PhenotypeTable rejects
-    -- is read again by the row loop, which returns the table or names the bad
-    line. So the values accepted and the messages are those of int and float.
+    from loadtxt, an unknown is_mprage spelling, a DataError (a missing
+    column, a row PhenotypeTable rejects) -- is read again by the row loop,
+    which returns the table or raises the error again at its path:line. So
+    the values accepted and the messages are those of int and float.
     """
     try:
         return _load_columns(path)
-    except (ValueError, Warning, BadRow, csv.Error):  # UnicodeDecodeError is a ValueError
+    except (ValueError, Warning, DataError, csv.Error):  # UnicodeDecodeError is a ValueError
         return _load_rows(path)
 
 
@@ -345,7 +337,7 @@ def _load_rows(path) -> PhenotypeTable:
         lines.append(line)
     try:
         return PhenotypeTable.from_rows(rows)
-    except BadRow as e:
+    except DataError as e:
         raise DataError(f"{path}:{lines[e.row]}: {e.problem}") from None
 
 

@@ -219,10 +219,14 @@ def evaluate_inquiry(
     records: Sequence[StepwiseRecord],
     gold: Mapping[str, Label],
 ) -> EvalResult:
-    """Score inquiry labels against gold, Normal as the positive class."""
+    """Score inquiry labels against gold, Normal as the positive class; a report
+    whose gold label is missing or Uncertain is a DataError naming it."""
     missing = [r.report_id for r in records if r.report_id not in gold]
     if missing:
         raise DataError(f"no gold label for {missing}")
+    uncertain = [r.report_id for r in records if gold[r.report_id] is Label.UNCERTAIN]
+    if uncertain:
+        raise DataError(f"Uncertain gold label for {uncertain}")
     preds = [r.label for r in records]
     refs = [gold[r.report_id] for r in records]
     return confusion(preds, refs)

@@ -83,7 +83,7 @@ def test_featurize_empty_raises():
 def test_text_with_no_tokens_is_named_by_its_row():
     texts = [f"word{i} stable" for i in range(2 * _SCORE_BLOCK)]
     texts[_SCORE_BLOCK + 3] = "!!! ..."
-    with pytest.raises(EmptyInput, match=f"text {_SCORE_BLOCK + 3} has no tokens") as e:
+    with pytest.raises(EmptyInput, match=f"^row {_SCORE_BLOCK + 3}: has no tokens after normalization$") as e:
         featurize(texts, FeatureConfig())
     assert e.value.row == _SCORE_BLOCK + 3
     m = train(*design(_toy_examples(), FeatureConfig(dimension=1 << 10)), TrainConfig(epochs=2, seed=0))
@@ -93,7 +93,7 @@ def test_text_with_no_tokens_is_named_by_its_row():
     # design sorts its examples; the row still indexes the examples as given
     examples = _toy_examples()
     examples[5] = ("!!! ...", examples[5][1])
-    with pytest.raises(EmptyInput, match="text 5 has no tokens") as e:
+    with pytest.raises(EmptyInput, match="^row 5: has no tokens after normalization$") as e:
         train(*design(examples, FeatureConfig(dimension=1 << 10)), TrainConfig(epochs=2, seed=0))
     assert e.value.row == 5
 
@@ -664,7 +664,7 @@ def test_non_finite_margin_is_named_by_its_row():
     texts = ["stable"] * (_SCORE_BLOCK + 5)
     assert np.all(predict(m, texts) == 0.5)
     texts[_SCORE_BLOCK + 3] = "boom boom"
-    with pytest.raises(NumericalError, match=f"text {_SCORE_BLOCK + 3} has non-finite margin inf"):
+    with pytest.raises(NumericalError, match=f"^row {_SCORE_BLOCK + 3}: has non-finite margin inf$"):
         predict(m, texts)
 
 

@@ -344,11 +344,13 @@ def test_scoring_commands_leave_out_scipy(tmp_path):
     assert result.returncode == 0, result.stderr
 
 
-@pytest.mark.parametrize("case", ["bad_label", "missing_report"])
+@pytest.mark.parametrize("case", ["bad_label", "missing_report", "uncertain_label"])
 def test_triage_with_bad_gold_writes_nothing(tmp_path, capsys, case):
     gold = read_metrics(data_file("edge_case_gold.csv"))
     if case == "bad_label":
         gold[1]["label"] = "Weird"
+    elif case == "uncertain_label":
+        gold[0]["label"] = "Uncertain"
     else:
         del gold[1]
     bad = tmp_path / "gold.csv"
@@ -361,6 +363,8 @@ def test_triage_with_bad_gold_writes_nothing(tmp_path, capsys, case):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("data error: ") and captured.err.count("\n") == 1
+    if case == "uncertain_label":
+        assert gold[0]["report_id"] in captured.err
     assert not out.exists()
 
 
@@ -1085,7 +1089,7 @@ SEED_ERROR_CASES = {
     "tokenless_in_seed1_test_first": ("exp2_weighted", {(_E, _E): "!!! ...", (_V, _T): "!!! ..."},
                                       "{reports}: report 'r007' has no tokens after normalization"),
     "no_impression_in_seed2_train": ("exp4_impression", {(_V, _T): "FINDINGS: new mass"},
-                                     "report 'r007' has no impression or preamble text"),
+                                     "{reports}: report 'r007' has no impression or preamble text"),
     # a tokenless report in no training or test set raises nothing
     "tokenless_in_val_only": ("exp2_weighted", {(_V, _V): "!!! ..."}, None),
 }
@@ -1563,6 +1567,14 @@ def test_fit_growth_on_a_session_volume_that_is_not_finite_exits_4(tmp_path, mon
     assert captured.out == ""
     assert captured.err == "numerical failure: vol_cortical_gm must be finite, got inf (45 of 298 values bad)\n"
     assert not Path("growth.json").exists()
+
+
+def test_a_library_error_states_its_row_one_way():
+    for cls in (ConfigError, DataError, NumericalError):
+        plain, at_row = cls("has no tokens"), cls("has no tokens", row=7)
+        assert (str(plain), plain.problem, plain.row) == ("has no tokens", "has no tokens", None)
+        assert (str(at_row), at_row.problem, at_row.row) == ("row 7: has no tokens", "has no tokens", 7)
+        assert str(cls("x", row=0)) == "row 0: x"
 
 
 # Damage to the second data row (line 3) of a phenotype CSV, and the message

@@ -1,7 +1,9 @@
 """The package's modules import one another without a cycle, only errors
-imports logging, and only errors and phenotype import csv."""
+imports logging and defines an exception class, and only errors and
+phenotype import csv."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import normcharts
@@ -88,6 +90,17 @@ def test_imports_logging_sees_every_spelling(tmp_path):
 def test_only_errors_imports_logging():
     """Every warning goes through errors.warn, so only errors.py imports logging."""
     assert _modules_importing("logging") == ["errors.py"]
+
+
+def test_only_errors_defines_an_exception_class():
+    """Every library error is a NormchartsError, which says where it is one way."""
+    defining = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(f"normcharts.{path.stem}")
+        if any(isinstance(c, type) and issubclass(c, BaseException) and c.__module__ == module.__name__
+               for c in vars(module).values()):
+            defining.append(path.name)
+    assert defining == ["errors.py"]
 
 
 def test_only_errors_and_phenotype_import_csv():

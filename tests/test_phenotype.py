@@ -97,6 +97,25 @@ def test_record_rejects_nonpositive_volume():
         )
 
 
+def test_a_bad_row_is_a_data_error_at_its_row_that_the_loader_names_by_line(tmp_path):
+    rows = [make_row(seq=f"q{i}") for i in range(3)]
+    good = tmp_path / "good.csv"
+    write_phenotype_csv(good, make_table(*rows))
+    rows[2] = rows[2][:4] + ("X",) + rows[2][5:]
+    with pytest.raises(DataError) as e:
+        make_table(*rows)
+    assert (type(e.value), e.value.row, e.value.problem) == (DataError, 2, "sex must be M or F, got 'X'")
+    assert str(e.value) == "row 2: sex must be M or F, got 'X'"
+    # the loader prints that problem at the file line of row 2, the header being line 1
+    lines = good.read_text().splitlines()
+    lines[3] = lines[3].replace(",M,", ",X,")
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError) as e:
+        load_phenotype_csv(bad)
+    assert (str(e.value), e.value.row) == (f"{bad}:4: sex must be M or F, got 'X'", None)
+
+
 def test_median_odd_and_even():
     agg3 = only_session(*(make_row(seq=f"q{i}", vol=v) for i, v in enumerate((100.0, 130.0, 110.0))))
     assert agg3.volumes.tolist() == [[110.0] * len(Region)]
